@@ -30,7 +30,7 @@ from .series import (
     CONVENTION_PAPER_I,
     CONVENTION_REAL,
     FormalSeries,
-    a_hat_from_roots,
+    a_hat_class,
     omega_forms,
     series_eta_hat,
     series_p,

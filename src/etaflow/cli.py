@@ -22,10 +22,10 @@ from .catalog import ConfigError, resolve_manifold
 from .eta import (
     adiabatic_limit_eta,
     aps_index,
+    aps_terms,
     corollary_check,
     eta_invariant,
     transgression_raw,
-    transgression_term,
 )
 from .exact import (
     GaussianRational,
@@ -38,7 +38,7 @@ from .ring import exp_nilpotent, integrate_top
 from .series import (
     CONVENTION_PAPER_I,
     CONVENTION_REAL,
-    a_hat_from_roots,
+    a_hat_class,
     default_order,
     eta_hat_series_from_alpha,
     eta_hat_series_integer,
@@ -217,9 +217,7 @@ def _cmd_transgression(args):
     manifold = entry.require_manifold()
     r = parse_rational(args.r)
     eps = parse_rational(args.eps)
-    value = transgression_term(manifold, r, eps, args.convention, order=args.order) \
-        if args.convention == CONVENTION_REAL else \
-        transgression_raw(manifold, r, eps, args.convention, args.order)
+    value = transgression_raw(manifold, r, eps, args.convention, args.order)
     result = {
         "r": rational_str(r),
         "eps": rational_str(eps),
@@ -247,13 +245,9 @@ def _cmd_aps_index(args):
     n = entry.model.n
     table = entry.model.table
     value = aps_index(n, table, eps)
-    contributing = []
-    for p in range(n + 1):
-        kv = -eps * (Fraction(p) - Fraction(n, 2))
-        if kv.denominator == 1:
-            h = table.h(p, int(kv))
-            if h:
-                contributing.append({"p": p, "k": int(kv), "h": h})
+    contributing = [
+        {"p": p, "k": k, "h": h} for p, k, h in aps_terms(n, table, eps) if h
+    ]
     result = {
         "eps": rational_str(eps),
         "index": rational_str(value),
@@ -281,9 +275,8 @@ def _cmd_kernel_dim(args):
 def _identity_suite(manifold, r, order):
     """Deterministic symbolic self-checks on one catalog manifold."""
     ring = manifold.ring
-    order = order or default_order(ring)
     c = manifold.c
-    roots = manifold.chern_roots
+    sums = manifold.power_sums
     checks = []
 
     def check(name, fn):
@@ -311,20 +304,20 @@ def _identity_suite(manifold, r, order):
           == (0 if r.denominator == 1 else 1 - 2 * (r - math.floor(r))))
     check("a_hat_degrees_divisible_by_four",
           lambda: all(d % 4 == 0
-                      for d in a_hat_from_roots(ring, roots, order).degrees()))
+                      for d in a_hat_class(ring, sums, order).degrees()))
 
     for convention in (CONVENTION_REAL, CONVENTION_PAPER_I):
-        omega0, omega2 = omega_forms(roots, c, convention, order)
+        omega0, omega2 = omega_forms(ring, sums, convention, order)
         check(f"transgression_derivative_{convention}",
               lambda o0=omega0, o2=omega2:
               o0.derivative_delta() == c * 2 * o2)
 
     def ftc(rr, ee):
-        omega0, omega2 = omega_forms(roots, c, order=order)
+        omega0, omega2 = omega_forms(ring, sums, order=order)
         erc = exp_nilpotent(c * rr)
         lhs = poly_integrate_delta(
             integrate_top(c * 2 * omega2 * exp_nilpotent(omega0) * erc), ee)
-        ahat = a_hat_from_roots(ring, roots, order)
+        ahat = a_hat_class(ring, sums, order)
         rhs = integrate_top((exp_nilpotent(omega0.subs_delta(ee)) - ahat) * erc)
         return lhs == rhs
 
@@ -342,10 +335,12 @@ def _cmd_check_identities(args):
     entry = resolve_manifold(args.manifold)
     manifold = entry.require_manifold()
     r = parse_rational(args.r)
-    checks = _identity_suite(manifold, r, args.order)
+    order = args.order
+    if order is None:
+        order = default_order(manifold.ring)
+    checks = _identity_suite(manifold, r, order)
     result = {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
     if args.dump_series:
-        order = args.order or default_order(manifold.ring)
         result["series"] = {
             "order": order,
             "p": series_p(order).to_json(),

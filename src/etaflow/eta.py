@@ -24,7 +24,7 @@ from .exact import ParamPoly, as_fraction, poly_integrate_delta, rational_str
 from .ring import GradedClass, eval_series, exp_nilpotent, integrate_top
 from .series import (
     CONVENTION_REAL,
-    a_hat_from_roots,
+    a_hat_class,
     default_order,
     omega_forms,
     series_eta_hat,
@@ -47,7 +47,7 @@ def adiabatic_integrand(manifold: ManifoldSpec, r, order=None) -> GradedClass:
     ring = manifold.ring
     if order is None:
         order = default_order(ring)
-    ahat = a_hat_from_roots(ring, manifold.chern_roots, order)
+    ahat = a_hat_class(ring, manifold.power_sums, order)
     eta_hat = eval_series(series_eta_hat(r, order), manifold.c)
     return ahat * eta_hat * _exp_rc(manifold, r)
 
@@ -65,7 +65,7 @@ def transgression_integrand_poly(
     """Top-degree coefficient of Omega_2 e^{Omega_0} e^{rc}: a polynomial
     in delta (Gaussian-valued in the paper_i convention)."""
     omega0, omega2 = omega_forms(
-        manifold.chern_roots, manifold.c, convention, order
+        manifold.ring, manifold.power_sums, convention, order
     )
     integrand = omega2 * exp_nilpotent(omega0) * _exp_rc(manifold, r)
     return integrate_top(integrand)
@@ -204,24 +204,31 @@ def eta_invariant(
     )
 
 
+def aps_terms(n: int, table, eps):
+    """Terms of the APS index sum: (p, k, h^{p,k}) for every 0 <= p <= n
+    whose twist k = -eps (p - n/2) is an integer.  Only rational eps is
+    accepted."""
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    terms = []
+    for p in range(n + 1):
+        kv = -eps * (Fraction(p) - Fraction(n, 2))
+        if kv.denominator == 1:
+            terms.append((p, int(kv), table.h(p, int(kv))))
+    return terms
+
+
 def aps_index(manifold_or_n, table, eps) -> Fraction:
     """Index of the boundary-value problem on the disc bundle:
-    -(1/2) * sum of h^{p,k} over 0 <= p <= n with k = -eps (p - n/2) an
-    integer.  Only rational eps is accepted; the sum is exact."""
+    -(1/2) * sum of h^{p,k} over the terms of ``aps_terms``; the sum is
+    exact."""
     n = (
         manifold_or_n.n
         if isinstance(manifold_or_n, ManifoldSpec)
         else int(manifold_or_n)
     )
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    total = 0
-    for p in range(n + 1):
-        kv = -eps * (Fraction(p) - Fraction(n, 2))
-        if kv.denominator == 1:
-            total += table.h(p, int(kv))
-    return -Fraction(total, 2)
+    return -Fraction(sum(h for _, _, h in aps_terms(n, table, eps)), 2)
 
 
 def aps_resonances(table, n: int, lo, hi):
@@ -268,10 +275,9 @@ def corollary_check(manifold: ManifoldSpec, order=None) -> CorollaryCheck:
     are both identically zero on a base of dimension divisible by four."""
     if manifold.n % 2:
         raise ValueError("needs real dimension divisible by four (n even)")
-    ring = manifold.ring
-    top = ring.top_monomial
+    top = manifold.n
     ad_top = adiabatic_integrand(manifold, Fraction(0), order).coefficient(top)
-    omega0, omega2 = omega_forms(manifold.chern_roots, manifold.c, order=order)
+    omega0, omega2 = omega_forms(manifold.ring, manifold.power_sums, order=order)
     tg_top = (omega2 * exp_nilpotent(omega0)).coefficient(top)
     witness = None
     if not ad_top.is_zero:

@@ -2,8 +2,8 @@
 
 Every quantity that enters a sign decision (eigenvalue crossings, spectral
 flow counts, characteristic-number integrals) is represented exactly:
-arbitrary-precision rationals, Gaussian rationals, polynomials in the two
-formal parameters ``delta`` and ``alpha``, and algebraic values of the
+arbitrary-precision rationals, Gaussian rationals, polynomials in the
+formal deformation parameter ``delta``, and algebraic values of the
 shape ``a + b*sqrt(A)``.  Floating point never appears in a decision path.
 
 Rationals are plain :class:`fractions.Fraction` (already reduced, positive
@@ -45,7 +45,16 @@ def as_fraction(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", "-3", "2" (or an exact decimal literal like "0.5")."""
+    """Parse "p/q", "-3", "2" (or an exact decimal literal like "0.5").
+
+    Exponent literals such as "1e1000000" are refused: their size is not
+    bounded by the length of the text.
+    """
+    if "e" in text.lower():
+        raise ValueError(
+            f"not a rational: {text!r} (accepted forms: p/q, an integer, or a "
+            "plain decimal such as 0.5; no exponents)"
+        )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -182,45 +191,48 @@ def _as_gaussian(value) -> GaussianRational:
     return GaussianRational.coerce(value)
 
 
-# monomial keys for ParamPoly: (delta exponent, alpha exponent)
+def truncated_product(a, b, size: int, zero):
+    """The first ``size`` coefficients of the product of two polynomials
+    given by their coefficient sequences (index = exponent).  Shared by
+    every one-variable polynomial type in the package; coefficients need
+    only +, * and a falsy zero."""
+    out = [zero] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[: size - i]):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return out
 
 
-def _mono_str(dd: int, da: int) -> str:
-    parts = []
-    if dd:
-        parts.append("delta" if dd == 1 else f"delta^{dd}")
-    if da:
-        parts.append("alpha" if da == 1 else f"alpha^{da}")
-    return "*".join(parts) if parts else "1"
+def _delta_str(d: int) -> str:
+    if not d:
+        return "1"
+    return "delta" if d == 1 else f"delta^{d}"
 
 
 class ParamPoly:
-    """Polynomial in the two formal parameters delta and alpha.
+    """Polynomial in the formal deformation parameter delta.
 
-    Coefficients are Gaussian rationals; keys are (delta exponent, alpha
-    exponent) pairs.  Zero coefficients are never stored and instances are
-    immutable, so values are safe to share.
+    ``_terms[d]`` is the Gaussian-rational coefficient of delta^d.
+    Trailing zeros are never stored and instances are immutable, so values
+    are safe to share.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
-        clean = {}
-        for key, coeff in (terms or {}).items():
-            dd, da = key
-            if dd < 0 or da < 0:
-                raise ValueError(f"negative exponent in monomial {key}")
-            c = _as_gaussian(coeff)
-            if c:
-                clean[(int(dd), int(da))] = c
-        object.__setattr__(self, "_terms", clean)
+    def __init__(self, coefficients=()):
+        terms = [_as_gaussian(c) for c in coefficients]
+        while terms and not terms[-1]:
+            terms.pop()
+        object.__setattr__(self, "_terms", tuple(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
 
     @staticmethod
     def constant(value) -> "ParamPoly":
-        return ParamPoly({(0, 0): _as_gaussian(value)})
+        return ParamPoly([value])
 
     @staticmethod
     def zero() -> "ParamPoly":
@@ -228,15 +240,11 @@ class ParamPoly:
 
     @staticmethod
     def one() -> "ParamPoly":
-        return ParamPoly.constant(1)
+        return ParamPoly([1])
 
     @staticmethod
     def delta() -> "ParamPoly":
-        return ParamPoly({(1, 0): 1})
-
-    @staticmethod
-    def alpha() -> "ParamPoly":
-        return ParamPoly({(0, 1): 1})
+        return ParamPoly([0, 1])
 
     @staticmethod
     def coerce(value) -> "ParamPoly":
@@ -245,35 +253,28 @@ class ParamPoly:
         return ParamPoly.constant(value)
 
     def items(self):
-        return sorted(self._terms.items())
+        """(delta exponent, coefficient) for every nonzero coefficient."""
+        return [(d, c) for d, c in enumerate(self._terms) if c]
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     @property
-    def is_constant(self) -> bool:
-        return all(key == (0, 0) for key in self._terms)
-
-    @property
     def delta_degree(self) -> int:
-        return max((dd for dd, _ in self._terms), default=0)
-
-    @property
-    def alpha_degree(self) -> int:
-        return max((da for _, da in self._terms), default=0)
+        return max(len(self._terms) - 1, 0)
 
     def constant_value(self) -> GaussianRational:
-        if not self.is_constant:
+        if len(self._terms) > 1:
             raise ValueError(f"not a constant: {self}")
-        return self._terms.get((0, 0), GaussianRational(0))
+        return self.coefficient(0)
 
     def as_rational(self) -> Fraction:
-        """Constant real value; raises if delta/alpha/i survive."""
+        """Constant real value; raises if delta or i survive."""
         return as_fraction(self.constant_value())
 
-    def coefficient(self, dd: int, da: int) -> GaussianRational:
-        return self._terms.get((dd, da), GaussianRational(0))
+    def coefficient(self, d: int) -> GaussianRational:
+        return self._terms[d] if d < len(self._terms) else GaussianRational(0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamPoly):
@@ -284,7 +285,7 @@ class ParamPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -294,19 +295,15 @@ class ParamPoly:
             other = ParamPoly.coerce(other)
         except TypeError:
             return NotImplemented
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            s = terms.get(key, GaussianRational(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return ParamPoly(terms)
+        a, b = self._terms, other._terms
+        if len(a) < len(b):
+            a, b = b, a
+        return ParamPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly({k: -c for k, c in self._terms.items()})
+        return ParamPoly([-c for c in self._terms])
 
     def __sub__(self, other):
         try:
@@ -323,16 +320,9 @@ class ParamPoly:
             other = ParamPoly.coerce(other)
         except TypeError:
             return NotImplemented
-        terms = {}
-        for (d1, a1), c1 in self._terms.items():
-            for (d2, a2), c2 in other._terms.items():
-                key = (d1 + d2, a1 + a2)
-                s = terms.get(key, GaussianRational(0)) + c1 * c2
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        return ParamPoly(terms)
+        a, b = self._terms, other._terms
+        return ParamPoly(truncated_product(a, b, len(a) + len(b) - 1,
+                                           GaussianRational(0)))
 
     __rmul__ = __mul__
 
@@ -344,74 +334,45 @@ class ParamPoly:
             result = result * self
         return result
 
-    def evaluate(self, delta=0, alpha=0) -> GaussianRational:
-        d = _as_gaussian(delta)
-        a = _as_gaussian(alpha)
-        total = GaussianRational(0)
-        for (dd, da), c in self._terms.items():
-            term = c
-            for _ in range(dd):
-                term = term * d
-            for _ in range(da):
-                term = term * a
-            total = total + term
-        return total
-
     def subs_delta(self, value) -> "ParamPoly":
-        """Substitute a rational for delta, keeping alpha formal."""
+        """Substitute a rational for delta."""
         v = as_fraction(value)
-        terms = {}
-        for (dd, da), c in self._terms.items():
-            s = terms.get((0, da), GaussianRational(0)) + c * v**dd
-            if s:
-                terms[(0, da)] = s
-            else:
-                terms.pop((0, da), None)
-        return ParamPoly(terms)
+        total = GaussianRational(0)
+        for c in reversed(self._terms):
+            total = total * v + c
+        return ParamPoly.constant(total)
 
     def derivative_delta(self) -> "ParamPoly":
-        return ParamPoly(
-            {(dd - 1, da): c * dd for (dd, da), c in self._terms.items() if dd}
-        )
-
-    def integrate_delta_on(self, upper) -> "ParamPoly":
-        """Integrate in delta over [0, upper]; the result is delta-free."""
-        u = as_fraction(upper)
-        terms = {}
-        for (dd, da), c in self._terms.items():
-            s = terms.get((0, da), GaussianRational(0)) + c * (u ** (dd + 1) / (dd + 1))
-            if s:
-                terms[(0, da)] = s
-            else:
-                terms.pop((0, da), None)
-        return ParamPoly(terms)
+        return ParamPoly([c * d for d, c in enumerate(self._terms)][1:])
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for (dd, da), c in self.items():
-            mono = _mono_str(dd, da)
-            if mono == "1":
+        for d, c in self.items():
+            if d == 0:
                 parts.append(str(c))
             elif c == 1:
-                parts.append(mono)
+                parts.append(_delta_str(d))
             else:
-                parts.append(f"({c})*{mono}")
+                parts.append(f"({c})*{_delta_str(d)}")
         return " + ".join(parts)
 
     __repr__ = __str__
 
     def to_json(self):
-        return {_mono_str(dd, da): c.to_json() for (dd, da), c in self.items()}
+        return {_delta_str(d): c.to_json() for d, c in self.items()}
 
 
 def poly_integrate_delta(p: ParamPoly, upper) -> ParamPoly:
-    """Exact integral of ``p`` in delta over [0, upper] (upper >= 0)."""
+    """Exact integral of ``p`` in delta over [0, upper] (upper >= 0); the
+    result is delta-free."""
     u = as_fraction(upper)
     if u < 0:
         raise ValueError("upper limit must be nonnegative")
-    return p.integrate_delta_on(u)
+    return ParamPoly.constant(
+        sum((c * (u ** (d + 1) / (d + 1)) for d, c in p.items()), GaussianRational(0))
+    )
 
 
 def sqrt_sign(a, b, A) -> int:

@@ -1,19 +1,21 @@
-"""Truncated graded-commutative cohomology rings.
+"""Truncated cohomology ring in one generator.
 
-Models the even part of H^*(X; Q) for the catalog manifolds: a polynomial
-ring on degree-2 generators g_1, ..., g_s with per-generator truncation
-g_i^{t_i + 1} = 0, together with a normalized integral that picks off the
-coefficient of the unique top-degree monomial g_1^{t_1} ... g_s^{t_s}.
-Coefficients live in `exact.ParamPoly`, so classes may carry the formal
-deformation parameters delta and alpha.
+The characteristic-class integrands depend on the base X only through
+the polarization class c and the power sums of the tangent Chern roots
+(see ``catalog.ManifoldSpec``), so every class they need lives in
+Q[delta][c]/(c^{n+1}).  A class is stored as at most n + 1 coefficients,
+one per power of c, each an ``exact.ParamPoly`` in the formal deformation
+parameter delta.  The integral over X picks off the coefficient of c^n
+times the normalization ``top_integral``, the integral of c^n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import ParamPoly, as_fraction
+from .exact import ParamPoly, as_fraction, truncated_product
 
 
 class RingMismatchError(ValueError):
@@ -30,78 +32,40 @@ class SeriesOrderError(ValueError):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Presentation of the ring: generators, truncations, top integral.
-
-    Each generator has degree 2 and satisfies g_i^{truncations[i]+1} = 0;
-    the product of the g_i^{t_i} spans the top degree and integrates to
-    ``top_integral``.
-    """
+    """Q[c]/(c^{complex_dim + 1}) with c of degree 2 and the integral of
+    c^complex_dim equal to ``top_integral``."""
 
     name: str
-    generators: tuple
-    truncations: tuple
+    complex_dim: int
     top_integral: Fraction = field(default=Fraction(1))
 
     def __post_init__(self):
-        if len(self.generators) != len(self.truncations):
-            raise ValueError("one truncation exponent per generator")
-        if len(set(self.generators)) != len(self.generators):
-            raise ValueError("generator names must be distinct")
-        if any(t < 1 for t in self.truncations):
-            raise ValueError("truncation exponents must be >= 1")
+        if self.complex_dim < 1:
+            raise ValueError("complex dimension must be >= 1")
         object.__setattr__(self, "top_integral", as_fraction(self.top_integral))
         if self.top_integral == 0:
             raise ValueError("top integral must be nonzero")
-
-    @property
-    def complex_dim(self) -> int:
-        return sum(self.truncations)
-
-    @property
-    def top_degree(self) -> int:
-        return 2 * self.complex_dim
-
-    @property
-    def top_monomial(self) -> tuple:
-        return tuple(self.truncations)
-
-    def monomial_degree(self, exps) -> int:
-        return 2 * sum(exps)
-
-    def monomial_str(self, exps) -> str:
-        parts = []
-        for name, e in zip(self.generators, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
 
 
 class GradedClass:
     """Element of a truncated ring with ParamPoly coefficients.
 
-    Immutable; supports +, -, * (by classes, scalars, or ParamPoly) with
-    truncation applied during multiplication.
+    ``_terms[k]`` is the coefficient of c^k; trailing zeros are dropped,
+    so equal classes have equal tuples.  Immutable; supports +, -, * (by
+    classes, scalars, or ParamPoly) with truncation applied during
+    multiplication.
     """
 
     __slots__ = ("ring", "_terms")
 
-    def __init__(self, ring: RingSpec, terms=None):
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(ring.generators):
-                raise ValueError(f"monomial {exps} has wrong arity")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            if any(e > t for e, t in zip(exps, ring.truncations)):
-                raise ValueError(f"monomial {exps} violates truncation")
-            c = ParamPoly.coerce(coeff)
-            if not c.is_zero:
-                clean[exps] = c
+    def __init__(self, ring: RingSpec, coefficients=()):
+        terms = [ParamPoly.coerce(c) for c in coefficients]
+        while terms and terms[-1].is_zero:
+            terms.pop()
+        if len(terms) > ring.complex_dim + 1:
+            raise ValueError(f"c^{len(terms) - 1} violates truncation")
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", tuple(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedClass is immutable")
@@ -112,17 +76,16 @@ class GradedClass:
 
     @staticmethod
     def one(ring: RingSpec) -> "GradedClass":
-        return GradedClass(ring, {(0,) * len(ring.generators): 1})
+        return GradedClass(ring, [1])
 
     @staticmethod
-    def generator(ring: RingSpec, name: str) -> "GradedClass":
-        idx = ring.generators.index(name)
-        exps = [0] * len(ring.generators)
-        exps[idx] = 1
-        return GradedClass(ring, {tuple(exps): 1})
+    def generator(ring: RingSpec) -> "GradedClass":
+        """The degree-2 generator c."""
+        return GradedClass(ring, [0, 1])
 
     def items(self):
-        return sorted(self._terms.items())
+        """(power of c, coefficient) for every nonzero coefficient."""
+        return [(k, c) for k, c in enumerate(self._terms) if not c.is_zero]
 
     @property
     def is_zero(self) -> bool:
@@ -130,25 +93,15 @@ class GradedClass:
 
     @property
     def is_nilpotent(self) -> bool:
-        """No ring-degree-0 part (the coefficient of the unit monomial)."""
-        unit = (0,) * len(self.ring.generators)
-        return unit not in self._terms
+        """No ring-degree-0 part."""
+        return self.coefficient(0).is_zero
 
-    def coefficient(self, exps) -> ParamPoly:
-        return self._terms.get(tuple(exps), ParamPoly.zero())
+    def coefficient(self, k: int) -> ParamPoly:
+        """Coefficient of c^k."""
+        return self._terms[k] if 0 <= k < len(self._terms) else ParamPoly.zero()
 
     def degrees(self):
-        return sorted({self.ring.monomial_degree(e) for e in self._terms})
-
-    def component(self, degree: int) -> "GradedClass":
-        return GradedClass(
-            self.ring,
-            {
-                e: c
-                for e, c in self._terms.items()
-                if self.ring.monomial_degree(e) == degree
-            },
-        )
+        return [2 * k for k, _ in self.items()]
 
     def _check_ring(self, other: "GradedClass"):
         if self.ring != other.ring:
@@ -165,17 +118,13 @@ class GradedClass:
         if not isinstance(other, GradedClass):
             return NotImplemented
         self._check_ring(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            s = terms.get(e, ParamPoly.zero()) + c
-            if s.is_zero:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return GradedClass(self.ring, terms)
+        a, b = self._terms, other._terms
+        if len(a) < len(b):
+            a, b = b, a
+        return GradedClass(self.ring, [x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __neg__(self):
-        return GradedClass(self.ring, {e: -c for e, c in self._terms.items()})
+        return GradedClass(self.ring, [-c for c in self._terms])
 
     def __sub__(self, other):
         if not isinstance(other, GradedClass):
@@ -186,23 +135,13 @@ class GradedClass:
         if not isinstance(other, GradedClass):
             # scalar or ParamPoly multiplication
             c = ParamPoly.coerce(other)
-            return GradedClass(
-                self.ring, {e: c0 * c for e, c0 in self._terms.items()}
-            )
+            return GradedClass(self.ring, [c0 * c for c0 in self._terms])
         self._check_ring(other)
-        trunc = self.ring.truncations
-        terms = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if any(x > t for x, t in zip(e, trunc)):
-                    continue  # monomial dies by nilpotency
-                s = terms.get(e, ParamPoly.zero()) + c1 * c2
-                if s.is_zero:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return GradedClass(self.ring, terms)
+        a, b = self._terms, other._terms
+        size = min(len(a) + len(b) - 1, self.ring.complex_dim + 1)
+        return GradedClass(
+            self.ring, truncated_product(a, b, size, ParamPoly.zero())
+        )
 
     __rmul__ = __mul__
 
@@ -215,54 +154,31 @@ class GradedClass:
         return result
 
     def subs_delta(self, value) -> "GradedClass":
-        return GradedClass(
-            self.ring, {e: c.subs_delta(value) for e, c in self._terms.items()}
-        )
+        return GradedClass(self.ring, [c.subs_delta(value) for c in self._terms])
 
     def derivative_delta(self) -> "GradedClass":
-        return GradedClass(
-            self.ring, {e: c.derivative_delta() for e, c in self._terms.items()}
-        )
+        return GradedClass(self.ring, [c.derivative_delta() for c in self._terms])
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        parts = []
-        for e, c in self.items():
-            mono = self.ring.monomial_str(e)
-            if mono == "1":
-                parts.append(f"({c})")
-            else:
-                parts.append(f"({c})*{mono}")
-        return " + ".join(parts)
+        return " + ".join(f"({c})*c^{k}" for k, c in self.items())
 
     __repr__ = __str__
 
-    def to_json(self):
-        return {self.ring.monomial_str(e): c.to_json() for e, c in self.items()}
-
 
 def integrate_top(x: GradedClass) -> ParamPoly:
-    """Integral over X: coefficient of the top monomial times the
-    normalization; every lower-degree term contributes zero."""
-    return x.coefficient(x.ring.top_monomial) * ParamPoly.constant(
+    """Integral over X: coefficient of c^n times the normalization; every
+    lower-degree term contributes zero."""
+    return x.coefficient(x.ring.complex_dim) * ParamPoly.constant(
         x.ring.top_integral
     )
 
 
 def exp_nilpotent(x: GradedClass) -> GradedClass:
     """exp(x) = sum x^j / j! for nilpotent x; the sum is finite."""
-    if not x.is_nilpotent:
-        raise NonNilpotentError("exp_nilpotent needs a zero degree-0 part")
-    result = GradedClass.one(x.ring)
-    term = GradedClass.one(x.ring)
-    j = 1
-    while True:
-        term = term * x * Fraction(1, j)
-        if term.is_zero:
-            return result
-        result = result + term
-        j += 1
+    n = x.ring.complex_dim
+    return _sum_powers([Fraction(1, math.factorial(j)) for j in range(n + 1)], x)
 
 
 def eval_series(f, x: GradedClass) -> GradedClass:
@@ -271,19 +187,51 @@ def eval_series(f, x: GradedClass) -> GradedClass:
     Raises SeriesOrderError when the truncation order of ``f`` is too small
     for the nilpotency degree of ``x`` (never silently truncates).
     """
-    if not x.is_nilpotent:
-        raise NonNilpotentError("series argument must have zero degree-0 part")
-    coeffs = f.coefficients
-    result = GradedClass.one(x.ring) * ParamPoly.constant(coeffs[0])
-    power = GradedClass.one(x.ring)
-    for j in range(1, len(coeffs)):
-        power = power * x
-        if power.is_zero:
-            return result
-        result = result + power * ParamPoly.constant(coeffs[j])
-    if not (power * x).is_zero:
+    result = _sum_powers(f.coefficients, x)
+    # x^j starts with (lowest term of x)^j, which never vanishes because
+    # Q(i)[delta] has no zero divisors; so x^(order+1) = 0 exactly when
+    # (order + 1) * lowest > n
+    lowest = next((k for k, _ in x.items()), None)
+    if lowest is not None and len(f.coefficients) * lowest <= x.ring.complex_dim:
         raise SeriesOrderError(
             f"series order {f.order} too small for argument of nilpotency "
             f"degree > {f.order}"
         )
     return result
+
+
+def _sum_powers(coeffs, x: GradedClass) -> GradedClass:
+    """sum_j coeffs[j] x^j for nilpotent x, stopping once x^j vanishes."""
+    if not x.is_nilpotent:
+        raise NonNilpotentError("series argument must have zero degree-0 part")
+    result = GradedClass.one(x.ring) * ParamPoly.constant(coeffs[0])
+    power = GradedClass.one(x.ring)
+    for c in coeffs[1:]:
+        power = power * x
+        if power.is_zero:
+            break
+        result = result + power * ParamPoly.constant(c)
+    return result
+
+
+def eval_power_sums(f, ring: RingSpec, power_sums) -> GradedClass:
+    """sum_i f(y_i) over formal roots y_i known only by their power sums
+    sum_i y_i^j = power_sums[j] * c^j (j = 0..n): the class
+    sum_j f_j power_sums[j] c^j.
+
+    Raises SeriesOrderError when ``f`` is truncated below a power whose
+    power sum survives (never silently truncates).
+    """
+    coeffs = f.coefficients
+    terms = []
+    for j, s in enumerate(power_sums[: ring.complex_dim + 1]):
+        s = ParamPoly.coerce(s)
+        if s.is_zero:
+            terms.append(s)
+        elif j < len(coeffs):
+            terms.append(s * coeffs[j])
+        else:
+            raise SeriesOrderError(
+                f"series order {f.order} too small for a power sum of degree {j}"
+            )
+    return GradedClass(ring, terms)

@@ -1,7 +1,7 @@
 """Characteristic power series and characteristic forms.
 
 Builds the defect series p(z) = (1/2)log((z/2)/sinh(z/2)) and everything
-derived from it: its derivative, the A-hat factor (x/2)/sinh(x/2), the
+derived from it: its derivative, the A-hat class exp(2 sum p(x_j)), the
 boundary eta series (regular part of exp(alpha*c/2)/sinh(c/2) - 2/c, with
 alpha = 1 - 2{r}), and the two transgression forms Omega_0, Omega_2 whose
 delta-integral measures the change of the A-hat form along the adiabatic
@@ -14,12 +14,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import GaussianRational, ParamPoly, as_fraction, _as_gaussian
-from .ring import GradedClass, RingSpec, SeriesOrderError, eval_series
+from .exact import (
+    GaussianRational,
+    ParamPoly,
+    _as_gaussian,
+    as_fraction,
+    truncated_product,
+)
+from .ring import (
+    GradedClass,
+    RingSpec,
+    SeriesOrderError,
+    eval_power_sums,
+    exp_nilpotent,
+)
 
 CONVENTION_REAL = "real"
 CONVENTION_PAPER_I = "paper_i"
-CONVENTIONS = (CONVENTION_REAL, CONVENTION_PAPER_I)
 
 
 class FormalSeries:
@@ -106,14 +117,9 @@ class FormalSeries:
             c = _as_gaussian(other)
             return FormalSeries([a * c for a in self.coefficients], self.order)
         order = min(self.order, other.order)
-        coeffs = [GaussianRational(0)] * (order + 1)
-        for i, a in enumerate(self.coefficients[: order + 1]):
-            if not a:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coefficients[j]
-                if b:
-                    coeffs[i + j] = coeffs[i + j] + a * b
+        coeffs = truncated_product(
+            self.coefficients, other.coefficients, order + 1, GaussianRational(0)
+        )
         return FormalSeries(coeffs, order)
 
     __rmul__ = __mul__
@@ -185,9 +191,6 @@ class FormalSeries:
             total = total + c * power
             power = power * z
         return total
-
-    def eval_at(self, x: GradedClass) -> GradedClass:
-        return eval_series(self, x)
 
     def __str__(self) -> str:
         parts = []
@@ -279,11 +282,6 @@ def series_p_prime(order: int) -> FormalSeries:
     return series_p(order + 1).derivative()
 
 
-def a_hat_factor_series(order: int) -> FormalSeries:
-    """(z/2)/sinh(z/2): the per-root A-hat factor, equal to exp(2p(z))."""
-    return FormalSeries.one(order).divide(sinh_half_ratio_series(order))
-
-
 def eta_hat_series_from_alpha(alpha, order: int) -> FormalSeries:
     """Regular part of exp(alpha*x)/sinh(x) - 1/x written at x = c/2.
 
@@ -329,46 +327,55 @@ def default_order(ring: RingSpec) -> int:
     return 2 * ring.complex_dim + 2
 
 
-def a_hat_from_roots(ring: RingSpec, roots, order=None) -> GradedClass:
-    """A-hat class from a full set of degree-2 tangent roots."""
+def a_hat_class(ring: RingSpec, power_sums, order=None) -> GradedClass:
+    """A-hat class of a tangent bundle given by the power sums of its
+    Chern roots (``power_sums[k] * c^k`` for k = 0..n).
+
+    A-hat is the multiplicative sequence of (x/2)/sinh(x/2) = exp(2p(x)),
+    so A-hat = exp(2 sum_i p(x_i)) = exp(2 sum_k p_k s_k).
+    """
     if order is None:
         order = default_order(ring)
-    factor = a_hat_factor_series(order)
-    result = GradedClass.one(ring)
-    for root in roots:
-        result = result * eval_series(factor, root)
-    return result
+    return exp_nilpotent(eval_power_sums(series_p(order), ring, power_sums) * 2)
 
 
-def omega_forms(roots, c: GradedClass, convention=CONVENTION_REAL, order=None):
+def omega_forms(ring: RingSpec, power_sums, convention=CONVENTION_REAL,
+                order=None):
     """Transgression forms (Omega_0, Omega_2) for the adiabatic family.
 
     In the default real convention,
         Omega_0 = 2 sum_j p(x_j + 2 delta c) + 2 p(2 delta c),
         Omega_2 = 2 sum_j p'(x_j + 2 delta c) + 2 p'(2 delta c),
-    with delta the formal deformation parameter; the paper_i convention
-    instead carries the literal Gaussian i factors (arguments x_j + 2i
-    delta c, a global i on Omega_2).  Both satisfy the transgression
-    identity d/d(delta) Omega_0 = 2 c Omega_2.
+    with delta the formal deformation parameter and x_j the tangent Chern
+    roots; the paper_i convention instead carries the literal Gaussian i
+    factors (arguments x_j + 2i delta c, a global i on Omega_2).  Both
+    satisfy the transgression identity d/d(delta) Omega_0 = 2 c Omega_2.
+
+    The sums only need the power sums of the shifted roots y = x_j + tc
+    together with the extra root y = tc:
+    sum_y y^m = sum_k C(m, k) s_k (tc)^{m-k} + (tc)^m.
     """
-    ring = c.ring
     if order is None:
         order = default_order(ring)
     p = series_p(order)
     pp = series_p_prime(order)
     if convention == CONVENTION_REAL:
-        scalar = ParamPoly.delta() * 2
+        t = ParamPoly.delta() * 2
         prefactor = ParamPoly.one()
     elif convention == CONVENTION_PAPER_I:
-        scalar = ParamPoly.delta() * GaussianRational(0, 2)  # 2 i delta
+        t = ParamPoly.delta() * GaussianRational(0, 2)  # 2 i delta
         prefactor = ParamPoly.constant(GaussianRational(0, 1))
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    tail = c * scalar
-    omega0 = eval_series(p, tail) * 2
-    omega2_core = eval_series(pp, tail) * 2
-    for root in roots:
-        arg = root + tail
-        omega0 = omega0 + eval_series(p, arg) * 2
-        omega2_core = omega2_core + eval_series(pp, arg) * 2
-    return omega0, omega2_core * prefactor
+    n = ring.complex_dim
+    sums = list(power_sums[: n + 1])
+    sums[0] += 1  # the extra root tc
+    t_powers = [t**m for m in range(n + 1)]
+    shifted = [
+        sum((t_powers[m - k] * (math.comb(m, k) * sums[k]) for k in range(m + 1)),
+            ParamPoly.zero())
+        for m in range(n + 1)
+    ]
+    omega0 = eval_power_sums(p, ring, shifted) * 2
+    omega2 = eval_power_sums(pp, ring, shifted) * (prefactor * 2)
+    return omega0, omega2

@@ -158,6 +158,20 @@ class LaplacianSpectrum:
                 return mult
         return 0
 
+    def type2_multiplicity(self, q: int, k: int, half_mu_sq) -> int:
+        """Alternating multiplicity of the Type 2 family at (q, k) with
+        mu^2/2 = half_mu_sq; a negative value means the table is
+        inconsistent and raises SpectrumDataError."""
+        d = type2_multiplicity(
+            [self.multiplicity_of(j, k, half_mu_sq) for j in range(q + 1)]
+        )
+        if d < 0:
+            raise SpectrumDataError(
+                f"negative alternating multiplicity {d} at "
+                f"(q={q}, k={k}, mu^2/2={half_mu_sq})"
+            )
+        return d
+
 
 NAKANO_ONLY = LaplacianSpectrum()
 
@@ -346,6 +360,63 @@ def _k_interval(center: Fraction, radius: Fraction):
     return math.ceil(center - radius), math.floor(center + radius)
 
 
+def _unknown_handler(on_unknown, skipped):
+    """Raise UnknownCohomologyError for missing data, or record the
+    message in ``skipped`` under on_unknown="skip"."""
+
+    def handle(message):
+        if on_unknown != ON_UNKNOWN_SKIP:
+            raise UnknownCohomologyError(message)
+        skipped.append(message)
+
+    return handle
+
+
+def _type2_window(r, eps, n: int, factor):
+    """(k_lo, k_hi, half_mu_max): a Type 2 zero on (0, eps] needs
+    |2k - 2r| <= eps(n + 2) and mu^2 <= eps/4, widened by ``factor``."""
+    k_lo, k_hi = _k_interval(r, eps * (n + 2) / 2 * factor)
+    return k_lo, k_hi, eps / 8 * factor
+
+
+def _type2_levels(model: SpectralModel, r, eps, factor, handle_unknown):
+    """Yield (q, k, half_mu_sq, is_bound) for every Type 2 level in the
+    window: each tabulated eigenvalue with mu^2/2 inside it, or in
+    bound-only mode the Nakano bound of each (q, k) it does not exclude."""
+    n = model.n
+    k_lo, k_hi, half_mu_max = _type2_window(r, eps, n, factor)
+    spectrum = model.spectrum
+    if spectrum.is_tabulated:
+        if spectrum.half_mu_sq_max is None or spectrum.half_mu_sq_max < half_mu_max:
+            raise SpectralWindowError(
+                f"spectrum cutoff mu^2/2 <= {spectrum.half_mu_sq_max} below the "
+                f"required {half_mu_max} for eps = {eps}"
+            )
+        for q in range(n + 1):
+            for k in range(k_lo, k_hi + 1):
+                if not spectrum.covers(q, k):
+                    handle_unknown(
+                        f"Laplacian spectrum missing (q={q}, k={k}); "
+                        f"covered k-range is {spectrum.k_range}"
+                    )
+                    continue
+                for half, _ in spectrum.eigenvalues(q, k):
+                    if half > half_mu_max:
+                        break
+                    yield q, k, half, False
+    elif model.kappa is None:
+        handle_unknown(
+            "Type 2 certification needs a Ricci lower bound or an "
+            "explicit Laplacian spectrum"
+        )
+    else:
+        for q in range(n + 1):
+            for k in range(k_lo, k_hi + 1):
+                lam = nakano_lower_bound(q, k, model.kappa, n)
+                if lam <= half_mu_max:  # else no eigenvalue enters the window
+                    yield q, k, lam, True
+
+
 def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
                        on_unknown=ON_UNKNOWN_ERROR):
     """All eigenvalue families that could possibly change sign on (0, eps].
@@ -364,12 +435,7 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     n = model.n
     families = []
     skipped = []
-
-    def handle_unknown(message):
-        if on_unknown == ON_UNKNOWN_SKIP:
-            skipped.append(message)
-            return True
-        raise UnknownCohomologyError(message)
+    handle_unknown = _unknown_handler(on_unknown, skipped)
 
     type1_radius = eps * n / 2 * factor
     k_lo, k_hi = _k_interval(r, type1_radius)
@@ -393,73 +459,24 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
                     )
                 )
 
-    type2_radius = eps * (n + 2) / 2 * factor
-    half_mu_max = eps / 8 * factor
-    k2_lo, k2_hi = _k_interval(r, type2_radius)
+    k2_lo, k2_hi, half_mu_max = _type2_window(r, eps, n, factor)
     window = {
         "type1_k": [k_lo, k_hi],
         "type2_k": [k2_lo, k2_hi],
         "half_mu_sq_max": rational_str(half_mu_max),
         "factor": rational_str(factor),
     }
-
-    if model.spectrum.is_tabulated:
-        spectrum = model.spectrum
-        if spectrum.half_mu_sq_max is None or spectrum.half_mu_sq_max < half_mu_max:
-            raise SpectralWindowError(
-                f"spectrum cutoff mu^2/2 <= {spectrum.half_mu_sq_max} below the "
-                f"required {half_mu_max} for eps = {eps}"
+    for q, k, half, is_bound in _type2_levels(model, r, eps, factor,
+                                              handle_unknown):
+        # in bound-only mode the multiplicity is unknown (None)
+        mult = None if is_bound else model.spectrum.type2_multiplicity(q, k, half)
+        if mult == 0:
+            continue
+        for kind in (TYPE2_PLUS, TYPE2_MINUS):
+            families.append(
+                EigenvalueFamily(kind, q, k, n, mult, half_mu_sq=half,
+                                 half_mu_sq_is_bound=is_bound)
             )
-        for q in range(n + 1):
-            for k in range(k2_lo, k2_hi + 1):
-                if not spectrum.covers(q, k):
-                    handle_unknown(
-                        f"Laplacian spectrum missing (q={q}, k={k}); "
-                        f"covered k-range is {spectrum.k_range}"
-                    )
-                    continue
-                for half, _ in spectrum.eigenvalues(q, k):
-                    if half > half_mu_max:
-                        break
-                    e_levels = [
-                        spectrum.multiplicity_of(j, k, half) for j in range(q + 1)
-                    ]
-                    d = type2_multiplicity(e_levels)
-                    if d < 0:
-                        raise SpectrumDataError(
-                            f"negative alternating multiplicity {d} at "
-                            f"(q={q}, k={k}, mu^2/2={half})"
-                        )
-                    if d == 0:
-                        continue
-                    for kind in (TYPE2_PLUS, TYPE2_MINUS):
-                        families.append(
-                            EigenvalueFamily(kind, q, k, n, d, half_mu_sq=half)
-                        )
-    else:
-        if model.kappa is None:
-            handle_unknown(
-                "Type 2 certification needs a Ricci lower bound or an "
-                "explicit Laplacian spectrum"
-            )
-        else:
-            for q in range(n + 1):
-                for k in range(k2_lo, k2_hi + 1):
-                    lam = nakano_lower_bound(q, k, model.kappa, n)
-                    if lam > half_mu_max:
-                        continue  # no eigenvalue can enter the window
-                    for kind in (TYPE2_PLUS, TYPE2_MINUS):
-                        families.append(
-                            EigenvalueFamily(
-                                kind,
-                                q,
-                                k,
-                                n,
-                                None,
-                                half_mu_sq=lam,
-                                half_mu_sq_is_bound=True,
-                            )
-                        )
     return families, skipped, window
 
 
@@ -618,13 +635,7 @@ def kernel_dimension(model: SpectralModel, r, eps,
         raise ValueError("eps must be positive")
     n = model.n
     total = 0
-    skipped = []
-
-    def handle_unknown(message):
-        if on_unknown == ON_UNKNOWN_SKIP:
-            skipped.append(message)
-            return True
-        raise UnknownCohomologyError(message)
+    handle_unknown = _unknown_handler(on_unknown, [])
 
     # Type 1 zeros at eps: k = r + eps (q - n/2) must be an integer
     for q in range(n + 1):
@@ -638,49 +649,18 @@ def kernel_dimension(model: SpectralModel, r, eps,
         total += model.table.h(q, k)
 
     # Type 2 zeros at eps: Q(eps) = 0 on the vulnerable branch
-    type2_radius = eps * (n + 2) / 2
-    half_mu_max = eps / 8
-    k_lo, k_hi = _k_interval(r, type2_radius)
-    if model.spectrum.is_tabulated:
-        spectrum = model.spectrum
-        if spectrum.half_mu_sq_max is None or spectrum.half_mu_sq_max < half_mu_max:
-            raise SpectralWindowError(
-                f"spectrum cutoff below mu^2/2 = {half_mu_max} needed at eps={eps}"
-            )
-        for q in range(n + 1):
-            for k in range(k_lo, k_hi + 1):
-                if not spectrum.covers(q, k):
-                    handle_unknown(f"Laplacian spectrum missing (q={q}, k={k})")
-                    continue
-                B = 2 * (k - r)
-                C = 2 * q + 1 - n
-                for half, _ in spectrum.eigenvalues(q, k):
-                    if half > half_mu_max:
-                        break
-                    q_eps = (B - C * eps) ** 2 + 8 * half * eps - eps * eps
-                    if q_eps == 0:
-                        e_levels = [
-                            spectrum.multiplicity_of(j, k, half)
-                            for j in range(q + 1)
-                        ]
-                        total += type2_multiplicity(e_levels)
-    else:
-        if model.kappa is None:
-            handle_unknown("Type 2 kernel test needs a Ricci bound or spectrum")
-        else:
-            for q in range(n + 1):
-                for k in range(k_lo, k_hi + 1):
-                    lam = nakano_lower_bound(q, k, model.kappa, n)
-                    if lam > half_mu_max:
-                        continue
-                    B = 2 * (k - r)
-                    C = 2 * q + 1 - n
-                    # the unique eigenvalue that would vanish at eps
-                    half_star = (eps * eps - (B - C * eps) ** 2) / (8 * eps)
-                    if half_star > 0 and half_star >= lam:
-                        raise IndeterminateSpectralFlow(
-                            f"kernel at eps={eps} hinges on whether mu^2/2 = "
-                            f"{half_star} occurs at (q={q}, k={k}); supply an "
-                            "explicit spectrum"
-                        )
+    for q, k, half, is_bound in _type2_levels(model, r, eps, 1, handle_unknown):
+        B = 2 * (k - r)
+        C = 2 * q + 1 - n
+        if is_bound:
+            # the unique eigenvalue that would vanish at eps
+            half_star = (eps * eps - (B - C * eps) ** 2) / (8 * eps)
+            if half_star > 0 and half_star >= half:
+                raise IndeterminateSpectralFlow(
+                    f"kernel at eps={eps} hinges on whether mu^2/2 = "
+                    f"{half_star} occurs at (q={q}, k={k}); supply an "
+                    "explicit spectrum"
+                )
+        elif (B - C * eps) ** 2 + 8 * half * eps - eps * eps == 0:
+            total += model.spectrum.type2_multiplicity(q, k, half)
     return total

@@ -107,16 +107,16 @@ def test_criterion_4_adiabatic_values():
 def test_criterion_5_transgression_identities():
     with criterion(5, "transgression identities (derivative, FTC, parity)"):
         from etaflow.exact import poly_integrate_delta
-        from etaflow.series import a_hat_from_roots
+        from etaflow.series import a_hat_class
 
         for factors in (2, 4):
             spec, _ = CATALOG[factors]
             c = spec.c
-            omega0, omega2 = omega_forms(spec.chern_roots, c)
+            omega0, omega2 = omega_forms(spec.ring, spec.power_sums)
             # (a) derivative identity, symbolically in delta
             assert omega0.derivative_delta() == c * 2 * omega2
             # (b) fundamental theorem of calculus in delta
-            ahat = a_hat_from_roots(spec.ring, spec.chern_roots)
+            ahat = a_hat_class(spec.ring, spec.power_sums)
             for r in (F(0), F(1, 2)):
                 erc = exp_nilpotent(c * r)
                 for eps in (F(1, 3), F(1)):
@@ -131,9 +131,7 @@ def test_criterion_5_transgression_identities():
                     )
                     assert lhs == rhs
             # (c) the r=0 integrand has no top-degree component at all
-            top = (omega2 * exp_nilpotent(omega0)).coefficient(
-                spec.ring.top_monomial
-            )
+            top = (omega2 * exp_nilpotent(omega0)).coefficient(spec.n)
             assert top.is_zero
 
 

@@ -85,14 +85,18 @@ def test_product_model_ring_and_curvature():
     spec, table = product_cp1_model(2)
     assert spec.name == "cp1xcp1" and spec.n == 2 and spec.m == 1
     assert spec.kappa == 2
-    # Ricci bound at the level of first Chern classes: c1(K*) = 2c
-    total_root = spec.chern_roots[0]
-    for root in spec.chern_roots[1:]:
-        total_root = total_root + root
+    # Ricci bound at the level of first Chern classes: c1(K*) = s_1 = 2c
+    total_root = spec.c * spec.power_sums[1]
     assert total_root == spec.c * 2
     # adjunction: c1 of the canonical square root is -(1/2) sum of roots
     half = total_root * F(-1, 2)
     assert half == spec.c * -1
+    # the roots 2a_i square to zero: s_0 = n and s_k = 0 for k >= 2
+    assert spec.power_sums == (2, 2, 0)
+    assert product_cp1_model(4)[0].power_sums == (4, 2, 0, 0, 0)
+    # c^n = n! a_1 ... a_n integrates to n!
+    assert spec.ring.top_integral == 2
+    assert product_cp1_model(6)[0].ring.top_integral == 720
     with pytest.raises(ConfigError):
         product_cp1_model(3)
 
@@ -206,3 +210,18 @@ def test_load_config_round_trip(tmp_path):
     bad.write_text(json.dumps({"type": "flag-variety"}))
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+def test_product_size_limit(tmp_path):
+    from etaflow.catalog import MAX_CP1_FACTORS
+
+    assert product_cp1_model(MAX_CP1_FACTORS)[0].n == MAX_CP1_FACTORS
+    for make in (lambda: product_cp1_model(MAX_CP1_FACTORS + 2),
+                 lambda: resolve_manifold("cp1x100000")):
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert f"MAX_CP1_FACTORS = {MAX_CP1_FACTORS}" in str(err.value)
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"type": "product_cp1", "factors": 1000}))
+    with pytest.raises(ConfigError):
+        load_config(cfg)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from etaflow.cli import (
     EXIT_ERROR,
@@ -194,3 +195,60 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["index"] == "0"
+
+
+def test_kernel_dim_rejects_negative_multiplicity(tmp_path, capsys):
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "half_mu_sq_max": "1000", "k_min": -200, "k_max": 200,
+        "entries": [
+            {"q": 0, "k": 0, "halfMuSq": "2", "mult": 5},
+            {"q": 1, "k": 0, "halfMuSq": "2", "mult": 2},
+        ],
+    }))
+    cfg = tmp_path / "man.json"
+    cfg.write_text(json.dumps({
+        "type": "product_cp1", "factors": 2, "laplacian_table": "spec.json",
+    }))
+    code, out, err = run_cli(
+        capsys, "kernel-dim", "--manifold", str(cfg), "--mode", "explicit",
+        "--r=-8", "--eps", "16",
+    )
+    assert code == EXIT_ERROR and out == ""
+    assert "negative alternating multiplicity" in err
+
+
+def test_exponent_literals_fail_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "spectral-flow", "--manifold", "cp1xcp1", "--r", "0",
+        "--eps", "1e1000000",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_ERROR and out == ""
+    assert "p/q" in err
+
+
+def test_product_size_limit(capsys):
+    from etaflow.catalog import MAX_CP1_FACTORS
+
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "adiabatic-limit", "--manifold", "cp1x100000", "--r", "1/2",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_ERROR and out == ""
+    assert "MAX_CP1_FACTORS" in err and str(MAX_CP1_FACTORS) in err
+    code, payload = run_json(
+        capsys, "adiabatic-limit", "--manifold", "cp1x24", "--r", "1/2",
+    )
+    assert code == EXIT_OK and payload["result"]["value"]
+
+
+def test_check_identities_order_zero_is_rejected(capsys):
+    # order 0 is an explicit order below the nilpotency degree, not a
+    # request for the default order
+    code, out, err = run_cli(
+        capsys, "check-identities", "--manifold", "cp1xcp1", "--order", "0",
+    )
+    assert code == EXIT_ERROR and out == ""
+    assert "order" in err

@@ -10,6 +10,7 @@ from etaflow.eta import (
     adiabatic_limit_eta,
     aps_index,
     aps_resonances,
+    aps_terms,
     corollary_check,
     eta_invariant,
     transgression_raw,
@@ -89,13 +90,13 @@ def test_transgression_fundamental_theorem_cross_check(cp1xcp1):
     # int_X [e^{Omega_0 at eps} - A-hat] e^{rc}
     from etaflow.exact import poly_integrate_delta
     from etaflow.ring import exp_nilpotent, integrate_top
-    from etaflow.series import a_hat_from_roots, omega_forms
+    from etaflow.series import a_hat_class, omega_forms
 
     spec, _ = cp1xcp1
     r, eps = F(1, 2), F(1)
-    omega0, omega2 = omega_forms(spec.chern_roots, spec.c)
+    omega0, omega2 = omega_forms(spec.ring, spec.power_sums)
     erc = exp_nilpotent(spec.c * r)
-    ahat = a_hat_from_roots(spec.ring, spec.chern_roots)
+    ahat = a_hat_class(spec.ring, spec.power_sums)
     lhs = poly_integrate_delta(
         integrate_top(spec.c * 2 * omega2 * exp_nilpotent(omega0) * erc), eps
     ).as_rational()
@@ -196,6 +197,17 @@ def test_aps_index_examples(cp1xcp1):
     assert aps_index(spec, table, F(1, 3)) == -F(table.h(1, 0), 2) == 0
 
 
+def test_aps_terms_list_every_integral_twist(cp1xcp1):
+    spec, table = cp1xcp1
+    assert aps_terms(2, table, 1) == [(0, 1, 1), (1, 0, 0), (2, -1, 1)]
+    assert aps_terms(2, table, F(3, 7)) == [(1, 0, 0)]
+    for eps in (F(1), F(3, 7), F(2), F(1, 2)):
+        terms = aps_terms(2, table, eps)
+        assert aps_index(spec, table, eps) == -F(sum(h for *_, h in terms), 2)
+    with pytest.raises(ValueError):
+        aps_terms(2, table, 0)
+
+
 def test_aps_index_piecewise_constant(cp1xcp1):
     spec, table = cp1xcp1
     res = aps_resonances(table, 2, F(1, 2), F(2))
@@ -222,9 +234,7 @@ def test_corollary_negative_control(cp1xcp1):
     # at r = 1/3 the eta-hat series has even powers of c: the adiabatic
     # integrand no longer cancels in top degree
     spec, _ = cp1xcp1
-    top = adiabatic_integrand(spec, F(1, 3)).coefficient(
-        spec.ring.top_monomial
-    )
+    top = adiabatic_integrand(spec, F(1, 3)).coefficient(spec.n)
     assert not top.is_zero
     assert adiabatic_limit_eta(spec, F(1, 3)) != 0
 

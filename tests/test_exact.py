@@ -33,6 +33,15 @@ def test_parse_and_format_round_trip():
         assert parse_rational(rational_str(value)) == value
     with pytest.raises(ValueError):
         parse_rational("not-a-number")
+    assert parse_rational("0.5") == F(1, 2)
+
+
+def test_parse_rational_refuses_exponents():
+    # an exponent literal would build an integer of unbounded size
+    for text in ("1e1000000", "1E5", "2.5e-3", "-3e2"):
+        with pytest.raises(ValueError) as err:
+            parse_rational(text)
+        assert "p/q" in str(err.value) and "decimal" in str(err.value)
 
 
 def test_rational_sqrt():
@@ -79,25 +88,30 @@ def test_gaussian_rejects_floats():
 # ---------------------------------------------------------------- ParamPoly
 
 
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), fractions),
-                max_size=5))
-def test_param_poly_eval_is_ring_homomorphism(entries):
-    p = ParamPoly({(d, a): c for d, a, c in entries})
-    q = ParamPoly.delta() * 2 + ParamPoly.alpha() - 1
-    d0, a0 = F(2, 3), F(-1, 5)
-    lhs = (p * q).evaluate(d0, a0)
-    rhs = p.evaluate(d0, a0) * q.evaluate(d0, a0)
-    assert lhs == rhs
-    assert (p + q).evaluate(d0, a0) == p.evaluate(d0, a0) + q.evaluate(d0, a0)
+@given(st.lists(fractions, max_size=5))
+def test_param_poly_eval_is_ring_homomorphism(coefficients):
+    p = ParamPoly(coefficients)
+    q = ParamPoly.delta() * 2 - 1
+    for d0 in (F(2, 3), F(-1, 5)):
+        lhs = (p * q).subs_delta(d0)
+        rhs = p.subs_delta(d0) * q.subs_delta(d0)
+        assert lhs == rhs
+        assert (p + q).subs_delta(d0) == p.subs_delta(d0) + q.subs_delta(d0)
+        # the value agrees with summing c_d * d0^d term by term
+        value = sum((c * d0**d for d, c in enumerate(coefficients)), F(0))
+        assert p.subs_delta(d0) == ParamPoly.constant(value)
 
 
 def test_param_poly_basics():
-    d, a = ParamPoly.delta(), ParamPoly.alpha()
-    p = d * d * 3 + a
-    assert p.delta_degree == 2 and p.alpha_degree == 1
-    assert p.subs_delta(F(1, 2)) == a + F(3, 4)
+    d = ParamPoly.delta()
+    p = d * d * 3 + 1
+    assert p.delta_degree == 2
+    assert p == ParamPoly([1, 0, 3]) == ParamPoly([1, 0, 3, 0])
+    assert p.subs_delta(F(1, 2)) == ParamPoly.constant(F(7, 4))
     assert p.derivative_delta() == d * 6
-    assert (d * a).to_json() == {"delta*alpha": "1"}
+    assert (d * d).to_json() == {"delta^2": "1"}
+    assert p.to_json() == {"1": "1", "delta^2": "3"}
+    assert (p - p).is_zero and not (p - p)
     with pytest.raises(ValueError):
         (d + 1).constant_value()
 
@@ -111,24 +125,24 @@ def _simpson(f, lo, hi, n=2000):
 
 
 def test_poly_integrate_delta_examples():
-    d, a = ParamPoly.delta(), ParamPoly.alpha()
+    d = ParamPoly.delta()
     # power rule and constant
     assert poly_integrate_delta(d, 1) == ParamPoly.constant(F(1, 2))
     for eps in (F(1, 3), F(2), F(7, 5)):
         assert poly_integrate_delta(ParamPoly.one(), eps) == ParamPoly.constant(eps)
-    # 3 delta^2 + alpha on [0, 2] -> 8 + 2 alpha, cross-checked against
-    # numeric quadrature at sampled alpha values
-    p = d * d * 3 + a
-    result = poly_integrate_delta(p, 2)
-    assert result == a * 2 + 8
-    for alpha in (F(0), F(1, 3), F(-7, 2)):
-        exact = result.evaluate(alpha=alpha)
+    # 3 delta^2 + b on [0, 2] -> 8 + 2b, cross-checked against numeric
+    # quadrature at sampled constants b
+    for b in (F(0), F(1, 3), F(-7, 2)):
+        p = d * d * 3 + b
+        result = poly_integrate_delta(p, 2)
+        assert result == ParamPoly.constant(8 + 2 * b)
+        exact = result.constant_value()
         assert exact.is_real
-        numeric = _simpson(lambda t: 3 * t * t + float(alpha), 0.0, 2.0)
+        numeric = _simpson(lambda t: 3 * t * t + float(b), 0.0, 2.0)
         assert abs(float(exact.re) - numeric) < 1e-9
-    assert result.delta_degree == 0
+        assert result.delta_degree == 0
     with pytest.raises(ValueError):
-        poly_integrate_delta(p, -1)
+        poly_integrate_delta(d, -1)
 
 
 # ---------------------------------------------------------------- sqrt_sign

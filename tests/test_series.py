@@ -6,14 +6,13 @@ import mpmath
 import pytest
 import sympy as sp
 
-from etaflow.exact import GaussianRational
+from etaflow.exact import GaussianRational, ParamPoly
 from etaflow.ring import GradedClass, RingSpec, eval_series, exp_nilpotent, integrate_top
 from etaflow.series import (
     CONVENTION_PAPER_I,
     CONVENTION_REAL,
     FormalSeries,
-    a_hat_factor_series,
-    a_hat_from_roots,
+    a_hat_class,
     eta_hat_series_from_alpha,
     eta_hat_series_integer,
     omega_forms,
@@ -22,6 +21,7 @@ from etaflow.series import (
     series_log,
     series_p,
     series_p_prime,
+    sinh_half_ratio_series,
     tanh_series,
 )
 
@@ -154,53 +154,56 @@ def test_formal_series_arithmetic_round_trips():
 
 @pytest.fixture
 def cp1sq():
-    ring = RingSpec("(CP1)^2", ("a", "b"), (1, 1))
-    a = GradedClass.generator(ring, "a")
-    b = GradedClass.generator(ring, "b")
-    return ring, a, b
+    """(CP1)^2: ring Q[c]/(c^3) with integral of c^2 equal to 2; tangent
+    roots 2a, 2b with power sums 2, 2c, 0."""
+    return RingSpec("(CP1)^2", 2, F(2)), (2, 2, 0)
+
+
+def a_hat_factor(order):
+    """(z/2)/sinh(z/2), the per-root A-hat factor."""
+    return FormalSeries.one(order).divide(sinh_half_ratio_series(order))
 
 
 def test_a_hat_trivial_on_products(cp1sq):
-    ring, a, b = cp1sq
+    ring, sums = cp1sq
     one = GradedClass.one(ring)
-    assert a_hat_from_roots(ring, [a * 2, b * 2]) == one
-    assert a_hat_from_roots(ring, []) == one
-    ring4 = RingSpec("(CP1)^4", ("a", "b", "c", "d"), (1, 1, 1, 1))
-    roots4 = [GradedClass.generator(ring4, g) * 2 for g in ring4.generators]
-    assert a_hat_from_roots(ring4, roots4) == GradedClass.one(ring4)
+    assert a_hat_class(ring, sums) == one
+    assert a_hat_class(ring, (0, 0, 0)) == one
+    ring4 = RingSpec("(CP1)^4", 4, F(24))
+    assert a_hat_class(ring4, (4, 2, 0, 0, 0)) == GradedClass.one(ring4)
 
 
 def test_a_hat_degrees_divisible_by_four():
-    # a ring where the A-hat class is nontrivial: one generator with g^3 = 0
-    ring = RingSpec("g-cubed", ("g",), (2,))
-    g = GradedClass.generator(ring, "g")
-    ahat = a_hat_from_roots(ring, [g, g])
+    # a ring where the A-hat class is nontrivial: roots g, g with g^3 = 0
+    ring = RingSpec("g-cubed", 2)
+    g = GradedClass.generator(ring)
+    ahat = a_hat_class(ring, (2, 2, 2))
     assert not (ahat - GradedClass.one(ring)).is_zero
     assert all(d % 4 == 0 for d in ahat.degrees())
-    # and it agrees with exp(2 sum p(x_j))
+    # and it agrees with exp(2 sum p(x_j)) and with the product of the
+    # per-root factors, both evaluated root by root
     p = series_p(6)
     total = eval_series(p, g) * 2 + eval_series(p, g) * 2
     assert ahat == exp_nilpotent(total)
+    factor = eval_series(a_hat_factor(6), g)
+    assert ahat == factor * factor
 
 
 def test_a_hat_factor_equals_exp_2p():
     order = 10
-    factor = a_hat_factor_series(order)
-    assert factor == series_exp(series_p(order) * 2)
+    assert a_hat_factor(order) == series_exp(series_p(order) * 2)
 
 
 def test_omega_forms_delta_zero_specialization(cp1sq):
-    ring, a, b = cp1sq
-    roots = [a * 2, b * 2]
-    c = a + b
-    omega0, _ = omega_forms(roots, c)
+    ring, sums = cp1sq
+    omega0, _ = omega_forms(ring, sums)
     at_zero = omega0.subs_delta(0)
-    assert exp_nilpotent(at_zero) == a_hat_from_roots(ring, roots)
+    assert exp_nilpotent(at_zero) == a_hat_class(ring, sums)
 
 
 def test_omega2_is_odd_degree_two(cp1sq):
-    ring, a, b = cp1sq
-    _, omega2 = omega_forms([a * 2, b * 2], a + b)
+    ring, sums = cp1sq
+    _, omega2 = omega_forms(ring, sums)
     # p' is odd, so on this ring only ring-degree-2 terms survive up to
     # truncation effects
     assert all(d == 2 for d in omega2.degrees())
@@ -208,18 +211,17 @@ def test_omega2_is_odd_degree_two(cp1sq):
 
 @pytest.mark.parametrize("convention", [CONVENTION_REAL, CONVENTION_PAPER_I])
 def test_transgression_derivative_identity(cp1sq, convention):
-    ring, a, b = cp1sq
-    c = a + b
-    omega0, omega2 = omega_forms([a * 2, b * 2], c, convention)
+    ring, sums = cp1sq
+    c = GradedClass.generator(ring)
+    omega0, omega2 = omega_forms(ring, sums, convention)
     assert omega0.derivative_delta() == c * 2 * omega2
 
 
 def test_paper_i_convention_carries_gaussian_factors(cp1sq):
-    ring, a, b = cp1sq
-    c = a + b
-    omega0_i, omega2_i = omega_forms([a * 2, b * 2], c, CONVENTION_PAPER_I)
+    ring, sums = cp1sq
+    omega0_i, omega2_i = omega_forms(ring, sums, CONVENTION_PAPER_I)
     # arguments 2 i delta c flip the sign of even powers relative to real
-    omega0_r, omega2_r = omega_forms([a * 2, b * 2], c, CONVENTION_REAL)
+    omega0_r, omega2_r = omega_forms(ring, sums, CONVENTION_REAL)
     assert omega0_i != omega0_r
     coeffs = [poly for _, poly in omega2_i.items()]
     assert any(
@@ -227,14 +229,33 @@ def test_paper_i_convention_carries_gaussian_factors(cp1sq):
     )
 
 
+@pytest.mark.parametrize("convention", [CONVENTION_REAL, CONVENTION_PAPER_I])
+def test_omega_forms_match_root_by_root_sums(convention):
+    # roots c, 2c and -3c on Q[c]/(c^4): the power sums s_k = sigma_k c^k
+    # are nonzero in every degree, so every binomial term of the shifted
+    # power sums is exercised
+    ring = RingSpec("three-roots", 3)
+    c = GradedClass.generator(ring)
+    multiples = (1, 2, -3)
+    sums = tuple(sum(m**k for m in multiples) for k in range(4))
+    unit = 1 if convention == CONVENTION_REAL else GaussianRational(0, 1)
+    tail = c * (ParamPoly.delta() * 2 * unit)
+    args = [tail] + [c * m + tail for m in multiples]
+    p, pp = series_p(8), series_p_prime(8)
+    omega0 = omega2 = GradedClass.zero(ring)
+    for x in args:
+        omega0 = omega0 + eval_series(p, x) * 2
+        omega2 = omega2 + eval_series(pp, x) * 2
+    assert omega_forms(ring, sums, convention) == (omega0, omega2 * unit)
+
+
 def test_fundamental_theorem_of_calculus_in_delta(cp1sq):
     from etaflow.exact import poly_integrate_delta
 
-    ring, a, b = cp1sq
-    c = a + b
-    roots = [a * 2, b * 2]
-    omega0, omega2 = omega_forms(roots, c)
-    ahat = a_hat_from_roots(ring, roots)
+    ring, sums = cp1sq
+    c = GradedClass.generator(ring)
+    omega0, omega2 = omega_forms(ring, sums)
+    ahat = a_hat_class(ring, sums)
     for r, eps in ((F(0), F(1, 3)), (F(1, 2), F(1)), (F(2, 3), F(5, 2))):
         erc = exp_nilpotent(c * r)
         lhs = poly_integrate_delta(

@@ -355,6 +355,33 @@ def test_inconsistent_alternating_multiplicity_rejected(tmp_path):
         enumerate_families(model, 0, 20)
 
 
+def negative_multiplicity_table(tmp_path):
+    """Loadable table whose Type 2 family at (q=1, k=0, mu^2/2=2) has the
+    alternating multiplicity 2 - 5 = -3."""
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({
+        "half_mu_sq_max": "1000", "k_min": -200, "k_max": 200,
+        "entries": [
+            {"q": 0, "k": 0, "halfMuSq": "2", "mult": 5},
+            {"q": 1, "k": 0, "halfMuSq": "2", "mult": 2},
+        ],
+    }))
+    return path
+
+
+def test_kernel_dimension_rejects_negative_multiplicity(tmp_path):
+    from etaflow.spectral import SpectrumDataError
+
+    spectrum = laplacian_table_load(negative_multiplicity_table(tmp_path), 2, 2)
+    _, model = make_model(2, spectrum)
+    # at r = -8, eps = 16 the inconsistent family vanishes exactly at eps,
+    # so the kernel count would include -3 without the shared check
+    with pytest.raises(SpectrumDataError):
+        spectral_flow(model, -8, 16)
+    with pytest.raises(SpectrumDataError):
+        kernel_dimension(model, -8, 16)
+
+
 def test_nakano_consistency_of_tabulated_spectra(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({
