@@ -158,7 +158,7 @@ class LaplacianSpectrum:
                 return mult
         return 0
 
-    def type2_multiplicity(self, q: int, k: int, half_mu_sq) -> int:
+    def alternating_multiplicity(self, q: int, k: int, half_mu_sq) -> int:
         """Alternating multiplicity of the Type 2 family at (q, k) with
         mu^2/2 = half_mu_sq; a negative value means the table is
         inconsistent and raises SpectrumDataError."""
@@ -469,7 +469,7 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     for q, k, half, is_bound in _type2_levels(model, r, eps, factor,
                                               handle_unknown):
         # in bound-only mode the multiplicity is unknown (None)
-        mult = None if is_bound else model.spectrum.type2_multiplicity(q, k, half)
+        mult = None if is_bound else model.spectrum.alternating_multiplicity(q, k, half)
         if mult == 0:
             continue
         for kind in (TYPE2_PLUS, TYPE2_MINUS):
@@ -662,5 +662,5 @@ def kernel_dimension(model: SpectralModel, r, eps,
                     "explicit spectrum"
                 )
         elif (B - C * eps) ** 2 + 8 * half * eps - eps * eps == 0:
-            total += model.spectrum.type2_multiplicity(q, k, half)
+            total += model.spectrum.alternating_multiplicity(q, k, half)
     return total

@@ -109,9 +109,8 @@ def cases():
             add(f"{command}__{label}__order{n}", base + ["--order", str(n)])
             add(f"{command}__{label}__order{n - 1}",
                 base + ["--order", str(n - 1)], pin_output=False)
-            # every order from 0 to 2n + 2 keeps its exit code; check-identities
-            # at order 0 is left out on purpose (it used to fall back to the
-            # default order)
+            # every order from 0 to 2n + 2 keeps its exit code;
+            # check-identities at order 0 has its own test in test_cli.py
             for order in range(0, 2 * n + 3):
                 if order in (n - 1, n) or (command == "check-identities"
                                            and order == 0):

@@ -201,9 +201,6 @@ def test_aps_terms_list_every_integral_twist(cp1xcp1):
     spec, table = cp1xcp1
     assert aps_terms(2, table, 1) == [(0, 1, 1), (1, 0, 0), (2, -1, 1)]
     assert aps_terms(2, table, F(3, 7)) == [(1, 0, 0)]
-    for eps in (F(1), F(3, 7), F(2), F(1, 2)):
-        terms = aps_terms(2, table, eps)
-        assert aps_index(spec, table, eps) == -F(sum(h for *_, h in terms), 2)
     with pytest.raises(ValueError):
         aps_terms(2, table, 0)
 

@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etaflow.catalog import product_cp1_model
 from etaflow.eta import adiabatic_limit_eta, transgression_raw
@@ -181,3 +183,12 @@ def test_class_side_antisymmetric_in_r(factors):
     for r in (F(1, 2), F(1, 3), F(1)):
         assert adiabatic_limit_eta(spec, -r) == -adiabatic_limit_eta(spec, r)
         assert transgression_raw(spec, -r, 1) == -transgression_raw(spec, r, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=12),
+       st.fractions(min_value=0, max_value=3, max_denominator=8))
+def test_class_side_antisymmetric_in_r_property(r, eps):
+    spec, _ = product_cp1_model(4)
+    assert adiabatic_limit_eta(spec, -r) == -adiabatic_limit_eta(spec, r)
+    assert transgression_raw(spec, -r, eps) == -transgression_raw(spec, r, eps)
