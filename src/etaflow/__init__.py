@@ -1,9 +1,9 @@
 """etaflow: exact eta-invariant, spectral-flow and APS-index calculator
 for unit circle bundles of positive line bundles over Fano manifolds.
 
-All arithmetic is exact (rationals, Gaussian rationals, one-square-root
-sign tests); spectral-flow vanishing is certified from curvature lower
-bounds rather than sampled numerically.
+All arithmetic is exact (rationals, Gaussian rationals only for paper_i
+transgressions, one-square-root sign tests); spectral-flow vanishing is
+certified from curvature lower bounds rather than sampled numerically.
 """
 
 __version__ = "0.1.0"
@@ -27,8 +27,6 @@ from .ring import (
     integrate_top,
 )
 from .series import (
-    CONVENTION_PAPER_I,
-    CONVENTION_REAL,
     FormalSeries,
     a_hat_class,
     omega_forms,
@@ -60,6 +58,8 @@ from .catalog import (
     resolve_manifold,
 )
 from .eta import (
+    CONVENTION_PAPER_I,
+    CONVENTION_REAL,
     EtaResult,
     adiabatic_limit_eta,
     aps_index,

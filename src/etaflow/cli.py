@@ -20,9 +20,13 @@ from pathlib import Path
 from . import __version__
 from .catalog import ConfigError, resolve_manifold
 from .eta import (
+    CONVENTION_PAPER_I,
+    CONVENTION_REAL,
+    CONVENTIONS,
     adiabatic_limit_eta,
     aps_index,
     aps_terms,
+    convention_integral,
     corollary_check,
     eta_invariant,
     transgression_raw,
@@ -36,8 +40,7 @@ from .exact import (
 )
 from .ring import exp_nilpotent, integrate_top
 from .series import (
-    CONVENTION_PAPER_I,
-    CONVENTION_REAL,
+    MAX_SERIES_ORDER,
     a_hat_class,
     default_order,
     eta_hat_series_from_alpha,
@@ -76,6 +79,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def series_order(text: str) -> int:
+    """--order value: an integer no larger than MAX_SERIES_ORDER, refused
+    while parsing so that no command builds a series first."""
+    order = int(text)
+    if order > MAX_SERIES_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"series order {order} exceeds MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"
+        )
+    return order
+
+
 def _add_common(sp, *, r=False, eps=False, order=False, mode=False,
                 convention=False, sf_sign=False):
     sp.add_argument("--manifold", required=True,
@@ -85,13 +99,12 @@ def _add_common(sp, *, r=False, eps=False, order=False, mode=False,
     if eps:
         sp.add_argument("--eps", required=True, help="deformation parameter > 0")
     if order:
-        sp.add_argument("--order", type=int, default=None,
+        sp.add_argument("--order", type=series_order, default=None,
                         help="series truncation order (default 2n+2)")
     if mode:
         sp.add_argument("--mode", choices=["nakano", "explicit"], default="nakano")
     if convention:
-        sp.add_argument("--convention",
-                        choices=[CONVENTION_REAL, CONVENTION_PAPER_I],
+        sp.add_argument("--convention", choices=CONVENTIONS,
                         default=CONVENTION_REAL)
     if sf_sign:
         sp.add_argument("--sf-sign", choices=[SF_SIGN_PAPER, SF_SIGN_STANDARD],
@@ -278,6 +291,9 @@ def _identity_suite(manifold, r, order):
     c = manifold.c
     sums = manifold.power_sums
     checks = []
+    # built once; an order too small to build them is an error, not a report
+    omega0, omega2 = omega_forms(ring, sums, order)
+    ahat = a_hat_class(ring, sums, order)
 
     def check(name, fn):
         try:
@@ -303,21 +319,29 @@ def _identity_suite(manifold, r, order):
           lambda: series_eta_hat(r, order).coeff(0)
           == (0 if r.denominator == 1 else 1 - 2 * (r - math.floor(r))))
     check("a_hat_degrees_divisible_by_four",
-          lambda: all(d % 4 == 0
-                      for d in a_hat_class(ring, sums, order).degrees()))
+          lambda: all(d % 4 == 0 for d in ahat.degrees()))
+    check("transgression_derivative_real",
+          lambda: omega0.derivative_delta() == c * 2 * omega2)
 
-    for convention in (CONVENTION_REAL, CONVENTION_PAPER_I):
-        omega0, omega2 = omega_forms(ring, sums, convention, order)
-        check(f"transgression_derivative_{convention}",
-              lambda o0=omega0, o2=omega2:
-              o0.derivative_delta() == c * 2 * o2)
+    def derivative_paper_i():
+        # paper_i turns Omega_0 into Omega_0(i delta), of derivative
+        # 2c i Omega_2(i delta): the paper_i integral over [0, 1] of the top
+        # degree of 2c Omega_2 e^{Omega_0} is P(i) - P(0), P = top e^{Omega_0}
+        exp0 = exp_nilpotent(omega0)
+        lhs = convention_integral(integrate_top(c * 2 * omega2 * exp0), 1,
+                                  CONVENTION_PAPER_I)
+        top = integrate_top(exp0)
+        at_i = GaussianRational(0)
+        for d in range(top.delta_degree, -1, -1):
+            at_i = at_i * GaussianRational(0, 1) + top.coefficient(d)
+        return lhs == at_i - top.coefficient(0)
+
+    check("transgression_derivative_paper_i", derivative_paper_i)
 
     def ftc(rr, ee):
-        omega0, omega2 = omega_forms(ring, sums, order=order)
         erc = exp_nilpotent(c * rr)
         lhs = poly_integrate_delta(
             integrate_top(c * 2 * omega2 * exp_nilpotent(omega0) * erc), ee)
-        ahat = a_hat_class(ring, sums, order)
         rhs = integrate_top((exp_nilpotent(omega0.subs_delta(ee)) - ahat) * erc)
         return lhs == rhs
 

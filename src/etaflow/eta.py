@@ -20,15 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import ManifoldSpec
-from .exact import ParamPoly, as_fraction, poly_integrate_delta, rational_str
+from .exact import GaussianRational, ParamPoly, as_fraction, rational_str
 from .ring import GradedClass, eval_series, exp_nilpotent, integrate_top
-from .series import (
-    CONVENTION_REAL,
-    a_hat_class,
-    default_order,
-    omega_forms,
-    series_eta_hat,
-)
+from .series import a_hat_class, default_order, omega_forms, series_eta_hat
 from .spectral import (
     ON_UNKNOWN_ERROR,
     SF_SIGN_PAPER,
@@ -36,6 +30,10 @@ from .spectral import (
     SpectralModel,
     spectral_flow,
 )
+
+CONVENTION_REAL = "real"
+CONVENTION_PAPER_I = "paper_i"
+CONVENTIONS = (CONVENTION_REAL, CONVENTION_PAPER_I)
 
 
 def _exp_rc(manifold: ManifoldSpec, r) -> GradedClass:
@@ -56,19 +54,33 @@ def adiabatic_limit_eta(manifold: ManifoldSpec, r, order=None) -> Fraction:
     """Small-eps limit of the eta invariant:
     (1/2) * integral of A-hat * eta_hat_r * exp(rc)."""
     value = integrate_top(adiabatic_integrand(manifold, r, order))
-    return value.as_rational() / 2
+    return value.constant_value() / 2
 
 
-def transgression_integrand_poly(
-    manifold: ManifoldSpec, r, convention=CONVENTION_REAL, order=None
-) -> ParamPoly:
+def transgression_integrand_poly(manifold: ManifoldSpec, r, order=None) -> ParamPoly:
     """Top-degree coefficient of Omega_2 e^{Omega_0} e^{rc}: a polynomial
-    in delta (Gaussian-valued in the paper_i convention)."""
-    omega0, omega2 = omega_forms(
-        manifold.ring, manifold.power_sums, convention, order
-    )
+    in delta with rational coefficients (the real convention)."""
+    omega0, omega2 = omega_forms(manifold.ring, manifold.power_sums, order)
     integrand = omega2 * exp_nilpotent(omega0) * _exp_rc(manifold, r)
     return integrate_top(integrand)
+
+
+def convention_integral(poly: ParamPoly, eps, convention=CONVENTION_REAL):
+    """Integral over [0, eps] of the real integrand ``poly`` in
+    ``convention``, the one place a convention is applied.  The paper_i
+    integrand i * poly(i delta) has i^(d+1) times the delta^d coefficient,
+    so its integral is the antiderivative of ``poly`` at i * eps, not eps.
+    A Fraction when the value is real, else a GaussianRational."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    eps = as_fraction(eps)
+    x = eps if convention == CONVENTION_REAL else GaussianRational(0, eps)
+    value = Fraction(0)  # sum_d a_d x^(d+1) / (d+1), by Horner's rule
+    for d in range(poly.delta_degree, -1, -1):
+        value = (value + poly.coefficient(d) / (d + 1)) * x
+    if isinstance(value, GaussianRational) and value.is_real:
+        return value.re
+    return value
 
 
 def transgression_raw(
@@ -79,9 +91,10 @@ def transgression_raw(
     eps = as_fraction(eps)
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    poly = transgression_integrand_poly(manifold, r, convention, order)
-    value = poly_integrate_delta(poly, eps).constant_value()
-    return value.re if value.is_real else value
+    if convention not in CONVENTIONS:  # before the class side is built
+        raise ValueError(f"unknown convention {convention!r}")
+    poly = transgression_integrand_poly(manifold, r, order)
+    return convention_integral(poly, eps, convention)
 
 
 def transgression_term(

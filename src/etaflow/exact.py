@@ -2,12 +2,15 @@
 
 Every quantity that enters a sign decision (eigenvalue crossings, spectral
 flow counts, characteristic-number integrals) is represented exactly:
-arbitrary-precision rationals, Gaussian rationals, polynomials in the
-formal deformation parameter ``delta``, and algebraic values of the
-shape ``a + b*sqrt(A)``.  Floating point never appears in a decision path.
+arbitrary-precision rationals, polynomials in the formal deformation
+parameter ``delta`` with rational coefficients, and algebraic values of
+the shape ``a + b*sqrt(A)``.  Floating point never appears in a decision
+path.
 
 Rationals are plain :class:`fractions.Fraction` (already reduced, positive
-denominator); this module adds the Gaussian and polynomial layers on top.
+denominator) and are the only scalar of the characteristic-class side.
+Gaussian rationals serve only as the value type of a transgression in the
+``paper_i`` convention.
 """
 
 from __future__ import annotations
@@ -184,13 +187,6 @@ class GaussianRational:
         return {"re": rational_str(self.re), "im": rational_str(self.im)}
 
 
-I = GaussianRational(0, 1)
-
-
-def _as_gaussian(value) -> GaussianRational:
-    return GaussianRational.coerce(value)
-
-
 def truncated_product(a, b, size: int, zero):
     """The first ``size`` coefficients of the product of two polynomials
     given by their coefficient sequences (index = exponent).  Shared by
@@ -214,7 +210,7 @@ def _delta_str(d: int) -> str:
 class ParamPoly:
     """Polynomial in the formal deformation parameter delta.
 
-    ``_terms[d]`` is the Gaussian-rational coefficient of delta^d.
+    ``_terms[d]`` is the rational coefficient of delta^d.
     Trailing zeros are never stored and instances are immutable, so values
     are safe to share.
     """
@@ -222,7 +218,7 @@ class ParamPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, coefficients=()):
-        terms = [_as_gaussian(c) for c in coefficients]
+        terms = [as_fraction(c) for c in coefficients]
         while terms and not terms[-1]:
             terms.pop()
         object.__setattr__(self, "_terms", tuple(terms))
@@ -264,23 +260,20 @@ class ParamPoly:
     def delta_degree(self) -> int:
         return max(len(self._terms) - 1, 0)
 
-    def constant_value(self) -> GaussianRational:
+    def constant_value(self) -> Fraction:
+        """The value of a delta-free polynomial; raises if delta survives."""
         if len(self._terms) > 1:
             raise ValueError(f"not a constant: {self}")
         return self.coefficient(0)
 
-    def as_rational(self) -> Fraction:
-        """Constant real value; raises if delta or i survive."""
-        return as_fraction(self.constant_value())
-
-    def coefficient(self, d: int) -> GaussianRational:
-        return self._terms[d] if d < len(self._terms) else GaussianRational(0)
+    def coefficient(self, d: int) -> Fraction:
+        return self._terms[d] if d < len(self._terms) else ZERO
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamPoly):
             try:
                 other = ParamPoly.coerce(other)
-            except TypeError:
+            except (TypeError, ValueError):  # not an exact rational
                 return NotImplemented
         return self._terms == other._terms
 
@@ -321,8 +314,7 @@ class ParamPoly:
         except TypeError:
             return NotImplemented
         a, b = self._terms, other._terms
-        return ParamPoly(truncated_product(a, b, len(a) + len(b) - 1,
-                                           GaussianRational(0)))
+        return ParamPoly(truncated_product(a, b, len(a) + len(b) - 1, ZERO))
 
     __rmul__ = __mul__
 
@@ -337,7 +329,7 @@ class ParamPoly:
     def subs_delta(self, value) -> "ParamPoly":
         """Substitute a rational for delta."""
         v = as_fraction(value)
-        total = GaussianRational(0)
+        total = ZERO
         for c in reversed(self._terms):
             total = total * v + c
         return ParamPoly.constant(total)
@@ -361,7 +353,7 @@ class ParamPoly:
     __repr__ = __str__
 
     def to_json(self):
-        return {_delta_str(d): c.to_json() for d, c in self.items()}
+        return {_delta_str(d): rational_str(c) for d, c in self.items()}
 
 
 def poly_integrate_delta(p: ParamPoly, upper) -> ParamPoly:
@@ -371,7 +363,7 @@ def poly_integrate_delta(p: ParamPoly, upper) -> ParamPoly:
     if u < 0:
         raise ValueError("upper limit must be nonnegative")
     return ParamPoly.constant(
-        sum((c * (u ** (d + 1) / (d + 1)) for d, c in p.items()), GaussianRational(0))
+        sum((c * (u ** (d + 1) / (d + 1)) for d, c in p.items()), ZERO)
     )
 
 

@@ -189,7 +189,7 @@ def eval_series(f, x: GradedClass) -> GradedClass:
     """
     result = _sum_powers(f.coefficients, x)
     # x^j starts with (lowest term of x)^j, which never vanishes because
-    # Q(i)[delta] has no zero divisors; so x^(order+1) = 0 exactly when
+    # Q[delta] has no zero divisors; so x^(order+1) = 0 exactly when
     # (order + 1) * lowest > n
     lowest = next((k for k, _ in x.items()), None)
     if lowest is not None and len(f.coefficients) * lowest <= x.ring.complex_dim:

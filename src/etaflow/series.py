@@ -14,13 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import (
-    GaussianRational,
-    ParamPoly,
-    _as_gaussian,
-    as_fraction,
-    truncated_product,
-)
+from .exact import ZERO, ParamPoly, as_fraction, rational_str, truncated_product
 from .ring import (
     GradedClass,
     RingSpec,
@@ -29,12 +23,8 @@ from .ring import (
     exp_nilpotent,
 )
 
-CONVENTION_REAL = "real"
-CONVENTION_PAPER_I = "paper_i"
-
-
 class FormalSeries:
-    """Truncated power series in one variable with exact coefficients.
+    """Truncated power series in one variable with rational coefficients.
 
     ``coefficients[j]`` is the coefficient of z^j for j = 0..order.  All
     operations are exact to the order of the result; combining series of
@@ -44,13 +34,13 @@ class FormalSeries:
     __slots__ = ("coefficients", "order")
 
     def __init__(self, coefficients, order=None):
-        coeffs = [_as_gaussian(c) for c in coefficients]
+        coeffs = [as_fraction(c) for c in coefficients]
         if order is None:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("order must be >= 0")
         if len(coeffs) < order + 1:
-            coeffs.extend([GaussianRational(0)] * (order + 1 - len(coeffs)))
+            coeffs.extend([ZERO] * (order + 1 - len(coeffs)))
         object.__setattr__(self, "coefficients", tuple(coeffs[: order + 1]))
         object.__setattr__(self, "order", order)
 
@@ -69,7 +59,7 @@ class FormalSeries:
     def identity(order: int) -> "FormalSeries":
         return FormalSeries([0, 1], order)
 
-    def coeff(self, j: int) -> GaussianRational:
+    def coeff(self, j: int) -> Fraction:
         if j < 0 or j > self.order:
             raise IndexError(f"coefficient {j} beyond truncation order {self.order}")
         return self.coefficients[j]
@@ -114,11 +104,11 @@ class FormalSeries:
 
     def __mul__(self, other):
         if not isinstance(other, FormalSeries):
-            c = _as_gaussian(other)
+            c = as_fraction(other)
             return FormalSeries([a * c for a in self.coefficients], self.order)
         order = min(self.order, other.order)
         coeffs = truncated_product(
-            self.coefficients, other.coefficients, order + 1, GaussianRational(0)
+            self.coefficients, other.coefficients, order + 1, ZERO
         )
         return FormalSeries(coeffs, order)
 
@@ -137,7 +127,7 @@ class FormalSeries:
         if not other.coefficients[0]:
             raise ZeroDivisionError("divisor has zero constant term")
         order = min(self.order, other.order)
-        inv0 = GaussianRational(1) / other.coefficients[0]
+        inv0 = 1 / other.coefficients[0]
         coeffs = []
         for n in range(order + 1):
             acc = self.coefficients[n]
@@ -168,25 +158,23 @@ class FormalSeries:
 
     def shift_up(self, k: int) -> "FormalSeries":
         """Multiply by z^k (order grows by k)."""
-        return FormalSeries(
-            (GaussianRational(0),) * k + self.coefficients, self.order + k
-        )
+        return FormalSeries((ZERO,) * k + self.coefficients, self.order + k)
 
     def scale_variable(self, s) -> "FormalSeries":
         """f(s*z): rescale the variable by an exact scalar."""
-        s = _as_gaussian(s)
+        s = as_fraction(s)
         coeffs = []
-        power = GaussianRational(1)
+        power = Fraction(1)
         for c in self.coefficients:
             coeffs.append(c * power)
             power = power * s
         return FormalSeries(coeffs, self.order)
 
     def partial_sum(self, z):
-        """Exact partial sum at a Gaussian-rational point."""
-        z = _as_gaussian(z)
-        total = GaussianRational(0)
-        power = GaussianRational(1)
+        """Exact partial sum at a rational point."""
+        z = as_fraction(z)
+        total = ZERO
+        power = Fraction(1)
         for c in self.coefficients:
             total = total + c * power
             power = power * z
@@ -203,7 +191,7 @@ class FormalSeries:
     __repr__ = __str__
 
     def to_json(self):
-        return [c.to_json() for c in self.coefficients]
+        return [rational_str(c) for c in self.coefficients]
 
 
 def exp_series(order: int) -> FormalSeries:
@@ -322,6 +310,12 @@ def series_eta_hat(r, order: int) -> FormalSeries:
     return eta_hat_series_from_alpha(alpha, order)
 
 
+# Largest truncation order the command line accepts.  Series cost grows
+# about as order^3 while any order >= n gives the same classes; the
+# default 2n + 2 stays below it for every catalog base (66 on cp1x32).
+MAX_SERIES_ORDER = 100
+
+
 def default_order(ring: RingSpec) -> int:
     """Default series truncation: comfortably past the nilpotency bound."""
     return 2 * ring.complex_dim + 2
@@ -339,17 +333,14 @@ def a_hat_class(ring: RingSpec, power_sums, order=None) -> GradedClass:
     return exp_nilpotent(eval_power_sums(series_p(order), ring, power_sums) * 2)
 
 
-def omega_forms(ring: RingSpec, power_sums, convention=CONVENTION_REAL,
-                order=None):
-    """Transgression forms (Omega_0, Omega_2) for the adiabatic family.
-
-    In the default real convention,
+def omega_forms(ring: RingSpec, power_sums, order=None):
+    """Transgression forms (Omega_0, Omega_2) for the adiabatic family:
         Omega_0 = 2 sum_j p(x_j + 2 delta c) + 2 p(2 delta c),
         Omega_2 = 2 sum_j p'(x_j + 2 delta c) + 2 p'(2 delta c),
     with delta the formal deformation parameter and x_j the tangent Chern
-    roots; the paper_i convention instead carries the literal Gaussian i
-    factors (arguments x_j + 2i delta c, a global i on Omega_2).  Both
-    satisfy the transgression identity d/d(delta) Omega_0 = 2 c Omega_2.
+    roots.  They satisfy the transgression identity
+    d/d(delta) Omega_0 = 2 c Omega_2.  The paper_i convention is their
+    rotation delta -> i delta, applied by ``eta.convention_integral``.
 
     The sums only need the power sums of the shifted roots y = x_j + tc
     together with the extra root y = tc:
@@ -359,14 +350,7 @@ def omega_forms(ring: RingSpec, power_sums, convention=CONVENTION_REAL,
         order = default_order(ring)
     p = series_p(order)
     pp = series_p_prime(order)
-    if convention == CONVENTION_REAL:
-        t = ParamPoly.delta() * 2
-        prefactor = ParamPoly.one()
-    elif convention == CONVENTION_PAPER_I:
-        t = ParamPoly.delta() * GaussianRational(0, 2)  # 2 i delta
-        prefactor = ParamPoly.constant(GaussianRational(0, 1))
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
+    t = ParamPoly.delta() * 2
     n = ring.complex_dim
     sums = list(power_sums[: n + 1])
     sums[0] += 1  # the extra root tc
@@ -377,5 +361,5 @@ def omega_forms(ring: RingSpec, power_sums, convention=CONVENTION_REAL,
         for m in range(n + 1)
     ]
     omega0 = eval_power_sums(p, ring, shifted) * 2
-    omega2 = eval_power_sums(pp, ring, shifted) * (prefactor * 2)
+    omega2 = eval_power_sums(pp, ring, shifted) * 2
     return omega0, omega2

@@ -355,6 +355,10 @@ def certify_no_crossing(family: EigenvalueFamily, r, eps) -> CertOutcome:
 ON_UNKNOWN_ERROR = "error"
 ON_UNKNOWN_SKIP = "skip"
 
+# Largest search window, in (q, k) cells over both family types, that is
+# enumerated; the window grows linearly in eps.
+MAX_WINDOW_CELLS = 500_000
+
 
 def _k_interval(center: Fraction, radius: Fraction):
     return math.ceil(center - radius), math.floor(center + radius)
@@ -372,11 +376,31 @@ def _unknown_handler(on_unknown, skipped):
     return handle
 
 
+def _type1_window(r, eps, n: int, factor):
+    """(k_lo, k_hi): a Type 1 zero on (0, eps] needs |k - r| <= eps*n/2,
+    widened by ``factor``."""
+    return _k_interval(r, eps * n / 2 * factor)
+
+
 def _type2_window(r, eps, n: int, factor):
     """(k_lo, k_hi, half_mu_max): a Type 2 zero on (0, eps] needs
     |2k - 2r| <= eps(n + 2) and mu^2 <= eps/4, widened by ``factor``."""
     k_lo, k_hi = _k_interval(r, eps * (n + 2) / 2 * factor)
     return k_lo, k_hi, eps / 8 * factor
+
+
+def _check_window_size(r, eps, n: int, factor):
+    """Refuse, before any enumeration, a window of more than
+    MAX_WINDOW_CELLS cells: (n + 1) times the number of k, summed over
+    the Type 1 and Type 2 windows."""
+    k1_lo, k1_hi = _type1_window(r, eps, n, factor)
+    k2_lo, k2_hi, _ = _type2_window(r, eps, n, factor)
+    cells = (n + 1) * (max(k1_hi - k1_lo + 1, 0) + max(k2_hi - k2_lo + 1, 0))
+    if cells > MAX_WINDOW_CELLS:
+        raise SpectralWindowError(
+            f"search window of {cells} (q, k) cells for eps = {eps} exceeds "
+            f"MAX_WINDOW_CELLS = {MAX_WINDOW_CELLS}"
+        )
 
 
 def _type2_levels(model: SpectralModel, r, eps, factor, handle_unknown):
@@ -433,12 +457,12 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
         raise ValueError("eps must be positive")
     factor = as_fraction(window_factor)
     n = model.n
+    _check_window_size(r, eps, n, factor)
     families = []
     skipped = []
     handle_unknown = _unknown_handler(on_unknown, skipped)
 
-    type1_radius = eps * n / 2 * factor
-    k_lo, k_hi = _k_interval(r, type1_radius)
+    k_lo, k_hi = _type1_window(r, eps, n, factor)
     for q in range(n + 1):
         for k in range(k_lo, k_hi + 1):
             if not model.table.is_known(q, k):
@@ -634,6 +658,7 @@ def kernel_dimension(model: SpectralModel, r, eps,
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = model.n
+    _check_window_size(r, eps, n, 1)
     total = 0
     handle_unknown = _unknown_handler(on_unknown, [])
 

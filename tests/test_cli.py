@@ -1,15 +1,21 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
+
+import etaflow
 
 from etaflow.cli import (
     EXIT_ERROR,
     EXIT_INDETERMINATE,
     EXIT_OK,
+    build_parser,
     load_report,
     main,
 )
+from etaflow.series import MAX_SERIES_ORDER
 
 
 def run_cli(capsys, *argv):
@@ -188,10 +194,14 @@ def test_transgression_command_conventions(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same etaflow as this process, installed or not
+    package_root = str(Path(etaflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "etaflow", "aps-index", "--manifold",
          "cp1xcp1", "--eps", "3/7"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["index"] == "0"
@@ -252,3 +262,36 @@ def test_check_identities_order_zero_is_rejected(capsys):
     )
     assert code == EXIT_ERROR and out == ""
     assert "order" in err
+
+
+def test_series_order_limit(capsys):
+    # refused while parsing, before any series is built, by every
+    # class-side command, check-identities included
+    for command in (["adiabatic-limit"], ["transgression", "--eps", "1"],
+                    ["eta", "--eps", "1"], ["check-identities"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, *command, "--manifold", "cp1xcp1", "--r", "1/2",
+            "--order", "100000",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_ERROR and out == ""
+        assert "MAX_SERIES_ORDER" in err and str(MAX_SERIES_ORDER) in err
+    # the default order of the largest product base is accepted
+    assert MAX_SERIES_ORDER >= 2 * 32 + 2
+    args = build_parser().parse_args(
+        ["adiabatic-limit", "--manifold", "cp1xcp1",
+         "--order", str(MAX_SERIES_ORDER)])
+    assert args.order == MAX_SERIES_ORDER
+
+
+def test_spectral_window_limit(capsys):
+    for command in ("spectral-flow", "kernel-dim"):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, command, "--manifold", "cp1x4", "--r", "1",
+            "--eps", "100000",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_ERROR and out == ""
+        assert "MAX_WINDOW_CELLS" in err

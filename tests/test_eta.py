@@ -5,6 +5,7 @@ import sympy as sp
 
 from etaflow.catalog import ConfigError, product_cp1_model, resolve_manifold
 from etaflow.eta import (
+    CONVENTION_PAPER_I,
     EtaResult,
     adiabatic_integrand,
     adiabatic_limit_eta,
@@ -16,7 +17,7 @@ from etaflow.eta import (
     transgression_raw,
     transgression_term,
 )
-from etaflow.series import CONVENTION_PAPER_I
+from etaflow.exact import GaussianRational
 from etaflow.spectral import SF_SIGN_STANDARD, SpectralModel
 
 
@@ -99,10 +100,10 @@ def test_transgression_fundamental_theorem_cross_check(cp1xcp1):
     ahat = a_hat_class(spec.ring, spec.power_sums)
     lhs = poly_integrate_delta(
         integrate_top(spec.c * 2 * omega2 * exp_nilpotent(omega0) * erc), eps
-    ).as_rational()
+    ).constant_value()
     rhs = integrate_top(
         (exp_nilpotent(omega0.subs_delta(eps)) - ahat) * erc
-    ).as_rational()
+    ).constant_value()
     assert lhs == rhs
 
 
@@ -112,6 +113,11 @@ def test_transgression_paper_i_is_gaussian(cp1xcp1):
     # the literal-i convention produces a different (complex-normalized)
     # number; only its N-invariant vanishing statements are shared
     assert value != transgression_raw(spec, F(1, 2), 1)
+    assert isinstance(value, GaussianRational) and value.im != 0
+    # at r = 0 the value is real and comes back as a Fraction
+    assert type(transgression_raw(spec, 0, 1, CONVENTION_PAPER_I)) is F
+    with pytest.raises(ValueError, match="unknown convention"):
+        transgression_raw(spec, F(1, 2), 1, "imaginary")
 
 
 # ------------------------------------------------------- assembly

@@ -137,9 +137,9 @@ def test_poly_integrate_delta_examples():
         result = poly_integrate_delta(p, 2)
         assert result == ParamPoly.constant(8 + 2 * b)
         exact = result.constant_value()
-        assert exact.is_real
+        assert type(exact) is F
         numeric = _simpson(lambda t: 3 * t * t + float(b), 0.0, 2.0)
-        assert abs(float(exact.re) - numeric) < 1e-9
+        assert abs(float(exact) - numeric) < 1e-9
         assert result.delta_degree == 0
     with pytest.raises(ValueError):
         poly_integrate_delta(d, -1)

@@ -6,11 +6,16 @@ import mpmath
 import pytest
 import sympy as sp
 
+from etaflow.catalog import ManifoldSpec, product_cp1_model
+from etaflow.eta import (
+    CONVENTION_PAPER_I,
+    CONVENTION_REAL,
+    convention_integral,
+    transgression_integrand_poly,
+)
 from etaflow.exact import GaussianRational, ParamPoly
 from etaflow.ring import GradedClass, RingSpec, eval_series, exp_nilpotent, integrate_top
 from etaflow.series import (
-    CONVENTION_PAPER_I,
-    CONVENTION_REAL,
     FormalSeries,
     a_hat_class,
     eta_hat_series_from_alpha,
@@ -42,8 +47,8 @@ def p_oracle():
 
 def as_fr(series, j):
     c = series.coeff(j)
-    assert c.is_real
-    return c.re
+    assert type(c) is F
+    return c
 
 
 def test_series_p_against_symbolic_oracle(p_oracle):
@@ -62,9 +67,10 @@ def test_series_p_numeric_closed_form():
         zf = mpmath.mpf(z.numerator) / z.denominator
         closed = mpmath.log((zf / 2) / mpmath.sinh(zf / 2)) / 2
         partial = p.partial_sum(z)
+        assert type(partial) is F
         truncation_bound = mpmath.mpf(2) * zf ** (ORDER + 1)
-        assert abs(closed - mpmath.mpf(partial.re.numerator) /
-                   partial.re.denominator) < truncation_bound
+        assert abs(closed - mpmath.mpf(partial.numerator) /
+                   partial.denominator) < truncation_bound
 
 
 def test_series_p_prime(p_oracle):
@@ -117,8 +123,9 @@ def test_eta_hat_generic_r_numeric():
             closed = mpmath.exp(alpha.numerator / mpmath.mpf(alpha.denominator)
                                 * zf / 2) / mpmath.sinh(zf / 2) - 2 / zf
             partial = eh.partial_sum(z)
-            assert abs(closed - mpmath.mpf(partial.re.numerator) /
-                       partial.re.denominator) < mpmath.mpf(4) * zf ** (ORDER + 1)
+            assert type(partial) is F
+            assert abs(closed - mpmath.mpf(partial.numerator) /
+                       partial.denominator) < mpmath.mpf(4) * zf ** (ORDER + 1)
 
 
 def test_eta_hat_constant_term_is_alpha():
@@ -142,11 +149,7 @@ def test_formal_series_arithmetic_round_trips():
     assert series_log(series_exp(f)) == f
     g = FormalSeries([1, F(1, 2), 0, 5], 8)
     assert f.divide(g) * g == f
-    assert tanh_series(8).coefficients[:6] == (
-        GaussianRational(0), GaussianRational(1), GaussianRational(0),
-        GaussianRational(F(-1, 3)), GaussianRational(0),
-        GaussianRational(F(2, 15)),
-    )
+    assert tanh_series(8).coefficients[:6] == (0, 1, 0, F(-1, 3), 0, F(2, 15))
 
 
 # ----------------------------------------------------------- ring classes
@@ -209,44 +212,133 @@ def test_omega2_is_odd_degree_two(cp1sq):
     assert all(d == 2 for d in omega2.degrees())
 
 
+def at_point(poly, x):
+    """The polynomial ``poly`` in delta evaluated at a (Gaussian) point."""
+    value = GaussianRational(0)
+    for d in range(poly.delta_degree, -1, -1):
+        value = value * x + poly.coefficient(d)
+    return value
+
+
 @pytest.mark.parametrize("convention", [CONVENTION_REAL, CONVENTION_PAPER_I])
 def test_transgression_derivative_identity(cp1sq, convention):
     ring, sums = cp1sq
     c = GradedClass.generator(ring)
-    omega0, omega2 = omega_forms(ring, sums, convention)
+    omega0, omega2 = omega_forms(ring, sums)
     assert omega0.derivative_delta() == c * 2 * omega2
+    # in each convention the integrated identity holds: the integral over
+    # [0, eps] of the top degree of 2c Omega_2 e^{Omega_0} e^{rc} is
+    # P(x) - P(0) with P the top degree of e^{Omega_0} e^{rc} and x = eps,
+    # or x = i eps under paper_i, where Omega_0 becomes Omega_0(i delta)
+    for r, eps in ((F(0), F(1, 3)), (F(1, 2), F(1)), (F(2, 3), F(5, 2))):
+        erc = exp_nilpotent(c * r)
+        top = integrate_top(exp_nilpotent(omega0) * erc)
+        lhs = convention_integral(
+            integrate_top(c * 2 * omega2 * exp_nilpotent(omega0) * erc), eps,
+            convention,
+        )
+        x = eps if convention == CONVENTION_REAL else GaussianRational(0, eps)
+        assert lhs == at_point(top, x) - top.coefficient(0)
 
 
 def test_paper_i_convention_carries_gaussian_factors(cp1sq):
     ring, sums = cp1sq
-    omega0_i, omega2_i = omega_forms(ring, sums, CONVENTION_PAPER_I)
-    # arguments 2 i delta c flip the sign of even powers relative to real
-    omega0_r, omega2_r = omega_forms(ring, sums, CONVENTION_REAL)
-    assert omega0_i != omega0_r
-    coeffs = [poly for _, poly in omega2_i.items()]
-    assert any(
-        any(value.im for _, value in poly.items()) for poly in coeffs
-    )
+    c = GradedClass.generator(ring)
+    omega0, omega2 = omega_forms(ring, sums)
+    poly = integrate_top(omega2 * exp_nilpotent(omega0) * exp_nilpotent(c * F(1, 2)))
+    real = convention_integral(poly, 1, CONVENTION_REAL)
+    rotated = convention_integral(poly, 1, CONVENTION_PAPER_I)
+    # arguments 2 i delta c flip the sign of even powers relative to real,
+    # and the global i leaves an imaginary part
+    assert rotated != real
+    assert isinstance(rotated, GaussianRational) and rotated.im != 0
+    with pytest.raises(ValueError):
+        convention_integral(poly, 1, "imaginary")
+
+
+def three_roots():
+    """Roots c, 2c and -3c on Q[c]/(c^4): the power sums s_k = sigma_k c^k
+    are nonzero in every degree, so every binomial term of the shifted
+    power sums is exercised."""
+    ring = RingSpec("three-roots", 3)
+    multiples = (1, 2, -3)
+    return ring, multiples, tuple(sum(m**k for m in multiples) for k in range(4))
+
+
+def sympy_transgression_top(multiples, unit, order):
+    """Top degree (coefficient of c^3) of Omega_2 e^{Omega_0}, built root
+    by root with sympy from the closed form of p and the literal
+    arguments y = m c + 2 unit delta c (unit = 1 or i), y = 2 unit delta c;
+    the i in Omega_2 = 2 unit sum p'(y) is literal too."""
+    z, c, delta = sp.symbols("z c delta")
+    p = sympy_coeffs(sp.log((z / 2) / sp.sinh(z / 2)) / 2, z, order + 1)
+    p_poly = sum(sp.Rational(p[j].numerator, p[j].denominator) * z**j
+                 for j in range(order + 1))
+    pp_poly = sp.diff(p_poly, z)
+    args = [2 * unit * delta * c] + [m * c + 2 * unit * delta * c
+                                     for m in multiples]
+    omega0 = sum(2 * p_poly.subs(z, y) for y in args)
+    omega2 = unit * sum(2 * pp_poly.subs(z, y) for y in args)
+    exp0 = sum(omega0**j / math.factorial(j) for j in range(4))
+    top = sp.expand(omega2 * exp0).coeff(c, 3)
+    return sp.Poly(top, delta)
 
 
 @pytest.mark.parametrize("convention", [CONVENTION_REAL, CONVENTION_PAPER_I])
 def test_omega_forms_match_root_by_root_sums(convention):
-    # roots c, 2c and -3c on Q[c]/(c^4): the power sums s_k = sigma_k c^k
-    # are nonzero in every degree, so every binomial term of the shifted
-    # power sums is exercised
-    ring = RingSpec("three-roots", 3)
+    ring, multiples, sums = three_roots()
     c = GradedClass.generator(ring)
-    multiples = (1, 2, -3)
-    sums = tuple(sum(m**k for m in multiples) for k in range(4))
-    unit = 1 if convention == CONVENTION_REAL else GaussianRational(0, 1)
-    tail = c * (ParamPoly.delta() * 2 * unit)
-    args = [tail] + [c * m + tail for m in multiples]
-    p, pp = series_p(8), series_p_prime(8)
-    omega0 = omega2 = GradedClass.zero(ring)
-    for x in args:
-        omega0 = omega0 + eval_series(p, x) * 2
-        omega2 = omega2 + eval_series(pp, x) * 2
-    assert omega_forms(ring, sums, convention) == (omega0, omega2 * unit)
+    omega0, omega2 = omega_forms(ring, sums, 8)
+    if convention == CONVENTION_REAL:
+        tail = c * (ParamPoly.delta() * 2)
+        args = [tail] + [c * m + tail for m in multiples]
+        p, pp = series_p(8), series_p_prime(8)
+        root0 = root2 = GradedClass.zero(ring)
+        for x in args:
+            root0 = root0 + eval_series(p, x) * 2
+            root2 = root2 + eval_series(pp, x) * 2
+        assert (omega0, omega2) == (root0, root2)
+    # the convention's integral of the top degree of Omega_2 e^{Omega_0}
+    # against the root-by-root build with a literal unit 1 or i
+    unit = 1 if convention == CONVENTION_REAL else sp.I
+    top = sympy_transgression_top(multiples, unit, 8)
+    poly = integrate_top(omega2 * exp_nilpotent(omega0))
+    antiderivative = top.integrate()
+    for eps in (F(1, 3), F(2)):
+        value = sp.expand(antiderivative.eval(sp.Rational(eps.numerator,
+                                                          eps.denominator)))
+        re, im = (F(str(part)) for part in (sp.re(value), sp.im(value)))
+        assert convention_integral(poly, eps, convention) == \
+            GaussianRational(re, im)
+
+
+def scalars(value):
+    """Every scalar coefficient inside a series, a class or a polynomial,
+    zeros between nonzero terms included."""
+    if isinstance(value, FormalSeries):
+        return list(value.coefficients)
+    if isinstance(value, GradedClass):
+        return [x for k in range(value.ring.complex_dim + 1)
+                for x in scalars(value.coefficient(k))]
+    return [value.coefficient(d) for d in range(value.delta_degree + 1)]
+
+
+@pytest.mark.parametrize("base", ["cp1x4", "three-roots"])
+def test_class_side_scalars_are_fractions(base):
+    if base == "cp1x4":
+        spec, _ = product_cp1_model(4)
+    else:
+        ring, _, sums = three_roots()
+        spec = ManifoldSpec("three-roots", 3, ring, sums, None)
+    ring, sums = spec.ring, spec.power_sums
+    values = [series_p(10), series_p_prime(10), series_eta_hat(0, 10),
+              series_eta_hat(F(1, 3), 10), a_hat_class(ring, sums),
+              *omega_forms(ring, sums),
+              transgression_integrand_poly(spec, F(1, 2))]
+    for value in values:
+        coefficients = scalars(value)
+        assert coefficients
+        assert all(type(x) is F for x in coefficients)
 
 
 def test_fundamental_theorem_of_calculus_in_delta(cp1sq):

@@ -1,20 +1,26 @@
 import json
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etaflow.catalog import (
     general_type_hypersurface_model,
     laplacian_table_load,
     product_cp1_model,
+    resolve_manifold,
 )
-from etaflow.exact import sqrt_sign
+from etaflow.exact import cmp_exact, sqrt_sign
 from etaflow.spectral import (
     CERTIFIED,
     CROSSING,
     EigenvalueFamily,
     INDETERMINATE,
     IndeterminateSpectralFlow,
+    MAX_WINDOW_CELLS,
     MODE_EXPLICIT,
     MODE_NAKANO,
     MUST_VANISH,
@@ -413,3 +419,56 @@ def test_report_json_shape():
     assert data["partial"] is True
     assert data["crossings"][0]["delta_star"] == "1/2"
     assert data["crossings"][0]["kind"] == TYPE1
+
+
+# ------------------------------------------------------- window limit
+
+
+def test_window_limit_refuses_before_enumerating():
+    _, model = make_model(4)
+    # cp1x4 at eps = 100000: (4 + 1) * (400001 + 600001) cells
+    for call in (lambda: enumerate_families(model, 1, 100000),
+                 lambda: spectral_flow(model, 1, 100000),
+                 lambda: kernel_dimension(model, 1, 100000)):
+        start = time.perf_counter()
+        with pytest.raises(SpectralWindowError, match="MAX_WINDOW_CELLS"):
+            call()
+        assert time.perf_counter() - start < 1
+
+
+def test_window_limit_counts_the_widened_window():
+    _, model = make_model(2)
+    # at eps = 20000 the window has 3 * (40001 + 80001) = 360006 cells,
+    # inside MAX_WINDOW_CELLS; widened twice it has 720006
+    assert 360006 <= MAX_WINDOW_CELLS < 720006
+    with pytest.raises(SpectralWindowError, match="720006"):
+        spectral_flow(model, 0, 20000, window_factor=2)
+
+
+# ------------------------------------------------------- jump law
+
+EXPLICIT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / \
+    "cp1xcp1_explicit.json"
+
+
+@pytest.fixture(scope="module")
+def explicit_model():
+    return resolve_manifold(str(EXPLICIT_CONFIG)).model
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.fractions(min_value=1, max_value=3, max_denominator=12)
+       .filter(lambda r: r > 1),
+       eps=st.lists(st.fractions(min_value=0, max_value=2, max_denominator=12)
+                    .filter(lambda e: e > 0), min_size=2, max_size=2, unique=True))
+def test_flow_jump_law(explicit_model, r, eps):
+    eps1, eps2 = sorted(eps)
+    before = spectral_flow(explicit_model, r, eps1)
+    after = spectral_flow(explicit_model, r, eps2)
+    # the flow changes by the signed multiplicities crossing in [eps1, eps2)
+    jump = sum(c.direction * c.multiplicity for c in after.crossings
+               if cmp_exact(c.delta_star, eps1) >= 0)
+    assert after.total_paper - before.total_paper == jump
+    # and the crossings before eps1 are exactly those seen up to eps2
+    assert before.crossings == [c for c in after.crossings
+                                if cmp_exact(c.delta_star, eps1) < 0]

@@ -18,9 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etaflow.catalog import product_cp1_model
-from etaflow.eta import adiabatic_limit_eta, transgression_raw
+from etaflow.eta import (
+    CONVENTION_PAPER_I,
+    CONVENTION_REAL,
+    adiabatic_limit_eta,
+    transgression_raw,
+)
 from etaflow.exact import GaussianRational
-from etaflow.series import CONVENTION_PAPER_I, CONVENTION_REAL
 
 Z = sp.Symbol("z")
 DELTA = sp.Symbol("delta")
@@ -175,6 +179,17 @@ def test_split_oracle_reproduces_known_values():
 def test_transgression_pinned_on_larger_products(factors, value):
     spec, _ = product_cp1_model(factors)
     assert transgression_raw(spec, F(1, 2), 1) == value
+
+
+# computed with literal Gaussian arithmetic in the paper_i integrand (arguments
+# x_j + 2i delta c, a global i on Omega_2), not with the delta -> i delta rotation
+@pytest.mark.parametrize("factors, value", [
+    (6, GaussianRational(F(9281, 192), F(-101239, 2016))),
+    (8, GaussianRational(F(19169839, 8640), F(-10902689, 4320))),
+], ids=["cp1x6", "cp1x8"])
+def test_paper_i_transgression_pinned_on_larger_products(factors, value):
+    spec, _ = product_cp1_model(factors)
+    assert transgression_raw(spec, F(1, 2), 1, CONVENTION_PAPER_I) == value
 
 
 @pytest.mark.parametrize("factors", [2, 4, 6])
