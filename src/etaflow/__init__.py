@@ -27,7 +27,6 @@ from .ring import (
     integrate_top,
 )
 from .series import (
-    FormalSeries,
     a_hat_class,
     omega_forms,
     series_eta_hat,

@@ -311,12 +311,14 @@ def _identity_suite(manifold, r, order):
     check("exp_inverse",
           lambda: exp_nilpotent(c) * exp_nilpotent(-c) == one)
     check("series_p_derivative",
-          lambda: series_p_prime(12) == series_p(13).derivative())
+          lambda: series_p_prime(12)
+          == tuple(j * a for j, a in enumerate(series_p(13)))[1:])
     check("eta_hat_integer_is_average_of_one_sided_limits",
-          lambda: eta_hat_series_integer(12) * 2
-          == eta_hat_series_from_alpha(1, 12) + eta_hat_series_from_alpha(-1, 12))
+          lambda: tuple(2 * a for a in eta_hat_series_integer(12))
+          == tuple(a + b for a, b in zip(eta_hat_series_from_alpha(1, 12),
+                                         eta_hat_series_from_alpha(-1, 12))))
     check("eta_hat_at_r_constant_term",
-          lambda: series_eta_hat(r, order).coeff(0)
+          lambda: series_eta_hat(r, order)[0]
           == (0 if r.denominator == 1 else 1 - 2 * (r - math.floor(r))))
     check("a_hat_degrees_divisible_by_four",
           lambda: all(d % 4 == 0 for d in ahat.degrees()))
@@ -367,9 +369,9 @@ def _cmd_check_identities(args):
     if args.dump_series:
         result["series"] = {
             "order": order,
-            "p": series_p(order).to_json(),
-            "p_prime": series_p_prime(order).to_json(),
-            "eta_hat": series_eta_hat(r, order).to_json(),
+            "p": [rational_str(a) for a in series_p(order)],
+            "p_prime": [rational_str(a) for a in series_p_prime(order)],
+            "eta_hat": [rational_str(a) for a in series_eta_hat(r, order)],
             "r": rational_str(r),
         }
     code = EXIT_OK if result["all_pass"] else EXIT_ERROR

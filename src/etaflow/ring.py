@@ -6,7 +6,9 @@ the polarization class c and the power sums of the tangent Chern roots
 Q[delta][c]/(c^{n+1}).  A class is stored as at most n + 1 coefficients,
 one per power of c, each an ``exact.ParamPoly`` in the formal deformation
 parameter delta.  The integral over X picks off the coefficient of c^n
-times the normalization ``top_integral``, the integral of c^n.
+times the normalization ``top_integral``, the integral of c^n.  A power
+series enters as its tuple of coefficients (index = power), evaluated at a
+class by ``eval_series`` or over formal roots by ``eval_power_sums``.
 """
 
 from __future__ import annotations
@@ -182,20 +184,22 @@ def exp_nilpotent(x: GradedClass) -> GradedClass:
 
 
 def eval_series(f, x: GradedClass) -> GradedClass:
-    """Evaluate a FormalSeries at a nilpotent class: sum f_j x^j.
+    """Evaluate a series, given by its coefficient tuple ``f`` (index =
+    power), at a nilpotent class: sum f_j x^j.
 
-    Raises SeriesOrderError when the truncation order of ``f`` is too small
-    for the nilpotency degree of ``x`` (never silently truncates).
+    Raises SeriesOrderError when the truncation order len(f) - 1 is too
+    small for the nilpotency degree of ``x`` (never silently truncates).
     """
-    result = _sum_powers(f.coefficients, x)
+    result = _sum_powers(f, x)
     # x^j starts with (lowest term of x)^j, which never vanishes because
     # Q[delta] has no zero divisors; so x^(order+1) = 0 exactly when
     # (order + 1) * lowest > n
     lowest = next((k for k, _ in x.items()), None)
-    if lowest is not None and len(f.coefficients) * lowest <= x.ring.complex_dim:
+    if lowest is not None and len(f) * lowest <= x.ring.complex_dim:
+        order = len(f) - 1
         raise SeriesOrderError(
-            f"series order {f.order} too small for argument of nilpotency "
-            f"degree > {f.order}"
+            f"series order {order} too small for argument of nilpotency "
+            f"degree > {order}"
         )
     return result
 
@@ -217,21 +221,20 @@ def _sum_powers(coeffs, x: GradedClass) -> GradedClass:
 def eval_power_sums(f, ring: RingSpec, power_sums) -> GradedClass:
     """sum_i f(y_i) over formal roots y_i known only by their power sums
     sum_i y_i^j = power_sums[j] * c^j (j = 0..n): the class
-    sum_j f_j power_sums[j] c^j.
+    sum_j f_j power_sums[j] c^j, for the coefficient tuple ``f``.
 
     Raises SeriesOrderError when ``f`` is truncated below a power whose
     power sum survives (never silently truncates).
     """
-    coeffs = f.coefficients
     terms = []
     for j, s in enumerate(power_sums[: ring.complex_dim + 1]):
         s = ParamPoly.coerce(s)
         if s.is_zero:
             terms.append(s)
-        elif j < len(coeffs):
-            terms.append(s * coeffs[j])
+        elif j < len(f):
+            terms.append(s * f[j])
         else:
             raise SeriesOrderError(
-                f"series order {f.order} too small for a power sum of degree {j}"
+                f"series order {len(f) - 1} too small for a power sum of degree {j}"
             )
     return GradedClass(ring, terms)

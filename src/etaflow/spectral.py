@@ -434,11 +434,18 @@ def _type2_levels(model: SpectralModel, r, eps, factor, handle_unknown):
             "explicit Laplacian spectrum"
         )
     else:
+        # the bound max(q(k + kappa/2), (n - q)(-k + kappa/2)) is <= the
+        # window's mu^2/2 on one k-range per q; outside it no eigenvalue
+        # enters the window
+        half = as_fraction(model.kappa) / 2
         for q in range(n + 1):
-            for k in range(k_lo, k_hi + 1):
-                lam = nakano_lower_bound(q, k, model.kappa, n)
-                if lam <= half_mu_max:  # else no eigenvalue enters the window
-                    yield q, k, lam, True
+            lo, hi = k_lo, k_hi
+            if q > 0:
+                hi = min(hi, math.floor(half_mu_max / q - half))
+            if q < n:
+                lo = max(lo, math.ceil(half - half_mu_max / (n - q)))
+            for k in range(lo, hi + 1):
+                yield q, k, nakano_lower_bound(q, k, model.kappa, n), True
 
 
 def enumerate_families(model: SpectralModel, r, eps, window_factor=1,

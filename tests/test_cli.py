@@ -60,6 +60,16 @@ def test_check_identities_passes(capsys):
     assert payload["result"]["all_pass"] is True
 
 
+def test_check_identities_at_order_100(capsys):
+    # the closed-form series keep the largest accepted order cheap
+    code, payload = run_json(
+        capsys, "check-identities", "--manifold", "cp1xcp1", "--r", "1/2",
+        "--order", "100",
+    )
+    assert code == EXIT_OK
+    assert payload["result"]["all_pass"] is True
+
+
 def test_dump_series(capsys):
     code, payload = run_json(
         capsys, "check-identities", "--manifold", "cp1xcp1", "--r", "1/2",

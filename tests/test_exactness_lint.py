@@ -1,0 +1,66 @@
+"""Static guard for the exactness invariant: no float is used in any
+decision.  Every module of the package is parsed with ``ast`` and must
+contain no float or complex literal, no call to ``float`` or ``complex``,
+no import of ``cmath`` or ``decimal``, and no ``math`` function outside
+the exact integer ones."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "etaflow").glob("*.py"))
+EXACT_MATH = {"floor", "ceil", "isqrt", "comb", "factorial", "gcd"}
+INEXACT_MODULES = {"cmath", "decimal"}
+
+
+def violations(tree):
+    """(line, description) for every inexact construct in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"{type(node.value).__name__} literal {node.value!r}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "complex")):
+            found.append((node.lineno, f"call to {node.func.id}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in INEXACT_MODULES:
+                    found.append((node.lineno, f"import {alias.name}"))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            root = node.module.split(".")[0]
+            if root in INEXACT_MODULES:
+                found.append((node.lineno, f"from {node.module} import"))
+            elif root == "math":
+                found.extend((node.lineno, f"from math import {alias.name}")
+                             for alias in node.names if alias.name not in EXACT_MATH)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr not in EXACT_MATH):
+            found.append((node.lineno, f"math.{node.attr}"))
+    return found
+
+
+def test_sources_found():
+    assert any(path.name == "exact.py" for path in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_is_exact(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert violations(tree) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "x = 0.5", "x = 2j", "y = float(x)", "y = complex(1, 2)", "import cmath",
+    "import decimal", "from decimal import Decimal", "y = math.sqrt(2)",
+    "y = math.log(3)", "from math import exp",
+])
+def test_lint_flags_inexact_constructs(snippet):
+    assert violations(ast.parse(snippet))
+
+
+def test_lint_accepts_exact_constructs():
+    snippet = ("import math\nfrom fractions import Fraction\n"
+               "y = math.floor(Fraction(7, 2)) + math.comb(5, 2) + math.isqrt(10)\n"
+               "z = math.factorial(4) + math.gcd(4, 6) + math.ceil(Fraction(1, 3))\n")
+    assert violations(ast.parse(snippet)) == []

@@ -16,21 +16,21 @@ from etaflow.eta import (
 from etaflow.exact import GaussianRational, ParamPoly
 from etaflow.ring import GradedClass, RingSpec, eval_series, exp_nilpotent, integrate_top
 from etaflow.series import (
-    FormalSeries,
+    _bernoulli,
     a_hat_class,
     eta_hat_series_from_alpha,
     eta_hat_series_integer,
     omega_forms,
     series_eta_hat,
-    series_exp,
-    series_log,
     series_p,
     series_p_prime,
-    sinh_half_ratio_series,
-    tanh_series,
 )
 
 ORDER = 12
+# order of the closed-form oracle tests; each sympy series takes 1-2 s
+ORACLE_ORDER = 40
+
+Z = sp.symbols("z")
 
 
 def sympy_coeffs(expr, z, order):
@@ -39,20 +39,57 @@ def sympy_coeffs(expr, z, order):
     return [F(str(poly.coeff(z, j))) for j in range(order + 1)]
 
 
+def alpha_of(r):
+    return 1 - 2 * (r - math.floor(r))
+
+
+def eta_hat_expr(r):
+    """The closed form whose regular part is the boundary eta series."""
+    if r.denominator == 1:
+        x = Z / 2
+        return (x - sp.tanh(x)) / (x * sp.tanh(x))
+    alpha = alpha_of(r)
+    alpha = sp.Rational(alpha.numerator, alpha.denominator)
+    return sp.exp(alpha * Z / 2) / sp.sinh(Z / 2) - 2 / Z
+
+
 @pytest.fixture(scope="module")
 def p_oracle():
-    z = sp.symbols("z")
-    return sympy_coeffs(sp.log((z / 2) / sp.sinh(z / 2)) / 2, z, ORDER)
+    """p up to z^(ORACLE_ORDER + 1), enough for p' at ORACLE_ORDER."""
+    return sympy_coeffs(sp.log((Z / 2) / sp.sinh(Z / 2)) / 2, Z, ORACLE_ORDER + 1)
+
+
+@pytest.fixture(scope="module")
+def eta_hat_oracle():
+    """r -> sympy coefficients of the eta series up to c^ORACLE_ORDER."""
+    cache = {}
+
+    def coefficients(r):
+        if r not in cache:
+            cache[r] = sympy_coeffs(eta_hat_expr(r), Z, ORACLE_ORDER)
+        return cache[r]
+
+    return coefficients
 
 
 def as_fr(series, j):
-    c = series.coeff(j)
+    c = series[j]
     assert type(c) is F
     return c
 
 
+def partial_sum(series, z):
+    """Exact partial sum of a coefficient tuple at a rational point."""
+    return sum((c * z**j for j, c in enumerate(series)), F(0))
+
+
+def derivative(series):
+    return tuple(j * c for j, c in enumerate(series))[1:]
+
+
 def test_series_p_against_symbolic_oracle(p_oracle):
     p = series_p(ORDER)
+    assert len(p) == ORDER + 1
     for j in range(ORDER + 1):
         assert as_fr(p, j) == p_oracle[j]
     assert as_fr(p, 0) == 0
@@ -66,7 +103,7 @@ def test_series_p_numeric_closed_form():
     for z in (F(1, 10), F(1, 7)):
         zf = mpmath.mpf(z.numerator) / z.denominator
         closed = mpmath.log((zf / 2) / mpmath.sinh(zf / 2)) / 2
-        partial = p.partial_sum(z)
+        partial = partial_sum(p, z)
         assert type(partial) is F
         truncation_bound = mpmath.mpf(2) * zf ** (ORDER + 1)
         assert abs(closed - mpmath.mpf(partial.numerator) /
@@ -77,16 +114,13 @@ def test_series_p_prime(p_oracle):
     pp = series_p_prime(ORDER)
     assert as_fr(pp, 0) == 0
     assert as_fr(pp, 1) == F(-1, 24)  # 2 * (-1/48)
-    derivative = series_p(ORDER + 1).derivative()
-    assert pp == derivative
+    assert pp == derivative(series_p(ORDER + 1))
     for j in range(ORDER):
         assert as_fr(pp, j) == (j + 1) * p_oracle[j + 1]
 
 
-def test_eta_hat_integer_against_oracle():
-    z = sp.symbols("z")
-    x = z / 2
-    oracle = sympy_coeffs((x - sp.tanh(x)) / (x * sp.tanh(x)), z, ORDER)
+def test_eta_hat_integer_against_oracle(eta_hat_oracle):
+    oracle = eta_hat_oracle(F(0))
     eh = series_eta_hat(0, ORDER)
     for j in range(ORDER + 1):
         assert as_fr(eh, j) == oracle[j]
@@ -98,13 +132,12 @@ def test_eta_hat_integer_only_odd_powers():
     eh = series_eta_hat(3, ORDER)
     assert eh == series_eta_hat(0, ORDER)  # depends only on r mod 1
     for j in range(0, ORDER + 1, 2):
-        assert not eh.coeff(j)
+        assert not eh[j]
 
 
-def test_eta_hat_half_against_oracle():
-    z = sp.symbols("z")
+def test_eta_hat_half_against_oracle(eta_hat_oracle):
     # alpha = 1 - 2{1/2} = 0: regular part of 1/sinh(z/2) - 2/z
-    oracle = sympy_coeffs(1 / sp.sinh(z / 2) - 2 / z, z, ORDER)
+    oracle = eta_hat_oracle(F(1, 2))
     eh = series_eta_hat(F(1, 2), ORDER)
     for j in range(ORDER + 1):
         assert as_fr(eh, j) == oracle[j]
@@ -115,14 +148,13 @@ def test_eta_hat_half_against_oracle():
 def test_eta_hat_generic_r_numeric():
     mpmath.mp.dps = 50
     for r in (F(1, 3), F(-2, 5), F(9, 4)):
-        frac = r - math.floor(r)
-        alpha = 1 - 2 * frac
+        alpha = alpha_of(r)
         eh = series_eta_hat(r, ORDER)
         for z in (F(1, 10), F(1, 7)):
             zf = mpmath.mpf(z.numerator) / z.denominator
             closed = mpmath.exp(alpha.numerator / mpmath.mpf(alpha.denominator)
                                 * zf / 2) / mpmath.sinh(zf / 2) - 2 / zf
-            partial = eh.partial_sum(z)
+            partial = partial_sum(eh, z)
             assert type(partial) is F
             assert abs(closed - mpmath.mpf(partial.numerator) /
                        partial.denominator) < mpmath.mpf(4) * zf ** (ORDER + 1)
@@ -134,22 +166,40 @@ def test_eta_hat_constant_term_is_alpha():
         r = F(rng.randint(-30, 30), rng.randint(2, 9))
         if r.denominator == 1:
             continue
-        alpha = 1 - 2 * (r - math.floor(r))
-        assert series_eta_hat(r, 8).coeff(0) == alpha
+        assert series_eta_hat(r, 8)[0] == alpha_of(r)
 
 
 def test_integer_case_is_average_of_one_sided_limits():
-    avg = (eta_hat_series_from_alpha(1, ORDER)
-           + eta_hat_series_from_alpha(-1, ORDER)) * F(1, 2)
+    avg = tuple((a + b) / 2 for a, b in zip(eta_hat_series_from_alpha(1, ORDER),
+                                            eta_hat_series_from_alpha(-1, ORDER)))
     assert avg == eta_hat_series_integer(ORDER)
 
 
-def test_formal_series_arithmetic_round_trips():
-    f = FormalSeries([0, 1, F(1, 3), F(-2, 7)], 8)
-    assert series_log(series_exp(f)) == f
-    g = FormalSeries([1, F(1, 2), 0, 5], 8)
-    assert f.divide(g) * g == f
-    assert tanh_series(8).coefficients[:6] == (0, 1, 0, F(-1, 3), 0, F(2, 15))
+# ------------------------------------------------- closed forms at order 40
+
+
+def test_bernoulli_helper_against_sympy():
+    numbers = _bernoulli(ORACLE_ORDER)
+    assert len(numbers) == ORACLE_ORDER + 1
+    assert numbers[1] == F(-1, 2)  # sympy 1.14 uses B_1 = +1/2
+    for m in range(ORACLE_ORDER + 1):
+        assert type(numbers[m]) is F
+        if m != 1:
+            assert numbers[m] == F(str(sp.bernoulli(m)))
+
+
+def test_p_and_p_prime_closed_forms_at_order_40(p_oracle):
+    assert series_p(ORACLE_ORDER) == tuple(p_oracle[: ORACLE_ORDER + 1])
+    assert series_p_prime(ORACLE_ORDER) == tuple(
+        (j + 1) * p_oracle[j + 1] for j in range(ORACLE_ORDER + 1))
+
+
+@pytest.mark.parametrize("r", [F(0), F(1, 2), F(1, 3), F(-2, 5), F(9, 4)],
+                         ids=str)
+def test_eta_hat_closed_forms_at_order_40(eta_hat_oracle, r):
+    eh = series_eta_hat(r, ORACLE_ORDER)
+    assert eh == tuple(eta_hat_oracle(r))
+    assert all(type(c) is F for c in eh)
 
 
 # ----------------------------------------------------------- ring classes
@@ -163,8 +213,8 @@ def cp1sq():
 
 
 def a_hat_factor(order):
-    """(z/2)/sinh(z/2), the per-root A-hat factor."""
-    return FormalSeries.one(order).divide(sinh_half_ratio_series(order))
+    """(z/2)/sinh(z/2), the per-root A-hat factor, from sympy."""
+    return tuple(sympy_coeffs((Z / 2) / sp.sinh(Z / 2), Z, order))
 
 
 def test_a_hat_trivial_on_products(cp1sq):
@@ -193,8 +243,12 @@ def test_a_hat_degrees_divisible_by_four():
 
 
 def test_a_hat_factor_equals_exp_2p():
+    # Q[z]/(z^(order+1)) is the ring of series truncated at z^order
     order = 10
-    assert a_hat_factor(order) == series_exp(series_p(order) * 2)
+    ring = RingSpec("series", order)
+    z = GradedClass.generator(ring)
+    exp_2p = exp_nilpotent(eval_series(series_p(order), z) * 2)
+    assert exp_2p == GradedClass(ring, a_hat_factor(order))
 
 
 def test_omega_forms_delta_zero_specialization(cp1sq):
@@ -315,8 +369,8 @@ def test_omega_forms_match_root_by_root_sums(convention):
 def scalars(value):
     """Every scalar coefficient inside a series, a class or a polynomial,
     zeros between nonzero terms included."""
-    if isinstance(value, FormalSeries):
-        return list(value.coefficients)
+    if isinstance(value, tuple):
+        return list(value)
     if isinstance(value, GradedClass):
         return [x for k in range(value.ring.complex_dim + 1)
                 for x in scalars(value.coefficient(k))]

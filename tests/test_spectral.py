@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -290,6 +291,39 @@ def test_window_soundness():
             for factor in (2, 4):
                 widened = spectral_flow(model, r, eps, window_factor=factor)
                 assert widened.total == base == 0
+
+
+def cell_walk_type2_levels(model, r, eps, factor):
+    """(q, k, bound) for every cell of the Type 2 window whose Nakano bound
+    is at most the window's mu^2/2, found by visiting every cell."""
+    n = model.n
+    radius = eps * (n + 2) / 2 * factor
+    half_mu_max = eps / 8 * factor
+    levels = []
+    for q in range(n + 1):
+        for k in range(math.ceil(r - radius), math.floor(r + radius) + 1):
+            bound = nakano_lower_bound(q, k, model.kappa, n)
+            if bound <= half_mu_max:
+                levels.append((q, k, bound))
+    return levels
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([2, 4, 6]), factor=st.sampled_from([1, 2]),
+       kappa=st.fractions(min_value=0, max_value=4, max_denominator=6),
+       r=st.fractions(min_value=-6, max_value=6, max_denominator=12),
+       eps=st.fractions(min_value=0, max_value=40, max_denominator=12)
+       .filter(lambda e: e > 0))
+def test_nakano_type2_window_matches_cell_walk(n, factor, kappa, r, eps):
+    spec, table = product_cp1_model(n)
+    model = SpectralModel(spec.name, n, kappa, table)
+    families, _, _ = enumerate_families(model, r, eps, window_factor=factor)
+    type2 = [(f.kind, f.q, f.k, f.half_mu_sq) for f in families
+             if f.kind != TYPE1]
+    assert all(f.half_mu_sq_is_bound for f in families if f.kind != TYPE1)
+    assert type2 == [(kind, q, k, bound)
+                     for q, k, bound in cell_walk_type2_levels(model, r, eps, factor)
+                     for kind in (TYPE2_PLUS, TYPE2_MINUS)]
 
 
 def test_endpoint_zero_reporting():
