@@ -38,6 +38,11 @@ from .spectral import (
 # `adiabatic-limit --manifold cp1x32` about 0.2 s as a whole process.
 MAX_CP1_FACTORS = 32
 
+# Largest builtin or configured hypersurface dimension n.  `counterexample`
+# lists one skipped entry per unknown (q, k) cell, so its report grows as
+# n^2: about 57 KB at n = 32, and 9.0 MB at n = 400.
+MAX_HYPERSURFACE_DIM = 32
+
 
 class ConfigError(ValueError):
     """A manifold configuration or data file is invalid."""
@@ -68,10 +73,21 @@ class KunnethCohomology(CohomologyTable):
         h0, h1 = cohomology_line_cp1(k - 1)
         return math.comb(self.factors, q) * h0 ** (self.factors - q) * h1**q
 
+    def k_support(self, q: int, lo: int, hi: int) -> range:
+        # h^0 needs k >= 1 and h^1 needs k <= -1, so only q = 0 and
+        # q = factors carry cohomology
+        if q == 0:
+            return range(max(lo, 1), hi + 1)
+        if q == self.factors:
+            return range(lo, min(hi, -1) + 1)
+        return range(0)
+
 
 class PartialCohomology(CohomologyTable):
     """Explicitly partial table: anything not listed is unknown, and the
     listed values may be lower bounds (flagged)."""
+
+    complete = False
 
     def __init__(self, name: str, entries: dict, lower_bounds=()):
         self.name = name
@@ -136,6 +152,11 @@ class HypersurfaceSpec:
     def __post_init__(self):
         if self.n % 2 or self.n <= 0:
             raise ConfigError("complex dimension n must be a positive even integer")
+        if self.n > MAX_HYPERSURFACE_DIM:
+            raise ConfigError(
+                f"hypersurface dimension n = {self.n} exceeds "
+                f"MAX_HYPERSURFACE_DIM = {MAX_HYPERSURFACE_DIM}"
+            )
         if self.degree % 2:
             raise ConfigError("degree must be even for a spin square root")
         if self.degree <= self.n + 2:

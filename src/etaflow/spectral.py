@@ -18,7 +18,11 @@ in mu^2.  Certification therefore reduces to exact sign analysis of
 quadratics, using either tabulated Laplacian eigenvalues or the certified
 curvature lower bound  mu^2/2 >= max(q(k + kappa/2), (n-q)(-k + kappa/2)).
 The search windows are finite because a crossing forces
-|2k - 2r| <= eps(n+2) and mu^2 <= eps/4.
+|2k - 2r| <= eps(n+2) and mu^2 <= eps/4.  They grow linearly in eps, but
+in bound-only mode on a complete cohomology table only the k that can
+report are visited, each q contributing a k-range found in closed form,
+so that cost does not grow with eps; explicit spectra and partial tables
+are walked cell by cell.
 """
 
 from __future__ import annotations
@@ -113,9 +117,16 @@ class CohomologyTable:
     """Provider of h^{q,k} = dim H^q(X, K^{1/2} (x) L^k)."""
 
     name = "table"
+    # every h^{q,k} is known, so the flow visits only the Type 1 cells that
+    # can report; a partial table walks its whole window to list the gaps
+    complete = True
 
     def h(self, q: int, k: int) -> int:
         raise NotImplementedError
+
+    def k_support(self, q: int, lo: int, hi: int) -> range:
+        """The k in lo..hi at which h^{q,k} may be nonzero."""
+        return range(lo, hi + 1)
 
     def is_known(self, q: int, k: int) -> bool:
         return True
@@ -356,7 +367,9 @@ ON_UNKNOWN_ERROR = "error"
 ON_UNKNOWN_SKIP = "skip"
 
 # Largest search window, in (q, k) cells over both family types, that is
-# enumerated; the window grows linearly in eps.
+# accepted.  The window grows linearly in eps.  Nakano mode on a complete
+# cohomology table visits only the cells that can report, so its cost does
+# not; explicit spectra and partial tables are still walked cell by cell.
 MAX_WINDOW_CELLS = 500_000
 
 
@@ -403,10 +416,85 @@ def _check_window_size(r, eps, n: int, factor):
         )
 
 
-def _type2_levels(model: SpectralModel, r, eps, factor, handle_unknown):
-    """Yield (q, k, half_mu_sq, is_bound) for every Type 2 level in the
+def _nakano_k_range(q: int, n: int, kappa: Fraction, k_lo, k_hi, half_mu_max):
+    """(lo, hi): the k in k_lo..k_hi where the Nakano bound
+    max(q(k + kappa/2), (n - q)(-k + kappa/2)) is at most half_mu_max;
+    outside it no eigenvalue of degree q enters the window."""
+    half = kappa / 2
+    lo, hi = k_lo, k_hi
+    if q > 0:
+        hi = min(hi, math.floor(half_mu_max / q - half))
+    if q < n:
+        lo = max(lo, math.ceil(half - half_mu_max / (n - q)))
+    return lo, hi
+
+
+def _flow_ks(q: int, lo: int, hi: int, n: int, kappa: Fraction, r, eps):
+    """The k in lo..hi where a bound-level Type 2 family of degree q can
+    report on (0, eps].
+
+    Q = c2 delta^2 + c1 delta + c0 has c2 = C^2 - 1 >= 0 (C = 2q + 1 - n is
+    odd) and c0 = B^2, so Q > 0 on [0, eps] unless c1 < 0 or B = 0.  With
+    the Nakano bound c1 = max(f1, f2) for the affine
+    f1 = 4(n - 1)k + 4(q kappa + C r) and f2 = -4(n + 1)k + 4((n - q)kappa + C r),
+    so c1 < 0 on one open k-interval, whatever eps is; B = 0 adds k = r.
+    """
+    C = 2 * q + 1 - n
+    start = max(lo, math.floor(((n - q) * kappa + C * r) / (n + 1)) + 1)
+    stop = min(hi, math.ceil(-(q * kappa + C * r) / (n - 1)) - 1)
+    ks = set(range(start, stop + 1))
+    if r.denominator == 1 and lo <= r <= hi:
+        ks.add(int(r))
+    return sorted(ks)
+
+
+def _kernel_ks(q: int, lo: int, hi: int, n: int, kappa: Fraction, r, eps):
+    """The first k in lo..hi (as a tuple of at most one) where a
+    bound-level Type 2 zero at eps cannot be excluded: half*(k) > 0 and
+    half*(k) >= bound(k), with half*(k) = (eps^2 - (2(k - r) - C eps)^2)/(8 eps)
+    the eigenvalue that would vanish at eps.
+
+    g = half* - bound is concave in k (a concave quadratic minus a maximum
+    of affine functions), so on the k-interval where half* > 0 one binary
+    search finds the integer maximum of g and a second the first k with
+    g >= 0.
+    """
+    C = 2 * q + 1 - n
+    # half* > 0 iff |2(k - r) - C eps| < eps
+    lo = max(lo, math.floor(r + (C - 1) * eps / 2) + 1)
+    hi = min(hi, math.ceil(r + (C + 1) * eps / 2) - 1)
+    if lo > hi:
+        return ()
+
+    def g(k):
+        half_star = (eps * eps - (2 * (k - r) - C * eps) ** 2) / (8 * eps)
+        return half_star - nakano_lower_bound(q, k, kappa, n)
+
+    top = _first_true(lo, hi, lambda k: k == hi or g(k) >= g(k + 1))
+    if g(top) < 0:
+        return ()
+    return (_first_true(lo, top, lambda k: g(k) >= 0),)
+
+
+def _first_true(lo: int, hi: int, pred) -> int:
+    """Smallest k in lo..hi with pred(k), for pred false then true on
+    lo..hi and true at hi."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _type2_levels(model: SpectralModel, r, eps, factor, handle_unknown,
+                  nakano_ks):
+    """Yield (q, k, half_mu_sq, is_bound) for the Type 2 levels in the
     window: each tabulated eigenvalue with mu^2/2 inside it, or in
-    bound-only mode the Nakano bound of each (q, k) it does not exclude."""
+    bound-only mode the Nakano bound at each k that
+    ``nakano_ks(q, lo, hi, n, kappa, r, eps)`` picks from the Nakano
+    range lo..hi of degree q."""
     n = model.n
     k_lo, k_hi, half_mu_max = _type2_window(r, eps, n, factor)
     spectrum = model.spectrum
@@ -434,28 +522,26 @@ def _type2_levels(model: SpectralModel, r, eps, factor, handle_unknown):
             "explicit Laplacian spectrum"
         )
     else:
-        # the bound max(q(k + kappa/2), (n - q)(-k + kappa/2)) is <= the
-        # window's mu^2/2 on one k-range per q; outside it no eigenvalue
-        # enters the window
-        half = as_fraction(model.kappa) / 2
+        kappa = as_fraction(model.kappa)
         for q in range(n + 1):
-            lo, hi = k_lo, k_hi
-            if q > 0:
-                hi = min(hi, math.floor(half_mu_max / q - half))
-            if q < n:
-                lo = max(lo, math.ceil(half - half_mu_max / (n - q)))
-            for k in range(lo, hi + 1):
-                yield q, k, nakano_lower_bound(q, k, model.kappa, n), True
+            lo, hi = _nakano_k_range(q, n, kappa, k_lo, k_hi, half_mu_max)
+            for k in nakano_ks(q, lo, hi, n, kappa, r, eps):
+                yield q, k, nakano_lower_bound(q, k, kappa, n), True
 
 
 def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
                        on_unknown=ON_UNKNOWN_ERROR):
-    """All eigenvalue families that could possibly change sign on (0, eps].
+    """The eigenvalue families that could change sign or report on (0, eps].
 
     Type 1 needs |k - r| <= eps*n/2; a Type 2 crossing needs
     |2k - 2r| <= eps(n + 2) and mu^2 <= eps/4 (both follow from
     A(delta) <= delta^2 at a crossing).  ``window_factor`` widens the
-    windows for soundness testing.  Returns (families, skipped, window)
+    windows for soundness testing.  Within them, a complete cohomology
+    table lists only the Type 1 families whose root (k - r)/(q - n/2)
+    lies in [0, eps], and bound-only mode only the Type 2 levels that
+    ``_flow_ks`` keeps; every other family is silent, so the cost of
+    those parts does not grow with eps.  Explicit spectra and partial
+    tables are walked cell by cell.  Returns (families, skipped, window)
     where ``skipped`` describes entries omitted under on_unknown="skip".
     """
     r = as_fraction(r)
@@ -464,6 +550,9 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
         raise ValueError("eps must be positive")
     factor = as_fraction(window_factor)
     n = model.n
+    if n % 2 or n <= 0:
+        # _flow_ks needs C = 2q + 1 - n odd and n - 1 > 0
+        raise ValueError("only positive even complex dimension is supported")
     _check_window_size(r, eps, n, factor)
     families = []
     skipped = []
@@ -471,7 +560,12 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
 
     k_lo, k_hi = _type1_window(r, eps, n, factor)
     for q in range(n + 1):
-        for k in range(k_lo, k_hi + 1):
+        ks = range(k_lo, k_hi + 1)
+        if model.table.complete:
+            end = r + eps * (Fraction(q) - Fraction(n, 2))
+            ks = model.table.k_support(q, max(k_lo, math.ceil(min(r, end))),
+                                       min(k_hi, math.floor(max(r, end))))
+        for k in ks:
             if not model.table.is_known(q, k):
                 handle_unknown(
                     f"h^{{{q},{k}}} unknown in table {model.table.name!r}"
@@ -498,7 +592,7 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
         "factor": rational_str(factor),
     }
     for q, k, half, is_bound in _type2_levels(model, r, eps, factor,
-                                              handle_unknown):
+                                              handle_unknown, _flow_ks):
         # in bound-only mode the multiplicity is unknown (None)
         mult = None if is_bound else model.spectrum.alternating_multiplicity(q, k, half)
         if mult == 0:
@@ -606,8 +700,9 @@ def spectral_flow(model: SpectralModel, r, eps, *, sf_sign=SF_SIGN_PAPER,
                   window_factor=1, on_unknown=ON_UNKNOWN_ERROR) -> SpectralFlowReport:
     """Signed count of eigenvalue crossings over delta in (0, eps].
 
-    Enumerates every family in the finite search window, certifies each
-    one exactly, and sums direction * multiplicity over the crossings.
+    Enumerates the families of the finite search window that can report
+    (``enumerate_families``), certifies each one exactly, and sums
+    direction * multiplicity over the crossings.
     Endpoint zeros count toward the kernel, not the flow.
     """
     if sf_sign not in (SF_SIGN_PAPER, SF_SIGN_STANDARD):
@@ -680,8 +775,10 @@ def kernel_dimension(model: SpectralModel, r, eps,
             continue
         total += model.table.h(q, k)
 
-    # Type 2 zeros at eps: Q(eps) = 0 on the vulnerable branch
-    for q, k, half, is_bound in _type2_levels(model, r, eps, 1, handle_unknown):
+    # Type 2 zeros at eps: Q(eps) = 0 on the vulnerable branch; in
+    # bound-only mode only the first undecidable k of each q is visited
+    for q, k, half, is_bound in _type2_levels(model, r, eps, 1, handle_unknown,
+                                              _kernel_ks):
         B = 2 * (k - r)
         C = 2 * q + 1 - n
         if is_bound:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from etaflow.catalog import (
+    MAX_HYPERSURFACE_DIM,
     ConfigError,
     KunnethCohomology,
     TableValidationError,
@@ -225,3 +226,18 @@ def test_product_size_limit(tmp_path):
     cfg.write_text(json.dumps({"type": "product_cp1", "factors": 1000}))
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+def test_hypersurface_dimension_limit(tmp_path):
+    assert MAX_HYPERSURFACE_DIM == 32
+    spec, _ = general_type_hypersurface_model(32, 36)
+    assert spec.n == MAX_HYPERSURFACE_DIM
+    with pytest.raises(ConfigError, match="MAX_HYPERSURFACE_DIM = 32"):
+        general_type_hypersurface_model(34, 38)
+    with pytest.raises(ConfigError, match="MAX_HYPERSURFACE_DIM"):
+        resolve_manifold("hyp:n=400,d=404")
+    path = tmp_path / "hyp.json"
+    path.write_text(json.dumps({"type": "hypersurface_general_type",
+                                "n": 400, "d": 404}))
+    with pytest.raises(ConfigError, match="MAX_HYPERSURFACE_DIM"):
+        load_config(path)

@@ -305,3 +305,19 @@ def test_spectral_window_limit(capsys):
         assert time.perf_counter() - start < 1
         assert code == EXIT_ERROR and out == ""
         assert "MAX_WINDOW_CELLS" in err
+
+
+def test_hypersurface_dimension_limit(capsys):
+    from etaflow.catalog import MAX_HYPERSURFACE_DIM
+
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "counterexample", "--manifold", "hyp:n=400,d=404", "--eps", "1",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_ERROR and out == ""
+    assert "MAX_HYPERSURFACE_DIM" in err and str(MAX_HYPERSURFACE_DIM) in err
+    code, payload = run_json(
+        capsys, "counterexample", "--manifold", "hyp:n=32,d=36", "--eps", "1",
+    )
+    assert code == EXIT_OK and payload["result"]

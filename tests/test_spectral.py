@@ -14,11 +14,13 @@ from etaflow.catalog import (
     product_cp1_model,
     resolve_manifold,
 )
-from etaflow.exact import cmp_exact, sqrt_sign
+from etaflow.exact import cmp_exact, rational_str, sqrt_sign
 from etaflow.spectral import (
     CERTIFIED,
     CROSSING,
+    Crossing,
     EigenvalueFamily,
+    EndpointZero,
     INDETERMINATE,
     IndeterminateSpectralFlow,
     MAX_WINDOW_CELLS,
@@ -26,7 +28,9 @@ from etaflow.spectral import (
     MODE_NAKANO,
     MUST_VANISH,
     ON_UNKNOWN_SKIP,
+    SF_SIGN_PAPER,
     SF_SIGN_STANDARD,
+    SpectralFlowReport,
     SpectralModel,
     SpectralWindowError,
     TYPE1,
@@ -92,15 +96,26 @@ def test_spin_vanishing_examples():
 
 
 def test_enumerate_contains_expected_type1_family():
+    # at r = 1 the h^{0,1} = 1 family of cp1xcp1 vanishes at the start
     _, model = make_model(2)
-    families, skipped, _ = enumerate_families(model, 0, 2)
+    families, skipped, _ = enumerate_families(model, 1, 2)
     assert not skipped
     matches = [
         f for f in families if f.kind == TYPE1 and f.q == 0 and f.k == 1
     ]
     assert len(matches) == 1 and matches[0].multiplicity == 1
-    a0, slope = matches[0].type1_affine(0)
-    assert (a0, slope) == (1, 1)  # lambda(delta) = 1 + delta
+    a0, slope = matches[0].type1_affine(1)
+    assert (a0, slope) == (0, 1)  # lambda(delta) = delta
+    zeros = spectral_flow(model, 1, 2).endpoint_zeros
+    assert any(z.family == matches[0] and z.where == "start" for z in zeros)
+
+
+def test_enumerate_rejects_odd_or_zero_dimension():
+    _, model = make_model(2)
+    for n in (0, 3):
+        model.n = n
+        with pytest.raises(ValueError, match="even complex dimension"):
+            spectral_flow(model, 0, 1)
 
 
 def test_enumerate_type2_empty_for_small_eps():
@@ -315,15 +330,127 @@ def cell_walk_type2_levels(model, r, eps, factor):
        eps=st.fractions(min_value=0, max_value=40, max_denominator=12)
        .filter(lambda e: e > 0))
 def test_nakano_type2_window_matches_cell_walk(n, factor, kappa, r, eps):
+    # the enumerator lists a subset of the walked Type 2 families that
+    # holds every one whose certification reports anything
     spec, table = product_cp1_model(n)
     model = SpectralModel(spec.name, n, kappa, table)
     families, _, _ = enumerate_families(model, r, eps, window_factor=factor)
-    type2 = [(f.kind, f.q, f.k, f.half_mu_sq) for f in families
-             if f.kind != TYPE1]
-    assert all(f.half_mu_sq_is_bound for f in families if f.kind != TYPE1)
-    assert type2 == [(kind, q, k, bound)
-                     for q, k, bound in cell_walk_type2_levels(model, r, eps, factor)
-                     for kind in (TYPE2_PLUS, TYPE2_MINUS)]
+    type2 = [f for f in families if f.kind != TYPE1]
+    walked = [EigenvalueFamily(kind, q, k, n, None, half_mu_sq=bound,
+                               half_mu_sq_is_bound=True)
+              for q, k, bound in cell_walk_type2_levels(model, r, eps, factor)
+              for kind in (TYPE2_PLUS, TYPE2_MINUS)]
+    assert set(type2) <= set(walked)
+    assert len(set(type2)) == len(type2)
+    reporting = [f for f in walked if reports(certify_no_crossing(f, r, eps))]
+    assert set(reporting) <= set(type2)
+
+
+def reports(outcome):
+    """Whether a certification outcome puts a line in the flow report."""
+    return bool(outcome.status == INDETERMINATE or outcome.crossings
+                or outcome.zero_at_start or outcome.zero_at_eps
+                or outcome.touch_points)
+
+
+def walk_flow(model, r, eps, factor):
+    """The flow report assembled from every cell of the search window: each
+    Type 1 cell with h != 0 and each Type 2 level (the Nakano bound of every
+    cell it does not exclude) becomes a family and is certified."""
+    n = model.n
+    radius1 = eps * n / 2 * factor
+    radius2 = eps * (n + 2) / 2 * factor
+    half_mu_max = eps / 8 * factor
+    type1_ks = range(math.ceil(r - radius1), math.floor(r + radius1) + 1)
+    type2_ks = range(math.ceil(r - radius2), math.floor(r + radius2) + 1)
+    families = []
+    for q in range(n + 1):
+        for k in type1_ks:
+            if model.table.h(q, k):
+                families.append(EigenvalueFamily(TYPE1, q, k, n,
+                                                 model.table.h(q, k)))
+        for k in type2_ks:
+            bound = nakano_lower_bound(q, k, model.kappa, n)
+            if bound <= half_mu_max:
+                families += [EigenvalueFamily(kind, q, k, n, None,
+                                              half_mu_sq=bound,
+                                              half_mu_sq_is_bound=True)
+                             for kind in (TYPE2_PLUS, TYPE2_MINUS)]
+    crossings, zeros, touches, indeterminate = [], [], [], []
+    total = 0
+    # the report lists families by (q, k, kind)
+    for family in sorted(families, key=lambda f: (f.q, f.k, f.kind)):
+        outcome = certify_no_crossing(family, r, eps)
+        if outcome.status == INDETERMINATE:
+            indeterminate.append(f"{family.label()}: {outcome.note}")
+            continue
+        for delta_star, direction in outcome.crossings:
+            crossings.append(Crossing(family, delta_star, direction,
+                                      family.multiplicity))
+            total += direction * family.multiplicity
+        for where, hit in (("start", outcome.zero_at_start),
+                           ("eps", outcome.zero_at_eps)):
+            if hit:
+                zeros.append(EndpointZero(family, where, family.multiplicity))
+        touches += [(family, point) for point in outcome.touch_points]
+    window = {
+        "type1_k": [type1_ks.start, type1_ks.stop - 1],
+        "type2_k": [type2_ks.start, type2_ks.stop - 1],
+        "half_mu_sq_max": rational_str(half_mu_max),
+        "factor": rational_str(F(factor)),
+    }
+    return SpectralFlowReport(MODE_NAKANO, SF_SIGN_PAPER, crossings, zeros,
+                              touches, indeterminate, [], window, total)
+
+
+def walk_kernel(model, r, eps):
+    """dim ker at eps from every cell: Type 1 zeros at k = r + eps(q - n/2),
+    and an IndeterminateSpectralFlow at the first Type 2 level whose
+    vanishing eigenvalue half* is positive and not below the Nakano bound."""
+    n = model.n
+    total = 0
+    for q in range(n + 1):
+        kv = r + eps * (q - F(n, 2))
+        if kv.denominator == 1:
+            total += model.table.h(q, int(kv))
+    radius = eps * (n + 2) / 2
+    for q in range(n + 1):
+        for k in range(math.ceil(r - radius), math.floor(r + radius) + 1):
+            bound = nakano_lower_bound(q, k, model.kappa, n)
+            if bound > eps / 8:
+                continue
+            half_star = (eps * eps - (2 * (k - r) - (2 * q + 1 - n) * eps) ** 2) \
+                / (8 * eps)
+            if half_star > 0 and half_star >= bound:
+                raise IndeterminateSpectralFlow(
+                    f"kernel at eps={eps} hinges on whether mu^2/2 = "
+                    f"{half_star} occurs at (q={q}, k={k}); supply an "
+                    "explicit spectrum"
+                )
+    return total
+
+
+def outcome_of(call):
+    try:
+        return call()
+    except IndeterminateSpectralFlow as exc:
+        return f"indeterminate: {exc}"
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.sampled_from([2, 4, 6]), factor=st.sampled_from([1, 2]),
+       kappa=st.fractions(min_value=0, max_value=4, max_denominator=6),
+       r=st.one_of(st.integers(min_value=-6, max_value=6).map(F),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=12)),
+       eps=st.fractions(min_value=0, max_value=50, max_denominator=12)
+       .filter(lambda e: e > 0))
+def test_range_path_matches_cell_walk(n, factor, kappa, r, eps):
+    spec, table = product_cp1_model(n)
+    model = SpectralModel(spec.name, n, kappa, table)
+    report = spectral_flow(model, r, eps, window_factor=factor)
+    assert report.to_json() == walk_flow(model, r, eps, factor).to_json()
+    assert outcome_of(lambda: kernel_dimension(model, r, eps)) == \
+        outcome_of(lambda: walk_kernel(model, r, eps))
 
 
 def test_endpoint_zero_reporting():
@@ -506,3 +633,51 @@ def test_flow_jump_law(explicit_model, r, eps):
     # and the crossings before eps1 are exactly those seen up to eps2
     assert before.crossings == [c for c in after.crossings
                                 if cmp_exact(c.delta_star, eps1) < 0]
+
+
+# ------------------------------------------------------- Serre duality
+
+
+@pytest.mark.parametrize("name, r_max, eps_max", [
+    ("explicit", 3, 2), ("cp1xcp1", 6, 50), ("cp1x4", 6, 50),
+])
+@settings(max_examples=40, deadline=None)
+@given(r=st.fractions(min_value=0, max_value=1, max_denominator=24),
+       eps=st.fractions(min_value=0, max_value=1, max_denominator=24)
+       .filter(lambda e: e > 0))
+def test_flow_is_odd_in_r(name, r_max, eps_max, r, eps):
+    # Serre duality maps the data at (q, k) to (n - q, -k), so
+    # SF(-r, eps) = -SF(r, eps) whenever both reports are exact
+    model = resolve_manifold(
+        str(EXPLICIT_CONFIG) if name == "explicit" else name).model
+    r, eps = r * r_max, eps * eps_max
+    plus = spectral_flow(model, r, eps)
+    minus = spectral_flow(model, -r, eps)
+    if plus.is_exact and minus.is_exact:
+        assert minus.total_paper == -plus.total_paper
+
+
+# ------------------------------------------------------- cost guard
+
+
+def test_nakano_flow_certifies_as_many_families_at_any_eps(monkeypatch):
+    import etaflow.spectral as spectral
+
+    _, model = make_model(4)
+    calls = []
+    certify = spectral.certify_no_crossing
+    monkeypatch.setattr(spectral, "certify_no_crossing",
+                        lambda *args: calls.append(args) or certify(*args))
+    counts = []
+    for eps in (99, 9999):
+        calls.clear()
+        report = spectral_flow(model, 1, eps)
+        assert report.total == 0 and len(report.endpoint_zeros) == 6
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4 * (model.n + 1)
+
+
+def test_nakano_kernel_at_large_eps():
+    # the value the per-cell walk gives (1.6 s there)
+    _, model = make_model(4)
+    assert kernel_dimension(model, 1, 9999) == 0
