@@ -1,9 +1,10 @@
 """etaflow: exact eta-invariant, spectral-flow and APS-index calculator
 for unit circle bundles of positive line bundles over Fano manifolds.
 
-All arithmetic is exact (rationals, Gaussian rationals only for paper_i
-transgressions, one-square-root sign tests); spectral-flow vanishing is
-certified from curvature lower bounds rather than sampled numerically.
+All arithmetic is exact (rationals and one-square-root sign tests; a
+paper_i transgression is returned as its rational real and imaginary
+parts); spectral-flow vanishing is certified from curvature lower bounds
+rather than sampled numerically.
 """
 
 __version__ = "0.1.0"
@@ -14,7 +15,6 @@ from .exact import (
     Rational,
     SqrtValue,
     parse_rational,
-    poly_integrate_delta,
     quad_nonneg_on_interval,
     rational_str,
     sqrt_sign,
@@ -63,9 +63,10 @@ from .eta import (
     adiabatic_limit_eta,
     aps_index,
     aps_resonances,
+    convention_integral,
     corollary_check,
     eta_invariant,
-    transgression_term,
+    transgression_raw,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,6 +12,13 @@ top-degree part of Omega_2 e^{Omega_0} e^{rc}, and N is a single exposed
 convention constant (default 1) absorbing the 2*pi*i normalization of the
 transgression.  Every acceptance-level statement here is invariant under
 rescaling N.
+
+The transgression integral is taken by ``convention_integral`` alone.  In
+the real convention it is the antiderivative at eps; in the paper's
+``paper_i`` convention, with literal factors of i, it is the same
+antiderivative at i*eps, whose real and imaginary parts are sums over the
+odd and the even powers of delta in the integrand (``eval_at_i``).  No
+complex arithmetic is done.
 """
 
 from __future__ import annotations
@@ -65,22 +72,34 @@ def transgression_integrand_poly(manifold: ManifoldSpec, r, order=None) -> Param
     return integrate_top(integrand)
 
 
+def eval_at_i(poly: ParamPoly, x):
+    """The value of ``poly`` at i * x, by a parity split: i^d is (-1)^(d/2)
+    for even d and (-1)^((d-1)/2) i for odd d, so the even-degree terms sum
+    to the real part and the odd-degree terms to the imaginary part.  A
+    Fraction when the value is real, else a GaussianRational."""
+    x = as_fraction(x)
+    parts = [Fraction(0), Fraction(0)]  # real, imaginary
+    for d, c in poly.items():
+        term = c * x**d
+        parts[d % 2] += -term if d % 4 >= 2 else term
+    re, im = parts
+    return re if im == 0 else GaussianRational(re, im)
+
+
 def convention_integral(poly: ParamPoly, eps, convention=CONVENTION_REAL):
     """Integral over [0, eps] of the real integrand ``poly`` in
-    ``convention``, the one place a convention is applied.  The paper_i
-    integrand i * poly(i delta) has i^(d+1) times the delta^d coefficient,
-    so its integral is the antiderivative of ``poly`` at i * eps, not eps.
-    A Fraction when the value is real, else a GaussianRational."""
+    ``convention``, the one place a convention is applied.  With F the
+    antiderivative of ``poly`` (F(0) = 0) the real value is F(eps).  The
+    paper_i integrand i * poly(i delta) has i^(d+1) times the delta^d
+    coefficient, so its integral is F(i eps), split by ``eval_at_i``."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    eps = as_fraction(eps)
-    x = eps if convention == CONVENTION_REAL else GaussianRational(0, eps)
-    value = Fraction(0)  # sum_d a_d x^(d+1) / (d+1), by Horner's rule
-    for d in range(poly.delta_degree, -1, -1):
-        value = (value + poly.coefficient(d) / (d + 1)) * x
-    if isinstance(value, GaussianRational) and value.is_real:
-        return value.re
-    return value
+    antiderivative = ParamPoly(
+        [0] + [poly.coefficient(d) / (d + 1) for d in range(poly.delta_degree + 1)]
+    )
+    if convention == CONVENTION_REAL:
+        return antiderivative.subs_delta(eps).constant_value()
+    return eval_at_i(antiderivative, eps)
 
 
 def transgression_raw(
@@ -95,14 +114,6 @@ def transgression_raw(
         raise ValueError(f"unknown convention {convention!r}")
     poly = transgression_integrand_poly(manifold, r, order)
     return convention_integral(poly, eps, convention)
-
-
-def transgression_term(
-    manifold: ManifoldSpec, r, eps, convention=CONVENTION_REAL, N=1, order=None
-):
-    """Transgression contribution N * integral_0^eps integral_X
-    Omega_2 e^{Omega_0} e^{rc}."""
-    return as_fraction(N) * transgression_raw(manifold, r, eps, convention, order)
 
 
 @dataclass

@@ -9,8 +9,10 @@ path.
 
 Rationals are plain :class:`fractions.Fraction` (already reduced, positive
 denominator) and are the only scalar of the characteristic-class side.
-Gaussian rationals serve only as the value type of a transgression in the
-``paper_i`` convention.
+:class:`GaussianRational` is a plain value with no arithmetic: the result
+of a transgression in the ``paper_i`` convention, whose real and
+imaginary parts ``eta.eval_at_i`` sums separately by the parity of the
+delta exponent.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, GaussianRational):
-        if value.im:
-            raise ValueError(f"{value} has a nonzero imaginary part")
-        return value.re
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -82,7 +80,9 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
 
 
 class GaussianRational:
-    """Element of Q(i): exact complex number with rational real/imag parts."""
+    """Exact complex value re + im*i with rational parts: the value type of a
+    transgression in the ``paper_i`` convention.  It is built only by
+    ``eta.eval_at_i`` and carries no arithmetic."""
 
     __slots__ = ("re", "im")
 
@@ -93,82 +93,18 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    @staticmethod
-    def coerce(value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        return GaussianRational(as_fraction(value))
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
     def __eq__(self, other) -> bool:
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        return NotImplemented
 
     def __hash__(self):
         # consistent with int/Fraction hashing when the value is real
         if self.im == 0:
             return hash(self.re)
         return hash((self.re, self.im))
-
-    def __add__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        n = other.norm_sq()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        num = self * other.conjugate()
-        return GaussianRational(num.re / n, num.im / n)
-
-    def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) / self
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -273,7 +209,7 @@ class ParamPoly:
         if not isinstance(other, ParamPoly):
             try:
                 other = ParamPoly.coerce(other)
-            except (TypeError, ValueError):  # not an exact rational
+            except TypeError:  # not an exact rational
                 return NotImplemented
         return self._terms == other._terms
 
@@ -354,17 +290,6 @@ class ParamPoly:
 
     def to_json(self):
         return {_delta_str(d): rational_str(c) for d, c in self.items()}
-
-
-def poly_integrate_delta(p: ParamPoly, upper) -> ParamPoly:
-    """Exact integral of ``p`` in delta over [0, upper] (upper >= 0); the
-    result is delta-free."""
-    u = as_fraction(upper)
-    if u < 0:
-        raise ValueError("upper limit must be nonnegative")
-    return ParamPoly.constant(
-        sum((c * (u ** (d + 1) / (d + 1)) for d, c in p.items()), ZERO)
-    )
 
 
 def sqrt_sign(a, b, A) -> int:

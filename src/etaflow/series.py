@@ -52,12 +52,18 @@ def series_p(order: int) -> tuple:
     return tuple(coeffs)
 
 
-def series_p_prime(order: int) -> tuple:
-    """Formal derivative of p: odd series starting -z/24."""
+def _p_and_p_prime(order: int):
+    """p and its formal derivative p', both to ``order``, from one build of
+    p to ``order + 1``."""
     if order < 1:
         raise ValueError("order must be >= 1")
     p = series_p(order + 1)
-    return tuple(j * p[j] for j in range(1, order + 2))
+    return p[: order + 1], tuple(j * p[j] for j in range(1, order + 2))
+
+
+def series_p_prime(order: int) -> tuple:
+    """Formal derivative of p: odd series starting -z/24."""
+    return _p_and_p_prime(order)[1]
 
 
 def eta_hat_series_from_alpha(alpha, order: int) -> tuple:
@@ -146,8 +152,7 @@ def omega_forms(ring: RingSpec, power_sums, order=None):
     """
     if order is None:
         order = default_order(ring)
-    p = series_p(order)
-    pp = series_p_prime(order)
+    p, pp = _p_and_p_prime(order)
     t = ParamPoly.delta() * 2
     n = ring.complex_dim
     sums = list(power_sums[: n + 1])

@@ -6,6 +6,7 @@ import sympy as sp
 from etaflow.catalog import ConfigError, product_cp1_model, resolve_manifold
 from etaflow.eta import (
     CONVENTION_PAPER_I,
+    CONVENTION_REAL,
     EtaResult,
     adiabatic_integrand,
     adiabatic_limit_eta,
@@ -14,8 +15,8 @@ from etaflow.eta import (
     aps_terms,
     corollary_check,
     eta_invariant,
+    convention_integral,
     transgression_raw,
-    transgression_term,
 )
 from etaflow.exact import GaussianRational
 from etaflow.spectral import SF_SIGN_STANDARD, SpectralModel
@@ -78,18 +79,23 @@ def test_adiabatic_limit_vanishes_at_r0(cp1xcp1, cp1x4):
 def test_transgression_vanishes_at_r0(cp1xcp1, cp1x4):
     for spec, _ in (cp1xcp1, cp1x4):
         for eps in (F(1, 10), F(1), F(4)):
-            assert transgression_term(spec, 0, eps) == 0
+            assert transgression_raw(spec, 0, eps) == 0
 
 
 def test_transgression_empty_interval(cp1xcp1):
-    assert transgression_term(cp1xcp1[0], F(1, 2), 0) == 0
+    assert transgression_raw(cp1xcp1[0], F(1, 2), 0) == 0
+
+
+def test_transgression_rejects_negative_eps(cp1xcp1):
+    for convention in (CONVENTION_REAL, CONVENTION_PAPER_I):
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            transgression_raw(cp1xcp1[0], F(1, 2), eps=-1, convention=convention)
 
 
 def test_transgression_fundamental_theorem_cross_check(cp1xcp1):
     # int_0^eps int_X 2c Omega_2 e^{Omega_0} e^{rc} computed two ways:
     # through the delta-integral and through the endpoint difference
     # int_X [e^{Omega_0 at eps} - A-hat] e^{rc}
-    from etaflow.exact import poly_integrate_delta
     from etaflow.ring import exp_nilpotent, integrate_top
     from etaflow.series import a_hat_class, omega_forms
 
@@ -98,9 +104,9 @@ def test_transgression_fundamental_theorem_cross_check(cp1xcp1):
     omega0, omega2 = omega_forms(spec.ring, spec.power_sums)
     erc = exp_nilpotent(spec.c * r)
     ahat = a_hat_class(spec.ring, spec.power_sums)
-    lhs = poly_integrate_delta(
+    lhs = convention_integral(
         integrate_top(spec.c * 2 * omega2 * exp_nilpotent(omega0) * erc), eps
-    ).constant_value()
+    )
     rhs = integrate_top(
         (exp_nilpotent(omega0.subs_delta(eps)) - ahat) * erc
     ).constant_value()

@@ -2,7 +2,9 @@
 decision.  Every module of the package is parsed with ``ast`` and must
 contain no float or complex literal, no call to ``float`` or ``complex``,
 no import of ``cmath`` or ``decimal``, and no ``math`` function outside
-the exact integer ones."""
+the exact integer ones.  It must not import ``sympy``, ``mpmath`` or
+``numpy`` either: the package declares no dependencies, and the tests use
+those libraries as oracles that must share no code with it."""
 
 import ast
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "etaflow").glob("*.py"))
 EXACT_MATH = {"floor", "ceil", "isqrt", "comb", "factorial", "gcd"}
 INEXACT_MODULES = {"cmath", "decimal"}
+ORACLE_MODULES = {"sympy", "mpmath", "numpy"}
 
 
 def violations(tree):
@@ -25,11 +28,11 @@ def violations(tree):
             found.append((node.lineno, f"call to {node.func.id}"))
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.split(".")[0] in INEXACT_MODULES:
+                if alias.name.split(".")[0] in INEXACT_MODULES | ORACLE_MODULES:
                     found.append((node.lineno, f"import {alias.name}"))
         elif isinstance(node, ast.ImportFrom) and node.module:
             root = node.module.split(".")[0]
-            if root in INEXACT_MODULES:
+            if root in INEXACT_MODULES | ORACLE_MODULES:
                 found.append((node.lineno, f"from {node.module} import"))
             elif root == "math":
                 found.extend((node.lineno, f"from math import {alias.name}")
@@ -50,10 +53,26 @@ def test_module_is_exact(path):
     assert violations(tree) == []
 
 
+def test_gaussian_values_are_built_only_by_the_parity_split():
+    # a paper_i value comes from eta.eval_at_i alone; nothing else builds
+    # one, so no module needs complex arithmetic
+    builders = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "GaussianRational"
+    }
+    assert builders == {"eta.py"}
+
+
 @pytest.mark.parametrize("snippet", [
     "x = 0.5", "x = 2j", "y = float(x)", "y = complex(1, 2)", "import cmath",
     "import decimal", "from decimal import Decimal", "y = math.sqrt(2)",
     "y = math.log(3)", "from math import exp",
+    "import sympy", "import sympy as sp", "from sympy import Rational",
+    "from sympy.core.numbers import I", "import mpmath", "from mpmath import mp",
+    "import numpy as np", "import numpy.linalg", "from numpy import array",
 ])
 def test_lint_flags_inexact_constructs(snippet):
     assert violations(ast.parse(snippet))

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etaflow.catalog import ManifoldSpec, product_cp1_model
 from etaflow.eta import (
@@ -266,12 +268,20 @@ def test_omega2_is_odd_degree_two(cp1sq):
     assert all(d == 2 for d in omega2.degrees())
 
 
+def rat(q):
+    return sp.Rational(q.numerator, q.denominator)
+
+
+def to_sympy(value):
+    """A Fraction or a GaussianRational as an exact sympy number."""
+    if isinstance(value, GaussianRational):
+        return rat(value.re) + sp.I * rat(value.im)
+    return rat(value)
+
+
 def at_point(poly, x):
-    """The polynomial ``poly`` in delta evaluated at a (Gaussian) point."""
-    value = GaussianRational(0)
-    for d in range(poly.delta_degree, -1, -1):
-        value = value * x + poly.coefficient(d)
-    return value
+    """The polynomial ``poly`` in delta at the sympy number x."""
+    return sp.expand(sum(rat(c) * x**d for d, c in poly.items()))
 
 
 @pytest.mark.parametrize("convention", [CONVENTION_REAL, CONVENTION_PAPER_I])
@@ -291,8 +301,8 @@ def test_transgression_derivative_identity(cp1sq, convention):
             integrate_top(c * 2 * omega2 * exp_nilpotent(omega0) * erc), eps,
             convention,
         )
-        x = eps if convention == CONVENTION_REAL else GaussianRational(0, eps)
-        assert lhs == at_point(top, x) - top.coefficient(0)
+        x = rat(eps) if convention == CONVENTION_REAL else sp.I * rat(eps)
+        assert to_sympy(lhs) == at_point(top, x) - rat(top.coefficient(0))
 
 
 def test_paper_i_convention_carries_gaussian_factors(cp1sq):
@@ -396,18 +406,84 @@ def test_class_side_scalars_are_fractions(base):
 
 
 def test_fundamental_theorem_of_calculus_in_delta(cp1sq):
-    from etaflow.exact import poly_integrate_delta
-
     ring, sums = cp1sq
     c = GradedClass.generator(ring)
     omega0, omega2 = omega_forms(ring, sums)
     ahat = a_hat_class(ring, sums)
     for r, eps in ((F(0), F(1, 3)), (F(1, 2), F(1)), (F(2, 3), F(5, 2))):
         erc = exp_nilpotent(c * r)
-        lhs = poly_integrate_delta(
+        lhs = convention_integral(
             integrate_top(c * 2 * omega2 * exp_nilpotent(omega0) * erc), eps
         )
         rhs = integrate_top(
             (exp_nilpotent(omega0.subs_delta(eps)) - ahat) * erc
         )
-        assert lhs == rhs
+        assert lhs == rhs.constant_value()
+
+
+def test_omega_forms_builds_p_once(cp1sq, monkeypatch):
+    ring, sums = cp1sq
+    expected = omega_forms(ring, sums, 8)
+    orders = []
+    monkeypatch.setattr("etaflow.series.series_p",
+                        lambda order: orders.append(order) or series_p(order))
+    assert omega_forms(ring, sums, 8) == expected
+    assert orders == [9]  # p to order 8 and p' to order 8 need p to 9
+    # the order-0 failure of series_p_prime is kept
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        omega_forms(ring, sums, 0)
+
+
+# ------------------------------------------------- the one delta-integral
+
+
+def _simpson(f, lo, hi, n=2000):
+    h = (hi - lo) / n
+    total = f(lo) + f(hi)
+    for i in range(1, n):
+        total += (4 if i % 2 else 2) * f(lo + i * h)
+    return total * h / 3
+
+
+def test_convention_integral_power_rule_and_quadrature():
+    d = ParamPoly.delta()
+    # power rule and constant
+    assert convention_integral(d, 1) == F(1, 2)
+    for eps in (F(1, 3), F(2), F(7, 5)):
+        assert convention_integral(ParamPoly.one(), eps) == eps
+    # 3 delta^2 + b on [0, 2] -> 8 + 2b, cross-checked against numeric
+    # quadrature at sampled constants b
+    for b in (F(0), F(1, 3), F(-7, 2)):
+        exact = convention_integral(d * d * 3 + b, 2)
+        assert exact == 8 + 2 * b
+        assert type(exact) is F
+        numeric = _simpson(lambda t: 3 * t * t + float(b), 0.0, 2.0)
+        assert abs(float(exact) - numeric) < 1e-9
+
+
+DELTA = sp.Symbol("delta")
+small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(small_fractions, max_size=9), st.booleans(),
+       st.fractions(min_value=0, max_value=5, max_denominator=12).filter(bool))
+def test_convention_integral_matches_sympy(coefficients, odd_only, eps):
+    # degree <= 8; with odd powers only the paper_i value is real
+    if odd_only:
+        coefficients = [x if d % 2 else F(0) for d, x in enumerate(coefficients)]
+    poly = ParamPoly(coefficients)
+    p = sum((rat(x) * DELTA**d for d, x in enumerate(coefficients)), sp.Integer(0))
+
+    def integral(integrand):  # over [0, eps]; sympy's antiderivative has F(0) = 0
+        return sp.expand(sp.Poly(integrand, DELTA).integrate().eval(rat(eps)))
+
+    real = integral(p)
+    rotated = integral(sp.I * p.subs(DELTA, sp.I * DELTA))
+    value = convention_integral(poly, eps, CONVENTION_REAL)
+    assert type(value) is F and rat(value) == real
+    value = convention_integral(poly, eps, CONVENTION_PAPER_I)
+    assert to_sympy(value) == rotated
+    # a real paper_i value, as with odd powers only, is a Fraction
+    assert (type(value) is F) == (sp.im(rotated) == 0)
+    assert type(value) is F or not odd_only
