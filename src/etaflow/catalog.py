@@ -33,9 +33,11 @@ from .spectral import (
 
 
 # Largest builtin (P^1)^n; its default series order 2n + 2 = 66 stays below
-# series.MAX_SERIES_ORDER.  On a 2-vCPU Xeon its class side takes about
-# 0.04 s for the adiabatic limit and 0.14 s per transgression, and
-# `adiabatic-limit --manifold cp1x32` about 0.2 s as a whole process.
+# series.MAX_SERIES_ORDER.  On a 2-vCPU Xeon its class side is built once
+# per series order, in about 0.02 s for A-hat and 0.19 s for the
+# transgression forms; each (r, eps) then takes about 8 ms for the
+# adiabatic limit and 4 ms for the transgression.  `adiabatic-limit
+# --manifold cp1x32` takes about 0.26 s as a whole process.
 MAX_CP1_FACTORS = 32
 
 # Largest builtin or configured hypersurface dimension n.  `counterexample`

@@ -23,6 +23,7 @@ from .eta import (
     CONVENTION_PAPER_I,
     CONVENTION_REAL,
     CONVENTIONS,
+    a_hat_coefficients,
     adiabatic_limit_eta,
     aps_index,
     aps_terms,
@@ -30,17 +31,16 @@ from .eta import (
     corollary_check,
     eta_invariant,
     eval_at_i,
+    transgression_forms,
     transgression_raw,
 )
 from .exact import GaussianRational, parse_rational, rational_str
-from .ring import exp_nilpotent, integrate_top
+from .ring import GradedClass, exp_nilpotent, integrate_top
 from .series import (
     MAX_SERIES_ORDER,
-    a_hat_class,
     default_order,
     eta_hat_series_from_alpha,
     eta_hat_series_integer,
-    omega_forms,
     series_eta_hat,
     series_p,
     series_p_prime,
@@ -64,6 +64,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INDETERMINATE = 2
 
+# Largest --decimal digit count.  A decimal field is one integer of about
+# digits + (digits of the integer part) digits, and Python refuses to print
+# an integer of more than 4300; this leaves room for the integer part.
+MAX_DECIMAL_DIGITS = 1000
+
 
 class CliError(Exception):
     pass
@@ -83,6 +88,17 @@ def series_order(text: str) -> int:
             f"series order {order} exceeds MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"
         )
     return order
+
+
+def decimal_digits(text: str) -> int:
+    """--decimal value: 0..MAX_DECIMAL_DIGITS, refused while parsing."""
+    digits = int(text)
+    if not 0 <= digits <= MAX_DECIMAL_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"decimal digits {digits} outside 0..MAX_DECIMAL_DIGITS = "
+            f"{MAX_DECIMAL_DIGITS}"
+        )
+    return digits
 
 
 def _add_common(sp, *, r=False, eps=False, order=False, mode=False,
@@ -106,7 +122,7 @@ def _add_common(sp, *, r=False, eps=False, order=False, mode=False,
                         default=SF_SIGN_PAPER)
     sp.add_argument("--out", default=None, help="write the report to this path")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.add_argument("--decimal", type=int, default=None,
+    sp.add_argument("--decimal", type=decimal_digits, default=None,
                     help="add decimal display fields with this many digits")
 
 
@@ -181,10 +197,7 @@ def _add_decimals(result: dict, fields, digits):
     for field in fields:
         value = result.get(field)
         if isinstance(value, str):
-            try:
-                result[field + "_decimal"] = _decimal_str(parse_rational(value), digits)
-            except ValueError:
-                pass
+            result[field + "_decimal"] = _decimal_str(parse_rational(value), digits)
 
 
 def _scalar_json(value):
@@ -280,13 +293,13 @@ def _cmd_kernel_dim(args):
 
 def _identity_suite(manifold, r, order):
     """Deterministic symbolic self-checks on one catalog manifold."""
-    ring = manifold.ring
     c = manifold.c
-    sums = manifold.power_sums
     checks = []
-    # built once; an order too small to build them is an error, not a report
-    omega0, omega2 = omega_forms(ring, sums, order)
-    ahat = a_hat_class(ring, sums, order)
+    # read from the class-side memos, which corollary_check shares; an order
+    # too small to build them is an error, not a report
+    omega0, omega2, w_coefficients = transgression_forms(manifold, order)
+    w = GradedClass(manifold.ring, w_coefficients)  # Omega_2 e^{Omega_0}
+    ahat = GradedClass(manifold.ring, a_hat_coefficients(manifold, order))
 
     def check(name, fn):
         try:
@@ -322,18 +335,15 @@ def _identity_suite(manifold, r, order):
         # paper_i turns Omega_0 into Omega_0(i delta), of derivative
         # 2c i Omega_2(i delta): the paper_i integral over [0, 1] of the top
         # degree of 2c Omega_2 e^{Omega_0} is P(i) - P(0), P = top e^{Omega_0}
-        exp0 = exp_nilpotent(omega0)
-        lhs = convention_integral(integrate_top(c * 2 * omega2 * exp0), 1,
-                                  CONVENTION_PAPER_I)
-        top = integrate_top(exp0)
+        lhs = convention_integral(integrate_top(c * 2 * w), 1, CONVENTION_PAPER_I)
+        top = integrate_top(exp_nilpotent(omega0))
         return lhs == eval_at_i(top - top.coefficient(0), 1)
 
     check("transgression_derivative_paper_i", derivative_paper_i)
 
     def ftc(rr, ee):
         erc = exp_nilpotent(c * rr)
-        lhs = convention_integral(
-            integrate_top(c * 2 * omega2 * exp_nilpotent(omega0) * erc), ee)
+        lhs = convention_integral(integrate_top(c * 2 * w * erc), ee)
         rhs = integrate_top((exp_nilpotent(omega0.subs_delta(ee)) - ahat) * erc)
         return lhs == rhs.constant_value()
 

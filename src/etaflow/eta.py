@@ -13,6 +13,12 @@ convention constant (default 1) absorbing the 2*pi*i normalization of the
 transgression.  Every acceptance-level statement here is invariant under
 rescaling N.
 
+On a fixed base neither A-hat nor W = Omega_2 e^{Omega_0} depends on
+(r, eps), so the class side is built once per (base, order) and kept in
+two bounded memos, ``a_hat_coefficients`` and ``transgression_forms``.
+Only eta_hat_r, e^{rc} and the delta-integral change from one query to
+the next, and each query costs O(n^2) rational operations.
+
 The transgression integral is taken by ``convention_integral`` alone.  In
 the real convention it is the antiderivative at eps; in the paper's
 ``paper_i`` convention, with literal factors of i, it is the same
@@ -23,12 +29,14 @@ complex arithmetic is done.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .catalog import ManifoldSpec
 from .exact import GaussianRational, ParamPoly, as_fraction, rational_str
-from .ring import GradedClass, eval_series, exp_nilpotent, integrate_top
+from .ring import exp_nilpotent, require_series_order
 from .series import a_hat_class, default_order, omega_forms, series_eta_hat
 from .spectral import (
     ON_UNKNOWN_ERROR,
@@ -43,33 +51,64 @@ CONVENTION_PAPER_I = "paper_i"
 CONVENTIONS = (CONVENTION_REAL, CONVENTION_PAPER_I)
 
 
-def _exp_rc(manifold: ManifoldSpec, r) -> GradedClass:
-    return exp_nilpotent(manifold.c * as_fraction(r))
+def _order(manifold: ManifoldSpec, order) -> int:
+    return default_order(manifold.ring) if order is None else order
 
 
-def adiabatic_integrand(manifold: ManifoldSpec, r, order=None) -> GradedClass:
-    """A-hat(X) * eta_hat_r(c) * exp(rc) as a ring class."""
-    ring = manifold.ring
-    if order is None:
-        order = default_order(ring)
-    ahat = a_hat_class(ring, manifold.power_sums, order)
-    eta_hat = eval_series(series_eta_hat(r, order), manifold.c)
-    return ahat * eta_hat * _exp_rc(manifold, r)
+@lru_cache(maxsize=8)
+def a_hat_coefficients(manifold: ManifoldSpec, order: int) -> tuple:
+    """[c^k] A-hat for k = 0..n, built once per (base, order).  A miss runs
+    every order check of ``a_hat_class``; a failure is raised, never
+    stored."""
+    ahat = a_hat_class(manifold.ring, manifold.power_sums, order)
+    return tuple(ahat.coefficient(k).constant_value() for k in range(manifold.n + 1))
+
+
+@lru_cache(maxsize=8)
+def transgression_forms(manifold: ManifoldSpec, order: int):
+    """(Omega_0, Omega_2, W) with W the n + 1 coefficients [c^k] of
+    Omega_2 e^{Omega_0}, none of which depend on (r, eps); built once per
+    (base, order), with every order check of ``omega_forms`` on a miss."""
+    omega0, omega2 = omega_forms(manifold.ring, manifold.power_sums, order)
+    w = omega2 * exp_nilpotent(omega0)
+    return omega0, omega2, tuple(w.coefficient(k) for k in range(manifold.n + 1))
+
+
+def _exp_coefficients(r, n: int) -> list:
+    """r^j / j!, the c^j coefficients of e^{rc}, for j = 0..n."""
+    return [r**j / math.factorial(j) for j in range(n + 1)]
+
+
+def adiabatic_top(manifold: ManifoldSpec, r, order=None) -> Fraction:
+    """[c^n] of A-hat * eta_hat_r(c) * e^{rc}.  eta_hat_r is needed only to
+    degree n: its coefficients are closed forms, and every later one is
+    truncated away, once ``order`` is checked to reach c^n."""
+    order = _order(manifold, order)
+    n = manifold.n
+    ahat = a_hat_coefficients(manifold, order)
+    require_series_order(order, 1, n)
+    r = as_fraction(r)
+    eta_hat = series_eta_hat(r, n)
+    erc = _exp_coefficients(r, n)
+    return sum(a * eta_hat[j] * erc[n - i - j]
+               for i, a in enumerate(ahat) if a for j in range(n + 1 - i))
 
 
 def adiabatic_limit_eta(manifold: ManifoldSpec, r, order=None) -> Fraction:
     """Small-eps limit of the eta invariant:
     (1/2) * integral of A-hat * eta_hat_r * exp(rc)."""
-    value = integrate_top(adiabatic_integrand(manifold, r, order))
-    return value.constant_value() / 2
+    return adiabatic_top(manifold, r, order) * manifold.ring.top_integral / 2
 
 
 def transgression_integrand_poly(manifold: ManifoldSpec, r, order=None) -> ParamPoly:
-    """Top-degree coefficient of Omega_2 e^{Omega_0} e^{rc}: a polynomial
-    in delta with rational coefficients (the real convention)."""
-    omega0, omega2 = omega_forms(manifold.ring, manifold.power_sums, order)
-    integrand = omega2 * exp_nilpotent(omega0) * _exp_rc(manifold, r)
-    return integrate_top(integrand)
+    """Integral over X of Omega_2 e^{Omega_0} e^{rc}: the sum over j of
+    W_{n-j} r^j / j! times the integral of c^n, a polynomial in delta with
+    rational coefficients (the real convention)."""
+    w = transgression_forms(manifold, _order(manifold, order))[2]
+    n = manifold.n
+    erc = _exp_coefficients(as_fraction(r), n)
+    top = manifold.ring.top_integral
+    return sum((w[n - j] * (erc[j] * top) for j in range(n + 1)), ParamPoly.zero())
 
 
 def eval_at_i(poly: ParamPoly, x):
@@ -299,10 +338,9 @@ def corollary_check(manifold: ManifoldSpec, order=None) -> CorollaryCheck:
     are both identically zero on a base of dimension divisible by four."""
     if manifold.n % 2:
         raise ValueError("needs real dimension divisible by four (n even)")
-    top = manifold.n
-    ad_top = adiabatic_integrand(manifold, Fraction(0), order).coefficient(top)
-    omega0, omega2 = omega_forms(manifold.ring, manifold.power_sums, order=order)
-    tg_top = (omega2 * exp_nilpotent(omega0)).coefficient(top)
+    order = _order(manifold, order)
+    ad_top = ParamPoly.constant(adiabatic_top(manifold, 0, order))
+    tg_top = transgression_forms(manifold, order)[2][manifold.n]
     witness = None
     if not ad_top.is_zero:
         witness = {"part": "adiabatic", "coefficient": ad_top.to_json()}

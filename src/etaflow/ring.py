@@ -191,17 +191,24 @@ def eval_series(f, x: GradedClass) -> GradedClass:
     small for the nilpotency degree of ``x`` (never silently truncates).
     """
     result = _sum_powers(f, x)
+    lowest = next((k for k, _ in x.items()), None)
+    if lowest is not None:
+        require_series_order(len(f) - 1, lowest, x.ring.complex_dim)
+    return result
+
+
+def require_series_order(order: int, lowest: int, n: int):
+    """Raise SeriesOrderError unless a series truncated at ``order`` can be
+    evaluated at a class whose lowest power of c is c^lowest, in a ring
+    truncated above c^n."""
     # x^j starts with (lowest term of x)^j, which never vanishes because
     # Q[delta] has no zero divisors; so x^(order+1) = 0 exactly when
     # (order + 1) * lowest > n
-    lowest = next((k for k, _ in x.items()), None)
-    if lowest is not None and len(f) * lowest <= x.ring.complex_dim:
-        order = len(f) - 1
+    if (order + 1) * lowest <= n:
         raise SeriesOrderError(
             f"series order {order} too small for argument of nilpotency "
             f"degree > {order}"
         )
-    return result
 
 
 def _sum_powers(coeffs, x: GradedClass) -> GradedClass:

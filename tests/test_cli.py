@@ -7,10 +7,12 @@ from pathlib import Path
 
 import etaflow
 
+from etaflow import cli, eta, series
 from etaflow.cli import (
     EXIT_ERROR,
     EXIT_INDETERMINATE,
     EXIT_OK,
+    MAX_DECIMAL_DIGITS,
     build_parser,
     load_report,
     main,
@@ -70,6 +72,28 @@ def test_check_identities_at_order_100(capsys):
     assert payload["result"]["all_pass"] is True
 
 
+def test_check_identities_builds_each_class_once(capsys, monkeypatch):
+    # the corollary check reads the class side that the suite built: p is
+    # built once for A-hat, once for Omega and twice for the p' check
+    eta.a_hat_coefficients.cache_clear()
+    eta.transgression_forms.cache_clear()
+    orders = []
+    series_p = series.series_p
+
+    def counted(order):
+        orders.append(order)
+        return series_p(order)
+
+    monkeypatch.setattr(series, "series_p", counted)
+    monkeypatch.setattr(cli, "series_p", counted)
+    code, payload = run_json(
+        capsys, "check-identities", "--manifold", "cp1xcp1", "--r", "1/2",
+        "--order", "100",
+    )
+    assert code == EXIT_OK and payload["result"]["all_pass"] is True
+    assert sorted(orders) == [13, 13, 100, 101]
+
+
 def test_dump_series(capsys):
     code, payload = run_json(
         capsys, "check-identities", "--manifold", "cp1xcp1", "--r", "1/2",
@@ -115,6 +139,28 @@ def test_decimal_display_column(capsys):
     )
     assert payload["result"]["value"] == "-1/24"
     assert payload["result"]["value_decimal"] == "-0.041667"
+
+
+def test_decimal_digits_limit(capsys):
+    # a negative count once printed "0.", an oversized one dropped the field
+    # silently, and 100000000 digits ran on with no output
+    for digits in ("-3", "10000", "100000000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "adiabatic-limit", "--manifold", "cp1xcp1", "--r", "1/3",
+            "--decimal", digits,
+        )
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_ERROR and out == ""
+        assert "MAX_DECIMAL_DIGITS" in err and str(MAX_DECIMAL_DIGITS) in err
+    # the largest count is answered in full, below Python's 4300-digit limit
+    assert MAX_DECIMAL_DIGITS < 4300
+    _, payload = run_json(
+        capsys, "adiabatic-limit", "--manifold", "cp1xcp1", "--r", "1/3",
+        "--decimal", str(MAX_DECIMAL_DIGITS),
+    )
+    assert payload["result"]["value"] == "-1/81"
+    assert payload["result"]["value_decimal"] == "-0." + ("012345679" * 112)[:1000]
 
 
 def test_exit_codes(capsys):

@@ -3,13 +3,14 @@ from fractions import Fraction as F
 import pytest
 import sympy as sp
 
+from etaflow import eta
 from etaflow.catalog import ConfigError, product_cp1_model, resolve_manifold
 from etaflow.eta import (
     CONVENTION_PAPER_I,
     CONVENTION_REAL,
     EtaResult,
-    adiabatic_integrand,
     adiabatic_limit_eta,
+    adiabatic_top,
     aps_index,
     aps_resonances,
     aps_terms,
@@ -19,6 +20,8 @@ from etaflow.eta import (
     transgression_raw,
 )
 from etaflow.exact import GaussianRational
+from etaflow.ring import SeriesOrderError
+from etaflow.series import omega_forms
 from etaflow.spectral import SF_SIGN_STANDARD, SpectralModel
 
 
@@ -243,8 +246,7 @@ def test_corollary_negative_control(cp1xcp1):
     # at r = 1/3 the eta-hat series has even powers of c: the adiabatic
     # integrand no longer cancels in top degree
     spec, _ = cp1xcp1
-    top = adiabatic_integrand(spec, F(1, 3)).coefficient(spec.n)
-    assert not top.is_zero
+    assert adiabatic_top(spec, F(1, 3)) != 0
     assert adiabatic_limit_eta(spec, F(1, 3)) != 0
 
 
@@ -256,3 +258,55 @@ def test_convention_invariance_of_acceptance_values(cp1xcp1):
     for N in (F(1), F(17), F(-3, 5)):
         res = eta_invariant(spec, model, 0, 1, N=N)
         assert res.total == 0
+
+
+# ------------------------------------------------------- class-side memos
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty class-side memos before and after the test, so that no memo
+    state passes between tests."""
+    eta.a_hat_coefficients.cache_clear()
+    eta.transgression_forms.cache_clear()
+    yield
+    eta.a_hat_coefficients.cache_clear()
+    eta.transgression_forms.cache_clear()
+
+
+def test_class_side_built_once_per_base(cp1x4, fresh_memos, monkeypatch):
+    spec, _ = cp1x4
+    model = model_of(cp1x4)
+    built = []
+    monkeypatch.setattr(eta, "omega_forms",
+                        lambda *args: built.append(args) or omega_forms(*args))
+    queries = [(F(k, 7) - 1, F(k + 1, 5)) for k in range(10)]
+    expected = [eta_invariant(spec, model, r, e) for r, e in queries]
+    assert len(built) == 1
+    for (r, e), res in zip(queries, expected):
+        assert eta_invariant(spec, model, r, e).to_json() == res.to_json()
+    assert len(built) == 1
+    assert eta.a_hat_coefficients.cache_info().currsize == 1
+
+
+def test_order_below_n_fails_the_same_way_on_a_repeat(cp1x4, fresh_memos):
+    spec, _ = cp1x4
+    model = model_of(cp1x4)
+    calls = [
+        lambda: adiabatic_limit_eta(spec, F(1, 2), order=2),
+        lambda: transgression_raw(spec, F(1, 2), 1, order=2),
+        lambda: eta_invariant(spec, model, F(1, 2), 1, order=2),
+        lambda: corollary_check(spec, order=0),
+    ]
+    for call in calls:
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                call()
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert issubclass(errors[0][0], SeriesOrderError)
+    # a failed build is never stored, and the memo still answers afterwards
+    assert eta.transgression_forms.cache_info().currsize == 0
+    assert transgression_raw(spec, F(1, 2), 1, order=4) == \
+        transgression_raw(spec, F(1, 2), 1)

@@ -4,7 +4,9 @@ contain no float or complex literal, no call to ``float`` or ``complex``,
 no import of ``cmath`` or ``decimal``, and no ``math`` function outside
 the exact integer ones.  It must not import ``sympy``, ``mpmath`` or
 ``numpy`` either: the package declares no dependencies, and the tests use
-those libraries as oracles that must share no code with it."""
+those libraries as oracles that must share no code with it.  Every memo
+must be bounded, so ``functools.cache`` and ``lru_cache(maxsize=None)``
+are refused too: an unbounded memo grows for the life of the process."""
 
 import ast
 from pathlib import Path
@@ -17,6 +19,16 @@ INEXACT_MODULES = {"cmath", "decimal"}
 ORACLE_MODULES = {"sympy", "mpmath", "numpy"}
 
 
+def _unbounded_lru_cache(node):
+    """``lru_cache(None)`` or ``lru_cache(maxsize=None)``, by any name."""
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name != "lru_cache":
+        return False
+    sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+    return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+
+
 def violations(tree):
     """(line, description) for every inexact construct in ``tree``."""
     found = []
@@ -26,6 +38,8 @@ def violations(tree):
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in ("float", "complex")):
             found.append((node.lineno, f"call to {node.func.id}"))
+        elif isinstance(node, ast.Call) and _unbounded_lru_cache(node):
+            found.append((node.lineno, "unbounded lru_cache"))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] in INEXACT_MODULES | ORACLE_MODULES:
@@ -34,12 +48,18 @@ def violations(tree):
             root = node.module.split(".")[0]
             if root in INEXACT_MODULES | ORACLE_MODULES:
                 found.append((node.lineno, f"from {node.module} import"))
+            elif root == "functools":
+                found.extend((node.lineno, "from functools import cache")
+                             for alias in node.names if alias.name == "cache")
             elif root == "math":
                 found.extend((node.lineno, f"from math import {alias.name}")
                              for alias in node.names if alias.name not in EXACT_MATH)
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id == "math" and node.attr not in EXACT_MATH):
             found.append((node.lineno, f"math.{node.attr}"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "functools" and node.attr == "cache"):
+            found.append((node.lineno, "functools.cache"))
     return found
 
 
@@ -73,6 +93,10 @@ def test_gaussian_values_are_built_only_by_the_parity_split():
     "import sympy", "import sympy as sp", "from sympy import Rational",
     "from sympy.core.numbers import I", "import mpmath", "from mpmath import mp",
     "import numpy as np", "import numpy.linalg", "from numpy import array",
+    "from functools import cache", "from functools import lru_cache, cache",
+    "@functools.cache\ndef f(x): pass", "@lru_cache(maxsize=None)\ndef f(x): pass",
+    "@functools.lru_cache(None)\ndef f(x): pass",
+    "f = functools.lru_cache(maxsize=None)(g)",
 ])
 def test_lint_flags_inexact_constructs(snippet):
     assert violations(ast.parse(snippet))
@@ -81,5 +105,7 @@ def test_lint_flags_inexact_constructs(snippet):
 def test_lint_accepts_exact_constructs():
     snippet = ("import math\nfrom fractions import Fraction\n"
                "y = math.floor(Fraction(7, 2)) + math.comb(5, 2) + math.isqrt(10)\n"
-               "z = math.factorial(4) + math.gcd(4, 6) + math.ceil(Fraction(1, 3))\n")
+               "z = math.factorial(4) + math.gcd(4, 6) + math.ceil(Fraction(1, 3))\n"
+               "from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(x): pass\n"
+               "@functools.lru_cache(8)\ndef g(x): pass\n")
     assert violations(ast.parse(snippet)) == []

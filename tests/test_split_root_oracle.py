@@ -21,16 +21,19 @@ from etaflow.catalog import product_cp1_model
 from etaflow.eta import (
     CONVENTION_PAPER_I,
     CONVENTION_REAL,
+    a_hat_coefficients,
     adiabatic_limit_eta,
+    transgression_forms,
     transgression_raw,
 )
 from etaflow.exact import GaussianRational
+from etaflow.series import default_order
 
 Z = sp.Symbol("z")
 DELTA = sp.Symbol("delta")
 R_VALUES = (F(0), F(1, 2), F(-2, 3), F(1))
 EPS_VALUES = (F(1, 3), F(1))
-MAX_ORDER = 5
+MAX_ORDER = 7  # p' on cp1x6 needs p to z^7
 
 
 @lru_cache(maxsize=None)
@@ -207,3 +210,38 @@ def test_class_side_antisymmetric_in_r_property(r, eps):
     spec, _ = product_cp1_model(4)
     assert adiabatic_limit_eta(spec, -r) == -adiabatic_limit_eta(spec, r)
     assert transgression_raw(spec, -r, eps) == -transgression_raw(spec, r, eps)
+
+
+def split_coefficient(oracle, poly, k):
+    """[c^k] of a symmetric class of the split ring: c^k = k! e_k(a), so it
+    is the coefficient of a_1 ... a_k divided by k!."""
+    n = oracle.ring.n
+    monomial = (1,) * k + (0,) * (n - k)
+    return sp.expand(sp.Add(*(c * DELTA ** m[-1] for m, c in poly.terms()
+                              if m[:n] == monomial)) / sp.factorial(k))
+
+
+@pytest.mark.parametrize("factors", [2, 4, 6], ids=["cp1x2", "cp1x4", "cp1x6"])
+def test_class_side_memo_matches_split_roots(factors):
+    spec, _ = product_cp1_model(factors)
+    oracle = split_oracle(factors)
+    order = default_order(spec.ring)
+    a_hat = a_hat_coefficients(spec, order)
+    w = transgression_forms(spec, order)[2]
+    assert len(a_hat) == len(w) == factors + 1
+    for k in range(factors + 1):
+        assert sp.Rational(str(a_hat[k])) == split_coefficient(oracle, oracle.a_hat, k)
+        real = sp.Add(*(sp.Rational(str(a)) * DELTA**d for d, a in w[k].items()))
+        # paper_i: i Omega_2(i delta) e^{Omega_0(i delta)}
+        paper_i = sp.I * real.subs(DELTA, sp.I * DELTA)
+        for convention, expected in ((CONVENTION_REAL, real),
+                                     (CONVENTION_PAPER_I, paper_i)):
+            got = split_coefficient(oracle, oracle.omega_part(convention), k)
+            assert sp.expand(got - expected) == 0
+    # every (r, eps) is then evaluated from the memo alone
+    for r in R_VALUES + (F(7, 5),):
+        assert adiabatic_limit_eta(spec, r) == oracle.adiabatic(r)
+        for eps in EPS_VALUES:
+            for convention in (CONVENTION_REAL, CONVENTION_PAPER_I):
+                assert transgression_raw(spec, r, eps, convention) == \
+                    oracle.transgression(r, eps, convention)
