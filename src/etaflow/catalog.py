@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import as_fraction, parse_rational
+from .exact import Record, as_fraction, parse_rational
 from .ring import GradedClass, RingSpec
 from .spectral import (
     CohomologyTable,
@@ -111,8 +110,7 @@ class PartialCohomology(CohomologyTable):
         return (q, k) in self.lower_bounds
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
+class ManifoldSpec(Record):
     """Base manifold data for the characteristic-class side.
 
     The integrands depend on X only through the polarization class c and
@@ -123,17 +121,17 @@ class ManifoldSpec:
     Ricci lower bound (None marks a non-Fano entry).
     """
 
-    name: str
-    n: int
-    ring: RingSpec
-    power_sums: tuple
-    kappa: Fraction | None
-
-    def __post_init__(self):
-        if self.n != self.ring.complex_dim:
+    def __init__(self, name: str, n: int, ring: RingSpec, power_sums: tuple,
+                 kappa: Fraction | None):
+        if n != ring.complex_dim:
             raise ValueError("dimension disagrees with the ring presentation")
-        if len(self.power_sums) != self.n + 1:
+        if len(power_sums) != n + 1:
             raise ValueError("need one power sum for each k = 0..n")
+        self.name = name
+        self.n = n
+        self.ring = ring
+        self.power_sums = power_sums
+        self.kappa = kappa
 
     @property
     def c(self) -> GradedClass:
@@ -144,25 +142,22 @@ class ManifoldSpec:
         return self.n // 2
 
 
-@dataclass(frozen=True)
-class HypersurfaceSpec:
+class HypersurfaceSpec(Record):
     """Even-degree hypersurface in P^{n+1} with d > n + 2 (general type)."""
 
-    n: int
-    degree: int
-
-    def __post_init__(self):
-        if self.n % 2 or self.n <= 0:
+    def __init__(self, n: int, degree: int):
+        if n % 2 or n <= 0:
             raise ConfigError("complex dimension n must be a positive even integer")
-        if self.n > MAX_HYPERSURFACE_DIM:
+        if n > MAX_HYPERSURFACE_DIM:
             raise ConfigError(
-                f"hypersurface dimension n = {self.n} exceeds "
+                f"hypersurface dimension n = {n} exceeds "
                 f"MAX_HYPERSURFACE_DIM = {MAX_HYPERSURFACE_DIM}"
             )
-        if self.degree % 2:
+        if degree % 2:
             raise ConfigError("degree must be even for a spin square root")
-        if self.degree <= self.n + 2:
+        if degree <= n + 2:
             raise ConfigError("need degree d > n + 2 for general type")
+        self.n, self.degree = n, degree
 
     @property
     def ambient_dim(self) -> int:
@@ -299,15 +294,18 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
     )
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(Record):
     """A resolved manifold: the characteristic-class side (when it exists)
     plus the spectral model."""
 
-    name: str
-    manifold: ManifoldSpec | None
-    hypersurface: HypersurfaceSpec | None
-    model: SpectralModel
+    __hash__ = None
+
+    def __init__(self, name: str, manifold: ManifoldSpec | None,
+                 hypersurface: HypersurfaceSpec | None, model: SpectralModel):
+        self.name = name
+        self.manifold = manifold
+        self.hypersurface = hypersurface
+        self.model = model
 
     def require_manifold(self) -> ManifoldSpec:
         if self.manifold is None:

@@ -8,7 +8,6 @@ or math error, 2 indeterminate spectral results.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import io
 import json
@@ -51,6 +50,7 @@ from .spectral import (
     ON_UNKNOWN_SKIP,
     SF_SIGN_PAPER,
     SF_SIGN_STANDARD,
+    SpectralModel,
     SpectralWindowError,
     SpectrumDataError,
     UnknownCohomologyError,
@@ -65,8 +65,8 @@ EXIT_ERROR = 1
 EXIT_INDETERMINATE = 2
 
 # Largest --decimal digit count.  A decimal field is one integer of about
-# digits + (digits of the integer part) digits, and Python refuses to print
-# an integer of more than 4300; this leaves room for the integer part.
+# digits + (digits of the integer part) digits, refused by rational_str past
+# exact.MAX_RATIONAL_DIGITS; this leaves room for the integer part.
 MAX_DECIMAL_DIGITS = 1000
 
 
@@ -163,8 +163,8 @@ def _model_for(entry, mode: str):
         return model
     if model.spectrum.is_tabulated:
         # nakano mode deliberately ignores a shipped table
-        model = copy.copy(model)
-        model.spectrum = NAKANO_ONLY
+        model = SpectralModel(model.name, model.n, model.kappa, model.table,
+                              spectrum=NAKANO_ONLY)
     return model
 
 
@@ -185,7 +185,7 @@ def _provenance(entry, args, extra=None):
 def _decimal_str(value: Fraction, digits: int) -> str:
     scaled = round(value * 10**digits)
     sign = "-" if scaled < 0 else ""
-    body = str(abs(scaled)).rjust(digits + 1, "0")
+    body = rational_str(abs(scaled)).rjust(digits + 1, "0")
     if digits == 0:
         return sign + body
     return f"{sign}{body[:-digits]}.{body[-digits:]}"

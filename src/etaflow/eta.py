@@ -30,12 +30,11 @@ complex arithmetic is done.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .catalog import ManifoldSpec
-from .exact import GaussianRational, ParamPoly, as_fraction, rational_str
+from .exact import GaussianRational, ParamPoly, Record, as_fraction, rational_str
 from .ring import exp_nilpotent, require_series_order
 from .series import a_hat_class, default_order, omega_forms, series_eta_hat
 from .spectral import (
@@ -155,8 +154,7 @@ def transgression_raw(
     return convention_integral(poly, eps, convention)
 
 
-@dataclass
-class EtaResult:
+class EtaResult(Record):
     """Exact decomposition of the eta invariant.
 
     ``transgression_term`` stores the raw integral; the convention
@@ -166,14 +164,19 @@ class EtaResult:
     indeterminate both flow and totals are None, never silently zero.
     """
 
-    r: Fraction
-    eps: Fraction
-    adiabatic_term: Fraction
-    transgression_term: Fraction
-    convention_constant: Fraction
-    convention: str
-    sf_sign: str
-    flow_report: SpectralFlowReport
+    __hash__ = None
+
+    def __init__(self, r: Fraction, eps: Fraction, adiabatic_term: Fraction,
+                 transgression_term: Fraction, convention_constant: Fraction,
+                 convention: str, sf_sign: str, flow_report: SpectralFlowReport):
+        self.r = r
+        self.eps = eps
+        self.adiabatic_term = adiabatic_term
+        self.transgression_term = transgression_term
+        self.convention_constant = convention_constant
+        self.convention = convention
+        self.sf_sign = sf_sign
+        self.flow_report = flow_report
 
     @property
     def spectral_flow(self) -> int | None:
@@ -318,14 +321,15 @@ def aps_resonances(table, n: int, lo, hi):
     return sorted(found)
 
 
-@dataclass(frozen=True)
-class CorollaryCheck:
+class CorollaryCheck(Record):
     """Symbolic verification that both integrands of the r = 0 formula
     vanish in top degree (for all delta, as a polynomial identity)."""
 
-    adiabatic_top_zero: bool
-    transgression_top_zero: bool
-    witness: dict | None
+    def __init__(self, adiabatic_top_zero: bool, transgression_top_zero: bool,
+                 witness: dict | None):
+        self.adiabatic_top_zero = adiabatic_top_zero
+        self.transgression_top_zero = transgression_top_zero
+        self.witness = witness
 
     @property
     def both_terms_zero(self) -> bool:

@@ -18,13 +18,34 @@ delta exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+# Most digits printed in a numerator or denominator, below the 4300 that
+# Python prints: a larger answer is refused with a message naming the limit.
+MAX_RATIONAL_DIGITS = 4000
+_DIGITS_BOUND = 10**MAX_RATIONAL_DIGITS
+
+
+class Record:
+    """Base of the package's plain value records: equality, hash and repr
+    over the attributes that ``__init__`` assigns, in that order.  A record
+    that is changed after construction sets ``__hash__ = None``."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 def sign(x) -> int:
@@ -64,7 +85,11 @@ def parse_rational(text: str) -> Fraction:
 
 def rational_str(q: Fraction) -> str:
     """Canonical string form "p/q", or "p" when the denominator is 1."""
-    return str(as_fraction(q))
+    q = as_fraction(q)
+    if abs(q.numerator) >= _DIGITS_BOUND or q.denominator >= _DIGITS_BOUND:
+        raise ValueError(f"cannot print a rational of more than MAX_RATIONAL_DIGITS = "
+                         f"{MAX_RATIONAL_DIGITS} digits")
+    return str(q)
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
@@ -310,13 +335,11 @@ def sqrt_sign(a, b, A) -> int:
     return sa * sign(a * a - b * b * A)
 
 
-@dataclass(frozen=True)
-class SqrtValue:
+class SqrtValue(Record):
     """Exact algebraic value a + b*sqrt(radicand), radicand not a square."""
 
-    a: Fraction
-    b: Fraction
-    radicand: Fraction
+    def __init__(self, a: Fraction, b: Fraction, radicand: Fraction):
+        self.a, self.b, self.radicand = a, b, radicand
 
     def sign(self) -> int:
         return sqrt_sign(self.a, self.b, self.radicand)
@@ -369,8 +392,7 @@ QUAD_TOUCHES_ZERO = "touches_zero"
 QUAD_NEGATIVE = "negative_somewhere"
 
 
-@dataclass(frozen=True)
-class QuadVerdict:
+class QuadVerdict(Record):
     """Outcome of classifying c2*x^2 + c1*x + c0 on [0, hi].
 
     ``roots`` lists the zeros inside the interval when the polynomial is
@@ -380,10 +402,12 @@ class QuadVerdict:
     ``identically_zero`` with an empty root list.
     """
 
-    kind: str
-    roots: tuple = ()
-    witness: Fraction | None = None
-    identically_zero: bool = False
+    def __init__(self, kind: str, roots: tuple = (),
+                 witness: Fraction | None = None, identically_zero: bool = False):
+        self.kind = kind
+        self.roots = roots
+        self.witness = witness
+        self.identically_zero = identically_zero
 
     @property
     def is_nonnegative(self) -> bool:

@@ -14,10 +14,9 @@ class by ``eval_series`` or over formal roots by ``eval_power_sums``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import ParamPoly, as_fraction, truncated_product
+from .exact import ParamPoly, Record, as_fraction, truncated_product
 
 
 class RingMismatchError(ValueError):
@@ -32,19 +31,17 @@ class SeriesOrderError(ValueError):
     """A series was truncated below the order needed by an evaluation."""
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Record):
     """Q[c]/(c^{complex_dim + 1}) with c of degree 2 and the integral of
     c^complex_dim equal to ``top_integral``."""
 
-    name: str
-    complex_dim: int
-    top_integral: Fraction = field(default=Fraction(1))
-
-    def __post_init__(self):
-        if self.complex_dim < 1:
+    def __init__(self, name: str, complex_dim: int,
+                 top_integral: Fraction = Fraction(1)):
+        if complex_dim < 1:
             raise ValueError("complex dimension must be >= 1")
-        object.__setattr__(self, "top_integral", as_fraction(self.top_integral))
+        self.name = name
+        self.complex_dim = complex_dim
+        self.top_integral = as_fraction(top_integral)
         if self.top_integral == 0:
             raise ValueError("top integral must be nonzero")
 

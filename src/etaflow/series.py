@@ -22,19 +22,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import ZERO, ParamPoly, as_fraction
 from .ring import GradedClass, RingSpec, eval_power_sums, exp_nilpotent
 
 
-def _bernoulli(m: int) -> list:
+@lru_cache(maxsize=8)
+def _bernoulli(m: int) -> tuple:
     """B_0..B_m from sum_{k<=j} C(j+1, k) B_k = 0 for j >= 1, which
-    gives B_1 = -1/2."""
+    gives B_1 = -1/2.  Memoized: every query on a base asks for the same m."""
     numbers = [Fraction(1)]
     for j in range(1, m + 1):
         total = sum((math.comb(j + 1, k) * numbers[k] for k in range(j)), ZERO)
         numbers.append(-total / (j + 1))
-    return numbers
+    return tuple(numbers)
 
 
 def series_p(order: int) -> tuple:

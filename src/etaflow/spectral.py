@@ -28,10 +28,10 @@ are walked cell by cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (
+    Record,
     as_fraction,
     exact_value_to_json,
     quad_nonneg_on_interval,
@@ -135,8 +135,7 @@ class CohomologyTable:
         return False
 
 
-@dataclass(frozen=True)
-class LaplacianSpectrum:
+class LaplacianSpectrum(Record):
     """Tabulated positive Kodaira-Laplacian eigenvalues per (q, k).
 
     ``entries[(q, k)]`` is an ascending tuple of (mu^2/2, multiplicity);
@@ -145,10 +144,12 @@ class LaplacianSpectrum:
     is a genuine table or the bound-only placeholder.
     """
 
-    provenance: str = PROVENANCE_NAKANO
-    entries: dict = field(default_factory=dict)
-    half_mu_sq_max: Fraction | None = None
-    k_range: tuple | None = None
+    def __init__(self, provenance: str = PROVENANCE_NAKANO, entries: dict | None = None,
+                 half_mu_sq_max: Fraction | None = None, k_range: tuple | None = None):
+        self.provenance = provenance
+        self.entries = {} if entries is None else entries
+        self.half_mu_sq_max = half_mu_sq_max
+        self.k_range = k_range
 
     @property
     def is_tabulated(self) -> bool:
@@ -187,25 +188,27 @@ class LaplacianSpectrum:
 NAKANO_ONLY = LaplacianSpectrum()
 
 
-@dataclass
-class SpectralModel:
+class SpectralModel(Record):
     """Everything the engine needs about a base manifold: the complex
     dimension, the Ricci lower bound (None for non-Fano entries), the
     cohomology table and an optional explicit Laplacian spectrum."""
 
-    name: str
-    n: int
-    kappa: Fraction | None
-    table: CohomologyTable
-    spectrum: LaplacianSpectrum = NAKANO_ONLY
+    __hash__ = None
+
+    def __init__(self, name: str, n: int, kappa: Fraction | None,
+                 table: CohomologyTable, spectrum: LaplacianSpectrum = NAKANO_ONLY):
+        self.name = name
+        self.n = n
+        self.kappa = kappa
+        self.table = table
+        self.spectrum = spectrum
 
     @property
     def mode(self) -> str:
         return MODE_EXPLICIT if self.spectrum.is_tabulated else MODE_NAKANO
 
 
-@dataclass(frozen=True)
-class EigenvalueFamily:
+class EigenvalueFamily(Record):
     """One eigenvalue family of the deformed Dirac operator.
 
     For Type 2 in bound-only mode, ``half_mu_sq`` carries the Nakano lower
@@ -214,14 +217,17 @@ class EigenvalueFamily:
     mu^2, so a bound-level certificate covers every actual eigenvalue.
     """
 
-    kind: str
-    q: int
-    k: int
-    n: int
-    multiplicity: int | None
-    half_mu_sq: Fraction | None = None
-    half_mu_sq_is_bound: bool = False
-    mult_is_lower_bound: bool = False
+    def __init__(self, kind: str, q: int, k: int, n: int, multiplicity: int | None,
+                 half_mu_sq: Fraction | None = None, half_mu_sq_is_bound: bool = False,
+                 mult_is_lower_bound: bool = False):
+        self.kind = kind
+        self.q = q
+        self.k = k
+        self.n = n
+        self.multiplicity = multiplicity
+        self.half_mu_sq = half_mu_sq
+        self.half_mu_sq_is_bound = half_mu_sq_is_bound
+        self.mult_is_lower_bound = mult_is_lower_bound
 
     def label(self) -> str:
         extra = ""
@@ -267,8 +273,7 @@ CROSSING = "crossing"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class CertOutcome:
+class CertOutcome(Record):
     """Result of certifying a single family on (0, eps].
 
     ``crossings`` holds (delta_star, direction) pairs with direction +1
@@ -276,12 +281,14 @@ class CertOutcome:
     endpoints are reported separately and never counted as flow.
     """
 
-    status: str
-    crossings: tuple = ()
-    zero_at_start: bool = False
-    zero_at_eps: bool = False
-    touch_points: tuple = ()
-    note: str = ""
+    def __init__(self, status: str, crossings: tuple = (), zero_at_start: bool = False,
+                 zero_at_eps: bool = False, touch_points: tuple = (), note: str = ""):
+        self.status = status
+        self.crossings = crossings
+        self.zero_at_start = zero_at_start
+        self.zero_at_eps = zero_at_eps
+        self.touch_points = touch_points
+        self.note = note
 
 
 def certify_no_crossing(family: EigenvalueFamily, r, eps) -> CertOutcome:
@@ -605,12 +612,13 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     return families, skipped, window
 
 
-@dataclass(frozen=True)
-class Crossing:
-    family: EigenvalueFamily
-    delta_star: object  # Fraction or SqrtValue
-    direction: int  # +1 = positive-to-negative as delta increases
-    multiplicity: int
+class Crossing(Record):
+    def __init__(self, family: EigenvalueFamily, delta_star, direction: int,
+                 multiplicity: int):
+        self.family = family
+        self.delta_star = delta_star  # Fraction or SqrtValue
+        self.direction = direction  # +1 = positive-to-negative as delta increases
+        self.multiplicity = multiplicity
 
     def to_json(self):
         data = self.family.to_json()
@@ -620,11 +628,10 @@ class Crossing:
         return data
 
 
-@dataclass(frozen=True)
-class EndpointZero:
-    family: EigenvalueFamily
-    where: str  # "start" or "eps"
-    multiplicity: int | None
+class EndpointZero(Record):
+    def __init__(self, family: EigenvalueFamily, where: str,  # "start" or "eps"
+                 multiplicity: int | None):
+        self.family, self.where, self.multiplicity = family, where, multiplicity
 
     def to_json(self):
         data = self.family.to_json()
@@ -633,8 +640,7 @@ class EndpointZero:
         return data
 
 
-@dataclass
-class SpectralFlowReport:
+class SpectralFlowReport(Record):
     """Outcome of the flow computation over (0, eps].
 
     ``total_paper`` counts a positive-to-negative crossing as +1 (and a
@@ -644,15 +650,20 @@ class SpectralFlowReport:
     be quoted (``is_exact`` is False).
     """
 
-    mode: str
-    sf_sign: str
-    crossings: list
-    endpoint_zeros: list
-    touch_points: list
-    indeterminate: list
-    skipped: list
-    window: dict
-    total_paper: int
+    __hash__ = None
+
+    def __init__(self, mode: str, sf_sign: str, crossings: list, endpoint_zeros: list,
+                 touch_points: list, indeterminate: list, skipped: list, window: dict,
+                 total_paper: int):
+        self.mode = mode
+        self.sf_sign = sf_sign
+        self.crossings = crossings
+        self.endpoint_zeros = endpoint_zeros
+        self.touch_points = touch_points
+        self.indeterminate = indeterminate
+        self.skipped = skipped
+        self.window = window
+        self.total_paper = total_paper
 
     @property
     def total_standard(self) -> int:

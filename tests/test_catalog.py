@@ -6,8 +6,11 @@ import pytest
 
 from etaflow.catalog import (
     MAX_HYPERSURFACE_DIM,
+    CatalogEntry,
     ConfigError,
+    HypersurfaceSpec,
     KunnethCohomology,
+    ManifoldSpec,
     TableValidationError,
     cohomology_line_cp1,
     general_type_hypersurface_model,
@@ -16,6 +19,7 @@ from etaflow.catalog import (
     product_cp1_model,
     resolve_manifold,
 )
+from etaflow.ring import RingSpec
 from etaflow.spectral import (
     MUST_VANISH,
     PROVENANCE_NAKANO,
@@ -177,6 +181,44 @@ def test_laplacian_loader_schema_errors(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(TableValidationError):
             laplacian_table_load(path, 2, 2)
+
+
+def test_catalog_records_are_values():
+    first, second = resolve_manifold("cp1x4"), resolve_manifold("cp1x4")
+    assert first.manifold is not second.manifold
+    assert first.manifold == second.manifold
+    assert hash(first.manifold) == hash(second.manifold)
+    spec = first.manifold
+    assert spec == ManifoldSpec(name=spec.name, n=spec.n, ring=spec.ring,
+                                power_sums=spec.power_sums, kappa=spec.kappa)
+    assert spec != ManifoldSpec(spec.name, spec.n, spec.ring, spec.power_sums, None)
+    hyp = resolve_manifold("hyp:n=4,d=8").hypersurface
+    assert hyp == HypersurfaceSpec(n=4, degree=8)
+    assert hash(hyp) == hash(HypersurfaceSpec(4, 8)) and hyp != HypersurfaceSpec(4, 10)
+    # a catalog entry can be renamed in place, so it compares by value but
+    # has no hash
+    assert CatalogEntry("x", None, hyp, second.model) == \
+        CatalogEntry("x", None, HypersurfaceSpec(4, 8), second.model)
+    with pytest.raises(TypeError):
+        hash(first)
+
+
+def test_spec_checks_keep_their_messages():
+    ring = RingSpec("r", 2, 2)
+    with pytest.raises(ValueError, match="^dimension disagrees with the ring presentation$"):
+        ManifoldSpec("m", 4, ring, (4, 2, 0, 0, 0), F(2))
+    with pytest.raises(ValueError, match=r"^need one power sum for each k = 0\.\.n$"):
+        ManifoldSpec("m", 2, ring, (2, 2), F(2))
+    cases = [
+        ((3, 8), "^complex dimension n must be a positive even integer$"),
+        ((0, 8), "^complex dimension n must be a positive even integer$"),
+        ((34, 38), "^hypersurface dimension n = 34 exceeds MAX_HYPERSURFACE_DIM = 32$"),
+        ((4, 7), "^degree must be even for a spin square root$"),
+        ((4, 6), r"^need degree d > n \+ 2 for general type$"),
+    ]
+    for (n, d), message in cases:
+        with pytest.raises(ConfigError, match=message):
+            HypersurfaceSpec(n, d)
 
 
 def test_resolve_builtins():

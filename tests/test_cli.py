@@ -8,6 +8,7 @@ from pathlib import Path
 import etaflow
 
 from etaflow import cli, eta, series
+from etaflow.catalog import load_config
 from etaflow.cli import (
     EXIT_ERROR,
     EXIT_INDETERMINATE,
@@ -17,7 +18,9 @@ from etaflow.cli import (
     load_report,
     main,
 )
+from etaflow.exact import MAX_RATIONAL_DIGITS
 from etaflow.series import MAX_SERIES_ORDER
+from etaflow.spectral import NAKANO_ONLY
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +166,30 @@ def test_decimal_digits_limit(capsys):
     assert payload["result"]["value_decimal"] == "-0." + ("012345679" * 112)[:1000]
 
 
+def test_answer_digit_limit(capsys):
+    # the transgression grows as eps^2: at eps = 10^3000 its numerator
+    # has 6000 digits, past Python's 4300-digit limit for printing
+    code, out, err = run_cli(
+        capsys, "transgression", "--manifold", "cp1xcp1", "--r", "1/2",
+        "--eps", "1" + "0" * 3000,
+    )
+    assert code == EXIT_ERROR and out == ""
+    assert f"MAX_RATIONAL_DIGITS = {MAX_RATIONAL_DIGITS}" in err
+    # at 10^1900 the value (3800 digits) prints, but its decimal form with
+    # 1000 more digits does not
+    eps = "1" + "0" * 1900
+    _, payload = run_json(capsys, "transgression", "--manifold", "cp1xcp1",
+                          "--r", "1/2", "--eps", eps)
+    numerator, denominator = payload["result"]["value"].lstrip("-").split("/")
+    assert len(numerator) == 3800 and denominator == "3"
+    code, out, err = run_cli(
+        capsys, "transgression", "--manifold", "cp1xcp1", "--r", "1/2",
+        "--eps", eps, "--decimal", str(MAX_DECIMAL_DIGITS),
+    )
+    assert code == EXIT_ERROR and out == ""
+    assert f"MAX_RATIONAL_DIGITS = {MAX_RATIONAL_DIGITS}" in err
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(
         capsys, "spectral-flow", "--manifold", "cp1xcp1", "--r", "9/4",
@@ -229,6 +256,28 @@ def test_explicit_mode_with_config(tmp_path, capsys):
     assert payload["result"]["total"] == 0
 
 
+def test_nakano_mode_keeps_the_shipped_table(tmp_path, capsys):
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "half_mu_sq_max": "10", "k_min": -8, "k_max": 8,
+        "entries": [{"q": 0, "k": 2, "halfMuSq": "3", "mult": 1}],
+    }))
+    cfg = tmp_path / "man.json"
+    cfg.write_text(json.dumps({
+        "type": "product_cp1", "factors": 2, "laplacian_table": "spec.json",
+    }))
+    entry = load_config(cfg)
+    table = entry.model.spectrum
+    model = cli._model_for(entry, "nakano")
+    assert model.spectrum is NAKANO_ONLY and model.table is entry.model.table
+    assert (model.name, model.n, model.kappa) == \
+        (entry.model.name, entry.model.n, entry.model.kappa)
+    assert entry.model.spectrum is table and table.is_tabulated
+    assert cli._model_for(entry, "explicit") is entry.model
+    _, payload = run_json(capsys, "spectral-flow", "--manifold", str(cfg),
+                          "--r", "1/2", "--eps", "1")
+    assert payload["result"]["mode"] == "nakano_certified"
+
+
 def test_kernel_dim_command(capsys):
     _, payload = run_json(
         capsys, "kernel-dim", "--manifold", "cp1xcp1", "--r", "3/2",
@@ -261,6 +310,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["index"] == "0"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site from preloading modules, so only etaflow's own import
+    # path counts; dataclasses, and the inspect it pulls in, cost about a
+    # fifth of a CLI start
+    package_root = str(Path(etaflow.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import etaflow.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_kernel_dim_rejects_negative_multiplicity(tmp_path, capsys):

@@ -8,6 +8,7 @@ from etaflow.catalog import ConfigError, product_cp1_model, resolve_manifold
 from etaflow.eta import (
     CONVENTION_PAPER_I,
     CONVENTION_REAL,
+    CorollaryCheck,
     EtaResult,
     adiabatic_limit_eta,
     adiabatic_top,
@@ -161,6 +162,11 @@ def test_eta_invariant_decomposition(cp1xcp1):
             - N * res_n.transgression_term
             == res_n.adiabatic_term
         )
+    # a result is a value; it is never hashed
+    assert res == eta_invariant(spec, model, F(1, 2), F(1, 10))
+    assert res != res_n
+    with pytest.raises(TypeError):
+        hash(res)
 
 
 def test_eta_invariant_reports_both_sign_conventions(cp1xcp1):
@@ -242,6 +248,16 @@ def test_corollary_check(cp1xcp1, cp1x4):
         assert check.witness is None
 
 
+def test_corollary_check_is_a_value(cp1x4):
+    spec, _ = cp1x4
+    check = corollary_check(spec)
+    assert check == CorollaryCheck(True, True, None)
+    assert hash(check) == hash(CorollaryCheck(adiabatic_top_zero=True,
+                                              transgression_top_zero=True,
+                                              witness=None))
+    assert check != CorollaryCheck(True, False, None)
+
+
 def test_corollary_negative_control(cp1xcp1):
     # at r = 1/3 the eta-hat series has even powers of c: the adiabatic
     # integrand no longer cancels in top degree
@@ -287,6 +303,18 @@ def test_class_side_built_once_per_base(cp1x4, fresh_memos, monkeypatch):
         assert eta_invariant(spec, model, r, e).to_json() == res.to_json()
     assert len(built) == 1
     assert eta.a_hat_coefficients.cache_info().currsize == 1
+
+
+def test_equal_specs_share_the_memo(fresh_memos):
+    # each resolve builds a new ManifoldSpec; equal fields must find the
+    # same memo entry
+    first = resolve_manifold("cp1x4").manifold
+    second = resolve_manifold("cp1x4").manifold
+    assert first is not second
+    forms = eta.transgression_forms(first, 10)
+    assert eta.transgression_forms(second, 10) is forms
+    info = eta.transgression_forms.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_order_below_n_fails_the_same_way_on_a_repeat(cp1x4, fresh_memos):

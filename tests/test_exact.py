@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from etaflow.eta import eval_at_i
 from etaflow.exact import (
+    MAX_RATIONAL_DIGITS,
     GaussianRational,
     ParamPoly,
     QUAD_NEGATIVE,
     QUAD_NONNEGATIVE,
     QUAD_TOUCHES_ZERO,
+    QuadVerdict,
     SqrtValue,
     cmp_exact,
     parse_rational,
@@ -33,6 +35,18 @@ def test_parse_and_format_round_trip():
     with pytest.raises(ValueError):
         parse_rational("not-a-number")
     assert parse_rational("0.5") == F(1, 2)
+
+
+def test_rational_str_digit_limit():
+    # Python refuses to print an integer of more than 4300 digits; the
+    # named limit refuses first, on the numerator or the denominator
+    assert MAX_RATIONAL_DIGITS < 4300
+    largest = 10**MAX_RATIONAL_DIGITS - 1
+    assert rational_str(F(-largest, 2)) == f"-{largest}/2"
+    assert rational_str(F(2, largest)) == f"2/{largest}"
+    for value in (F(10**MAX_RATIONAL_DIGITS), F(-(10**5000), 3), F(1, 10**4300 + 1)):
+        with pytest.raises(ValueError, match=f"MAX_RATIONAL_DIGITS = {MAX_RATIONAL_DIGITS}"):
+            rational_str(value)
 
 
 def test_parse_rational_refuses_exponents():
@@ -158,6 +172,18 @@ def test_sqrt_value_folds_perfect_squares():
     assert v.cmp(F(3, 2)) == -1  # sqrt(2) < 3/2
     assert v.cmp(F(7, 5)) == 1  # sqrt(2) > 7/5
     assert cmp_exact(F(1, 2), 1) == -1
+
+
+def test_exact_records_are_values():
+    v, w = SqrtValue(F(1), F(2), F(3)), SqrtValue(a=F(1), b=F(2), radicand=F(3))
+    assert v == w and hash(v) == hash(w) and len({v, w}) == 1
+    assert v != SqrtValue(F(1), F(2), F(5)) and v != (F(1), F(2), F(3))
+    assert repr(v) == ("SqrtValue(a=Fraction(1, 1), b=Fraction(2, 1), "
+                       "radicand=Fraction(3, 1))")
+    q = quad_nonneg_on_interval(1, -3, 2, 1)
+    assert q == QuadVerdict(QUAD_TOUCHES_ZERO, roots=(F(1),))
+    assert hash(q) == hash(QuadVerdict(QUAD_TOUCHES_ZERO, (F(1),), None, False))
+    assert q != QuadVerdict(QUAD_TOUCHES_ZERO, roots=(F(1),), identically_zero=True)
 
 
 # ---------------------------------------------------------------- quadratics

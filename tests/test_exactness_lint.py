@@ -6,7 +6,10 @@ the exact integer ones.  It must not import ``sympy``, ``mpmath`` or
 ``numpy`` either: the package declares no dependencies, and the tests use
 those libraries as oracles that must share no code with it.  Every memo
 must be bounded, so ``functools.cache`` and ``lru_cache(maxsize=None)``
-are refused too: an unbounded memo grows for the life of the process."""
+are refused too: an unbounded memo grows for the life of the process.
+``dataclasses`` is refused as well: with the ``inspect`` it imports and
+the methods it generates, it cost about a fifth of a command-line start,
+so the records are plain classes."""
 
 import ast
 from pathlib import Path
@@ -17,6 +20,7 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "etaflow").glob(
 EXACT_MATH = {"floor", "ceil", "isqrt", "comb", "factorial", "gcd"}
 INEXACT_MODULES = {"cmath", "decimal"}
 ORACLE_MODULES = {"sympy", "mpmath", "numpy"}
+REFUSED_MODULES = INEXACT_MODULES | ORACLE_MODULES | {"dataclasses"}
 
 
 def _unbounded_lru_cache(node):
@@ -42,11 +46,11 @@ def violations(tree):
             found.append((node.lineno, "unbounded lru_cache"))
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.split(".")[0] in INEXACT_MODULES | ORACLE_MODULES:
+                if alias.name.split(".")[0] in REFUSED_MODULES:
                     found.append((node.lineno, f"import {alias.name}"))
         elif isinstance(node, ast.ImportFrom) and node.module:
             root = node.module.split(".")[0]
-            if root in INEXACT_MODULES | ORACLE_MODULES:
+            if root in REFUSED_MODULES:
                 found.append((node.lineno, f"from {node.module} import"))
             elif root == "functools":
                 found.extend((node.lineno, "from functools import cache")
@@ -97,6 +101,8 @@ def test_gaussian_values_are_built_only_by_the_parity_split():
     "@functools.cache\ndef f(x): pass", "@lru_cache(maxsize=None)\ndef f(x): pass",
     "@functools.lru_cache(None)\ndef f(x): pass",
     "f = functools.lru_cache(maxsize=None)(g)",
+    "import dataclasses", "import dataclasses as dc",
+    "from dataclasses import dataclass", "from dataclasses import dataclass, field",
 ])
 def test_lint_flags_inexact_constructs(snippet):
     assert violations(ast.parse(snippet))

@@ -30,12 +30,19 @@ def cp1x4_ring():
 
 
 def test_ring_spec_validation(cp1sq):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^complex dimension must be >= 1$"):
         RingSpec("bad", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^top integral must be nonzero$"):
         RingSpec("bad", 1, 0)
+    with pytest.raises(TypeError):
+        RingSpec("bad", 1, 0.5)
     spec = RingSpec("ok", 2)
     assert spec.complex_dim == 2 and spec.top_integral == 1
+    assert type(RingSpec("ok", 2, 3).top_integral) is F
+    # a value: equal fields give equal, equally hashed rings
+    assert spec == RingSpec(name="ok", complex_dim=2, top_integral=F(1))
+    assert hash(spec) == hash(RingSpec("ok", 2, 1)) and spec != RingSpec("ok", 3)
+    assert repr(spec) == "RingSpec(name='ok', complex_dim=2, top_integral=Fraction(1, 1))"
     # a class beyond c^n is refused; trailing zeros are not stored
     with pytest.raises(ValueError):
         GradedClass(cp1sq, [0, 0, 0, 1])

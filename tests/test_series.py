@@ -183,6 +183,9 @@ def test_integer_case_is_average_of_one_sided_limits():
 def test_bernoulli_helper_against_sympy():
     numbers = _bernoulli(ORACLE_ORDER)
     assert len(numbers) == ORACLE_ORDER + 1
+    # memoized and bounded; a tuple, so no caller can change the shared value
+    assert type(numbers) is tuple and _bernoulli(ORACLE_ORDER) is numbers
+    assert _bernoulli.cache_info().maxsize == 8
     assert numbers[1] == F(-1, 2)  # sympy 1.14 uses B_1 = +1/2
     for m in range(ORACLE_ORDER + 1):
         assert type(numbers[m]) is F

@@ -18,16 +18,20 @@ from etaflow.exact import cmp_exact, rational_str, sqrt_sign
 from etaflow.spectral import (
     CERTIFIED,
     CROSSING,
+    CertOutcome,
     Crossing,
     EigenvalueFamily,
     EndpointZero,
     INDETERMINATE,
     IndeterminateSpectralFlow,
+    LaplacianSpectrum,
     MAX_WINDOW_CELLS,
     MODE_EXPLICIT,
     MODE_NAKANO,
     MUST_VANISH,
     ON_UNKNOWN_SKIP,
+    PROVENANCE_NAKANO,
+    PROVENANCE_TABULATED,
     SF_SIGN_PAPER,
     SF_SIGN_STANDARD,
     SpectralFlowReport,
@@ -211,6 +215,39 @@ def test_certify_type2_bound_failure_is_indeterminate():
     )
     out = certify_no_crossing(fam, F(9, 4), 1)
     assert out.status == INDETERMINATE
+
+
+def test_spectral_records_are_values():
+    fam = EigenvalueFamily(TYPE2_PLUS, 0, 2, 2, 3, half_mu_sq=F(1, 100))
+    same = EigenvalueFamily(kind=TYPE2_PLUS, q=0, k=2, n=2, multiplicity=3,
+                            half_mu_sq=F(1, 100), half_mu_sq_is_bound=False,
+                            mult_is_lower_bound=False)
+    assert fam == same and hash(fam) == hash(same)
+    assert fam != EigenvalueFamily(TYPE2_PLUS, 0, 2, 2, 3, half_mu_sq=F(1, 99))
+    assert fam != EigenvalueFamily(TYPE2_MINUS, 0, 2, 2, 3, half_mu_sq=F(1, 100))
+    out = certify_no_crossing(fam, F(9, 4), 1)
+    assert out == CertOutcome(CROSSING, crossings=((F(25, 92), 1),))
+    assert hash(out) == hash(CertOutcome(CROSSING, ((F(25, 92), 1),), False, False, (), ""))
+    assert Crossing(fam, F(1, 2), 1, 3) == Crossing(same, F(1, 2), 1, 3)
+    assert hash(Crossing(fam, F(1, 2), 1, 3)) == hash(Crossing(same, F(1, 2), 1, 3))
+    assert EndpointZero(fam, "eps", 3) == EndpointZero(same, where="eps", multiplicity=3)
+    assert EndpointZero(fam, "eps", 3) != EndpointZero(fam, "start", 3)
+    # every default spectrum gets its own entries dict
+    blank = LaplacianSpectrum()
+    assert blank == LaplacianSpectrum(PROVENANCE_NAKANO, {}, None, None)
+    assert blank.entries == {} and blank.entries is not LaplacianSpectrum().entries
+    # a model and a report can be changed after construction: equal by value,
+    # not hashable
+    _, model = make_model(4)
+    assert model == SpectralModel(model.name, model.n, model.kappa, model.table,
+                                  spectrum=LaplacianSpectrum())
+    assert model != SpectralModel(model.name, model.n, model.kappa, model.table,
+                                  LaplacianSpectrum(PROVENANCE_TABULATED))
+    report = spectral_flow(model, 0, 3)
+    assert report == spectral_flow(model, 0, 3)
+    for record in (model, report):
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 def test_branch_exactness_sampling():
