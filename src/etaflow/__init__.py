@@ -3,8 +3,9 @@ for unit circle bundles of positive line bundles over Fano manifolds.
 
 All arithmetic is exact (rationals and one-square-root sign tests; a
 paper_i transgression is returned as its rational real and imaginary
-parts); spectral-flow vanishing is certified from curvature lower bounds
-rather than sampled numerically.
+parts); a characteristic class is a tuple of its c^k coefficients, and
+spectral-flow vanishing is certified from curvature lower bounds rather
+than sampled numerically.
 """
 
 __version__ = "0.1.0"
@@ -19,15 +20,10 @@ from .exact import (
     rational_str,
     sqrt_sign,
 )
-from .ring import (
-    GradedClass,
-    RingSpec,
-    eval_series,
-    exp_nilpotent,
-    integrate_top,
-)
 from .series import (
     a_hat_class,
+    class_product,
+    exp_class,
     omega_forms,
     series_eta_hat,
     series_p,

@@ -19,7 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .exact import Record, as_fraction, parse_rational
-from .ring import GradedClass, RingSpec
 from .spectral import (
     CohomologyTable,
     LaplacianSpectrum,
@@ -117,25 +116,24 @@ class ManifoldSpec(Record):
     the power sums of the Chern roots x_i of the holomorphic tangent
     bundle, which must be multiples of powers of c:
     sum_i x_i^k = power_sums[k] * c^k for k = 0..n (power_sums[0] = n).
-    ``ring`` is Q[c]/(c^{n+1}) with its integral of c^n; ``kappa`` is the
-    Ricci lower bound (None marks a non-Fano entry).
+    Every class then lives in Q[delta][c]/(c^{n+1}) (see ``series``), and
+    ``top_integral``, the integral of c^n over X, is a nonzero rational;
+    ``kappa`` is the Ricci lower bound (None marks a non-Fano entry).
     """
 
-    def __init__(self, name: str, n: int, ring: RingSpec, power_sums: tuple,
-                 kappa: Fraction | None):
-        if n != ring.complex_dim:
-            raise ValueError("dimension disagrees with the ring presentation")
+    def __init__(self, name: str, n: int, top_integral: Fraction,
+                 power_sums: tuple, kappa: Fraction | None):
+        if n < 1:
+            raise ValueError("complex dimension must be >= 1")
         if len(power_sums) != n + 1:
             raise ValueError("need one power sum for each k = 0..n")
         self.name = name
         self.n = n
-        self.ring = ring
+        self.top_integral = as_fraction(top_integral)
+        if self.top_integral == 0:
+            raise ValueError("top integral must be nonzero")
         self.power_sums = power_sums
         self.kappa = kappa
-
-    @property
-    def c(self) -> GradedClass:
-        return GradedClass.generator(self.ring)
 
     @property
     def m(self) -> int:
@@ -190,11 +188,10 @@ def product_cp1_model(factors: int):
             f"cp1x{factors} has more than MAX_CP1_FACTORS = {MAX_CP1_FACTORS} "
             "factors"
         )
-    ring = RingSpec(f"(CP1)^{factors}", factors, Fraction(math.factorial(factors)))
     spec = ManifoldSpec(
         name=f"cp1x{factors}" if factors != 2 else "cp1xcp1",
         n=factors,
-        ring=ring,
+        top_integral=Fraction(math.factorial(factors)),
         power_sums=(factors, 2) + (0,) * (factors - 1),
         kappa=Fraction(2),
     )
@@ -213,6 +210,8 @@ def general_type_hypersurface_model(n: int, d: int):
 
 
 def _parse_entry_field(entry, key):
+    if not isinstance(entry, dict):
+        raise TableValidationError(f"spectrum entry {entry!r} is not an object")
     if key not in entry:
         raise TableValidationError(f"spectrum entry {entry} lacks {key!r}")
     return entry[key]
@@ -242,6 +241,9 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
             declared_cutoff = parse_rational(str(declared_cutoff))
         declared_range = None
         if "k_min" in raw or "k_max" in raw:
+            for key in ("k_min", "k_max"):
+                if key not in raw:
+                    raise TableValidationError(f"spectrum table lacks {key!r}")
             declared_range = (int(raw["k_min"]), int(raw["k_max"]))
     else:
         raise TableValidationError("spectrum file must be a JSON array or object")
@@ -344,6 +346,8 @@ def load_config(path) -> CatalogEntry:
         cfg = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read manifold config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"manifold config {path} must be a JSON object")
     kind = cfg.get("type")
     if kind == "product_cp1":
         factors = cfg.get("factors")

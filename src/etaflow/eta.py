@@ -35,8 +35,15 @@ from functools import lru_cache
 
 from .catalog import ManifoldSpec
 from .exact import GaussianRational, ParamPoly, Record, as_fraction, rational_str
-from .ring import exp_nilpotent, require_series_order
-from .series import a_hat_class, default_order, omega_forms, series_eta_hat
+from .series import (
+    a_hat_class,
+    class_product,
+    default_order,
+    exp_class,
+    omega_forms,
+    require_series_order,
+    series_eta_hat,
+)
 from .spectral import (
     ON_UNKNOWN_ERROR,
     SF_SIGN_PAPER,
@@ -51,7 +58,7 @@ CONVENTIONS = (CONVENTION_REAL, CONVENTION_PAPER_I)
 
 
 def _order(manifold: ManifoldSpec, order) -> int:
-    return default_order(manifold.ring) if order is None else order
+    return default_order(manifold.n) if order is None else order
 
 
 @lru_cache(maxsize=8)
@@ -59,8 +66,7 @@ def a_hat_coefficients(manifold: ManifoldSpec, order: int) -> tuple:
     """[c^k] A-hat for k = 0..n, built once per (base, order).  A miss runs
     every order check of ``a_hat_class``; a failure is raised, never
     stored."""
-    ahat = a_hat_class(manifold.ring, manifold.power_sums, order)
-    return tuple(ahat.coefficient(k).constant_value() for k in range(manifold.n + 1))
+    return tuple(a.constant_value() for a in a_hat_class(manifold.power_sums, order))
 
 
 @lru_cache(maxsize=8)
@@ -68,9 +74,8 @@ def transgression_forms(manifold: ManifoldSpec, order: int):
     """(Omega_0, Omega_2, W) with W the n + 1 coefficients [c^k] of
     Omega_2 e^{Omega_0}, none of which depend on (r, eps); built once per
     (base, order), with every order check of ``omega_forms`` on a miss."""
-    omega0, omega2 = omega_forms(manifold.ring, manifold.power_sums, order)
-    w = omega2 * exp_nilpotent(omega0)
-    return omega0, omega2, tuple(w.coefficient(k) for k in range(manifold.n + 1))
+    omega0, omega2 = omega_forms(manifold.power_sums, order)
+    return omega0, omega2, class_product(omega2, exp_class(omega0))
 
 
 def _exp_coefficients(r, n: int) -> list:
@@ -96,7 +101,7 @@ def adiabatic_top(manifold: ManifoldSpec, r, order=None) -> Fraction:
 def adiabatic_limit_eta(manifold: ManifoldSpec, r, order=None) -> Fraction:
     """Small-eps limit of the eta invariant:
     (1/2) * integral of A-hat * eta_hat_r * exp(rc)."""
-    return adiabatic_top(manifold, r, order) * manifold.ring.top_integral / 2
+    return adiabatic_top(manifold, r, order) * manifold.top_integral / 2
 
 
 def transgression_integrand_poly(manifold: ManifoldSpec, r, order=None) -> ParamPoly:
@@ -106,7 +111,7 @@ def transgression_integrand_poly(manifold: ManifoldSpec, r, order=None) -> Param
     w = transgression_forms(manifold, _order(manifold, order))[2]
     n = manifold.n
     erc = _exp_coefficients(as_fraction(r), n)
-    top = manifold.ring.top_integral
+    top = manifold.top_integral
     return sum((w[n - j] * (erc[j] * top) for j in range(n + 1)), ParamPoly.zero())
 
 

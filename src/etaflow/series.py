@@ -1,4 +1,4 @@
-"""Characteristic power series and characteristic forms.
+"""Characteristic power series and characteristic classes.
 
 A series is a tuple of ``Fraction`` coefficients: entry j is the
 coefficient of z^j, so its truncation order is ``len - 1``.  Both
@@ -13,9 +13,15 @@ every coefficient comes from a closed form in the Bernoulli numbers B_m
   exp(alpha c/2)/sinh(c/2) - 2/c with alpha = 1 - 2{r}, has c^j
   coefficient 2 B_{j+1}(t)/(j+1)! with t = (1 + alpha)/2 = 1 - {r}.
 
-From p and its derivative come the A-hat class and the two transgression
-forms Omega_0, Omega_2, whose delta-integral measures the change of the
-A-hat form along the adiabatic family.
+The integrands depend on the base X only through the polarization class
+c and the power sums of the tangent Chern roots (see
+``catalog.ManifoldSpec``), so every class they need lives in
+Q[delta][c]/(c^{n+1}).  A class is a tuple of n + 1 ``exact.ParamPoly``
+coefficients, entry k the coefficient of c^k, with delta the formal
+deformation parameter; the integral over X is the c^n entry times the
+integral of c^n.  From p and its derivative come the A-hat class and the
+two transgression forms Omega_0, Omega_2, whose delta-integral measures
+the change of the A-hat form along the adiabatic family.
 """
 
 from __future__ import annotations
@@ -24,8 +30,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ZERO, ParamPoly, as_fraction
-from .ring import GradedClass, RingSpec, eval_power_sums, exp_nilpotent
+from .exact import ZERO, ParamPoly, as_fraction, truncated_product
+
+
+class SeriesOrderError(ValueError):
+    """A series was truncated below the order needed by an evaluation."""
 
 
 @lru_cache(maxsize=8)
@@ -122,12 +131,70 @@ def series_eta_hat(r, order: int) -> tuple:
 MAX_SERIES_ORDER = 100
 
 
-def default_order(ring: RingSpec) -> int:
-    """Default series truncation: comfortably past the nilpotency bound."""
-    return 2 * ring.complex_dim + 2
+def default_order(n: int) -> int:
+    """Default series truncation on a base of complex dimension n:
+    comfortably past the nilpotency bound."""
+    return 2 * n + 2
 
 
-def a_hat_class(ring: RingSpec, power_sums, order=None) -> GradedClass:
+def require_series_order(order: int, lowest: int, n: int):
+    """Raise SeriesOrderError unless a series truncated at ``order`` can be
+    evaluated at a class whose lowest power of c is c^lowest, on a base of
+    complex dimension n."""
+    # x^j starts with (lowest term of x)^j, which never vanishes because
+    # Q[delta] has no zero divisors; so x^(order+1) = 0 exactly when
+    # (order + 1) * lowest > n
+    if (order + 1) * lowest <= n:
+        raise SeriesOrderError(
+            f"series order {order} too small for argument of nilpotency "
+            f"degree > {order}"
+        )
+
+
+def class_product(a, b) -> tuple:
+    """Product of two classes on one base, truncated above c^n."""
+    return tuple(truncated_product(a, b, len(a), ParamPoly.zero()))
+
+
+def exp_class(x) -> tuple:
+    """exp(x) = sum_j x^j / j! for a class x with no c^0 term; the sum
+    stops once x^j vanishes, at the latest after j = n."""
+    if x[0]:
+        raise ValueError("exp_class needs a class with no c^0 term")
+    power = (ParamPoly.one(),) + (ParamPoly.zero(),) * (len(x) - 1)
+    result = power
+    for j in range(1, len(x)):
+        power = class_product(power, x)
+        if not any(power):
+            break
+        scale = Fraction(1, math.factorial(j))
+        result = tuple(a + b * scale for a, b in zip(result, power))
+    return result
+
+
+def eval_power_sums(f, power_sums) -> tuple:
+    """sum_i f(y_i) over formal roots y_i known only by their power sums
+    sum_i y_i^j = power_sums[j] * c^j (j = 0..n): the class
+    sum_j f_j power_sums[j] c^j, for the coefficient tuple ``f``.
+
+    Raises SeriesOrderError when ``f`` is truncated below a power whose
+    power sum survives (never silently truncates).
+    """
+    terms = []
+    for j, s in enumerate(power_sums):
+        s = ParamPoly.coerce(s)
+        if s.is_zero:
+            terms.append(s)
+        elif j < len(f):
+            terms.append(s * f[j])
+        else:
+            raise SeriesOrderError(
+                f"series order {len(f) - 1} too small for a power sum of degree {j}"
+            )
+    return tuple(terms)
+
+
+def a_hat_class(power_sums, order=None) -> tuple:
     """A-hat class of a tangent bundle given by the power sums of its
     Chern roots (``power_sums[k] * c^k`` for k = 0..n).
 
@@ -135,11 +202,11 @@ def a_hat_class(ring: RingSpec, power_sums, order=None) -> GradedClass:
     so A-hat = exp(2 sum_i p(x_i)) = exp(2 sum_k p_k s_k).
     """
     if order is None:
-        order = default_order(ring)
-    return exp_nilpotent(eval_power_sums(series_p(order), ring, power_sums) * 2)
+        order = default_order(len(power_sums) - 1)
+    return exp_class(tuple(2 * s for s in eval_power_sums(series_p(order), power_sums)))
 
 
-def omega_forms(ring: RingSpec, power_sums, order=None):
+def omega_forms(power_sums, order=None):
     """Transgression forms (Omega_0, Omega_2) for the adiabatic family:
         Omega_0 = 2 sum_j p(x_j + 2 delta c) + 2 p(2 delta c),
         Omega_2 = 2 sum_j p'(x_j + 2 delta c) + 2 p'(2 delta c),
@@ -152,12 +219,12 @@ def omega_forms(ring: RingSpec, power_sums, order=None):
     together with the extra root y = tc:
     sum_y y^m = sum_k C(m, k) s_k (tc)^{m-k} + (tc)^m.
     """
+    n = len(power_sums) - 1
     if order is None:
-        order = default_order(ring)
+        order = default_order(n)
     p, pp = _p_and_p_prime(order)
     t = ParamPoly.delta() * 2
-    n = ring.complex_dim
-    sums = list(power_sums[: n + 1])
+    sums = list(power_sums)
     sums[0] += 1  # the extra root tc
     t_powers = [t**m for m in range(n + 1)]
     shifted = [
@@ -165,6 +232,6 @@ def omega_forms(ring: RingSpec, power_sums, order=None):
             ParamPoly.zero())
         for m in range(n + 1)
     ]
-    omega0 = eval_power_sums(p, ring, shifted) * 2
-    omega2 = eval_power_sums(pp, ring, shifted) * 2
+    omega0 = tuple(2 * x for x in eval_power_sums(p, shifted))
+    omega2 = tuple(2 * x for x in eval_power_sums(pp, shifted))
     return omega0, omega2

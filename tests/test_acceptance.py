@@ -17,10 +17,11 @@ from etaflow.catalog import (
     product_cp1_model,
 )
 from etaflow.eta import adiabatic_limit_eta, aps_index, corollary_check, eta_invariant
-from etaflow.ring import exp_nilpotent, integrate_top
 from etaflow.series import (
+    class_product,
     eta_hat_series_from_alpha,
     eta_hat_series_integer,
+    exp_class,
     omega_forms,
     series_eta_hat,
 )
@@ -111,28 +112,30 @@ def test_criterion_5_transgression_identities():
 
         for factors in (2, 4):
             spec, _ = CATALOG[factors]
-            c = spec.c
-            omega0, omega2 = omega_forms(spec.ring, spec.power_sums)
+            n = spec.n
+            two_c = (0, 2) + (0,) * (n - 1)
+            omega0, omega2 = omega_forms(spec.power_sums)
             # (a) derivative identity, symbolically in delta
-            assert omega0.derivative_delta() == c * 2 * omega2
+            assert tuple(a.derivative_delta() for a in omega0) == \
+                class_product(two_c, omega2)
             # (b) fundamental theorem of calculus in delta
-            ahat = a_hat_class(spec.ring, spec.power_sums)
+            ahat = a_hat_class(spec.power_sums)
+            w = class_product(omega2, exp_class(omega0))
             for r in (F(0), F(1, 2)):
-                erc = exp_nilpotent(c * r)
+                erc = exp_class(tuple(x * r / 2 for x in two_c))
                 for eps in (F(1, 3), F(1)):
                     lhs = convention_integral(
-                        integrate_top(
-                            c * 2 * omega2 * exp_nilpotent(omega0) * erc
-                        ),
+                        class_product(class_product(two_c, w), erc)[n]
+                        * spec.top_integral,
                         eps,
                     )
-                    rhs = integrate_top(
-                        (exp_nilpotent(omega0.subs_delta(eps)) - ahat) * erc
-                    )
+                    at_eps = exp_class(tuple(a.subs_delta(eps) for a in omega0))
+                    rhs = class_product(
+                        tuple(a - b for a, b in zip(at_eps, ahat)), erc
+                    )[n] * spec.top_integral
                     assert lhs == rhs.constant_value()
             # (c) the r=0 integrand has no top-degree component at all
-            top = (omega2 * exp_nilpotent(omega0)).coefficient(spec.n)
-            assert top.is_zero
+            assert w[n].is_zero
 
 
 def test_criterion_6_eta_hat_structure():

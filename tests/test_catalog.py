@@ -19,7 +19,7 @@ from etaflow.catalog import (
     product_cp1_model,
     resolve_manifold,
 )
-from etaflow.ring import RingSpec
+from etaflow.eta import adiabatic_limit_eta, transgression_integrand_poly
 from etaflow.spectral import (
     MUST_VANISH,
     PROVENANCE_NAKANO,
@@ -90,18 +90,16 @@ def test_product_model_ring_and_curvature():
     spec, table = product_cp1_model(2)
     assert spec.name == "cp1xcp1" and spec.n == 2 and spec.m == 1
     assert spec.kappa == 2
-    # Ricci bound at the level of first Chern classes: c1(K*) = s_1 = 2c
-    total_root = spec.c * spec.power_sums[1]
-    assert total_root == spec.c * 2
-    # adjunction: c1 of the canonical square root is -(1/2) sum of roots
-    half = total_root * F(-1, 2)
-    assert half == spec.c * -1
+    # Ricci bound at the level of first Chern classes: c1(K*) = s_1 c = 2c
+    assert spec.power_sums[1] == 2
+    # adjunction: c1 of the canonical square root is -(1/2) sum of roots = -c
+    assert spec.power_sums[1] * F(-1, 2) == -1
     # the roots 2a_i square to zero: s_0 = n and s_k = 0 for k >= 2
     assert spec.power_sums == (2, 2, 0)
     assert product_cp1_model(4)[0].power_sums == (4, 2, 0, 0, 0)
     # c^n = n! a_1 ... a_n integrates to n!
-    assert spec.ring.top_integral == 2
-    assert product_cp1_model(6)[0].ring.top_integral == 720
+    assert spec.top_integral == 2
+    assert product_cp1_model(6)[0].top_integral == 720
     with pytest.raises(ConfigError):
         product_cp1_model(3)
 
@@ -189,9 +187,11 @@ def test_catalog_records_are_values():
     assert first.manifold == second.manifold
     assert hash(first.manifold) == hash(second.manifold)
     spec = first.manifold
-    assert spec == ManifoldSpec(name=spec.name, n=spec.n, ring=spec.ring,
+    assert spec == ManifoldSpec(name=spec.name, n=spec.n,
+                                top_integral=spec.top_integral,
                                 power_sums=spec.power_sums, kappa=spec.kappa)
-    assert spec != ManifoldSpec(spec.name, spec.n, spec.ring, spec.power_sums, None)
+    assert spec != ManifoldSpec(spec.name, spec.n, spec.top_integral,
+                                spec.power_sums, None)
     hyp = resolve_manifold("hyp:n=4,d=8").hypersurface
     assert hyp == HypersurfaceSpec(n=4, degree=8)
     assert hash(hyp) == hash(HypersurfaceSpec(4, 8)) and hyp != HypersurfaceSpec(4, 10)
@@ -203,12 +203,51 @@ def test_catalog_records_are_values():
         hash(first)
 
 
+def test_manifold_spec_validation():
+    with pytest.raises(ValueError, match="^complex dimension must be >= 1$"):
+        ManifoldSpec("bad", 0, 1, (0,), None)
+    with pytest.raises(ValueError, match="^top integral must be nonzero$"):
+        ManifoldSpec("bad", 1, 0, (1, 0), None)
+    with pytest.raises(TypeError):
+        ManifoldSpec("bad", 1, 0.5, (1, 0), None)
+    spec = ManifoldSpec("ok", 2, 3, (2, 2, 0), F(2))
+    assert type(spec.top_integral) is F and spec.top_integral == 3
+    # a value: equal fields give equal, equally hashed specs
+    assert spec == ManifoldSpec(name="ok", n=2, top_integral=F(3),
+                                power_sums=(2, 2, 0), kappa=F(2))
+    assert hash(spec) == hash(ManifoldSpec("ok", 2, F(3), (2, 2, 0), F(2)))
+    assert spec != ManifoldSpec("ok", 2, 1, (2, 2, 0), F(2))
+    assert repr(spec) == ("ManifoldSpec(name='ok', n=2, top_integral=Fraction(3, 1), "
+                          "power_sums=(2, 2, 0), kappa=Fraction(2, 1))")
+
+
+def test_top_integral_counts_square_free_monomials():
+    # on (CP1)^2, c = a + b with a^2 = b^2 = 0, so c^2 = 2ab integrates to 2
+    assert product_cp1_model(2)[0].top_integral == 2
+    # (a+b+c+d)^4 on (CP1)^4: the multinomial count of square-free
+    # degree-8 monomials is the number of orderings of {a,b,c,d} = 4!
+    count = sum(
+        1
+        for perm in itertools.product(range(4), repeat=4)
+        if sorted(perm) == [0, 1, 2, 3]
+    )
+    assert count == 24 == product_cp1_model(4)[0].top_integral
+
+
+def test_nonunit_top_integral_scales_both_terms():
+    # the same power sums with the integral of c^n equal to 1 and to 3
+    sums = (2, 2, 2)
+    unit = ManifoldSpec("unit", 2, 1, sums, None)
+    tripled = ManifoldSpec("tripled", 2, 3, sums, None)
+    for r in (F(1, 2), F(1, 3)):
+        assert adiabatic_limit_eta(tripled, r) == 3 * adiabatic_limit_eta(unit, r) != 0
+        poly = transgression_integrand_poly(unit, r)
+        assert not poly.is_zero and transgression_integrand_poly(tripled, r) == poly * 3
+
+
 def test_spec_checks_keep_their_messages():
-    ring = RingSpec("r", 2, 2)
-    with pytest.raises(ValueError, match="^dimension disagrees with the ring presentation$"):
-        ManifoldSpec("m", 4, ring, (4, 2, 0, 0, 0), F(2))
     with pytest.raises(ValueError, match=r"^need one power sum for each k = 0\.\.n$"):
-        ManifoldSpec("m", 2, ring, (2, 2), F(2))
+        ManifoldSpec("m", 2, 2, (2, 2), F(2))
     cases = [
         ((3, 8), "^complex dimension n must be a positive even integer$"),
         ((0, 8), "^complex dimension n must be a positive even integer$"),

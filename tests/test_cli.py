@@ -5,6 +5,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import etaflow
 
 from etaflow import cli, eta, series
@@ -298,16 +300,20 @@ def test_transgression_command_conventions(capsys):
     assert real["result"]["value"] != paper["result"]["value"]
 
 
-def test_module_entry_point():
-    # the child imports the same etaflow as this process, installed or not
+def run_module(*argv):
+    """``python -m etaflow ARGV`` in a child that imports the same etaflow
+    as this process, installed or not."""
     package_root = str(Path(etaflow.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root,
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "etaflow", "aps-index", "--manifold",
-         "cp1xcp1", "--eps", "3/7"],
+    return subprocess.run(
+        [sys.executable, "-m", "etaflow", *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_module_entry_point():
+    proc = run_module("aps-index", "--manifold", "cp1xcp1", "--eps", "3/7")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["index"] == "0"
 
@@ -432,3 +438,53 @@ def test_hypersurface_dimension_limit(capsys):
         capsys, "counterexample", "--manifold", "hyp:n=32,d=36", "--eps", "1",
     )
     assert code == EXIT_OK and payload["result"]
+
+
+TABLE_CONFIG = json.dumps({
+    "type": "product_cp1", "factors": 2, "laplacian_table": "spec.json",
+})
+FAIL_FAST_CASES = {
+    # (files written to the test directory, arguments after the command)
+    "config_not_an_object": (
+        {"man.json": "[1, 2]"}, ["--manifold", "{dir}/man.json"]),
+    "table_entry_not_an_object": (
+        {"man.json": TABLE_CONFIG, "spec.json": "[5]"},
+        ["--manifold", "{dir}/man.json"]),
+    "table_k_min_without_k_max": (
+        {"man.json": TABLE_CONFIG, "spec.json": json.dumps({
+            "k_min": -8, "entries": [{"q": 0, "k": 2, "halfMuSq": "3", "mult": 1}],
+        })},
+        ["--manifold", "{dir}/man.json"]),
+    "out_to_missing_directory": (
+        {}, ["--manifold", "cp1xcp1", "--out", "{dir}/missing/x.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAIL_FAST_CASES))
+def test_malformed_input_fails_fast(tmp_path, case):
+    files, argv = FAIL_FAST_CASES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    proc = run_module("spectral-flow", "--r", "1/2", "--eps", "1", *argv)
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr.startswith("etaflow:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_check_identities_catches_a_perturbed_transgression_form(capsys, monkeypatch):
+    # a suite that passed whatever W it read would still match the goldens;
+    # one perturbed coefficient of W = Omega_2 e^{Omega_0} must show
+    def perturbed(manifold, order):
+        omega0, omega2, w = eta.transgression_forms(manifold, order)
+        k = manifold.n - 1
+        return omega0, omega2, w[:k] + (w[k] + 1,) + w[k + 1:]
+
+    monkeypatch.setattr(cli, "transgression_forms", perturbed)
+    code, out, _ = run_cli(capsys, "check-identities", "--manifold", "cp1xcp1")
+    checks = {c["name"]: c["pass"] for c in json.loads(out)["result"]["checks"]}
+    failing = {"transgression_derivative_paper_i",
+               "fundamental_theorem_r=0_eps=1/3", "fundamental_theorem_r=1/2_eps=1"}
+    assert {name for name, ok in checks.items() if not ok} == failing
+    assert code == EXIT_ERROR

@@ -21,8 +21,7 @@ from etaflow.eta import (
     transgression_raw,
 )
 from etaflow.exact import GaussianRational
-from etaflow.ring import SeriesOrderError
-from etaflow.series import omega_forms
+from etaflow.series import SeriesOrderError, omega_forms
 from etaflow.spectral import SF_SIGN_STANDARD, SpectralModel
 
 
@@ -100,21 +99,19 @@ def test_transgression_fundamental_theorem_cross_check(cp1xcp1):
     # int_0^eps int_X 2c Omega_2 e^{Omega_0} e^{rc} computed two ways:
     # through the delta-integral and through the endpoint difference
     # int_X [e^{Omega_0 at eps} - A-hat] e^{rc}
-    from etaflow.ring import exp_nilpotent, integrate_top
-    from etaflow.series import a_hat_class, omega_forms
+    from etaflow.series import a_hat_class, class_product, exp_class
 
     spec, _ = cp1xcp1
     r, eps = F(1, 2), F(1)
-    omega0, omega2 = omega_forms(spec.ring, spec.power_sums)
-    erc = exp_nilpotent(spec.c * r)
-    ahat = a_hat_class(spec.ring, spec.power_sums)
-    lhs = convention_integral(
-        integrate_top(spec.c * 2 * omega2 * exp_nilpotent(omega0) * erc), eps
-    )
-    rhs = integrate_top(
-        (exp_nilpotent(omega0.subs_delta(eps)) - ahat) * erc
-    ).constant_value()
-    assert lhs == rhs
+    omega0, omega2 = omega_forms(spec.power_sums)
+    erc = exp_class((0, r, 0))
+    ahat = a_hat_class(spec.power_sums)
+    integrand = class_product(class_product((0, 2, 0), omega2),
+                              class_product(exp_class(omega0), erc))
+    lhs = convention_integral(integrand[2] * spec.top_integral, eps)
+    at_eps = exp_class(tuple(a.subs_delta(eps) for a in omega0))
+    rhs = class_product(tuple(a - b for a, b in zip(at_eps, ahat)), erc)[2]
+    assert lhs == (rhs * spec.top_integral).constant_value()
 
 
 def test_transgression_paper_i_is_gaussian(cp1xcp1):

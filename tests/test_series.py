@@ -16,13 +16,17 @@ from etaflow.eta import (
     transgression_integrand_poly,
 )
 from etaflow.exact import GaussianRational, ParamPoly
-from etaflow.ring import GradedClass, RingSpec, eval_series, exp_nilpotent, integrate_top
 from etaflow.series import (
+    SeriesOrderError,
     _bernoulli,
     a_hat_class,
+    class_product,
     eta_hat_series_from_alpha,
     eta_hat_series_integer,
+    eval_power_sums,
+    exp_class,
     omega_forms,
+    require_series_order,
     series_eta_hat,
     series_p,
     series_p_prime,
@@ -207,14 +211,163 @@ def test_eta_hat_closed_forms_at_order_40(eta_hat_oracle, r):
     assert all(type(c) is F for c in eh)
 
 
-# ----------------------------------------------------------- ring classes
+# -------------------------------------------------------------- classes
+
+
+def power_of_c(k, n):
+    """c^k as a class on a base of complex dimension n."""
+    return tuple(ParamPoly.constant(int(j == k)) for j in range(n + 1))
+
+
+def scaled(x, s):
+    return tuple(a * s for a in x)
+
+
+def added(*classes):
+    return tuple(sum(parts, ParamPoly.zero()) for parts in zip(*classes))
+
+
+def product(*classes):
+    result = classes[0]
+    for x in classes[1:]:
+        result = class_product(result, x)
+    return result
+
+
+def integral(spec, x):
+    """Integral over the base: [c^n] times the integral of c^n."""
+    return x[spec.n] * spec.top_integral
+
+
+def at_class(f, x):
+    """sum_j f_j x^j, summed power by power with no early stop."""
+    one = power_of_c(0, len(x) - 1)
+    result, power = scaled(one, f[0]), one
+    for coeff in f[1:]:
+        power = class_product(power, x)
+        result = added(result, scaled(power, coeff))
+    return result
+
+
+def random_class(n, rng, nilpotent=False):
+    coeffs = []
+    for k in range(n + 1):
+        if (nilpotent and k == 0) or rng.random() >= 0.5:
+            coeffs.append(ParamPoly.zero())
+            continue
+        coeff = F(rng.randint(-4, 4), rng.randint(1, 3))
+        if rng.random() < 0.3:
+            coeffs.append(ParamPoly.delta() * coeff)
+        else:
+            coeffs.append(ParamPoly.constant(coeff))
+    return tuple(coeffs)
+
+
+def test_class_product_examples():
+    c, one = power_of_c(1, 2), power_of_c(0, 2)
+    assert class_product(c, c) == power_of_c(2, 2)
+    assert not any(class_product(c, class_product(c, c)))
+    assert class_product(added(one, c), added(one, scaled(c, -1))) == \
+        added(one, scaled(power_of_c(2, 2), -1))
+
+
+def test_class_product_axioms_randomized():
+    rng = random.Random(7)
+    for _ in range(60):
+        x, y, z = (random_class(2, rng) for _ in range(3))
+        assert product(x, y, z) == class_product(x, class_product(y, z))
+        assert class_product(x, y) == class_product(y, x)
+        assert class_product(x, added(y, z)) == \
+            added(class_product(x, y), class_product(x, z))
+
+
+def test_truncation_soundness():
+    rng = random.Random(11)
+    for _ in range(40):
+        x, y = random_class(4, rng), random_class(4, rng)
+        result = class_product(x, y)
+        assert len(result) == 5
+        # every surviving power of c is the sum of two input powers
+        for k, coeff in enumerate(result):
+            expected = sum((x[i] * y[k - i] for i in range(k + 1)), ParamPoly.zero())
+            assert coeff == expected
+
+
+def test_exp_class_examples(monkeypatch):
+    c, one = power_of_c(1, 2), power_of_c(0, 2)
+    assert exp_class(scaled(one, 0)) == one
+    r = F(2, 7)
+    x = scaled(c, r)
+    assert exp_class(x) == added(one, x, scaled(power_of_c(2, 2), r * r / 2))
+    c2_delta = scaled(power_of_c(2, 2), ParamPoly.delta())
+    assert exp_class(c2_delta) == added(one, c2_delta)
+    with pytest.raises(ValueError, match=r"^exp_class needs a class with no c\^0 term$"):
+        exp_class(added(one, c))
+    # the sum stops once x^j vanishes: (c^2)^3 = 0 on a base of dimension 4
+    products = []
+    monkeypatch.setattr("etaflow.series.class_product",
+                        lambda a, b: products.append(1) or class_product(a, b))
+    assert exp_class(power_of_c(2, 4)) == \
+        added(power_of_c(0, 4), power_of_c(2, 4), scaled(power_of_c(4, 4), F(1, 2)))
+    assert len(products) == 3
+
+
+def exp_coefficients(order):
+    """Coefficients 1/j! of exp(z) up to z^order."""
+    return tuple(F(1, math.factorial(j)) for j in range(order + 1))
+
+
+def test_exp_class_matches_exp_series():
+    rng = random.Random(5)
+    f = exp_coefficients(12)
+    for _ in range(100):
+        x = random_class(2 if rng.random() < 0.5 else 4, rng, nilpotent=True)
+        assert at_class(f, x) == exp_class(x)
+
+
+def test_exp_inverse_property():
+    rng = random.Random(3)
+    for n in (2, 4):
+        for _ in range(30):
+            x = random_class(n, rng, nilpotent=True)
+            assert class_product(exp_class(x), exp_class(scaled(x, -1))) == \
+                power_of_c(0, n)
+
+
+def test_require_series_order_detects_insufficient_order():
+    message = r"^series order 1 too small for argument of nilpotency degree > 1$"
+    with pytest.raises(SeriesOrderError, match=message):
+        require_series_order(1, 1, 2)  # c^2 != 0
+    require_series_order(2, 1, 2)
+    require_series_order(1, 2, 2)  # (c^2)^2 = 0
+
+
+def test_eval_power_sums_matches_root_by_root_evaluation():
+    # roots c, 2c and -3c: sum_i f(x_i) through the power sums
+    # s_j = (1 + 2^j + (-3)^j) c^j equals the sum of the evaluations
+    c = power_of_c(1, 4)
+    multiples = (1, 2, -3)
+    sums = [sum(m**j for m in multiples) for j in range(5)]
+    f = (F(1, 3), F(-1, 2), F(5, 7), 0, F(2, 9))
+    expected = added(*(at_class(f, scaled(c, m)) for m in multiples))
+    assert eval_power_sums(f, sums) == expected
+    # a single root c is plain evaluation at c
+    assert eval_power_sums(f, [1] * 5) == at_class(f, c)
+
+
+def test_eval_power_sums_detects_insufficient_order():
+    f = (0, 1, F(1, 2))
+    with pytest.raises(SeriesOrderError):
+        eval_power_sums(f, [4, 2, 0, 1, 0])
+    # power sums that vanish beyond the order need nothing more
+    assert eval_power_sums(f, [4, 2, 0, 0, 0]) == scaled(power_of_c(1, 4), 2)
 
 
 @pytest.fixture
 def cp1sq():
-    """(CP1)^2: ring Q[c]/(c^3) with integral of c^2 equal to 2; tangent
-    roots 2a, 2b with power sums 2, 2c, 0."""
-    return RingSpec("(CP1)^2", 2, F(2)), (2, 2, 0)
+    """(CP1)^2: classes in Q[delta][c]/(c^3) with integral of c^2 equal
+    to 2; tangent roots 2a, 2b with power sums 2, 2c, 0."""
+    return product_cp1_model(2)[0]
 
 
 def a_hat_factor(order):
@@ -223,52 +376,46 @@ def a_hat_factor(order):
 
 
 def test_a_hat_trivial_on_products(cp1sq):
-    ring, sums = cp1sq
-    one = GradedClass.one(ring)
-    assert a_hat_class(ring, sums) == one
-    assert a_hat_class(ring, (0, 0, 0)) == one
-    ring4 = RingSpec("(CP1)^4", 4, F(24))
-    assert a_hat_class(ring4, (4, 2, 0, 0, 0)) == GradedClass.one(ring4)
+    one = power_of_c(0, 2)
+    assert a_hat_class(cp1sq.power_sums) == one
+    assert a_hat_class((0, 0, 0)) == one
+    assert a_hat_class((4, 2, 0, 0, 0)) == power_of_c(0, 4)
 
 
 def test_a_hat_degrees_divisible_by_four():
-    # a ring where the A-hat class is nontrivial: roots g, g with g^3 = 0
-    ring = RingSpec("g-cubed", 2)
-    g = GradedClass.generator(ring)
-    ahat = a_hat_class(ring, (2, 2, 2))
-    assert not (ahat - GradedClass.one(ring)).is_zero
-    assert all(d % 4 == 0 for d in ahat.degrees())
+    # a base where the A-hat class is nontrivial: roots g, g with g^3 = 0
+    g = power_of_c(1, 2)
+    ahat = a_hat_class((2, 2, 2))
+    assert ahat != power_of_c(0, 2)
+    assert all(k % 2 == 0 for k, a in enumerate(ahat) if a)
     # and it agrees with exp(2 sum p(x_j)) and with the product of the
     # per-root factors, both evaluated root by root
     p = series_p(6)
-    total = eval_series(p, g) * 2 + eval_series(p, g) * 2
-    assert ahat == exp_nilpotent(total)
-    factor = eval_series(a_hat_factor(6), g)
-    assert ahat == factor * factor
+    total = added(scaled(at_class(p, g), 2), scaled(at_class(p, g), 2))
+    assert ahat == exp_class(total)
+    factor = at_class(a_hat_factor(6), g)
+    assert ahat == class_product(factor, factor)
 
 
 def test_a_hat_factor_equals_exp_2p():
-    # Q[z]/(z^(order+1)) is the ring of series truncated at z^order
+    # Q[z]/(z^(order+1)) holds the series truncated at z^order
     order = 10
-    ring = RingSpec("series", order)
-    z = GradedClass.generator(ring)
-    exp_2p = exp_nilpotent(eval_series(series_p(order), z) * 2)
-    assert exp_2p == GradedClass(ring, a_hat_factor(order))
+    z = power_of_c(1, order)
+    exp_2p = exp_class(scaled(at_class(series_p(order), z), 2))
+    assert exp_2p == a_hat_factor(order)
 
 
 def test_omega_forms_delta_zero_specialization(cp1sq):
-    ring, sums = cp1sq
-    omega0, _ = omega_forms(ring, sums)
-    at_zero = omega0.subs_delta(0)
-    assert exp_nilpotent(at_zero) == a_hat_class(ring, sums)
+    omega0, _ = omega_forms(cp1sq.power_sums)
+    at_zero = tuple(a.subs_delta(0) for a in omega0)
+    assert exp_class(at_zero) == a_hat_class(cp1sq.power_sums)
 
 
 def test_omega2_is_odd_degree_two(cp1sq):
-    ring, sums = cp1sq
-    _, omega2 = omega_forms(ring, sums)
-    # p' is odd, so on this ring only ring-degree-2 terms survive up to
+    _, omega2 = omega_forms(cp1sq.power_sums)
+    # p' is odd, so on this base only the c^1 term survives up to
     # truncation effects
-    assert all(d == 2 for d in omega2.degrees())
+    assert all(k == 1 for k, a in enumerate(omega2) if a)
 
 
 def rat(q):
@@ -289,30 +436,30 @@ def at_point(poly, x):
 
 @pytest.mark.parametrize("convention", [CONVENTION_REAL, CONVENTION_PAPER_I])
 def test_transgression_derivative_identity(cp1sq, convention):
-    ring, sums = cp1sq
-    c = GradedClass.generator(ring)
-    omega0, omega2 = omega_forms(ring, sums)
-    assert omega0.derivative_delta() == c * 2 * omega2
+    c = power_of_c(1, 2)
+    omega0, omega2 = omega_forms(cp1sq.power_sums)
+    assert tuple(a.derivative_delta() for a in omega0) == \
+        class_product(scaled(c, 2), omega2)
     # in each convention the integrated identity holds: the integral over
     # [0, eps] of the top degree of 2c Omega_2 e^{Omega_0} e^{rc} is
     # P(x) - P(0) with P the top degree of e^{Omega_0} e^{rc} and x = eps,
     # or x = i eps under paper_i, where Omega_0 becomes Omega_0(i delta)
     for r, eps in ((F(0), F(1, 3)), (F(1, 2), F(1)), (F(2, 3), F(5, 2))):
-        erc = exp_nilpotent(c * r)
-        top = integrate_top(exp_nilpotent(omega0) * erc)
+        erc = exp_class(scaled(c, r))
+        top = integral(cp1sq, class_product(exp_class(omega0), erc))
         lhs = convention_integral(
-            integrate_top(c * 2 * omega2 * exp_nilpotent(omega0) * erc), eps,
-            convention,
+            integral(cp1sq, product(scaled(c, 2), omega2, exp_class(omega0), erc)),
+            eps, convention,
         )
         x = rat(eps) if convention == CONVENTION_REAL else sp.I * rat(eps)
         assert to_sympy(lhs) == at_point(top, x) - rat(top.coefficient(0))
 
 
 def test_paper_i_convention_carries_gaussian_factors(cp1sq):
-    ring, sums = cp1sq
-    c = GradedClass.generator(ring)
-    omega0, omega2 = omega_forms(ring, sums)
-    poly = integrate_top(omega2 * exp_nilpotent(omega0) * exp_nilpotent(c * F(1, 2)))
+    c = power_of_c(1, 2)
+    omega0, omega2 = omega_forms(cp1sq.power_sums)
+    poly = integral(cp1sq, product(omega2, exp_class(omega0),
+                                   exp_class(scaled(c, F(1, 2)))))
     real = convention_integral(poly, 1, CONVENTION_REAL)
     rotated = convention_integral(poly, 1, CONVENTION_PAPER_I)
     # arguments 2 i delta c flip the sign of even powers relative to real,
@@ -327,9 +474,9 @@ def three_roots():
     """Roots c, 2c and -3c on Q[c]/(c^4): the power sums s_k = sigma_k c^k
     are nonzero in every degree, so every binomial term of the shifted
     power sums is exercised."""
-    ring = RingSpec("three-roots", 3)
     multiples = (1, 2, -3)
-    return ring, multiples, tuple(sum(m**k for m in multiples) for k in range(4))
+    sums = tuple(sum(m**k for m in multiples) for k in range(4))
+    return ManifoldSpec("three-roots", 3, 1, sums, None), multiples
 
 
 def sympy_transgression_top(multiples, unit, order):
@@ -353,23 +500,21 @@ def sympy_transgression_top(multiples, unit, order):
 
 @pytest.mark.parametrize("convention", [CONVENTION_REAL, CONVENTION_PAPER_I])
 def test_omega_forms_match_root_by_root_sums(convention):
-    ring, multiples, sums = three_roots()
-    c = GradedClass.generator(ring)
-    omega0, omega2 = omega_forms(ring, sums, 8)
+    spec, multiples = three_roots()
+    c = power_of_c(1, 3)
+    omega0, omega2 = omega_forms(spec.power_sums, 8)
     if convention == CONVENTION_REAL:
-        tail = c * (ParamPoly.delta() * 2)
-        args = [tail] + [c * m + tail for m in multiples]
+        tail = scaled(c, ParamPoly.delta() * 2)
+        args = [tail] + [added(scaled(c, m), tail) for m in multiples]
         p, pp = series_p(8), series_p_prime(8)
-        root0 = root2 = GradedClass.zero(ring)
-        for x in args:
-            root0 = root0 + eval_series(p, x) * 2
-            root2 = root2 + eval_series(pp, x) * 2
+        root0 = added(*(scaled(at_class(p, x), 2) for x in args))
+        root2 = added(*(scaled(at_class(pp, x), 2) for x in args))
         assert (omega0, omega2) == (root0, root2)
     # the convention's integral of the top degree of Omega_2 e^{Omega_0}
     # against the root-by-root build with a literal unit 1 or i
     unit = 1 if convention == CONVENTION_REAL else sp.I
     top = sympy_transgression_top(multiples, unit, 8)
-    poly = integrate_top(omega2 * exp_nilpotent(omega0))
+    poly = integral(spec, class_product(omega2, exp_class(omega0)))
     antiderivative = top.integrate()
     for eps in (F(1, 3), F(2)):
         value = sp.expand(antiderivative.eval(sp.Rational(eps.numerator,
@@ -382,11 +527,10 @@ def test_omega_forms_match_root_by_root_sums(convention):
 def scalars(value):
     """Every scalar coefficient inside a series, a class or a polynomial,
     zeros between nonzero terms included."""
+    if isinstance(value, F):
+        return [value]
     if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, GradedClass):
-        return [x for k in range(value.ring.complex_dim + 1)
-                for x in scalars(value.coefficient(k))]
+        return [x for a in value for x in scalars(a)]
     return [value.coefficient(d) for d in range(value.delta_degree + 1)]
 
 
@@ -395,12 +539,11 @@ def test_class_side_scalars_are_fractions(base):
     if base == "cp1x4":
         spec, _ = product_cp1_model(4)
     else:
-        ring, _, sums = three_roots()
-        spec = ManifoldSpec("three-roots", 3, ring, sums, None)
-    ring, sums = spec.ring, spec.power_sums
+        spec, _ = three_roots()
+    sums = spec.power_sums
     values = [series_p(10), series_p_prime(10), series_eta_hat(0, 10),
-              series_eta_hat(F(1, 3), 10), a_hat_class(ring, sums),
-              *omega_forms(ring, sums),
+              series_eta_hat(F(1, 3), 10), a_hat_class(sums),
+              *omega_forms(sums),
               transgression_integrand_poly(spec, F(1, 2))]
     for value in values:
         coefficients = scalars(value)
@@ -409,32 +552,31 @@ def test_class_side_scalars_are_fractions(base):
 
 
 def test_fundamental_theorem_of_calculus_in_delta(cp1sq):
-    ring, sums = cp1sq
-    c = GradedClass.generator(ring)
-    omega0, omega2 = omega_forms(ring, sums)
-    ahat = a_hat_class(ring, sums)
+    c = power_of_c(1, 2)
+    omega0, omega2 = omega_forms(cp1sq.power_sums)
+    ahat = a_hat_class(cp1sq.power_sums)
     for r, eps in ((F(0), F(1, 3)), (F(1, 2), F(1)), (F(2, 3), F(5, 2))):
-        erc = exp_nilpotent(c * r)
+        erc = exp_class(scaled(c, r))
         lhs = convention_integral(
-            integrate_top(c * 2 * omega2 * exp_nilpotent(omega0) * erc), eps
+            integral(cp1sq, product(scaled(c, 2), omega2, exp_class(omega0), erc)),
+            eps,
         )
-        rhs = integrate_top(
-            (exp_nilpotent(omega0.subs_delta(eps)) - ahat) * erc
-        )
+        at_eps = exp_class(tuple(a.subs_delta(eps) for a in omega0))
+        rhs = integral(cp1sq, class_product(added(at_eps, scaled(ahat, -1)), erc))
         assert lhs == rhs.constant_value()
 
 
 def test_omega_forms_builds_p_once(cp1sq, monkeypatch):
-    ring, sums = cp1sq
-    expected = omega_forms(ring, sums, 8)
+    sums = cp1sq.power_sums
+    expected = omega_forms(sums, 8)
     orders = []
     monkeypatch.setattr("etaflow.series.series_p",
                         lambda order: orders.append(order) or series_p(order))
-    assert omega_forms(ring, sums, 8) == expected
+    assert omega_forms(sums, 8) == expected
     assert orders == [9]  # p to order 8 and p' to order 8 need p to 9
     # the order-0 failure of series_p_prime is kept
     with pytest.raises(ValueError, match="order must be >= 1"):
-        omega_forms(ring, sums, 0)
+        omega_forms(sums, 0)
 
 
 # ------------------------------------------------- the one delta-integral

@@ -225,7 +225,7 @@ def split_coefficient(oracle, poly, k):
 def test_class_side_memo_matches_split_roots(factors):
     spec, _ = product_cp1_model(factors)
     oracle = split_oracle(factors)
-    order = default_order(spec.ring)
+    order = default_order(spec.n)
     a_hat = a_hat_coefficients(spec, order)
     w = transgression_forms(spec, order)[2]
     assert len(a_hat) == len(w) == factors + 1
