@@ -3,17 +3,16 @@ for unit circle bundles of positive line bundles over Fano manifolds.
 
 All arithmetic is exact (rationals and one-square-root sign tests; a
 paper_i transgression is returned as its rational real and imaginary
-parts); a characteristic class is a tuple of its c^k coefficients, and
-spectral-flow vanishing is certified from curvature lower bounds rather
-than sampled numerically.
+parts); a characteristic class is a triangular table of rationals, row k
+holding the delta-polynomial coefficient of c^k; and spectral-flow
+vanishing is certified from curvature lower bounds rather than sampled
+numerically.
 """
 
 __version__ = "0.1.0"
 
 from .exact import (
     GaussianRational,
-    ParamPoly,
-    Rational,
     SqrtValue,
     parse_rational,
     quad_nonneg_on_interval,
@@ -23,6 +22,7 @@ from .exact import (
 from .series import (
     a_hat_class,
     class_product,
+    constant_class,
     exp_class,
     omega_forms,
     series_eta_hat,

@@ -158,10 +158,6 @@ class HypersurfaceSpec(Record):
         self.n, self.degree = n, degree
 
     @property
-    def ambient_dim(self) -> int:
-        return self.n + 1
-
-    @property
     def k0(self) -> int:
         return (self.n + 2 - self.degree) // 2
 
@@ -209,6 +205,16 @@ def general_type_hypersurface_model(n: int, d: int):
     return spec, table
 
 
+def _integer(value, field: str, error=ConfigError) -> int:
+    """An integer field of loaded JSON.  A number literal arrives as an exact
+    Fraction (``parse_float``), so 2.0 is accepted and 0.7 refused, never
+    truncated; any other type is refused, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)) \
+            or value.denominator != 1:
+        raise error(f"{field} must be an integer, got {value}")
+    return int(value)
+
+
 def _parse_entry_field(entry, key):
     if not isinstance(entry, dict):
         raise TableValidationError(f"spectrum entry {entry!r} is not an object")
@@ -229,13 +235,15 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
     the entry.  An empty table falls back to bound-only certification.
     """
     kappa = as_fraction(kappa)
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text(), parse_float=parse_rational)
     if isinstance(raw, list):
         entries_raw = raw
         declared_cutoff = None
         declared_range = None
     elif isinstance(raw, dict):
         entries_raw = raw.get("entries", [])
+        if not isinstance(entries_raw, list):
+            raise TableValidationError("spectrum table 'entries' must be a JSON array")
         declared_cutoff = raw.get("half_mu_sq_max")
         if declared_cutoff is not None:
             declared_cutoff = parse_rational(str(declared_cutoff))
@@ -244,7 +252,9 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
             for key in ("k_min", "k_max"):
                 if key not in raw:
                     raise TableValidationError(f"spectrum table lacks {key!r}")
-            declared_range = (int(raw["k_min"]), int(raw["k_max"]))
+            declared_range = tuple(_integer(raw[key], f"spectrum table {key!r}",
+                                            TableValidationError)
+                                   for key in ("k_min", "k_max"))
     else:
         raise TableValidationError("spectrum file must be a JSON array or object")
 
@@ -253,10 +263,11 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
 
     collected = {}
     for entry in entries_raw:
-        q = int(_parse_entry_field(entry, "q"))
-        k = int(_parse_entry_field(entry, "k"))
+        q, k = (_integer(_parse_entry_field(entry, key), f"spectrum entry {key!r}",
+                         TableValidationError) for key in ("q", "k"))
         half = parse_rational(str(_parse_entry_field(entry, "halfMuSq")))
-        mult = int(_parse_entry_field(entry, "mult"))
+        mult = _integer(_parse_entry_field(entry, "mult"), "spectrum entry 'mult'",
+                        TableValidationError)
         if not 0 <= q <= n:
             raise TableValidationError(f"entry (q={q}, k={k}): q outside 0..{n}")
         if half <= 0:
@@ -343,8 +354,8 @@ def load_config(path) -> CatalogEntry:
     """
     path = Path(path)
     try:
-        cfg = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = json.loads(path.read_text(), parse_float=parse_rational)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read manifold config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"manifold config {path} must be a JSON object")
@@ -356,7 +367,9 @@ def load_config(path) -> CatalogEntry:
         entry = _entry_from_product(factors)
     elif kind == "hypersurface_general_type":
         try:
-            entry = _entry_from_hypersurface(int(cfg["n"]), int(cfg["d"]))
+            entry = _entry_from_hypersurface(
+                _integer(cfg["n"], "hypersurface config 'n'"),
+                _integer(cfg["d"], "hypersurface config 'd'"))
         except KeyError as exc:
             raise ConfigError(f"hypersurface config needs key {exc}") from exc
     else:
@@ -366,6 +379,8 @@ def load_config(path) -> CatalogEntry:
         entry.model.name = entry.name
     table_path = cfg.get("laplacian_table")
     if table_path:
+        if not isinstance(table_path, str):
+            raise ConfigError(f"'laplacian_table' must be a path, got {table_path}")
         if entry.model.kappa is None:
             raise ConfigError(
                 "laplacian tables require a Fano entry (curvature validation)"

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .catalog import ManifoldSpec
-from .exact import GaussianRational, ParamPoly, Record, as_fraction, rational_str
+from .exact import ZERO, GaussianRational, Record, as_fraction, rational_str
 from .series import (
     a_hat_class,
     class_product,
@@ -66,7 +66,7 @@ def a_hat_coefficients(manifold: ManifoldSpec, order: int) -> tuple:
     """[c^k] A-hat for k = 0..n, built once per (base, order).  A miss runs
     every order check of ``a_hat_class``; a failure is raised, never
     stored."""
-    return tuple(a.constant_value() for a in a_hat_class(manifold.power_sums, order))
+    return tuple(row[0] for row in a_hat_class(manifold.power_sums, order))
 
 
 @lru_cache(maxsize=8)
@@ -104,44 +104,56 @@ def adiabatic_limit_eta(manifold: ManifoldSpec, r, order=None) -> Fraction:
     return adiabatic_top(manifold, r, order) * manifold.top_integral / 2
 
 
-def transgression_integrand_poly(manifold: ManifoldSpec, r, order=None) -> ParamPoly:
+def transgression_integrand_poly(manifold: ManifoldSpec, r, order=None) -> tuple:
     """Integral over X of Omega_2 e^{Omega_0} e^{rc}: the sum over j of
     W_{n-j} r^j / j! times the integral of c^n, a polynomial in delta with
-    rational coefficients (the real convention)."""
+    rational coefficients (the real convention), as its n + 1
+    coefficients."""
     w = transgression_forms(manifold, _order(manifold, order))[2]
     n = manifold.n
     erc = _exp_coefficients(as_fraction(r), n)
     top = manifold.top_integral
-    return sum((w[n - j] * (erc[j] * top) for j in range(n + 1)), ParamPoly.zero())
+    # row n - j of W has n - j + 1 entries, so delta^d needs j <= n - d
+    return tuple(top * sum((w[n - j][d] * erc[j] for j in range(n + 1 - d)), ZERO)
+                 for d in range(n + 1))
 
 
-def eval_at_i(poly: ParamPoly, x):
+def horner(poly, x) -> Fraction:
+    """The value of the polynomial with coefficients ``poly`` (index =
+    exponent) at the rational x."""
+    total = ZERO
+    for a in reversed(poly):
+        total = total * x + a
+    return total
+
+
+def eval_at_i(poly, x):
     """The value of ``poly`` at i * x, by a parity split: i^d is (-1)^(d/2)
     for even d and (-1)^((d-1)/2) i for odd d, so the even-degree terms sum
     to the real part and the odd-degree terms to the imaginary part.  A
     Fraction when the value is real, else a GaussianRational."""
     x = as_fraction(x)
-    parts = [Fraction(0), Fraction(0)]  # real, imaginary
-    for d, c in poly.items():
-        term = c * x**d
-        parts[d % 2] += -term if d % 4 >= 2 else term
+    parts = [ZERO, ZERO]  # real, imaginary
+    for d, c in enumerate(poly):
+        if c:
+            term = c * x**d
+            parts[d % 2] += -term if d % 4 >= 2 else term
     re, im = parts
     return re if im == 0 else GaussianRational(re, im)
 
 
-def convention_integral(poly: ParamPoly, eps, convention=CONVENTION_REAL):
-    """Integral over [0, eps] of the real integrand ``poly`` in
-    ``convention``, the one place a convention is applied.  With F the
-    antiderivative of ``poly`` (F(0) = 0) the real value is F(eps).  The
-    paper_i integrand i * poly(i delta) has i^(d+1) times the delta^d
-    coefficient, so its integral is F(i eps), split by ``eval_at_i``."""
+def convention_integral(poly, eps, convention=CONVENTION_REAL):
+    """Integral over [0, eps] of the real integrand ``poly``, a polynomial
+    in delta given by its coefficients, in ``convention``: the one place a
+    convention is applied.  With F the antiderivative of ``poly``
+    (F(0) = 0) the real value is F(eps).  The paper_i integrand
+    i * poly(i delta) has i^(d+1) times the delta^d coefficient, so its
+    integral is F(i eps), split by ``eval_at_i``."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    antiderivative = ParamPoly(
-        [0] + [poly.coefficient(d) / (d + 1) for d in range(poly.delta_degree + 1)]
-    )
+    antiderivative = (ZERO,) + tuple(a / (d + 1) for d, a in enumerate(poly))
     if convention == CONVENTION_REAL:
-        return antiderivative.subs_delta(eps).constant_value()
+        return horner(antiderivative, as_fraction(eps))
     return eval_at_i(antiderivative, eps)
 
 
@@ -348,11 +360,13 @@ def corollary_check(manifold: ManifoldSpec, order=None) -> CorollaryCheck:
     if manifold.n % 2:
         raise ValueError("needs real dimension divisible by four (n even)")
     order = _order(manifold, order)
-    ad_top = ParamPoly.constant(adiabatic_top(manifold, 0, order))
+    ad_top = adiabatic_top(manifold, 0, order)
     tg_top = transgression_forms(manifold, order)[2][manifold.n]
     witness = None
-    if not ad_top.is_zero:
-        witness = {"part": "adiabatic", "coefficient": ad_top.to_json()}
-    elif not tg_top.is_zero:
-        witness = {"part": "transgression", "coefficient": tg_top.to_json()}
-    return CorollaryCheck(ad_top.is_zero, tg_top.is_zero, witness)
+    if ad_top:
+        witness = {"part": "adiabatic", "coefficient": {"1": rational_str(ad_top)}}
+    elif any(tg_top):
+        names = ["1", "delta"] + [f"delta^{d}" for d in range(2, len(tg_top))]
+        witness = {"part": "transgression", "coefficient": {
+            names[d]: rational_str(a) for d, a in enumerate(tg_top) if a}}
+    return CorollaryCheck(not ad_top, not any(tg_top), witness)

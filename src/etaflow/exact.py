@@ -2,13 +2,14 @@
 
 Every quantity that enters a sign decision (eigenvalue crossings, spectral
 flow counts, characteristic-number integrals) is represented exactly:
-arbitrary-precision rationals, polynomials in the formal deformation
-parameter ``delta`` with rational coefficients, and algebraic values of
-the shape ``a + b*sqrt(A)``.  Floating point never appears in a decision
-path.
+arbitrary-precision rationals and algebraic values of the shape
+``a + b*sqrt(A)``.  Floating point never appears in a decision path.
 
 Rationals are plain :class:`fractions.Fraction` (already reduced, positive
-denominator) and are the only scalar of the characteristic-class side.
+denominator) and are the only scalar of the characteristic-class side: a
+polynomial is a sequence of them, index = exponent, multiplied by
+``truncated_product``, and a class is a table of such polynomials (see
+``series``).
 :class:`GaussianRational` is a plain value with no arithmetic: the result
 of a transgression in the ``paper_i`` convention, whose real and
 imaginary parts ``eta.eval_at_i`` sums separately by the parity of the
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 
@@ -148,173 +147,17 @@ class GaussianRational:
         return {"re": rational_str(self.re), "im": rational_str(self.im)}
 
 
-def truncated_product(a, b, size: int, zero):
+def truncated_product(a, b, size: int) -> list:
     """The first ``size`` coefficients of the product of two polynomials
-    given by their coefficient sequences (index = exponent).  Shared by
-    every one-variable polynomial type in the package; coefficients need
-    only +, * and a falsy zero."""
-    out = [zero] * size
+    with rational coefficients, given by their coefficient sequences
+    (index = exponent): the one polynomial product of the package."""
+    out = [ZERO] * size
     for i, x in enumerate(a[:size]):
         if x:
             for j, y in enumerate(b[: size - i]):
                 if y:
                     out[i + j] = out[i + j] + x * y
     return out
-
-
-def _delta_str(d: int) -> str:
-    if not d:
-        return "1"
-    return "delta" if d == 1 else f"delta^{d}"
-
-
-class ParamPoly:
-    """Polynomial in the formal deformation parameter delta.
-
-    ``_terms[d]`` is the rational coefficient of delta^d.
-    Trailing zeros are never stored and instances are immutable, so values
-    are safe to share.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, coefficients=()):
-        terms = [as_fraction(c) for c in coefficients]
-        while terms and not terms[-1]:
-            terms.pop()
-        object.__setattr__(self, "_terms", tuple(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamPoly is immutable")
-
-    @staticmethod
-    def constant(value) -> "ParamPoly":
-        return ParamPoly([value])
-
-    @staticmethod
-    def zero() -> "ParamPoly":
-        return ParamPoly()
-
-    @staticmethod
-    def one() -> "ParamPoly":
-        return ParamPoly([1])
-
-    @staticmethod
-    def delta() -> "ParamPoly":
-        return ParamPoly([0, 1])
-
-    @staticmethod
-    def coerce(value) -> "ParamPoly":
-        if isinstance(value, ParamPoly):
-            return value
-        return ParamPoly.constant(value)
-
-    def items(self):
-        """(delta exponent, coefficient) for every nonzero coefficient."""
-        return [(d, c) for d, c in enumerate(self._terms) if c]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def delta_degree(self) -> int:
-        return max(len(self._terms) - 1, 0)
-
-    def constant_value(self) -> Fraction:
-        """The value of a delta-free polynomial; raises if delta survives."""
-        if len(self._terms) > 1:
-            raise ValueError(f"not a constant: {self}")
-        return self.coefficient(0)
-
-    def coefficient(self, d: int) -> Fraction:
-        return self._terms[d] if d < len(self._terms) else ZERO
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParamPoly):
-            try:
-                other = ParamPoly.coerce(other)
-            except TypeError:  # not an exact rational
-                return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other):
-        try:
-            other = ParamPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
-            a, b = b, a
-        return ParamPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamPoly([-c for c in self._terms])
-
-    def __sub__(self, other):
-        try:
-            other = ParamPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        try:
-            other = ParamPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        a, b = self._terms, other._terms
-        return ParamPoly(truncated_product(a, b, len(a) + len(b) - 1, ZERO))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a ParamPoly")
-        result = ParamPoly.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def subs_delta(self, value) -> "ParamPoly":
-        """Substitute a rational for delta."""
-        v = as_fraction(value)
-        total = ZERO
-        for c in reversed(self._terms):
-            total = total * v + c
-        return ParamPoly.constant(total)
-
-    def derivative_delta(self) -> "ParamPoly":
-        return ParamPoly([c * d for d, c in enumerate(self._terms)][1:])
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for d, c in self.items():
-            if d == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(_delta_str(d))
-            else:
-                parts.append(f"({c})*{_delta_str(d)}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return {_delta_str(d): rational_str(c) for d, c in self.items()}
 
 
 def sqrt_sign(a, b, A) -> int:

@@ -16,12 +16,15 @@ every coefficient comes from a closed form in the Bernoulli numbers B_m
 The integrands depend on the base X only through the polarization class
 c and the power sums of the tangent Chern roots (see
 ``catalog.ManifoldSpec``), so every class they need lives in
-Q[delta][c]/(c^{n+1}).  A class is a tuple of n + 1 ``exact.ParamPoly``
-coefficients, entry k the coefficient of c^k, with delta the formal
-deformation parameter; the integral over X is the c^n entry times the
-integral of c^n.  From p and its derivative come the A-hat class and the
-two transgression forms Omega_0, Omega_2, whose delta-integral measures
-the change of the A-hat form along the adiabatic family.
+Q[delta][c]/(c^{n+1}), with delta the formal deformation parameter.  Delta
+enters only through 2 delta c, so the c^k coefficient of every class is a
+polynomial in delta of degree at most k.  A class is therefore a
+triangular table: a tuple of n + 1 rows, row k a tuple of exactly k + 1
+``Fraction``s, entry d the coefficient of c^k delta^d.  The integral over
+X is row n times the integral of c^n.  From p and its derivative come the
+A-hat class and the two transgression forms Omega_0, Omega_2, whose
+delta-integral measures the change of the A-hat form along the adiabatic
+family.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ZERO, ParamPoly, as_fraction, truncated_product
+from .exact import ZERO, as_fraction, truncated_product
 
 
 class SeriesOrderError(ValueError):
@@ -151,42 +154,57 @@ def require_series_order(order: int, lowest: int, n: int):
         )
 
 
+def constant_class(values) -> tuple:
+    """The delta-free class sum_k values[k] c^k, one row per entry."""
+    return tuple((as_fraction(v),) + (ZERO,) * k for k, v in enumerate(values))
+
+
 def class_product(a, b) -> tuple:
-    """Product of two classes on one base, truncated above c^n."""
-    return tuple(truncated_product(a, b, len(a), ParamPoly.zero()))
+    """Product of two classes on one base, truncated above c^n: row k is
+    the sum over i + j = k of the delta-products of rows i and j."""
+    out = [[ZERO] * (k + 1) for k in range(len(a))]
+    for i, x in enumerate(a):
+        if any(x):
+            for j, y in enumerate(b[: len(a) - i]):
+                if any(y):
+                    row = out[i + j]
+                    for d, v in enumerate(truncated_product(x, y, i + j + 1)):
+                        row[d] += v
+    return tuple(map(tuple, out))
 
 
 def exp_class(x) -> tuple:
     """exp(x) = sum_j x^j / j! for a class x with no c^0 term; the sum
     stops once x^j vanishes, at the latest after j = n."""
-    if x[0]:
+    if any(x[0]):
         raise ValueError("exp_class needs a class with no c^0 term")
-    power = (ParamPoly.one(),) + (ParamPoly.zero(),) * (len(x) - 1)
+    power = constant_class((1,) + (0,) * (len(x) - 1))
     result = power
     for j in range(1, len(x)):
         power = class_product(power, x)
-        if not any(power):
+        if not any(map(any, power)):
             break
         scale = Fraction(1, math.factorial(j))
-        result = tuple(a + b * scale for a, b in zip(result, power))
+        result = tuple(tuple(a + b * scale for a, b in zip(ra, rb))
+                       for ra, rb in zip(result, power))
     return result
 
 
 def eval_power_sums(f, power_sums) -> tuple:
     """sum_i f(y_i) over formal roots y_i known only by their power sums
-    sum_i y_i^j = power_sums[j] * c^j (j = 0..n): the class
-    sum_j f_j power_sums[j] c^j, for the coefficient tuple ``f``.
+    sum_i y_i^j = power_sums[j] c^j (j = 0..n), each power_sums[j] a row
+    in delta: the class with row j equal to f_j power_sums[j], for the
+    coefficient tuple ``f``.
 
     Raises SeriesOrderError when ``f`` is truncated below a power whose
     power sum survives (never silently truncates).
     """
     terms = []
-    for j, s in enumerate(power_sums):
-        s = ParamPoly.coerce(s)
-        if s.is_zero:
-            terms.append(s)
+    for j, row in enumerate(power_sums):
+        if not any(row):
+            terms.append(row)
         elif j < len(f):
-            terms.append(s * f[j])
+            terms.append(tuple(s * f[j] for s in row))
         else:
             raise SeriesOrderError(
                 f"series order {len(f) - 1} too small for a power sum of degree {j}"
@@ -203,7 +221,8 @@ def a_hat_class(power_sums, order=None) -> tuple:
     """
     if order is None:
         order = default_order(len(power_sums) - 1)
-    return exp_class(tuple(2 * s for s in eval_power_sums(series_p(order), power_sums)))
+    two_p = tuple(2 * a for a in series_p(order))
+    return exp_class(eval_power_sums(two_p, constant_class(power_sums)))
 
 
 def omega_forms(power_sums, order=None):
@@ -215,23 +234,19 @@ def omega_forms(power_sums, order=None):
     d/d(delta) Omega_0 = 2 c Omega_2.  The paper_i convention is their
     rotation delta -> i delta, applied by ``eta.convention_integral``.
 
-    The sums only need the power sums of the shifted roots y = x_j + tc
-    together with the extra root y = tc:
-    sum_y y^m = sum_k C(m, k) s_k (tc)^{m-k} + (tc)^m.
+    The sums only need the power sums of the shifted roots y = x_j + 2 delta c
+    together with the extra root y = 2 delta c:
+    sum_y y^m = sum_d C(m, d) s'_{m-d} 2^d delta^d c^m, with s' the power
+    sums of the x_j plus 1 in degree 0 for the extra root.
     """
     n = len(power_sums) - 1
     if order is None:
         order = default_order(n)
     p, pp = _p_and_p_prime(order)
-    t = ParamPoly.delta() * 2
-    sums = list(power_sums)
-    sums[0] += 1  # the extra root tc
-    t_powers = [t**m for m in range(n + 1)]
-    shifted = [
-        sum((t_powers[m - k] * (math.comb(m, k) * sums[k]) for k in range(m + 1)),
-            ParamPoly.zero())
-        for m in range(n + 1)
-    ]
-    omega0 = tuple(2 * x for x in eval_power_sums(p, shifted))
-    omega2 = tuple(2 * x for x in eval_power_sums(pp, shifted))
+    sums = [as_fraction(s) for s in power_sums]
+    sums[0] += 1  # the extra root 2 delta c
+    shifted = tuple(tuple(math.comb(m, d) * 2**d * sums[m - d] for d in range(m + 1))
+                    for m in range(n + 1))
+    omega0 = eval_power_sums(tuple(2 * a for a in p), shifted)
+    omega2 = eval_power_sums(tuple(2 * a for a in pp), shifted)
     return omega0, omega2

@@ -455,6 +455,21 @@ FAIL_FAST_CASES = {
             "k_min": -8, "entries": [{"q": 0, "k": 2, "halfMuSq": "3", "mult": 1}],
         })},
         ["--manifold", "{dir}/man.json"]),
+    "hypersurface_n_not_a_number": (
+        {"man.json": json.dumps({"type": "hypersurface_general_type",
+                                 "n": [4], "d": 8})},
+        ["--manifold", "{dir}/man.json"]),
+    "table_entries_not_an_array": (
+        {"man.json": TABLE_CONFIG, "spec.json": json.dumps({"entries": 5})},
+        ["--manifold", "{dir}/man.json"]),
+    "table_entry_q_null": (
+        {"man.json": TABLE_CONFIG, "spec.json": json.dumps(
+            [{"q": None, "k": 2, "halfMuSq": "3", "mult": 1}])},
+        ["--manifold", "{dir}/man.json"]),
+    "table_path_not_a_string": (
+        {"man.json": json.dumps({"type": "product_cp1", "factors": 2,
+                                 "laplacian_table": 5})},
+        ["--manifold", "{dir}/man.json"]),
     "out_to_missing_directory": (
         {}, ["--manifold", "cp1xcp1", "--out", "{dir}/missing/x.json"]),
 }
@@ -479,7 +494,7 @@ def test_check_identities_catches_a_perturbed_transgression_form(capsys, monkeyp
     def perturbed(manifold, order):
         omega0, omega2, w = eta.transgression_forms(manifold, order)
         k = manifold.n - 1
-        return omega0, omega2, w[:k] + (w[k] + 1,) + w[k + 1:]
+        return omega0, omega2, w[:k] + ((w[k][0] + 1,) + w[k][1:],) + w[k + 1:]
 
     monkeypatch.setattr(cli, "transgression_forms", perturbed)
     code, out, _ = run_cli(capsys, "check-identities", "--manifold", "cp1xcp1")

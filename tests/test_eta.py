@@ -21,7 +21,7 @@ from etaflow.eta import (
     transgression_raw,
 )
 from etaflow.exact import GaussianRational
-from etaflow.series import SeriesOrderError, omega_forms
+from etaflow.series import SeriesOrderError, default_order, omega_forms
 from etaflow.spectral import SF_SIGN_STANDARD, SpectralModel
 
 
@@ -99,19 +99,20 @@ def test_transgression_fundamental_theorem_cross_check(cp1xcp1):
     # int_0^eps int_X 2c Omega_2 e^{Omega_0} e^{rc} computed two ways:
     # through the delta-integral and through the endpoint difference
     # int_X [e^{Omega_0 at eps} - A-hat] e^{rc}
-    from etaflow.series import a_hat_class, class_product, exp_class
+    from etaflow.series import a_hat_class, class_product, constant_class, exp_class
 
     spec, _ = cp1xcp1
     r, eps = F(1, 2), F(1)
     omega0, omega2 = omega_forms(spec.power_sums)
-    erc = exp_class((0, r, 0))
+    erc = exp_class(constant_class((0, r, 0)))
     ahat = a_hat_class(spec.power_sums)
-    integrand = class_product(class_product((0, 2, 0), omega2),
+    integrand = class_product(class_product(constant_class((0, 2, 0)), omega2),
                               class_product(exp_class(omega0), erc))
-    lhs = convention_integral(integrand[2] * spec.top_integral, eps)
-    at_eps = exp_class(tuple(a.subs_delta(eps) for a in omega0))
-    rhs = class_product(tuple(a - b for a, b in zip(at_eps, ahat)), erc)[2]
-    assert lhs == (rhs * spec.top_integral).constant_value()
+    lhs = convention_integral(tuple(a * spec.top_integral for a in integrand[2]), eps)
+    at_eps = exp_class(constant_class([eta.horner(row, eps) for row in omega0]))
+    difference = tuple(tuple(a - b for a, b in zip(x, y)) for x, y in zip(at_eps, ahat))
+    rhs = class_product(difference, erc)[2]
+    assert tuple(a * spec.top_integral for a in rhs) == (lhs, 0, 0)
 
 
 def test_transgression_paper_i_is_gaussian(cp1xcp1):
@@ -253,6 +254,24 @@ def test_corollary_check_is_a_value(cp1x4):
                                               transgression_top_zero=True,
                                               witness=None))
     assert check != CorollaryCheck(True, False, None)
+
+
+def test_corollary_witness_names_delta_powers(cp1xcp1, monkeypatch):
+    # the parity argument makes both tops vanish on every even-dimensional
+    # base, so a witness is only seen with a perturbed class side
+    spec, _ = cp1xcp1
+    order = default_order(spec.n)
+    omega0, omega2, w = eta.transgression_forms(spec, order)
+    perturbed = w[:2] + ((F(1), F(0), F(-3, 2)),)
+    monkeypatch.setattr(eta, "transgression_forms",
+                        lambda m, o: (omega0, omega2, perturbed))
+    check = corollary_check(spec)
+    assert (check.adiabatic_top_zero, check.transgression_top_zero) == (True, False)
+    assert check.witness == {"part": "transgression",
+                             "coefficient": {"1": "1", "delta^2": "-3/2"}}
+    monkeypatch.setattr(eta, "adiabatic_top", lambda m, r, o: F(1, 2))
+    assert corollary_check(spec).witness == {"part": "adiabatic",
+                                             "coefficient": {"1": "1/2"}}
 
 
 def test_corollary_negative_control(cp1xcp1):

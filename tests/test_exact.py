@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaflow.eta import eval_at_i
+from etaflow.eta import eval_at_i, horner
 from etaflow.exact import (
     MAX_RATIONAL_DIGITS,
     GaussianRational,
-    ParamPoly,
     QUAD_NEGATIVE,
     QUAD_NONNEGATIVE,
     QUAD_TOUCHES_ZERO,
@@ -23,6 +22,7 @@ from etaflow.exact import (
     rational_str,
     sqrt_sign,
     sqrt_value,
+    truncated_product,
 )
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -71,10 +71,10 @@ def test_rational_sqrt():
 def test_gaussian_i_square():
     # i^2 = -1 through the parity split, which returns a real value as a
     # Fraction; the Gaussian value type itself carries no arithmetic
-    assert eval_at_i(ParamPoly([0, 0, 1]), 1) == -1
-    assert type(eval_at_i(ParamPoly([0, 0, 1]), 1)) is F
+    assert eval_at_i((F(0), F(0), F(1)), 1) == -1
+    assert type(eval_at_i((F(0), F(0), F(1)), 1)) is F
     assert GaussianRational(F(1, 2)).to_json() == "1/2"
-    assert eval_at_i(ParamPoly.delta(), F(1, 3)).to_json() == {"re": "0", "im": "1/3"}
+    assert eval_at_i((F(0), F(1)), F(1, 3)).to_json() == {"re": "0", "im": "1/3"}
 
 
 @given(fractions, fractions)
@@ -100,35 +100,33 @@ def test_gaussian_rejects_floats():
         GaussianRational(0.5)
 
 
-# ---------------------------------------------------------------- ParamPoly
+# ------------------------------------------------- polynomials in delta
 
 
 @given(st.lists(fractions, max_size=5))
-def test_param_poly_eval_is_ring_homomorphism(coefficients):
-    p = ParamPoly(coefficients)
-    q = ParamPoly.delta() * 2 - 1
+def test_horner_is_ring_homomorphism(coefficients):
+    p = tuple(coefficients)
+    q = (F(-1), F(2))  # 2 delta - 1
     for d0 in (F(2, 3), F(-1, 5)):
-        lhs = (p * q).subs_delta(d0)
-        rhs = p.subs_delta(d0) * q.subs_delta(d0)
-        assert lhs == rhs
-        assert (p + q).subs_delta(d0) == p.subs_delta(d0) + q.subs_delta(d0)
+        lhs = horner(truncated_product(p, q, len(p) + 1), d0)
+        assert lhs == horner(p, d0) * horner(q, d0)
+        total = tuple(a + b for a, b in zip(p + (F(0),) * 2, q + (F(0),) * len(p)))
+        assert horner(total, d0) == horner(p, d0) + horner(q, d0)
         # the value agrees with summing c_d * d0^d term by term
         value = sum((c * d0**d for d, c in enumerate(coefficients)), F(0))
-        assert p.subs_delta(d0) == ParamPoly.constant(value)
+        assert horner(p, d0) == value
 
 
-def test_param_poly_basics():
-    d = ParamPoly.delta()
-    p = d * d * 3 + 1
-    assert p.delta_degree == 2
-    assert p == ParamPoly([1, 0, 3]) == ParamPoly([1, 0, 3, 0])
-    assert p.subs_delta(F(1, 2)) == ParamPoly.constant(F(7, 4))
-    assert p.derivative_delta() == d * 6
-    assert (d * d).to_json() == {"delta^2": "1"}
-    assert p.to_json() == {"1": "1", "delta^2": "3"}
-    assert (p - p).is_zero and not (p - p)
-    with pytest.raises(ValueError):
-        (d + 1).constant_value()
+def test_truncated_product_and_horner_basics():
+    d = (F(0), F(1))
+    p = (F(1), F(0), F(3))  # 3 delta^2 + 1
+    assert truncated_product(d, d, 3) == [0, 0, 1]
+    assert truncated_product(p, p, 5) == [1, 0, 6, 0, 9]
+    assert truncated_product(p, p, 3) == [1, 0, 6]  # truncated above delta^2
+    assert all(type(a) is F for a in truncated_product(p, d, 4))
+    assert horner(p, F(1, 2)) == F(7, 4) and type(horner(p, F(1, 2))) is F
+    assert horner(p + (F(0),), F(1, 2)) == F(7, 4)  # trailing zeros change nothing
+    assert horner((), F(5)) == 0
 
 
 # ---------------------------------------------------------------- sqrt_sign

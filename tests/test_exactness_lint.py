@@ -9,7 +9,9 @@ must be bounded, so ``functools.cache`` and ``lru_cache(maxsize=None)``
 are refused too: an unbounded memo grows for the life of the process.
 ``dataclasses`` is refused as well: with the ``inspect`` it imports and
 the methods it generates, it cost about a fifth of a command-line start,
-so the records are plain classes."""
+so the records are plain classes.  Every ``json.load``/``json.loads`` must
+pass ``parse_float=``, so that no float enters from data either: a number
+literal in a config or table keeps its exact decimal value."""
 
 import ast
 from pathlib import Path
@@ -44,6 +46,11 @@ def violations(tree):
             found.append((node.lineno, f"call to {node.func.id}"))
         elif isinstance(node, ast.Call) and _unbounded_lru_cache(node):
             found.append((node.lineno, "unbounded lru_cache"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+              and node.func.attr in ("load", "loads")
+              and not any(k.arg == "parse_float" for k in node.keywords)):
+            found.append((node.lineno, f"json.{node.func.attr} without parse_float"))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] in REFUSED_MODULES:
@@ -52,6 +59,9 @@ def violations(tree):
             root = node.module.split(".")[0]
             if root in REFUSED_MODULES:
                 found.append((node.lineno, f"from {node.module} import"))
+            elif root == "json":
+                found.extend((node.lineno, f"from json import {alias.name}")
+                             for alias in node.names if alias.name in ("load", "loads"))
             elif root == "functools":
                 found.extend((node.lineno, "from functools import cache")
                              for alias in node.names if alias.name == "cache")
@@ -103,6 +113,8 @@ def test_gaussian_values_are_built_only_by_the_parity_split():
     "f = functools.lru_cache(maxsize=None)(g)",
     "import dataclasses", "import dataclasses as dc",
     "from dataclasses import dataclass", "from dataclasses import dataclass, field",
+    "cfg = json.loads(text)", "cfg = json.load(handle)",
+    "cfg = json.loads(text, parse_int=int)", "from json import loads",
 ])
 def test_lint_flags_inexact_constructs(snippet):
     assert violations(ast.parse(snippet))
@@ -113,5 +125,7 @@ def test_lint_accepts_exact_constructs():
                "y = math.floor(Fraction(7, 2)) + math.comb(5, 2) + math.isqrt(10)\n"
                "z = math.factorial(4) + math.gcd(4, 6) + math.ceil(Fraction(1, 3))\n"
                "from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(x): pass\n"
-               "@functools.lru_cache(8)\ndef g(x): pass\n")
+               "@functools.lru_cache(8)\ndef g(x): pass\n"
+               "import json\ncfg = json.loads(text, parse_float=parse_rational)\n"
+               "text = json.dumps(cfg)\n")
     assert violations(ast.parse(snippet)) == []

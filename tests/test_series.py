@@ -12,15 +12,20 @@ from etaflow.catalog import ManifoldSpec, product_cp1_model
 from etaflow.eta import (
     CONVENTION_PAPER_I,
     CONVENTION_REAL,
+    a_hat_coefficients,
     convention_integral,
+    horner,
+    transgression_forms,
     transgression_integrand_poly,
 )
-from etaflow.exact import GaussianRational, ParamPoly
+from etaflow.exact import GaussianRational
 from etaflow.series import (
     SeriesOrderError,
     _bernoulli,
     a_hat_class,
     class_product,
+    constant_class,
+    default_order,
     eta_hat_series_from_alpha,
     eta_hat_series_integer,
     eval_power_sums,
@@ -216,15 +221,27 @@ def test_eta_hat_closed_forms_at_order_40(eta_hat_oracle, r):
 
 def power_of_c(k, n):
     """c^k as a class on a base of complex dimension n."""
-    return tuple(ParamPoly.constant(int(j == k)) for j in range(n + 1))
+    return constant_class([int(j == k) for j in range(n + 1)])
 
 
 def scaled(x, s):
-    return tuple(a * s for a in x)
+    return tuple(tuple(a * s for a in row) for row in x)
 
 
 def added(*classes):
-    return tuple(sum(parts, ParamPoly.zero()) for parts in zip(*classes))
+    return tuple(tuple(sum(entries, F(0)) for entries in zip(*rows))
+                 for rows in zip(*classes))
+
+
+def times_delta(x):
+    """delta * x, for a class whose rows all have a zero top entry."""
+    assert not any(row[-1] for row in x)
+    return tuple((F(0),) + row[:-1] for row in x)
+
+
+def d_delta(x):
+    """The delta-derivative of a class, each row padded back to k + 1."""
+    return tuple(tuple(d * a for d, a in enumerate(row))[1:] + (F(0),) for row in x)
 
 
 def product(*classes):
@@ -235,8 +252,8 @@ def product(*classes):
 
 
 def integral(spec, x):
-    """Integral over the base: [c^n] times the integral of c^n."""
-    return x[spec.n] * spec.top_integral
+    """Integral over the base: row n times the integral of c^n."""
+    return tuple(a * spec.top_integral for a in x[spec.n])
 
 
 def at_class(f, x):
@@ -250,23 +267,21 @@ def at_class(f, x):
 
 
 def random_class(n, rng, nilpotent=False):
-    coeffs = []
+    """A random triangular table: row k has k + 1 entries, at most one of
+    them nonzero, in a random delta degree."""
+    rows = []
     for k in range(n + 1):
-        if (nilpotent and k == 0) or rng.random() >= 0.5:
-            coeffs.append(ParamPoly.zero())
-            continue
-        coeff = F(rng.randint(-4, 4), rng.randint(1, 3))
-        if rng.random() < 0.3:
-            coeffs.append(ParamPoly.delta() * coeff)
-        else:
-            coeffs.append(ParamPoly.constant(coeff))
-    return tuple(coeffs)
+        row = [F(0)] * (k + 1)
+        if not (nilpotent and k == 0) and rng.random() < 0.5:
+            row[rng.randint(0, k)] = F(rng.randint(-4, 4), rng.randint(1, 3))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def test_class_product_examples():
     c, one = power_of_c(1, 2), power_of_c(0, 2)
     assert class_product(c, c) == power_of_c(2, 2)
-    assert not any(class_product(c, class_product(c, c)))
+    assert class_product(c, class_product(c, c)) == scaled(one, 0)
     assert class_product(added(one, c), added(one, scaled(c, -1))) == \
         added(one, scaled(power_of_c(2, 2), -1))
 
@@ -287,10 +302,75 @@ def test_truncation_soundness():
         x, y = random_class(4, rng), random_class(4, rng)
         result = class_product(x, y)
         assert len(result) == 5
-        # every surviving power of c is the sum of two input powers
-        for k, coeff in enumerate(result):
-            expected = sum((x[i] * y[k - i] for i in range(k + 1)), ParamPoly.zero())
-            assert coeff == expected
+        # every surviving c^k delta^d is a sum over c^i delta^a times
+        # c^(k-i) delta^(d-a), each factor inside its triangular row
+        for k, row in enumerate(result):
+            assert len(row) == k + 1
+            for d, coeff in enumerate(row):
+                assert coeff == sum((x[i][a] * y[k - i][d - a]
+                                     for i in range(k + 1) for a in range(d + 1)
+                                     if a <= i and d - a <= k - i), F(0))
+
+
+CB, DB = sp.symbols("c delta")
+table_entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def triangular_tables(n, nilpotent=False):
+    """Classes on a base of dimension n: row k holds k + 1 Fractions."""
+    rows = [st.tuples(*[table_entries] * (k + 1)) for k in range(n + 1)]
+    if nilpotent:
+        rows[0] = st.just((F(0),))
+    return st.tuples(*rows)
+
+
+def to_bivariate(x):
+    return sp.Poly(sp.Add(*(sp.Rational(a.numerator, a.denominator) * CB**k * DB**d
+                            for k, row in enumerate(x) for d, a in enumerate(row))),
+                   CB, DB)
+
+
+def truncated(poly, n):
+    """The bivariate polynomial without its terms above c^n."""
+    return sp.Poly(sp.Add(*(coeff * CB**k * DB**d for (k, d), coeff in poly.terms()
+                            if k <= n)), CB, DB)
+
+
+def from_bivariate(poly, n):
+    """The triangular table of a polynomial in (c, delta) of c-degree <= n,
+    after checking that no delta^d with d > k sits at c^k."""
+    assert all(d <= k for (k, d), _ in poly.terms())
+    return tuple(tuple(F(str(poly.coeff_monomial(CB**k * DB**d))) for d in range(k + 1))
+                 for k in range(n + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(triangular_tables(n), triangular_tables(n),
+                        triangular_tables(n, nilpotent=True))))
+def test_class_product_and_exp_match_sympy_bivariate(tables):
+    # the oracle multiplies in Q[c, delta] with sympy and truncates above c^n
+    x, y, z = tables
+    n = len(x) - 1
+    assert class_product(x, y) == \
+        from_bivariate(truncated(to_bivariate(x) * to_bivariate(y), n), n)
+    power = one = sp.Poly(1, CB, DB)
+    exp_z = one
+    for j in range(1, n + 1):
+        power = truncated(power * to_bivariate(z), n)
+        exp_z += power * sp.Rational(1, math.factorial(j))
+    assert exp_class(z) == from_bivariate(exp_z, n)
+    assert all(type(a) is F for row in class_product(x, y) for a in row)
+
+
+@pytest.mark.parametrize("factors", [2, 4, 6, 8])
+def test_memoized_classes_are_triangular(factors):
+    spec, _ = product_cp1_model(factors)
+    order = default_order(factors)
+    omega0, omega2, w = transgression_forms(spec, order)
+    for x in (a_hat_class(spec.power_sums, order), omega0, omega2, w):
+        assert [len(row) for row in x] == list(range(1, factors + 2))
+    assert len(a_hat_coefficients(spec, order)) == factors + 1
 
 
 def test_exp_class_examples(monkeypatch):
@@ -299,7 +379,7 @@ def test_exp_class_examples(monkeypatch):
     r = F(2, 7)
     x = scaled(c, r)
     assert exp_class(x) == added(one, x, scaled(power_of_c(2, 2), r * r / 2))
-    c2_delta = scaled(power_of_c(2, 2), ParamPoly.delta())
+    c2_delta = times_delta(power_of_c(2, 2))
     assert exp_class(c2_delta) == added(one, c2_delta)
     with pytest.raises(ValueError, match=r"^exp_class needs a class with no c\^0 term$"):
         exp_class(added(one, c))
@@ -350,17 +430,18 @@ def test_eval_power_sums_matches_root_by_root_evaluation():
     sums = [sum(m**j for m in multiples) for j in range(5)]
     f = (F(1, 3), F(-1, 2), F(5, 7), 0, F(2, 9))
     expected = added(*(at_class(f, scaled(c, m)) for m in multiples))
-    assert eval_power_sums(f, sums) == expected
+    assert eval_power_sums(f, constant_class(sums)) == expected
     # a single root c is plain evaluation at c
-    assert eval_power_sums(f, [1] * 5) == at_class(f, c)
+    assert eval_power_sums(f, constant_class([1] * 5)) == at_class(f, c)
 
 
 def test_eval_power_sums_detects_insufficient_order():
     f = (0, 1, F(1, 2))
     with pytest.raises(SeriesOrderError):
-        eval_power_sums(f, [4, 2, 0, 1, 0])
+        eval_power_sums(f, constant_class([4, 2, 0, 1, 0]))
     # power sums that vanish beyond the order need nothing more
-    assert eval_power_sums(f, [4, 2, 0, 0, 0]) == scaled(power_of_c(1, 4), 2)
+    assert eval_power_sums(f, constant_class([4, 2, 0, 0, 0])) == \
+        scaled(power_of_c(1, 4), 2)
 
 
 @pytest.fixture
@@ -387,7 +468,7 @@ def test_a_hat_degrees_divisible_by_four():
     g = power_of_c(1, 2)
     ahat = a_hat_class((2, 2, 2))
     assert ahat != power_of_c(0, 2)
-    assert all(k % 2 == 0 for k, a in enumerate(ahat) if a)
+    assert all(k % 2 == 0 for k, a in enumerate(ahat) if any(a))
     # and it agrees with exp(2 sum p(x_j)) and with the product of the
     # per-root factors, both evaluated root by root
     p = series_p(6)
@@ -402,12 +483,12 @@ def test_a_hat_factor_equals_exp_2p():
     order = 10
     z = power_of_c(1, order)
     exp_2p = exp_class(scaled(at_class(series_p(order), z), 2))
-    assert exp_2p == a_hat_factor(order)
+    assert exp_2p == constant_class(a_hat_factor(order))
 
 
 def test_omega_forms_delta_zero_specialization(cp1sq):
     omega0, _ = omega_forms(cp1sq.power_sums)
-    at_zero = tuple(a.subs_delta(0) for a in omega0)
+    at_zero = constant_class([horner(row, 0) for row in omega0])
     assert exp_class(at_zero) == a_hat_class(cp1sq.power_sums)
 
 
@@ -415,7 +496,7 @@ def test_omega2_is_odd_degree_two(cp1sq):
     _, omega2 = omega_forms(cp1sq.power_sums)
     # p' is odd, so on this base only the c^1 term survives up to
     # truncation effects
-    assert all(k == 1 for k, a in enumerate(omega2) if a)
+    assert all(k == 1 for k, a in enumerate(omega2) if any(a))
 
 
 def rat(q):
@@ -431,15 +512,14 @@ def to_sympy(value):
 
 def at_point(poly, x):
     """The polynomial ``poly`` in delta at the sympy number x."""
-    return sp.expand(sum(rat(c) * x**d for d, c in poly.items()))
+    return sp.expand(sum(rat(c) * x**d for d, c in enumerate(poly)))
 
 
 @pytest.mark.parametrize("convention", [CONVENTION_REAL, CONVENTION_PAPER_I])
 def test_transgression_derivative_identity(cp1sq, convention):
     c = power_of_c(1, 2)
     omega0, omega2 = omega_forms(cp1sq.power_sums)
-    assert tuple(a.derivative_delta() for a in omega0) == \
-        class_product(scaled(c, 2), omega2)
+    assert d_delta(omega0) == class_product(scaled(c, 2), omega2)
     # in each convention the integrated identity holds: the integral over
     # [0, eps] of the top degree of 2c Omega_2 e^{Omega_0} e^{rc} is
     # P(x) - P(0) with P the top degree of e^{Omega_0} e^{rc} and x = eps,
@@ -452,7 +532,7 @@ def test_transgression_derivative_identity(cp1sq, convention):
             eps, convention,
         )
         x = rat(eps) if convention == CONVENTION_REAL else sp.I * rat(eps)
-        assert to_sympy(lhs) == at_point(top, x) - rat(top.coefficient(0))
+        assert to_sympy(lhs) == at_point(top, x) - rat(top[0])
 
 
 def test_paper_i_convention_carries_gaussian_factors(cp1sq):
@@ -504,7 +584,7 @@ def test_omega_forms_match_root_by_root_sums(convention):
     c = power_of_c(1, 3)
     omega0, omega2 = omega_forms(spec.power_sums, 8)
     if convention == CONVENTION_REAL:
-        tail = scaled(c, ParamPoly.delta() * 2)
+        tail = scaled(times_delta(c), 2)
         args = [tail] + [added(scaled(c, m), tail) for m in multiples]
         p, pp = series_p(8), series_p_prime(8)
         root0 = added(*(scaled(at_class(p, x), 2) for x in args))
@@ -526,12 +606,10 @@ def test_omega_forms_match_root_by_root_sums(convention):
 
 def scalars(value):
     """Every scalar coefficient inside a series, a class or a polynomial,
-    zeros between nonzero terms included."""
-    if isinstance(value, F):
-        return [value]
+    zeros included."""
     if isinstance(value, tuple):
         return [x for a in value for x in scalars(a)]
-    return [value.coefficient(d) for d in range(value.delta_degree + 1)]
+    return [value]
 
 
 @pytest.mark.parametrize("base", ["cp1x4", "three-roots"])
@@ -561,9 +639,9 @@ def test_fundamental_theorem_of_calculus_in_delta(cp1sq):
             integral(cp1sq, product(scaled(c, 2), omega2, exp_class(omega0), erc)),
             eps,
         )
-        at_eps = exp_class(tuple(a.subs_delta(eps) for a in omega0))
+        at_eps = exp_class(constant_class([horner(row, eps) for row in omega0]))
         rhs = integral(cp1sq, class_product(added(at_eps, scaled(ahat, -1)), erc))
-        assert lhs == rhs.constant_value()
+        assert rhs == (lhs, 0, 0)
 
 
 def test_omega_forms_builds_p_once(cp1sq, monkeypatch):
@@ -591,15 +669,15 @@ def _simpson(f, lo, hi, n=2000):
 
 
 def test_convention_integral_power_rule_and_quadrature():
-    d = ParamPoly.delta()
+    d = (F(0), F(1))
     # power rule and constant
     assert convention_integral(d, 1) == F(1, 2)
     for eps in (F(1, 3), F(2), F(7, 5)):
-        assert convention_integral(ParamPoly.one(), eps) == eps
+        assert convention_integral((F(1),), eps) == eps
     # 3 delta^2 + b on [0, 2] -> 8 + 2b, cross-checked against numeric
     # quadrature at sampled constants b
     for b in (F(0), F(1, 3), F(-7, 2)):
-        exact = convention_integral(d * d * 3 + b, 2)
+        exact = convention_integral((b, F(0), F(3)), 2)
         assert exact == 8 + 2 * b
         assert type(exact) is F
         numeric = _simpson(lambda t: 3 * t * t + float(b), 0.0, 2.0)
@@ -617,7 +695,7 @@ def test_convention_integral_matches_sympy(coefficients, odd_only, eps):
     # degree <= 8; with odd powers only the paper_i value is real
     if odd_only:
         coefficients = [x if d % 2 else F(0) for d, x in enumerate(coefficients)]
-    poly = ParamPoly(coefficients)
+    poly = tuple(coefficients)
     p = sum((rat(x) * DELTA**d for d, x in enumerate(coefficients)), sp.Integer(0))
 
     def integral(integrand):  # over [0, eps]; sympy's antiderivative has F(0) = 0

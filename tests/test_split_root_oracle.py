@@ -231,7 +231,7 @@ def test_class_side_memo_matches_split_roots(factors):
     assert len(a_hat) == len(w) == factors + 1
     for k in range(factors + 1):
         assert sp.Rational(str(a_hat[k])) == split_coefficient(oracle, oracle.a_hat, k)
-        real = sp.Add(*(sp.Rational(str(a)) * DELTA**d for d, a in w[k].items()))
+        real = sp.Add(*(sp.Rational(str(a)) * DELTA**d for d, a in enumerate(w[k])))
         # paper_i: i Omega_2(i delta) e^{Omega_0(i delta)}
         paper_i = sp.I * real.subs(DELTA, sp.I * DELTA)
         for convention, expected in ((CONVENTION_REAL, real),
