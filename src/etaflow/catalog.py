@@ -223,6 +223,14 @@ def _parse_entry_field(entry, key):
     return entry[key]
 
 
+def _json_number(text: str):
+    """parse_float for tables: a Fraction, or a refused literal's text for its field to name."""
+    try:
+        return parse_rational(text)
+    except ValueError:
+        return text
+
+
 def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
     """Load and validate a Laplacian spectrum table.
 
@@ -231,11 +239,23 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
     ``{"half_mu_sq_max": "p/q", "k_min", "k_max", "entries": [...]}``
     declaring the enumeration cutoff and covered k-range explicitly (a
     bare array infers both from the entries present).  Every entry must
-    satisfy the curvature lower bound; violations are hard errors naming
+    satisfy the curvature lower bound, and every eigenvalue must have a
+    nonnegative alternating multiplicity; violations are hard errors naming
     the entry.  An empty table falls back to bound-only certification.
     """
     kappa = as_fraction(kappa)
-    raw = json.loads(Path(path).read_text(), parse_float=parse_rational)
+
+    def rational(value, field):
+        try:
+            return parse_rational(str(value))
+        except ValueError as exc:
+            raise TableValidationError(
+                f"cannot read Laplacian table {path}: {field}: {exc}") from exc
+
+    try:
+        raw = json.loads(Path(path).read_text(), parse_float=_json_number)
+    except (OSError, ValueError) as exc:
+        raise TableValidationError(f"cannot read Laplacian table {path}: {exc}") from exc
     if isinstance(raw, list):
         entries_raw = raw
         declared_cutoff = None
@@ -246,7 +266,7 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
             raise TableValidationError("spectrum table 'entries' must be a JSON array")
         declared_cutoff = raw.get("half_mu_sq_max")
         if declared_cutoff is not None:
-            declared_cutoff = parse_rational(str(declared_cutoff))
+            declared_cutoff = rational(declared_cutoff, "spectrum table 'half_mu_sq_max'")
         declared_range = None
         if "k_min" in raw or "k_max" in raw:
             for key in ("k_min", "k_max"):
@@ -261,11 +281,13 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
     if not entries_raw:
         return NAKANO_ONLY
 
-    collected = {}
+    # (k, numerator, denominator of mu^2/2) -> {q: (mu^2/2, multiplicity)};
+    # integer keys, because hashing a Fraction costs a modular inverse
+    levels = {}
     for entry in entries_raw:
         q, k = (_integer(_parse_entry_field(entry, key), f"spectrum entry {key!r}",
                          TableValidationError) for key in ("q", "k"))
-        half = parse_rational(str(_parse_entry_field(entry, "halfMuSq")))
+        half = rational(_parse_entry_field(entry, "halfMuSq"), "spectrum entry 'halfMuSq'")
         mult = _integer(_parse_entry_field(entry, "mult"), "spectrum entry 'mult'",
                         TableValidationError)
         if not 0 <= q <= n:
@@ -284,15 +306,25 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
                 f"entry (q={q}, k={k}, halfMuSq={half}) violates the curvature "
                 f"lower bound {bound}"
             )
-        collected.setdefault((q, k), []).append((half, mult))
+        level = levels.setdefault((k, half.numerator, half.denominator), {})
+        if q in level:
+            raise TableValidationError(f"duplicate eigenvalue for (q,k)={(q, k)}")
+        level[q] = (half, mult)
 
+    # the Type 2 family at (q, k, mu^2/2) has the alternating multiplicity
+    # d_q = e_q - e_{q-1} + ... +- e_0 = e_q - d_{q-1}, which must be >= 0
     entries = {}
-    for key, values in collected.items():
-        values.sort()
-        halves = [h for h, _ in values]
-        if len(set(halves)) != len(halves):
-            raise TableValidationError(f"duplicate eigenvalue for (q,k)={key}")
-        entries[key] = tuple(values)
+    for (k, _, _), level in levels.items():
+        d = 0
+        for q in range(max(level) + 1):
+            half, mult = level.get(q, (None, 0))
+            d = mult - d
+            if half is not None:
+                if d < 0:
+                    raise TableValidationError(f"negative alternating multiplicity {d} "
+                                               f"at (q={q}, k={k}, mu^2/2={half})")
+                entries.setdefault((q, k), []).append((half, d))
+    entries = {key: tuple(sorted(values)) for key, values in entries.items()}
 
     ks = [k for (_, k) in entries]
     k_range = declared_range or (min(ks), max(ks))
@@ -361,10 +393,8 @@ def load_config(path) -> CatalogEntry:
         raise ConfigError(f"manifold config {path} must be a JSON object")
     kind = cfg.get("type")
     if kind == "product_cp1":
-        factors = cfg.get("factors")
-        if not isinstance(factors, int):
-            raise ConfigError("product_cp1 config needs integer 'factors'")
-        entry = _entry_from_product(factors)
+        entry = _entry_from_product(_integer(cfg.get("factors"),
+                                             "product_cp1 config 'factors'"))
     elif kind == "hypersurface_general_type":
         try:
             entry = _entry_from_hypersurface(

@@ -55,7 +55,6 @@ from .spectral import (
     SF_SIGN_STANDARD,
     SpectralModel,
     SpectralWindowError,
-    SpectrumDataError,
     UnknownCohomologyError,
     kernel_dimension,
     spectral_flow,
@@ -493,7 +492,7 @@ def main(argv=None) -> int:
         print(f"etaflow: indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except (ConfigError, UnknownCohomologyError, SpectralWindowError,
-            SpectrumDataError, ValueError, OSError) as exc:
+            ValueError, OSError) as exc:
         print(f"etaflow: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code

@@ -19,10 +19,12 @@ quadratics, using either tabulated Laplacian eigenvalues or the certified
 curvature lower bound  mu^2/2 >= max(q(k + kappa/2), (n-q)(-k + kappa/2)).
 The search windows are finite because a crossing forces
 |2k - 2r| <= eps(n+2) and mu^2 <= eps/4.  They grow linearly in eps, but
-in bound-only mode on a complete cohomology table only the k that can
-report are visited, each q contributing a k-range found in closed form,
-so that cost does not grow with eps; explicit spectra and partial tables
-are walked cell by cell.
+only the k that can report are visited: for Type 2 each q contributes a
+k-range found in closed form from the Nakano bound, which every tabulated
+eigenvalue also satisfies, and for Type 1 on a complete cohomology table
+the k between r and the family's root.  That cost does not grow with
+eps.  Partial tables are walked cell by cell, and a tabulated spectrum
+reports each cell of the window outside its declared k-range as missing.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ class UnknownCohomologyError(LookupError):
 
 class SpectralWindowError(ValueError):
     """The spectral model does not cover the required search window."""
-
-
-class SpectrumDataError(ValueError):
-    """A Laplacian spectrum table is internally inconsistent."""
 
 
 class IndeterminateSpectralFlow(RuntimeError):
@@ -138,10 +136,12 @@ class CohomologyTable:
 class LaplacianSpectrum(Record):
     """Tabulated positive Kodaira-Laplacian eigenvalues per (q, k).
 
-    ``entries[(q, k)]`` is an ascending tuple of (mu^2/2, multiplicity);
-    a (q, k) inside the declared window with no entry has no positive
-    eigenvalue below the cutoff.  ``provenance`` records whether the data
-    is a genuine table or the bound-only placeholder.
+    ``entries[(q, k)]`` is an ascending tuple of (mu^2/2, d), d >= 0 the
+    alternating multiplicity (``type2_multiplicity``) of the Type 2 family
+    at that eigenvalue; every mu^2/2 is at least the Nakano bound.  A (q, k)
+    in the declared ``k_range`` with no entry has no positive eigenvalue
+    below the cutoff.  ``provenance`` records whether the data is a genuine
+    table or the bound-only placeholder.
     """
 
     def __init__(self, provenance: str = PROVENANCE_NAKANO, entries: dict | None = None,
@@ -155,34 +155,8 @@ class LaplacianSpectrum(Record):
     def is_tabulated(self) -> bool:
         return self.provenance == PROVENANCE_TABULATED
 
-    def covers(self, q: int, k: int) -> bool:
-        if self.k_range is None:
-            return False
-        lo, hi = self.k_range
-        return lo <= k <= hi
-
     def eigenvalues(self, q: int, k: int):
         return self.entries.get((q, k), ())
-
-    def multiplicity_of(self, q: int, k: int, half_mu_sq) -> int:
-        for half, mult in self.eigenvalues(q, k):
-            if half == half_mu_sq:
-                return mult
-        return 0
-
-    def alternating_multiplicity(self, q: int, k: int, half_mu_sq) -> int:
-        """Alternating multiplicity of the Type 2 family at (q, k) with
-        mu^2/2 = half_mu_sq; a negative value means the table is
-        inconsistent and raises SpectrumDataError."""
-        d = type2_multiplicity(
-            [self.multiplicity_of(j, k, half_mu_sq) for j in range(q + 1)]
-        )
-        if d < 0:
-            raise SpectrumDataError(
-                f"negative alternating multiplicity {d} at "
-                f"(q={q}, k={k}, mu^2/2={half_mu_sq})"
-            )
-        return d
 
 
 NAKANO_ONLY = LaplacianSpectrum()
@@ -374,9 +348,10 @@ ON_UNKNOWN_ERROR = "error"
 ON_UNKNOWN_SKIP = "skip"
 
 # Largest search window, in (q, k) cells over both family types, that is
-# accepted.  The window grows linearly in eps.  Nakano mode on a complete
-# cohomology table visits only the cells that can report, so its cost does
-# not; explicit spectra and partial tables are still walked cell by cell.
+# accepted.  The window grows linearly in eps.  On a complete cohomology
+# table only the cells that can report are visited, so the cost does not;
+# partial tables are still walked cell by cell, and a tabulated spectrum
+# lists every cell outside its k-range.
 MAX_WINDOW_CELLS = 500_000
 
 
@@ -456,22 +431,23 @@ def _flow_ks(q: int, lo: int, hi: int, n: int, kappa: Fraction, r, eps):
 
 
 def _kernel_ks(q: int, lo: int, hi: int, n: int, kappa: Fraction, r, eps):
-    """The first k in lo..hi (as a tuple of at most one) where a
-    bound-level Type 2 zero at eps cannot be excluded: half*(k) > 0 and
-    half*(k) >= bound(k), with half*(k) = (eps^2 - (2(k - r) - C eps)^2)/(8 eps)
-    the eigenvalue that would vanish at eps.
+    """The k in lo..hi where a Type 2 zero at eps cannot be excluded by the
+    Nakano bound: half*(k) > 0 and half*(k) >= bound(k), with
+    half*(k) = (eps^2 - (2(k - r) - C eps)^2)/(8 eps) the eigenvalue that
+    would vanish at eps.
 
     g = half* - bound is concave in k (a concave quadratic minus a maximum
     of affine functions), so on the k-interval where half* > 0 one binary
-    search finds the integer maximum of g and a second the first k with
-    g >= 0.
+    search finds the integer maximum of g, a second the first k with
+    g >= 0 and a third, run only if the caller asks for a second k, the
+    last.
     """
     C = 2 * q + 1 - n
     # half* > 0 iff |2(k - r) - C eps| < eps
     lo = max(lo, math.floor(r + (C - 1) * eps / 2) + 1)
     hi = min(hi, math.ceil(r + (C + 1) * eps / 2) - 1)
     if lo > hi:
-        return ()
+        return
 
     def g(k):
         half_star = (eps * eps - (2 * (k - r) - C * eps) ** 2) / (8 * eps)
@@ -479,8 +455,11 @@ def _kernel_ks(q: int, lo: int, hi: int, n: int, kappa: Fraction, r, eps):
 
     top = _first_true(lo, hi, lambda k: k == hi or g(k) >= g(k + 1))
     if g(top) < 0:
-        return ()
-    return (_first_true(lo, top, lambda k: g(k) >= 0),)
+        return
+    first = _first_true(lo, top, lambda k: g(k) >= 0)
+    yield first
+    yield from range(first + 1,
+                     _first_true(top, hi, lambda k: k == hi or g(k + 1) < 0) + 1)
 
 
 def _first_true(lo: int, hi: int, pred) -> int:
@@ -495,45 +474,53 @@ def _first_true(lo: int, hi: int, pred) -> int:
     return lo
 
 
-def _type2_levels(model: SpectralModel, r, eps, factor, handle_unknown,
-                  nakano_ks):
-    """Yield (q, k, half_mu_sq, is_bound) for the Type 2 levels in the
-    window: each tabulated eigenvalue with mu^2/2 inside it, or in
-    bound-only mode the Nakano bound at each k that
-    ``nakano_ks(q, lo, hi, n, kappa, r, eps)`` picks from the Nakano
-    range lo..hi of degree q."""
+def _type2_levels(model: SpectralModel, r, eps, factor, handle_unknown, pick_ks):
+    """Yield (q, k, half_mu_sq, multiplicity) for the Type 2 levels in the
+    window at each k that ``pick_ks(q, lo, hi, n, kappa, r, eps)`` picks
+    from the Nakano range lo..hi of degree q: each tabulated eigenvalue
+    with mu^2/2 inside the window, or in bound-only mode the Nakano bound
+    with multiplicity None.  A tabulated eigenvalue is at least the bound,
+    so a level that the bound silences is silent too."""
     n = model.n
     k_lo, k_hi, half_mu_max = _type2_window(r, eps, n, factor)
     spectrum = model.spectrum
-    if spectrum.is_tabulated:
+    tabulated = spectrum.is_tabulated
+    missing = ()
+    if tabulated:
         if spectrum.half_mu_sq_max is None or spectrum.half_mu_sq_max < half_mu_max:
             raise SpectralWindowError(
                 f"spectrum cutoff mu^2/2 <= {spectrum.half_mu_sq_max} below the "
                 f"required {half_mu_max} for eps = {eps}"
             )
-        for q in range(n + 1):
-            for k in range(k_lo, k_hi + 1):
-                if not spectrum.covers(q, k):
-                    handle_unknown(
-                        f"Laplacian spectrum missing (q={q}, k={k}); "
-                        f"covered k-range is {spectrum.k_range}"
-                    )
-                    continue
-                for half, _ in spectrum.eigenvalues(q, k):
-                    if half > half_mu_max:
-                        break
-                    yield q, k, half, False
+        # the cells below and above the covered k-range (none covered when
+        # cover_lo > cover_hi), in k order; only the covered ones are picked
+        cover_lo, cover_hi = spectrum.k_range
+        missing = (*range(k_lo, min(k_hi, cover_lo - 1) + 1),
+                   *range(max(k_lo, cover_lo, cover_hi + 1), k_hi + 1))
+        k_lo, k_hi = max(k_lo, cover_lo), min(k_hi, cover_hi)
     elif model.kappa is None:
         handle_unknown(
             "Type 2 certification needs a Ricci lower bound or an "
             "explicit Laplacian spectrum"
         )
-    else:
-        kappa = as_fraction(model.kappa)
-        for q in range(n + 1):
-            lo, hi = _nakano_k_range(q, n, kappa, k_lo, k_hi, half_mu_max)
-            for k in nakano_ks(q, lo, hi, n, kappa, r, eps):
-                yield q, k, nakano_lower_bound(q, k, kappa, n), True
+        return
+    # without a Ricci bound a table still meets the weakest bound, kappa = 0
+    kappa = as_fraction(model.kappa or 0)
+    for q in range(n + 1):
+        for k in missing:
+            handle_unknown(
+                f"Laplacian spectrum missing (q={q}, k={k}); "
+                f"covered k-range is {spectrum.k_range}"
+            )
+        lo, hi = _nakano_k_range(q, n, kappa, k_lo, k_hi, half_mu_max)
+        for k in pick_ks(q, lo, hi, n, kappa, r, eps):
+            if not tabulated:
+                yield q, k, nakano_lower_bound(q, k, kappa, n), None
+                continue
+            for half, mult in spectrum.eigenvalues(q, k):
+                if half > half_mu_max:
+                    break
+                yield q, k, half, mult
 
 
 def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
@@ -545,11 +532,11 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     A(delta) <= delta^2 at a crossing).  ``window_factor`` widens the
     windows for soundness testing.  Within them, a complete cohomology
     table lists only the Type 1 families whose root (k - r)/(q - n/2)
-    lies in [0, eps], and bound-only mode only the Type 2 levels that
-    ``_flow_ks`` keeps; every other family is silent, so the cost of
-    those parts does not grow with eps.  Explicit spectra and partial
-    tables are walked cell by cell.  Returns (families, skipped, window)
-    where ``skipped`` describes entries omitted under on_unknown="skip".
+    lies in [0, eps], and both spectrum kinds only the Type 2 levels at
+    the k that ``_flow_ks`` keeps; every other family is silent, so the
+    cost of those parts does not grow with eps.  Partial tables are walked
+    cell by cell.  Returns (families, skipped, window) where ``skipped``
+    describes entries omitted under on_unknown="skip".
     """
     r = as_fraction(r)
     eps = as_fraction(eps)
@@ -580,16 +567,8 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
                 continue
             mult = model.table.h(q, k)
             if mult:
-                families.append(
-                    EigenvalueFamily(
-                        TYPE1,
-                        q,
-                        k,
-                        n,
-                        mult,
-                        mult_is_lower_bound=model.table.is_lower_bound(q, k),
-                    )
-                )
+                families.append(EigenvalueFamily(
+                    TYPE1, q, k, n, mult, mult_is_lower_bound=model.table.is_lower_bound(q, k)))
 
     k2_lo, k2_hi, half_mu_max = _type2_window(r, eps, n, factor)
     window = {
@@ -598,17 +577,13 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
         "half_mu_sq_max": rational_str(half_mu_max),
         "factor": rational_str(factor),
     }
-    for q, k, half, is_bound in _type2_levels(model, r, eps, factor,
-                                              handle_unknown, _flow_ks):
+    for q, k, half, mult in _type2_levels(model, r, eps, factor,
+                                          handle_unknown, _flow_ks):
         # in bound-only mode the multiplicity is unknown (None)
-        mult = None if is_bound else model.spectrum.alternating_multiplicity(q, k, half)
-        if mult == 0:
-            continue
-        for kind in (TYPE2_PLUS, TYPE2_MINUS):
-            families.append(
-                EigenvalueFamily(kind, q, k, n, mult, half_mu_sq=half,
-                                 half_mu_sq_is_bound=is_bound)
-            )
+        if mult != 0:
+            families += [EigenvalueFamily(kind, q, k, n, mult, half_mu_sq=half,
+                                          half_mu_sq_is_bound=mult is None)
+                         for kind in (TYPE2_PLUS, TYPE2_MINUS)]
     return families, skipped, window
 
 
@@ -786,21 +761,17 @@ def kernel_dimension(model: SpectralModel, r, eps,
             continue
         total += model.table.h(q, k)
 
-    # Type 2 zeros at eps: Q(eps) = 0 on the vulnerable branch; in
-    # bound-only mode only the first undecidable k of each q is visited
-    for q, k, half, is_bound in _type2_levels(model, r, eps, 1, handle_unknown,
-                                              _kernel_ks):
-        B = 2 * (k - r)
-        C = 2 * q + 1 - n
-        if is_bound:
-            # the unique eigenvalue that would vanish at eps
-            half_star = (eps * eps - (B - C * eps) ** 2) / (8 * eps)
-            if half_star > 0 and half_star >= half:
-                raise IndeterminateSpectralFlow(
-                    f"kernel at eps={eps} hinges on whether mu^2/2 = "
-                    f"{half_star} occurs at (q={q}, k={k}); supply an "
-                    "explicit spectrum"
-                )
-        elif (B - C * eps) ** 2 + 8 * half * eps - eps * eps == 0:
-            total += model.spectrum.alternating_multiplicity(q, k, half)
+    # Type 2 zeros at eps: Q(eps) = 0, that is mu^2/2 = half*, the unique
+    # eigenvalue that would vanish at eps, at the k where the bound allows it
+    for q, k, half, mult in _type2_levels(model, r, eps, 1, handle_unknown,
+                                          _kernel_ks):
+        half_star = (eps * eps - (2 * (k - r) - (2 * q + 1 - n) * eps) ** 2) / (8 * eps)
+        if mult is None:
+            raise IndeterminateSpectralFlow(
+                f"kernel at eps={eps} hinges on whether mu^2/2 = "
+                f"{half_star} occurs at (q={q}, k={k}); supply an "
+                "explicit spectrum"
+            )
+        if half == half_star:
+            total += mult
     return total

@@ -444,7 +444,8 @@ TABLE_CONFIG = json.dumps({
     "type": "product_cp1", "factors": 2, "laplacian_table": "spec.json",
 })
 FAIL_FAST_CASES = {
-    # (files written to the test directory, arguments after the command)
+    # (files written to the test directory, arguments after the command,
+    # then any text the message must contain)
     "config_not_an_object": (
         {"man.json": "[1, 2]"}, ["--manifold", "{dir}/man.json"]),
     "table_entry_not_an_object": (
@@ -472,12 +473,32 @@ FAIL_FAST_CASES = {
         ["--manifold", "{dir}/man.json"]),
     "out_to_missing_directory": (
         {}, ["--manifold", "cp1xcp1", "--out", "{dir}/missing/x.json"]),
+    "table_cutoff_exponent_literal": (
+        {"man.json": TABLE_CONFIG, "spec.json": '{"half_mu_sq_max": 1e3, "entries": '
+         '[{"q": 0, "k": 2, "halfMuSq": "3", "mult": 1}]}'},
+        ["--manifold", "{dir}/man.json"],
+        "cannot read Laplacian table {dir}/spec.json: spectrum table 'half_mu_sq_max': "
+        "not a rational: '1e3'"),
+    "table_half_mu_sq_not_a_number": (
+        {"man.json": TABLE_CONFIG, "spec.json": json.dumps(
+            [{"q": 0, "k": 2, "halfMuSq": "x", "mult": 1}])},
+        ["--manifold", "{dir}/man.json"],
+        "cannot read Laplacian table {dir}/spec.json: spectrum entry 'halfMuSq': "
+        "not a rational: 'x'"),
+    "table_truncated_json": (
+        {"man.json": TABLE_CONFIG, "spec.json": '[{"q": 0, "k": 2 "halfMuSq"'},
+        ["--manifold", "{dir}/man.json"],
+        "cannot read Laplacian table {dir}/spec.json: Expecting ',' delimiter"),
+    "product_factors_true": (
+        {"man.json": json.dumps({"type": "product_cp1", "factors": True})},
+        ["--manifold", "{dir}/man.json"],
+        "product_cp1 config 'factors' must be an integer, got True"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAIL_FAST_CASES))
 def test_malformed_input_fails_fast(tmp_path, case):
-    files, argv = FAIL_FAST_CASES[case]
+    files, argv, *expected = FAIL_FAST_CASES[case]
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [arg.format(dir=tmp_path) for arg in argv]
@@ -486,6 +507,8 @@ def test_malformed_input_fails_fast(tmp_path, case):
     assert proc.stderr.startswith("etaflow:"), proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    for text in expected:
+        assert text.format(dir=tmp_path) in proc.stderr
 
 
 def test_check_identities_catches_a_perturbed_transgression_form(capsys, monkeypatch):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etaflow.catalog import (
+    KunnethCohomology,
+    TableValidationError,
     general_type_hypersurface_model,
     laplacian_table_load,
     product_cp1_model,
@@ -413,10 +415,22 @@ def walk_flow(model, r, eps, factor):
                                               half_mu_sq=bound,
                                               half_mu_sq_is_bound=True)
                              for kind in (TYPE2_PLUS, TYPE2_MINUS)]
+    window = {
+        "type1_k": [type1_ks.start, type1_ks.stop - 1],
+        "type2_k": [type2_ks.start, type2_ks.stop - 1],
+        "half_mu_sq_max": rational_str(half_mu_max),
+        "factor": rational_str(F(factor)),
+    }
+    return certify_all(families, r, eps, MODE_NAKANO, [], window)
+
+
+def certify_all(families, r, eps, mode, skipped, window):
+    """The flow report of certifying every family on its own."""
     crossings, zeros, touches, indeterminate = [], [], [], []
     total = 0
-    # the report lists families by (q, k, kind)
-    for family in sorted(families, key=lambda f: (f.q, f.k, f.kind)):
+    # the report lists families by (q, k, kind, mu^2/2)
+    for family in sorted(families, key=lambda f: (f.q, f.k, f.kind,
+                                                  f.half_mu_sq or 0)):
         outcome = certify_no_crossing(family, r, eps)
         if outcome.status == INDETERMINATE:
             indeterminate.append(f"{family.label()}: {outcome.note}")
@@ -430,14 +444,8 @@ def walk_flow(model, r, eps, factor):
             if hit:
                 zeros.append(EndpointZero(family, where, family.multiplicity))
         touches += [(family, point) for point in outcome.touch_points]
-    window = {
-        "type1_k": [type1_ks.start, type1_ks.stop - 1],
-        "type2_k": [type2_ks.start, type2_ks.stop - 1],
-        "half_mu_sq_max": rational_str(half_mu_max),
-        "factor": rational_str(F(factor)),
-    }
-    return SpectralFlowReport(MODE_NAKANO, SF_SIGN_PAPER, crossings, zeros,
-                              touches, indeterminate, [], window, total)
+    return SpectralFlowReport(mode, SF_SIGN_PAPER, crossings, zeros,
+                              touches, indeterminate, skipped, window, total)
 
 
 def walk_kernel(model, r, eps):
@@ -541,10 +549,8 @@ def test_kernel_resolved_by_explicit_spectrum(tmp_path):
 
 
 def test_inconsistent_alternating_multiplicity_rejected(tmp_path):
-    from etaflow.spectral import SpectrumDataError
-
     # same eigenvalue with a larger multiplicity one level below gives a
-    # negative alternating sum at q = 1: the data is inconsistent
+    # negative alternating sum at q = 1: the loader refuses the data
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({
         "half_mu_sq_max": "3", "k_min": -40, "k_max": 40,
@@ -553,14 +559,13 @@ def test_inconsistent_alternating_multiplicity_rejected(tmp_path):
             {"q": 1, "k": 0, "halfMuSq": "5/2", "mult": 1},
         ],
     }))
-    spectrum = laplacian_table_load(path, 2, 2)
-    _, model = make_model(2, spectrum)
-    with pytest.raises(SpectrumDataError):
-        enumerate_families(model, 0, 20)
+    with pytest.raises(TableValidationError, match=r"negative alternating "
+                       r"multiplicity -2 at \(q=1, k=0, mu\^2/2=5/2\)"):
+        laplacian_table_load(path, 2, 2)
 
 
 def negative_multiplicity_table(tmp_path):
-    """Loadable table whose Type 2 family at (q=1, k=0, mu^2/2=2) has the
+    """Table whose Type 2 family at (q=1, k=0, mu^2/2=2) has the
     alternating multiplicity 2 - 5 = -3."""
     path = tmp_path / "negative.json"
     path.write_text(json.dumps({
@@ -574,16 +579,29 @@ def negative_multiplicity_table(tmp_path):
 
 
 def test_kernel_dimension_rejects_negative_multiplicity(tmp_path):
-    from etaflow.spectral import SpectrumDataError
+    # at r = -8, eps = 16 the inconsistent family would vanish exactly at
+    # eps and add -3 to the kernel; the loader refuses the table first
+    with pytest.raises(TableValidationError, match="negative alternating "
+                       "multiplicity -3 at"):
+        laplacian_table_load(negative_multiplicity_table(tmp_path), 2, 2)
 
-    spectrum = laplacian_table_load(negative_multiplicity_table(tmp_path), 2, 2)
-    _, model = make_model(2, spectrum)
-    # at r = -8, eps = 16 the inconsistent family vanishes exactly at eps,
-    # so the kernel count would include -3 without the shared check
-    with pytest.raises(SpectrumDataError):
-        spectral_flow(model, -8, 16)
-    with pytest.raises(SpectrumDataError):
-        kernel_dimension(model, -8, 16)
+
+def test_inconsistency_outside_every_window_is_refused(tmp_path):
+    # the inconsistent level at k = 30 lies outside the Type 2 window of
+    # every query with |r| + 2 eps < 30 on (P^1)^2; the table is still
+    # refused as a whole
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "half_mu_sq_max": "100", "k_min": -40, "k_max": 40,
+        "entries": [
+            {"q": 0, "k": 1, "halfMuSq": "1/16", "mult": 1},
+            {"q": 1, "k": 30, "halfMuSq": "31", "mult": 1},
+            {"q": 0, "k": 30, "halfMuSq": "31", "mult": 2},
+        ],
+    }))
+    with pytest.raises(TableValidationError, match=r"negative alternating "
+                       r"multiplicity -1 at \(q=1, k=30, mu\^2/2=31\)"):
+        laplacian_table_load(path, 2, 2)
 
 
 def test_nakano_consistency_of_tabulated_spectra(tmp_path):
@@ -718,3 +736,185 @@ def test_nakano_kernel_at_large_eps():
     # the value the per-cell walk gives (1.6 s there)
     _, model = make_model(4)
     assert kernel_dimension(model, 1, 9999) == 0
+
+
+# ------------------------------------------- explicit spectra, cell walk
+
+
+def write_table(path, entries, cutoff, k_range):
+    """Write (q, k, mu^2/2, mult) entries as a Laplacian table file."""
+    path.write_text(json.dumps({
+        "half_mu_sq_max": str(cutoff), "k_min": k_range[0], "k_max": k_range[1],
+        "entries": [{"q": q, "k": k, "halfMuSq": str(half), "mult": mult}
+                    for q, k, half, mult in entries],
+    }))
+
+
+def explicit_cell_walk(n, entries, cutoff, k_range, r, eps, factor):
+    """(families, skipped, window) of a tabulated spectrum, found by visiting
+    every cell of both windows; each Type 2 multiplicity is the alternating
+    sum over the raw per-degree multiplicities of the table."""
+    table = KunnethCohomology(n)
+    raw = {(q, k, half): mult for q, k, half, mult in entries}
+    radius1 = eps * n / 2 * factor
+    radius2 = eps * (n + 2) / 2 * factor
+    half_mu_max = eps / 8 * factor
+    type1_ks = range(math.ceil(r - radius1), math.floor(r + radius1) + 1)
+    type2_ks = range(math.ceil(r - radius2), math.floor(r + radius2) + 1)
+    families = [EigenvalueFamily(TYPE1, q, k, n, table.h(q, k))
+                for q in range(n + 1) for k in type1_ks if table.h(q, k)]
+    if cutoff < half_mu_max:
+        raise SpectralWindowError(f"spectrum cutoff mu^2/2 <= {cutoff} below the "
+                                  f"required {half_mu_max} for eps = {eps}")
+    skipped = []
+    for q in range(n + 1):
+        for k in type2_ks:
+            if not k_range[0] <= k <= k_range[1]:
+                skipped.append(f"Laplacian spectrum missing (q={q}, k={k}); "
+                               f"covered k-range is {tuple(k_range)}")
+                continue
+            for half in sorted(h for j, kk, h in raw if (j, kk) == (q, k)):
+                mult = type2_multiplicity([raw.get((j, k, half), 0)
+                                           for j in range(q + 1)])
+                if half <= half_mu_max and mult:
+                    families += [EigenvalueFamily(kind, q, k, n, mult,
+                                                  half_mu_sq=half)
+                                 for kind in (TYPE2_PLUS, TYPE2_MINUS)]
+    window = {
+        "type1_k": [type1_ks.start, type1_ks.stop - 1],
+        "type2_k": [type2_ks.start, type2_ks.stop - 1],
+        "half_mu_sq_max": rational_str(half_mu_max),
+        "factor": rational_str(F(factor)),
+    }
+    return families, skipped, window
+
+
+def explicit_walk_flow(n, entries, cutoff, k_range, r, eps, factor, skip):
+    families, skipped, window = explicit_cell_walk(n, entries, cutoff, k_range,
+                                                   r, eps, factor)
+    if skipped and not skip:
+        raise UnknownCohomologyError(skipped[0])
+    return certify_all(families, r, eps, MODE_EXPLICIT, skipped, window)
+
+
+def explicit_walk_kernel(n, entries, cutoff, k_range, r, eps):
+    """dim ker at eps from every cell: Type 1 zeros at k = r + eps(q - n/2)
+    and every Type 2 family whose Q vanishes at eps."""
+    families, skipped, _ = explicit_cell_walk(n, entries, cutoff, k_range,
+                                              r, eps, 1)
+    if skipped:
+        raise UnknownCohomologyError(skipped[0])
+    total = 0
+    for family in families:
+        if family.kind == TYPE1:
+            a0, slope = family.type1_affine(r)
+            total += family.multiplicity * (a0 + slope * eps == 0)
+        elif family.kind == TYPE2_PLUS:
+            c2, c1, c0 = family.quad_coefficients(r)
+            total += family.multiplicity * ((c2 * eps + c1) * eps + c0 == 0)
+    return total
+
+
+def result_of(call):
+    try:
+        return call()
+    except (SpectralWindowError, UnknownCohomologyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def explicit_tables(draw):
+    """(n, entries, cutoff, k_range, r, eps): a random consistent table on
+    (P^1)^n (kappa = 2), a twist |r| > kappa/2 and an eps that most tables
+    make a Type 2 zero of: a level mu^2/2 = half*(k) is added at one cell."""
+    n = draw(st.sampled_from([2, 4]))
+    if draw(st.booleans()):
+        r = F(draw(st.integers(min_value=2, max_value=6)))
+    else:
+        r = draw(st.fractions(min_value=1, max_value=6, max_denominator=6)
+                 .filter(lambda r: r > 1 and r.denominator > 1))
+    r *= draw(st.sampled_from([1, -1]))
+    eps = draw(st.fractions(min_value=0, max_value=16, max_denominator=6)
+               .filter(lambda e: e > 0))
+    rng = draw(st.randoms(use_true_random=False))
+    radius = eps * (n + 2) / 2
+    # mostly covering the window and reaching its cutoff, sometimes not
+    k_range = [math.floor(r - radius) - rng.choice([0, 0, 1, 2, -1]),
+               math.ceil(r + radius) + rng.choice([0, 0, 1, 2, -1])]
+    cutoff = eps / 8 + rng.choice([0, 0, F(1, 3), 2, 2, 2, -F(1, 24)])
+
+    def bound(q, k):
+        return nakano_lower_bound(q, k, 2, n)
+
+    levels = {}  # (k, mu^2/2) -> set of q
+    zeros = []
+    for q in range(n + 1):
+        for k in range(k_range[0], k_range[1] + 1):
+            C = 2 * q + 1 - n
+            half_star = (eps * eps - (2 * (k - r) - C * eps) ** 2) / (8 * eps)
+            if half_star > 0 and half_star >= bound(q, k):
+                zeros.append((q, k, half_star))
+            if rng.random() < 0.3:
+                half = bound(q, k) + F(rng.randrange(0 if bound(q, k) else 1, 17), 8)
+                levels.setdefault((k, half), set()).add(q)
+    if zeros and rng.random() < 0.8:
+        q, k, half = rng.choice(zeros)
+        levels.setdefault((k, half), set()).add(q)
+    # a far eigenvalue keeps every table nonempty, hence tabulated
+    entries = [(0, max(k_range) + 100, F(1), 1)]
+    for (k, half), qs in levels.items():
+        # share the level with other degrees whose bound allows it
+        qs |= {j for j in range(n + 1) if bound(j, k) <= half and rng.random() < 0.3}
+        alternating = 0
+        for q in range(max(qs) + 1):
+            mult = 0
+            if q in qs:
+                # e_q >= d_{q-1} keeps d_q = e_q - d_{q-1} >= 0
+                mult = max(1, alternating) + rng.choice([0, 0, 1, 2])
+                entries.append((q, k, half, mult))
+            alternating = mult - alternating
+    return n, entries, cutoff, k_range, r, eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=explicit_tables(), factor=st.sampled_from([1, 2]))
+def test_explicit_path_matches_cell_walk(tmp_path_factory, case, factor):
+    n, entries, cutoff, k_range, r, eps = case
+    path = tmp_path_factory.mktemp("table") / "spec.json"
+    write_table(path, entries, cutoff, k_range)
+    _, model = make_model(n, laplacian_table_load(path, n, 2))
+    assert model.mode == MODE_EXPLICIT
+    for skip in (False, True):
+        on_unknown = ON_UNKNOWN_SKIP if skip else "error"
+        got = result_of(lambda: spectral_flow(model, r, eps, window_factor=factor,
+                                              on_unknown=on_unknown).to_json())
+        want = result_of(lambda: explicit_walk_flow(
+            n, entries, cutoff, k_range, r, eps, factor, skip).to_json())
+        assert got == want
+    assert result_of(lambda: kernel_dimension(model, r, eps)) == \
+        result_of(lambda: explicit_walk_kernel(n, entries, cutoff, k_range, r, eps))
+
+
+def test_explicit_flow_certifies_as_many_families_at_any_eps(tmp_path, monkeypatch):
+    import etaflow.spectral as spectral
+
+    # every cell of the eps = 2000 window is covered, and every cell whose
+    # Nakano bound is 0 has the eigenvalue 1/3, so a walk over the window
+    # would certify about 100 times as many families at eps = 2000
+    r = F(5, 2)
+    entries = [(0, k, F(1, 3), 1) for k in range(1, 4011)]
+    entries += [(2, k, F(1, 3), 1) for k in range(-4010, 0)]
+    path = tmp_path / "spec.json"
+    write_table(path, entries, 250, (-4010, 4010))
+    _, model = make_model(2, laplacian_table_load(path, 2, 2))
+    calls = []
+    certify = spectral.certify_no_crossing
+    monkeypatch.setattr(spectral, "certify_no_crossing",
+                        lambda *args: calls.append(args) or certify(*args))
+    counts = []
+    for eps in (20, 2000):
+        calls.clear()
+        report = spectral_flow(model, r, eps)
+        assert report.is_exact and report.total_paper == -4
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4 * (model.n + 1)
