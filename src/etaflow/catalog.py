@@ -26,7 +26,6 @@ from .spectral import (
     PROVENANCE_TABULATED,
     SpectralModel,
     UnknownCohomologyError,
-    nakano_lower_bound,
 )
 
 
@@ -104,6 +103,10 @@ class PartialCohomology(CohomologyTable):
 
     def is_known(self, q: int, k: int) -> bool:
         return (q, k) in self.entries
+
+    def known_ks(self, q: int, lo: int, hi: int) -> list:
+        """The k in lo..hi with h^{q,k} tabulated, ascending."""
+        return sorted(k for j, k in self.entries if j == q and lo <= k <= hi)
 
     def is_lower_bound(self, q: int, k: int) -> bool:
         return (q, k) in self.lower_bounds
@@ -281,6 +284,9 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
     if not entries_raw:
         return NAKANO_ONLY
 
+    if kappa < 0:
+        raise ValueError("kappa must be >= 0")
+    H, den = (kappa / 2).numerator, (kappa / 2).denominator
     # (k, numerator, denominator of mu^2/2) -> {q: (mu^2/2, multiplicity)};
     # integer keys, because hashing a Fraction costs a modular inverse
     levels = {}
@@ -300,11 +306,12 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
             raise TableValidationError(
                 f"entry (q={q}, k={k}): multiplicity must be >= 1"
             )
-        bound = nakano_lower_bound(q, k, kappa, n)
-        if half < bound:
+        # den times the Nakano bound max(q(k + kappa/2), (n - q)(kappa/2 - k))
+        bound = max(q * (k * den + H), (n - q) * (H - k * den))
+        if half.numerator * den < bound * half.denominator:
             raise TableValidationError(
                 f"entry (q={q}, k={k}, halfMuSq={half}) violates the curvature "
-                f"lower bound {bound}"
+                f"lower bound {Fraction(bound, den)}"
             )
         level = levels.setdefault((k, half.numerator, half.denominator), {})
         if q in level:

@@ -23,8 +23,8 @@ only the k that can report are visited: for Type 2 each q contributes a
 k-range found in closed form from the Nakano bound, which every tabulated
 eigenvalue also satisfies, and for Type 1 on a complete cohomology table
 the k between r and the family's root.  That cost does not grow with
-eps.  Partial tables are walked cell by cell, and a tabulated spectrum
-reports each cell of the window outside its declared k-range as missing.
+eps.  A partial table reports the cells of the window it lacks in one
+batch per q, and a tabulated spectrum those outside its k-range.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class CohomologyTable:
 
     name = "table"
     # every h^{q,k} is known, so the flow visits only the Type 1 cells that
-    # can report; a partial table walks its whole window to list the gaps
+    # can report; a partial table (known_ks) lists its window's gaps in bulk
     complete = True
 
     def h(self, q: int, k: int) -> int:
@@ -350,8 +350,8 @@ ON_UNKNOWN_SKIP = "skip"
 # Largest search window, in (q, k) cells over both family types, that is
 # accepted.  The window grows linearly in eps.  On a complete cohomology
 # table only the cells that can report are visited, so the cost does not;
-# partial tables are still walked cell by cell, and a tabulated spectrum
-# lists every cell outside its k-range.
+# a partial table lists every cell of its window that it does not know,
+# and a tabulated spectrum every cell outside its k-range.
 MAX_WINDOW_CELLS = 500_000
 
 
@@ -359,61 +359,63 @@ def _k_interval(center: Fraction, radius: Fraction):
     return math.ceil(center - radius), math.floor(center + radius)
 
 
-def _unknown_handler(on_unknown, skipped):
-    """Raise UnknownCohomologyError for missing data, or record the
-    message in ``skipped`` under on_unknown="skip"."""
+def _scaled(*values):
+    """(D, x_1 D, ..., x_m D) as integers, D the least common denominator
+    of the Fractions x_i; an integer ceiling is then -((-p) // q)."""
+    d = 1
+    for x in values:
+        d = d * x.denominator // math.gcd(d, x.denominator)
+    return (d, *(x.numerator * (d // x.denominator) for x in values))
 
-    def handle(message):
-        if on_unknown != ON_UNKNOWN_SKIP:
+
+def _unknown_handler(on_unknown, skipped):
+    """Raise UnknownCohomologyError at the first of an iterable of messages
+    about missing data, or record them all in ``skipped`` under
+    on_unknown="skip"."""
+
+    def handle(messages):
+        if on_unknown == ON_UNKNOWN_SKIP:
+            skipped.extend(messages)
+            return
+        for message in messages:
             raise UnknownCohomologyError(message)
-        skipped.append(message)
 
     return handle
 
 
-def _type1_window(r, eps, n: int, factor):
-    """(k_lo, k_hi): a Type 1 zero on (0, eps] needs |k - r| <= eps*n/2,
-    widened by ``factor``."""
-    return _k_interval(r, eps * n / 2 * factor)
-
-
-def _type2_window(r, eps, n: int, factor):
-    """(k_lo, k_hi, half_mu_max): a Type 2 zero on (0, eps] needs
-    |2k - 2r| <= eps(n + 2) and mu^2 <= eps/4, widened by ``factor``."""
-    k_lo, k_hi = _k_interval(r, eps * (n + 2) / 2 * factor)
-    return k_lo, k_hi, eps / 8 * factor
-
-
-def _check_window_size(r, eps, n: int, factor):
-    """Refuse, before any enumeration, a window of more than
-    MAX_WINDOW_CELLS cells: (n + 1) times the number of k, summed over
-    the Type 1 and Type 2 windows."""
-    k1_lo, k1_hi = _type1_window(r, eps, n, factor)
-    k2_lo, k2_hi, _ = _type2_window(r, eps, n, factor)
+def _windows(r, eps, n: int, factor):
+    """(k1_lo, k1_hi, k2_lo, k2_hi, half_mu_max), widened by ``factor``: a
+    Type 1 zero on (0, eps] needs |k - r| <= eps*n/2, a Type 2 zero
+    |2k - 2r| <= eps(n + 2) and mu^2 <= eps/4.  Refuses, before any
+    enumeration, more than MAX_WINDOW_CELLS cells: (n + 1) times the number
+    of k, summed over both windows."""
+    k1_lo, k1_hi = _k_interval(r, eps * n / 2 * factor)
+    k2_lo, k2_hi = _k_interval(r, eps * (n + 2) / 2 * factor)
     cells = (n + 1) * (max(k1_hi - k1_lo + 1, 0) + max(k2_hi - k2_lo + 1, 0))
     if cells > MAX_WINDOW_CELLS:
         raise SpectralWindowError(
             f"search window of {cells} (q, k) cells for eps = {eps} exceeds "
             f"MAX_WINDOW_CELLS = {MAX_WINDOW_CELLS}"
         )
+    return k1_lo, k1_hi, k2_lo, k2_hi, eps / 8 * factor
 
 
-def _nakano_k_range(q: int, n: int, kappa: Fraction, k_lo, k_hi, half_mu_max):
+def _nakano_k_range(q: int, n: int, k_lo, k_hi, D, H, M):
     """(lo, hi): the k in k_lo..k_hi where the Nakano bound
-    max(q(k + kappa/2), (n - q)(-k + kappa/2)) is at most half_mu_max;
-    outside it no eigenvalue of degree q enters the window."""
-    half = kappa / 2
+    max(q(k + kappa/2), (n - q)(-k + kappa/2)) is at most half_mu_max, with
+    kappa/2 = H/D and half_mu_max = M/D; outside it no eigenvalue of
+    degree q enters the window."""
     lo, hi = k_lo, k_hi
     if q > 0:
-        hi = min(hi, math.floor(half_mu_max / q - half))
+        hi = min(hi, (M - q * H) // (q * D))
     if q < n:
-        lo = max(lo, math.ceil(half - half_mu_max / (n - q)))
+        lo = max(lo, -((M - (n - q) * H) // ((n - q) * D)))
     return lo, hi
 
 
-def _flow_ks(q: int, lo: int, hi: int, n: int, kappa: Fraction, r, eps):
+def _flow_ks(q: int, lo: int, hi: int, n: int, D, R, H, E):
     """The k in lo..hi where a bound-level Type 2 family of degree q can
-    report on (0, eps].
+    report on (0, eps], with r = R/D and kappa/2 = H/D.
 
     Q = c2 delta^2 + c1 delta + c0 has c2 = C^2 - 1 >= 0 (C = 2q + 1 - n is
     odd) and c0 = B^2, so Q > 0 on [0, eps] unless c1 < 0 or B = 0.  With
@@ -422,36 +424,35 @@ def _flow_ks(q: int, lo: int, hi: int, n: int, kappa: Fraction, r, eps):
     so c1 < 0 on one open k-interval, whatever eps is; B = 0 adds k = r.
     """
     C = 2 * q + 1 - n
-    start = max(lo, math.floor(((n - q) * kappa + C * r) / (n + 1)) + 1)
-    stop = min(hi, math.ceil(-(q * kappa + C * r) / (n - 1)) - 1)
-    ks = set(range(start, stop + 1))
-    if r.denominator == 1 and lo <= r <= hi:
-        ks.add(int(r))
-    return sorted(ks)
+    ks = range(max(lo, (2 * (n - q) * H + C * R) // ((n + 1) * D) + 1),
+               min(hi, -((2 * q * H + C * R) // ((n - 1) * D)) - 1) + 1)
+    if R % D == 0 and lo <= R // D <= hi and R // D not in ks:
+        return sorted((*ks, R // D))
+    return ks
 
 
-def _kernel_ks(q: int, lo: int, hi: int, n: int, kappa: Fraction, r, eps):
+def _kernel_ks(q: int, lo: int, hi: int, n: int, D, R, H, E):
     """The k in lo..hi where a Type 2 zero at eps cannot be excluded by the
     Nakano bound: half*(k) > 0 and half*(k) >= bound(k), with
     half*(k) = (eps^2 - (2(k - r) - C eps)^2)/(8 eps) the eigenvalue that
-    would vanish at eps.
+    would vanish at eps; r, kappa/2 and eps are R/D, H/D and E/D.
 
-    g = half* - bound is concave in k (a concave quadratic minus a maximum
-    of affine functions), so on the k-interval where half* > 0 one binary
-    search finds the integer maximum of g, a second the first k with
-    g >= 0 and a third, run only if the caller asks for a second k, the
-    last.
+    g = 8 eps D (half* - bound) is concave in k (a concave quadratic minus
+    a maximum of affine functions), so on the k-interval where half* > 0
+    one binary search finds the integer maximum of g, a second the first k
+    with g >= 0 and a third, run only if the caller asks for a second k,
+    the last.
     """
     C = 2 * q + 1 - n
     # half* > 0 iff |2(k - r) - C eps| < eps
-    lo = max(lo, math.floor(r + (C - 1) * eps / 2) + 1)
-    hi = min(hi, math.ceil(r + (C + 1) * eps / 2) - 1)
+    lo = max(lo, (2 * R + (C - 1) * E) // (2 * D) + 1)
+    hi = min(hi, -((-2 * R - (C + 1) * E) // (2 * D)) - 1)
     if lo > hi:
         return
 
     def g(k):
-        half_star = (eps * eps - (2 * (k - r) - C * eps) ** 2) / (8 * eps)
-        return half_star - nakano_lower_bound(q, k, kappa, n)
+        return (E * E - (2 * (k * D - R) - C * E) ** 2
+                - 8 * E * max(q * (k * D + H), (n - q) * (H - k * D)))
 
     top = _first_true(lo, hi, lambda k: k == hi or g(k) >= g(k + 1))
     if g(top) < 0:
@@ -474,15 +475,17 @@ def _first_true(lo: int, hi: int, pred) -> int:
     return lo
 
 
-def _type2_levels(model: SpectralModel, r, eps, factor, handle_unknown, pick_ks):
-    """Yield (q, k, half_mu_sq, multiplicity) for the Type 2 levels in the
-    window at each k that ``pick_ks(q, lo, hi, n, kappa, r, eps)`` picks
-    from the Nakano range lo..hi of degree q: each tabulated eigenvalue
-    with mu^2/2 inside the window, or in bound-only mode the Nakano bound
-    with multiplicity None.  A tabulated eigenvalue is at least the bound,
-    so a level that the bound silences is silent too."""
+def _type2_levels(model: SpectralModel, r, eps, k_lo, k_hi, half_mu_max,
+                  handle_unknown, pick_ks):
+    """Yield (q, k, half_mu_sq, multiplicity) for the Type 2 levels of the
+    window k_lo..k_hi, mu^2/2 <= half_mu_max, at each k that
+    ``pick_ks(q, lo, hi, n, D, R, H, E)`` picks from the Nakano range
+    lo..hi of degree q (``_scaled`` gives D, R, H, E for r, kappa/2, eps):
+    each tabulated eigenvalue with mu^2/2 inside the window, or in
+    bound-only mode the Nakano bound with multiplicity None.  A tabulated
+    eigenvalue is at least the bound, so a level that the bound silences is
+    silent too."""
     n = model.n
-    k_lo, k_hi, half_mu_max = _type2_window(r, eps, n, factor)
     spectrum = model.spectrum
     tabulated = spectrum.is_tabulated
     missing = ()
@@ -499,23 +502,19 @@ def _type2_levels(model: SpectralModel, r, eps, factor, handle_unknown, pick_ks)
                    *range(max(k_lo, cover_lo, cover_hi + 1), k_hi + 1))
         k_lo, k_hi = max(k_lo, cover_lo), min(k_hi, cover_hi)
     elif model.kappa is None:
-        handle_unknown(
-            "Type 2 certification needs a Ricci lower bound or an "
-            "explicit Laplacian spectrum"
-        )
+        handle_unknown(("Type 2 certification needs a Ricci lower bound or an "
+                        "explicit Laplacian spectrum",))
         return
     # without a Ricci bound a table still meets the weakest bound, kappa = 0
-    kappa = as_fraction(model.kappa or 0)
+    D, R, H, E, M = _scaled(r, as_fraction(model.kappa or 0) / 2, eps, half_mu_max)
+    suffix = f"); covered k-range is {spectrum.k_range}"
     for q in range(n + 1):
-        for k in missing:
-            handle_unknown(
-                f"Laplacian spectrum missing (q={q}, k={k}); "
-                f"covered k-range is {spectrum.k_range}"
-            )
-        lo, hi = _nakano_k_range(q, n, kappa, k_lo, k_hi, half_mu_max)
-        for k in pick_ks(q, lo, hi, n, kappa, r, eps):
+        prefix = f"Laplacian spectrum missing (q={q}, k="
+        handle_unknown(f"{prefix}{k}{suffix}" for k in missing)
+        lo, hi = _nakano_k_range(q, n, k_lo, k_hi, D, H, M)
+        for k in pick_ks(q, lo, hi, n, D, R, H, E):
             if not tabulated:
-                yield q, k, nakano_lower_bound(q, k, kappa, n), None
+                yield q, k, Fraction(max(q * (k * D + H), (n - q) * (H - k * D)), D), None
                 continue
             for half, mult in spectrum.eigenvalues(q, k):
                 if half > half_mu_max:
@@ -529,13 +528,14 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
 
     Type 1 needs |k - r| <= eps*n/2; a Type 2 crossing needs
     |2k - 2r| <= eps(n + 2) and mu^2 <= eps/4 (both follow from
-    A(delta) <= delta^2 at a crossing).  ``window_factor`` widens the
+    A(delta) <= delta^2 at a crossing).  ``window_factor`` >= 1 widens the
     windows for soundness testing.  Within them, a complete cohomology
     table lists only the Type 1 families whose root (k - r)/(q - n/2)
     lies in [0, eps], and both spectrum kinds only the Type 2 levels at
     the k that ``_flow_ks`` keeps; every other family is silent, so the
-    cost of those parts does not grow with eps.  Partial tables are walked
-    cell by cell.  Returns (families, skipped, window) where ``skipped``
+    cost of those parts does not grow with eps.  A partial table reports
+    every cell of its Type 1 window that it does not list, in one batch
+    per q.  Returns (families, skipped, window) where ``skipped``
     describes entries omitted under on_unknown="skip".
     """
     r = as_fraction(r)
@@ -543,41 +543,44 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     if eps <= 0:
         raise ValueError("eps must be positive")
     factor = as_fraction(window_factor)
+    if factor < 1:
+        # a narrower window drops families that can cross
+        raise ValueError(f"window_factor must be >= 1, got {factor}")
     n = model.n
     if n % 2 or n <= 0:
         # _flow_ks needs C = 2q + 1 - n odd and n - 1 > 0
         raise ValueError("only positive even complex dimension is supported")
-    _check_window_size(r, eps, n, factor)
+    k_lo, k_hi, k2_lo, k2_hi, half_mu_max = _windows(r, eps, n, factor)
     families = []
     skipped = []
     handle_unknown = _unknown_handler(on_unknown, skipped)
-
-    k_lo, k_hi = _type1_window(r, eps, n, factor)
+    table = model.table
+    D, R, E = _scaled(r, eps)
+    suffix = f"}} unknown in table {table.name!r}"
     for q in range(n + 1):
-        ks = range(k_lo, k_hi + 1)
-        if model.table.complete:
-            end = r + eps * (Fraction(q) - Fraction(n, 2))
-            ks = model.table.k_support(q, max(k_lo, math.ceil(min(r, end))),
-                                       min(k_hi, math.floor(max(r, end))))
+        if table.complete:
+            # the k between r and the root's end r + eps(q - n/2)
+            end = R + E * (q - n // 2)
+            ks = table.k_support(q, max(k_lo, -(-min(R, end) // D)),
+                                 min(k_hi, max(R, end) // D))
+        else:
+            ks = table.known_ks(q, k_lo, k_hi)
+            prefix = f"h^{{{q},"
+            handle_unknown(f"{prefix}{k}{suffix}" for k in range(k_lo, k_hi + 1)
+                           if k not in ks)
         for k in ks:
-            if not model.table.is_known(q, k):
-                handle_unknown(
-                    f"h^{{{q},{k}}} unknown in table {model.table.name!r}"
-                )
-                continue
-            mult = model.table.h(q, k)
+            mult = table.h(q, k)
             if mult:
                 families.append(EigenvalueFamily(
-                    TYPE1, q, k, n, mult, mult_is_lower_bound=model.table.is_lower_bound(q, k)))
+                    TYPE1, q, k, n, mult, mult_is_lower_bound=table.is_lower_bound(q, k)))
 
-    k2_lo, k2_hi, half_mu_max = _type2_window(r, eps, n, factor)
     window = {
         "type1_k": [k_lo, k_hi],
         "type2_k": [k2_lo, k2_hi],
         "half_mu_sq_max": rational_str(half_mu_max),
         "factor": rational_str(factor),
     }
-    for q, k, half, mult in _type2_levels(model, r, eps, factor,
+    for q, k, half, mult in _type2_levels(model, r, eps, k2_lo, k2_hi, half_mu_max,
                                           handle_unknown, _flow_ks):
         # in bound-only mode the multiplicity is unknown (None)
         if mult != 0:
@@ -746,25 +749,25 @@ def kernel_dimension(model: SpectralModel, r, eps,
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = model.n
-    _check_window_size(r, eps, n, 1)
+    _, _, k2_lo, k2_hi, half_mu_max = _windows(r, eps, n, 1)
     total = 0
     handle_unknown = _unknown_handler(on_unknown, [])
 
     # Type 1 zeros at eps: k = r + eps (q - n/2) must be an integer
+    D, R, E = _scaled(r, eps)
     for q in range(n + 1):
-        kv = r + eps * (Fraction(q) - Fraction(n, 2))
-        if kv.denominator != 1:
+        k, rem = divmod(2 * R + E * (2 * q - n), 2 * D)
+        if rem:
             continue
-        k = int(kv)
         if not model.table.is_known(q, k):
-            handle_unknown(f"h^{{{q},{k}}} unknown in table {model.table.name!r}")
+            handle_unknown((f"h^{{{q},{k}}} unknown in table {model.table.name!r}",))
             continue
         total += model.table.h(q, k)
 
     # Type 2 zeros at eps: Q(eps) = 0, that is mu^2/2 = half*, the unique
     # eigenvalue that would vanish at eps, at the k where the bound allows it
-    for q, k, half, mult in _type2_levels(model, r, eps, 1, handle_unknown,
-                                          _kernel_ks):
+    for q, k, half, mult in _type2_levels(model, r, eps, k2_lo, k2_hi, half_mu_max,
+                                          handle_unknown, _kernel_ks):
         half_star = (eps * eps - (2 * (k - r) - (2 * q + 1 - n) * eps) ** 2) / (8 * eps)
         if mult is None:
             raise IndeterminateSpectralFlow(

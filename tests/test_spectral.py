@@ -5,17 +5,19 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etaflow.catalog import (
     KunnethCohomology,
+    PartialCohomology,
     TableValidationError,
     general_type_hypersurface_model,
     laplacian_table_load,
     product_cp1_model,
     resolve_manifold,
 )
+from etaflow.eta import eta_invariant
 from etaflow.exact import cmp_exact, rational_str, sqrt_sign
 from etaflow.spectral import (
     CERTIFIED,
@@ -44,6 +46,11 @@ from etaflow.spectral import (
     TYPE2_PLUS,
     UNCONSTRAINED,
     UnknownCohomologyError,
+    _first_true,
+    _flow_ks,
+    _kernel_ks,
+    _nakano_k_range,
+    _scaled,
     certify_no_crossing,
     enumerate_families,
     kernel_dimension,
@@ -918,3 +925,198 @@ def test_explicit_flow_certifies_as_many_families_at_any_eps(tmp_path, monkeypat
         assert report.is_exact and report.total_paper == -4
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 4 * (model.n + 1)
+
+
+# ------------------------------------------------------- window factor
+
+
+@pytest.mark.parametrize("factor", [F(1, 2), 0, -1])
+def test_narrowing_window_factor_is_refused(explicit_model, factor):
+    # a narrower window drops crossing families yet reported an exact
+    # total: -4 at factor 1/2 and 0 at factor 0 against -5 at factor 1
+    r, eps = F(5, 2), 2
+    assert spectral_flow(explicit_model, r, eps).total == -5
+    entry = resolve_manifold(str(EXPLICIT_CONFIG))
+    for call in (lambda: enumerate_families(explicit_model, r, eps, window_factor=factor),
+                 lambda: spectral_flow(explicit_model, r, eps, window_factor=factor),
+                 lambda: eta_invariant(entry.manifold, entry.model, r, eps,
+                                       window_factor=factor)):
+        with pytest.raises(ValueError, match=f"window_factor must be >= 1, got {factor}"):
+            call()
+    assert eta_invariant(entry.manifold, entry.model, r, eps).total == F(-135, 8)
+
+
+# ------------------------------------------------- partial tables, cell walk
+
+
+def partial_walk(model, r, eps, factor):
+    """(families, skipped, window) of a partial cohomology table, found by
+    asking the table about every cell of both windows."""
+    n = model.n
+    radius1 = eps * n / 2 * factor
+    radius2 = eps * (n + 2) / 2 * factor
+    half_mu_max = eps / 8 * factor
+    type1_ks = range(math.ceil(r - radius1), math.floor(r + radius1) + 1)
+    type2_ks = range(math.ceil(r - radius2), math.floor(r + radius2) + 1)
+    families, skipped = [], []
+    for q in range(n + 1):
+        for k in type1_ks:
+            if not model.table.is_known(q, k):
+                skipped.append(f"h^{{{q},{k}}} unknown in table {model.table.name!r}")
+            elif model.table.h(q, k):
+                families.append(EigenvalueFamily(
+                    TYPE1, q, k, n, model.table.h(q, k),
+                    mult_is_lower_bound=model.table.is_lower_bound(q, k)))
+    if model.kappa is None:
+        skipped.append("Type 2 certification needs a Ricci lower bound or an "
+                       "explicit Laplacian spectrum")
+    else:
+        for q in range(n + 1):
+            for k in type2_ks:
+                bound = nakano_lower_bound(q, k, model.kappa, n)
+                if bound <= half_mu_max:
+                    families += [EigenvalueFamily(kind, q, k, n, None, half_mu_sq=bound,
+                                                  half_mu_sq_is_bound=True)
+                                 for kind in (TYPE2_PLUS, TYPE2_MINUS)]
+    window = {
+        "type1_k": [type1_ks.start, type1_ks.stop - 1],
+        "type2_k": [type2_ks.start, type2_ks.stop - 1],
+        "half_mu_sq_max": rational_str(half_mu_max),
+        "factor": rational_str(F(factor)),
+    }
+    return families, skipped, window
+
+
+@st.composite
+def partial_models(draw):
+    """A SpectralModel on a random PartialCohomology table: n in {2, 4},
+    random known cells near the origin with random h and lower-bound
+    flags, and no Ricci bound or a random one."""
+    n = draw(st.sampled_from([2, 4]))
+    cells = draw(st.lists(st.tuples(st.integers(0, n), st.integers(-30, 30)),
+                          max_size=40, unique=True))
+    entries = {cell: draw(st.integers(0, 3)) for cell in cells}
+    lower_bounds = [cell for cell in cells if draw(st.booleans())]
+    kappa = draw(st.one_of(st.none(), st.just(F(0)),
+                           st.fractions(min_value=0, max_value=4, max_denominator=6)))
+    return SpectralModel("partial", n, kappa,
+                         PartialCohomology("partial", entries, lower_bounds))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=partial_models(),
+       r=st.fractions(min_value=-8, max_value=8, max_denominator=6),
+       eps=st.fractions(min_value=0, max_value=8, max_denominator=6)
+       .filter(lambda e: e > 0),
+       factor=st.sampled_from([1, 2]))
+def test_partial_table_matches_cell_walk(model, r, eps, factor):
+    families, skipped, window = partial_walk(model, r, eps, factor)
+    got = enumerate_families(model, r, eps, window_factor=factor,
+                             on_unknown=ON_UNKNOWN_SKIP)[1]
+    assert got == skipped
+    report = spectral_flow(model, r, eps, window_factor=factor,
+                           on_unknown=ON_UNKNOWN_SKIP)
+    assert report.to_json() == certify_all(families, r, eps, MODE_NAKANO,
+                                           skipped, window).to_json()
+    error = result_of(lambda: spectral_flow(model, r, eps, window_factor=factor).to_json())
+    if skipped:
+        assert error == ("UnknownCohomologyError", skipped[0])
+    else:
+        assert error == report.to_json()
+
+
+def test_partial_table_is_consulted_equally_often_at_any_eps(monkeypatch):
+    # the unknown cells are listed in bulk, so the table answers the same
+    # questions at eps = 10 and eps = 1000 (205 and 20005 skipped entries)
+    _, model = hyp_model(4, 8)
+    calls = []
+    for name in ("h", "is_known", "known_ks", "is_lower_bound"):
+        method = getattr(model.table, name, None)
+        if method is None:
+            continue
+        monkeypatch.setattr(model.table, name,
+                            lambda *args, method=method: calls.append(args) or method(*args))
+    counts = []
+    for eps, skipped in ((10, 205), (1000, 20005)):
+        calls.clear()
+        report = spectral_flow(model, 0, eps, on_unknown=ON_UNKNOWN_SKIP)
+        assert len(report.skipped) == skipped
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3 * (model.n + 1)
+
+
+# ----------------------------------------------- integer per-q bounds
+
+
+def fraction_nakano_k_range(q, n, kappa, k_lo, k_hi, half_mu_max):
+    """The Nakano k-range in Fractions."""
+    half = kappa / 2
+    lo, hi = k_lo, k_hi
+    if q > 0:
+        hi = min(hi, math.floor(half_mu_max / q - half))
+    if q < n:
+        lo = max(lo, math.ceil(half - half_mu_max / (n - q)))
+    return lo, hi
+
+
+def fraction_flow_ks(q, lo, hi, n, kappa, r):
+    """The k where c1 < 0 or B = 0, in Fractions."""
+    C = 2 * q + 1 - n
+    start = max(lo, math.floor(((n - q) * kappa + C * r) / (n + 1)) + 1)
+    stop = min(hi, math.ceil(-(q * kappa + C * r) / (n - 1)) - 1)
+    ks = set(range(start, stop + 1))
+    if r.denominator == 1 and lo <= r <= hi:
+        ks.add(int(r))
+    return sorted(ks)
+
+
+def fraction_kernel_ks(q, lo, hi, n, kappa, r, eps):
+    """The k with half*(k) > 0 and half*(k) >= bound(k), by the three
+    binary searches over g = half* - bound in Fractions."""
+    C = 2 * q + 1 - n
+    lo = max(lo, math.floor(r + (C - 1) * eps / 2) + 1)
+    hi = min(hi, math.ceil(r + (C + 1) * eps / 2) - 1)
+    if lo > hi:
+        return []
+
+    def g(k):
+        half_star = (eps * eps - (2 * (k - r) - C * eps) ** 2) / (8 * eps)
+        return half_star - nakano_lower_bound(q, k, kappa, n)
+
+    top = _first_true(lo, hi, lambda k: k == hi or g(k) >= g(k + 1))
+    if g(top) < 0:
+        return []
+    first = _first_true(lo, top, lambda k: g(k) >= 0)
+    return list(range(first, _first_true(top, hi, lambda k: k == hi or g(k + 1) < 0) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([2, 4, 6]),
+       kappa=st.one_of(st.just(F(0)),
+                       st.fractions(min_value=0, max_value=4, max_denominator=12)),
+       r=st.fractions(min_value=-12, max_value=12, max_denominator=12),
+       eps=st.fractions(min_value=0, max_value=40, max_denominator=12)
+       .filter(lambda e: e > 0),
+       factor=st.sampled_from([1, 2, F(5, 3)]))
+@example(n=2, kappa=F(0), r=F(-3), eps=F(1, 12), factor=1)
+@example(n=4, kappa=F(2), r=F(-5, 2), eps=F(7, 3), factor=1)
+@example(n=6, kappa=F(1, 12), r=F(1, 12), eps=F(12), factor=2)
+def test_integer_bounds_match_fraction_formulas(n, kappa, r, eps, factor):
+    half_mu_max = eps / 8 * factor
+    radius = eps * (n + 2) / 2 * factor
+    k_lo, k_hi = math.ceil(r - radius), math.floor(r + radius)
+    D, R, H, E, M = _scaled(r, kappa / 2, eps, half_mu_max)
+    assert (F(R, D), F(H, D), F(E, D), F(M, D)) == (r, kappa / 2, eps, half_mu_max)
+    for q in range(n + 1):
+        lo, hi = _nakano_k_range(q, n, k_lo, k_hi, D, H, M)
+        assert (lo, hi) == fraction_nakano_k_range(q, n, kappa, k_lo, k_hi, half_mu_max)
+        assert list(_flow_ks(q, lo, hi, n, D, R, H, E)) == \
+            fraction_flow_ks(q, lo, hi, n, kappa, r)
+        kernel_ks = list(_kernel_ks(q, lo, hi, n, D, R, H, E))
+        assert kernel_ks == fraction_kernel_ks(q, lo, hi, n, kappa, r, eps)
+        # and every k of the range where the vanishing eigenvalue is allowed
+        C = 2 * q + 1 - n
+        assert kernel_ks == [
+            k for k in range(lo, hi + 1)
+            if 0 < (eps * eps - (2 * (k - r) - C * eps) ** 2) / (8 * eps)
+            >= nakano_lower_bound(q, k, kappa, n)]
