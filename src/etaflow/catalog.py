@@ -22,8 +22,6 @@ from .exact import Record, as_fraction, parse_rational
 from .spectral import (
     CohomologyTable,
     LaplacianSpectrum,
-    NAKANO_ONLY,
-    PROVENANCE_TABULATED,
     SpectralModel,
     UnknownCohomologyError,
 )
@@ -234,7 +232,7 @@ def _json_number(text: str):
         return text
 
 
-def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
+def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
     """Load and validate a Laplacian spectrum table.
 
     Accepts either a bare JSON array of entries
@@ -244,7 +242,8 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
     bare array infers both from the entries present).  Every entry must
     satisfy the curvature lower bound, and every eigenvalue must have a
     nonnegative alternating multiplicity; violations are hard errors naming
-    the entry.  An empty table falls back to bound-only certification.
+    the entry.  An empty table loads as None, which falls back to
+    bound-only certification.
     """
     kappa = as_fraction(kappa)
 
@@ -282,7 +281,7 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
         raise TableValidationError("spectrum file must be a JSON array or object")
 
     if not entries_raw:
-        return NAKANO_ONLY
+        return None
 
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
@@ -338,12 +337,7 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum:
     cutoff = declared_cutoff
     if cutoff is None:
         cutoff = max(h for values in entries.values() for h, _ in values)
-    return LaplacianSpectrum(
-        provenance=PROVENANCE_TABULATED,
-        entries=entries,
-        half_mu_sq_max=cutoff,
-        k_range=k_range,
-    )
+    return LaplacianSpectrum(entries, cutoff, k_range)
 
 
 class CatalogEntry(Record):
@@ -372,9 +366,9 @@ _HYP_RE = re.compile(r"^hyp:n=(-?\d+),d=(-?\d+)$")
 _CP1_RE = re.compile(r"^cp1x(\d+)$")
 
 
-def _entry_from_product(factors: int, spectrum=NAKANO_ONLY) -> CatalogEntry:
+def _entry_from_product(factors: int) -> CatalogEntry:
     spec, table = product_cp1_model(factors)
-    model = SpectralModel(spec.name, spec.n, spec.kappa, table, spectrum)
+    model = SpectralModel(spec.name, spec.n, spec.kappa, table)
     return CatalogEntry(spec.name, spec, None, model)
 
 
@@ -422,10 +416,9 @@ def load_config(path) -> CatalogEntry:
             raise ConfigError(
                 "laplacian tables require a Fano entry (curvature validation)"
             )
-        spectrum = laplacian_table_load(
+        entry.model.spectrum = laplacian_table_load(
             path.parent / table_path, entry.model.n, entry.model.kappa
         )
-        entry.model.spectrum = spectrum
     return entry
 
 

@@ -49,7 +49,6 @@ from .series import (
 )
 from .spectral import (
     IndeterminateSpectralFlow,
-    NAKANO_ONLY,
     ON_UNKNOWN_SKIP,
     SF_SIGN_PAPER,
     SF_SIGN_STANDARD,
@@ -158,15 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _model_for(entry, mode: str):
     model = entry.model
     if mode == "explicit":
-        if not model.spectrum.is_tabulated:
+        if model.spectrum is None:
             raise ConfigError(
                 "explicit mode needs a 'laplacian_table' in the manifold config"
             )
         return model
-    if model.spectrum.is_tabulated:
+    if model.spectrum is not None:
         # nakano mode deliberately ignores a shipped table
-        model = SpectralModel(model.name, model.n, model.kappa, model.table,
-                              spectrum=NAKANO_ONLY)
+        model = SpectralModel(model.name, model.n, model.kappa, model.table)
     return model
 
 

@@ -15,16 +15,19 @@ delta in (0, eps]:
 A Type 2 branch can vanish only where Q(delta) = A(delta) - delta^2 does,
 and Q is a quadratic in delta with exact rational coefficients, monotone
 in mu^2.  Certification therefore reduces to exact sign analysis of
-quadratics, using either tabulated Laplacian eigenvalues or the certified
+quadratics, using either tabulated Laplacian eigenvalues or, when the
+model has no spectrum (``spectrum=None``, bound-only mode), the certified
 curvature lower bound  mu^2/2 >= max(q(k + kappa/2), (n-q)(-k + kappa/2)).
 The search windows are finite because a crossing forces
 |2k - 2r| <= eps(n+2) and mu^2 <= eps/4.  They grow linearly in eps, but
 only the k that can report are visited: for Type 2 each q contributes a
 k-range found in closed form from the Nakano bound, which every tabulated
 eigenvalue also satisfies, and for Type 1 on a complete cohomology table
-the k between r and the family's root.  That cost does not grow with
-eps.  A partial table reports the cells of the window it lacks in one
-batch per q, and a tabulated spectrum those outside its k-range.
+the k between r and the family's root.  The flow and the kernel at
+delta = eps read the same Type 2 k-range, because a zero at eps also
+needs Q to fall.  That cost does not grow with eps.  A partial table
+reports the cells of the window it lacks in one batch per q, and a
+tabulated spectrum those outside its k-range.
 """
 
 from __future__ import annotations
@@ -53,9 +56,6 @@ SF_SIGN_STANDARD = "standard"  # the opposite orientation
 
 MUST_VANISH = "must_vanish"
 UNCONSTRAINED = "unconstrained"
-
-PROVENANCE_TABULATED = "tabulated"
-PROVENANCE_NAKANO = "nakano_bound_only"
 
 
 class UnknownCohomologyError(LookupError):
@@ -138,39 +138,32 @@ class LaplacianSpectrum(Record):
 
     ``entries[(q, k)]`` is an ascending tuple of (mu^2/2, d), d >= 0 the
     alternating multiplicity (``type2_multiplicity``) of the Type 2 family
-    at that eigenvalue; every mu^2/2 is at least the Nakano bound.  A (q, k)
-    in the declared ``k_range`` with no entry has no positive eigenvalue
-    below the cutoff.  ``provenance`` records whether the data is a genuine
-    table or the bound-only placeholder.
+    at that eigenvalue; every mu^2/2 is at least the Nakano bound.  The
+    table lists every eigenvalue up to the cutoff ``half_mu_sq_max`` for
+    each k of the inclusive ``k_range`` (lo, hi): a (q, k) in the range
+    with no entry has no positive eigenvalue below the cutoff.
     """
 
-    def __init__(self, provenance: str = PROVENANCE_NAKANO, entries: dict | None = None,
-                 half_mu_sq_max: Fraction | None = None, k_range: tuple | None = None):
-        self.provenance = provenance
-        self.entries = {} if entries is None else entries
+    def __init__(self, entries: dict, half_mu_sq_max: Fraction, k_range: tuple):
+        self.entries = entries
         self.half_mu_sq_max = half_mu_sq_max
         self.k_range = k_range
-
-    @property
-    def is_tabulated(self) -> bool:
-        return self.provenance == PROVENANCE_TABULATED
 
     def eigenvalues(self, q: int, k: int):
         return self.entries.get((q, k), ())
 
 
-NAKANO_ONLY = LaplacianSpectrum()
-
-
 class SpectralModel(Record):
     """Everything the engine needs about a base manifold: the complex
     dimension, the Ricci lower bound (None for non-Fano entries), the
-    cohomology table and an optional explicit Laplacian spectrum."""
+    cohomology table and an optional explicit Laplacian spectrum.  With
+    ``spectrum`` None the Type 2 families are certified from the Nakano
+    bound alone (``MODE_NAKANO``)."""
 
     __hash__ = None
 
     def __init__(self, name: str, n: int, kappa: Fraction | None,
-                 table: CohomologyTable, spectrum: LaplacianSpectrum = NAKANO_ONLY):
+                 table: CohomologyTable, spectrum: LaplacianSpectrum | None = None):
         self.name = name
         self.n = n
         self.kappa = kappa
@@ -179,7 +172,7 @@ class SpectralModel(Record):
 
     @property
     def mode(self) -> str:
-        return MODE_EXPLICIT if self.spectrum.is_tabulated else MODE_NAKANO
+        return MODE_NAKANO if self.spectrum is None else MODE_EXPLICIT
 
 
 class EigenvalueFamily(Record):
@@ -372,6 +365,9 @@ def _unknown_handler(on_unknown, skipped):
     """Raise UnknownCohomologyError at the first of an iterable of messages
     about missing data, or record them all in ``skipped`` under
     on_unknown="skip"."""
+    if on_unknown not in (ON_UNKNOWN_ERROR, ON_UNKNOWN_SKIP):
+        raise ValueError(f"on_unknown must be {ON_UNKNOWN_ERROR!r} or "
+                         f"{ON_UNKNOWN_SKIP!r}, got {on_unknown!r}")
 
     def handle(messages):
         if on_unknown == ON_UNKNOWN_SKIP:
@@ -387,8 +383,11 @@ def _windows(r, eps, n: int, factor):
     """(k1_lo, k1_hi, k2_lo, k2_hi, half_mu_max), widened by ``factor``: a
     Type 1 zero on (0, eps] needs |k - r| <= eps*n/2, a Type 2 zero
     |2k - 2r| <= eps(n + 2) and mu^2 <= eps/4.  Refuses, before any
-    enumeration, more than MAX_WINDOW_CELLS cells: (n + 1) times the number
-    of k, summed over both windows."""
+    enumeration, an n that is odd or not positive (``_flow_ks`` needs
+    C = 2q + 1 - n odd and n - 1 > 0) and more than MAX_WINDOW_CELLS cells:
+    (n + 1) times the number of k, summed over both windows."""
+    if n % 2 or n <= 0:
+        raise ValueError("only positive even complex dimension is supported")
     k1_lo, k1_hi = _k_interval(r, eps * n / 2 * factor)
     k2_lo, k2_hi = _k_interval(r, eps * (n + 2) / 2 * factor)
     cells = (n + 1) * (max(k1_hi - k1_lo + 1, 0) + max(k2_hi - k2_lo + 1, 0))
@@ -413,7 +412,7 @@ def _nakano_k_range(q: int, n: int, k_lo, k_hi, D, H, M):
     return lo, hi
 
 
-def _flow_ks(q: int, lo: int, hi: int, n: int, D, R, H, E):
+def _flow_ks(q: int, lo: int, hi: int, n: int, D, R, H):
     """The k in lo..hi where a bound-level Type 2 family of degree q can
     report on (0, eps], with r = R/D and kappa/2 = H/D.
 
@@ -431,66 +430,20 @@ def _flow_ks(q: int, lo: int, hi: int, n: int, D, R, H, E):
     return ks
 
 
-def _kernel_ks(q: int, lo: int, hi: int, n: int, D, R, H, E):
-    """The k in lo..hi where a Type 2 zero at eps cannot be excluded by the
-    Nakano bound: half*(k) > 0 and half*(k) >= bound(k), with
-    half*(k) = (eps^2 - (2(k - r) - C eps)^2)/(8 eps) the eigenvalue that
-    would vanish at eps; r, kappa/2 and eps are R/D, H/D and E/D.
-
-    g = 8 eps D (half* - bound) is concave in k (a concave quadratic minus
-    a maximum of affine functions), so on the k-interval where half* > 0
-    one binary search finds the integer maximum of g, a second the first k
-    with g >= 0 and a third, run only if the caller asks for a second k,
-    the last.
-    """
-    C = 2 * q + 1 - n
-    # half* > 0 iff |2(k - r) - C eps| < eps
-    lo = max(lo, (2 * R + (C - 1) * E) // (2 * D) + 1)
-    hi = min(hi, -((-2 * R - (C + 1) * E) // (2 * D)) - 1)
-    if lo > hi:
-        return
-
-    def g(k):
-        return (E * E - (2 * (k * D - R) - C * E) ** 2
-                - 8 * E * max(q * (k * D + H), (n - q) * (H - k * D)))
-
-    top = _first_true(lo, hi, lambda k: k == hi or g(k) >= g(k + 1))
-    if g(top) < 0:
-        return
-    first = _first_true(lo, top, lambda k: g(k) >= 0)
-    yield first
-    yield from range(first + 1,
-                     _first_true(top, hi, lambda k: k == hi or g(k + 1) < 0) + 1)
-
-
-def _first_true(lo: int, hi: int, pred) -> int:
-    """Smallest k in lo..hi with pred(k), for pred false then true on
-    lo..hi and true at hi."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _type2_levels(model: SpectralModel, r, eps, k_lo, k_hi, half_mu_max,
-                  handle_unknown, pick_ks):
-    """Yield (q, k, half_mu_sq, multiplicity) for the Type 2 levels of the
-    window k_lo..k_hi, mu^2/2 <= half_mu_max, at each k that
-    ``pick_ks(q, lo, hi, n, D, R, H, E)`` picks from the Nakano range
-    lo..hi of degree q (``_scaled`` gives D, R, H, E for r, kappa/2, eps):
-    each tabulated eigenvalue with mu^2/2 inside the window, or in
-    bound-only mode the Nakano bound with multiplicity None.  A tabulated
+                  handle_unknown):
+    """Yield (q, k, levels) for each k of the window k_lo..k_hi that
+    ``_flow_ks`` keeps from the Nakano range of degree q (mu^2/2 <=
+    half_mu_max).  ``levels`` is the ascending tuple of (mu^2/2,
+    multiplicity) that a tabulated spectrum lists at (q, k), cutoff not
+    applied, or in bound-only mode ((Nakano bound, None),).  A tabulated
     eigenvalue is at least the bound, so a level that the bound silences is
     silent too."""
     n = model.n
     spectrum = model.spectrum
-    tabulated = spectrum.is_tabulated
     missing = ()
-    if tabulated:
-        if spectrum.half_mu_sq_max is None or spectrum.half_mu_sq_max < half_mu_max:
+    if spectrum is not None:
+        if spectrum.half_mu_sq_max < half_mu_max:
             raise SpectralWindowError(
                 f"spectrum cutoff mu^2/2 <= {spectrum.half_mu_sq_max} below the "
                 f"required {half_mu_max} for eps = {eps}"
@@ -501,25 +454,24 @@ def _type2_levels(model: SpectralModel, r, eps, k_lo, k_hi, half_mu_max,
         missing = (*range(k_lo, min(k_hi, cover_lo - 1) + 1),
                    *range(max(k_lo, cover_lo, cover_hi + 1), k_hi + 1))
         k_lo, k_hi = max(k_lo, cover_lo), min(k_hi, cover_hi)
+        suffix = f"); covered k-range is {spectrum.k_range}"
     elif model.kappa is None:
         handle_unknown(("Type 2 certification needs a Ricci lower bound or an "
                         "explicit Laplacian spectrum",))
         return
     # without a Ricci bound a table still meets the weakest bound, kappa = 0
-    D, R, H, E, M = _scaled(r, as_fraction(model.kappa or 0) / 2, eps, half_mu_max)
-    suffix = f"); covered k-range is {spectrum.k_range}"
+    D, R, H, M = _scaled(r, as_fraction(model.kappa or 0) / 2, half_mu_max)
     for q in range(n + 1):
-        prefix = f"Laplacian spectrum missing (q={q}, k="
-        handle_unknown(f"{prefix}{k}{suffix}" for k in missing)
+        if missing:
+            prefix = f"Laplacian spectrum missing (q={q}, k="
+            handle_unknown(f"{prefix}{k}{suffix}" for k in missing)
         lo, hi = _nakano_k_range(q, n, k_lo, k_hi, D, H, M)
-        for k in pick_ks(q, lo, hi, n, D, R, H, E):
-            if not tabulated:
-                yield q, k, Fraction(max(q * (k * D + H), (n - q) * (H - k * D)), D), None
-                continue
-            for half, mult in spectrum.eigenvalues(q, k):
-                if half > half_mu_max:
-                    break
-                yield q, k, half, mult
+        for k in _flow_ks(q, lo, hi, n, D, R, H):
+            if spectrum is None:
+                bound = Fraction(max(q * (k * D + H), (n - q) * (H - k * D)), D)
+                yield q, k, ((bound, None),)
+            else:
+                yield q, k, spectrum.eigenvalues(q, k)
 
 
 def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
@@ -547,9 +499,6 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
         # a narrower window drops families that can cross
         raise ValueError(f"window_factor must be >= 1, got {factor}")
     n = model.n
-    if n % 2 or n <= 0:
-        # _flow_ks needs C = 2q + 1 - n odd and n - 1 > 0
-        raise ValueError("only positive even complex dimension is supported")
     k_lo, k_hi, k2_lo, k2_hi, half_mu_max = _windows(r, eps, n, factor)
     families = []
     skipped = []
@@ -580,13 +529,16 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
         "half_mu_sq_max": rational_str(half_mu_max),
         "factor": rational_str(factor),
     }
-    for q, k, half, mult in _type2_levels(model, r, eps, k2_lo, k2_hi, half_mu_max,
-                                          handle_unknown, _flow_ks):
-        # in bound-only mode the multiplicity is unknown (None)
-        if mult != 0:
-            families += [EigenvalueFamily(kind, q, k, n, mult, half_mu_sq=half,
-                                          half_mu_sq_is_bound=mult is None)
-                         for kind in (TYPE2_PLUS, TYPE2_MINUS)]
+    for q, k, levels in _type2_levels(model, r, eps, k2_lo, k2_hi, half_mu_max,
+                                      handle_unknown):
+        for half, mult in levels:
+            if half > half_mu_max:
+                break
+            # in bound-only mode the multiplicity is unknown (None)
+            if mult != 0:
+                families += [EigenvalueFamily(kind, q, k, n, mult, half_mu_sq=half,
+                                              half_mu_sq_is_bound=mult is None)
+                             for kind in (TYPE2_PLUS, TYPE2_MINUS)]
     return families, skipped, window
 
 
@@ -739,10 +691,11 @@ def kernel_dimension(model: SpectralModel, r, eps,
     """dim ker of the deformed operator at delta = eps (exact zero tests).
 
     Sums h^{q,k} over Type 1 zeros and the alternating multiplicities
-    over Type 2 zeros at eps.  In bound-only mode a Type 2 zero would
-    need mu^2/2 equal to a specific value half_star; if that value is
-    positive and consistent with the Nakano bound the data cannot decide,
-    and IndeterminateSpectralFlow is raised rather than guessed.
+    over Type 2 zeros at eps, reading the Type 2 levels at the k that
+    ``spectral_flow`` visits.  A Type 2 zero at (q, k) needs mu^2/2 equal
+    to the value half* that vanishes at eps.  In bound-only mode, if half*
+    is positive and not below the Nakano bound the data cannot decide, and
+    IndeterminateSpectralFlow is raised rather than guessed.
     """
     r = as_fraction(r)
     eps = as_fraction(eps)
@@ -764,17 +717,27 @@ def kernel_dimension(model: SpectralModel, r, eps,
             continue
         total += model.table.h(q, k)
 
-    # Type 2 zeros at eps: Q(eps) = 0, that is mu^2/2 = half*, the unique
-    # eigenvalue that would vanish at eps, at the k where the bound allows it
-    for q, k, half, mult in _type2_levels(model, r, eps, k2_lo, k2_hi, half_mu_max,
-                                          handle_unknown, _kernel_ks):
-        half_star = (eps * eps - (2 * (k - r) - (2 * q + 1 - n) * eps) ** 2) / (8 * eps)
-        if mult is None:
-            raise IndeterminateSpectralFlow(
-                f"kernel at eps={eps} hinges on whether mu^2/2 = "
-                f"{half_star} occurs at (q={q}, k={k}); supply an "
-                "explicit spectrum"
-            )
-        if half == half_star:
-            total += mult
+    # Type 2 zeros at eps: Q(eps) = 0, that is mu^2/2 = half* = N/scale
+    # (N below), the unique eigenvalue that would vanish at eps.  Then
+    # c1 eps = -(c2 eps^2 + B^2) <= 0 at half*, so c1 < 0 at the bound
+    # <= half* or B = 0: every such k is in the flow's k-range.  A level
+    # needs half* > 0 and half* >= bound, which a tabulated eigenvalue
+    # equal to half* meets
+    scale = 8 * E * D
+    for q, k, levels in _type2_levels(model, r, eps, k2_lo, k2_hi, half_mu_max,
+                                      handle_unknown):
+        N = E * E - (2 * (k * D - R) - (2 * q + 1 - n) * E) ** 2
+        if N <= 0:
+            continue
+        for half, mult in levels:
+            if mult is None:
+                # half is the Nakano bound, which half* must reach
+                if N * half.denominator >= scale * half.numerator:
+                    raise IndeterminateSpectralFlow(
+                        f"kernel at eps={eps} hinges on whether mu^2/2 = "
+                        f"{Fraction(N, scale)} occurs at (q={q}, k={k}); "
+                        "supply an explicit spectrum"
+                    )
+            elif half.numerator * scale == N * half.denominator:
+                total += mult
     return total

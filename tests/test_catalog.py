@@ -21,9 +21,9 @@ from etaflow.catalog import (
 )
 from etaflow.eta import adiabatic_limit_eta, transgression_integrand_poly
 from etaflow.spectral import (
+    LaplacianSpectrum,
+    MODE_EXPLICIT,
     MUST_VANISH,
-    PROVENANCE_NAKANO,
-    PROVENANCE_TABULATED,
     nakano_lower_bound,
     spin_vanishing_predicate,
 )
@@ -136,11 +136,11 @@ def test_hypersurface_examples():
 
 
 def test_laplacian_loader_empty_falls_back(tmp_path):
+    # an empty table, as an array or as an object, loads as bound-only mode
     path = tmp_path / "empty.json"
-    path.write_text("[]")
-    spectrum = laplacian_table_load(path, 2, 2)
-    assert spectrum.provenance == PROVENANCE_NAKANO
-    assert not spectrum.is_tabulated
+    for text in ("[]", '{"half_mu_sq_max": "10", "entries": []}'):
+        path.write_text(text)
+        assert laplacian_table_load(path, 2, 2) is None
 
 
 def test_laplacian_loader_rejects_bound_violation(tmp_path):
@@ -160,7 +160,7 @@ def test_laplacian_loader_accepts_bound_equality(tmp_path):
         [{"q": 1, "k": 3, "halfMuSq": "4", "mult": 2}]
     ))
     spectrum = laplacian_table_load(path, 2, 2)
-    assert spectrum.provenance == PROVENANCE_TABULATED
+    assert spectrum == LaplacianSpectrum({(1, 3): ((F(4), 2),)}, F(4), (3, 3))
     assert spectrum.eigenvalues(1, 3) == ((F(4), 2),)
     assert spectrum.eigenvalues(0, 3) == ()
 
@@ -332,7 +332,7 @@ def test_load_config_round_trip(tmp_path):
     }))
     entry = load_config(cfg)
     assert entry.name == "custom"
-    assert entry.model.spectrum.is_tabulated
+    assert entry.model.mode == MODE_EXPLICIT
     assert entry.model.spectrum.half_mu_sq_max == 10
     assert entry.model.spectrum.k_range == (-5, 5)
 

@@ -22,7 +22,6 @@ from etaflow.cli import (
 )
 from etaflow.exact import MAX_RATIONAL_DIGITS
 from etaflow.series import MAX_SERIES_ORDER
-from etaflow.spectral import NAKANO_ONLY
 
 
 def run_cli(capsys, *argv):
@@ -270,10 +269,10 @@ def test_nakano_mode_keeps_the_shipped_table(tmp_path, capsys):
     entry = load_config(cfg)
     table = entry.model.spectrum
     model = cli._model_for(entry, "nakano")
-    assert model.spectrum is NAKANO_ONLY and model.table is entry.model.table
+    assert model.spectrum is None and model.table is entry.model.table
     assert (model.name, model.n, model.kappa) == \
         (entry.model.name, entry.model.n, entry.model.kappa)
-    assert entry.model.spectrum is table and table.is_tabulated
+    assert entry.model.spectrum is table and table is not None
     assert cli._model_for(entry, "explicit") is entry.model
     _, payload = run_json(capsys, "spectral-flow", "--manifold", str(cfg),
                           "--r", "1/2", "--eps", "1")

@@ -34,8 +34,6 @@ from etaflow.spectral import (
     MODE_NAKANO,
     MUST_VANISH,
     ON_UNKNOWN_SKIP,
-    PROVENANCE_NAKANO,
-    PROVENANCE_TABULATED,
     SF_SIGN_PAPER,
     SF_SIGN_STANDARD,
     SpectralFlowReport,
@@ -46,9 +44,7 @@ from etaflow.spectral import (
     TYPE2_PLUS,
     UNCONSTRAINED,
     UnknownCohomologyError,
-    _first_true,
     _flow_ks,
-    _kernel_ks,
     _nakano_k_range,
     _scaled,
     certify_no_crossing,
@@ -241,17 +237,19 @@ def test_spectral_records_are_values():
     assert hash(Crossing(fam, F(1, 2), 1, 3)) == hash(Crossing(same, F(1, 2), 1, 3))
     assert EndpointZero(fam, "eps", 3) == EndpointZero(same, where="eps", multiplicity=3)
     assert EndpointZero(fam, "eps", 3) != EndpointZero(fam, "start", 3)
-    # every default spectrum gets its own entries dict
-    blank = LaplacianSpectrum()
-    assert blank == LaplacianSpectrum(PROVENANCE_NAKANO, {}, None, None)
-    assert blank.entries == {} and blank.entries is not LaplacianSpectrum().entries
+    # a spectrum needs its entries, cutoff and k-range
+    with pytest.raises(TypeError):
+        LaplacianSpectrum()
+    table = LaplacianSpectrum({}, F(100), (0, 0))
+    assert table == LaplacianSpectrum(entries={}, half_mu_sq_max=F(100), k_range=(0, 0))
     # a model and a report can be changed after construction: equal by value,
-    # not hashable
+    # not hashable; bound-only mode is spectrum=None
     _, model = make_model(4)
+    assert model.spectrum is None and model.mode == MODE_NAKANO
     assert model == SpectralModel(model.name, model.n, model.kappa, model.table,
-                                  spectrum=LaplacianSpectrum())
-    assert model != SpectralModel(model.name, model.n, model.kappa, model.table,
-                                  LaplacianSpectrum(PROVENANCE_TABULATED))
+                                  spectrum=None)
+    explicit = SpectralModel(model.name, model.n, model.kappa, model.table, table)
+    assert model != explicit and explicit.mode == MODE_EXPLICIT
     report = spectral_flow(model, 0, 3)
     assert report == spectral_flow(model, 0, 3)
     for record in (model, report):
@@ -496,6 +494,14 @@ def outcome_of(call):
                    st.fractions(min_value=-6, max_value=6, max_denominator=12)),
        eps=st.fractions(min_value=0, max_value=50, max_denominator=12)
        .filter(lambda e: e > 0))
+# large |r| makes the c1 < 0 k-interval of q = 0 or q = n tens of k wide,
+# which the kernel then filters: two undecidable kernels at eps = 200 and
+# three decidable ones, the last with a Type 1 zero
+@example(n=2, factor=1, kappa=F(2), r=F(40), eps=F(200))
+@example(n=4, factor=1, kappa=F(0), r=F(-40), eps=F(200))
+@example(n=2, factor=1, kappa=F(2), r=F(-29), eps=F(371, 12))
+@example(n=4, factor=1, kappa=F(2), r=F(-107, 3), eps=F(32))
+@example(n=4, factor=1, kappa=F(2), r=F(-30), eps=F(29, 2))
 def test_range_path_matches_cell_walk(n, factor, kappa, r, eps):
     spec, table = product_cp1_model(n)
     model = SpectralModel(spec.name, n, kappa, table)
@@ -536,6 +542,27 @@ def test_kernel_indeterminate_in_bound_mode():
     _, model = make_model(2)
     with pytest.raises(IndeterminateSpectralFlow):
         kernel_dimension(model, F(5, 4), 1)
+
+
+def test_unsupported_dimension_refused_before_any_work():
+    # the kernel refuses what the flow refuses, rather than answering 0 for
+    # odd n or raising IndeterminateSpectralFlow for n = 1 and n = 0
+    for n in (3, 1, 0, -2):
+        model = SpectralModel("odd", n, 2, KunnethCohomology(max(n, 0)))
+        for call in (spectral_flow, kernel_dimension):
+            with pytest.raises(ValueError, match="only positive even complex dimension"):
+                call(model, F(1, 3), 5)
+
+
+def test_mistyped_on_unknown_refused():
+    cp1, hyp = resolve_manifold("cp1x4"), resolve_manifold("hyp:n=4,d=8")
+    message = "on_unknown must be 'error' or 'skip', got 'skipp'"
+    for entry in (cp1, hyp):
+        for call in (enumerate_families, spectral_flow, kernel_dimension):
+            with pytest.raises(ValueError, match=message):
+                call(entry.model, 0, 1, on_unknown="skipp")
+    with pytest.raises(ValueError, match=message):
+        eta_invariant(cp1.manifold, cp1.model, 0, 1, on_unknown="skipp")
 
 
 def test_kernel_resolved_by_explicit_spectrum(tmp_path):
@@ -1070,26 +1097,6 @@ def fraction_flow_ks(q, lo, hi, n, kappa, r):
     return sorted(ks)
 
 
-def fraction_kernel_ks(q, lo, hi, n, kappa, r, eps):
-    """The k with half*(k) > 0 and half*(k) >= bound(k), by the three
-    binary searches over g = half* - bound in Fractions."""
-    C = 2 * q + 1 - n
-    lo = max(lo, math.floor(r + (C - 1) * eps / 2) + 1)
-    hi = min(hi, math.ceil(r + (C + 1) * eps / 2) - 1)
-    if lo > hi:
-        return []
-
-    def g(k):
-        half_star = (eps * eps - (2 * (k - r) - C * eps) ** 2) / (8 * eps)
-        return half_star - nakano_lower_bound(q, k, kappa, n)
-
-    top = _first_true(lo, hi, lambda k: k == hi or g(k) >= g(k + 1))
-    if g(top) < 0:
-        return []
-    first = _first_true(lo, top, lambda k: g(k) >= 0)
-    return list(range(first, _first_true(top, hi, lambda k: k == hi or g(k + 1) < 0) + 1))
-
-
 @settings(max_examples=300, deadline=None)
 @given(n=st.sampled_from([2, 4, 6]),
        kappa=st.one_of(st.just(F(0)),
@@ -1110,13 +1117,16 @@ def test_integer_bounds_match_fraction_formulas(n, kappa, r, eps, factor):
     for q in range(n + 1):
         lo, hi = _nakano_k_range(q, n, k_lo, k_hi, D, H, M)
         assert (lo, hi) == fraction_nakano_k_range(q, n, kappa, k_lo, k_hi, half_mu_max)
-        assert list(_flow_ks(q, lo, hi, n, D, R, H, E)) == \
-            fraction_flow_ks(q, lo, hi, n, kappa, r)
-        kernel_ks = list(_kernel_ks(q, lo, hi, n, D, R, H, E))
-        assert kernel_ks == fraction_kernel_ks(q, lo, hi, n, kappa, r, eps)
-        # and every k of the range where the vanishing eigenvalue is allowed
+        flow_ks = list(_flow_ks(q, lo, hi, n, D, R, H))
+        assert flow_ks == fraction_flow_ks(q, lo, hi, n, kappa, r)
+        # the kernel reads the flow's k: filtered by half* > 0 and
+        # half* >= bound, they are every k of the range where the vanishing
+        # eigenvalue half* is allowed
         C = 2 * q + 1 - n
-        assert kernel_ks == [
-            k for k in range(lo, hi + 1)
-            if 0 < (eps * eps - (2 * (k - r) - C * eps) ** 2) / (8 * eps)
-            >= nakano_lower_bound(q, k, kappa, n)]
+
+        def allowed(k):
+            half_star = (eps * eps - (2 * (k - r) - C * eps) ** 2) / (8 * eps)
+            return 0 < half_star >= nakano_lower_bound(q, k, kappa, n)
+
+        assert [k for k in flow_ks if allowed(k)] == \
+            [k for k in range(lo, hi + 1) if allowed(k)]

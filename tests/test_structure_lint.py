@@ -1,0 +1,101 @@
+"""Static guard against leftovers: every module-level function of the
+package whose name starts with ``_`` must be referenced somewhere in the
+package outside its own body, so that no helper is kept alive only by the
+tests, and it must use every parameter it declares, so that a parameter
+that a refactor made idle is deleted with it.  Every module is parsed
+with ``ast``; a reference is a name or an attribute that reads the
+function, wherever in the package it stands."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "etaflow").glob("*.py"))
+
+
+def _private_functions(tree):
+    """The module-level functions of ``tree`` named _x, dunders aside."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def _reads(node):
+    """Counter of the names that ``node`` reads, as a name or an attribute."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found[sub.attr] += 1
+    return found
+
+
+def unreferenced(trees):
+    """(module, line, name) for each private function that nothing in
+    ``trees`` ({module: tree}) reads outside the function itself."""
+    everywhere = sum((_reads(tree) for tree in trees.values()), Counter())
+    return [(module, func.lineno, func.name)
+            for module, tree in trees.items()
+            for func in _private_functions(tree)
+            if everywhere[func.name] == _reads(func)[func.name]]
+
+
+def idle_parameters(tree):
+    """(line, function, parameter) for each parameter that a private
+    function of ``tree`` declares and its body never reads."""
+    found = []
+    for func in _private_functions(tree):
+        args = func.args
+        declared = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                    *filter(None, (args.vararg, args.kwarg))]
+        body = sum((_reads(stmt) for stmt in func.body), Counter())
+        found += [(func.lineno, func.name, arg.arg) for arg in declared
+                  if not body[arg.arg]]
+    return found
+
+
+def test_sources_found():
+    assert any(path.name == "spectral.py" for path in SOURCES)
+
+
+def test_private_functions_are_referenced():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert unreferenced(trees) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_private_functions_use_their_parameters(path):
+    assert idle_parameters(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "def _helper(x):\n    return 1\n",
+    "def _helper(x, *, y):\n    return x\n",
+    "def _helper(x, *rest):\n    return x\n",
+    "def _helper(x, **extra):\n    return x\n",
+    "def _helper(x, y=1):\n    return lambda z: x + z\n",
+])
+def test_lint_flags_idle_parameters(snippet):
+    assert idle_parameters(ast.parse(snippet))
+
+
+def test_lint_flags_unreferenced_helpers():
+    # used only by itself, or only in another module's unused import
+    trees = {"a.py": ast.parse("def _walk(n):\n    return _walk(n - 1) if n else 0\n"),
+             "b.py": ast.parse("from .a import _walk\n")}
+    assert unreferenced(trees) == [("a.py", 1, "_walk")]
+
+
+def test_lint_accepts_used_helpers():
+    trees = {"a.py": ast.parse("def _scale(x, *args, **kw):\n    return x, args, kw\n"
+                               "def __getattr__(name):\n    raise AttributeError\n"
+                               "def public():\n    return _scale(2)\n"),
+             "b.py": ast.parse("from . import a\n"
+                               "def _twice(x):\n    return 2 * x\n"
+                               "HANDLERS = {'twice': _twice}\n"
+                               "y = a._scale(3)\n")}
+    assert unreferenced(trees) == []
+    assert all(idle_parameters(tree) == [] for tree in trees.values())
