@@ -1,0 +1,166 @@
+"""Write a BENCH_<n>.json record: perfbench at fixed seeds plus two
+class-side micro-cases.
+
+    python3 bench/write_bench.py --out BENCH_16.json
+
+Run it from anywhere inside a source checkout; it benchmarks the sources
+of that checkout.  It uses the standard library only and runs
+``perfbench/run.py`` unmodified, one run at a time:
+
+- eta-grid, flow-sweep and cli-batch at seeds 1-3 with ``--trace 0``
+  (10 s runs, 20 s for cli-batch), summarized per metric as the median
+  and quartiles over the seeds;
+- one eta-grid run at seed 1 with ``--trace 1`` for the per-layer
+  counters and self times;
+- ``adiabatic_top`` on cp1x32 at a 401-digit r, in process: the first
+  call (which builds the class-side tables) and the median of 5 further
+  calls, with a sha256 of the exact answer;
+- one ``adiabatic-limit --manifold cp1x32`` process at a 4100-digit r,
+  whose answer is too long to print: its exit code, the limit its
+  message names and its wall time.
+
+The whole record takes about four minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3)
+SECONDS = {"eta-grid": 10, "flow-sweep": 10, "cli-batch": 20}
+R_401 = f"{10**400 + 1}/{10**400 - 3}"
+R_4100 = f"{10**4100 + 1}/{10**4100 - 3}"
+
+# adiabatic_top on cp1x32: argv[1] is r; prints first-call seconds, the
+# median of 5 further calls and the sha256 of the answer's string form
+_IN_PROCESS = """
+import hashlib, json, statistics, sys, time
+from fractions import Fraction
+sys.set_int_max_str_digits(0)  # the answer has about 26000 digits
+from etaflow.catalog import resolve_manifold
+from etaflow.eta import adiabatic_top
+spec = resolve_manifold("cp1x32").manifold
+r = Fraction(sys.argv[1])
+start = time.perf_counter()
+value = adiabatic_top(spec, r)
+first = time.perf_counter() - start
+times = []
+for _ in range(5):
+    start = time.perf_counter()
+    again = adiabatic_top(spec, r)
+    times.append(time.perf_counter() - start)
+    assert again == value
+text = f"{value.numerator}/{value.denominator}"
+print(json.dumps({"first_call_s": first, "median_s": statistics.median(times),
+                  "times_s": times, "answer_digits": len(text),
+                  "answer_sha256": hashlib.sha256(text.encode()).hexdigest()}))
+"""
+
+
+def _env():
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def _perfbench(workload: str, seed: int, seconds: int, trace: int) -> dict:
+    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"perfbench {workload} seed {seed} failed: {proc.stderr[-500:]}")
+    return json.loads(lines[-1])
+
+
+def _summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _workload(workload: str) -> dict:
+    runs = []
+    for seed in SEEDS:
+        result = _perfbench(workload, seed, SECONDS[workload], 0)
+        runs.append({"seed": seed, **result})
+        print(f"{workload} seed {seed}: pass_s "
+              f"{result['metrics']['pass_s']['value']:.4f}", file=sys.stderr)
+    metrics = {}
+    for name, first in runs[0]["metrics"].items():
+        values = [run["metrics"][name]["value"] for run in runs]
+        metrics[name] = {"unit": first["unit"], "seeds": list(SEEDS),
+                         "values": values, **_summary(values)}
+    return {"seconds": SECONDS[workload], "runs": runs, "metrics": metrics,
+            "all_correct": all(run["correct"] for run in runs),
+            "failed": sum(run["failed"] for run in runs)}
+
+
+def _in_process_case() -> dict:
+    proc = subprocess.run([sys.executable, "-c", _IN_PROCESS, R_401], env=_env(),
+                          capture_output=True, text=True, check=True)
+    return {"case": "adiabatic_top(cp1x32, r), r = (10^400 + 1)/(10^400 - 3)",
+            **json.loads(proc.stdout)}
+
+
+def _cli_case() -> dict:
+    argv = [sys.executable, "-m", "etaflow", "adiabatic-limit", "--manifold", "cp1x32",
+            "--r", R_4100]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, env=_env(), capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    return {"case": "etaflow adiabatic-limit --manifold cp1x32 "
+                    "--r (10^4100 + 1)/(10^4100 - 3)",
+            "exit_code": proc.returncode, "wall_s": wall,
+            "names_MAX_RATIONAL_DIGITS": "MAX_RATIONAL_DIGITS" in proc.stderr,
+            "stderr": proc.stderr.strip()}
+
+
+def _machine() -> dict:
+    model = ""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"platform": platform.platform(), "machine": platform.machine(),
+            "cpu_model": model, "cpu_count": os.cpu_count()}
+
+
+def _git(*args) -> str:
+    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    return proc.stdout.strip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="path of the JSON record")
+    args = parser.parse_args(argv)
+    started = time.perf_counter()
+    record = {
+        "git_revision": _git("rev-parse", "HEAD"),
+        "git_dirty_paths": _git("status", "--porcelain").splitlines(),
+        "python": sys.version,
+        "machine": _machine(),
+        "perfbench": {w: _workload(w) for w in SECONDS},
+    }
+    traced = _perfbench("eta-grid", 1, SECONDS["eta-grid"], 1)
+    record["perfbench_traced"] = {"eta-grid": {"seed": 1, "seconds": SECONDS["eta-grid"],
+                                               **traced}}
+    record["micro"] = [_in_process_case(), _cli_case()]
+    record["elapsed_s"] = time.perf_counter() - started
+    Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {args.out} in {record['elapsed_s']:.0f} s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -473,6 +473,12 @@ def load_report(text: str, fmt: str = "json") -> dict:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # "--r -1/2" as "--r=-1/2" (and --eps): argparse takes -1/2 for an option
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        flag, value = argv[i - 1:i + 1]
+        if flag in ("--r", "--eps") and value[:1] == "-" and value[1:2].isdigit():
+            argv[i - 1:i + 1] = [f"{flag}={value}"]
     try:
         args = parser.parse_args(argv)
     except CliError as exc:

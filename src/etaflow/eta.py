@@ -14,17 +14,12 @@ transgression.  Every acceptance-level statement here is invariant under
 rescaling N.
 
 On a fixed base neither A-hat nor W = Omega_2 e^{Omega_0} depends on
-(r, eps), so the class side is built once per (base, order) and kept in
-two bounded memos, ``a_hat_coefficients`` and ``transgression_forms``.
-Only eta_hat_r, e^{rc} and the delta-integral change from one query to
-the next, and each query costs O(n^2) rational operations.
-
-The transgression integral is taken by ``convention_integral`` alone.  In
-the real convention it is the antiderivative at eps; in the paper's
-``paper_i`` convention, with literal factors of i, it is the same
-antiderivative at i*eps, whose real and imaginary parts are sums over the
-odd and the even powers of delta in the integrand (``eval_at_i``).  No
-complex arithmetic is done.
+(r, eps), while eta_hat_r and e^{rc} are polynomials in t = 1 - {r} and r.
+So each term is one integer table per (base, order), built once in a
+bounded memo; a query evaluates it by Horner's rule in integers and
+reduces by one gcd.  The paper's ``paper_i`` convention, with literal
+factors of i, takes the same antiderivative at i*eps, with no complex
+arithmetic.  ``convention_integral`` keeps the series form.
 """
 
 from __future__ import annotations
@@ -36,19 +31,20 @@ from functools import lru_cache
 from .catalog import ManifoldSpec
 from .exact import ZERO, GaussianRational, Record, as_fraction, rational_str
 from .series import (
+    _bernoulli,
     a_hat_class,
     class_product,
     default_order,
     exp_class,
     omega_forms,
     require_series_order,
-    series_eta_hat,
 )
 from .spectral import (
     ON_UNKNOWN_ERROR,
     SF_SIGN_PAPER,
     SpectralFlowReport,
     SpectralModel,
+    _scaled,
     spectral_flow,
 )
 
@@ -78,24 +74,64 @@ def transgression_forms(manifold: ManifoldSpec, order: int):
     return omega0, omega2, class_product(omega2, exp_class(omega0))
 
 
-def _exp_coefficients(r, n: int) -> list:
-    """r^j / j!, the c^j coefficients of e^{rc}, for j = 0..n."""
-    return [r**j / math.factorial(j) for j in range(n + 1)]
+def _homogeneous(poly, x: int, scale: int) -> int:
+    """scale^K * poly(x / scale) in integers, K = len(poly) - 1."""
+    value, power = 0, 1
+    for g in reversed(poly):
+        value, power = value * x + g * power, power * scale
+    return value
 
 
-def adiabatic_top(manifold: ManifoldSpec, r, order=None) -> Fraction:
-    """[c^n] of A-hat * eta_hat_r(c) * e^{rc}.  eta_hat_r is needed only to
-    degree n: its coefficients are closed forms, and every later one is
-    truncated away, once ``order`` is checked to reach c^n."""
-    order = _order(manifold, order)
+def _integer_table(rows):
+    """(L, rows * L), L the least common denominator of the Fraction rows."""
+    L = _scaled(*(x for row in rows for x in row))[0]
+    return L, tuple(tuple(x.numerator * (L // x.denominator) for x in row)
+                    for row in rows)
+
+
+@lru_cache(maxsize=8)
+def _adiabatic_table(manifold: ManifoldSpec, order: int):
+    """(L, G) with ``adiabatic_top`` = sum G[l][m] t^l r^m / L, t = 1 - {r}:
+    eta_hat_r has c^j coefficient 2 B_{j+1}(t)/(j+1)!, B_{j+1}(t) = sum_l
+    C(j+1, l) B_{j+1-l} t^l, and e^{rc} has r^m/m!.  Every order check of
+    A-hat and of eta_hat_r reaching c^n runs on a miss."""
     n = manifold.n
     ahat = a_hat_coefficients(manifold, order)
     require_series_order(order, 1, n)
+    bernoulli = _bernoulli(n + 1)
+    rows = [[sum((2 * ahat[n - j - m] * math.comb(j + 1, l) * bernoulli[j + 1 - l]
+                  / (math.factorial(j + 1) * math.factorial(m))
+                  for j in range(max(l - 1, 0), n + 1 - m)
+                  if ahat[n - j - m] and bernoulli[j + 1 - l]), ZERO)
+             for m in range(n + 2)] for l in range(n + 2)]
+    return _integer_table(rows)
+
+
+@lru_cache(maxsize=8)
+def _transgression_table(manifold: ManifoldSpec, order: int):
+    """(L, H) with the delta-antiderivative of the transgression integrand
+    F(eps) = sum H[e][j] eps^e r^j / L, e + j <= n + 1: H[e][j] is
+    W_{n-j}[e-1] / (j! e) times the integral of c^n, and row 0 is zero."""
+    n, w = manifold.n, transgression_forms(manifold, order)[2]
+    return _integer_table([[ZERO] * (n + 2)] + [
+        [manifold.top_integral * w[n - j][e - 1] / (math.factorial(j) * e)
+         for j in range(n + 2 - e)] for e in range(1, n + 2)])
+
+
+def adiabatic_top(manifold: ManifoldSpec, r, order=None) -> Fraction:
+    """[c^n] of A-hat * eta_hat_r(c) * e^{rc}: Horner's rule in t = 1 - {r}
+    leaves a polynomial in r.  An integer r takes the average of the values
+    at t = 0 and t = 1, which is the integer eta_hat series."""
+    L, table = _adiabatic_table(manifold, _order(manifold, order))
     r = as_fraction(r)
-    eta_hat = series_eta_hat(r, n)
-    erc = _exp_coefficients(r, n)
-    return sum(a * eta_hat[j] * erc[n - i - j]
-               for i, a in enumerate(ahat) if a for j in range(n + 1 - i))
+    D, R = r.denominator, r.numerator
+    if D == 1:
+        poly, L = [g + sum(column) for g, column in zip(table[0], zip(*table))], 2 * L
+    else:  # the degree in r stays <= n + 1, so zip truncates only zeros
+        a, poly = R // D + 1, [0] * len(table)
+        for row in reversed(table):
+            poly = [g + a * x - y for g, x, y in zip(row, poly, [0] + poly)]
+    return Fraction(_homogeneous(poly, R, D), L * D ** (len(poly) - 1))
 
 
 def adiabatic_limit_eta(manifold: ManifoldSpec, r, order=None) -> Fraction:
@@ -108,14 +144,12 @@ def transgression_integrand_poly(manifold: ManifoldSpec, r, order=None) -> tuple
     """Integral over X of Omega_2 e^{Omega_0} e^{rc}: the sum over j of
     W_{n-j} r^j / j! times the integral of c^n, a polynomial in delta with
     rational coefficients (the real convention), as its n + 1
-    coefficients."""
-    w = transgression_forms(manifold, _order(manifold, order))[2]
-    n = manifold.n
-    erc = _exp_coefficients(as_fraction(r), n)
-    top = manifold.top_integral
-    # row n - j of W has n - j + 1 entries, so delta^d needs j <= n - d
-    return tuple(top * sum((w[n - j][d] * erc[j] for j in range(n + 1 - d)), ZERO)
-                 for d in range(n + 1))
+    coefficients, read off the transgression table."""
+    L, table = _transgression_table(manifold, _order(manifold, order))
+    r = as_fraction(r)
+    D = r.denominator
+    return tuple(Fraction(e * _homogeneous(row, r.numerator, D), L * D ** (len(row) - 1))
+                 for e, row in enumerate(table) if e)
 
 
 def horner(poly, x) -> Fraction:
@@ -144,8 +178,8 @@ def eval_at_i(poly, x):
 
 def convention_integral(poly, eps, convention=CONVENTION_REAL):
     """Integral over [0, eps] of the real integrand ``poly``, a polynomial
-    in delta given by its coefficients, in ``convention``: the one place a
-    convention is applied.  With F the antiderivative of ``poly``
+    in delta given by its coefficients, in ``convention``: the series form
+    of ``transgression_raw``.  With F the antiderivative of ``poly``
     (F(0) = 0) the real value is F(eps).  The paper_i integrand
     i * poly(i delta) has i^(d+1) times the delta^d coefficient, so its
     integral is F(i eps), split by ``eval_at_i``."""
@@ -167,8 +201,18 @@ def transgression_raw(
         raise ValueError("eps must be >= 0")
     if convention not in CONVENTIONS:  # before the class side is built
         raise ValueError(f"unknown convention {convention!r}")
-    poly = transgression_integrand_poly(manifold, r, order)
-    return convention_integral(poly, eps, convention)
+    L, table = _transgression_table(manifold, _order(manifold, order))
+    scale, R, E = _scaled(as_fraction(r), eps)
+    re = im = 0
+    for row in reversed(table):
+        q = _homogeneous(row, R, scale)
+        if convention == CONVENTION_REAL:
+            re = re * E + q
+        else:  # Horner at iE: (re + i im) iE + q = (q - im E) + i re E
+            re, im = q - im * E, re * E
+    den = L * scale ** (manifold.n + 1)
+    return Fraction(re, den) if im == 0 else GaussianRational(Fraction(re, den),
+                                                              Fraction(im, den))
 
 
 class EtaResult(Record):

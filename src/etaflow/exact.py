@@ -12,8 +12,8 @@ polynomial is a sequence of them, index = exponent, multiplied by
 ``series``).
 :class:`GaussianRational` is a plain value with no arithmetic: the result
 of a transgression in the ``paper_i`` convention, whose real and
-imaginary parts ``eta.eval_at_i`` sums separately by the parity of the
-delta exponent.
+imaginary parts ``eta`` computes in integers (``transgression_raw``) or
+sums by the parity of the delta exponent (``eval_at_i``).
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
 
 class GaussianRational:
     """Exact complex value re + im*i with rational parts: the value type of a
-    transgression in the ``paper_i`` convention.  It is built only by
-    ``eta.eval_at_i`` and carries no arithmetic."""
+    transgression in the ``paper_i`` convention.  It is built only in
+    ``eta`` and carries no arithmetic."""
 
     __slots__ = ("re", "im")
 

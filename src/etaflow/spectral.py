@@ -695,8 +695,13 @@ def kernel_dimension(model: SpectralModel, r, eps,
     ``spectral_flow`` visits.  A Type 2 zero at (q, k) needs mu^2/2 equal
     to the value half* that vanishes at eps.  In bound-only mode, if half*
     is positive and not below the Nakano bound the data cannot decide, and
-    IndeterminateSpectralFlow is raised rather than guessed.
+    IndeterminateSpectralFlow is raised rather than guessed.  A count that
+    skipped unknown cells would be partial, so on_unknown="skip" is refused.
     """
+    handle_unknown = _unknown_handler(on_unknown, [])
+    if on_unknown == ON_UNKNOWN_SKIP:
+        raise ValueError("kernel_dimension refuses on_unknown='skip': a count "
+                         "that skipped unknown cells would be partial")
     r = as_fraction(r)
     eps = as_fraction(eps)
     if eps <= 0:
@@ -704,7 +709,6 @@ def kernel_dimension(model: SpectralModel, r, eps,
     n = model.n
     _, _, k2_lo, k2_hi, half_mu_max = _windows(r, eps, n, 1)
     total = 0
-    handle_unknown = _unknown_handler(on_unknown, [])
 
     # Type 1 zeros at eps: k = r + eps (q - n/2) must be an integer
     D, R, E = _scaled(r, eps)

@@ -364,6 +364,31 @@ def test_exponent_literals_fail_fast(capsys):
     assert "p/q" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["eta", "--eps", "1"], ["adiabatic-limit"], ["transgression", "--eps", "1"],
+    ["spectral-flow", "--eps", "1"], ["kernel-dim", "--eps", "1"],
+])
+def test_negative_r_as_a_separate_argument(capsys, command):
+    # argparse would take "-1/2" for an option; "--r -1/2" must give the
+    # bytes of "--r=-1/2"
+    base = command[:1] + ["--manifold", "cp1xcp1"] + command[1:]
+    for value in ("-1/2", "-1", "-0.5"):
+        joined = run_cli(capsys, *base, f"--r={value}")
+        assert joined[0] == EXIT_OK, joined[2]
+        assert run_cli(capsys, *base, "--r", value) == joined
+
+
+def test_negative_eps_as_a_separate_argument(capsys):
+    for command in ("eta", "spectral-flow", "kernel-dim"):
+        code, out, err = run_cli(capsys, command, "--manifold", "cp1xcp1",
+                                 "--r", "-1/2", "--eps", "-1/2")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "etaflow: eps must be positive\n"
+    # a value that is not a number is still an argparse error
+    code, _, err = run_cli(capsys, "adiabatic-limit", "--manifold", "cp1xcp1", "--r", "-x")
+    assert code == EXIT_ERROR and "expected one argument" in err
+
+
 def test_product_size_limit(capsys):
     from etaflow.catalog import MAX_CP1_FACTORS
 

@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings, strategies as st
 
 from etaflow import eta
 from etaflow.catalog import ConfigError, product_cp1_model, resolve_manifold
@@ -21,7 +24,15 @@ from etaflow.eta import (
     transgression_raw,
 )
 from etaflow.exact import GaussianRational
-from etaflow.series import SeriesOrderError, default_order, omega_forms
+from etaflow.series import (
+    SeriesOrderError,
+    a_hat_class,
+    class_product,
+    default_order,
+    exp_class,
+    omega_forms,
+    series_eta_hat,
+)
 from etaflow.spectral import SF_SIGN_STANDARD, SpectralModel
 
 
@@ -295,15 +306,19 @@ def test_convention_invariance_of_acceptance_values(cp1xcp1):
 # ------------------------------------------------------- class-side memos
 
 
+CLASS_MEMOS = (eta.a_hat_coefficients, eta.transgression_forms,
+               eta._adiabatic_table, eta._transgression_table)
+
+
 @pytest.fixture
 def fresh_memos():
     """Empty class-side memos before and after the test, so that no memo
     state passes between tests."""
-    eta.a_hat_coefficients.cache_clear()
-    eta.transgression_forms.cache_clear()
+    for memo in CLASS_MEMOS:
+        memo.cache_clear()
     yield
-    eta.a_hat_coefficients.cache_clear()
-    eta.transgression_forms.cache_clear()
+    for memo in CLASS_MEMOS:
+        memo.cache_clear()
 
 
 def test_class_side_built_once_per_base(cp1x4, fresh_memos, monkeypatch):
@@ -317,8 +332,20 @@ def test_class_side_built_once_per_base(cp1x4, fresh_memos, monkeypatch):
     assert len(built) == 1
     for (r, e), res in zip(queries, expected):
         assert eta_invariant(spec, model, r, e).to_json() == res.to_json()
+        # the default order and its explicit value share every memo entry
+        explicit = eta_invariant(spec, model, r, e, order=default_order(spec.n))
+        assert explicit.to_json() == res.to_json()
     assert len(built) == 1
-    assert eta.a_hat_coefficients.cache_info().currsize == 1
+    for memo in CLASS_MEMOS:
+        info = memo.cache_info()
+        assert (info.misses, info.currsize) == (1, 1), memo
+    # each (base, order) builds each table once
+    for _ in range(2):
+        adiabatic_limit_eta(spec, F(1, 3), order=spec.n)
+        transgression_raw(spec, F(1, 3), 1, order=spec.n)
+    for memo in CLASS_MEMOS:
+        info = memo.cache_info()
+        assert (info.misses, info.currsize) == (2, 2), memo
 
 
 def test_equal_specs_share_the_memo(fresh_memos):
@@ -354,3 +381,74 @@ def test_order_below_n_fails_the_same_way_on_a_repeat(cp1x4, fresh_memos):
     assert eta.transgression_forms.cache_info().currsize == 0
     assert transgression_raw(spec, F(1, 2), 1, order=4) == \
         transgression_raw(spec, F(1, 2), 1)
+
+
+# ------------------------------------------- integer tables against series
+
+
+# every catalog builtin with a class side: the even products up to the
+# factor limit
+CLASS_BASES = ("cp1xcp1",) + tuple(f"cp1x{k}" for k in range(2, 33, 2))
+
+
+@lru_cache(maxsize=32)
+def _series_classes(name):
+    """(spec, [c^k] A-hat, W = Omega_2 e^{Omega_0}) built from the series
+    module alone, apart from the memos and tables of ``eta``."""
+    spec = resolve_manifold(name).manifold
+    ahat = tuple(row[0] for row in a_hat_class(spec.power_sums))
+    omega0, omega2 = omega_forms(spec.power_sums)
+    return spec, ahat, class_product(omega2, exp_class(omega0))
+
+
+def _erc(r, n):
+    """r^j / j!, the c^j coefficients of e^{rc}, for j = 0..n."""
+    return [r**j / math.factorial(j) for j in range(n + 1)]
+
+
+def series_adiabatic_top(name, r):
+    """[c^n] of A-hat * eta_hat_r * e^{rc}, summed in Fractions from the
+    closed-form series, apart from the integer tables."""
+    spec, ahat, _ = _series_classes(name)
+    n = spec.n
+    eta_hat, erc = series_eta_hat(r, n), _erc(r, n)
+    return sum((a * eta_hat[j] * erc[n - i - j]
+                for i, a in enumerate(ahat) for j in range(n + 1 - i)), F(0))
+
+
+def series_integrand_poly(name, r):
+    """The delta-coefficients of the integral of W e^{rc}: the rows of W
+    times r^j / j!, times the integral of c^n."""
+    spec, _, w = _series_classes(name)
+    n = spec.n
+    erc = _erc(r, n)
+    return tuple(spec.top_integral
+                 * sum((w[n - j][d] * erc[j] for j in range(n + 1 - d)), F(0))
+                 for d in range(n + 1))
+
+
+RATIONALS = st.one_of(
+    st.integers(-60, 60).map(F),
+    st.builds(F, st.integers(-10**13, 10**13), st.integers(1, 10**12)),
+    st.builds(F, st.integers(-200, 200), st.integers(1, 12)),
+)
+LONG_R = F(-(10**50 + 77), 3 * 10**49 + 1)  # a 51-digit numerator
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(CLASS_BASES), r=RATIONALS,
+       eps=st.one_of(st.just(F(0)), RATIONALS.map(abs)))
+@example(name="cp1x32", r=LONG_R, eps=F(7, 3))
+@example(name="cp1x8", r=LONG_R, eps=F(0))
+@example(name="cp1x4", r=F(-3), eps=F(10**12 + 1, 10**12))
+def test_tables_match_the_series_oracle(name, r, eps):
+    spec = _series_classes(name)[0]
+    top = series_adiabatic_top(name, r)
+    assert adiabatic_top(spec, r) == top
+    assert adiabatic_limit_eta(spec, r) == top * spec.top_integral / 2
+    poly = series_integrand_poly(name, r)
+    assert eta.transgression_integrand_poly(spec, r) == poly
+    for convention in (CONVENTION_REAL, CONVENTION_PAPER_I):
+        value = transgression_raw(spec, r, eps, convention)
+        expected = convention_integral(poly, eps, convention)
+        assert value == expected and type(value) is type(expected)

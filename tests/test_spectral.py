@@ -565,6 +565,19 @@ def test_mistyped_on_unknown_refused():
         eta_invariant(cp1.manifold, cp1.model, 0, 1, on_unknown="skipp")
 
 
+def test_kernel_refuses_skip_mode():
+    # a kernel that skipped unknown cells would be a partial count with no
+    # sign of it: on hyp:n=4,d=8 at r = 0, eps = 1 the flow skips 25 cells
+    hyp, cp1 = resolve_manifold("hyp:n=4,d=8"), resolve_manifold("cp1x4")
+    assert len(spectral_flow(hyp.model, 0, 1, on_unknown="skip").skipped) == 25
+    message = "kernel_dimension refuses on_unknown='skip'"
+    for model, eps in ((hyp.model, 1), (cp1.model, 1), (cp1.model, -1)):
+        # refused before any work, even before the eps check
+        with pytest.raises(ValueError, match=message):
+            kernel_dimension(model, 0, eps, on_unknown="skip")
+    assert kernel_dimension(cp1.model, 0, 1) == 0
+
+
 def test_kernel_resolved_by_explicit_spectrum(tmp_path):
     # the borderline case above: a zero at eps needs mu^2/2 = 3/32 at
     # (q=0, k=1); decide it both ways with explicit tables
