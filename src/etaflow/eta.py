@@ -211,8 +211,9 @@ def transgression_raw(
         else:  # Horner at iE: (re + i im) iE + q = (q - im E) + i re E
             re, im = q - im * E, re * E
     den = L * scale ** (manifold.n + 1)
-    return Fraction(re, den) if im == 0 else GaussianRational(Fraction(re, den),
-                                                              Fraction(im, den))
+    if im == 0:
+        return Fraction(re, den)
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 class EtaResult(Record):
