@@ -1,7 +1,7 @@
-"""Write a BENCH_<n>.json record: perfbench at fixed seeds plus two
-class-side micro-cases.
+"""Write a BENCH_<n>.json record: perfbench at fixed seeds plus
+class-side and spectral micro-cases.
 
-    python3 bench/write_bench.py --out BENCH_16.json
+    python3 bench/write_bench.py --out BENCH_17.json
 
 Run it from anywhere inside a source checkout; it benchmarks the sources
 of that checkout.  It uses the standard library only and runs
@@ -10,14 +10,18 @@ of that checkout.  It uses the standard library only and runs
 - eta-grid, flow-sweep and cli-batch at seeds 1-3 with ``--trace 0``
   (10 s runs, 20 s for cli-batch), summarized per metric as the median
   and quartiles over the seeds;
-- one eta-grid run at seed 1 with ``--trace 1`` for the per-layer
-  counters and self times;
+- one eta-grid run and one flow-sweep run at seed 1 with ``--trace 1``
+  for the per-layer counters and self times of the class side and of the
+  spectral side;
 - ``adiabatic_top`` on cp1x32 at a 401-digit r, in process: the first
   call (which builds the class-side tables) and the median of 5 further
   calls, with a sha256 of the exact answer;
 - one ``adiabatic-limit --manifold cp1x32`` process at a 4100-digit r,
   whose answer is too long to print: its exit code, the limit its
-  message names and its wall time.
+  message names and its wall time;
+- ``spectral_flow`` plus ``kernel_dimension`` in nakano mode on cp1x4 at
+  r = 1, eps = 9999, in process: the first pair of calls and the median of
+  20 further pairs, with a sha256 of the payload.
 
 The whole record takes about four minutes.
 """
@@ -65,6 +69,32 @@ print(json.dumps({"first_call_s": first, "median_s": statistics.median(times),
                   "answer_sha256": hashlib.sha256(text.encode()).hexdigest()}))
 """
 
+# spectral_flow plus kernel_dimension on cp1x4 in nakano mode, r = 1,
+# eps = 9999; prints first-pair seconds, the median of 20 further pairs and
+# the sha256 of the payload {"flow": report JSON, "kernel": dimension}
+_NAKANO = """
+import hashlib, json, statistics, time
+from etaflow.catalog import resolve_manifold
+from etaflow.spectral import kernel_dimension, spectral_flow
+model = resolve_manifold("cp1x4").model
+
+def pair():
+    start = time.perf_counter()
+    payload = {"flow": spectral_flow(model, 1, 9999).to_json(),
+               "kernel": kernel_dimension(model, 1, 9999)}
+    return time.perf_counter() - start, json.dumps(payload, sort_keys=True)
+
+first, text = pair()
+times = []
+for _ in range(20):
+    elapsed, again = pair()
+    times.append(elapsed)
+    assert again == text
+print(json.dumps({"first_call_s": first, "median_s": statistics.median(times),
+                  "times_s": times,
+                  "payload_sha256": hashlib.sha256(text.encode()).hexdigest()}))
+"""
+
 
 def _env():
     return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -102,11 +132,10 @@ def _workload(workload: str) -> dict:
             "failed": sum(run["failed"] for run in runs)}
 
 
-def _in_process_case() -> dict:
-    proc = subprocess.run([sys.executable, "-c", _IN_PROCESS, R_401], env=_env(),
+def _in_process(case: str, code: str, *args) -> dict:
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=_env(),
                           capture_output=True, text=True, check=True)
-    return {"case": "adiabatic_top(cp1x32, r), r = (10^400 + 1)/(10^400 - 3)",
-            **json.loads(proc.stdout)}
+    return {"case": case, **json.loads(proc.stdout)}
 
 
 def _cli_case() -> dict:
@@ -152,10 +181,16 @@ def main(argv=None) -> int:
         "machine": _machine(),
         "perfbench": {w: _workload(w) for w in SECONDS},
     }
-    traced = _perfbench("eta-grid", 1, SECONDS["eta-grid"], 1)
-    record["perfbench_traced"] = {"eta-grid": {"seed": 1, "seconds": SECONDS["eta-grid"],
-                                               **traced}}
-    record["micro"] = [_in_process_case(), _cli_case()]
+    record["perfbench_traced"] = {
+        w: {"seed": 1, "seconds": SECONDS[w], **_perfbench(w, 1, SECONDS[w], 1)}
+        for w in ("eta-grid", "flow-sweep")}
+    record["micro"] = [
+        _in_process("adiabatic_top(cp1x32, r), r = (10^400 + 1)/(10^400 - 3)",
+                    _IN_PROCESS, R_401),
+        _cli_case(),
+        _in_process("spectral_flow + kernel_dimension, nakano, cp1x4, r = 1, eps = 9999",
+                    _NAKANO),
+    ]
     record["elapsed_s"] = time.perf_counter() - started
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out} in {record['elapsed_s']:.0f} s", file=sys.stderr)

@@ -37,10 +37,8 @@ from .spectral import (
     certify_no_crossing,
     enumerate_families,
     kernel_dimension,
-    nakano_lower_bound,
     spectral_flow,
     spin_vanishing_predicate,
-    type2_multiplicity,
 )
 from .catalog import (
     CatalogEntry,
@@ -58,7 +56,6 @@ from .eta import (
     EtaResult,
     adiabatic_limit_eta,
     aps_index,
-    aps_resonances,
     convention_integral,
     corollary_check,
     eta_invariant,

@@ -24,6 +24,7 @@ from .spectral import (
     LaplacianSpectrum,
     SpectralModel,
     UnknownCohomologyError,
+    _scaled_bound,
 )
 
 
@@ -305,8 +306,7 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
             raise TableValidationError(
                 f"entry (q={q}, k={k}): multiplicity must be >= 1"
             )
-        # den times the Nakano bound max(q(k + kappa/2), (n - q)(kappa/2 - k))
-        bound = max(q * (k * den + H), (n - q) * (H - k * den))
+        bound = _scaled_bound(q, k, n, den, H)
         if half.numerator * den < bound * half.denominator:
             raise TableValidationError(
                 f"entry (q={q}, k={k}, halfMuSq={half}) violates the curvature "

@@ -359,30 +359,6 @@ def aps_index(manifold_or_n, table, eps) -> Fraction:
     return -Fraction(sum(h for _, _, h in aps_terms(n, table, eps)), 2)
 
 
-def aps_resonances(table, n: int, lo, hi):
-    """The finitely many eps in (lo, hi] where the index can jump: values
-    -k/(p - n/2) with p != n/2 and h^{p,k} > 0."""
-    lo = as_fraction(lo)
-    hi = as_fraction(hi)
-    if not 0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
-    found = set()
-    for p in range(n + 1):
-        slope = Fraction(n, 2) - p  # eps = k / slope
-        if slope == 0:
-            continue
-        k_bounds = sorted((lo * slope, hi * slope))
-        k_lo = int(k_bounds[0]) - 1
-        k_hi = int(k_bounds[1]) + 1
-        for k in range(k_lo, k_hi + 1):
-            if k == 0:
-                continue
-            eps = Fraction(k) / slope
-            if lo < eps <= hi and table.h(p, k) > 0:
-                found.add(eps)
-    return sorted(found)
-
-
 class CorollaryCheck(Record):
     """Symbolic verification that both integrands of the r = 0 formula
     vanish in top degree (for all delta, as a polynomial identity)."""

@@ -12,11 +12,15 @@ delta in (0, eps]:
                        with mu^2/2 a positive eigenvalue of the Kodaira
                        Laplacian in degree q and twist k.
 
-A Type 2 branch can vanish only where Q(delta) = A(delta) - delta^2 does,
-and Q is a quadratic in delta with exact rational coefficients, monotone
-in mu^2.  Certification therefore reduces to exact sign analysis of
-quadratics, using either tabulated Laplacian eigenvalues or, when the
-model has no spectrum (``spectrum=None``, bound-only mode), the certified
+A Type 1 family has the root 2(k - r)/(2q - n), compared with 0 and eps
+in the integers of their common denominator; a Fraction is made only for
+a crossing that is reported.  Of the two Type 2 branches of a level only
+one can vanish, + for even q and - for odd q, so only that one is built:
+the other is strictly signed.  It vanishes only where
+Q(delta) = A(delta) - delta^2 does, a quadratic in delta with exact
+rational coefficients, monotone in mu^2.  Certification reduces to exact
+sign analysis of Q, using either tabulated Laplacian eigenvalues or, when
+the model has no spectrum (``spectrum=None``, bound-only mode), the
 curvature lower bound  mu^2/2 >= max(q(k + kappa/2), (n-q)(-k + kappa/2)).
 The search windows are finite because a crossing forces
 |2k - 2r| <= eps(n+2) and mu^2 <= eps/4.  They grow linearly in eps, but
@@ -70,33 +74,6 @@ class IndeterminateSpectralFlow(RuntimeError):
     """The available spectral data cannot decide a sign question."""
 
 
-def type2_multiplicity(e_list) -> int:
-    """Alternating sum e_q - e_{q-1} + ... +- e_0 of level multiplicities.
-
-    ``e_list[j]`` is the multiplicity of the fixed Laplacian eigenvalue in
-    antiholomorphic degree j, for j = 0..q.
-    """
-    if not e_list:
-        raise ValueError("need at least one multiplicity")
-    if any(e < 0 for e in e_list):
-        raise ValueError("multiplicities must be nonnegative")
-    q = len(e_list) - 1
-    return sum((-1) ** (q - j) * e for j, e in enumerate(e_list))
-
-
-def nakano_lower_bound(q: int, k: int, kappa, n: int) -> Fraction:
-    """Certified lower bound for every positive Kodaira-Laplacian
-    eigenvalue mu^2/2 in degree q and twist k, given Ric >= kappa * omega:
-    max(q(k + kappa/2), (n - q)(-k + kappa/2)).  Always >= 0."""
-    kappa = as_fraction(kappa)
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    if not 0 <= q <= n:
-        raise ValueError(f"q = {q} outside 0..{n}")
-    half = kappa / 2
-    return max(q * (k + half), (n - q) * (-k + half))
-
-
 def spin_vanishing_predicate(q: int, k: int, kappa, n: int) -> str:
     """Vanishing of H^q(X, K^{1/2} (x) L^k) forced by the curvature bound:
     must_vanish iff (q > 0 and k > -kappa/2) or (q < n and k < kappa/2)."""
@@ -137,11 +114,12 @@ class LaplacianSpectrum(Record):
     """Tabulated positive Kodaira-Laplacian eigenvalues per (q, k).
 
     ``entries[(q, k)]`` is an ascending tuple of (mu^2/2, d), d >= 0 the
-    alternating multiplicity (``type2_multiplicity``) of the Type 2 family
-    at that eigenvalue; every mu^2/2 is at least the Nakano bound.  The
-    table lists every eigenvalue up to the cutoff ``half_mu_sq_max`` for
-    each k of the inclusive ``k_range`` (lo, hi): a (q, k) in the range
-    with no entry has no positive eigenvalue below the cutoff.
+    alternating multiplicity e_q - e_{q-1} + ... +- e_0 of the Type 2
+    family at that eigenvalue (e_j its multiplicity in degree j); every
+    mu^2/2 is at least the Nakano bound.  The table lists every eigenvalue
+    up to the cutoff ``half_mu_sq_max`` for each k of the inclusive
+    ``k_range`` (lo, hi): a (q, k) in the range with no entry has no
+    positive eigenvalue below the cutoff.
     """
 
     def __init__(self, entries: dict, half_mu_sq_max: Fraction, k_range: tuple):
@@ -203,15 +181,6 @@ class EigenvalueFamily(Record):
             extra = f", {tag}={self.half_mu_sq}"
         return f"{self.kind}(q={self.q}, k={self.k}{extra})"
 
-    def type1_affine(self, r):
-        """(value at delta=0, slope) of the Type 1 eigenvalue."""
-        if self.kind != TYPE1:
-            raise ValueError("not a Type 1 family")
-        s = (-1) ** self.q
-        a0 = s * (self.k - as_fraction(r))
-        slope = -s * (Fraction(self.q) - Fraction(self.n, 2))
-        return a0, slope
-
     def quad_coefficients(self, r):
         """(c2, c1, c0) of Q(delta) = A(delta) - delta^2 for Type 2."""
         if self.kind == TYPE1:
@@ -245,7 +214,8 @@ class CertOutcome(Record):
 
     ``crossings`` holds (delta_star, direction) pairs with direction +1
     for a positive-to-negative crossing as delta increases; zeros at the
-    endpoints are reported separately and never counted as flow.
+    endpoints are reported separately and never counted as flow.  Only an
+    indeterminate outcome carries a ``note``.
     """
 
     def __init__(self, status: str, crossings: tuple = (), zero_at_start: bool = False,
@@ -275,44 +245,37 @@ def certify_no_crossing(family: EigenvalueFamily, r, eps) -> CertOutcome:
         raise ValueError("only even complex dimension is supported")
 
     if family.kind == TYPE1:
-        a0, slope = family.type1_affine(r)
-        if slope == 0:
-            if a0 == 0:
-                return CertOutcome(
-                    CERTIFIED,
-                    zero_at_start=True,
-                    zero_at_eps=True,
-                    note="identically zero family (q = n/2, k = r)",
-                )
-            return CertOutcome(CERTIFIED)
-        root = -a0 / slope
-        if root <= 0:
-            return CertOutcome(CERTIFIED, zero_at_start=root == 0)
-        if root < eps:
-            direction = 1 if a0 > 0 else -1
-            return CertOutcome(CROSSING, crossings=((root, direction),))
-        return CertOutcome(CERTIFIED, zero_at_eps=root == eps)
+        # (-1)^q (k - r - delta(q - n/2)) has the root num/(D den) with
+        # num = 2(kD - R), den = 2q - n, in the integers r = R/D, eps = E/D
+        D, R, E = _scaled(r, eps)
+        gap = family.k * D - R
+        num, den = 2 * gap, 2 * family.q - family.n
+        if den == 0:
+            return CertOutcome(CERTIFIED, zero_at_start=gap == 0, zero_at_eps=gap == 0)
+        if den < 0:
+            num, den = -num, -den
+        if num <= 0:
+            return CertOutcome(CERTIFIED, zero_at_start=num == 0)
+        if num < E * den:
+            # the value at delta = 0, (-1)^q gap/D, is positive: + to -
+            direction = 1 if (gap > 0) == (family.q % 2 == 0) else -1
+            return CertOutcome(CROSSING, crossings=((Fraction(num, D * den), direction),))
+        return CertOutcome(CERTIFIED, zero_at_eps=num == E * den)
 
     # Type 2: only one branch per parity can reach zero
-    vulnerable = (family.q % 2 == 0) == (family.kind == TYPE2_PLUS)
-    if not vulnerable:
-        return CertOutcome(CERTIFIED, note="strictly signed branch")
+    if (family.q % 2 == 0) != (family.kind == TYPE2_PLUS):
+        return CertOutcome(CERTIFIED)
 
     c2, c1, c0 = family.quad_coefficients(r)
     verdict = quad_nonneg_on_interval(c2, c1, c0, eps)
     if verdict.is_nonnegative:
-        if verdict.identically_zero:
-            return CertOutcome(
-                CERTIFIED,
-                zero_at_start=True,
-                zero_at_eps=True,
-                note="radicand identity: branch vanishes identically",
-            )
-        start = any(root == 0 for root in verdict.roots)
-        end = any(root == eps for root in verdict.roots)
-        interior = tuple(root for root in verdict.roots if 0 < root < eps)
+        # a zero in [0, eps] is rational; an identically zero Q has none listed
+        everywhere = verdict.identically_zero
         return CertOutcome(
-            CERTIFIED, zero_at_start=start, zero_at_eps=end, touch_points=interior
+            CERTIFIED,
+            zero_at_start=everywhere or any(root == 0 for root in verdict.roots),
+            zero_at_eps=everywhere or any(root == eps for root in verdict.roots),
+            touch_points=tuple(root for root in verdict.roots if 0 < root < eps),
         )
 
     if family.half_mu_sq_is_bound:
@@ -359,6 +322,13 @@ def _scaled(*values):
     for x in values:
         d = d * x.denominator // math.gcd(d, x.denominator)
     return (d, *(x.numerator * (d // x.denominator) for x in values))
+
+
+def _scaled_bound(q: int, k: int, n: int, D: int, H: int) -> int:
+    """D times the Nakano bound max(q(k + kappa/2), (n - q)(kappa/2 - k)),
+    kappa/2 = H/D: given Ric >= kappa omega, every positive Kodaira-Laplacian
+    eigenvalue mu^2/2 of degree q and twist k is at least the bound."""
+    return max(q * (k * D + H), (n - q) * (H - k * D))
 
 
 def _unknown_handler(on_unknown, skipped):
@@ -468,8 +438,7 @@ def _type2_levels(model: SpectralModel, r, eps, k_lo, k_hi, half_mu_max,
         lo, hi = _nakano_k_range(q, n, k_lo, k_hi, D, H, M)
         for k in _flow_ks(q, lo, hi, n, D, R, H):
             if spectrum is None:
-                bound = Fraction(max(q * (k * D + H), (n - q) * (H - k * D)), D)
-                yield q, k, ((bound, None),)
+                yield q, k, ((Fraction(_scaled_bound(q, k, n, D, H), D), None),)
             else:
                 yield q, k, spectrum.eigenvalues(q, k)
 
@@ -484,10 +453,10 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     windows for soundness testing.  Within them, a complete cohomology
     table lists only the Type 1 families whose root (k - r)/(q - n/2)
     lies in [0, eps], and both spectrum kinds only the Type 2 levels at
-    the k that ``_flow_ks`` keeps; every other family is silent, so the
-    cost of those parts does not grow with eps.  A partial table reports
-    every cell of its Type 1 window that it does not list, in one batch
-    per q.  Returns (families, skipped, window) where ``skipped``
+    the k that ``_flow_ks`` keeps, each in the one branch that can vanish;
+    every other family is silent, so the cost of those parts does not grow
+    with eps.  A partial table reports every cell of its Type 1 window
+    that it does not list, in one batch per q.  Returns (families, skipped, window) where ``skipped``
     describes entries omitted under on_unknown="skip".
     """
     r = as_fraction(r)
@@ -531,14 +500,15 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     }
     for q, k, levels in _type2_levels(model, r, eps, k2_lo, k2_hi, half_mu_max,
                                       handle_unknown):
+        # the other branch is strictly signed: it never reports
+        kind = TYPE2_MINUS if q % 2 else TYPE2_PLUS
         for half, mult in levels:
             if half > half_mu_max:
                 break
             # in bound-only mode the multiplicity is unknown (None)
             if mult != 0:
-                families += [EigenvalueFamily(kind, q, k, n, mult, half_mu_sq=half,
-                                              half_mu_sq_is_bound=mult is None)
-                             for kind in (TYPE2_PLUS, TYPE2_MINUS)]
+                families.append(EigenvalueFamily(kind, q, k, n, mult, half_mu_sq=half,
+                                                 half_mu_sq_is_bound=mult is None))
     return families, skipped, window
 
 

@@ -24,7 +24,6 @@ from etaflow.spectral import (
     LaplacianSpectrum,
     MODE_EXPLICIT,
     MUST_VANISH,
-    nakano_lower_bound,
     spin_vanishing_predicate,
 )
 
@@ -148,8 +147,9 @@ def test_laplacian_loader_rejects_bound_violation(tmp_path):
     path.write_text(json.dumps(
         [{"q": 1, "k": 3, "halfMuSq": "1", "mult": 2}]
     ))
-    assert nakano_lower_bound(1, 3, 2, 2) == 4
-    with pytest.raises(TableValidationError) as err:
+    # the Nakano bound max(q(k + kappa/2), (n - q)(kappa/2 - k)) at q = 1,
+    # k = 3, kappa = 2, n = 2 is max(4, -2) = 4
+    with pytest.raises(TableValidationError, match="lower bound 4$") as err:
         laplacian_table_load(path, 2, 2)
     assert "q=1" in str(err.value) and "k=3" in str(err.value)
 
@@ -182,7 +182,8 @@ def test_laplacian_loader_schema_errors(tmp_path):
 def test_float_literal_gets_the_string_forms_refusal(tmp_path):
     # a JSON number literal keeps its exact decimal value: read through a
     # float, 1.99999999999999999 would become 2 and pass the bound of 2
-    assert nakano_lower_bound(0, 0, 2, 2) == 2
+    # the Nakano bound max(q(k + kappa/2), (n - q)(kappa/2 - k)) at q = k = 0
+    # is max(0, 2) = 2
     messages = []
     for value in ('"1.99999999999999999"', "1.99999999999999999"):
         path = tmp_path / "near.json"

@@ -1,10 +1,12 @@
 import json
 import math
 import time
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -50,10 +52,8 @@ from etaflow.spectral import (
     certify_no_crossing,
     enumerate_families,
     kernel_dimension,
-    nakano_lower_bound,
     spectral_flow,
     spin_vanishing_predicate,
-    type2_multiplicity,
 )
 
 
@@ -73,26 +73,29 @@ def hyp_model(n=4, d=8):
 # ------------------------------------------------------------- basic ops
 
 
-def test_type2_multiplicity_examples():
-    assert type2_multiplicity([5]) == 5
-    assert type2_multiplicity([2, 3]) == 1
-    assert type2_multiplicity([1, 0, 4]) == 5
-    with pytest.raises(ValueError):
-        type2_multiplicity([])
-    with pytest.raises(ValueError):
-        type2_multiplicity([1, -1])
+def nakano_bound(q, k, kappa, n):
+    """The Nakano lower bound max(q(k + kappa/2), (n - q)(-k + kappa/2)) on
+    every positive mu^2/2 of degree q and twist k, in Fractions."""
+    half = F(kappa) / 2
+    return max(q * (k + half), (n - q) * (-k + half))
 
 
-def test_nakano_lower_bound_examples():
-    assert nakano_lower_bound(1, 3, 2, 2) == 4
-    assert nakano_lower_bound(0, 0, 0, 2) == 0
-    assert nakano_lower_bound(0, -2, 2, 2) == 6
-    # the bound is never negative
-    for q in range(3):
-        for k in range(-6, 7):
-            assert nakano_lower_bound(q, k, 2, 2) >= 0
-    with pytest.raises(ValueError):
-        nakano_lower_bound(0, 0, -1, 2)
+def type1_affine(family, r):
+    """(value at delta = 0, slope) of the Type 1 eigenvalue
+    (-1)^q (k - delta(q - n/2) - r), in Fractions."""
+    s = (-1) ** family.q
+    return s * (family.k - r), -s * (F(family.q) - F(family.n, 2))
+
+
+def type1_reference(family, r, eps):
+    """The certification of a Type 1 family from its affine form."""
+    a0, slope = type1_affine(family, r)
+    if slope == 0:
+        return CertOutcome(CERTIFIED, zero_at_start=a0 == 0, zero_at_eps=a0 == 0)
+    root = -a0 / slope
+    if 0 < root < eps:
+        return CertOutcome(CROSSING, crossings=((root, 1 if a0 > 0 else -1),))
+    return CertOutcome(CERTIFIED, zero_at_start=root == 0, zero_at_eps=root == eps)
 
 
 def test_spin_vanishing_examples():
@@ -113,7 +116,7 @@ def test_enumerate_contains_expected_type1_family():
         f for f in families if f.kind == TYPE1 and f.q == 0 and f.k == 1
     ]
     assert len(matches) == 1 and matches[0].multiplicity == 1
-    a0, slope = matches[0].type1_affine(1)
+    a0, slope = type1_affine(matches[0], 1)
     assert (a0, slope) == (0, 1)  # lambda(delta) = delta
     zeros = spectral_flow(model, 1, 2).endpoint_zeros
     assert any(z.family == matches[0] and z.where == "start" for z in zeros)
@@ -142,7 +145,7 @@ def test_enumerate_hypersurface_known_entry():
     )
     assert skipped  # the partial table leaves most of the window unknown
     assert [(f.q, f.k) for f in families] == [(0, -1)]
-    a0, slope = families[0].type1_affine(0)
+    a0, slope = type1_affine(families[0], 0)
     assert (a0, slope) == (-1, 2)  # lambda(delta) = -1 + 2 delta
 
     with pytest.raises(UnknownCohomologyError):
@@ -177,10 +180,10 @@ def test_certify_type1_examples():
     out = certify_no_crossing(fam, 0, F(1, 2))
     assert out.status == CERTIFIED and out.zero_at_eps
 
-    # identically zero family is flagged
+    # an identically zero family is a zero at both ends
     fam = EigenvalueFamily(TYPE1, 1, 0, 2, 1)
     out = certify_no_crossing(fam, 0, 1)
-    assert out.status == CERTIFIED and "identically zero" in out.note
+    assert out.status == CERTIFIED and out.zero_at_start and out.zero_at_eps
 
 
 def test_certify_type2_strict_branch_unconditional():
@@ -191,12 +194,78 @@ def test_certify_type2_strict_branch_unconditional():
     assert certify_no_crossing(fam, 4, 10).status == CERTIFIED
 
 
+def sympy_rational(x):
+    return sp.Rational(x.numerator, x.denominator)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([2, 4, 6]), data=st.data(),
+       r=st.fractions(min_value=-8, max_value=8, max_denominator=12),
+       half=st.fractions(min_value=0, max_value=20, max_denominator=12)
+       .filter(lambda h: h > 0),
+       eps=st.fractions(min_value=0, max_value=20, max_denominator=12)
+       .filter(lambda e: e > 0),
+       t=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda t: t > 0),
+       kappa=st.fractions(min_value=0, max_value=4, max_denominator=6))
+def test_unbuilt_type2_branch_is_strictly_signed(explicit_model, n, data, r, half,
+                                                 eps, t, kappa):
+    # the branch ((-1)^{q+1} delta -+ sqrt(A))/2, - for even q and + for odd
+    # q, has the sign (-1)^{q+1} at every delta in (0, eps]: it never reports
+    q, k = data.draw(st.integers(0, n)), data.draw(st.integers(-20, 20))
+    delta = eps * t
+    a = (2 * k - delta * (2 * q + 1 - n) - 2 * r) ** 2 + 8 * half * delta
+    sign = (-1) ** (q + 1)
+    branch = sign * (sympy_rational(delta) + sp.sqrt(sympy_rational(a))) / 2
+    assert sp.sign(branch) == sign
+    # so each (q, k, level) is built once, in the branch that can vanish
+    spec, table = product_cp1_model(n)
+    for model in (SpectralModel(spec.name, n, kappa, table), explicit_model):
+        families, _, _ = enumerate_families(model, r, eps, on_unknown=ON_UNKNOWN_SKIP)
+        type2 = [f for f in families if f.kind != TYPE1]
+        levels = Counter((f.q, f.k, f.half_mu_sq) for f in type2)
+        assert all(count == 1 for count in levels.values())
+        assert all(f.kind == (TYPE2_MINUS if f.q % 2 else TYPE2_PLUS) for f in type2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([2, 4, 6]), data=st.data(), k=st.integers(-30, 30),
+       eps=st.fractions(min_value=0, max_value=20, max_denominator=12)
+       .filter(lambda e: e > 0),
+       t=st.fractions(min_value=0, max_value=1, max_denominator=12)
+       .filter(lambda t: 0 < t < 1),
+       case=st.sampled_from(["below", "zero", "inside", "eps", "above",
+                             "flat zero", "flat"]))
+def test_type1_certification_matches_affine_reference(n, data, k, eps, t, case):
+    # r is placed so that the root (k - r)/(q - n/2) falls where ``case``
+    # says; q = n/2 gives a constant family, zero when k = r
+    if case.startswith("flat"):
+        q = n // 2
+        r = F(k) if case == "flat zero" else k + eps * t
+    else:
+        q = data.draw(st.sampled_from([j for j in range(n + 1) if 2 * j != n]))
+        root = {"below": -eps * t, "zero": 0, "inside": eps * t, "eps": eps,
+                "above": eps * (1 + t)}[case]
+        r = k - root * (q - F(n, 2))
+    family = EigenvalueFamily(TYPE1, q, k, n, 1)
+    want = type1_reference(family, r, eps)
+    assert certify_no_crossing(family, r, eps) == want
+    assert (want.status == CROSSING) == (case == "inside")
+    assert want.zero_at_start == (case in ("zero", "flat zero"))
+    assert want.zero_at_eps == (case in ("eps", "flat zero"))
+    # a partial table lists every known cell of its window, so a flow on it
+    # certifies roots outside [0, eps] too
+    model = SpectralModel("one", n, None, PartialCohomology("one", {(q, k): 1}))
+    families, _, _ = enumerate_families(model, r, eps, window_factor=2,
+                                        on_unknown=ON_UNKNOWN_SKIP)
+    assert families == [family]
+
+
 def test_certify_type2_nakano_regime():
     # inside |r| <= kappa/2 the bound-level quadratic is always nonnegative
     n, kappa = 2, F(2)
     for q in range(n + 1):
         for k in range(-6, 7):
-            lam = nakano_lower_bound(q, k, kappa, n)
+            lam = nakano_bound(q, k, kappa, n)
             for kind in (TYPE2_PLUS, TYPE2_MINUS):
                 fam = EigenvalueFamily(
                     kind, q, k, n, None, half_mu_sq=lam, half_mu_sq_is_bound=True
@@ -361,7 +430,7 @@ def cell_walk_type2_levels(model, r, eps, factor):
     levels = []
     for q in range(n + 1):
         for k in range(math.ceil(r - radius), math.floor(r + radius) + 1):
-            bound = nakano_lower_bound(q, k, model.kappa, n)
+            bound = nakano_bound(q, k, model.kappa, n)
             if bound <= half_mu_max:
                 levels.append((q, k, bound))
     return levels
@@ -414,7 +483,7 @@ def walk_flow(model, r, eps, factor):
                 families.append(EigenvalueFamily(TYPE1, q, k, n,
                                                  model.table.h(q, k)))
         for k in type2_ks:
-            bound = nakano_lower_bound(q, k, model.kappa, n)
+            bound = nakano_bound(q, k, model.kappa, n)
             if bound <= half_mu_max:
                 families += [EigenvalueFamily(kind, q, k, n, None,
                                               half_mu_sq=bound,
@@ -466,7 +535,7 @@ def walk_kernel(model, r, eps):
     radius = eps * (n + 2) / 2
     for q in range(n + 1):
         for k in range(math.ceil(r - radius), math.floor(r + radius) + 1):
-            bound = nakano_lower_bound(q, k, model.kappa, n)
+            bound = nakano_bound(q, k, model.kappa, n)
             if bound > eps / 8:
                 continue
             half_star = (eps * eps - (2 * (k - r) - (2 * q + 1 - n) * eps) ** 2) \
@@ -663,7 +732,7 @@ def test_nakano_consistency_of_tabulated_spectra(tmp_path):
     }))
     spectrum = laplacian_table_load(path, 2, 2)
     for (q, k), entries in spectrum.entries.items():
-        bound = nakano_lower_bound(q, k, 2, 2)
+        bound = nakano_bound(q, k, 2, 2)
         for half, _ in entries:
             assert half >= bound
 
@@ -821,8 +890,8 @@ def explicit_cell_walk(n, entries, cutoff, k_range, r, eps, factor):
                                f"covered k-range is {tuple(k_range)}")
                 continue
             for half in sorted(h for j, kk, h in raw if (j, kk) == (q, k)):
-                mult = type2_multiplicity([raw.get((j, k, half), 0)
-                                           for j in range(q + 1)])
+                mult = sum((-1) ** (q - j) * raw.get((j, k, half), 0)
+                           for j in range(q + 1))
                 if half <= half_mu_max and mult:
                     families += [EigenvalueFamily(kind, q, k, n, mult,
                                                   half_mu_sq=half)
@@ -854,7 +923,7 @@ def explicit_walk_kernel(n, entries, cutoff, k_range, r, eps):
     total = 0
     for family in families:
         if family.kind == TYPE1:
-            a0, slope = family.type1_affine(r)
+            a0, slope = type1_affine(family, r)
             total += family.multiplicity * (a0 + slope * eps == 0)
         elif family.kind == TYPE2_PLUS:
             c2, c1, c0 = family.quad_coefficients(r)
@@ -891,7 +960,7 @@ def explicit_tables(draw):
     cutoff = eps / 8 + rng.choice([0, 0, F(1, 3), 2, 2, 2, -F(1, 24)])
 
     def bound(q, k):
-        return nakano_lower_bound(q, k, 2, n)
+        return nakano_bound(q, k, 2, n)
 
     levels = {}  # (k, mu^2/2) -> set of q
     zeros = []
@@ -1013,7 +1082,7 @@ def partial_walk(model, r, eps, factor):
     else:
         for q in range(n + 1):
             for k in type2_ks:
-                bound = nakano_lower_bound(q, k, model.kappa, n)
+                bound = nakano_bound(q, k, model.kappa, n)
                 if bound <= half_mu_max:
                     families += [EigenvalueFamily(kind, q, k, n, None, half_mu_sq=bound,
                                                   half_mu_sq_is_bound=True)
@@ -1139,7 +1208,7 @@ def test_integer_bounds_match_fraction_formulas(n, kappa, r, eps, factor):
 
         def allowed(k):
             half_star = (eps * eps - (2 * (k - r) - C * eps) ** 2) / (8 * eps)
-            return 0 < half_star >= nakano_lower_bound(q, k, kappa, n)
+            return 0 < half_star >= nakano_bound(q, k, kappa, n)
 
         assert [k for k in flow_ks if allowed(k)] == \
             [k for k in range(lo, hi + 1) if allowed(k)]

@@ -2,9 +2,13 @@
 package whose name starts with ``_`` must be referenced somewhere in the
 package outside its own body, so that no helper is kept alive only by the
 tests, and it must use every parameter it declares, so that a parameter
-that a refactor made idle is deleted with it.  Every module is parsed
-with ``ast``; a reference is a name or an attribute that reads the
-function, wherever in the package it stands."""
+that a refactor made idle is deleted with it.  Every public module-level
+function must likewise be read outside its own body and outside
+``__init__.py``, whose re-exports do not count, unless it is named in
+``LIBRARY_API``, the functions kept for library callers alone (README
+lists them).  Every module is parsed with ``ast``; a reference is a name
+or an attribute that reads the function, wherever in the package it
+stands."""
 
 import ast
 from collections import Counter
@@ -12,14 +16,19 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "etaflow").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "etaflow").glob("*.py"))
+
+# public functions that no module of the package reads: the library API
+LIBRARY_API = {"load_report", "spin_vanishing_predicate", "transgression_integrand_poly"}
 
 
-def _private_functions(tree):
-    """The module-level functions of ``tree`` named _x, dunders aside."""
+def _functions(tree, private=True):
+    """The module-level functions of ``tree`` named _x, dunders aside, or
+    with ``private`` False those not starting with _."""
     return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name.startswith("_") and not node.name.endswith("__")]
+            and node.name.startswith("_") == private and not node.name.endswith("__")]
 
 
 def _reads(node):
@@ -33,21 +42,24 @@ def _reads(node):
     return found
 
 
-def unreferenced(trees):
-    """(module, line, name) for each private function that nothing in
-    ``trees`` ({module: tree}) reads outside the function itself."""
-    everywhere = sum((_reads(tree) for tree in trees.values()), Counter())
+def unreferenced(trees, private=True):
+    """(module, line, name) for each private (or, with ``private`` False,
+    public) function that nothing in ``trees`` ({module: tree}) reads
+    outside the function itself; a public one must be read outside
+    ``__init__.py``."""
+    everywhere = sum((_reads(tree) for module, tree in trees.items()
+                      if private or module != "__init__.py"), Counter())
     return [(module, func.lineno, func.name)
             for module, tree in trees.items()
-            for func in _private_functions(tree)
-            if everywhere[func.name] == _reads(func)[func.name]]
+            for func in _functions(tree, private)
+            if everywhere[func.name] <= _reads(func)[func.name]]
 
 
 def idle_parameters(tree):
     """(line, function, parameter) for each parameter that a private
     function of ``tree`` declares and its body never reads."""
     found = []
-    for func in _private_functions(tree):
+    for func in _functions(tree):
         args = func.args
         declared = [*args.posonlyargs, *args.args, *args.kwonlyargs,
                     *filter(None, (args.vararg, args.kwarg))]
@@ -61,9 +73,22 @@ def test_sources_found():
     assert any(path.name == "spectral.py" for path in SOURCES)
 
 
+def _trees():
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
 def test_private_functions_are_referenced():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    assert unreferenced(trees) == []
+    assert unreferenced(_trees()) == []
+
+
+def test_public_functions_are_read_or_library_api():
+    unread = {name for _, _, name in unreferenced(_trees(), private=False)}
+    assert unread - LIBRARY_API == set()
+    # every name of the list is a public function, and README names it
+    defined = {func.name for tree in _trees().values() for func in _functions(tree, False)}
+    assert LIBRARY_API <= defined
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in sorted(LIBRARY_API) if f"{name}`" not in readme] == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -87,6 +112,15 @@ def test_lint_flags_unreferenced_helpers():
     trees = {"a.py": ast.parse("def _walk(n):\n    return _walk(n - 1) if n else 0\n"),
              "b.py": ast.parse("from .a import _walk\n")}
     assert unreferenced(trees) == [("a.py", 1, "_walk")]
+
+
+def test_lint_flags_unread_public_functions():
+    # read only by itself and by a re-export in __init__.py
+    trees = {"a.py": ast.parse("def orphan(n):\n    return orphan(n - 1) if n else 0\n"
+                               "def used():\n    return 1\n"),
+             "b.py": ast.parse("from .a import used\nVALUE = used()\n"),
+             "__init__.py": ast.parse("from .a import orphan\nEXPORTS = [orphan]\n")}
+    assert unreferenced(trees, private=False) == [("a.py", 1, "orphan")]
 
 
 def test_lint_accepts_used_helpers():
