@@ -1,7 +1,7 @@
 """Write a BENCH_<n>.json record: perfbench at fixed seeds plus
 class-side and spectral micro-cases.
 
-    python3 bench/write_bench.py --out BENCH_17.json
+    python3 bench/write_bench.py --out BENCH_18.json
 
 Run it from anywhere inside a source checkout; it benchmarks the sources
 of that checkout.  It uses the standard library only and runs
@@ -21,9 +21,20 @@ of that checkout.  It uses the standard library only and runs
   message names and its wall time;
 - ``spectral_flow`` plus ``kernel_dimension`` in nakano mode on cp1x4 at
   r = 1, eps = 9999, in process: the first pair of calls and the median of
-  20 further pairs, with a sha256 of the payload.
+  20 further pairs, with a sha256 of the payload;
+- the cold class side: the first ``eta_invariant`` on each of cp1xcp1,
+  cp1x4, cp1x6, cp1x8 and cp1x32, each in 5 fresh processes (the median),
+  with the number of Bernoulli memo misses and of Bernoulli numbers
+  computed;
+- one ``transgression --manifold cp1x32 --eps 1`` process at the
+  4100-digit r: its exit code, the limit its message names and its wall
+  time;
+- a sha256 of the answers of every perfbench case (workload and seed):
+  the library answers as ``perfbench/worker.py`` writes them, and for
+  cli-batch each invocation's exit code and output, run from the
+  directory of the generated configs so that no path enters the hash.
 
-The whole record takes about four minutes.
+The whole record takes about four and a half minutes.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ SEEDS = (1, 2, 3)
 SECONDS = {"eta-grid": 10, "flow-sweep": 10, "cli-batch": 20}
 R_401 = f"{10**400 + 1}/{10**400 - 3}"
 R_4100 = f"{10**4100 + 1}/{10**4100 - 3}"
+COLD_BASES = ("cp1xcp1", "cp1x4", "cp1x6", "cp1x8", "cp1x32")
 
 # adiabatic_top on cp1x32: argv[1] is r; prints first-call seconds, the
 # median of 5 further calls and the sha256 of the answer's string form
@@ -96,6 +108,60 @@ print(json.dumps({"first_call_s": first, "median_s": statistics.median(times),
 """
 
 
+# the first eta_invariant on a base (argv[1]) in a fresh process: its time,
+# the Bernoulli memo misses and how many Bernoulli numbers were computed
+_COLD = """
+import json, sys, time
+from fractions import Fraction
+from etaflow import series
+from etaflow.catalog import resolve_manifold
+from etaflow.eta import eta_invariant
+entry = resolve_manifold(sys.argv[1])
+start = time.perf_counter()
+result = eta_invariant(entry.manifold, entry.model, Fraction(1, 3), Fraction(1, 2))
+elapsed = time.perf_counter() - start
+print(json.dumps({"first_call_s": elapsed,
+                  "bernoulli_misses": series._bernoulli.cache_info().misses,
+                  "bernoulli_computed": len(series._BERNOULLI) - 1,
+                  "total": str(result.total)}))
+"""
+
+# the answers of one perfbench case (argv: checkout root, workload, seed),
+# hashed: library queries answered as perfbench/worker.py answers them, CLI
+# invocations run from the directory of the generated configs
+_ANSWERS = """
+import hashlib, json, os, subprocess, sys, tempfile
+from pathlib import Path
+root, workload, seed = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+sys.path.insert(0, str(root / "perfbench"))
+import workloads, worker
+with tempfile.TemporaryDirectory() as tmp:
+    work = Path(tmp)
+    spec = workloads.EXPLICIT_CLI if workload == "cli-batch" else workloads.EXPLICIT_FLOW
+    configs = workloads.write_explicit_configs(work, workload, seed, spec)
+    if workload == "cli-batch":
+        answers = []
+        for query in workloads.cli_batch(seed, configs):
+            argv = [Path(a).name if a.startswith(tmp) else a for a in query["argv"]]
+            proc = subprocess.run([sys.executable, "-m", "etaflow", *argv], cwd=work,
+                                  capture_output=True, text=True)
+            answers.append([proc.returncode, proc.stdout])
+    else:
+        queries = (workloads.eta_grid(seed) if workload == "eta-grid"
+                   else workloads.flow_sweep(seed, configs))
+        entries = worker._setup({"bases": sorted({q["base"] for q in queries})})
+        answers = []
+        for query in queries:
+            try:
+                answers.append(worker._answer(query, worker._run(entries[query["base"]], query)))
+            except Exception as exc:
+                answers.append(f"{type(exc).__name__}: {exc}")
+text = json.dumps(answers, sort_keys=True).replace(tmp, "")
+print(json.dumps({"queries": len(answers),
+                  "answers_sha256": hashlib.sha256(text.encode()).hexdigest()}))
+"""
+
+
 def _env():
     return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
@@ -138,17 +204,40 @@ def _in_process(case: str, code: str, *args) -> dict:
     return {"case": case, **json.loads(proc.stdout)}
 
 
-def _cli_case() -> dict:
-    argv = [sys.executable, "-m", "etaflow", "adiabatic-limit", "--manifold", "cp1x32",
-            "--r", R_4100]
+def _cli_case(*args) -> dict:
+    argv = [sys.executable, "-m", "etaflow", *args, "--r", R_4100]
     start = time.perf_counter()
     proc = subprocess.run(argv, env=_env(), capture_output=True, text=True)
     wall = time.perf_counter() - start
-    return {"case": "etaflow adiabatic-limit --manifold cp1x32 "
-                    "--r (10^4100 + 1)/(10^4100 - 3)",
+    return {"case": f"etaflow {' '.join(args)} --r (10^4100 + 1)/(10^4100 - 3)",
             "exit_code": proc.returncode, "wall_s": wall,
             "names_MAX_RATIONAL_DIGITS": "MAX_RATIONAL_DIGITS" in proc.stderr,
             "stderr": proc.stderr.strip()}
+
+
+def _cold_class_side() -> dict:
+    cases = {}
+    for base in COLD_BASES:
+        runs = [json.loads(subprocess.run([sys.executable, "-c", _COLD, base], env=_env(),
+                                          capture_output=True, text=True, check=True).stdout)
+                for _ in range(5)]
+        times = [run.pop("first_call_s") for run in runs]
+        assert all(run == runs[0] for run in runs)
+        cases[base] = {"first_call_s": times, **_summary(times), **runs[0]}
+    return {"case": "first eta_invariant(r = 1/3, eps = 1/2) per base, fresh processes",
+            "bases": cases}
+
+
+def _answer_hashes() -> dict:
+    hashes = {}
+    for workload in SECONDS:
+        hashes[workload] = {}
+        for seed in SEEDS:
+            proc = subprocess.run([sys.executable, "-c", _ANSWERS, str(ROOT), workload,
+                                   str(seed)], env=_env(), capture_output=True, text=True,
+                                  check=True)
+            hashes[workload][str(seed)] = json.loads(proc.stdout)
+    return hashes
 
 
 def _machine() -> dict:
@@ -187,10 +276,13 @@ def main(argv=None) -> int:
     record["micro"] = [
         _in_process("adiabatic_top(cp1x32, r), r = (10^400 + 1)/(10^400 - 3)",
                     _IN_PROCESS, R_401),
-        _cli_case(),
+        _cli_case("adiabatic-limit", "--manifold", "cp1x32"),
         _in_process("spectral_flow + kernel_dimension, nakano, cp1x4, r = 1, eps = 9999",
                     _NAKANO),
+        _cold_class_side(),
+        _cli_case("transgression", "--manifold", "cp1x32", "--eps", "1"),
     ]
+    record["answers"] = _answer_hashes()
     record["elapsed_s"] = time.perf_counter() - started
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out} in {record['elapsed_s']:.0f} s", file=sys.stderr)

@@ -17,9 +17,9 @@ On a fixed base neither A-hat nor W = Omega_2 e^{Omega_0} depends on
 (r, eps), while eta_hat_r and e^{rc} are polynomials in t = 1 - {r} and r.
 So each term is one integer table per (base, order), built once in a
 bounded memo; a query evaluates it by Horner's rule in integers and
-reduces by one gcd.  The paper's ``paper_i`` convention, with literal
-factors of i, takes the same antiderivative at i*eps, with no complex
-arithmetic.  ``convention_integral`` keeps the series form.
+reduces by one gcd, and the adiabatic term is memoized per (base, r).
+The ``paper_i`` convention, with literal factors of i, takes the same
+antiderivative at i*eps.  ``convention_integral`` keeps the series form.
 """
 
 from __future__ import annotations
@@ -110,12 +110,12 @@ def _adiabatic_table(manifold: ManifoldSpec, order: int):
 @lru_cache(maxsize=8)
 def _transgression_table(manifold: ManifoldSpec, order: int):
     """(L, H) with the delta-antiderivative of the transgression integrand
-    F(eps) = sum H[e][j] eps^e r^j / L, e + j <= n + 1: H[e][j] is
-    W_{n-j}[e-1] / (j! e) times the integral of c^n, and row 0 is zero."""
+    F(eps) = sum H[j][e] eps^e r^j / L, column j over e = 0..n + 1 - j:
+    H[j][e] is W_{n-j}[e-1] / (j! e) times the integral of c^n, H[j][0] 0."""
     n, w = manifold.n, transgression_forms(manifold, order)[2]
-    return _integer_table([[ZERO] * (n + 2)] + [
-        [manifold.top_integral * w[n - j][e - 1] / (math.factorial(j) * e)
-         for j in range(n + 2 - e)] for e in range(1, n + 2)])
+    return _integer_table([[ZERO] + [manifold.top_integral * w[n - j][e - 1]
+                                     / (math.factorial(j) * e)
+                                     for e in range(1, n + 2 - j)] for j in range(n + 2)])
 
 
 def adiabatic_top(manifold: ManifoldSpec, r, order=None) -> Fraction:
@@ -134,9 +134,11 @@ def adiabatic_top(manifold: ManifoldSpec, r, order=None) -> Fraction:
     return Fraction(_homogeneous(poly, R, D), L * D ** (len(poly) - 1))
 
 
+@lru_cache(maxsize=8, typed=True)
 def adiabatic_limit_eta(manifold: ManifoldSpec, r, order=None) -> Fraction:
     """Small-eps limit of the eta invariant:
-    (1/2) * integral of A-hat * eta_hat_r * exp(rc)."""
+    (1/2) * integral of A-hat * eta_hat_r * exp(rc), memoized per (base, r,
+    order); typed, so a float r is refused, not matched to a Fraction."""
     return adiabatic_top(manifold, r, order) * manifold.top_integral / 2
 
 
@@ -145,11 +147,11 @@ def transgression_integrand_poly(manifold: ManifoldSpec, r, order=None) -> tuple
     W_{n-j} r^j / j! times the integral of c^n, a polynomial in delta with
     rational coefficients (the real convention), as its n + 1
     coefficients, read off the transgression table."""
-    L, table = _transgression_table(manifold, _order(manifold, order))
-    r = as_fraction(r)
-    D = r.denominator
-    return tuple(Fraction(e * _homogeneous(row, r.numerator, D), L * D ** (len(row) - 1))
-                 for e, row in enumerate(table) if e)
+    L, columns = _transgression_table(manifold, _order(manifold, order))
+    r, top = as_fraction(r), manifold.n + 1
+    return tuple(Fraction(e * _homogeneous([c[e] for c in columns[: top + 1 - e]], r.numerator,
+                                           r.denominator), L * r.denominator ** (top - e))
+                 for e in range(1, top + 1))
 
 
 def horner(poly, x) -> Fraction:
@@ -201,16 +203,22 @@ def transgression_raw(
         raise ValueError("eps must be >= 0")
     if convention not in CONVENTIONS:  # before the class side is built
         raise ValueError(f"unknown convention {convention!r}")
-    L, table = _transgression_table(manifold, _order(manifold, order))
-    scale, R, E = _scaled(as_fraction(r), eps)
-    re = im = 0
-    for row in reversed(table):
-        q = _homogeneous(row, R, scale)
-        if convention == CONVENTION_REAL:
-            re = re * E + q
-        else:  # Horner at iE: (re + i im) iE + q = (q - im E) + i re E
-            re, im = q - im * E, re * E
-    den = L * scale ** (manifold.n + 1)
+    L, columns = _transgression_table(manifold, _order(manifold, order))
+    E, De, r = eps.numerator, eps.denominator, as_fraction(r)
+    # Horner's rule in eps (at E, or at iE in Gaussian integers) on each
+    # column, then in r over their real and imaginary parts: O(n) long products
+    parts = []
+    for column in columns:
+        re, im, power = 0, 0, 1  # power = De^(K - e), K the column's degree
+        for g in reversed(column):
+            if convention == CONVENTION_REAL:
+                re = re * E + g * power
+            else:  # (re + i im) iE + g = (g - im E) + i re E
+                re, im = g * power - im * E, re * E
+            power *= De
+        parts.append((re, im))
+    re, im = (_homogeneous(part, r.numerator * De, r.denominator) for part in zip(*parts))
+    den = L * (De * r.denominator) ** (manifold.n + 1)
     if im == 0:
         return Fraction(re, den)
     return GaussianRational(Fraction(re, den), Fraction(im, den))
@@ -244,7 +252,9 @@ class EtaResult(Record):
     def spectral_flow(self) -> int | None:
         return self.flow_report.total if self.flow_report.is_exact else None
 
-    def _total_for(self, sf: int) -> Fraction:
+    def _total_for(self, sf: int) -> Fraction | None:
+        if not self.flow_report.is_exact:
+            return None
         return (
             self.adiabatic_term
             + self.convention_constant * self.transgression_term
@@ -253,20 +263,14 @@ class EtaResult(Record):
 
     @property
     def total(self) -> Fraction | None:
-        if not self.flow_report.is_exact:
-            return None
         return self._total_for(self.flow_report.total)
 
     @property
     def total_paper_sf(self) -> Fraction | None:
-        if not self.flow_report.is_exact:
-            return None
         return self._total_for(self.flow_report.total_paper)
 
     @property
     def total_standard_sf(self) -> Fraction | None:
-        if not self.flow_report.is_exact:
-            return None
         return self._total_for(self.flow_report.total_standard)
 
     def to_json(self):
@@ -305,8 +309,7 @@ def eta_invariant(
     """Eta invariant at (r, eps): adiabatic piece, transgression piece and
     certified spectral flow.  The flow is always computed, never assumed
     zero, even when the curvature bound already forces it to vanish."""
-    r = as_fraction(r)
-    eps = as_fraction(eps)
+    r, eps = as_fraction(r), as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     adiabatic = adiabatic_limit_eta(manifold, r, order)

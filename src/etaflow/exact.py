@@ -162,9 +162,7 @@ def truncated_product(a, b, size: int) -> list:
 
 def sqrt_sign(a, b, A) -> int:
     """Exact sign of a + b*sqrt(A) for rationals a, b and A >= 0."""
-    a = as_fraction(a)
-    b = as_fraction(b)
-    A = as_fraction(A)
+    a, b, A = map(as_fraction, (a, b, A))
     if A < 0:
         raise ValueError("negative radicand")
     if A == 0 or b == 0:
@@ -204,9 +202,7 @@ class SqrtValue(Record):
 
 def sqrt_value(a, b, A):
     """Build a + b*sqrt(A) exactly, folding to a Fraction when possible."""
-    a = as_fraction(a)
-    b = as_fraction(b)
-    A = as_fraction(A)
+    a, b, A = map(as_fraction, (a, b, A))
     if A < 0:
         raise ValueError("negative radicand")
     root = rational_sqrt(A)
@@ -264,10 +260,7 @@ def quad_nonneg_on_interval(c2, c1, c0, hi) -> QuadVerdict:
     endpoint or at the interior vertex, so checking those finitely many
     rational points decides nonnegativity exactly.
     """
-    c2 = as_fraction(c2)
-    c1 = as_fraction(c1)
-    c0 = as_fraction(c0)
-    hi = as_fraction(hi)
+    c2, c1, c0, hi = map(as_fraction, (c2, c1, c0, hi))
     if hi <= 0:
         raise ValueError("interval [0, hi] needs hi > 0")
 
@@ -319,10 +312,7 @@ def quad_sign_changes(c2, c1, c0, hi):
     negative to positive as x increases and -1 for the reverse.  Roots are
     Fractions or SqrtValues; touch points (no sign change) are excluded.
     """
-    c2 = as_fraction(c2)
-    c1 = as_fraction(c1)
-    c0 = as_fraction(c0)
-    hi = as_fraction(hi)
+    c2, c1, c0, hi = map(as_fraction, (c2, c1, c0, hi))
     changes = []
     if c2 == 0:
         if c1 != 0:

@@ -22,9 +22,9 @@ polynomial in delta of degree at most k.  A class is therefore a
 triangular table: a tuple of n + 1 rows, row k a tuple of exactly k + 1
 ``Fraction``s, entry d the coefficient of c^k delta^d.  The integral over
 X is row n times the integral of c^n.  From p and its derivative come the
-A-hat class and the two transgression forms Omega_0, Omega_2, whose
-delta-integral measures the change of the A-hat form along the adiabatic
-family.
+A-hat class (exp of a class, by a row recurrence) and the transgression
+forms Omega_0, Omega_2, whose delta-integral measures the change of the
+A-hat form along the adiabatic family.  Each B_m is computed once.
 """
 
 from __future__ import annotations
@@ -40,15 +40,22 @@ class SeriesOrderError(ValueError):
     """A series was truncated below the order needed by an evaluation."""
 
 
+_BERNOULLI = (Fraction(1),)  # B_0..B_m for the largest m asked so far
+
+
 @lru_cache(maxsize=8)
 def _bernoulli(m: int) -> tuple:
     """B_0..B_m from sum_{k<=j} C(j+1, k) B_k = 0 for j >= 1, which
-    gives B_1 = -1/2.  Memoized: every query on a base asks for the same m."""
-    numbers = [Fraction(1)]
-    for j in range(1, m + 1):
+    gives B_1 = -1/2.  A miss extends one module-level prefix, so a process
+    computes each number once; it is rebound, never changed in place, and
+    threads that extend it at once compute equal numbers."""
+    global _BERNOULLI
+    numbers = list(_BERNOULLI)
+    for j in range(len(numbers), m + 1):
         total = sum((math.comb(j + 1, k) * numbers[k] for k in range(j)), ZERO)
         numbers.append(-total / (j + 1))
-    return tuple(numbers)
+    _BERNOULLI = max(_BERNOULLI, tuple(numbers), key=len)
+    return tuple(numbers[: m + 1])
 
 
 def series_p(order: int) -> tuple:
@@ -174,20 +181,20 @@ def class_product(a, b) -> tuple:
 
 
 def exp_class(x) -> tuple:
-    """exp(x) = sum_j x^j / j! for a class x with no c^0 term; the sum
-    stops once x^j vanishes, at the latest after j = n."""
+    """exp(x) for a class x with no c^0 term, by the recurrence
+    k E_k = sum_{j=1..k} j x_j E_{k-j} for its rows E_k (from
+    c dE/dc = (c dx/dc) E): O(n^2) row products, none with a zero row."""
     if any(x[0]):
         raise ValueError("exp_class needs a class with no c^0 term")
-    power = constant_class((1,) + (0,) * (len(x) - 1))
-    result = power
-    for j in range(1, len(x)):
-        power = class_product(power, x)
-        if not any(map(any, power)):
-            break
-        scale = Fraction(1, math.factorial(j))
-        result = tuple(tuple(a + b * scale for a, b in zip(ra, rb))
-                       for ra, rb in zip(result, power))
-    return result
+    rows = [(Fraction(1),)]
+    for k in range(1, len(x)):
+        row = [ZERO] * (k + 1)
+        for j in range(1, k + 1):
+            if any(x[j]) and any(rows[k - j]):
+                for d, v in enumerate(truncated_product(x[j], rows[k - j], k + 1)):
+                    row[d] += j * v
+        rows.append(tuple(v / k for v in row))
+    return tuple(rows)
 
 
 def eval_power_sums(f, power_sums) -> tuple:

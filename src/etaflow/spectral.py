@@ -22,9 +22,9 @@ rational coefficients, monotone in mu^2.  Certification reduces to exact
 sign analysis of Q, using either tabulated Laplacian eigenvalues or, when
 the model has no spectrum (``spectrum=None``, bound-only mode), the
 curvature lower bound  mu^2/2 >= max(q(k + kappa/2), (n-q)(-k + kappa/2)).
-The search windows are finite because a crossing forces
-|2k - 2r| <= eps(n+2) and mu^2 <= eps/4.  They grow linearly in eps, but
-only the k that can report are visited: for Type 2 each q contributes a
+A crossing forces |2k - 2r| <= eps(n+2) and mu^2 <= eps/4: the windows,
+found in integers over one denominator of r, eps and kappa, grow linearly
+in eps, but only the k that can report are visited: for Type 2 each q gives a
 k-range found in closed form from the Nakano bound, which every tabulated
 eigenvalue also satisfies, and for Type 1 on a complete cohomology table
 the k between r and the family's root.  The flow and the kernel at
@@ -237,8 +237,7 @@ def certify_no_crossing(family: EigenvalueFamily, r, eps) -> CertOutcome:
     eigenvalue, a nonnegative verdict is still a certificate (Q grows
     with mu^2) while a negative one is only inconclusive.
     """
-    r = as_fraction(r)
-    eps = as_fraction(eps)
+    r, eps = as_fraction(r), as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if family.n % 2:
@@ -247,7 +246,8 @@ def certify_no_crossing(family: EigenvalueFamily, r, eps) -> CertOutcome:
     if family.kind == TYPE1:
         # (-1)^q (k - r - delta(q - n/2)) has the root num/(D den) with
         # num = 2(kD - R), den = 2q - n, in the integers r = R/D, eps = E/D
-        D, R, E = _scaled(r, eps)
+        D, R, E = (r.denominator * eps.denominator, r.numerator * eps.denominator,
+                   eps.numerator * r.denominator)
         gap = family.k * D - R
         num, den = 2 * gap, 2 * family.q - family.n
         if den == 0:
@@ -311,10 +311,6 @@ ON_UNKNOWN_SKIP = "skip"
 MAX_WINDOW_CELLS = 500_000
 
 
-def _k_interval(center: Fraction, radius: Fraction):
-    return math.ceil(center - radius), math.floor(center + radius)
-
-
 def _scaled(*values):
     """(D, x_1 D, ..., x_m D) as integers, D the least common denominator
     of the Fractions x_i; an integer ceiling is then -((-p) // q)."""
@@ -349,24 +345,25 @@ def _unknown_handler(on_unknown, skipped):
     return handle
 
 
-def _windows(r, eps, n: int, factor):
-    """(k1_lo, k1_hi, k2_lo, k2_hi, half_mu_max), widened by ``factor``: a
-    Type 1 zero on (0, eps] needs |k - r| <= eps*n/2, a Type 2 zero
-    |2k - 2r| <= eps(n + 2) and mu^2 <= eps/4.  Refuses, before any
-    enumeration, an n that is odd or not positive (``_flow_ks`` needs
-    C = 2q + 1 - n odd and n - 1 > 0) and more than MAX_WINDOW_CELLS cells:
-    (n + 1) times the number of k, summed over both windows."""
+def _windows(n: int, eps, D: int, R: int, E: int, G: int):
+    """(k1_lo, k1_hi, k2_lo, k2_hi) for r = R/D, eps = E/D, factor G/D: a Type 1
+    zero on (0, eps] needs |k - r| <= eps*n/2, so k in ceil((2RD - nEG)/(2D^2))
+    .. floor((2RD + nEG)/(2D^2)), and a Type 2 zero the same with n + 2.
+    Refuses, before any enumeration, an n that is odd or not positive
+    (``_flow_ks`` needs C = 2q + 1 - n odd and n - 1 > 0) and more than
+    MAX_WINDOW_CELLS cells: (n + 1) times the number of k of both windows."""
     if n % 2 or n <= 0:
         raise ValueError("only positive even complex dimension is supported")
-    k1_lo, k1_hi = _k_interval(r, eps * n / 2 * factor)
-    k2_lo, k2_hi = _k_interval(r, eps * (n + 2) / 2 * factor)
+    centre, span = 2 * R * D, 2 * D * D
+    k1_lo, k2_lo = (-((m * E * G - centre) // span) for m in (n, n + 2))
+    k1_hi, k2_hi = ((centre + m * E * G) // span for m in (n, n + 2))
     cells = (n + 1) * (max(k1_hi - k1_lo + 1, 0) + max(k2_hi - k2_lo + 1, 0))
     if cells > MAX_WINDOW_CELLS:
         raise SpectralWindowError(
             f"search window of {cells} (q, k) cells for eps = {eps} exceeds "
             f"MAX_WINDOW_CELLS = {MAX_WINDOW_CELLS}"
         )
-    return k1_lo, k1_hi, k2_lo, k2_hi, eps / 8 * factor
+    return k1_lo, k1_hi, k2_lo, k2_hi
 
 
 def _nakano_k_range(q: int, n: int, k_lo, k_hi, D, H, M):
@@ -400,23 +397,27 @@ def _flow_ks(q: int, lo: int, hi: int, n: int, D, R, H):
     return ks
 
 
-def _type2_levels(model: SpectralModel, r, eps, k_lo, k_hi, half_mu_max,
-                  handle_unknown):
-    """Yield (q, k, levels) for each k of the window k_lo..k_hi that
+def _type2_levels(model: SpectralModel, eps, k_lo, k_hi, scaled, handle_unknown):
+    """Yield (q, k, bound, levels) for each k of the window k_lo..k_hi that
     ``_flow_ks`` keeps from the Nakano range of degree q (mu^2/2 <=
-    half_mu_max).  ``levels`` is the ascending tuple of (mu^2/2,
-    multiplicity) that a tabulated spectrum lists at (q, k), cutoff not
-    applied, or in bound-only mode ((Nakano bound, None),).  A tabulated
-    eigenvalue is at least the bound, so a level that the bound silences is
-    silent too."""
+    half_mu_max = eps*factor/8).  ``scaled`` is (D, R, E, G, K) with
+    r, eps, factor, kappa = R/D, E/D, G/D, K/D; ``bound`` is 8D^2 times the
+    Nakano bound, and ``levels`` the ascending (mu^2/2, multiplicity) that a
+    tabulated spectrum lists at (q, k), cutoff not applied, or None in
+    bound-only mode.  A tabulated eigenvalue is at least the bound, so a
+    level that the bound silences is silent too."""
     n = model.n
     spectrum = model.spectrum
+    D, R, E, G, K = scaled
+    # over S = 8D^2: half_mu_max = M/S, r = R/S and kappa/2 = H/S
+    S, M, R, H = 8 * D * D, E * G, 8 * D * R, 4 * D * K
     missing = ()
     if spectrum is not None:
-        if spectrum.half_mu_sq_max < half_mu_max:
+        cutoff = spectrum.half_mu_sq_max
+        if cutoff.numerator * S < M * cutoff.denominator:
             raise SpectralWindowError(
-                f"spectrum cutoff mu^2/2 <= {spectrum.half_mu_sq_max} below the "
-                f"required {half_mu_max} for eps = {eps}"
+                f"spectrum cutoff mu^2/2 <= {cutoff} below the "
+                f"required {Fraction(M, S)} for eps = {eps}"
             )
         # the cells below and above the covered k-range (none covered when
         # cover_lo > cover_hi), in k order; only the covered ones are picked
@@ -429,18 +430,14 @@ def _type2_levels(model: SpectralModel, r, eps, k_lo, k_hi, half_mu_max,
         handle_unknown(("Type 2 certification needs a Ricci lower bound or an "
                         "explicit Laplacian spectrum",))
         return
-    # without a Ricci bound a table still meets the weakest bound, kappa = 0
-    D, R, H, M = _scaled(r, as_fraction(model.kappa or 0) / 2, half_mu_max)
     for q in range(n + 1):
         if missing:
             prefix = f"Laplacian spectrum missing (q={q}, k="
             handle_unknown(f"{prefix}{k}{suffix}" for k in missing)
-        lo, hi = _nakano_k_range(q, n, k_lo, k_hi, D, H, M)
-        for k in _flow_ks(q, lo, hi, n, D, R, H):
-            if spectrum is None:
-                yield q, k, ((Fraction(_scaled_bound(q, k, n, D, H), D), None),)
-            else:
-                yield q, k, spectrum.eigenvalues(q, k)
+        lo, hi = _nakano_k_range(q, n, k_lo, k_hi, S, H, M)
+        for k in _flow_ks(q, lo, hi, n, S, R, H):
+            yield (q, k, _scaled_bound(q, k, n, S, H),
+                   None if spectrum is None else spectrum.eigenvalues(q, k))
 
 
 def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
@@ -456,11 +453,12 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     the k that ``_flow_ks`` keeps, each in the one branch that can vanish;
     every other family is silent, so the cost of those parts does not grow
     with eps.  A partial table reports every cell of its Type 1 window
-    that it does not list, in one batch per q.  Returns (families, skipped, window) where ``skipped``
-    describes entries omitted under on_unknown="skip".
+    that it does not list, in one batch per q.  One ``_scaled`` call puts
+    r, eps, the factor and kappa over one denominator, and all of this is
+    done in those integers.  Returns (families, skipped, window) where
+    ``skipped`` describes entries omitted under on_unknown="skip".
     """
-    r = as_fraction(r)
-    eps = as_fraction(eps)
+    r, eps = as_fraction(r), as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     factor = as_fraction(window_factor)
@@ -468,12 +466,13 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
         # a narrower window drops families that can cross
         raise ValueError(f"window_factor must be >= 1, got {factor}")
     n = model.n
-    k_lo, k_hi, k2_lo, k2_hi, half_mu_max = _windows(r, eps, n, factor)
+    # without a Ricci bound a table still meets the weakest bound, kappa = 0
+    scaled = D, R, E, G, _ = _scaled(r, eps, factor, model.kappa or 0)
+    k_lo, k_hi, k2_lo, k2_hi = _windows(n, eps, D, R, E, G)
     families = []
     skipped = []
     handle_unknown = _unknown_handler(on_unknown, skipped)
     table = model.table
-    D, R, E = _scaled(r, eps)
     suffix = f"}} unknown in table {table.name!r}"
     for q in range(n + 1):
         if table.complete:
@@ -492,18 +491,21 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
                 families.append(EigenvalueFamily(
                     TYPE1, q, k, n, mult, mult_is_lower_bound=table.is_lower_bound(q, k)))
 
+    S, M = 8 * D * D, E * G  # half_mu_max = M/S
     window = {
         "type1_k": [k_lo, k_hi],
         "type2_k": [k2_lo, k2_hi],
-        "half_mu_sq_max": rational_str(half_mu_max),
+        "half_mu_sq_max": rational_str(Fraction(M, S)),
         "factor": rational_str(factor),
     }
-    for q, k, levels in _type2_levels(model, r, eps, k2_lo, k2_hi, half_mu_max,
-                                      handle_unknown):
+    for q, k, bound, levels in _type2_levels(model, eps, k2_lo, k2_hi, scaled,
+                                             handle_unknown):
         # the other branch is strictly signed: it never reports
         kind = TYPE2_MINUS if q % 2 else TYPE2_PLUS
+        if levels is None:  # bound-only mode: the Nakano bound is the level
+            levels = ((Fraction(bound, S), None),)
         for half, mult in levels:
-            if half > half_mu_max:
+            if half.numerator * S > M * half.denominator:
                 break
             # in bound-only mode the multiplicity is unknown (None)
             if mult != 0:
@@ -672,16 +674,15 @@ def kernel_dimension(model: SpectralModel, r, eps,
     if on_unknown == ON_UNKNOWN_SKIP:
         raise ValueError("kernel_dimension refuses on_unknown='skip': a count "
                          "that skipped unknown cells would be partial")
-    r = as_fraction(r)
-    eps = as_fraction(eps)
+    r, eps = as_fraction(r), as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = model.n
-    _, _, k2_lo, k2_hi, half_mu_max = _windows(r, eps, n, 1)
+    scaled = D, R, E, G, _ = _scaled(r, eps, 1, model.kappa or 0)
+    _, _, k2_lo, k2_hi = _windows(n, eps, D, R, E, G)
     total = 0
 
     # Type 1 zeros at eps: k = r + eps (q - n/2) must be an integer
-    D, R, E = _scaled(r, eps)
     for q in range(n + 1):
         k, rem = divmod(2 * R + E * (2 * q - n), 2 * D)
         if rem:
@@ -698,20 +699,19 @@ def kernel_dimension(model: SpectralModel, r, eps,
     # needs half* > 0 and half* >= bound, which a tabulated eigenvalue
     # equal to half* meets
     scale = 8 * E * D
-    for q, k, levels in _type2_levels(model, r, eps, k2_lo, k2_hi, half_mu_max,
-                                      handle_unknown):
+    for q, k, bound, levels in _type2_levels(model, eps, k2_lo, k2_hi, scaled,
+                                             handle_unknown):
         N = E * E - (2 * (k * D - R) - (2 * q + 1 - n) * E) ** 2
         if N <= 0:
             continue
-        for half, mult in levels:
-            if mult is None:
-                # half is the Nakano bound, which half* must reach
-                if N * half.denominator >= scale * half.numerator:
-                    raise IndeterminateSpectralFlow(
-                        f"kernel at eps={eps} hinges on whether mu^2/2 = "
-                        f"{Fraction(N, scale)} occurs at (q={q}, k={k}); "
-                        "supply an explicit spectrum"
-                    )
-            elif half.numerator * scale == N * half.denominator:
+        # in bound-only mode half* = N/scale must reach the bound, bound/(8D^2)
+        if levels is None and N * D >= E * bound:
+            raise IndeterminateSpectralFlow(
+                f"kernel at eps={eps} hinges on whether mu^2/2 = "
+                f"{Fraction(N, scale)} occurs at (q={q}, k={k}); "
+                "supply an explicit spectrum"
+            )
+        for half, mult in levels or ():  # None in bound-only mode
+            if half.numerator * scale == N * half.denominator:
                 total += mult
     return total
