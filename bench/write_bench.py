@@ -1,7 +1,7 @@
 """Write a BENCH_<n>.json record: perfbench at fixed seeds plus
 class-side and spectral micro-cases.
 
-    python3 bench/write_bench.py --out BENCH_18.json
+    python3 bench/write_bench.py --out BENCH_19.json
 
 Run it from anywhere inside a source checkout; it benchmarks the sources
 of that checkout.  It uses the standard library only and runs
@@ -29,12 +29,16 @@ of that checkout.  It uses the standard library only and runs
 - one ``transgression --manifold cp1x32 --eps 1`` process at the
   4100-digit r: its exit code, the limit its message names and its wall
   time;
+- flow-sweep at seed 1 split into its nakano, explicit and
+  counterexample parts: one pass of its queries in a fresh process, as a
+  perfbench worker runs it, with the time of each part summed over its
+  queries; the median of 7 processes;
 - a sha256 of the answers of every perfbench case (workload and seed):
   the library answers as ``perfbench/worker.py`` writes them, and for
   cli-batch each invocation's exit code and output, run from the
   directory of the generated configs so that no path enters the hash.
 
-The whole record takes about four and a half minutes.
+The whole record takes about five minutes.
 """
 
 from __future__ import annotations
@@ -161,6 +165,29 @@ print(json.dumps({"queries": len(answers),
                   "answers_sha256": hashlib.sha256(text.encode()).hexdigest()}))
 """
 
+# one flow-sweep pass (argv: checkout root, seed) in a fresh process: the
+# seconds of the nakano, explicit and counterexample queries, summed per part
+_FLOW_SPLIT = """
+import json, sys, tempfile, time
+from pathlib import Path
+root, seed = Path(sys.argv[1]), int(sys.argv[2])
+sys.path.insert(0, str(root / "perfbench"))
+import workloads, worker
+with tempfile.TemporaryDirectory() as tmp:
+    configs = workloads.write_explicit_configs(Path(tmp), "flow-sweep", seed,
+                                               workloads.EXPLICIT_FLOW)
+    queries = workloads.flow_sweep(seed, configs)
+    entries = worker._setup({"bases": sorted({q["base"] for q in queries})})
+    parts = {"nakano": [0.0, 0], "explicit": [0.0, 0], "counterexample": [0.0, 0]}
+    for query in queries:
+        part = "counterexample" if query["op"] == "cx" else query["mode"]
+        start = time.perf_counter()
+        worker._run(entries[query["base"]], query)
+        parts[part][0] += time.perf_counter() - start
+        parts[part][1] += 1
+print(json.dumps({part: {"seconds": s, "queries": n} for part, (s, n) in parts.items()}))
+"""
+
 
 def _env():
     return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -228,6 +255,19 @@ def _cold_class_side() -> dict:
             "bases": cases}
 
 
+def _flow_split(seed: int = 1, processes: int = 7) -> dict:
+    argv = [sys.executable, "-c", _FLOW_SPLIT, str(ROOT), str(seed)]
+    runs = [json.loads(subprocess.run(argv, env=_env(), capture_output=True, text=True,
+                                      check=True).stdout)
+            for _ in range(processes)]
+    parts = {}
+    for part, first in runs[0].items():
+        times = [run[part]["seconds"] for run in runs]
+        parts[part] = {"queries": first["queries"], "seconds": times, **_summary(times)}
+    return {"case": f"flow-sweep seed {seed}, one pass per fresh process, "
+                    f"seconds per part ({processes} processes)", "parts": parts}
+
+
 def _answer_hashes() -> dict:
     hashes = {}
     for workload in SECONDS:
@@ -281,6 +321,7 @@ def main(argv=None) -> int:
                     _NAKANO),
         _cold_class_side(),
         _cli_case("transgression", "--manifold", "cp1x32", "--eps", "1"),
+        _flow_split(),
     ]
     record["answers"] = _answer_hashes()
     record["elapsed_s"] = time.perf_counter() - started

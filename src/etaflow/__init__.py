@@ -15,7 +15,6 @@ from .exact import (
     GaussianRational,
     SqrtValue,
     parse_rational,
-    quad_nonneg_on_interval,
     rational_str,
     sqrt_sign,
 )

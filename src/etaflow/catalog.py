@@ -1,8 +1,8 @@
 """Catalog of base manifolds and their spectral data.
 
 Two families are built in: products of projective lines (Fano, spin, any
-even number of factors up to MAX_CP1_FACTORS) with the polarization of
-multidegree (1, ..., 1),
+positive even number of factors up to MAX_CP1_FACTORS) with the
+polarization of multidegree (1, ..., 1),
 and general-type hypersurfaces of even degree d > n + 2 in P^{n+1}, which
 carry the counterexample twist k0 = (n + 2 - d)/2 < 0.  Line-bundle
 cohomology on the products comes from the one-dimensional dimension count
@@ -180,7 +180,8 @@ def product_cp1_model(factors: int):
     MAX_CP1_FACTORS factors are accepted.
     """
     if factors % 2 or factors <= 0:
-        raise ConfigError("the product model needs an even number of factors")
+        raise ConfigError(f"the product model needs a positive even number of factors, "
+                          f"got {factors}")
     if factors > MAX_CP1_FACTORS:
         raise ConfigError(
             f"cp1x{factors} has more than MAX_CP1_FACTORS = {MAX_CP1_FACTORS} "

@@ -217,118 +217,3 @@ def exact_value_to_json(value):
     if isinstance(value, SqrtValue):
         return value.to_json()
     return rational_str(value)
-
-
-def cmp_exact(value, q) -> int:
-    """Sign of value - q, where value is a Fraction or SqrtValue."""
-    if isinstance(value, SqrtValue):
-        return value.cmp(q)
-    return sign(as_fraction(value) - as_fraction(q))
-
-
-QUAD_NONNEGATIVE = "nonnegative"
-QUAD_TOUCHES_ZERO = "touches_zero"
-QUAD_NEGATIVE = "negative_somewhere"
-
-
-class QuadVerdict(Record):
-    """Outcome of classifying c2*x^2 + c1*x + c0 on [0, hi].
-
-    ``roots`` lists the zeros inside the interval when the polynomial is
-    nonnegative there (verdict "touches_zero"); ``witness`` is a rational
-    point with a strictly negative value when the verdict is
-    "negative_somewhere".  An identically zero polynomial reports
-    ``identically_zero`` with an empty root list.
-    """
-
-    def __init__(self, kind: str, roots: tuple = (),
-                 witness: Fraction | None = None, identically_zero: bool = False):
-        self.kind = kind
-        self.roots = roots
-        self.witness = witness
-        self.identically_zero = identically_zero
-
-    @property
-    def is_nonnegative(self) -> bool:
-        return self.kind != QUAD_NEGATIVE
-
-
-def quad_nonneg_on_interval(c2, c1, c0, hi) -> QuadVerdict:
-    """Exact classification of Q(x) = c2*x^2 + c1*x + c0 on [0, hi].
-
-    The minimum of a quadratic over a closed interval is attained at an
-    endpoint or at the interior vertex, so checking those finitely many
-    rational points decides nonnegativity exactly.
-    """
-    c2, c1, c0, hi = map(as_fraction, (c2, c1, c0, hi))
-    if hi <= 0:
-        raise ValueError("interval [0, hi] needs hi > 0")
-
-    def q(x):
-        return (c2 * x + c1) * x + c0
-
-    if c2 == 0 and c1 == 0 and c0 == 0:
-        return QuadVerdict(QUAD_TOUCHES_ZERO, identically_zero=True)
-
-    candidates = [ZERO, hi]
-    if c2 > 0:
-        vertex = -c1 / (2 * c2)
-        if 0 < vertex < hi:
-            candidates.insert(0, vertex)
-    for x in candidates:
-        if q(x) < 0:
-            return QuadVerdict(QUAD_NEGATIVE, witness=x)
-
-    # Q >= 0 on [0, hi]; collect the zeros inside the interval.  Whenever
-    # the verdict is nonnegative, any zero in the interval is rational:
-    # an irrational root would force strictly negative values nearby.
-    roots = []
-    if c2 == 0:
-        if c1 != 0:
-            x0 = -c0 / c1
-            if 0 <= x0 <= hi:
-                roots.append(x0)
-    else:
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc == 0:
-            vertex = -c1 / (2 * c2)
-            if 0 <= vertex <= hi:
-                roots.append(vertex)
-        elif disc > 0:
-            root = rational_sqrt(disc)
-            if root is not None:
-                r1 = (-c1 - root) / (2 * c2)
-                r2 = (-c1 + root) / (2 * c2)
-                roots.extend(r for r in sorted((r1, r2)) if 0 <= r <= hi)
-    if roots:
-        return QuadVerdict(QUAD_TOUCHES_ZERO, roots=tuple(sorted(set(roots))))
-    return QuadVerdict(QUAD_NONNEGATIVE)
-
-
-def quad_sign_changes(c2, c1, c0, hi):
-    """Sign transitions of Q(x) = c2*x^2 + c1*x + c0 on the open (0, hi).
-
-    Returns [(root, transition)] with transition +1 where Q passes from
-    negative to positive as x increases and -1 for the reverse.  Roots are
-    Fractions or SqrtValues; touch points (no sign change) are excluded.
-    """
-    c2, c1, c0, hi = map(as_fraction, (c2, c1, c0, hi))
-    changes = []
-    if c2 == 0:
-        if c1 != 0:
-            x0 = -c0 / c1
-            if 0 < x0 < hi:
-                changes.append((x0, sign(c1)))
-        return changes
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc <= 0:
-        return changes
-    lo_root = sqrt_value(-c1 / (2 * c2), -abs(Fraction(1) / (2 * c2)), disc)
-    hi_root = sqrt_value(-c1 / (2 * c2), abs(Fraction(1) / (2 * c2)), disc)
-    # rising/falling pattern: for c2 > 0 the polynomial falls through the
-    # smaller root and rises through the larger; reversed for c2 < 0
-    pattern = [(lo_root, -sign(c2)), (hi_root, sign(c2))]
-    for root, transition in pattern:
-        if cmp_exact(root, 0) > 0 and cmp_exact(root, hi) < 0:
-            changes.append((root, transition))
-    return changes

@@ -17,10 +17,13 @@ in the integers of their common denominator; a Fraction is made only for
 a crossing that is reported.  Of the two Type 2 branches of a level only
 one can vanish, + for even q and - for odd q, so only that one is built:
 the other is strictly signed.  It vanishes only where
-Q(delta) = A(delta) - delta^2 does, a quadratic in delta with exact
-rational coefficients, monotone in mu^2.  Certification reduces to exact
-sign analysis of Q, using either tabulated Laplacian eigenvalues or, when
-the model has no spectrum (``spectrum=None``, bound-only mode), the
+Q(delta) = A(delta) - delta^2 does, a quadratic in delta, monotone in
+mu^2.  With r and eps over D and mu^2/2 = P/H, H D^2 Q(x/D) has integer
+coefficients, so the sign of Q on [0, eps] is decided in integers from
+its ends, its vertex and its discriminant, and a Fraction or SqrtValue is
+made only for a root that is reported.  Q is read with either tabulated
+Laplacian eigenvalues or, when the model has no spectrum
+(``spectrum=None``, bound-only mode), the
 curvature lower bound  mu^2/2 >= max(q(k + kappa/2), (n-q)(-k + kappa/2)).
 A crossing forces |2k - 2r| <= eps(n+2) and mu^2 <= eps/4: the windows,
 found in integers over one denominator of r, eps and kappa, grow linearly
@@ -43,9 +46,8 @@ from .exact import (
     Record,
     as_fraction,
     exact_value_to_json,
-    quad_nonneg_on_interval,
-    quad_sign_changes,
     rational_str,
+    sqrt_value,
 )
 
 TYPE1 = "type1"
@@ -181,15 +183,6 @@ class EigenvalueFamily(Record):
             extra = f", {tag}={self.half_mu_sq}"
         return f"{self.kind}(q={self.q}, k={self.k}{extra})"
 
-    def quad_coefficients(self, r):
-        """(c2, c1, c0) of Q(delta) = A(delta) - delta^2 for Type 2."""
-        if self.kind == TYPE1:
-            raise ValueError("not a Type 2 family")
-        B = 2 * (self.k - as_fraction(r))
-        C = 2 * self.q + 1 - self.n
-        half = self.half_mu_sq
-        return Fraction(C * C - 1), 8 * half - 2 * B * C, B * B
-
     def to_json(self):
         data = {"kind": self.kind, "q": self.q, "k": self.k}
         if self.kind == TYPE1:
@@ -228,6 +221,13 @@ class CertOutcome(Record):
         self.note = note
 
 
+def _root_sign(u: int, t: int, disc: int) -> int:
+    """Sign of u + t*sqrt(disc) for integers u, t = +-1 and disc > 0."""
+    if u * t >= 0 or u * u < disc:
+        return t
+    return -t if u * u > disc else 0
+
+
 def certify_no_crossing(family: EigenvalueFamily, r, eps) -> CertOutcome:
     """Exact sign certification of one eigenvalue family on (0, eps].
 
@@ -235,20 +235,22 @@ def certify_no_crossing(family: EigenvalueFamily, r, eps) -> CertOutcome:
     quadratic Q(delta) = A(delta) - delta^2, whose nonnegativity pins the
     sign of the vulnerable branch.  With a Nakano bound in place of the
     eigenvalue, a nonnegative verdict is still a certificate (Q grows
-    with mu^2) while a negative one is only inconclusive.
+    with mu^2) while a negative one is only inconclusive.  Both are
+    decided in the integers r = R/D, eps = E/D; a Fraction or SqrtValue is
+    built only for a crossing that is reported.
     """
     r, eps = as_fraction(r), as_fraction(eps)
-    if eps <= 0:
+    D, R, E = (r.denominator * eps.denominator, r.numerator * eps.denominator,
+               eps.numerator * r.denominator)
+    if E <= 0:
         raise ValueError("eps must be positive")
     if family.n % 2:
         raise ValueError("only even complex dimension is supported")
+    gap = family.k * D - R
 
     if family.kind == TYPE1:
         # (-1)^q (k - r - delta(q - n/2)) has the root num/(D den) with
-        # num = 2(kD - R), den = 2q - n, in the integers r = R/D, eps = E/D
-        D, R, E = (r.denominator * eps.denominator, r.numerator * eps.denominator,
-                   eps.numerator * r.denominator)
-        gap = family.k * D - R
+        # num = 2(kD - R), den = 2q - n
         num, den = 2 * gap, 2 * family.q - family.n
         if den == 0:
             return CertOutcome(CERTIFIED, zero_at_start=gap == 0, zero_at_eps=gap == 0)
@@ -266,17 +268,19 @@ def certify_no_crossing(family: EigenvalueFamily, r, eps) -> CertOutcome:
     if (family.q % 2 == 0) != (family.kind == TYPE2_PLUS):
         return CertOutcome(CERTIFIED)
 
-    c2, c1, c0 = family.quad_coefficients(r)
-    verdict = quad_nonneg_on_interval(c2, c1, c0, eps)
-    if verdict.is_nonnegative:
-        # a zero in [0, eps] is rational; an identically zero Q has none listed
-        everywhere = verdict.identically_zero
-        return CertOutcome(
-            CERTIFIED,
-            zero_at_start=everywhere or any(root == 0 for root in verdict.roots),
-            zero_at_eps=everywhere or any(root == eps for root in verdict.roots),
-            touch_points=tuple(root for root in verdict.roots if 0 < root < eps),
-        )
+    # H D^2 Q(x/D) = a2 x^2 + a1 x + a0 on x in [0, E], with mu^2/2 = P/H and
+    # C = 2q + 1 - n odd, so a2 = (C^2 - 1) H >= 0 and a0 = 4 gap^2 H >= 0:
+    # Q >= 0 on [0, eps] unless it is negative at eps or at an interior vertex.
+    # Q never touches zero inside (0, eps): disc = 0 with a vertex in (0, E)
+    # needs gap != 0 and C^2 - 1 = 4j(j + 1) (C = 2j + 1) a nonzero square,
+    # which j(j + 1) never is
+    P, H = family.half_mu_sq.numerator, family.half_mu_sq.denominator
+    C = 2 * family.q + 1 - family.n
+    a2, a1, a0 = (C * C - 1) * H, 8 * P * D - 4 * gap * C * H, 4 * gap * gap * H
+    at_eps = (a2 * E + a1) * E + a0
+    disc = a1 * a1 - 4 * a2 * a0
+    if at_eps >= 0 and not (0 < -a1 < 2 * a2 * E and disc > 0):
+        return CertOutcome(CERTIFIED, zero_at_start=a0 == 0, zero_at_eps=at_eps == 0)
 
     if family.half_mu_sq_is_bound:
         return CertOutcome(
@@ -287,16 +291,23 @@ def certify_no_crossing(family: EigenvalueFamily, r, eps) -> CertOutcome:
             ),
         )
 
-    changes = quad_sign_changes(c2, c1, c0, eps)
     parity = 1 if family.q % 2 == 0 else -1
-    crossings = tuple((root, -transition * parity) for root, transition in changes)
-    q_at_eps = (c2 * eps + c1) * eps + c0
-    outcome = CROSSING if crossings else CERTIFIED
+    if a2 == 0:
+        # Q is linear and falls (a1 < 0) from Q(0) >= 0 to Q(eps) < 0
+        crossings = ((Fraction(-a0, a1 * D), parity),) if a0 else ()
+    else:
+        # disc > 0: Q falls through its root (-a1 - sqrt(disc))/(2 a2) and
+        # rises through (-a1 + sqrt(disc))/(2 a2); a root in (0, E) reports
+        crossings = tuple(
+            (sqrt_value(Fraction(-a1, 2 * a2 * D), Fraction(t * H, 2 * a2),
+                        Fraction(disc, (H * D) ** 2)), -t * parity)
+            for t in (-1, 1)
+            if _root_sign(-a1, t, disc) > 0 and _root_sign(-a1 - 2 * a2 * E, t, disc) < 0)
     return CertOutcome(
-        outcome,
+        CROSSING if crossings else CERTIFIED,
         crossings=crossings,
-        zero_at_start=c0 == 0,
-        zero_at_eps=q_at_eps == 0,
+        zero_at_start=a0 == 0,
+        zero_at_eps=at_eps == 0,
     )
 
 
@@ -473,7 +484,10 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     skipped = []
     handle_unknown = _unknown_handler(on_unknown, skipped)
     table = model.table
+    # a partial table reports each unknown cell as "h^{q,k} unknown ...";
+    # the tails "k} unknown ..." of the window's k serve every q
     suffix = f"}} unknown in table {table.name!r}"
+    tails = () if table.complete else [f"{k}{suffix}" for k in range(k_lo, k_hi + 1)]
     for q in range(n + 1):
         if table.complete:
             # the k between r and the root's end r + eps(q - n/2)
@@ -483,8 +497,10 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
         else:
             ks = table.known_ks(q, k_lo, k_hi)
             prefix = f"h^{{{q},"
-            handle_unknown(f"{prefix}{k}{suffix}" for k in range(k_lo, k_hi + 1)
-                           if k not in ks)
+            # the unknown k fill the gaps between the ascending known ones
+            handle_unknown([prefix + tail for lo, hi in
+                            zip((k_lo, *(k + 1 for k in ks)), (*ks, k_hi + 1))
+                            for tail in tails[lo - k_lo:hi - k_lo]])
         for k in ks:
             mult = table.h(q, k)
             if mult:

@@ -405,6 +405,16 @@ def test_product_size_limit(capsys):
     assert code == EXIT_OK and payload["result"]["value"]
 
 
+@pytest.mark.parametrize("manifold, factors", [("cp1x0", 0), ("cp1x3", 3)])
+def test_product_factor_count_is_named(capsys, manifold, factors):
+    # 0 is even: the message names the condition that the count broke
+    code, out, err = run_cli(capsys, "spectral-flow", "--manifold", manifold,
+                             "--r", "1/2", "--eps", "1")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == ("etaflow: the product model needs a positive even number of "
+                   f"factors, got {factors}\n")
+
+
 def test_check_identities_order_zero_is_rejected(capsys):
     # order 0 is an explicit order below the nilpotency degree, not a
     # request for the default order
@@ -513,6 +523,10 @@ FAIL_FAST_CASES = {
         {"man.json": TABLE_CONFIG, "spec.json": '[{"q": 0, "k": 2 "halfMuSq"'},
         ["--manifold", "{dir}/man.json"],
         "cannot read Laplacian table {dir}/spec.json: Expecting ',' delimiter"),
+    "product_factors_negative": (
+        {"man.json": json.dumps({"type": "product_cp1", "factors": -2})},
+        ["--manifold", "{dir}/man.json"],
+        "the product model needs a positive even number of factors, got -2"),
     "product_factors_true": (
         {"man.json": json.dumps({"type": "product_cp1", "factors": True})},
         ["--manifold", "{dir}/man.json"],

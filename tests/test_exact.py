@@ -2,22 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from etaflow.eta import eval_at_i, horner
 from etaflow.exact import (
     MAX_RATIONAL_DIGITS,
     GaussianRational,
-    QUAD_NEGATIVE,
-    QUAD_NONNEGATIVE,
-    QUAD_TOUCHES_ZERO,
-    QuadVerdict,
     SqrtValue,
-    cmp_exact,
     parse_rational,
-    quad_nonneg_on_interval,
-    quad_sign_changes,
     rational_sqrt,
     rational_str,
     sqrt_sign,
@@ -169,7 +162,6 @@ def test_sqrt_value_folds_perfect_squares():
     assert v.sign() == 1
     assert v.cmp(F(3, 2)) == -1  # sqrt(2) < 3/2
     assert v.cmp(F(7, 5)) == 1  # sqrt(2) > 7/5
-    assert cmp_exact(F(1, 2), 1) == -1
 
 
 def test_exact_records_are_values():
@@ -178,70 +170,3 @@ def test_exact_records_are_values():
     assert v != SqrtValue(F(1), F(2), F(5)) and v != (F(1), F(2), F(3))
     assert repr(v) == ("SqrtValue(a=Fraction(1, 1), b=Fraction(2, 1), "
                        "radicand=Fraction(3, 1))")
-    q = quad_nonneg_on_interval(1, -3, 2, 1)
-    assert q == QuadVerdict(QUAD_TOUCHES_ZERO, roots=(F(1),))
-    assert hash(q) == hash(QuadVerdict(QUAD_TOUCHES_ZERO, (F(1),), None, False))
-    assert q != QuadVerdict(QUAD_TOUCHES_ZERO, roots=(F(1),), identically_zero=True)
-
-
-# ---------------------------------------------------------------- quadratics
-
-
-def test_quad_examples():
-    v = quad_nonneg_on_interval(1, -3, 2, 1)
-    assert v.kind == QUAD_TOUCHES_ZERO and v.roots == (F(1),)
-
-    v = quad_nonneg_on_interval(0, 0, 4, 10)
-    assert v.kind == QUAD_NONNEGATIVE
-
-    v = quad_nonneg_on_interval(1, -3, 2, F(3, 2))
-    assert v.kind == QUAD_NEGATIVE
-    # a known interior point with a negative value: Q(5/4) = -3/16
-    assert F(25, 16) - 3 * F(5, 4) + 2 == F(-3, 16)
-    # any shipped witness must actually verify
-    w = v.witness
-    assert 0 <= w <= F(3, 2) and w * w - 3 * w + 2 < 0
-
-
-def test_quad_identically_zero():
-    v = quad_nonneg_on_interval(0, 0, 0, 5)
-    assert v.identically_zero and v.kind == QUAD_TOUCHES_ZERO
-
-
-@settings(max_examples=200)
-@given(fractions, fractions, fractions,
-       st.fractions(min_value=F(1, 4), max_value=4, max_denominator=8))
-def test_quad_agrees_with_dense_sampling(c2, c1, c0, hi):
-    v = quad_nonneg_on_interval(c2, c1, c0, hi)
-
-    def q(x):
-        return (c2 * x + c1) * x + c0
-
-    if v.kind == QUAD_NEGATIVE:
-        assert 0 <= v.witness <= hi and q(v.witness) < 0
-    else:
-        step = hi / 1000
-        assert all(q(i * step) >= 0 for i in range(1001))
-        for root in v.roots:
-            assert q(root) == 0
-
-
-@settings(max_examples=150)
-@given(fractions, fractions, fractions,
-       st.fractions(min_value=F(1, 4), max_value=4, max_denominator=8))
-def test_quad_sign_changes_match_sampling(c2, c1, c0, hi):
-    changes = quad_sign_changes(c2, c1, c0, hi)
-
-    def q(x):
-        return float(c2) * x * x + float(c1) * x + float(c0)
-
-    for root, transition in changes:
-        if isinstance(root, SqrtValue):
-            r = float(root.a) + float(root.b) * float(root.radicand) ** 0.5
-        else:
-            r = float(root)
-        lo, hi_s = max(r - 1e-4, 1e-9), r + 1e-4
-        before, after = q(lo), q(hi_s)
-        if abs(before) > 1e-12 and abs(after) > 1e-12:
-            assert (before < 0 < after) == (transition == 1)
-            assert (after < 0 < before) == (transition == -1)

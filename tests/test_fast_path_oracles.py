@@ -8,6 +8,12 @@
 - ``series.exp_class`` uses the recurrence k E_k = sum_j j x_j E_{k-j};
   here exp(x) is sympy's sum of x^j / j! in the variables c and delta.
 - ``eta.adiabatic_limit_eta`` is memoized per (base, r, order).
+- ``spectral.certify_no_crossing`` decides a Type 2 family in integers;
+  here the quadratic Q(delta) = A(delta) - delta^2 is classified in
+  Fractions, from its minimum over 0, eps and the vertex, its rational
+  zeros and its sign changes, as the package did before.
+- A partial cohomology table lists the cells it lacks from the gaps
+  between its known k; here every cell is asked on its own.
 
 The references share no code with ``spectral`` or ``series``.
 """
@@ -16,6 +22,7 @@ import math
 import random
 import sys
 import threading
+from collections import namedtuple
 from fractions import Fraction as F
 
 import pytest
@@ -24,14 +31,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etaflow import series, spectral
-from etaflow.catalog import product_cp1_model, resolve_manifold
+from etaflow.catalog import PartialCohomology, product_cp1_model, resolve_manifold
 from etaflow.eta import adiabatic_limit_eta, adiabatic_top
+from etaflow.exact import SqrtValue, exact_value_to_json, sqrt_value
 from etaflow.series import SeriesOrderError, exp_class
 from etaflow.spectral import (
+    CERTIFIED,
+    CROSSING,
+    INDETERMINATE,
     MAX_WINDOW_CELLS,
+    ON_UNKNOWN_SKIP,
+    TYPE2_MINUS,
+    TYPE2_PLUS,
+    CertOutcome,
+    EigenvalueFamily,
     LaplacianSpectrum,
     SpectralModel,
     SpectralWindowError,
+    certify_no_crossing,
     enumerate_families,
     kernel_dimension,
     spectral_flow,
@@ -115,6 +132,26 @@ def test_windows_and_levels_do_no_fraction_arithmetic(monkeypatch):
                       for model in models]
         assert [list(windows[:2]), list(windows[2:])] == fraction_window(4, r, eps, factor)[0]
         assert levels[0] and levels[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([2, 4, 6]),
+       r=st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
+       eps=st.fractions(min_value=0, max_value=40, max_denominator=10**6)
+       .filter(lambda e: e > 0), data=st.data())
+def test_gap_listing_matches_per_cell_reference(n, r, eps, data):
+    # known k at both ends of the Type 1 window, in its middle, just outside
+    # it and at random, per q; every other cell of the window is reported
+    (k_lo, k_hi), _ = fraction_window(n, r, eps, 1)[0]
+    places = [k_lo, k_hi, (k_lo + k_hi) // 2, k_lo - 1, k_hi + 1, k_hi + 9]
+    cells = {(q, k) for q in range(n + 1)
+             for k in data.draw(st.lists(st.one_of(st.sampled_from(places),
+                                                   st.integers(k_lo - 3, k_hi + 3))))}
+    table = PartialCohomology("partial", {cell: 1 for cell in cells}, [])
+    expected = [f"h^{{{q},{k}}} unknown in table 'partial'" for q in range(n + 1)
+                for k in range(k_lo, k_hi + 1) if not table.is_known(q, k)]
+    model = SpectralModel("partial", n, F(2), table)  # the Nakano bound reports nothing
+    assert enumerate_families(model, r, eps, on_unknown=ON_UNKNOWN_SKIP)[1] == expected
 
 
 # --------------------------------------------------- the Bernoulli prefix
@@ -259,3 +296,287 @@ def test_adiabatic_memo_does_not_store_a_refusal():
         with pytest.raises(SeriesOrderError):
             adiabatic_limit_eta(spec, F(1, 3), 2)
         assert adiabatic_limit_eta.cache_info().currsize == size
+
+
+# ------------------------------------------------ Type 2 certification
+
+Verdict = namedtuple("Verdict", "negative roots witness identically_zero")
+
+
+def quad_coefficients(family, r):
+    """(c2, c1, c0) of Q(delta) = A(delta) - delta^2 for a Type 2 family."""
+    B = 2 * (family.k - r)
+    C = 2 * family.q + 1 - family.n
+    return F(C * C - 1), 8 * family.half_mu_sq - 2 * B * C, B * B
+
+
+def quad_nonneg(c2, c1, c0, hi):
+    """Q(x) = c2 x^2 + c1 x + c0 on [0, hi] in Fractions: ``negative`` with a
+    ``witness`` where Q < 0, from the minimum over 0, hi and the vertex, or
+    else the ``roots`` of Q in [0, hi], which are then rational."""
+    c2, c1, c0, hi = map(F, (c2, c1, c0, hi))
+    if c2 == c1 == c0 == 0:
+        return Verdict(False, (), None, True)
+    candidates = [F(0), hi]
+    if c2 > 0 and 0 < -c1 / (2 * c2) < hi:
+        candidates.insert(0, -c1 / (2 * c2))
+    for x in candidates:
+        if (c2 * x + c1) * x + c0 < 0:
+            return Verdict(True, (), x, False)
+    roots = []
+    if c2 == 0:
+        if c1 != 0 and 0 <= -c0 / c1 <= hi:
+            roots.append(-c0 / c1)
+    else:
+        disc = c1 * c1 - 4 * c2 * c0
+        num, den = math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator)
+        if disc >= 0 and num * num == disc.numerator and den * den == disc.denominator:
+            root = F(num, den)
+            roots += [x for x in ((-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2))
+                      if 0 <= x <= hi]
+    return Verdict(False, tuple(sorted(set(roots))), None, False)
+
+
+def cmp_value(value, q):
+    """Sign of value - q for a Fraction or a SqrtValue."""
+    if isinstance(value, SqrtValue):
+        return value.cmp(q)
+    return (value > q) - (value < q)
+
+
+def quad_sign_changes(c2, c1, c0, hi):
+    """[(root, transition)] for the sign changes of Q on the open (0, hi):
+    transition +1 where Q rises through zero, -1 where it falls."""
+    c2, c1, c0, hi = map(F, (c2, c1, c0, hi))
+    if c2 == 0:
+        if c1 != 0 and 0 < -c0 / c1 < hi:
+            return [(-c0 / c1, 1 if c1 > 0 else -1)]
+        return []
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc <= 0:
+        return []
+    half_width = abs(1 / (2 * c2))
+    sign2 = 1 if c2 > 0 else -1
+    pattern = [(sqrt_value(-c1 / (2 * c2), -half_width, disc), -sign2),
+               (sqrt_value(-c1 / (2 * c2), half_width, disc), sign2)]
+    return [(root, transition) for root, transition in pattern
+            if cmp_value(root, 0) > 0 and cmp_value(root, hi) < 0]
+
+
+BOUND_NOTE = ("curvature bound too weak to certify; supply an explicit "
+              "spectrum or restrict to |r| <= kappa/2")
+
+
+def reference_type2(family, r, eps):
+    """The CertOutcome of a Type 2 family, classified in Fractions."""
+    if (family.q % 2 == 0) != (family.kind == TYPE2_PLUS):
+        return CertOutcome(CERTIFIED)
+    c2, c1, c0 = quad_coefficients(family, r)
+    verdict = quad_nonneg(c2, c1, c0, eps)
+    if not verdict.negative:
+        everywhere = verdict.identically_zero
+        return CertOutcome(CERTIFIED, zero_at_start=everywhere or 0 in verdict.roots,
+                           zero_at_eps=everywhere or eps in verdict.roots,
+                           touch_points=tuple(x for x in verdict.roots if 0 < x < eps))
+    if family.half_mu_sq_is_bound:
+        return CertOutcome(INDETERMINATE, note=BOUND_NOTE)
+    parity = 1 if family.q % 2 == 0 else -1
+    crossings = tuple((root, -transition * parity)
+                      for root, transition in quad_sign_changes(c2, c1, c0, eps))
+    return CertOutcome(CROSSING if crossings else CERTIFIED, crossings=crossings,
+                       zero_at_start=c0 == 0,
+                       zero_at_eps=(c2 * eps + c1) * eps + c0 == 0)
+
+
+# the Q of (n, q) is c2 delta^2 + c1 delta + c0 with c2 = C^2 - 1, C = 2q + 1 - n
+# and c0 = B^2, B = 2(k - r); mu^2/2 sets c1 = 8 mu^2/2 - 2BC, so a level can
+# be chosen that puts a zero of Q at a given delta > 0
+def level_with_zero_at(n, q, k, r, delta):
+    B, C = 2 * (k - r), 2 * q + 1 - n
+    return (2 * B * C * delta - (C * C - 1) * delta * delta - B * B) / (8 * delta)
+
+
+@st.composite
+def type2_cases(draw):
+    """(family, r, eps): n in {2, 4, 6}, r and eps with denominators up to
+    10^6, r negative as often as positive, and a level that is random, that
+    puts a zero of Q at eps, beyond it or at a random point inside (0, eps),
+    or one near such a level, in either branch, as an eigenvalue or as a
+    bound; a level may be zero or negative, which the certification admits
+    and the tables do not."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    q = draw(st.integers(0, n))
+    k = draw(st.integers(-30, 30))
+    r = draw(st.one_of(
+        st.fractions(min_value=-40, max_value=40, max_denominator=10**6),
+        st.integers(-30, 30).map(F),
+        st.fractions(min_value=-3, max_value=3, max_denominator=12).map(lambda d: k - d)))
+    eps = draw(st.one_of(
+        st.fractions(min_value=0, max_value=200, max_denominator=10**6),
+        st.fractions(min_value=0, max_value=20, max_denominator=12)).filter(lambda e: e > 0))
+    how = draw(st.sampled_from(["random", "small", "zero", "at eps", "inside", "near",
+                                "beyond"]))
+    if how == "random":
+        half = draw(st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
+    elif how == "small":
+        half = draw(st.fractions(min_value=-1, max_value=1, max_denominator=100))
+    elif how == "zero":
+        half = F(0)
+    else:
+        t = {"at eps": F(1), "beyond": F(3, 2)}.get(how) or draw(
+            st.fractions(min_value=0, max_value=1, max_denominator=50)
+            .filter(lambda t: 0 < t < 1))
+        half = level_with_zero_at(n, q, k, r, eps * t)
+        if how == "near":  # most often two irrational roots, or none
+            half += draw(st.fractions(min_value=-1, max_value=1, max_denominator=1000))
+    vulnerable = TYPE2_PLUS if q % 2 == 0 else TYPE2_MINUS
+    kind = draw(st.sampled_from([vulnerable] * 5 + [TYPE2_PLUS, TYPE2_MINUS]))
+    bound = draw(st.sampled_from([False, False, True]))
+    family = EigenvalueFamily(kind, q, k, n, None if bound else 1, half_mu_sq=half,
+                              half_mu_sq_is_bound=bound)
+    return family, r, eps
+
+
+def payload(outcome):
+    return [(exact_value_to_json(x), d) for x, d in outcome.crossings]
+
+
+# Q = 8 delta^2: gap = 0, mu^2/2 = 0, C = 3, a zero of disc at the vertex 0
+VERTEX_AT_START = (EigenvalueFamily(TYPE2_PLUS, 2, 1, 2, 1, half_mu_sq=F(0)), F(1), F(3))
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=type2_cases())
+# Q identically zero: C = 1, gap = 0, mu^2/2 = 0
+@example(case=(EigenvalueFamily(TYPE2_MINUS, 1, 3, 2, 1, half_mu_sq=F(0)), F(3), F(2)))
+# C = -1: Q = -(23/25) delta + 1/4 is linear, with its root inside, at eps, beyond
+@example(case=(EigenvalueFamily(TYPE2_PLUS, 0, 2, 2, 3, half_mu_sq=F(1, 100)), F(9, 4), F(1)))
+@example(case=(EigenvalueFamily(TYPE2_PLUS, 0, 2, 2, 3, half_mu_sq=F(1, 100)), F(9, 4),
+               F(25, 92)))
+@example(case=(EigenvalueFamily(TYPE2_PLUS, 0, 2, 2, 3, half_mu_sq=F(1, 100)), F(9, 4),
+               F(1, 5)))
+@example(case=VERTEX_AT_START)
+# disc a perfect square: Q = 8 (delta - 2)(delta - 9/4), roots inside and at eps
+@example(case=(EigenvalueFamily(TYPE2_PLUS, 2, 3, 2, 1, half_mu_sq=F(1, 4)), F(0), F(3)))
+@example(case=(EigenvalueFamily(TYPE2_PLUS, 2, 3, 2, 1, half_mu_sq=F(1, 4)), F(0), F(2)))
+@example(case=(EigenvalueFamily(TYPE2_PLUS, 2, 3, 2, 1, half_mu_sq=F(1, 4)), F(0), F(9, 4)))
+# a zero at 0 of a Q that then falls: only a negative level gives one
+@example(case=(EigenvalueFamily(TYPE2_PLUS, 0, 1, 2, 1, half_mu_sq=F(-1, 3)), F(1), F(2)))
+@example(case=(EigenvalueFamily(TYPE2_PLUS, 2, 1, 2, 1, half_mu_sq=F(-1, 3)), F(1), F(2)))
+# negative r with large denominators, and a bound-level family
+@example(case=(EigenvalueFamily(TYPE2_MINUS, 3, -4, 4, 1, half_mu_sq=F(1, 999983)),
+               F(-3999931, 999983), F(123457, 1000000)))
+@example(case=(EigenvalueFamily(TYPE2_PLUS, 0, 2, 2, None, half_mu_sq=F(0),
+                                half_mu_sq_is_bound=True), F(9, 4), F(1)))
+def test_integer_type2_certification_matches_fraction_reference(case):
+    family, r, eps = case
+    expected = reference_type2(family, r, eps)
+    got = certify_no_crossing(family, r, eps)
+    assert got == expected
+    assert payload(got) == payload(expected)
+    # no family touches zero inside (0, eps): see the test below
+    assert expected.touch_points == ()
+
+
+def test_no_type2_family_touches_zero_inside():
+    # with disc = 0 the vertex is the double root; inside (0, eps) it needs
+    # (C^2 - 1) B^2 to be a nonzero square, but C is odd and C^2 - 1 = 4j(j + 1)
+    assert [C for C in range(-999, 1000, 2)
+            if C * C > 1 and math.isqrt(C * C - 1) ** 2 == C * C - 1] == []
+    # the nearest case, disc = 0 at the vertex 0, is a zero at the start
+    outcome = certify_no_crossing(*VERTEX_AT_START)
+    assert outcome == reference_type2(*VERTEX_AT_START) == CertOutcome(
+        CERTIFIED, zero_at_start=True)
+    # while a quadratic with a double root inside would report it
+    assert quad_nonneg(1, -2, 1, 3) == Verdict(False, (F(1),), None, False)
+
+
+FRACTION_OPS = ARITHMETIC + ("__new__", "__eq__", "__ne__", "__bool__", "__abs__")
+
+
+def certify_without_fractions(family, r, eps):
+    """certify_no_crossing with every Fraction operation patched to fail."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in FRACTION_OPS:
+            patch.setattr(F, name, lambda *a, name=name, **kw: pytest.fail(f"Fraction.{name}"))
+        return certify_no_crossing(family, r, eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=type2_cases())
+def test_unreported_type2_families_build_no_fraction(case):
+    expected = reference_type2(*case)
+    if not expected.crossings:
+        assert certify_without_fractions(*case) == expected
+
+
+def test_a_reported_crossing_builds_its_fraction():
+    # the patch is felt: a reported root is a Fraction
+    family = EigenvalueFamily(TYPE2_PLUS, 0, 2, 2, 3, half_mu_sq=F(1, 100))
+    with pytest.raises(pytest.fail.Exception, match="Fraction.__new__"):
+        certify_without_fractions(family, F(9, 4), F(1))
+
+
+# moved here with the Fraction classification that they check
+
+
+def test_reference_quad_examples():
+    v = quad_nonneg(1, -3, 2, 1)
+    assert not v.negative and v.roots == (F(1),)
+
+    v = quad_nonneg(0, 0, 4, 10)
+    assert not v.negative and v.roots == () and not v.identically_zero
+
+    v = quad_nonneg(1, -3, 2, F(3, 2))
+    assert v.negative
+    # a known interior point with a negative value: Q(5/4) = -3/16
+    assert F(25, 16) - 3 * F(5, 4) + 2 == F(-3, 16)
+    # any witness must actually verify
+    w = v.witness
+    assert 0 <= w <= F(3, 2) and w * w - 3 * w + 2 < 0
+
+
+def test_reference_quad_identically_zero():
+    v = quad_nonneg(0, 0, 0, 5)
+    assert v.identically_zero and not v.negative
+
+
+small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+intervals = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=8)
+
+
+@settings(max_examples=200)
+@given(small_fractions, small_fractions, small_fractions, intervals)
+def test_reference_quad_agrees_with_dense_sampling(c2, c1, c0, hi):
+    v = quad_nonneg(c2, c1, c0, hi)
+
+    def q(x):
+        return (c2 * x + c1) * x + c0
+
+    if v.negative:
+        assert 0 <= v.witness <= hi and q(v.witness) < 0
+    else:
+        step = hi / 1000
+        assert all(q(i * step) >= 0 for i in range(1001))
+        for root in v.roots:
+            assert q(root) == 0
+
+
+@settings(max_examples=150)
+@given(small_fractions, small_fractions, small_fractions, intervals)
+def test_reference_quad_sign_changes_match_sampling(c2, c1, c0, hi):
+    changes = quad_sign_changes(c2, c1, c0, hi)
+
+    def q(x):
+        return float(c2) * x * x + float(c1) * x + float(c0)
+
+    for root, transition in changes:
+        if isinstance(root, SqrtValue):
+            r = float(root.a) + float(root.b) * float(root.radicand) ** 0.5
+        else:
+            r = float(root)
+        lo, hi_s = max(r - 1e-4, 1e-9), r + 1e-4
+        before, after = q(lo), q(hi_s)
+        if abs(before) > 1e-12 and abs(after) > 1e-12:
+            assert (before < 0 < after) == (transition == 1)
+            assert (after < 0 < before) == (transition == -1)

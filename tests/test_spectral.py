@@ -20,7 +20,7 @@ from etaflow.catalog import (
     resolve_manifold,
 )
 from etaflow.eta import eta_invariant
-from etaflow.exact import cmp_exact, rational_str, sqrt_sign
+from etaflow.exact import SqrtValue, rational_str, sqrt_sign
 from etaflow.spectral import (
     CERTIFIED,
     CROSSING,
@@ -85,6 +85,20 @@ def type1_affine(family, r):
     (-1)^q (k - delta(q - n/2) - r), in Fractions."""
     s = (-1) ** family.q
     return s * (family.k - r), -s * (F(family.q) - F(family.n, 2))
+
+
+def type2_a(family, r, delta):
+    """A(delta) = (2k - delta(2q + 1 - n) - 2r)^2 + 4 mu^2 delta of a Type 2
+    family, in Fractions: its branches vanish where A(delta) = delta^2."""
+    C = 2 * family.q + 1 - family.n
+    return (2 * family.k - delta * C - 2 * F(r)) ** 2 + 8 * family.half_mu_sq * delta
+
+
+def cmp_value(value, q):
+    """Sign of value - q for a Fraction or a SqrtValue."""
+    if isinstance(value, SqrtValue):
+        return value.cmp(q)
+    return (value > q) - (value < q)
 
 
 def type1_reference(family, r, eps):
@@ -328,14 +342,13 @@ def test_spectral_records_are_values():
 
 def test_branch_exactness_sampling():
     # for q even, sign(lambda_+) at rational sample points equals
-    # sqrt_sign(-delta, 1, A(delta)) and matches the quadratic verdict
+    # sqrt_sign(-delta, 1, A(delta)), the sign of Q(delta) = A(delta) - delta^2
     fam = EigenvalueFamily(TYPE2_PLUS, 0, 2, 2, 3, half_mu_sq=F(1, 100))
     r, eps = F(9, 4), F(1)
-    c2, c1, c0 = fam.quad_coefficients(r)
     for j in range(1, 21):
         delta = eps * j / 20
-        q_val = (c2 * delta + c1) * delta + c0
-        a_val = q_val + delta * delta
+        a_val = type2_a(fam, r, delta)
+        q_val = a_val - delta * delta
         assert sqrt_sign(-delta, 1, a_val) == (
             1 if q_val > 0 else (-1 if q_val < 0 else 0)
         )
@@ -799,11 +812,11 @@ def test_flow_jump_law(explicit_model, r, eps):
     after = spectral_flow(explicit_model, r, eps2)
     # the flow changes by the signed multiplicities crossing in [eps1, eps2)
     jump = sum(c.direction * c.multiplicity for c in after.crossings
-               if cmp_exact(c.delta_star, eps1) >= 0)
+               if cmp_value(c.delta_star, eps1) >= 0)
     assert after.total_paper - before.total_paper == jump
     # and the crossings before eps1 are exactly those seen up to eps2
     assert before.crossings == [c for c in after.crossings
-                                if cmp_exact(c.delta_star, eps1) < 0]
+                                if cmp_value(c.delta_star, eps1) < 0]
 
 
 # ------------------------------------------------------- Serre duality
@@ -926,8 +939,7 @@ def explicit_walk_kernel(n, entries, cutoff, k_range, r, eps):
             a0, slope = type1_affine(family, r)
             total += family.multiplicity * (a0 + slope * eps == 0)
         elif family.kind == TYPE2_PLUS:
-            c2, c1, c0 = family.quad_coefficients(r)
-            total += family.multiplicity * ((c2 * eps + c1) * eps + c0 == 0)
+            total += family.multiplicity * (type2_a(family, r, eps) == eps * eps)
     return total
 
 
