@@ -28,12 +28,13 @@ from .spectral import (
 )
 
 
-# Largest builtin (P^1)^n; its default series order 2n + 2 = 66 stays below
-# series.MAX_SERIES_ORDER.  On a 2-vCPU Xeon its class side is built once
-# per series order, in about 0.02 s for A-hat and 0.19 s for the
-# transgression forms; each (r, eps) then takes about 8 ms for the
-# adiabatic limit and 4 ms for the transgression.  `adiabatic-limit
-# --manifold cp1x32` takes about 0.26 s as a whole process.
+# Largest builtin (P^1)^n; its default check-identities series order
+# 2n + 2 = 66 stays below series.MAX_SERIES_ORDER.  On a 2-vCPU Xeon its
+# class side is built once, at truncation n, in about 4 ms for A-hat,
+# 35 ms for the transgression forms and 7 ms for the two integer tables;
+# each (r, eps) then takes about 0.15 ms for the adiabatic limit and
+# 0.1 ms for the transgression.  `adiabatic-limit --manifold cp1x32` takes
+# about 0.08 s as a whole process.
 MAX_CP1_FACTORS = 32
 
 # Largest builtin or configured hypersurface dimension n.  `counterexample`

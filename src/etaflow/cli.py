@@ -112,7 +112,8 @@ def _add_common(sp, *, r=False, eps=False, order=False, mode=False,
         sp.add_argument("--eps", required=True, help="deformation parameter > 0")
     if order:
         sp.add_argument("--order", type=series_order, default=None,
-                        help="series truncation order (default 2n+2)")
+                        help="series order: refused below n; sizes the "
+                        "--dump-series output (default 2n+2)")
     if mode:
         sp.add_argument("--mode", choices=["nakano", "explicit"], default="nakano")
     if convention:
@@ -206,13 +207,24 @@ def _scalar_json(value):
     return rational_str(value)
 
 
+def _class_base(entry, order):
+    """The entry's base, once an --order below its complex dimension n is
+    refused: the classes live in Q[delta][c]/(c^{n+1}) and are always built
+    to order n, so a lower order names an inexact truncation."""
+    manifold = entry.require_manifold()
+    if order is not None and order < manifold.n:
+        raise ValueError(f"series order {order} is below the complex dimension "
+                         f"n = {manifold.n} of {manifold.name}")
+    return manifold
+
+
 def _cmd_eta(args):
     entry = resolve_manifold(args.manifold)
-    manifold = entry.require_manifold()
+    manifold = _class_base(entry, args.order)
     model = _model_for(entry, args.mode)
     res = eta_invariant(
         manifold, model, parse_rational(args.r), parse_rational(args.eps),
-        convention=args.convention, sf_sign=args.sf_sign, order=args.order,
+        convention=args.convention, sf_sign=args.sf_sign,
     )
     result = res.to_json()
     _add_decimals(result, ("total", "adiabatic_term", "transgression_term"),
@@ -223,9 +235,9 @@ def _cmd_eta(args):
 
 def _cmd_adiabatic(args):
     entry = resolve_manifold(args.manifold)
-    manifold = entry.require_manifold()
+    manifold = _class_base(entry, args.order)
     r = parse_rational(args.r)
-    value = adiabatic_limit_eta(manifold, r, args.order)
+    value = adiabatic_limit_eta(manifold, r)
     result = {"r": rational_str(r), "value": rational_str(value)}
     _add_decimals(result, ("value",), args.decimal)
     return result, _provenance(entry, args), EXIT_OK
@@ -233,10 +245,10 @@ def _cmd_adiabatic(args):
 
 def _cmd_transgression(args):
     entry = resolve_manifold(args.manifold)
-    manifold = entry.require_manifold()
+    manifold = _class_base(entry, args.order)
     r = parse_rational(args.r)
     eps = parse_rational(args.eps)
-    value = transgression_raw(manifold, r, eps, args.convention, args.order)
+    value = transgression_raw(manifold, r, eps, args.convention)
     result = {
         "r": rational_str(r),
         "eps": rational_str(eps),
@@ -296,10 +308,10 @@ def _identity_suite(manifold, r, order):
     n = manifold.n
     c = constant_class((0, 1) + (0,) * (n - 1))
     checks = []
-    # read from the class-side memos, which corollary_check shares; an order
-    # too small to build them is an error, not a report
-    omega0, omega2, w = transgression_forms(manifold, order)  # w = Omega_2 e^{Omega_0}
-    ahat = a_hat_coefficients(manifold, order)
+    # read from the class-side memos, which corollary_check shares; the
+    # order sizes only the eta-hat series
+    omega0, omega2, w = transgression_forms(manifold)  # w = Omega_2 e^{Omega_0}
+    ahat = a_hat_coefficients(manifold)
 
     def scaled(x, s):
         return tuple(tuple(a * s for a in row) for row in x)
@@ -363,13 +375,13 @@ def _identity_suite(manifold, r, order):
 
     if manifold.n % 2 == 0:
         check("corollary_parity",
-              lambda: corollary_check(manifold, order).both_terms_zero)
+              lambda: corollary_check(manifold).both_terms_zero)
     return checks
 
 
 def _cmd_check_identities(args):
     entry = resolve_manifold(args.manifold)
-    manifold = entry.require_manifold()
+    manifold = _class_base(entry, args.order)
     r = parse_rational(args.r)
     order = args.order
     if order is None:

@@ -15,9 +15,11 @@ rescaling N.
 
 On a fixed base neither A-hat nor W = Omega_2 e^{Omega_0} depends on
 (r, eps), while eta_hat_r and e^{rc} are polynomials in t = 1 - {r} and r.
-So each term is one integer table per (base, order), built once in a
-bounded memo; a query evaluates it by Horner's rule in integers and
-reduces by one gcd, and the adiabatic term is memoized per (base, r).
+Every class lives in Q[delta][c]/(c^{n+1}), so the series behind them are
+built to order n, which is already exact.  Each term is one integer table
+per base, built once in a bounded memo; a query evaluates it by Horner's
+rule in integers and reduces by one gcd, and the adiabatic term is
+memoized per (base, r).
 The ``paper_i`` convention, with literal factors of i, takes the same
 antiderivative at i*eps.  ``convention_integral`` keeps the series form.
 """
@@ -34,10 +36,8 @@ from .series import (
     _bernoulli,
     a_hat_class,
     class_product,
-    default_order,
     exp_class,
     omega_forms,
-    require_series_order,
 )
 from .spectral import (
     ON_UNKNOWN_ERROR,
@@ -53,24 +53,18 @@ CONVENTION_PAPER_I = "paper_i"
 CONVENTIONS = (CONVENTION_REAL, CONVENTION_PAPER_I)
 
 
-def _order(manifold: ManifoldSpec, order) -> int:
-    return default_order(manifold.n) if order is None else order
+@lru_cache(maxsize=8)
+def a_hat_coefficients(manifold: ManifoldSpec) -> tuple:
+    """[c^k] A-hat for k = 0..n, built once per base."""
+    return tuple(row[0] for row in a_hat_class(manifold.power_sums))
 
 
 @lru_cache(maxsize=8)
-def a_hat_coefficients(manifold: ManifoldSpec, order: int) -> tuple:
-    """[c^k] A-hat for k = 0..n, built once per (base, order).  A miss runs
-    every order check of ``a_hat_class``; a failure is raised, never
-    stored."""
-    return tuple(row[0] for row in a_hat_class(manifold.power_sums, order))
-
-
-@lru_cache(maxsize=8)
-def transgression_forms(manifold: ManifoldSpec, order: int):
+def transgression_forms(manifold: ManifoldSpec):
     """(Omega_0, Omega_2, W) with W the n + 1 coefficients [c^k] of
     Omega_2 e^{Omega_0}, none of which depend on (r, eps); built once per
-    (base, order), with every order check of ``omega_forms`` on a miss."""
-    omega0, omega2 = omega_forms(manifold.power_sums, order)
+    base."""
+    omega0, omega2 = omega_forms(manifold.power_sums)
     return omega0, omega2, class_product(omega2, exp_class(omega0))
 
 
@@ -90,14 +84,12 @@ def _integer_table(rows):
 
 
 @lru_cache(maxsize=8)
-def _adiabatic_table(manifold: ManifoldSpec, order: int):
+def _adiabatic_table(manifold: ManifoldSpec):
     """(L, G) with ``adiabatic_top`` = sum G[l][m] t^l r^m / L, t = 1 - {r}:
     eta_hat_r has c^j coefficient 2 B_{j+1}(t)/(j+1)!, B_{j+1}(t) = sum_l
-    C(j+1, l) B_{j+1-l} t^l, and e^{rc} has r^m/m!.  Every order check of
-    A-hat and of eta_hat_r reaching c^n runs on a miss."""
+    C(j+1, l) B_{j+1-l} t^l, and e^{rc} has r^m/m!."""
     n = manifold.n
-    ahat = a_hat_coefficients(manifold, order)
-    require_series_order(order, 1, n)
+    ahat = a_hat_coefficients(manifold)
     bernoulli = _bernoulli(n + 1)
     rows = [[sum((2 * ahat[n - j - m] * math.comb(j + 1, l) * bernoulli[j + 1 - l]
                   / (math.factorial(j + 1) * math.factorial(m))
@@ -108,21 +100,21 @@ def _adiabatic_table(manifold: ManifoldSpec, order: int):
 
 
 @lru_cache(maxsize=8)
-def _transgression_table(manifold: ManifoldSpec, order: int):
+def _transgression_table(manifold: ManifoldSpec):
     """(L, H) with the delta-antiderivative of the transgression integrand
     F(eps) = sum H[j][e] eps^e r^j / L, column j over e = 0..n + 1 - j:
     H[j][e] is W_{n-j}[e-1] / (j! e) times the integral of c^n, H[j][0] 0."""
-    n, w = manifold.n, transgression_forms(manifold, order)[2]
+    n, w = manifold.n, transgression_forms(manifold)[2]
     return _integer_table([[ZERO] + [manifold.top_integral * w[n - j][e - 1]
                                      / (math.factorial(j) * e)
                                      for e in range(1, n + 2 - j)] for j in range(n + 2)])
 
 
-def adiabatic_top(manifold: ManifoldSpec, r, order=None) -> Fraction:
+def adiabatic_top(manifold: ManifoldSpec, r) -> Fraction:
     """[c^n] of A-hat * eta_hat_r(c) * e^{rc}: Horner's rule in t = 1 - {r}
     leaves a polynomial in r.  An integer r takes the average of the values
     at t = 0 and t = 1, which is the integer eta_hat series."""
-    L, table = _adiabatic_table(manifold, _order(manifold, order))
+    L, table = _adiabatic_table(manifold)
     r = as_fraction(r)
     D, R = r.denominator, r.numerator
     if D == 1:
@@ -135,19 +127,19 @@ def adiabatic_top(manifold: ManifoldSpec, r, order=None) -> Fraction:
 
 
 @lru_cache(maxsize=8, typed=True)
-def adiabatic_limit_eta(manifold: ManifoldSpec, r, order=None) -> Fraction:
+def adiabatic_limit_eta(manifold: ManifoldSpec, r) -> Fraction:
     """Small-eps limit of the eta invariant:
-    (1/2) * integral of A-hat * eta_hat_r * exp(rc), memoized per (base, r,
-    order); typed, so a float r is refused, not matched to a Fraction."""
-    return adiabatic_top(manifold, r, order) * manifold.top_integral / 2
+    (1/2) * integral of A-hat * eta_hat_r * exp(rc), memoized per (base, r);
+    typed, so a float r is refused, not matched to a Fraction."""
+    return adiabatic_top(manifold, r) * manifold.top_integral / 2
 
 
-def transgression_integrand_poly(manifold: ManifoldSpec, r, order=None) -> tuple:
+def transgression_integrand_poly(manifold: ManifoldSpec, r) -> tuple:
     """Integral over X of Omega_2 e^{Omega_0} e^{rc}: the sum over j of
     W_{n-j} r^j / j! times the integral of c^n, a polynomial in delta with
     rational coefficients (the real convention), as its n + 1
     coefficients, read off the transgression table."""
-    L, columns = _transgression_table(manifold, _order(manifold, order))
+    L, columns = _transgression_table(manifold)
     r, top = as_fraction(r), manifold.n + 1
     return tuple(Fraction(e * _homogeneous([c[e] for c in columns[: top + 1 - e]], r.numerator,
                                            r.denominator), L * r.denominator ** (top - e))
@@ -193,9 +185,7 @@ def convention_integral(poly, eps, convention=CONVENTION_REAL):
     return eval_at_i(antiderivative, eps)
 
 
-def transgression_raw(
-    manifold: ManifoldSpec, r, eps, convention=CONVENTION_REAL, order=None
-):
+def transgression_raw(manifold: ManifoldSpec, r, eps, convention=CONVENTION_REAL):
     """Exact delta-integral over [0, eps] of the transgression integrand,
     before the convention constant is applied."""
     eps = as_fraction(eps)
@@ -203,7 +193,7 @@ def transgression_raw(
         raise ValueError("eps must be >= 0")
     if convention not in CONVENTIONS:  # before the class side is built
         raise ValueError(f"unknown convention {convention!r}")
-    L, columns = _transgression_table(manifold, _order(manifold, order))
+    L, columns = _transgression_table(manifold)
     E, De, r = eps.numerator, eps.denominator, as_fraction(r)
     # Horner's rule in eps (at E, or at iE in Gaussian integers) on each
     # column, then in r over their real and imaginary parts: O(n) long products
@@ -303,7 +293,6 @@ def eta_invariant(
     convention=CONVENTION_REAL,
     sf_sign=SF_SIGN_PAPER,
     window_factor=1,
-    order=None,
     on_unknown=ON_UNKNOWN_ERROR,
 ) -> EtaResult:
     """Eta invariant at (r, eps): adiabatic piece, transgression piece and
@@ -312,8 +301,8 @@ def eta_invariant(
     r, eps = as_fraction(r), as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    adiabatic = adiabatic_limit_eta(manifold, r, order)
-    raw = transgression_raw(manifold, r, eps, convention, order)
+    adiabatic = adiabatic_limit_eta(manifold, r)
+    raw = transgression_raw(manifold, r, eps, convention)
     if not isinstance(raw, Fraction):
         raise ValueError(
             "the paper_i convention yields a Gaussian-valued transgression; "
@@ -377,15 +366,14 @@ class CorollaryCheck(Record):
         return self.adiabatic_top_zero and self.transgression_top_zero
 
 
-def corollary_check(manifold: ManifoldSpec, order=None) -> CorollaryCheck:
+def corollary_check(manifold: ManifoldSpec) -> CorollaryCheck:
     """Check the parity argument behind the vanishing at r = 0: the
     top-degree components of A-hat * eta_hat_0 and of Omega_2 e^{Omega_0}
     are both identically zero on a base of dimension divisible by four."""
     if manifold.n % 2:
         raise ValueError("needs real dimension divisible by four (n even)")
-    order = _order(manifold, order)
-    ad_top = adiabatic_top(manifold, 0, order)
-    tg_top = transgression_forms(manifold, order)[2][manifold.n]
+    ad_top = adiabatic_top(manifold, 0)
+    tg_top = transgression_forms(manifold)[2][manifold.n]
     witness = None
     if ad_top:
         witness = {"part": "adiabatic", "coefficient": {"1": rational_str(ad_top)}}

@@ -36,10 +36,6 @@ from functools import lru_cache
 from .exact import ZERO, as_fraction, truncated_product
 
 
-class SeriesOrderError(ValueError):
-    """A series was truncated below the order needed by an evaluation."""
-
-
 _BERNOULLI = (Fraction(1),)  # B_0..B_m for the largest m asked so far
 
 
@@ -133,32 +129,19 @@ def series_eta_hat(r, order: int) -> tuple:
     return eta_hat_series_from_alpha(alpha, order)
 
 
-# Largest truncation order the command line accepts, since any order >= n
-# gives the same classes.  Building p, p' and eta-hat costs O(order^2)
-# rational operations on growing numbers: 0.02 s at order 50, 0.07 s at 100
-# and 0.4 s at 200 on a 2-vCPU Xeon.  The default 2n + 2 stays below the
-# limit for every catalog base (66 on cp1x32).
+# Largest truncation order the command line accepts.  The classes are
+# always built to order n, which is exact; the order only sizes the series
+# of ``check-identities --dump-series`` and its eta-hat check.  Building p,
+# p' and eta-hat costs O(order^2) rational operations on growing numbers:
+# 0.02 s at order 50, 0.07 s at 100 and 0.4 s at 200 on a 2-vCPU Xeon.  The
+# default 2n + 2 stays below the limit for every catalog base (66 on cp1x32).
 MAX_SERIES_ORDER = 100
 
 
 def default_order(n: int) -> int:
-    """Default series truncation on a base of complex dimension n:
-    comfortably past the nilpotency bound."""
+    """Default series order of ``check-identities`` on a base of complex
+    dimension n: comfortably past the nilpotency bound."""
     return 2 * n + 2
-
-
-def require_series_order(order: int, lowest: int, n: int):
-    """Raise SeriesOrderError unless a series truncated at ``order`` can be
-    evaluated at a class whose lowest power of c is c^lowest, on a base of
-    complex dimension n."""
-    # x^j starts with (lowest term of x)^j, which never vanishes because
-    # Q[delta] has no zero divisors; so x^(order+1) = 0 exactly when
-    # (order + 1) * lowest > n
-    if (order + 1) * lowest <= n:
-        raise SeriesOrderError(
-            f"series order {order} too small for argument of nilpotency "
-            f"degree > {order}"
-        )
 
 
 def constant_class(values) -> tuple:
@@ -201,38 +184,25 @@ def eval_power_sums(f, power_sums) -> tuple:
     """sum_i f(y_i) over formal roots y_i known only by their power sums
     sum_i y_i^j = power_sums[j] c^j (j = 0..n), each power_sums[j] a row
     in delta: the class with row j equal to f_j power_sums[j], for the
-    coefficient tuple ``f``.
-
-    Raises SeriesOrderError when ``f`` is truncated below a power whose
-    power sum survives (never silently truncates).
+    coefficient tuple ``f`` of at least n + 1 entries.
     """
-    terms = []
-    for j, row in enumerate(power_sums):
-        if not any(row):
-            terms.append(row)
-        elif j < len(f):
-            terms.append(tuple(s * f[j] for s in row))
-        else:
-            raise SeriesOrderError(
-                f"series order {len(f) - 1} too small for a power sum of degree {j}"
-            )
-    return tuple(terms)
+    return tuple(tuple(s * f[j] for s in row) if any(row) else row
+                 for j, row in enumerate(power_sums))
 
 
-def a_hat_class(power_sums, order=None) -> tuple:
+def a_hat_class(power_sums) -> tuple:
     """A-hat class of a tangent bundle given by the power sums of its
     Chern roots (``power_sums[k] * c^k`` for k = 0..n).
 
     A-hat is the multiplicative sequence of (x/2)/sinh(x/2) = exp(2p(x)),
-    so A-hat = exp(2 sum_i p(x_i)) = exp(2 sum_k p_k s_k).
+    so A-hat = exp(2 sum_i p(x_i)) = exp(2 sum_k p_k s_k), with p truncated
+    at z^n, which is exact in Q[delta][c]/(c^{n+1}).
     """
-    if order is None:
-        order = default_order(len(power_sums) - 1)
-    two_p = tuple(2 * a for a in series_p(order))
+    two_p = tuple(2 * a for a in series_p(len(power_sums) - 1))
     return exp_class(eval_power_sums(two_p, constant_class(power_sums)))
 
 
-def omega_forms(power_sums, order=None):
+def omega_forms(power_sums):
     """Transgression forms (Omega_0, Omega_2) for the adiabatic family:
         Omega_0 = 2 sum_j p(x_j + 2 delta c) + 2 p(2 delta c),
         Omega_2 = 2 sum_j p'(x_j + 2 delta c) + 2 p'(2 delta c),
@@ -244,12 +214,11 @@ def omega_forms(power_sums, order=None):
     The sums only need the power sums of the shifted roots y = x_j + 2 delta c
     together with the extra root y = 2 delta c:
     sum_y y^m = sum_d C(m, d) s'_{m-d} 2^d delta^d c^m, with s' the power
-    sums of the x_j plus 1 in degree 0 for the extra root.
+    sums of the x_j plus 1 in degree 0 for the extra root.  p and p' are
+    truncated at z^n, which is exact.
     """
     n = len(power_sums) - 1
-    if order is None:
-        order = default_order(n)
-    p, pp = _p_and_p_prime(order)
+    p, pp = _p_and_p_prime(n)
     sums = [as_fraction(s) for s in power_sums]
     sums[0] += 1  # the extra root 2 delta c
     shifted = tuple(tuple(math.comb(m, d) * 2**d * sums[m - d] for d in range(m + 1))

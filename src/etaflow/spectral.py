@@ -212,12 +212,11 @@ class CertOutcome(Record):
     """
 
     def __init__(self, status: str, crossings: tuple = (), zero_at_start: bool = False,
-                 zero_at_eps: bool = False, touch_points: tuple = (), note: str = ""):
+                 zero_at_eps: bool = False, note: str = ""):
         self.status = status
         self.crossings = crossings
         self.zero_at_start = zero_at_start
         self.zero_at_eps = zero_at_eps
-        self.touch_points = touch_points
         self.note = note
 
 
@@ -571,13 +570,11 @@ class SpectralFlowReport(Record):
     __hash__ = None
 
     def __init__(self, mode: str, sf_sign: str, crossings: list, endpoint_zeros: list,
-                 touch_points: list, indeterminate: list, skipped: list, window: dict,
-                 total_paper: int):
+                 indeterminate: list, skipped: list, window: dict, total_paper: int):
         self.mode = mode
         self.sf_sign = sf_sign
         self.crossings = crossings
         self.endpoint_zeros = endpoint_zeros
-        self.touch_points = touch_points
         self.indeterminate = indeterminate
         self.skipped = skipped
         self.window = window
@@ -610,10 +607,9 @@ class SpectralFlowReport(Record):
             "total_standard": self.total_standard if self.is_exact else None,
             "crossings": [c.to_json() for c in self.crossings],
             "endpoint_zeros": [z.to_json() for z in self.endpoint_zeros],
-            "touch_points": [
-                dict(f.to_json(), delta=exact_value_to_json(d))
-                for f, d in self.touch_points
-            ],
+            # no family touches zero inside (0, eps) without crossing (see
+            # certify_no_crossing); the key stays for the report schema
+            "touch_points": [],
             "indeterminate": list(self.indeterminate),
             "partial": self.partial,
             "skipped": list(self.skipped),
@@ -641,7 +637,6 @@ def spectral_flow(model: SpectralModel, r, eps, *, sf_sign=SF_SIGN_PAPER,
     )
     crossings = []
     endpoint_zeros = []
-    touch_points = []
     indeterminate = []
     total = 0
     for family in sorted(families, key=_sort_key):
@@ -659,14 +654,11 @@ def spectral_flow(model: SpectralModel, r, eps, *, sf_sign=SF_SIGN_PAPER,
         if outcome.zero_at_eps:
             endpoint_zeros.append(EndpointZero(family, "eps",
                                                family.multiplicity))
-        for point in outcome.touch_points:
-            touch_points.append((family, point))
     return SpectralFlowReport(
         mode=model.mode,
         sf_sign=sf_sign,
         crossings=crossings,
         endpoint_zeros=endpoint_zeros,
-        touch_points=touch_points,
         indeterminate=indeterminate,
         skipped=skipped,
         window=window,

@@ -77,8 +77,9 @@ def test_check_identities_at_order_100(capsys):
 
 
 def test_check_identities_builds_each_class_once(capsys, monkeypatch):
-    # the corollary check reads the class side that the suite built: p is
-    # built once for A-hat, once for Omega and twice for the p' check
+    # the corollary check reads the class side that the suite built, at the
+    # order n = 2 whatever --order says: p is built once for A-hat (to n),
+    # once for Omega and p' (to n + 1) and twice for the fixed p' check
     eta.a_hat_coefficients.cache_clear()
     eta.transgression_forms.cache_clear()
     orders = []
@@ -95,7 +96,7 @@ def test_check_identities_builds_each_class_once(capsys, monkeypatch):
         "--order", "100",
     )
     assert code == EXIT_OK and payload["result"]["all_pass"] is True
-    assert sorted(orders) == [13, 13, 100, 101]
+    assert sorted(orders) == [2, 3, 13, 13]
 
 
 def test_dump_series(capsys):
@@ -219,16 +220,6 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "eta", "--manifold", "cp1xcp1",
                            "--r", "zebra", "--eps", "1")
     assert code == EXIT_ERROR
-
-
-def test_insufficient_order_is_a_hard_error(capsys):
-    # truncating the series below the nilpotency degree must error, never
-    # silently truncate
-    code, _, err = run_cli(
-        capsys, "adiabatic-limit", "--manifold", "cp1x4", "--r", "1/2",
-        "--order", "1",
-    )
-    assert code == EXIT_ERROR and "order" in err
 
 
 def test_explicit_mode_requires_table(capsys):
@@ -415,6 +406,17 @@ def test_product_factor_count_is_named(capsys, manifold, factors):
                    f"factors, got {factors}\n")
 
 
+def test_insufficient_order_is_a_hard_error(capsys):
+    # an order below the nilpotency degree must error, never silently
+    # truncate, and the message names the condition
+    code, out, err = run_cli(
+        capsys, "adiabatic-limit", "--manifold", "cp1x4", "--r", "1/2",
+        "--order", "1",
+    )
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "etaflow: series order 1 is below the complex dimension n = 4 of cp1x4\n"
+
+
 def test_check_identities_order_zero_is_rejected(capsys):
     # order 0 is an explicit order below the nilpotency degree, not a
     # request for the default order
@@ -422,7 +424,32 @@ def test_check_identities_order_zero_is_rejected(capsys):
         capsys, "check-identities", "--manifold", "cp1xcp1", "--order", "0",
     )
     assert code == EXIT_ERROR and out == ""
-    assert "order" in err
+    assert "series order 0 is below" in err
+
+
+ORDER_ARGS = {
+    "eta": ["--r", "1/2", "--eps", "1"],
+    "adiabatic-limit": ["--r", "1/2"],
+    "transgression": ["--r", "1/2", "--eps", "1"],
+    "check-identities": ["--r", "1/2"],
+}
+
+
+@pytest.mark.parametrize("name, n", [("cp1xcp1", 2), ("cp1x4", 4), ("cp1x6", 6)])
+@pytest.mark.parametrize("command", sorted(ORDER_ARGS))
+def test_order_is_checked_once_and_never_changes_a_report(capsys, command, name, n):
+    # the classes are built to order n whatever --order says: any accepted
+    # order prints the bytes of the default run, and an order below n is
+    # refused by one check with one message, before any class is built
+    base = [command, "--manifold", name, *ORDER_ARGS[command]]
+    expected = run_cli(capsys, *base)
+    assert expected[0] in (EXIT_OK, EXIT_INDETERMINATE)
+    for order in (n, n + 1, 2 * n + 2, MAX_SERIES_ORDER):
+        assert run_cli(capsys, *base, "--order", str(order)) == expected
+    for order in (-1, 0, n - 1):
+        assert run_cli(capsys, *base, "--order", str(order)) == (
+            EXIT_ERROR, "", f"etaflow: series order {order} is below the "
+            f"complex dimension n = {n} of {name}\n")
 
 
 def test_series_order_limit(capsys):
@@ -552,8 +579,8 @@ def test_malformed_input_fails_fast(tmp_path, case):
 def test_check_identities_catches_a_perturbed_transgression_form(capsys, monkeypatch):
     # a suite that passed whatever W it read would still match the goldens;
     # one perturbed coefficient of W = Omega_2 e^{Omega_0} must show
-    def perturbed(manifold, order):
-        omega0, omega2, w = eta.transgression_forms(manifold, order)
+    def perturbed(manifold):
+        omega0, omega2, w = eta.transgression_forms(manifold)
         k = manifold.n - 1
         return omega0, omega2, w[:k] + ((w[k][0] + 1,) + w[k][1:],) + w[k + 1:]
 

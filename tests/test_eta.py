@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from etaflow import eta
 from etaflow.catalog import ConfigError, product_cp1_model, resolve_manifold
+from etaflow.cli import main
 from etaflow.eta import (
     CONVENTION_PAPER_I,
     CONVENTION_REAL,
@@ -24,10 +25,9 @@ from etaflow.eta import (
 )
 from etaflow.exact import GaussianRational
 from etaflow.series import (
-    SeriesOrderError,
+    MAX_SERIES_ORDER,
     a_hat_class,
     class_product,
-    default_order,
     exp_class,
     omega_forms,
     series_eta_hat,
@@ -269,16 +269,15 @@ def test_corollary_witness_names_delta_powers(cp1xcp1, monkeypatch):
     # the parity argument makes both tops vanish on every even-dimensional
     # base, so a witness is only seen with a perturbed class side
     spec, _ = cp1xcp1
-    order = default_order(spec.n)
-    omega0, omega2, w = eta.transgression_forms(spec, order)
+    omega0, omega2, w = eta.transgression_forms(spec)
     perturbed = w[:2] + ((F(1), F(0), F(-3, 2)),)
     monkeypatch.setattr(eta, "transgression_forms",
-                        lambda m, o: (omega0, omega2, perturbed))
+                        lambda m: (omega0, omega2, perturbed))
     check = corollary_check(spec)
     assert (check.adiabatic_top_zero, check.transgression_top_zero) == (True, False)
     assert check.witness == {"part": "transgression",
                              "coefficient": {"1": "1", "delta^2": "-3/2"}}
-    monkeypatch.setattr(eta, "adiabatic_top", lambda m, r, o: F(1, 2))
+    monkeypatch.setattr(eta, "adiabatic_top", lambda m, r: F(1, 2))
     assert corollary_check(spec).witness == {"part": "adiabatic",
                                              "coefficient": {"1": "1/2"}}
 
@@ -319,7 +318,7 @@ def fresh_memos():
         memo.cache_clear()
 
 
-def test_class_side_built_once_per_base(cp1x4, fresh_memos, monkeypatch):
+def test_class_side_built_once_per_base(cp1x4, fresh_memos, monkeypatch, capsys):
     spec, _ = cp1x4
     model = model_of(cp1x4)
     built = []
@@ -330,17 +329,24 @@ def test_class_side_built_once_per_base(cp1x4, fresh_memos, monkeypatch):
     assert len(built) == 1
     for (r, e), res in zip(queries, expected):
         assert eta_invariant(spec, model, r, e).to_json() == res.to_json()
-        # the default order and its explicit value share every memo entry
-        explicit = eta_invariant(spec, model, r, e, order=default_order(spec.n))
-        assert explicit.to_json() == res.to_json()
+    # every entry point, and the CLI at any --order, read the same entries
+    for _ in range(2):
+        adiabatic_limit_eta(spec, F(1, 3))
+        transgression_raw(spec, F(1, 3), 1, CONVENTION_PAPER_I)
+        corollary_check(spec)
+    for order in (spec.n, spec.n + 1, 2 * spec.n + 2, MAX_SERIES_ORDER):
+        for command in (["eta", "--eps", "1"], ["check-identities"]):
+            assert main([*command, "--manifold", "cp1x4", "--r", "1/3",
+                         "--order", str(order)]) == 0
+    capsys.readouterr()
     assert len(built) == 1
     for memo in CLASS_MEMOS:
         info = memo.cache_info()
         assert (info.misses, info.currsize) == (1, 1), memo
-    # each (base, order) builds each table once
+    other = resolve_manifold("cp1xcp1").manifold
     for _ in range(2):
-        adiabatic_limit_eta(spec, F(1, 3), order=spec.n)
-        transgression_raw(spec, F(1, 3), 1, order=spec.n)
+        eta_invariant(other, model_of(product_cp1_model(2)), F(1, 3), 1)
+    assert len(built) == 2
     for memo in CLASS_MEMOS:
         info = memo.cache_info()
         assert (info.misses, info.currsize) == (2, 2), memo
@@ -352,33 +358,10 @@ def test_equal_specs_share_the_memo(fresh_memos):
     first = resolve_manifold("cp1x4").manifold
     second = resolve_manifold("cp1x4").manifold
     assert first is not second
-    forms = eta.transgression_forms(first, 10)
-    assert eta.transgression_forms(second, 10) is forms
+    forms = eta.transgression_forms(first)
+    assert eta.transgression_forms(second) is forms
     info = eta.transgression_forms.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-
-
-def test_order_below_n_fails_the_same_way_on_a_repeat(cp1x4, fresh_memos):
-    spec, _ = cp1x4
-    model = model_of(cp1x4)
-    calls = [
-        lambda: adiabatic_limit_eta(spec, F(1, 2), order=2),
-        lambda: transgression_raw(spec, F(1, 2), 1, order=2),
-        lambda: eta_invariant(spec, model, F(1, 2), 1, order=2),
-        lambda: corollary_check(spec, order=0),
-    ]
-    for call in calls:
-        errors = []
-        for _ in range(2):
-            with pytest.raises(ValueError) as info:
-                call()
-            errors.append((type(info.value), str(info.value)))
-        assert errors[0] == errors[1]
-        assert issubclass(errors[0][0], SeriesOrderError)
-    # a failed build is never stored, and the memo still answers afterwards
-    assert eta.transgression_forms.cache_info().currsize == 0
-    assert transgression_raw(spec, F(1, 2), 1, order=4) == \
-        transgression_raw(spec, F(1, 2), 1)
 
 
 # ------------------------------------------- integer tables against series

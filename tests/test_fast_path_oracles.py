@@ -7,7 +7,7 @@
   numbers come from sympy, and each one is counted as it is computed.
 - ``series.exp_class`` uses the recurrence k E_k = sum_j j x_j E_{k-j};
   here exp(x) is sympy's sum of x^j / j! in the variables c and delta.
-- ``eta.adiabatic_limit_eta`` is memoized per (base, r, order).
+- ``eta.adiabatic_limit_eta`` is memoized per (base, r).
 - ``spectral.certify_no_crossing`` decides a Type 2 family in integers;
   here the quadratic Q(delta) = A(delta) - delta^2 is classified in
   Fractions, from its minimum over 0, eps and the vertex, its rational
@@ -34,7 +34,7 @@ from etaflow import series, spectral
 from etaflow.catalog import PartialCohomology, product_cp1_model, resolve_manifold
 from etaflow.eta import adiabatic_limit_eta, adiabatic_top
 from etaflow.exact import SqrtValue, exact_value_to_json, sqrt_value
-from etaflow.series import SeriesOrderError, exp_class
+from etaflow.series import exp_class
 from etaflow.spectral import (
     CERTIFIED,
     CROSSING,
@@ -289,15 +289,6 @@ def test_adiabatic_memo_hit_equals_miss():
         adiabatic_limit_eta(spec, 0.5)
 
 
-def test_adiabatic_memo_does_not_store_a_refusal():
-    spec = resolve_manifold("cp1x4").manifold
-    for _ in range(2):
-        size = adiabatic_limit_eta.cache_info().currsize
-        with pytest.raises(SeriesOrderError):
-            adiabatic_limit_eta(spec, F(1, 3), 2)
-        assert adiabatic_limit_eta.cache_info().currsize == size
-
-
 # ------------------------------------------------ Type 2 certification
 
 Verdict = namedtuple("Verdict", "negative roots witness identically_zero")
@@ -375,9 +366,11 @@ def reference_type2(family, r, eps):
     verdict = quad_nonneg(c2, c1, c0, eps)
     if not verdict.negative:
         everywhere = verdict.identically_zero
+        # no family touches zero inside (0, eps): see
+        # test_no_type2_family_touches_zero_inside
+        assert not any(0 < x < eps for x in verdict.roots), "a zero inside (0, eps)"
         return CertOutcome(CERTIFIED, zero_at_start=everywhere or 0 in verdict.roots,
-                           zero_at_eps=everywhere or eps in verdict.roots,
-                           touch_points=tuple(x for x in verdict.roots if 0 < x < eps))
+                           zero_at_eps=everywhere or eps in verdict.roots)
     if family.half_mu_sq_is_bound:
         return CertOutcome(INDETERMINATE, note=BOUND_NOTE)
     parity = 1 if family.q % 2 == 0 else -1
@@ -474,8 +467,6 @@ def test_integer_type2_certification_matches_fraction_reference(case):
     got = certify_no_crossing(family, r, eps)
     assert got == expected
     assert payload(got) == payload(expected)
-    # no family touches zero inside (0, eps): see the test below
-    assert expected.touch_points == ()
 
 
 def test_no_type2_family_touches_zero_inside():

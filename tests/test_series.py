@@ -20,18 +20,15 @@ from etaflow.eta import (
 )
 from etaflow.exact import GaussianRational, truncated_product
 from etaflow.series import (
-    SeriesOrderError,
     _bernoulli,
     a_hat_class,
     class_product,
     constant_class,
-    default_order,
     eta_hat_series_from_alpha,
     eta_hat_series_integer,
     eval_power_sums,
     exp_class,
     omega_forms,
-    require_series_order,
     series_eta_hat,
     series_p,
     series_p_prime,
@@ -366,11 +363,10 @@ def test_class_product_and_exp_match_sympy_bivariate(tables):
 @pytest.mark.parametrize("factors", [2, 4, 6, 8])
 def test_memoized_classes_are_triangular(factors):
     spec, _ = product_cp1_model(factors)
-    order = default_order(factors)
-    omega0, omega2, w = transgression_forms(spec, order)
-    for x in (a_hat_class(spec.power_sums, order), omega0, omega2, w):
+    omega0, omega2, w = transgression_forms(spec)
+    for x in (a_hat_class(spec.power_sums), omega0, omega2, w):
         assert [len(row) for row in x] == list(range(1, factors + 2))
-    assert len(a_hat_coefficients(spec, order)) == factors + 1
+    assert len(a_hat_coefficients(spec)) == factors + 1
 
 
 def test_exp_class_examples(monkeypatch):
@@ -420,14 +416,6 @@ def test_exp_inverse_property():
                 power_of_c(0, n)
 
 
-def test_require_series_order_detects_insufficient_order():
-    message = r"^series order 1 too small for argument of nilpotency degree > 1$"
-    with pytest.raises(SeriesOrderError, match=message):
-        require_series_order(1, 1, 2)  # c^2 != 0
-    require_series_order(2, 1, 2)
-    require_series_order(1, 2, 2)  # (c^2)^2 = 0
-
-
 def test_eval_power_sums_matches_root_by_root_evaluation():
     # roots c, 2c and -3c: sum_i f(x_i) through the power sums
     # s_j = (1 + 2^j + (-3)^j) c^j equals the sum of the evaluations
@@ -439,15 +427,6 @@ def test_eval_power_sums_matches_root_by_root_evaluation():
     assert eval_power_sums(f, constant_class(sums)) == expected
     # a single root c is plain evaluation at c
     assert eval_power_sums(f, constant_class([1] * 5)) == at_class(f, c)
-
-
-def test_eval_power_sums_detects_insufficient_order():
-    f = (0, 1, F(1, 2))
-    with pytest.raises(SeriesOrderError):
-        eval_power_sums(f, constant_class([4, 2, 0, 1, 0]))
-    # power sums that vanish beyond the order need nothing more
-    assert eval_power_sums(f, constant_class([4, 2, 0, 0, 0])) == \
-        scaled(power_of_c(1, 4), 2)
 
 
 @pytest.fixture
@@ -588,7 +567,7 @@ def sympy_transgression_top(multiples, unit, order):
 def test_omega_forms_match_root_by_root_sums(convention):
     spec, multiples = three_roots()
     c = power_of_c(1, 3)
-    omega0, omega2 = omega_forms(spec.power_sums, 8)
+    omega0, omega2 = omega_forms(spec.power_sums)
     if convention == CONVENTION_REAL:
         tail = scaled(times_delta(c), 2)
         args = [tail] + [added(scaled(c, m), tail) for m in multiples]
@@ -652,15 +631,15 @@ def test_fundamental_theorem_of_calculus_in_delta(cp1sq):
 
 def test_omega_forms_builds_p_once(cp1sq, monkeypatch):
     sums = cp1sq.power_sums
-    expected = omega_forms(sums, 8)
+    expected = omega_forms(sums)
     orders = []
     monkeypatch.setattr("etaflow.series.series_p",
                         lambda order: orders.append(order) or series_p(order))
-    assert omega_forms(sums, 8) == expected
-    assert orders == [9]  # p to order 8 and p' to order 8 need p to 9
+    assert omega_forms(sums) == expected
+    assert orders == [3]  # p and p' to the order n = 2 need p to 3
     # the order-0 failure of series_p_prime is kept
     with pytest.raises(ValueError, match="order must be >= 1"):
-        omega_forms(sums, 0)
+        series_p_prime(0)
 
 
 # ------------------------------------------------- the one delta-integral

@@ -315,7 +315,7 @@ def test_spectral_records_are_values():
     assert fam != EigenvalueFamily(TYPE2_MINUS, 0, 2, 2, 3, half_mu_sq=F(1, 100))
     out = certify_no_crossing(fam, F(9, 4), 1)
     assert out == CertOutcome(CROSSING, crossings=((F(25, 92), 1),))
-    assert hash(out) == hash(CertOutcome(CROSSING, ((F(25, 92), 1),), False, False, (), ""))
+    assert hash(out) == hash(CertOutcome(CROSSING, ((F(25, 92), 1),), False, False, ""))
     assert Crossing(fam, F(1, 2), 1, 3) == Crossing(same, F(1, 2), 1, 3)
     assert hash(Crossing(fam, F(1, 2), 1, 3)) == hash(Crossing(same, F(1, 2), 1, 3))
     assert EndpointZero(fam, "eps", 3) == EndpointZero(same, where="eps", multiplicity=3)
@@ -475,8 +475,7 @@ def test_nakano_type2_window_matches_cell_walk(n, factor, kappa, r, eps):
 def reports(outcome):
     """Whether a certification outcome puts a line in the flow report."""
     return bool(outcome.status == INDETERMINATE or outcome.crossings
-                or outcome.zero_at_start or outcome.zero_at_eps
-                or outcome.touch_points)
+                or outcome.zero_at_start or outcome.zero_at_eps)
 
 
 def walk_flow(model, r, eps, factor):
@@ -513,7 +512,7 @@ def walk_flow(model, r, eps, factor):
 
 def certify_all(families, r, eps, mode, skipped, window):
     """The flow report of certifying every family on its own."""
-    crossings, zeros, touches, indeterminate = [], [], [], []
+    crossings, zeros, indeterminate = [], [], []
     total = 0
     # the report lists families by (q, k, kind, mu^2/2)
     for family in sorted(families, key=lambda f: (f.q, f.k, f.kind,
@@ -530,9 +529,8 @@ def certify_all(families, r, eps, mode, skipped, window):
                            ("eps", outcome.zero_at_eps)):
             if hit:
                 zeros.append(EndpointZero(family, where, family.multiplicity))
-        touches += [(family, point) for point in outcome.touch_points]
     return SpectralFlowReport(mode, SF_SIGN_PAPER, crossings, zeros,
-                              touches, indeterminate, skipped, window, total)
+                              indeterminate, skipped, window, total)
 
 
 def walk_kernel(model, r, eps):

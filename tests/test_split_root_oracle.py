@@ -27,7 +27,6 @@ from etaflow.eta import (
     transgression_raw,
 )
 from etaflow.exact import GaussianRational
-from etaflow.series import default_order
 
 Z = sp.Symbol("z")
 DELTA = sp.Symbol("delta")
@@ -225,9 +224,8 @@ def split_coefficient(oracle, poly, k):
 def test_class_side_memo_matches_split_roots(factors):
     spec, _ = product_cp1_model(factors)
     oracle = split_oracle(factors)
-    order = default_order(spec.n)
-    a_hat = a_hat_coefficients(spec, order)
-    w = transgression_forms(spec, order)[2]
+    a_hat = a_hat_coefficients(spec)
+    w = transgression_forms(spec)[2]
     assert len(a_hat) == len(w) == factors + 1
     for k in range(factors + 1):
         assert sp.Rational(str(a_hat[k])) == split_coefficient(oracle, oracle.a_hat, k)

@@ -1,9 +1,10 @@
 """Static guard against leftovers: every module-level function of the
 package whose name starts with ``_`` must be referenced somewhere in the
 package outside its own body, so that no helper is kept alive only by the
-tests, and it must use every parameter it declares, so that a parameter
-that a refactor made idle is deleted with it.  Every public module-level
-function must likewise be read outside its own body and outside
+tests.  Every module-level function, private or public, must use every
+parameter it declares, so that a parameter that a refactor made idle (an
+option accepted and then ignored, say) is deleted with it.  Every public
+module-level function must likewise be read outside its own body and outside
 ``__init__.py``, whose re-exports do not count, unless it is named in
 ``LIBRARY_API``, the functions kept for library callers alone (README
 lists them).  Every module is parsed with ``ast``; a reference is a name
@@ -56,10 +57,10 @@ def unreferenced(trees, private=True):
 
 
 def idle_parameters(tree):
-    """(line, function, parameter) for each parameter that a private
+    """(line, function, parameter) for each parameter that a module-level
     function of ``tree`` declares and its body never reads."""
     found = []
-    for func in _functions(tree):
+    for func in _functions(tree) + _functions(tree, private=False):
         args = func.args
         declared = [*args.posonlyargs, *args.args, *args.kwonlyargs,
                     *filter(None, (args.vararg, args.kwarg))]
@@ -93,6 +94,7 @@ def test_public_functions_are_read_or_library_api():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_private_functions_use_their_parameters(path):
+    # public functions too, since idle_parameters reads every module-level one
     assert idle_parameters(ast.parse(path.read_text(), filename=str(path))) == []
 
 
@@ -102,6 +104,7 @@ def test_private_functions_use_their_parameters(path):
     "def _helper(x, *rest):\n    return x\n",
     "def _helper(x, **extra):\n    return x\n",
     "def _helper(x, y=1):\n    return lambda z: x + z\n",
+    "def public(manifold, r, order=None):\n    return manifold, r\n",
 ])
 def test_lint_flags_idle_parameters(snippet):
     assert idle_parameters(ast.parse(snippet))
