@@ -1,15 +1,33 @@
 """Write a BENCH_<n>.json record: perfbench at fixed seeds plus
-class-side and spectral micro-cases.
+class-side and spectral micro-cases, optionally against a baseline
+revision.
 
-    python3 bench/write_bench.py --out BENCH_19.json
+    python3 bench/write_bench.py --out BENCH_21.json --baseline HEAD~1
 
 Run it from anywhere inside a source checkout; it benchmarks the sources
 of that checkout.  It uses the standard library only and runs
-``perfbench/run.py`` unmodified, one run at a time:
+``perfbench/run.py`` unmodified, one run at a time.  Every Python process
+it starts runs with ``PYTHONDONTWRITEBYTECODE=1``, and the ``__pycache__``
+directories under ``src/`` and ``perfbench/`` are deleted first, so every
+tree compiles its own sources in each process alike (the standard
+library keeps its cache).
 
-- eta-grid, flow-sweep and cli-batch at seeds 1-3 with ``--trace 0``
-  (10 s runs, 20 s for cli-batch), summarized per metric as the median
-  and quartiles over the seeds;
+- Without ``--baseline``: eta-grid, flow-sweep and cli-batch at seeds 1-3
+  with ``--trace 0`` (10 s runs, 20 s for cli-batch), summarized per
+  metric as the median and quartiles over the seeds.
+- With ``--baseline REV``: REV is checked out into a temporary
+  ``git worktree``, and each workload runs in alternating REV/checkout
+  pairs (``PAIRS`` pairs of ``PAIR_SECONDS`` runs, seeds cycling 1-3, the
+  side that runs first alternating).  For each end-to-end metric of
+  ``BENCHMARK.json`` the record holds both sides' values and quartiles,
+  the ratio of the medians (checkout / REV), the pairs the checkout won
+  and whether its median gain exceeds the interquartile range of REV.
+  The cold class side and the answer hashes below run on both trees, and
+  the record says whether the answers are equal.  A fresh worktree holds
+  no bytecode cache.
+
+Then, on the checkout:
+
 - one eta-grid run and one flow-sweep run at seed 1 with ``--trace 1``
   for the per-layer counters and self times of the class side and of the
   spectral side;
@@ -38,7 +56,8 @@ of that checkout.  It uses the standard library only and runs
   cli-batch each invocation's exit code and output, run from the
   directory of the generated configs so that no path enters the hash.
 
-The whole record takes about five minutes.
+The whole record takes about five minutes, about seven with
+``--baseline``.
 """
 
 from __future__ import annotations
@@ -47,15 +66,22 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 SECONDS = {"eta-grid": 10, "flow-sweep": 10, "cli-batch": 20}
+# --baseline: pairs per workload and seconds per run; a cli-batch run always
+# makes two passes of about 9 s, whatever its seconds, so it takes 27 s
+PAIRS = {"eta-grid": 10, "flow-sweep": 5, "cli-batch": 2}
+PAIR_SECONDS = {"eta-grid": 4, "flow-sweep": 4, "cli-batch": 1}
 R_401 = f"{10**400 + 1}/{10**400 - 3}"
 R_4100 = f"{10**4100 + 1}/{10**4100 - 3}"
 COLD_BASES = ("cp1xcp1", "cp1x4", "cp1x6", "cp1x8", "cp1x32")
@@ -189,14 +215,21 @@ print(json.dumps({part: {"seconds": s, "queries": n} for part, (s, n) in parts.i
 """
 
 
-def _env():
-    return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _env(root=ROOT):
+    return dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
 
 
-def _perfbench(workload: str, seed: int, seconds: int, trace: int) -> dict:
-    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+def _drop_bytecode(root: Path) -> None:
+    """Delete the bytecode caches of a tree's sources and of its perfbench."""
+    for part in ("src", "perfbench"):
+        for cache in list((root / part).rglob("__pycache__")):
+            shutil.rmtree(cache)
+
+
+def _perfbench(workload: str, seed: int, seconds: int, trace: int, root=ROOT) -> dict:
+    argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=root, env=_env(root), capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"perfbench {workload} seed {seed} failed: {proc.stderr[-500:]}")
@@ -242,10 +275,10 @@ def _cli_case(*args) -> dict:
             "stderr": proc.stderr.strip()}
 
 
-def _cold_class_side() -> dict:
+def _cold_class_side(root=ROOT) -> dict:
     cases = {}
     for base in COLD_BASES:
-        runs = [json.loads(subprocess.run([sys.executable, "-c", _COLD, base], env=_env(),
+        runs = [json.loads(subprocess.run([sys.executable, "-c", _COLD, base], env=_env(root),
                                           capture_output=True, text=True, check=True).stdout)
                 for _ in range(5)]
         times = [run.pop("first_call_s") for run in runs]
@@ -268,13 +301,13 @@ def _flow_split(seed: int = 1, processes: int = 7) -> dict:
                     f"seconds per part ({processes} processes)", "parts": parts}
 
 
-def _answer_hashes() -> dict:
+def _answer_hashes(root=ROOT) -> dict:
     hashes = {}
     for workload in SECONDS:
         hashes[workload] = {}
         for seed in SEEDS:
-            proc = subprocess.run([sys.executable, "-c", _ANSWERS, str(ROOT), workload,
-                                   str(seed)], env=_env(), capture_output=True, text=True,
+            proc = subprocess.run([sys.executable, "-c", _ANSWERS, str(root), workload,
+                                   str(seed)], env=_env(root), capture_output=True, text=True,
                                   check=True)
             hashes[workload][str(seed)] = json.loads(proc.stdout)
     return hashes
@@ -298,18 +331,75 @@ def _git(*args) -> str:
     return proc.stdout.strip()
 
 
+@contextmanager
+def _worktree(revision: str):
+    """A temporary detached ``git worktree`` of ``revision``, removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="bench-baseline-") as tmp:
+        path = Path(tmp) / "tree"
+        subprocess.run(["git", "worktree", "add", "--detach", str(path), revision],
+                       cwd=ROOT, capture_output=True, text=True, check=True)
+        try:
+            yield path
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=ROOT,
+                           capture_output=True)
+
+
+def _paired(workload: str, baseline: Path) -> dict:
+    """Alternating baseline/checkout perfbench runs of one workload."""
+    roots = {"baseline": baseline, "head": ROOT}
+    runs = {"baseline": [], "head": []}
+    for i in range(PAIRS[workload]):
+        seed = SEEDS[i % len(SEEDS)]
+        order = ("baseline", "head") if i % 2 == 0 else ("head", "baseline")
+        for side in order:
+            result = _perfbench(workload, seed, PAIR_SECONDS[workload], 0, roots[side])
+            runs[side].append({"seed": seed, "ran_first": side == order[0], **result})
+        print(f"{workload} pair {i + 1}: pass_s " + " -> ".join(
+            f"{runs[side][-1]['metrics']['pass_s']['value']:.4f}" for side in roots),
+            file=sys.stderr)
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {}
+    for name, direction in better.items():
+        sign = 1 if direction == "lower" else -1
+        base, head = ([run["metrics"][name]["value"] for run in runs[side]]
+                      for side in roots)
+        b, h = _summary(base), _summary(head)
+        metrics[name] = {
+            "better": direction, "baseline": {"values": base, **b},
+            "head": {"values": head, **h}, "ratio": h["median"] / b["median"],
+            "pairs_won": sum(sign * (x - y) > 0 for x, y in zip(base, head)),
+            "gain_exceeds_baseline_iqr": sign * (b["median"] - h["median"]) > b["q3"] - b["q1"]}
+    return {"pairs": PAIRS[workload], "seconds": PAIR_SECONDS[workload], "runs": runs,
+            "metrics": metrics,
+            "all_correct": all(run["correct"] for side in runs.values() for run in side),
+            "failed": sum(run["failed"] for side in runs.values() for run in side)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="path of the JSON record")
+    parser.add_argument("--baseline", metavar="REV",
+                        help="run each workload in alternating pairs against REV")
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    _drop_bytecode(ROOT)
     record = {
         "git_revision": _git("rev-parse", "HEAD"),
         "git_dirty_paths": _git("status", "--porcelain").splitlines(),
         "python": sys.version,
         "machine": _machine(),
-        "perfbench": {w: _workload(w) for w in SECONDS},
+        "bytecode": "PYTHONDONTWRITEBYTECODE=1, no __pycache__ under src/ or perfbench/",
     }
+    if args.baseline:
+        record["baseline_revision"] = _git("rev-parse", f"{args.baseline}^{{commit}}")
+        with _worktree(record["baseline_revision"]) as baseline:
+            record["paired"] = {w: _paired(w, baseline) for w in SECONDS}
+            record["baseline_cold_class_side"] = _cold_class_side(baseline)
+            record["baseline_answers"] = _answer_hashes(baseline)
+    else:
+        record["perfbench"] = {w: _workload(w) for w in SECONDS}
     record["perfbench_traced"] = {
         w: {"seed": 1, "seconds": SECONDS[w], **_perfbench(w, 1, SECONDS[w], 1)}
         for w in ("eta-grid", "flow-sweep")}
@@ -324,6 +414,8 @@ def main(argv=None) -> int:
         _flow_split(),
     ]
     record["answers"] = _answer_hashes()
+    if args.baseline:
+        record["answers_equal_baseline"] = record["answers"] == record["baseline_answers"]
     record["elapsed_s"] = time.perf_counter() - started
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out} in {record['elapsed_s']:.0f} s", file=sys.stderr)

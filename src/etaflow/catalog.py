@@ -30,11 +30,11 @@ from .spectral import (
 
 # Largest builtin (P^1)^n; its default check-identities series order
 # 2n + 2 = 66 stays below series.MAX_SERIES_ORDER.  On a 2-vCPU Xeon its
-# class side is built once, at truncation n, in about 4 ms for A-hat,
-# 35 ms for the transgression forms and 7 ms for the two integer tables;
-# each (r, eps) then takes about 0.15 ms for the adiabatic limit and
-# 0.1 ms for the transgression.  `adiabatic-limit --manifold cp1x32` takes
-# about 0.08 s as a whole process.
+# class side is built once, from e^{Omega_0} in integers, in about 3 ms
+# for the 34 Bernoulli numbers and 3-4 ms for the tables; each (r, eps)
+# then takes about 0.02 ms for the adiabatic limit and 0.1 ms for the
+# transgression.  `adiabatic-limit --manifold cp1x32` takes about 0.1 s as
+# a whole process, most of it interpreter start.
 MAX_CP1_FACTORS = 32
 
 # Largest builtin or configured hypersurface dimension n.  `counterexample`

@@ -13,13 +13,17 @@ convention constant (default 1) absorbing the 2*pi*i normalization of the
 transgression.  Every acceptance-level statement here is invariant under
 rescaling N.
 
-On a fixed base neither A-hat nor W = Omega_2 e^{Omega_0} depends on
-(r, eps), while eta_hat_r and e^{rc} are polynomials in t = 1 - {r} and r.
-Every class lives in Q[delta][c]/(c^{n+1}), so the series behind them are
-built to order n, which is already exact.  Each term is one integer table
-per base, built once in a bounded memo; a query evaluates it by Horner's
-rule in integers and reduces by one gcd, and the adiabatic term is
-memoized per (base, r).
+On a fixed base neither A-hat nor Omega_0 depends on (r, eps).  Every
+class lives in Q[delta][c]/(c^{n+1}), and both terms are read off one
+exponential E = e^{Omega_0}, built once per base in integers to c^{n+1}:
+the adiabatic term is A-hat (E at delta = 0) against a Bernoulli
+polynomial at floor(r) + 1 less a power of r, and the transgression is
+(E - A-hat)/(2c) at eps, by the fundamental theorem in delta.  Each term is
+one integer table, built in a bounded memo; a query evaluates it by
+Horner's rule in integers and reduces by one gcd, and the adiabatic term is
+memoized per (base, r).  The class products of ``series`` build A-hat and
+W = Omega_2 e^{Omega_0} apart from E for ``check-identities`` and
+``corollary_check``.
 The ``paper_i`` convention, with literal factors of i, takes the same
 antiderivative at i*eps.  ``convention_integral`` keeps the series form.
 """
@@ -55,15 +59,17 @@ CONVENTIONS = (CONVENTION_REAL, CONVENTION_PAPER_I)
 
 @lru_cache(maxsize=8)
 def a_hat_coefficients(manifold: ManifoldSpec) -> tuple:
-    """[c^k] A-hat for k = 0..n, built once per base."""
+    """[c^k] A-hat for k = 0..n from the class products of ``series``,
+    built once per base; the reference of ``check-identities``."""
     return tuple(row[0] for row in a_hat_class(manifold.power_sums))
 
 
 @lru_cache(maxsize=8)
 def transgression_forms(manifold: ManifoldSpec):
     """(Omega_0, Omega_2, W) with W the n + 1 coefficients [c^k] of
-    Omega_2 e^{Omega_0}, none of which depend on (r, eps); built once per
-    base."""
+    Omega_2 e^{Omega_0}, none of which depend on (r, eps), from the class
+    products of ``series``; built once per base for ``check-identities``
+    and ``corollary_check``."""
     omega0, omega2 = omega_forms(manifold.power_sums)
     return omega0, omega2, class_product(omega2, exp_class(omega0))
 
@@ -84,46 +90,73 @@ def _integer_table(rows):
 
 
 @lru_cache(maxsize=8)
-def _adiabatic_table(manifold: ManifoldSpec):
-    """(L, G) with ``adiabatic_top`` = sum G[l][m] t^l r^m / L, t = 1 - {r}:
-    eta_hat_r has c^j coefficient 2 B_{j+1}(t)/(j+1)!, B_{j+1}(t) = sum_l
-    C(j+1, l) B_{j+1-l} t^l, and e^{rc} has r^m/m!."""
-    n = manifold.n
-    ahat = a_hat_coefficients(manifold)
+def _class_tables(manifold: ManifoldSpec):
+    """(A-hat, (L, P, Q), (L', H)), read off E = e^{Omega_0} to c^{n+1}.
+
+    Row m of Omega_0 has delta^d coefficient 2 p_m C(m, d) 2^d s'_{m-d},
+    2 p_m = -B_m/(m m!) for m >= 2, with s' the power sums plus 1 in degree
+    0 (the root 2 delta c), and s_{n+1} = 0: it reaches only
+    [c^{n+1} delta^0] E, which nothing reads.  With M the least common
+    denominator of the B_m/m times that of s', the rows y_m = m! M^m
+    Omega_0_m and e_k = k! M^k E_k are integers, and
+    k E_k = sum_j j Omega_0_j E_{k-j} reads e_k = sum_j C(k-1, j-1) y_j e_{k-j}.
+    Then:
+    - A-hat_i is E_i at delta = 0;
+    - eta_hat_r e^{rc} = 2 e^{ac}/(e^c - 1) - 2 e^{rc}/c, a = floor(r) + 1,
+      so ``adiabatic_top`` is (P(a) - Q(r))/L with P(a) the sum over i of
+      2 A-hat_i B_{m+1}(a)/(m+1)! and Q(r) that of 2 A-hat_i r^{m+1}/(m+1)!,
+      m = n - i;
+    - d Omega_0/d delta = 2c Omega_2 makes E_{k+1}/2 the delta-antiderivative
+      of the c^k row of W = Omega_2 e^{Omega_0}, so the transgression table
+      is H[j][e]/L' = top E_{n+1-j}[e]/(2 j!) for e >= 1, H[j][0] = 0."""
+    n, top = manifold.n, manifold.top_integral
     bernoulli = _bernoulli(n + 1)
-    rows = [[sum((2 * ahat[n - j - m] * math.comb(j + 1, l) * bernoulli[j + 1 - l]
-                  / (math.factorial(j + 1) * math.factorial(m))
-                  for j in range(max(l - 1, 0), n + 1 - m)
-                  if ahat[n - j - m] and bernoulli[j + 1 - l]), ZERO)
-             for m in range(n + 2)] for l in range(n + 2)]
-    return _integer_table(rows)
-
-
-@lru_cache(maxsize=8)
-def _transgression_table(manifold: ManifoldSpec):
-    """(L, H) with the delta-antiderivative of the transgression integrand
-    F(eps) = sum H[j][e] eps^e r^j / L, column j over e = 0..n + 1 - j:
-    H[j][e] is W_{n-j}[e-1] / (j! e) times the integral of c^n, H[j][0] 0."""
-    n, w = manifold.n, transgression_forms(manifold)[2]
-    return _integer_table([[ZERO] + [manifold.top_integral * w[n - j][e - 1]
-                                     / (math.factorial(j) * e)
-                                     for e in range(1, n + 2 - j)] for j in range(n + 2)])
+    sums = [as_fraction(s) for s in manifold.power_sums] + [ZERO]
+    sums[0] += 1
+    Lb, *b = _scaled(*(-bernoulli[m] / m if m > 1 else ZERO for m in range(n + 2)))
+    Ls, *s = _scaled(*sums)
+    M = Lb * Ls
+    y = [[(d, b[j] * M ** (j - 1) * math.comb(j, d) * 2**d * s[j - d])
+          for d in range(j + 1) if b[j] and s[j - d]] for j in range(n + 2)]
+    e = [[1]]
+    for k in range(1, n + 2):
+        row = [0] * (k + 1)
+        for j in range(1, k + 1):
+            for d, x in y[j]:
+                x *= math.comb(k - 1, j - 1)
+                for i, z in enumerate(e[k - j], d):
+                    if z:
+                        row[i] += x * z
+        e.append(row)
+    ahat = tuple(Fraction(e[i][0], math.factorial(i) * M**i) for i in range(n + 1))
+    P, Q = [ZERO] * (n + 2), [ZERO] * (n + 2)
+    for i, a in enumerate(ahat):
+        if a:
+            m = n - i + 1
+            Q[m] += 2 * a / math.factorial(m)
+            for l in range(m + 1):
+                if bernoulli[m - l]:
+                    P[l] += 2 * a * bernoulli[m - l] / (math.factorial(l) * math.factorial(m - l))
+    L, (P, Q) = _integer_table((P, Q))
+    H = [[0] + [top.numerator * math.comb(n + 1, j) * M**j * x for x in e[n + 1 - j][1:]]
+         for j in range(n + 2)]
+    den = 2 * top.denominator * math.factorial(n + 1) * M ** (n + 1)
+    g = math.gcd(den, *(x for column in H for x in column))
+    return ahat, (L, P, Q), (den // g, tuple(tuple(x // g for x in column) for column in H))
 
 
 def adiabatic_top(manifold: ManifoldSpec, r) -> Fraction:
-    """[c^n] of A-hat * eta_hat_r(c) * e^{rc}: Horner's rule in t = 1 - {r}
-    leaves a polynomial in r.  An integer r takes the average of the values
-    at t = 0 and t = 1, which is the integer eta_hat series."""
-    L, table = _adiabatic_table(manifold)
+    """[c^n] of A-hat * eta_hat_r(c) * e^{rc}: P at the integer
+    a = floor(r) + 1 less Q at r.  An integer r takes the average of the
+    values at a = r and a = r + 1, which is the integer eta_hat series."""
+    L, P, Q = _class_tables(manifold)[1]
     r = as_fraction(r)
     D, R = r.denominator, r.numerator
+    q = _homogeneous(Q, R, D)  # D^(n+1) Q(r)
     if D == 1:
-        poly, L = [g + sum(column) for g, column in zip(table[0], zip(*table))], 2 * L
-    else:  # the degree in r stays <= n + 1, so zip truncates only zeros
-        a, poly = R // D + 1, [0] * len(table)
-        for row in reversed(table):
-            poly = [g + a * x - y for g, x, y in zip(row, poly, [0] + poly)]
-    return Fraction(_homogeneous(poly, R, D), L * D ** (len(poly) - 1))
+        return Fraction(_homogeneous(P, R, 1) + _homogeneous(P, R + 1, 1) - 2 * q, 2 * L)
+    scale = D ** (len(Q) - 1)
+    return Fraction(_homogeneous(P, R // D + 1, 1) * scale - q, L * scale)
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -139,7 +172,7 @@ def transgression_integrand_poly(manifold: ManifoldSpec, r) -> tuple:
     W_{n-j} r^j / j! times the integral of c^n, a polynomial in delta with
     rational coefficients (the real convention), as its n + 1
     coefficients, read off the transgression table."""
-    L, columns = _transgression_table(manifold)
+    L, columns = _class_tables(manifold)[2]
     r, top = as_fraction(r), manifold.n + 1
     return tuple(Fraction(e * _homogeneous([c[e] for c in columns[: top + 1 - e]], r.numerator,
                                            r.denominator), L * r.denominator ** (top - e))
@@ -193,7 +226,7 @@ def transgression_raw(manifold: ManifoldSpec, r, eps, convention=CONVENTION_REAL
         raise ValueError("eps must be >= 0")
     if convention not in CONVENTIONS:  # before the class side is built
         raise ValueError(f"unknown convention {convention!r}")
-    L, columns = _transgression_table(manifold)
+    L, columns = _class_tables(manifold)[2]
     E, De, r = eps.numerator, eps.denominator, as_fraction(r)
     # Horner's rule in eps (at E, or at iE in Gaussian integers) on each
     # column, then in r over their real and imaginary parts: O(n) long products

@@ -76,12 +76,35 @@ def test_check_identities_at_order_100(capsys):
     assert payload["result"]["all_pass"] is True
 
 
+def test_check_identities_order_sizes_only_the_dump(capsys, monkeypatch):
+    # the suite reads only the constant term of eta-hat, so --order changes
+    # neither the report nor the series the suite builds
+    asked = []
+    series_eta_hat = cli.series_eta_hat
+
+    def counted(r, order):
+        asked.append(order)
+        return series_eta_hat(r, order)
+
+    monkeypatch.setattr(cli, "series_eta_hat", counted)
+    for r in ("1/2", "3"):
+        base = ["check-identities", "--manifold", "cp1xcp1", "--r", r]
+        plain = run_cli(capsys, *base)
+        assert plain[0] == EXIT_OK
+        assert run_cli(capsys, *base, "--order", "100") == plain
+    assert 100 not in asked
+    code, out, _ = run_cli(capsys, "check-identities", "--manifold", "cp1xcp1",
+                           "--r", "1/2", "--order", "100", "--dump-series")
+    assert code == EXIT_OK and len(json.loads(out)["result"]["series"]["eta_hat"]) == 101
+    assert asked.count(100) == 1
+
+
 def test_check_identities_builds_each_class_once(capsys, monkeypatch):
     # the corollary check reads the class side that the suite built, at the
     # order n = 2 whatever --order says: p is built once for A-hat (to n),
     # once for Omega and p' (to n + 1) and twice for the fixed p' check
-    eta.a_hat_coefficients.cache_clear()
-    eta.transgression_forms.cache_clear()
+    for memo in (eta.a_hat_coefficients, eta.transgression_forms, eta._class_tables):
+        memo.cache_clear()
     orders = []
     series_p = series.series_p
 

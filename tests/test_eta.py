@@ -6,8 +6,8 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
-from etaflow import eta
-from etaflow.catalog import ConfigError, product_cp1_model, resolve_manifold
+from etaflow import eta, series
+from etaflow.catalog import ConfigError, ManifoldSpec, product_cp1_model, resolve_manifold
 from etaflow.cli import main
 from etaflow.eta import (
     CONVENTION_PAPER_I,
@@ -303,8 +303,7 @@ def test_convention_invariance_of_acceptance_values(cp1xcp1):
 # ------------------------------------------------------- class-side memos
 
 
-CLASS_MEMOS = (eta.a_hat_coefficients, eta.transgression_forms,
-               eta._adiabatic_table, eta._transgression_table)
+CLASS_MEMOS = (eta.a_hat_coefficients, eta.transgression_forms, eta._class_tables)
 
 
 @pytest.fixture
@@ -318,15 +317,13 @@ def fresh_memos():
         memo.cache_clear()
 
 
-def test_class_side_built_once_per_base(cp1x4, fresh_memos, monkeypatch, capsys):
+def test_class_side_built_once_per_base(cp1x4, fresh_memos, capsys):
     spec, _ = cp1x4
     model = model_of(cp1x4)
-    built = []
-    monkeypatch.setattr(eta, "omega_forms",
-                        lambda *args: built.append(args) or omega_forms(*args))
+    tables = eta._class_tables
     queries = [(F(k, 7) - 1, F(k + 1, 5)) for k in range(10)]
     expected = [eta_invariant(spec, model, r, e) for r, e in queries]
-    assert len(built) == 1
+    assert tables.cache_info().misses == 1
     for (r, e), res in zip(queries, expected):
         assert eta_invariant(spec, model, r, e).to_json() == res.to_json()
     # every entry point, and the CLI at any --order, read the same entries
@@ -339,17 +336,42 @@ def test_class_side_built_once_per_base(cp1x4, fresh_memos, monkeypatch, capsys)
             assert main([*command, "--manifold", "cp1x4", "--r", "1/3",
                          "--order", str(order)]) == 0
     capsys.readouterr()
-    assert len(built) == 1
     for memo in CLASS_MEMOS:
         info = memo.cache_info()
         assert (info.misses, info.currsize) == (1, 1), memo
     other = resolve_manifold("cp1xcp1").manifold
     for _ in range(2):
         eta_invariant(other, model_of(product_cp1_model(2)), F(1, 3), 1)
-    assert len(built) == 2
-    for memo in CLASS_MEMOS:
-        info = memo.cache_info()
-        assert (info.misses, info.currsize) == (2, 2), memo
+    info = tables.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    # the reference memos serve check-identities and corollary_check only
+    for memo in (eta.a_hat_coefficients, eta.transgression_forms):
+        assert memo.cache_info().misses == 1, memo
+
+
+def test_hot_path_builds_no_class_product(fresh_memos, monkeypatch):
+    # a cold base answers every query from the integer exponential alone
+    def refuse(*args):
+        raise AssertionError("a reference class builder ran on the hot path")
+
+    for name in ("a_hat_class", "omega_forms", "class_product", "exp_class"):
+        monkeypatch.setattr(series, name, refuse)
+        monkeypatch.setattr(eta, name, refuse)
+    adiabatic_limit_eta.cache_clear()
+    for name in ("cp1xcp1", "cp1x6", "three-roots", "tripled"):
+        spec = _spec(name)
+        if name.startswith("cp1"):
+            eta_invariant(spec, model_of(product_cp1_model(spec.n)), F(1, 3), F(1, 2))
+        for r in (F(0), F(2), F(-5, 3)):
+            adiabatic_limit_eta(spec, r)
+            for convention in (CONVENTION_REAL, CONVENTION_PAPER_I):
+                transgression_raw(spec, r, F(3, 2), convention)
+    assert eta._class_tables.cache_info().misses == 4
+    adiabatic_limit_eta.cache_clear()
+    # the patch is felt by the reference path
+    for reference in (eta.a_hat_coefficients, eta.transgression_forms):
+        with pytest.raises(AssertionError, match="hot path"):
+            reference(_spec("cp1x4"))
 
 
 def test_equal_specs_share_the_memo(fresh_memos):
@@ -370,13 +392,25 @@ def test_equal_specs_share_the_memo(fresh_memos):
 # every catalog builtin with a class side: the even products up to the
 # factor limit
 CLASS_BASES = ("cp1xcp1",) + tuple(f"cp1x{k}" for k in range(2, 33, 2))
+# bases whose power sums are nonzero in degree >= 2, so that A-hat is not 1:
+# roots c, 2c and -3c on Q[c]/(c^4), and the sums (2, 2, 2) with the
+# integral of c^2 equal to 3
+OTHER_SPECS = {
+    "three-roots": ManifoldSpec("three-roots", 3, 1,
+                                tuple(sum(m**k for m in (1, 2, -3)) for k in range(4)), None),
+    "tripled": ManifoldSpec("tripled", 2, 3, (2, 2, 2), None),
+}
+
+
+def _spec(name):
+    return OTHER_SPECS[name] if name in OTHER_SPECS else resolve_manifold(name).manifold
 
 
 @lru_cache(maxsize=32)
 def _series_classes(name):
     """(spec, [c^k] A-hat, W = Omega_2 e^{Omega_0}) built from the series
     module alone, apart from the memos and tables of ``eta``."""
-    spec = resolve_manifold(name).manifold
+    spec = _spec(name)
     ahat = tuple(row[0] for row in a_hat_class(spec.power_sums))
     omega0, omega2 = omega_forms(spec.power_sums)
     return spec, ahat, class_product(omega2, exp_class(omega0))
@@ -417,13 +451,18 @@ LONG_R = F(-(10**50 + 77), 3 * 10**49 + 1)  # a 51-digit numerator
 
 
 @settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(CLASS_BASES), r=RATIONALS,
+@given(name=st.sampled_from(CLASS_BASES + tuple(OTHER_SPECS)), r=RATIONALS,
        eps=st.one_of(st.just(F(0)), RATIONALS.map(abs)))
 @example(name="cp1x32", r=LONG_R, eps=F(7, 3))
+@example(name="three-roots", r=LONG_R, eps=F(7, 3))
+@example(name="three-roots", r=F(-2), eps=F(5, 2))
+@example(name="tripled", r=F(3), eps=F(1, 3))
+@example(name="tripled", r=F(-7, 4), eps=F(4))
 @example(name="cp1x8", r=LONG_R, eps=F(0))
 @example(name="cp1x4", r=F(-3), eps=F(10**12 + 1, 10**12))
 def test_tables_match_the_series_oracle(name, r, eps):
-    spec = _series_classes(name)[0]
+    spec, ahat, _ = _series_classes(name)
+    assert eta._class_tables(spec)[0] == ahat
     top = series_adiabatic_top(name, r)
     assert adiabatic_top(spec, r) == top
     assert adiabatic_limit_eta(spec, r) == top * spec.top_integral / 2
@@ -433,3 +472,72 @@ def test_tables_match_the_series_oracle(name, r, eps):
         value = transgression_raw(spec, r, eps, convention)
         expected = convention_integral(poly, eps, convention)
         assert value == expected and type(value) is type(expected)
+
+
+# ------------------------------------------------ (P^1)^n in closed form
+
+
+def bernoulli_closed_form(n, r):
+    """(B_{n+1}(floor(r) + 1) - r^{n+1})/(n + 1) by sympy, at a rational r
+    that is not an integer: the adiabatic term of (P^1)^n, where A-hat = 1."""
+    r = sp.Rational(r.numerator, r.denominator)
+    return F(str((sp.bernoulli(n + 1, sp.floor(r) + 1) - r ** (n + 1)) / (n + 1)))
+
+
+def _one_sided_limit(name, m, side):
+    """The adiabatic term's limit at r = m from the right (side = 1) or the
+    left (side = -1): the term is a polynomial of degree n + 1 on each open
+    unit interval, so the library's values at n + 2 points inside it,
+    interpolated by Lagrange's formula, give its value at m."""
+    spec = _spec(name)
+    xs = [m + side * F(k, spec.n + 3) for k in range(1, spec.n + 3)]
+    ys = [adiabatic_limit_eta(spec, x) for x in xs]
+    total = F(0)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        weight = yi
+        for j, xj in enumerate(xs):
+            if j != i:
+                weight *= (m - xj) / (xi - xj)
+        total += weight
+    return total
+
+
+CLOSED_FORM_BASES = ("cp1xcp1", "cp1x4", "cp1x8")
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_BASES)
+def test_adiabatic_term_is_one_bernoulli_polynomial(name):
+    n = _spec(name).n
+    rs = [F(1, 2), F(1, 3), F(-7, 3), F(29, 4), F(-1, 10**6), F(10**20 + 1, 7)]
+    for r in rs:
+        assert adiabatic_limit_eta(_spec(name), r) == bernoulli_closed_form(n, r)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_BASES)
+def test_adiabatic_term_at_an_integer_is_the_one_sided_average(name):
+    spec = _spec(name)
+    n = spec.n
+    for m in (-3, -1, 0, 1, 2, 5, 10**12):
+        right = F(str((sp.bernoulli(n + 1, m + 1) - sp.Integer(m) ** (n + 1)) / (n + 1)))
+        left = F(str((sp.bernoulli(n + 1, m) - sp.Integer(m) ** (n + 1)) / (n + 1)))
+        assert adiabatic_limit_eta(spec, m) == (left + right) / 2
+        assert adiabatic_limit_eta(spec, m) == left + F(m) ** n / 2
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_BASES)
+def test_adiabatic_term_jumps_by_m_to_the_n(name):
+    spec = _spec(name)
+    for m in (-3, -1, 1, 2, 4):
+        right, left = _one_sided_limit(name, m, 1), _one_sided_limit(name, m, -1)
+        assert right - left == F(m) ** spec.n
+        assert adiabatic_limit_eta(spec, m) == (left + right) / 2
+    # no jump at 0, where m^n = 0
+    assert _one_sided_limit(name, 0, 1) == _one_sided_limit(name, 0, -1) == 0
+
+
+def test_a_hat_is_one_on_every_catalog_base():
+    for name in CLASS_BASES:
+        spec = _spec(name)
+        one = (F(1),) + (F(0),) * spec.n
+        assert eta._class_tables(spec)[0] == one, name
+        assert _series_classes(name)[1] == one, name
