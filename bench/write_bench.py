@@ -2,7 +2,7 @@
 class-side and spectral micro-cases, optionally against a baseline
 revision.
 
-    python3 bench/write_bench.py --out BENCH_21.json --baseline HEAD~1
+    python3 bench/write_bench.py --out BENCH_22.json --baseline HEAD~1
 
 Run it from anywhere inside a source checkout; it benchmarks the sources
 of that checkout.  It uses the standard library only and runs
@@ -15,16 +15,21 @@ library keeps its cache).
 - Without ``--baseline``: eta-grid, flow-sweep and cli-batch at seeds 1-3
   with ``--trace 0`` (10 s runs, 20 s for cli-batch), summarized per
   metric as the median and quartiles over the seeds.
-- With ``--baseline REV``: REV is checked out into a temporary
-  ``git worktree``, and each workload runs in alternating REV/checkout
-  pairs (``PAIRS`` pairs of ``PAIR_SECONDS`` runs, seeds cycling 1-3, the
-  side that runs first alternating).  For each end-to-end metric of
+- With ``--baseline REV``: REV (from ``git archive``) and a copy of the
+  checkout are put in two temporary trees at paths of the same length,
+  and each workload runs in alternating REV/checkout pairs (``PAIRS``
+  pairs of ``PAIR_SECONDS`` runs, seeds cycling 1-3, the side that runs
+  first alternating) from those trees.  For each end-to-end metric of
   ``BENCHMARK.json`` the record holds both sides' values and quartiles,
   the ratio of the medians (checkout / REV), the pairs the checkout won
   and whether its median gain exceeds the interquartile range of REV.
-  The cold class side and the answer hashes below run on both trees, and
-  the record says whether the answers are equal.  A fresh worktree holds
-  no bytecode cache.
+  The import split, the cold table resolve, the cold class side and the
+  answer hashes below run on both sides too, and the record says whether
+  the answers are equal.  A fresh tree holds no bytecode cache.
+- The import split: the wall time of a fresh ``python3 -S -c pass``,
+  ``python3 -c pass``, ``import etaflow`` and ``import etaflow.cli``, as
+  seen by the parent process (median of 11 interleaved runs each), with
+  the etaflow modules each one loads.
 
 Then, on the checkout:
 
@@ -44,6 +49,8 @@ Then, on the checkout:
   cp1x4, cp1x6, cp1x8 and cp1x32, each in 5 fresh processes (the median),
   with the number of Bernoulli memo misses and of Bernoulli numbers
   computed;
+- the cold ``resolve_manifold`` of the generated flow-sweep x2 and x4
+  configs (seed 1, 424 and 609 table entries), in 7 fresh processes;
 - one ``transgression --manifold cp1x32 --eps 1`` process at the
   4100-digit r: its exit code, the limit its message names and its wall
   time;
@@ -63,6 +70,7 @@ The whole record takes about five minutes, about seven with
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -70,6 +78,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from contextlib import contextmanager
@@ -80,7 +89,7 @@ SEEDS = (1, 2, 3)
 SECONDS = {"eta-grid": 10, "flow-sweep": 10, "cli-batch": 20}
 # --baseline: pairs per workload and seconds per run; a cli-batch run always
 # makes two passes of about 9 s, whatever its seconds, so it takes 27 s
-PAIRS = {"eta-grid": 10, "flow-sweep": 5, "cli-batch": 2}
+PAIRS = {"eta-grid": 10, "flow-sweep": 10, "cli-batch": 2}
 PAIR_SECONDS = {"eta-grid": 4, "flow-sweep": 4, "cli-batch": 1}
 R_401 = f"{10**400 + 1}/{10**400 - 3}"
 R_4100 = f"{10**4100 + 1}/{10**4100 - 3}"
@@ -139,20 +148,22 @@ print(json.dumps({"first_call_s": first, "median_s": statistics.median(times),
 
 
 # the first eta_invariant on a base (argv[1]) in a fresh process: its time,
-# the Bernoulli memo misses and how many Bernoulli numbers were computed
+# the Bernoulli memo misses and how many Bernoulli numbers were computed (the
+# memo is in eta, or in series in trees before it moved)
 _COLD = """
-import json, sys, time
+import importlib, json, sys, time
 from fractions import Fraction
-from etaflow import series
+from etaflow import eta
 from etaflow.catalog import resolve_manifold
 from etaflow.eta import eta_invariant
+home = eta if hasattr(eta, "_bernoulli") else importlib.import_module("etaflow.series")
 entry = resolve_manifold(sys.argv[1])
 start = time.perf_counter()
 result = eta_invariant(entry.manifold, entry.model, Fraction(1, 3), Fraction(1, 2))
 elapsed = time.perf_counter() - start
 print(json.dumps({"first_call_s": elapsed,
-                  "bernoulli_misses": series._bernoulli.cache_info().misses,
-                  "bernoulli_computed": len(series._BERNOULLI) - 1,
+                  "bernoulli_misses": home._bernoulli.cache_info().misses,
+                  "bernoulli_computed": len(home._BERNOULLI) - 1,
                   "total": str(result.total)}))
 """
 
@@ -213,6 +224,37 @@ with tempfile.TemporaryDirectory() as tmp:
         parts[part][1] += 1
 print(json.dumps({part: {"seconds": s, "queries": n} for part, (s, n) in parts.items()}))
 """
+
+
+# the cold resolve_manifold of the generated flow-sweep tables (argv: checkout
+# root, seed) in a fresh process: seconds and table entries per config
+_RESOLVE = """
+import json, sys, tempfile, time
+from pathlib import Path
+root, seed = Path(sys.argv[1]), int(sys.argv[2])
+sys.path.insert(0, str(root / "perfbench"))
+import workloads
+import etaflow
+from etaflow.catalog import resolve_manifold
+with tempfile.TemporaryDirectory() as tmp:
+    configs = workloads.write_explicit_configs(Path(tmp), "flow-sweep", seed,
+                                               workloads.EXPLICIT_FLOW)
+    out = {}
+    for name in workloads.EXPLICIT_FLOW:
+        start = time.perf_counter()
+        resolve_manifold(str(configs[name][0]))
+        out[name] = {"seconds": time.perf_counter() - start,
+                     "entries": len(configs[name][2])}
+print(json.dumps(out))
+"""
+
+# what a fresh process pays before any query: interpreter start without and
+# with site, then each import of the package (name -> python arguments)
+IMPORT_CASES = {"python -S -c pass": ["-S", "-c", "pass"], "python -c pass": ["-c", "pass"],
+                "import etaflow": ["-c", "import etaflow"],
+                "import etaflow.cli": ["-c", "import etaflow.cli"]}
+_LOADED = ("; import json, sys; "
+           "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'etaflow')))")
 
 
 def _env(root=ROOT):
@@ -288,6 +330,43 @@ def _cold_class_side(root=ROOT) -> dict:
             "bases": cases}
 
 
+def _import_split(roots: dict, processes: int = 11) -> dict:
+    """Wall time of each of IMPORT_CASES in each tree of ``roots`` ({side:
+    root}), as seen by the parent of a fresh process; the median of
+    ``processes`` interleaved runs each, with the etaflow modules the case
+    loads."""
+    times = {side: {case: [] for case in IMPORT_CASES} for side in roots}
+    for _ in range(processes):
+        for case, args in IMPORT_CASES.items():
+            for side, root in roots.items():
+                start = time.perf_counter()
+                subprocess.run([sys.executable, *args], env=_env(root), check=True)
+                times[side][case].append(time.perf_counter() - start)
+    split = {"case": f"fresh-process wall time, {processes} interleaved runs each"}
+    for side, root in roots.items():
+        split[side] = {}
+        for case, args in IMPORT_CASES.items():
+            probe = [sys.executable, *args[:-1], args[-1] + _LOADED]
+            loaded = subprocess.run(probe, env=_env(root), capture_output=True, text=True,
+                                    check=True).stdout
+            split[side][case] = {"seconds": times[side][case], **_summary(times[side][case]),
+                                 "etaflow_modules": json.loads(loaded)}
+    return split
+
+
+def _cold_resolve(root=ROOT, seed: int = 1, processes: int = 7) -> dict:
+    runs = [json.loads(subprocess.run([sys.executable, "-c", _RESOLVE, str(root), str(seed)],
+                                      env=_env(root), capture_output=True, text=True,
+                                      check=True).stdout)
+            for _ in range(processes)]
+    tables = {}
+    for name, first in runs[0].items():
+        times = [run[name]["seconds"] for run in runs]
+        tables[name] = {"entries": first["entries"], "seconds": times, **_summary(times)}
+    return {"case": f"first resolve_manifold of the flow-sweep seed {seed} explicit "
+                    f"configs, fresh processes ({processes})", "tables": tables}
+
+
 def _flow_split(seed: int = 1, processes: int = 7) -> dict:
     argv = [sys.executable, "-c", _FLOW_SPLIT, str(ROOT), str(seed)]
     runs = [json.loads(subprocess.run(argv, env=_env(), capture_output=True, text=True,
@@ -332,22 +411,30 @@ def _git(*args) -> str:
 
 
 @contextmanager
-def _worktree(revision: str):
-    """A temporary detached ``git worktree`` of ``revision``, removed on exit."""
-    with tempfile.TemporaryDirectory(prefix="bench-baseline-") as tmp:
-        path = Path(tmp) / "tree"
-        subprocess.run(["git", "worktree", "add", "--detach", str(path), revision],
-                       cwd=ROOT, capture_output=True, text=True, check=True)
-        try:
-            yield path
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=ROOT,
-                           capture_output=True)
+def _trees(revision: str):
+    """(REV, checkout) as two temporary trees at paths of the same length,
+    removed on exit: REV unpacked from ``git archive``, and a copy of the
+    checkout's tracked and untracked, not ignored, files, uncommitted edits
+    included.  Eta-grid peak RSS read about 0.12 MB lower in the checkout
+    than in a temporary tree on the same code, so neither side runs from
+    the checkout itself."""
+    with tempfile.TemporaryDirectory(prefix="bench-trees-") as tmp:
+        base, head = Path(tmp) / "base", Path(tmp) / "head"
+        archive = subprocess.run(["git", "archive", "--format=tar", revision], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base, filter="data")
+        names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+        for name in filter(None, names.split("\0")):
+            if (ROOT / name).is_file():
+                (head / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, head / name)
+        yield base, head
 
 
-def _paired(workload: str, baseline: Path) -> dict:
+def _paired(workload: str, baseline: Path, head: Path) -> dict:
     """Alternating baseline/checkout perfbench runs of one workload."""
-    roots = {"baseline": baseline, "head": ROOT}
+    roots = {"baseline": baseline, "head": head}
     runs = {"baseline": [], "head": []}
     for i in range(PAIRS[workload]):
         seed = SEEDS[i % len(SEEDS)]
@@ -394,12 +481,15 @@ def main(argv=None) -> int:
     }
     if args.baseline:
         record["baseline_revision"] = _git("rev-parse", f"{args.baseline}^{{commit}}")
-        with _worktree(record["baseline_revision"]) as baseline:
-            record["paired"] = {w: _paired(w, baseline) for w in SECONDS}
+        with _trees(record["baseline_revision"]) as (baseline, head):
+            record["paired"] = {w: _paired(w, baseline, head) for w in SECONDS}
+            record["import_split"] = _import_split({"baseline": baseline, "head": head})
+            record["baseline_cold_resolve"] = _cold_resolve(baseline)
             record["baseline_cold_class_side"] = _cold_class_side(baseline)
             record["baseline_answers"] = _answer_hashes(baseline)
     else:
         record["perfbench"] = {w: _workload(w) for w in SECONDS}
+        record["import_split"] = _import_split({"head": ROOT})
     record["perfbench_traced"] = {
         w: {"seed": 1, "seconds": SECONDS[w], **_perfbench(w, 1, SECONDS[w], 1)}
         for w in ("eta-grid", "flow-sweep")}
@@ -410,6 +500,7 @@ def main(argv=None) -> int:
         _in_process("spectral_flow + kernel_dimension, nakano, cp1x4, r = 1, eps = 9999",
                     _NAKANO),
         _cold_class_side(),
+        _cold_resolve(),
         _cli_case("transgression", "--manifold", "cp1x32", "--eps", "1"),
         _flow_split(),
     ]

@@ -6,7 +6,8 @@ paper_i transgression is returned as its rational real and imaginary
 parts); a characteristic class is a triangular table of rationals, row k
 holding the delta-polynomial coefficient of c^k; and spectral-flow
 vanishing is certified from curvature lower bounds rather than sampled
-numerically.
+numerically.  ``series``, the reference layer of ``check-identities``,
+loads only when one of its names is used.
 """
 
 __version__ = "0.1.0"
@@ -17,16 +18,6 @@ from .exact import (
     parse_rational,
     rational_str,
     sqrt_sign,
-)
-from .series import (
-    a_hat_class,
-    class_product,
-    constant_class,
-    exp_class,
-    omega_forms,
-    series_eta_hat,
-    series_p,
-    series_p_prime,
 )
 from .spectral import (
     EigenvalueFamily,
@@ -61,4 +52,17 @@ from .eta import (
     transgression_raw,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the reference layer and its exports, loaded on first use of one of them
+_SERIES = ("a_hat_class", "class_product", "constant_class", "exp_class",
+           "omega_forms", "series", "series_eta_hat", "series_p", "series_p_prime")
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_SERIES))
+
+
+def __getattr__(name):
+    if name in _SERIES:
+        from importlib import import_module
+
+        series = import_module(".series", __name__)
+        return series if name == "series" else getattr(series, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,12 +29,12 @@ from .spectral import (
 
 
 # Largest builtin (P^1)^n; its default check-identities series order
-# 2n + 2 = 66 stays below series.MAX_SERIES_ORDER.  On a 2-vCPU Xeon its
-# class side is built once, from e^{Omega_0} in integers, in about 3 ms
-# for the 34 Bernoulli numbers and 3-4 ms for the tables; each (r, eps)
-# then takes about 0.02 ms for the adiabatic limit and 0.1 ms for the
-# transgression.  `adiabatic-limit --manifold cp1x32` takes about 0.1 s as
-# a whole process, most of it interpreter start.
+# 2n + 2 = 66 stays below cli.MAX_SERIES_ORDER.  On a 2-vCPU Xeon its class
+# side is built once, from e^{Omega_0} in integers, in 3-4 ms, after 0.2-0.3
+# ms for the 34 Bernoulli numbers; each (r, eps) then takes about 0.04 ms for
+# the adiabatic limit and 0.1 ms for the transgression.  `adiabatic-limit
+# --manifold cp1x32` takes about 0.09 s as a whole process, most of it
+# interpreter start.
 MAX_CP1_FACTORS = 32
 
 # Largest builtin or configured hypersurface dimension n.  `counterexample`
@@ -235,6 +235,34 @@ def _json_number(text: str):
         return text
 
 
+# a halfMuSq string read in integers: ASCII -?digits(/digits), denominator > 0
+_RATIO_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def _entry_fields(entry, rational):
+    """(q, k, p, d, mult) of a table entry, mu^2/2 = p/d in lowest terms:
+    int fields and an int or _RATIO_RE halfMuSq in integers, any other entry
+    by the Fraction checks, which refuse its first bad field by name."""
+    if type(entry) is dict:
+        q, k, half, mult = map(entry.get, ("q", "k", "halfMuSq", "mult"))
+        match = _RATIO_RE.fullmatch(half) if type(half) is str else None
+        if type(q) is int and type(k) is int and type(mult) is int \
+                and (match or type(half) is int):
+            try:
+                p, d = (int(match[1]), int(match[2] or 1)) if match else (half, 1)
+            except ValueError:  # past the int string limit: refused below
+                pass
+            else:
+                g = math.gcd(p, d)
+                return q, k, p // g, d // g, mult
+    q, k = (_integer(_parse_entry_field(entry, key), f"spectrum entry {key!r}",
+                     TableValidationError) for key in ("q", "k"))
+    half = rational(_parse_entry_field(entry, "halfMuSq"), "spectrum entry 'halfMuSq'")
+    mult = _integer(_parse_entry_field(entry, "mult"), "spectrum entry 'mult'",
+                    TableValidationError)
+    return q, k, half.numerator, half.denominator, mult
+
+
 def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
     """Load and validate a Laplacian spectrum table.
 
@@ -246,7 +274,8 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
     satisfy the curvature lower bound, and every eigenvalue must have a
     nonnegative alternating multiplicity; violations are hard errors naming
     the entry.  An empty table loads as None, which falls back to
-    bound-only certification.
+    bound-only certification.  Entries are checked in integers, with one
+    Fraction per eigenvalue level.
     """
     kappa = as_fraction(kappa)
 
@@ -289,49 +318,43 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     H, den = (kappa / 2).numerator, (kappa / 2).denominator
-    # (k, numerator, denominator of mu^2/2) -> {q: (mu^2/2, multiplicity)};
-    # integer keys, because hashing a Fraction costs a modular inverse
+    # (k, p, d) with mu^2/2 = p/d in lowest terms -> {q: multiplicity}
     levels = {}
     for entry in entries_raw:
-        q, k = (_integer(_parse_entry_field(entry, key), f"spectrum entry {key!r}",
-                         TableValidationError) for key in ("q", "k"))
-        half = rational(_parse_entry_field(entry, "halfMuSq"), "spectrum entry 'halfMuSq'")
-        mult = _integer(_parse_entry_field(entry, "mult"), "spectrum entry 'mult'",
-                        TableValidationError)
+        q, k, p, d, mult = _entry_fields(entry, rational)
         if not 0 <= q <= n:
             raise TableValidationError(f"entry (q={q}, k={k}): q outside 0..{n}")
-        if half <= 0:
+        if p <= 0:
             raise TableValidationError(
-                f"entry (q={q}, k={k}): halfMuSq must be positive, got {half}"
-            )
+                f"entry (q={q}, k={k}): halfMuSq must be positive, got {Fraction(p, d)}")
         if mult < 1:
-            raise TableValidationError(
-                f"entry (q={q}, k={k}): multiplicity must be >= 1"
-            )
+            raise TableValidationError(f"entry (q={q}, k={k}): multiplicity must be >= 1")
         bound = _scaled_bound(q, k, n, den, H)
-        if half.numerator * den < bound * half.denominator:
+        if p * den < bound * d:
             raise TableValidationError(
-                f"entry (q={q}, k={k}, halfMuSq={half}) violates the curvature "
-                f"lower bound {Fraction(bound, den)}"
+                f"entry (q={q}, k={k}, halfMuSq={Fraction(p, d)}) violates the "
+                f"curvature lower bound {Fraction(bound, den)}"
             )
-        level = levels.setdefault((k, half.numerator, half.denominator), {})
+        level = levels.setdefault((k, p, d), {})
         if q in level:
             raise TableValidationError(f"duplicate eigenvalue for (q,k)={(q, k)}")
-        level[q] = (half, mult)
+        level[q] = mult
 
     # the Type 2 family at (q, k, mu^2/2) has the alternating multiplicity
     # d_q = e_q - e_{q-1} + ... +- e_0 = e_q - d_{q-1}, which must be >= 0
     entries = {}
-    for (k, _, _), level in levels.items():
-        d = 0
+    for (k, p, d), level in levels.items():
+        half = Fraction(p, d)
+        alternating = 0
         for q in range(max(level) + 1):
-            half, mult = level.get(q, (None, 0))
-            d = mult - d
-            if half is not None:
-                if d < 0:
-                    raise TableValidationError(f"negative alternating multiplicity {d} "
-                                               f"at (q={q}, k={k}, mu^2/2={half})")
-                entries.setdefault((q, k), []).append((half, d))
+            mult = level.get(q, 0)
+            alternating = mult - alternating
+            if mult:
+                if alternating < 0:
+                    raise TableValidationError(
+                        f"negative alternating multiplicity {alternating} "
+                        f"at (q={q}, k={k}, mu^2/2={half})")
+                entries.setdefault((q, k), []).append((half, alternating))
     entries = {key: tuple(sorted(values)) for key, values in entries.items()}
 
     ks = [k for (_, k) in entries]

@@ -36,13 +36,6 @@ from functools import lru_cache
 
 from .catalog import ManifoldSpec
 from .exact import ZERO, GaussianRational, Record, as_fraction, rational_str
-from .series import (
-    _bernoulli,
-    a_hat_class,
-    class_product,
-    exp_class,
-    omega_forms,
-)
 from .spectral import (
     ON_UNKNOWN_ERROR,
     SF_SIGN_PAPER,
@@ -56,11 +49,31 @@ CONVENTION_REAL = "real"
 CONVENTION_PAPER_I = "paper_i"
 CONVENTIONS = (CONVENTION_REAL, CONVENTION_PAPER_I)
 
+_BERNOULLI = (1,)  # T_j = (j + 1)! B_j for j = 0..m, the largest m asked so far
+
+
+@lru_cache(maxsize=8)
+def _bernoulli(m: int) -> tuple:
+    """B_0..B_m as Fractions (B_1 = -1/2) from T_j = (j + 1)! B_j in integers:
+    sum_{k<=j} C(j+1, k) B_k = 0 reads T_j = -sum_{k<j} C(j+1, k) (j!/(k+1)!) T_k.
+    A miss extends one module-level prefix of the T_j, so a process computes
+    each number once; it is rebound, never changed in place, and threads that
+    extend it at once compute equal numbers."""
+    global _BERNOULLI
+    numbers = list(_BERNOULLI)
+    for j in range(len(numbers), m + 1):
+        factorial = math.factorial(j)
+        numbers.append(-sum(math.comb(j + 1, k) * (factorial // math.factorial(k + 1))
+                            * numbers[k] for k in range(j)))
+    _BERNOULLI = max(_BERNOULLI, tuple(numbers), key=len)
+    return tuple(Fraction(t, math.factorial(j + 1)) for j, t in enumerate(numbers[: m + 1]))
+
 
 @lru_cache(maxsize=8)
 def a_hat_coefficients(manifold: ManifoldSpec) -> tuple:
     """[c^k] A-hat for k = 0..n from the class products of ``series``,
     built once per base; the reference of ``check-identities``."""
+    from .series import a_hat_class
     return tuple(row[0] for row in a_hat_class(manifold.power_sums))
 
 
@@ -70,6 +83,7 @@ def transgression_forms(manifold: ManifoldSpec):
     Omega_2 e^{Omega_0}, none of which depend on (r, eps), from the class
     products of ``series``; built once per base for ``check-identities``
     and ``corollary_check``."""
+    from .series import class_product, exp_class, omega_forms
     omega0, omega2 = omega_forms(manifold.power_sums)
     return omega0, omega2, class_product(omega2, exp_class(omega0))
 

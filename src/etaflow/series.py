@@ -24,34 +24,18 @@ triangular table: a tuple of n + 1 rows, row k a tuple of exactly k + 1
 X is row n times the integral of c^n.  From p and its derivative come the
 A-hat class (exp of a class, by a row recurrence) and the transgression
 forms Omega_0, Omega_2, whose delta-integral measures the change of the
-A-hat form along the adiabatic family.  Each B_m is computed once.
+A-hat form along the adiabatic family.  Each B_m is computed once, by
+``eta._bernoulli``.  This is the reference layer of ``check-identities``
+and ``corollary_check``; ``import etaflow`` does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
+from .eta import _bernoulli
 from .exact import ZERO, as_fraction, truncated_product
-
-
-_BERNOULLI = (Fraction(1),)  # B_0..B_m for the largest m asked so far
-
-
-@lru_cache(maxsize=8)
-def _bernoulli(m: int) -> tuple:
-    """B_0..B_m from sum_{k<=j} C(j+1, k) B_k = 0 for j >= 1, which
-    gives B_1 = -1/2.  A miss extends one module-level prefix, so a process
-    computes each number once; it is rebound, never changed in place, and
-    threads that extend it at once compute equal numbers."""
-    global _BERNOULLI
-    numbers = list(_BERNOULLI)
-    for j in range(len(numbers), m + 1):
-        total = sum((math.comb(j + 1, k) * numbers[k] for k in range(j)), ZERO)
-        numbers.append(-total / (j + 1))
-    _BERNOULLI = max(_BERNOULLI, tuple(numbers), key=len)
-    return tuple(numbers[: m + 1])
 
 
 def series_p(order: int) -> tuple:
@@ -127,15 +111,6 @@ def series_eta_hat(r, order: int) -> tuple:
         return eta_hat_series_integer(order)
     alpha = 1 - 2 * (r - math.floor(r))
     return eta_hat_series_from_alpha(alpha, order)
-
-
-# Largest truncation order the command line accepts.  The classes are
-# always built to order n, which is exact; the order only sizes the series
-# of ``check-identities --dump-series`` and its eta-hat check.  Building p,
-# p' and eta-hat costs O(order^2) rational operations on growing numbers:
-# 0.02 s at order 50, 0.07 s at 100 and 0.4 s at 200 on a 2-vCPU Xeon.  The
-# default 2n + 2 stays below the limit for every catalog base (66 on cp1x32).
-MAX_SERIES_ORDER = 100
 
 
 def default_order(n: int) -> int:

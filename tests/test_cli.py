@@ -16,12 +16,14 @@ from etaflow.cli import (
     EXIT_INDETERMINATE,
     EXIT_OK,
     MAX_DECIMAL_DIGITS,
+    MAX_SERIES_ORDER,
     build_parser,
     load_report,
     main,
 )
 from etaflow.exact import MAX_RATIONAL_DIGITS
-from etaflow.series import MAX_SERIES_ORDER
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -80,13 +82,13 @@ def test_check_identities_order_sizes_only_the_dump(capsys, monkeypatch):
     # the suite reads only the constant term of eta-hat, so --order changes
     # neither the report nor the series the suite builds
     asked = []
-    series_eta_hat = cli.series_eta_hat
+    series_eta_hat = series.series_eta_hat
 
     def counted(r, order):
         asked.append(order)
         return series_eta_hat(r, order)
 
-    monkeypatch.setattr(cli, "series_eta_hat", counted)
+    monkeypatch.setattr(series, "series_eta_hat", counted)
     for r in ("1/2", "3"):
         base = ["check-identities", "--manifold", "cp1xcp1", "--r", r]
         plain = run_cli(capsys, *base)
@@ -113,7 +115,6 @@ def test_check_identities_builds_each_class_once(capsys, monkeypatch):
         return series_p(order)
 
     monkeypatch.setattr(series, "series_p", counted)
-    monkeypatch.setattr(cli, "series_p", counted)
     code, payload = run_json(
         capsys, "check-identities", "--manifold", "cp1xcp1", "--r", "1/2",
         "--order", "100",
@@ -347,6 +348,94 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def run_python(code, *args):
+    """``python -S -c CODE ARGS`` with this process's etaflow on the path."""
+    package_root = str(Path(etaflow.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=package_root))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# whether etaflow.series is loaded after each step: importing the package and
+# the CLI, then every command in turn (argv[1] is the JSON list of argvs)
+_SERIES_PROBE = """
+import contextlib, io, json, sys
+loaded = lambda: "etaflow.series" in sys.modules
+import etaflow
+steps = [["import etaflow", 0, loaded()]]
+import etaflow.cli
+steps.append(["import etaflow.cli", 0, loaded()])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = etaflow.cli.main(argv)
+    steps.append([" ".join(argv), code, loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_series_loads_only_for_check_identities():
+    explicit = str(ROOT / "configs" / "cp1xcp1_explicit.json")
+    commands = [
+        ["eta", "--manifold", "cp1x4", "--r", "1/3", "--eps", "1", "--order", "8"],
+        ["eta", "--manifold", explicit, "--r", "5/2", "--eps", "3", "--mode", "explicit",
+         "--format", "csv", "--decimal", "5"],
+        ["adiabatic-limit", "--manifold", "cp1x8", "--r", "-2/3", "--order", "20"],
+        ["transgression", "--manifold", "cp1x4", "--r", "1/3", "--eps", "2",
+         "--convention", "paper_i"],
+        ["spectral-flow", "--manifold", explicit, "--r", "5/2", "--eps", "3",
+         "--mode", "explicit"],
+        ["aps-index", "--manifold", "cp1xcp1", "--eps", "3/7"],
+        ["kernel-dim", "--manifold", "cp1x4", "--r", "1", "--eps", "1"],
+        ["counterexample", "--manifold", "hyp:n=4,d=8", "--r", "0", "--eps", "3"],
+        ["check-identities", "--manifold", "cp1xcp1", "--r", "1/2"],
+    ]
+    steps = run_python(_SERIES_PROBE, json.dumps(commands))
+    assert [code for _, code, _ in steps] == [EXIT_OK] * len(steps)
+    assert [name for name, _, loaded in steps if loaded] == [" ".join(commands[-1])]
+
+
+def test_series_exports_load_on_first_use():
+    code = """
+import json, sys
+import etaflow
+before = "etaflow.series" in sys.modules
+one = etaflow.constant_class((1, 0))
+from etaflow import exp_class, series_p
+print(json.dumps([before, etaflow.class_product(one, one) == one,
+                  str(series_p(4)[4]), etaflow.series.exp_class is exp_class,
+                  "series_p" in etaflow.__all__]))
+"""
+    assert run_python(code) == [False, True, "1/5760", True, True]
+
+
+# every operation of a library benchmark worker, after its set-up: the first
+# query must import nothing (argv[1] is the explicit config)
+_FIRST_QUERY_PROBE = """
+import json, sys
+from fractions import Fraction
+import etaflow
+from etaflow.catalog import resolve_manifold
+from etaflow.eta import eta_invariant, transgression_raw
+from etaflow.spectral import kernel_dimension, spectral_flow
+bases = {name: resolve_manifold(name) for name in ("cp1x4", "hyp:n=4,d=8", sys.argv[1])}
+before = set(sys.modules)
+r, eps = Fraction(5, 2), Fraction(3)
+for name, entry in bases.items():
+    if entry.manifold is not None:
+        eta_invariant(entry.manifold, entry.model, r, eps)
+        transgression_raw(entry.manifold, r, eps, "paper_i")
+        kernel_dimension(entry.model, r, eps)
+    spectral_flow(entry.model, r, eps, on_unknown="skip")
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_first_library_query_imports_no_module():
+    explicit = str(ROOT / "configs" / "cp1xcp1_explicit.json")
+    assert run_python(_FIRST_QUERY_PROBE, explicit) == []
+
+
 def test_kernel_dim_rejects_negative_multiplicity(tmp_path, capsys):
     (tmp_path / "spec.json").write_text(json.dumps({
         "half_mu_sq_max": "1000", "k_min": -200, "k_max": 200,
@@ -494,6 +583,37 @@ def test_series_order_limit(capsys):
         ["adiabatic-limit", "--manifold", "cp1xcp1",
          "--order", str(MAX_SERIES_ORDER)])
     assert args.order == MAX_SERIES_ORDER
+
+
+def test_main_adds_options_to_its_subcommand_only(capsys, monkeypatch):
+    # a known command builds its own options alone; anything else (help, an
+    # unknown name) gets the full parser, so every message stays as it was
+    built = []
+    add_common = cli._add_common
+
+    def counted(sp, **options):
+        built.append(sp.prog.split()[-1])
+        return add_common(sp, **options)
+
+    monkeypatch.setattr(cli, "_add_common", counted)
+    assert main(["aps-index", "--manifold", "cp1xcp1", "--eps", "3/7"]) == EXIT_OK
+    assert built == ["aps-index"]
+    full = list(cli._COMMANDS)
+    for argv in (["bogus"], [], ["--eps", "1"]):
+        built.clear()
+        assert main(argv) == EXIT_ERROR
+        assert built == full
+    capsys.readouterr()
+    # each subcommand's own parser is the one the full parser holds
+    for name in full:
+        parser, alone = build_parser(), build_parser(name)
+        assert _subparsers(alone)[name].format_help() == _subparsers(parser)[name].format_help()
+        others = [sp for other, sp in _subparsers(alone).items() if other != name]
+        assert all(len(sp._actions) == 1 for sp in others)  # -h only
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
 
 
 def test_spectral_window_limit(capsys):

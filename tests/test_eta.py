@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from etaflow import eta, series
 from etaflow.catalog import ConfigError, ManifoldSpec, product_cp1_model, resolve_manifold
-from etaflow.cli import main
+from etaflow.cli import MAX_SERIES_ORDER, main
 from etaflow.eta import (
     CONVENTION_PAPER_I,
     CONVENTION_REAL,
@@ -25,7 +25,6 @@ from etaflow.eta import (
 )
 from etaflow.exact import GaussianRational
 from etaflow.series import (
-    MAX_SERIES_ORDER,
     a_hat_class,
     class_product,
     exp_class,
@@ -356,7 +355,6 @@ def test_hot_path_builds_no_class_product(fresh_memos, monkeypatch):
 
     for name in ("a_hat_class", "omega_forms", "class_product", "exp_class"):
         monkeypatch.setattr(series, name, refuse)
-        monkeypatch.setattr(eta, name, refuse)
     adiabatic_limit_eta.cache_clear()
     for name in ("cp1xcp1", "cp1x6", "three-roots", "tripled"):
         spec = _spec(name)

@@ -3,8 +3,9 @@
 - The search windows of ``spectral`` are found in the integers of one
   common denominator; here they are recomputed with ``Fraction`` ceilings
   and floors, and each query is checked to scale its inputs once.
-- ``series._bernoulli`` extends one prefix of Bernoulli numbers; here the
-  numbers come from sympy, and each one is counted as it is computed.
+- ``eta._bernoulli`` extends one prefix of Bernoulli numbers, kept as the
+  integers (j + 1)! B_j; here the numbers come from sympy, and each one is
+  counted as it is computed.
 - ``series.exp_class`` uses the recurrence k E_k = sum_j j x_j E_{k-j};
   here exp(x) is sympy's sum of x^j / j! in the variables c and delta.
 - ``eta.adiabatic_limit_eta`` is memoized per (base, r).
@@ -30,7 +31,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from etaflow import series, spectral
+from etaflow import eta, spectral
 from etaflow.catalog import PartialCohomology, product_cp1_model, resolve_manifold
 from etaflow.eta import adiabatic_limit_eta, adiabatic_top
 from etaflow.exact import SqrtValue, exact_value_to_json, sqrt_value
@@ -172,30 +173,32 @@ def fresh_bernoulli(monkeypatch):
     computed = []
 
     class CountingMath:
+        factorial = staticmethod(math.factorial)
+
         @staticmethod
         def comb(a, b):
             if b == 0:
                 computed.append(a - 1)
             return math.comb(a, b)
 
-    series._bernoulli.cache_clear()
-    monkeypatch.setattr(series, "_BERNOULLI", (F(1),))
-    monkeypatch.setattr(series, "math", CountingMath)
+    eta._bernoulli.cache_clear()
+    monkeypatch.setattr(eta, "_BERNOULLI", (1,))
+    monkeypatch.setattr(eta, "math", CountingMath)
     yield computed
-    series._bernoulli.cache_clear()
+    eta._bernoulli.cache_clear()
 
 
 def test_bernoulli_prefix_serial(fresh_bernoulli, sympy_bernoulli):
     order = list(M_VALUES)
     random.Random(7).shuffle(order)
     for m in order:
-        numbers = series._bernoulli(m)
+        numbers = eta._bernoulli(m)
         assert type(numbers) is tuple and len(numbers) == m + 1
         assert list(numbers) == sympy_bernoulli[: m + 1]
         assert all(type(b) is F for b in numbers)
     # each number was computed exactly once, however the m arrived
     assert sorted(fresh_bernoulli) == list(range(1, max(M_VALUES) + 1))
-    assert len(series._BERNOULLI) == max(M_VALUES) + 1
+    assert len(eta._BERNOULLI) == max(M_VALUES) + 1
 
 
 def test_bernoulli_prefix_threads(fresh_bernoulli, sympy_bernoulli):
@@ -205,7 +208,7 @@ def test_bernoulli_prefix_threads(fresh_bernoulli, sympy_bernoulli):
         order = list(M_VALUES)
         random.Random(seed).shuffle(order)
         try:
-            results.extend((m, series._bernoulli(m)) for m in order)
+            results.extend((m, eta._bernoulli(m)) for m in order)
         except Exception as exc:  # reported below, in the main thread
             errors.append(exc)
 
@@ -226,8 +229,9 @@ def test_bernoulli_prefix_threads(fresh_bernoulli, sympy_bernoulli):
     for m, numbers in results:
         assert list(numbers) == sympy_bernoulli[: m + 1]
     # a prefix that a slower thread rebinds may be shorter, never wrong
-    prefix = series._BERNOULLI
-    assert type(prefix) is tuple and list(prefix) == sympy_bernoulli[: len(prefix)]
+    prefix = eta._BERNOULLI
+    assert type(prefix) is tuple and [F(t, math.factorial(j + 1)) for j, t in enumerate(prefix)] \
+        == sympy_bernoulli[: len(prefix)]
 
 
 # ----------------------------------------------------- the class exponential
