@@ -63,7 +63,7 @@ Then, on the checkout:
   cli-batch each invocation's exit code and output, run from the
   directory of the generated configs so that no path enters the hash.
 
-The whole record takes about five minutes, about seven with
+The whole record takes about five minutes, about eight with
 ``--baseline``.
 """
 
@@ -156,7 +156,7 @@ from fractions import Fraction
 from etaflow import eta
 from etaflow.catalog import resolve_manifold
 from etaflow.eta import eta_invariant
-home = eta if hasattr(eta, "_bernoulli") else importlib.import_module("etaflow.series")
+home = eta if hasattr(eta, "_BERNOULLI") else importlib.import_module("etaflow.series")
 entry = resolve_manifold(sys.argv[1])
 start = time.perf_counter()
 result = eta_invariant(entry.manifold, entry.model, Fraction(1, 3), Fraction(1, 2))
