@@ -24,12 +24,14 @@ library keeps its cache).
   the ratio of the medians (checkout / REV), the pairs the checkout won
   and whether its median gain exceeds the interquartile range of REV.
   The import split, the cold table resolve, the cold class side and the
-  answer hashes below run on both sides too, and the record says whether
+  answer hashes run on both sides, and the record says whether
   the answers are equal.  A fresh tree holds no bytecode cache.
 - The import split: the wall time of a fresh ``python3 -S -c pass``,
   ``python3 -c pass``, ``import etaflow`` and ``import etaflow.cli``, as
   seen by the parent process (median of 11 interleaved runs each), with
-  the etaflow modules each one loads.
+  the etaflow modules each one loads; and the cold ``resolve_manifold``
+  of the generated flow-sweep x2 and x4 configs (seed 1, 424 and 609
+  table entries; median of 7 interleaved fresh processes).
 
 Then, on the checkout:
 
@@ -49,8 +51,6 @@ Then, on the checkout:
   cp1x4, cp1x6, cp1x8 and cp1x32, each in 5 fresh processes (the median),
   with the number of Bernoulli memo misses and of Bernoulli numbers
   computed;
-- the cold ``resolve_manifold`` of the generated flow-sweep x2 and x4
-  configs (seed 1, 424 and 609 table entries), in 7 fresh processes;
 - one ``transgression --manifold cp1x32 --eps 1`` process at the
   4100-digit r: its exit code, the limit its message names and its wall
   time;
@@ -354,17 +354,25 @@ def _import_split(roots: dict, processes: int = 11) -> dict:
     return split
 
 
-def _cold_resolve(root=ROOT, seed: int = 1, processes: int = 7) -> dict:
-    runs = [json.loads(subprocess.run([sys.executable, "-c", _RESOLVE, str(root), str(seed)],
-                                      env=_env(root), capture_output=True, text=True,
-                                      check=True).stdout)
-            for _ in range(processes)]
-    tables = {}
-    for name, first in runs[0].items():
-        times = [run[name]["seconds"] for run in runs]
-        tables[name] = {"entries": first["entries"], "seconds": times, **_summary(times)}
-    return {"case": f"first resolve_manifold of the flow-sweep seed {seed} explicit "
-                    f"configs, fresh processes ({processes})", "tables": tables}
+def _cold_resolve(roots: dict, seed: int = 1, processes: int = 7) -> dict:
+    """The first resolve_manifold of each generated flow-sweep table in a
+    fresh process, in each tree of ``roots`` ({side: root}), interleaved;
+    the median of ``processes`` runs each."""
+    runs = {side: [] for side in roots}
+    for _ in range(processes):
+        for side, root in roots.items():
+            proc = subprocess.run([sys.executable, "-c", _RESOLVE, str(root), str(seed)],
+                                  env=_env(root), capture_output=True, text=True, check=True)
+            runs[side].append(json.loads(proc.stdout))
+    record = {"case": f"first resolve_manifold of the flow-sweep seed {seed} explicit "
+                      f"configs, fresh processes ({processes}, interleaved)"}
+    for side, side_runs in runs.items():
+        record[side] = {}
+        for name, first in side_runs[0].items():
+            times = [run[name]["seconds"] for run in side_runs]
+            record[side][name] = {"entries": first["entries"], "seconds": times,
+                                  **_summary(times)}
+    return record
 
 
 def _flow_split(seed: int = 1, processes: int = 7) -> dict:
@@ -484,12 +492,13 @@ def main(argv=None) -> int:
         with _trees(record["baseline_revision"]) as (baseline, head):
             record["paired"] = {w: _paired(w, baseline, head) for w in SECONDS}
             record["import_split"] = _import_split({"baseline": baseline, "head": head})
-            record["baseline_cold_resolve"] = _cold_resolve(baseline)
+            record["cold_resolve"] = _cold_resolve({"baseline": baseline, "head": head})
             record["baseline_cold_class_side"] = _cold_class_side(baseline)
             record["baseline_answers"] = _answer_hashes(baseline)
     else:
         record["perfbench"] = {w: _workload(w) for w in SECONDS}
         record["import_split"] = _import_split({"head": ROOT})
+        record["cold_resolve"] = _cold_resolve({"head": ROOT})
     record["perfbench_traced"] = {
         w: {"seed": 1, "seconds": SECONDS[w], **_perfbench(w, 1, SECONDS[w], 1)}
         for w in ("eta-grid", "flow-sweep")}
@@ -500,7 +509,6 @@ def main(argv=None) -> int:
         _in_process("spectral_flow + kernel_dimension, nakano, cp1x4, r = 1, eps = 9999",
                     _NAKANO),
         _cold_class_side(),
-        _cold_resolve(),
         _cli_case("transgression", "--manifold", "cp1x32", "--eps", "1"),
         _flow_split(),
     ]

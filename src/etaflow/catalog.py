@@ -235,26 +235,14 @@ def _json_number(text: str):
         return text
 
 
-# a halfMuSq string read in integers: ASCII -?digits(/digits), denominator > 0
+# a halfMuSq string that the loader reads in integers: ASCII -?digits(/digits),
+# denominator > 0; any other value goes through parse_rational
 _RATIO_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def _entry_fields(entry, rational):
-    """(q, k, p, d, mult) of a table entry, mu^2/2 = p/d in lowest terms:
-    int fields and an int or _RATIO_RE halfMuSq in integers, any other entry
-    by the Fraction checks, which refuse its first bad field by name."""
-    if type(entry) is dict:
-        q, k, half, mult = map(entry.get, ("q", "k", "halfMuSq", "mult"))
-        match = _RATIO_RE.fullmatch(half) if type(half) is str else None
-        if type(q) is int and type(k) is int and type(mult) is int \
-                and (match or type(half) is int):
-            try:
-                p, d = (int(match[1]), int(match[2] or 1)) if match else (half, 1)
-            except ValueError:  # past the int string limit: refused below
-                pass
-            else:
-                g = math.gcd(p, d)
-                return q, k, p // g, d // g, mult
+    """(q, k, p, d, mult) of a table entry, mu^2/2 = p/d, by the Fraction
+    checks, which refuse its first bad field by name."""
     q, k = (_integer(_parse_entry_field(entry, key), f"spectrum entry {key!r}",
                      TableValidationError) for key in ("q", "k"))
     half = rational(_parse_entry_field(entry, "halfMuSq"), "spectrum entry 'halfMuSq'")
@@ -321,7 +309,17 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
     # (k, p, d) with mu^2/2 = p/d in lowest terms -> {q: multiplicity}
     levels = {}
     for entry in entries_raw:
-        q, k, p, d, mult = _entry_fields(entry, rational)
+        try:  # int fields and a _RATIO_RE halfMuSq, read in integers
+            q, k, mult = entry["q"], entry["k"], entry["mult"]
+            match = _RATIO_RE.fullmatch(entry["halfMuSq"])
+            p, d = int(match[1]), int(match[2] or 1)
+        except (KeyError, TypeError, ValueError):  # ValueError: past the int string limit
+            match = None
+        if match is None or type(q) is not int or type(k) is not int or type(mult) is not int:
+            q, k, p, d, mult = _entry_fields(entry, rational)
+        else:
+            g = math.gcd(p, d)
+            p, d = p // g, d // g
         if not 0 <= q <= n:
             raise TableValidationError(f"entry (q={q}, k={k}): q outside 0..{n}")
         if p <= 0:
@@ -345,6 +343,10 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
     entries = {}
     for (k, p, d), level in levels.items():
         half = Fraction(p, d)
+        if len(level) == 1:  # no lower degree shares the level: d_q = e_q
+            for q, mult in level.items():
+                entries.setdefault((q, k), []).append((half, mult))
+            continue
         alternating = 0
         for q in range(max(level) + 1):
             mult = level.get(q, 0)
