@@ -306,7 +306,8 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     H, den = (kappa / 2).numerator, (kappa / 2).denominator
-    # (k, p, d) with mu^2/2 = p/d in lowest terms -> {q: multiplicity}
+    # (k, p, d) with mu^2/2 = p/d in lowest terms -> {q: multiplicity}; integer
+    # keys, because hashing a Fraction costs a modular inverse
     levels = {}
     for entry in entries_raw:
         try:  # int fields and a _RATIO_RE halfMuSq, read in integers
@@ -324,9 +325,12 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
             raise TableValidationError(f"entry (q={q}, k={k}): q outside 0..{n}")
         if p <= 0:
             raise TableValidationError(
-                f"entry (q={q}, k={k}): halfMuSq must be positive, got {Fraction(p, d)}")
+                f"entry (q={q}, k={k}): halfMuSq must be positive, got {Fraction(p, d)}"
+            )
         if mult < 1:
-            raise TableValidationError(f"entry (q={q}, k={k}): multiplicity must be >= 1")
+            raise TableValidationError(
+                f"entry (q={q}, k={k}): multiplicity must be >= 1"
+            )
         bound = _scaled_bound(q, k, n, den, H)
         if p * den < bound * d:
             raise TableValidationError(
@@ -343,10 +347,6 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
     entries = {}
     for (k, p, d), level in levels.items():
         half = Fraction(p, d)
-        if len(level) == 1:  # no lower degree shares the level: d_q = e_q
-            for q, mult in level.items():
-                entries.setdefault((q, k), []).append((half, mult))
-            continue
         alternating = 0
         for q in range(max(level) + 1):
             mult = level.get(q, 0)
