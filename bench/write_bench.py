@@ -2,7 +2,7 @@
 class-side and spectral micro-cases, optionally against a baseline
 revision.
 
-    python3 bench/write_bench.py --out BENCH_22.json --baseline HEAD~1
+    python3 bench/write_bench.py --out BENCH_23.json --baseline HEAD~1
 
 Run it from anywhere inside a source checkout; it benchmarks the sources
 of that checkout.  It uses the standard library only and runs
@@ -32,6 +32,10 @@ library keeps its cache).
   the etaflow modules each one loads; and the cold ``resolve_manifold``
   of the generated flow-sweep x2 and x4 configs (seed 1, 424 and 609
   table entries; median of 7 interleaved fresh processes).
+- The ``spectral.certify_no_crossing`` calls of one flow-sweep pass at
+  seed 1, by family kind and outcome, counted in process by a wrapper of
+  the module global that ``spectral_flow`` calls; with ``--baseline`` the
+  record says whether both sides made the same calls.
 
 Then, on the checkout:
 
@@ -248,6 +252,39 @@ with tempfile.TemporaryDirectory() as tmp:
 print(json.dumps(out))
 """
 
+# the certify_no_crossing calls of one flow-sweep pass (argv: checkout root,
+# seed), counted by family kind and outcome through a wrapper of the module
+# global that spectral_flow calls
+_CERTIFY = """
+import json, sys, tempfile
+from collections import Counter
+from pathlib import Path
+root, seed = Path(sys.argv[1]), int(sys.argv[2])
+sys.path.insert(0, str(root / "perfbench"))
+import workloads, worker
+from etaflow import spectral
+counts = Counter()
+certify = spectral.certify_no_crossing
+
+def counted(family, r, eps):
+    outcome = certify(family, r, eps)
+    counts[family.kind, outcome.status] += 1
+    return outcome
+
+spectral.certify_no_crossing = counted
+with tempfile.TemporaryDirectory() as tmp:
+    configs = workloads.write_explicit_configs(Path(tmp), "flow-sweep", seed,
+                                               workloads.EXPLICIT_FLOW)
+    queries = workloads.flow_sweep(seed, configs)
+    entries = worker._setup({"bases": sorted({q["base"] for q in queries})})
+    for query in queries:
+        worker._run(entries[query["base"]], query)
+by_kind = {}
+for (kind, status), calls in sorted(counts.items()):
+    by_kind.setdefault(kind, {})[status] = calls
+print(json.dumps({"calls": sum(counts.values()), "by_kind": by_kind}))
+"""
+
 # what a fresh process pays before any query: interpreter start without and
 # with site, then each import of the package (name -> python arguments)
 IMPORT_CASES = {"python -S -c pass": ["-S", "-c", "pass"], "python -c pass": ["-c", "pass"],
@@ -375,6 +412,18 @@ def _cold_resolve(roots: dict, seed: int = 1, processes: int = 7) -> dict:
     return record
 
 
+def _certify_calls(roots: dict, seed: int = 1) -> dict:
+    """The certify_no_crossing calls of one flow-sweep pass at ``seed`` in
+    each tree of ``roots`` ({side: root}), by family kind and outcome."""
+    record = {"case": f"spectral.certify_no_crossing calls of one flow-sweep seed {seed} "
+                      "pass, by family kind and outcome"}
+    for side, root in roots.items():
+        proc = subprocess.run([sys.executable, "-c", _CERTIFY, str(root), str(seed)],
+                              env=_env(root), capture_output=True, text=True, check=True)
+        record[side] = json.loads(proc.stdout)
+    return record
+
+
 def _flow_split(seed: int = 1, processes: int = 7) -> dict:
     argv = [sys.executable, "-c", _FLOW_SPLIT, str(ROOT), str(seed)]
     runs = [json.loads(subprocess.run(argv, env=_env(), capture_output=True, text=True,
@@ -493,12 +542,16 @@ def main(argv=None) -> int:
             record["paired"] = {w: _paired(w, baseline, head) for w in SECONDS}
             record["import_split"] = _import_split({"baseline": baseline, "head": head})
             record["cold_resolve"] = _cold_resolve({"baseline": baseline, "head": head})
+            record["certify_calls"] = _certify_calls({"baseline": baseline, "head": head})
+            record["certify_calls_equal_baseline"] = (
+                record["certify_calls"]["baseline"] == record["certify_calls"]["head"])
             record["baseline_cold_class_side"] = _cold_class_side(baseline)
             record["baseline_answers"] = _answer_hashes(baseline)
     else:
         record["perfbench"] = {w: _workload(w) for w in SECONDS}
         record["import_split"] = _import_split({"head": ROOT})
         record["cold_resolve"] = _cold_resolve({"head": ROOT})
+        record["certify_calls"] = _certify_calls({"head": ROOT})
     record["perfbench_traced"] = {
         w: {"seed": 1, "seconds": SECONDS[w], **_perfbench(w, 1, SECONDS[w], 1)}
         for w in ("eta-grid", "flow-sweep")}

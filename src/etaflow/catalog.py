@@ -138,10 +138,6 @@ class ManifoldSpec(Record):
         self.power_sums = power_sums
         self.kappa = kappa
 
-    @property
-    def m(self) -> int:
-        return self.n // 2
-
 
 class HypersurfaceSpec(Record):
     """Even-degree hypersurface in P^{n+1} with d > n + 2 (general type)."""
@@ -435,9 +431,9 @@ def load_config(path) -> CatalogEntry:
     if "name" in cfg:
         entry.name = str(cfg["name"])
         entry.model.name = entry.name
-    table_path = cfg.get("laplacian_table")
-    if table_path:
-        if not isinstance(table_path, str):
+    if "laplacian_table" in cfg:
+        table_path = cfg["laplacian_table"]
+        if not isinstance(table_path, str) or not table_path:
             raise ConfigError(f"'laplacian_table' must be a path, got {table_path}")
         if entry.model.kappa is None:
             raise ConfigError(

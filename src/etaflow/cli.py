@@ -34,7 +34,7 @@ from .eta import (
     transgression_forms,
     transgression_raw,
 )
-from .exact import ZERO, GaussianRational, parse_rational, rational_str
+from .exact import ZERO, exact_value_to_json, parse_rational, rational_str
 from .spectral import (
     IndeterminateSpectralFlow,
     ON_UNKNOWN_SKIP,
@@ -184,12 +184,6 @@ def _add_decimals(result: dict, fields, digits):
             result[field + "_decimal"] = _decimal_str(parse_rational(value), digits)
 
 
-def _scalar_json(value):
-    if isinstance(value, GaussianRational):
-        return value.to_json()
-    return rational_str(value)
-
-
 def _class_base(entry, order):
     """The entry's base, once an --order below its complex dimension n is
     refused: the classes live in Q[delta][c]/(c^{n+1}) and are always built
@@ -236,7 +230,7 @@ def _cmd_transgression(args):
         "r": rational_str(r),
         "eps": rational_str(eps),
         "convention": args.convention,
-        "value": _scalar_json(value),
+        "value": exact_value_to_json(value),
     }
     _add_decimals(result, ("value",), args.decimal)
     return result, _provenance(entry, args, {"convention_constant": "1"}), EXIT_OK

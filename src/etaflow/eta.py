@@ -37,7 +37,6 @@ from functools import lru_cache
 from .catalog import ManifoldSpec
 from .exact import ZERO, GaussianRational, Record, as_fraction, rational_str
 from .spectral import (
-    ON_UNKNOWN_ERROR,
     SF_SIGN_PAPER,
     SpectralFlowReport,
     SpectralModel,
@@ -275,14 +274,13 @@ class EtaResult(Record):
 
     def __init__(self, r: Fraction, eps: Fraction, adiabatic_term: Fraction,
                  transgression_term: Fraction, convention_constant: Fraction,
-                 convention: str, sf_sign: str, flow_report: SpectralFlowReport):
+                 convention: str, flow_report: SpectralFlowReport):
         self.r = r
         self.eps = eps
         self.adiabatic_term = adiabatic_term
         self.transgression_term = transgression_term
         self.convention_constant = convention_constant
         self.convention = convention
-        self.sf_sign = sf_sign
         self.flow_report = flow_report
 
     @property
@@ -321,7 +319,7 @@ class EtaResult(Record):
             "transgression_term": rational_str(self.transgression_term),
             "convention_constant": rational_str(self.convention_constant),
             "convention": self.convention,
-            "sf_sign": self.sf_sign,
+            "sf_sign": self.flow_report.sf_sign,
             "spectral_flow": self.spectral_flow,
             "total": opt(self.total),
             "total_paper_sf": opt(self.total_paper_sf),
@@ -339,12 +337,12 @@ def eta_invariant(
     N=1,
     convention=CONVENTION_REAL,
     sf_sign=SF_SIGN_PAPER,
-    window_factor=1,
-    on_unknown=ON_UNKNOWN_ERROR,
 ) -> EtaResult:
     """Eta invariant at (r, eps): adiabatic piece, transgression piece and
     certified spectral flow.  The flow is always computed, never assumed
-    zero, even when the curvature bound already forces it to vanish."""
+    zero, even when the curvature bound already forces it to vanish, and
+    an unknown cohomology cell raises UnknownCohomologyError: no total is
+    made from a partial flow."""
     r, eps = as_fraction(r), as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -355,10 +353,7 @@ def eta_invariant(
             "the paper_i convention yields a Gaussian-valued transgression; "
             "use transgression_raw for side-by-side comparison"
         )
-    report = spectral_flow(
-        model, r, eps, sf_sign=sf_sign, window_factor=window_factor,
-        on_unknown=on_unknown,
-    )
+    report = spectral_flow(model, r, eps, sf_sign=sf_sign)
     return EtaResult(
         r=r,
         eps=eps,
@@ -366,7 +361,6 @@ def eta_invariant(
         transgression_term=raw,
         convention_constant=as_fraction(N),
         convention=convention,
-        sf_sign=sf_sign,
         flow_report=report,
     )
 

@@ -182,13 +182,6 @@ class SqrtValue(Record):
     def __init__(self, a: Fraction, b: Fraction, radicand: Fraction):
         self.a, self.b, self.radicand = a, b, radicand
 
-    def sign(self) -> int:
-        return sqrt_sign(self.a, self.b, self.radicand)
-
-    def cmp(self, q) -> int:
-        """Sign of self - q for rational q."""
-        return sqrt_sign(self.a - as_fraction(q), self.b, self.radicand)
-
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*sqrt({self.radicand})"
 
@@ -214,6 +207,8 @@ def sqrt_value(a, b, A):
 
 
 def exact_value_to_json(value):
-    if isinstance(value, SqrtValue):
+    """JSON form of an exact value: a SqrtValue or GaussianRational by its
+    ``to_json``, a rational as its string."""
+    if isinstance(value, (SqrtValue, GaussianRational)):
         return value.to_json()
     return rational_str(value)

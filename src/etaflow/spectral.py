@@ -666,8 +666,7 @@ def spectral_flow(model: SpectralModel, r, eps, *, sf_sign=SF_SIGN_PAPER,
     )
 
 
-def kernel_dimension(model: SpectralModel, r, eps,
-                     on_unknown=ON_UNKNOWN_ERROR) -> int:
+def kernel_dimension(model: SpectralModel, r, eps) -> int:
     """dim ker of the deformed operator at delta = eps (exact zero tests).
 
     Sums h^{q,k} over Type 1 zeros and the alternating multiplicities
@@ -675,13 +674,11 @@ def kernel_dimension(model: SpectralModel, r, eps,
     ``spectral_flow`` visits.  A Type 2 zero at (q, k) needs mu^2/2 equal
     to the value half* that vanishes at eps.  In bound-only mode, if half*
     is positive and not below the Nakano bound the data cannot decide, and
-    IndeterminateSpectralFlow is raised rather than guessed.  A count that
-    skipped unknown cells would be partial, so on_unknown="skip" is refused.
+    IndeterminateSpectralFlow is raised rather than guessed, and an unknown
+    cell raises UnknownCohomologyError: a count that skipped it would be
+    partial.
     """
-    handle_unknown = _unknown_handler(on_unknown, [])
-    if on_unknown == ON_UNKNOWN_SKIP:
-        raise ValueError("kernel_dimension refuses on_unknown='skip': a count "
-                         "that skipped unknown cells would be partial")
+    handle_unknown = _unknown_handler(ON_UNKNOWN_ERROR, [])
     r, eps = as_fraction(r), as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -87,7 +87,7 @@ def test_kunneth_duality():
 
 def test_product_model_ring_and_curvature():
     spec, table = product_cp1_model(2)
-    assert spec.name == "cp1xcp1" and spec.n == 2 and spec.m == 1
+    assert spec.name == "cp1xcp1" and spec.n == 2
     assert spec.kappa == 2
     # Ricci bound at the level of first Chern classes: c1(K*) = s_1 c = 2c
     assert spec.power_sums[1] == 2

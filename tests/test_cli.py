@@ -675,6 +675,14 @@ FAIL_FAST_CASES = {
         {"man.json": json.dumps({"type": "product_cp1", "factors": 2,
                                  "laplacian_table": 5})},
         ["--manifold", "{dir}/man.json"]),
+    # a present 'laplacian_table' must name a file, even when it is falsy
+    **{f"table_path_{name}": (
+        {"man.json": json.dumps({"type": "product_cp1", "factors": 2,
+                                 "laplacian_table": value})},
+        ["--manifold", "{dir}/man.json"],
+        "'laplacian_table' must be a path")
+       for name, value in [("false", False), ("zero", 0), ("empty_string", ""),
+                           ("empty_list", []), ("empty_object", {}), ("null", None)]},
     "out_to_missing_directory": (
         {}, ["--manifold", "cp1xcp1", "--out", "{dir}/missing/x.json"]),
     "table_cutoff_exponent_literal": (

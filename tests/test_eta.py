@@ -162,7 +162,7 @@ def test_eta_invariant_decomposition(cp1xcp1):
             r=res.r, eps=res.eps, adiabatic_term=res.adiabatic_term,
             transgression_term=res.transgression_term,
             convention_constant=N, convention=res.convention,
-            sf_sign=res.sf_sign, flow_report=res.flow_report,
+            flow_report=res.flow_report,
         )
         assert (
             res_n.total - 2 * res_n.spectral_flow

@@ -159,9 +159,9 @@ def test_sqrt_value_folds_perfect_squares():
     assert sqrt_value(F(1, 2), 0, 2) == F(1, 2)
     v = sqrt_value(0, 1, 2)
     assert isinstance(v, SqrtValue)
-    assert v.sign() == 1
-    assert v.cmp(F(3, 2)) == -1  # sqrt(2) < 3/2
-    assert v.cmp(F(7, 5)) == 1  # sqrt(2) > 7/5
+    assert sqrt_sign(v.a, v.b, v.radicand) == 1
+    assert sqrt_sign(v.a - F(3, 2), v.b, v.radicand) == -1  # sqrt(2) < 3/2
+    assert sqrt_sign(v.a - F(7, 5), v.b, v.radicand) == 1  # sqrt(2) > 7/5
 
 
 def test_exact_records_are_values():

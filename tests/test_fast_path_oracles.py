@@ -13,6 +13,8 @@
   here the quadratic Q(delta) = A(delta) - delta^2 is classified in
   Fractions, from its minimum over 0, eps and the vertex, its rational
   zeros and its sign changes, as the package did before.
+- ``spectral._root_sign`` decides the sign of u + t sqrt(disc) in
+  integers; here ``exact.sqrt_sign`` decides it in rationals.
 - A partial cohomology table lists the cells it lacks from the gaps
   between its known k; here every cell is asked on its own.
 
@@ -34,7 +36,7 @@ from hypothesis import strategies as st
 from etaflow import eta, spectral
 from etaflow.catalog import PartialCohomology, product_cp1_model, resolve_manifold
 from etaflow.eta import adiabatic_limit_eta, adiabatic_top
-from etaflow.exact import SqrtValue, exact_value_to_json, sqrt_value
+from etaflow.exact import SqrtValue, exact_value_to_json, sqrt_sign, sqrt_value
 from etaflow.series import exp_class
 from etaflow.spectral import (
     CERTIFIED,
@@ -335,7 +337,7 @@ def quad_nonneg(c2, c1, c0, hi):
 def cmp_value(value, q):
     """Sign of value - q for a Fraction or a SqrtValue."""
     if isinstance(value, SqrtValue):
-        return value.cmp(q)
+        return sqrt_sign(value.a - q, value.b, value.radicand)
     return (value > q) - (value < q)
 
 
@@ -471,6 +473,14 @@ def test_integer_type2_certification_matches_fraction_reference(case):
     got = certify_no_crossing(family, r, eps)
     assert got == expected
     assert payload(got) == payload(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.integers(-10**6, 10**6), t=st.sampled_from([-1, 1]),
+       disc=st.one_of(st.integers(1, 10**6), st.integers(1, 1000).map(lambda x: x * x)))
+def test_root_sign_matches_sqrt_sign(u, t, disc):
+    # the engine's integer sign of u + t sqrt(disc) against the rational one
+    assert spectral._root_sign(u, t, disc) == sqrt_sign(u, t, disc)
 
 
 def test_no_type2_family_touches_zero_inside():

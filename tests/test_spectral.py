@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import time
@@ -97,7 +98,7 @@ def type2_a(family, r, delta):
 def cmp_value(value, q):
     """Sign of value - q for a Fraction or a SqrtValue."""
     if isinstance(value, SqrtValue):
-        return value.cmp(q)
+        return sqrt_sign(value.a - q, value.b, value.radicand)
     return (value > q) - (value < q)
 
 
@@ -638,24 +639,34 @@ def test_mistyped_on_unknown_refused():
     cp1, hyp = resolve_manifold("cp1x4"), resolve_manifold("hyp:n=4,d=8")
     message = "on_unknown must be 'error' or 'skip', got 'skipp'"
     for entry in (cp1, hyp):
-        for call in (enumerate_families, spectral_flow, kernel_dimension):
+        for call in (enumerate_families, spectral_flow):
             with pytest.raises(ValueError, match=message):
                 call(entry.model, 0, 1, on_unknown="skipp")
-    with pytest.raises(ValueError, match=message):
-        eta_invariant(cp1.manifold, cp1.model, 0, 1, on_unknown="skipp")
 
 
 def test_kernel_refuses_skip_mode():
     # a kernel that skipped unknown cells would be a partial count with no
-    # sign of it: on hyp:n=4,d=8 at r = 0, eps = 1 the flow skips 25 cells
+    # sign of it: on hyp:n=4,d=8 at r = 0, eps = 1 the flow skips 25 cells,
+    # and kernel_dimension has no skip mode
     hyp, cp1 = resolve_manifold("hyp:n=4,d=8"), resolve_manifold("cp1x4")
     assert len(spectral_flow(hyp.model, 0, 1, on_unknown="skip").skipped) == 25
-    message = "kernel_dimension refuses on_unknown='skip'"
     for model, eps in ((hyp.model, 1), (cp1.model, 1), (cp1.model, -1)):
-        # refused before any work, even before the eps check
-        with pytest.raises(ValueError, match=message):
+        # refused by the call itself, before any work or the eps check
+        with pytest.raises(TypeError, match="on_unknown"):
             kernel_dimension(model, 0, eps, on_unknown="skip")
+    with pytest.raises(UnknownCohomologyError, match="unknown"):
+        kernel_dimension(hyp.model, 0, 1)
     assert kernel_dimension(cp1.model, 0, 1) == 0
+
+
+def test_query_signatures():
+    # the options no caller set are gone; spectral_flow keeps both
+    assert str(inspect.signature(eta_invariant)) == (
+        "(manifold: 'ManifoldSpec', model: 'SpectralModel', r, eps, *, N=1, "
+        "convention='real', sf_sign='paper') -> 'EtaResult'")
+    assert str(inspect.signature(kernel_dimension)) == (
+        "(model: 'SpectralModel', r, eps) -> 'int'")
+    assert {"window_factor", "on_unknown"} <= set(inspect.signature(spectral_flow).parameters)
 
 
 def test_kernel_resolved_by_explicit_spectrum(tmp_path):
@@ -1046,6 +1057,61 @@ def test_explicit_flow_certifies_as_many_families_at_any_eps(tmp_path, monkeypat
     assert counts[0] == counts[1] <= 4 * (model.n + 1)
 
 
+# ------------------------------------------- kernel against the flow
+
+
+def eps_zeros(report):
+    """The summed multiplicities of a report's zeros at delta = eps.  A
+    bound-only family (multiplicity None) meets zero there at its bound
+    level; when the kernel decides, that bound is 0, which stands for no
+    eigenvalue, since mu^2/2 > 0."""
+    zeros = [z for z in report.endpoint_zeros if z.where == "eps"]
+    assert all(z.family.half_mu_sq == 0 for z in zeros if z.multiplicity is None)
+    return sum(z.multiplicity or 0 for z in zeros)
+
+
+def decided_kernel(model, r, eps):
+    """kernel_dimension, or None where the data cannot decide it."""
+    try:
+        return kernel_dimension(model, r, eps)
+    except (IndeterminateSpectralFlow, SpectralWindowError, UnknownCohomologyError):
+        return None
+
+
+@pytest.fixture(scope="module")
+def kernel_models():
+    return {name: resolve_manifold(name).model
+            for name in (str(EXPLICIT_CONFIG), "cp1xcp1", "cp1x4")}
+
+
+@pytest.mark.parametrize("name", [str(EXPLICIT_CONFIG), "cp1xcp1", "cp1x4"],
+                         ids=["explicit", "cp1xcp1", "cp1x4"])
+@settings(max_examples=150, deadline=None)
+@given(r=st.integers(-24, 24).map(lambda a: F(a, 4)),
+       eps=st.integers(1, 48).map(lambda b: F(b, 6)))
+@example(r=F(-6), eps=F(1))  # 25 Type 1 zeros and a bound-only one at bound 0
+@example(r=F(5, 2), eps=F(3, 2))
+def test_kernel_equals_flow_zeros_at_eps(kernel_models, name, r, eps):
+    # two derivations of the zeros at delta = eps: the kernel's
+    # half* = N/(8ED) against certify_no_crossing's Q(eps) = 0
+    model = kernel_models[name]
+    kernel = decided_kernel(model, r, eps)
+    if kernel is not None:
+        assert eps_zeros(spectral_flow(model, r, eps)) == kernel
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=explicit_tables())
+def test_kernel_equals_flow_zeros_on_generated_tables(tmp_path_factory, case):
+    n, entries, cutoff, k_range, r, eps = case
+    path = tmp_path_factory.mktemp("table") / "spec.json"
+    write_table(path, entries, cutoff, k_range)
+    _, model = make_model(n, laplacian_table_load(path, n, 2))
+    kernel = decided_kernel(model, r, eps)
+    if kernel is not None:
+        assert eps_zeros(spectral_flow(model, r, eps)) == kernel
+
+
 # ------------------------------------------------------- window factor
 
 
@@ -1057,9 +1123,7 @@ def test_narrowing_window_factor_is_refused(explicit_model, factor):
     assert spectral_flow(explicit_model, r, eps).total == -5
     entry = resolve_manifold(str(EXPLICIT_CONFIG))
     for call in (lambda: enumerate_families(explicit_model, r, eps, window_factor=factor),
-                 lambda: spectral_flow(explicit_model, r, eps, window_factor=factor),
-                 lambda: eta_invariant(entry.manifold, entry.model, r, eps,
-                                       window_factor=factor)):
+                 lambda: spectral_flow(explicit_model, r, eps, window_factor=factor)):
         with pytest.raises(ValueError, match=f"window_factor must be >= 1, got {factor}"):
             call()
     assert eta_invariant(entry.manifold, entry.model, r, eps).total == F(-135, 8)

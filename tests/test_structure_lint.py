@@ -7,9 +7,12 @@ option accepted and then ignored, say) is deleted with it.  Every public
 module-level function must likewise be read outside its own body and outside
 ``__init__.py``, whose re-exports do not count, unless it is named in
 ``LIBRARY_API``, the functions kept for library callers alone (README
-lists them).  Every module is parsed with ``ast``; a reference is a name
-or an attribute that reads the function, wherever in the package it
-stands."""
+lists them).  Every method and property of a package class, dunders
+aside, must be read as an attribute somewhere in the package outside its
+own body, unless all of its class's bases come from outside the package
+(an argparse subclass overrides what argparse calls).  Every module is
+parsed with ``ast``; a reference is a name or an attribute that reads the
+function, wherever in the package it stands."""
 
 import ast
 from collections import Counter
@@ -21,7 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "etaflow").glob("*.py"))
 
 # public functions that no module of the package reads: the library API
-LIBRARY_API = {"load_report", "spin_vanishing_predicate", "transgression_integrand_poly"}
+LIBRARY_API = {"load_report", "spin_vanishing_predicate", "sqrt_sign",
+               "transgression_integrand_poly"}
 
 
 def _functions(tree, private=True):
@@ -54,6 +58,42 @@ def unreferenced(trees, private=True):
             for module, tree in trees.items()
             for func in _functions(tree, private)
             if everywhere[func.name] <= _reads(func)[func.name]]
+
+
+def _attribute_reads(node):
+    """Counter of the attribute names that ``node`` reads."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _methods(tree, package_classes):
+    """(class, method) for each method or property of ``tree``, dunders
+    aside, in a class with no base or with a base among ``package_classes``:
+    a class whose bases all come from outside the package may define what
+    those bases call."""
+    def from_package(base):
+        return (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)) \
+            in package_classes
+
+    return [(cls, node) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            and (not cls.bases or any(map(from_package, cls.bases)))
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def unread_methods(trees):
+    """(module, line, "Class.method") for each method or property of
+    ``trees`` ({module: tree}) that no attribute in ``trees`` reads outside
+    the method itself."""
+    package_classes = {cls.name for tree in trees.values() for cls in ast.walk(tree)
+                       if isinstance(cls, ast.ClassDef)}
+    everywhere = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    return [(module, node.lineno, f"{cls.name}.{node.name}")
+            for module, tree in trees.items()
+            for cls, node in _methods(tree, package_classes)
+            if everywhere[node.name] <= _attribute_reads(node)[node.name]]
 
 
 def idle_parameters(tree):
@@ -90,6 +130,10 @@ def test_public_functions_are_read_or_library_api():
     assert LIBRARY_API <= defined
     readme = (ROOT / "README.md").read_text()
     assert [name for name in sorted(LIBRARY_API) if f"{name}`" not in readme] == []
+
+
+def test_methods_and_properties_are_read():
+    assert unread_methods(_trees()) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -136,3 +180,38 @@ def test_lint_accepts_used_helpers():
                                "y = a._scale(3)\n")}
     assert unreferenced(trees) == []
     assert all(idle_parameters(tree) == [] for tree in trees.values())
+
+
+def test_lint_flags_unread_methods_and_properties():
+    # read only by itself (walk), or not at all (half, and orphan in a class
+    # with no base); a dunder is never asked for
+    trees = {"a.py": ast.parse(
+        "class Record:\n"
+        "    def __eq__(self, other):\n        return self is other\n"
+        "class Value(Record):\n"
+        "    def walk(self, n):\n        return self.walk(n - 1) if n else 0\n"
+        "    @property\n    def half(self):\n        return 1\n"
+        "    def used(self):\n        return 2\n"
+        "class Plain:\n"
+        "    def orphan(self):\n        return 3\n"),
+        "b.py": ast.parse("from .a import Value\nVALUE = Value().used()\n")}
+    assert unread_methods(trees) == [("a.py", 5, "Value.walk"), ("a.py", 8, "Value.half"),
+                                     ("a.py", 13, "Plain.orphan")]
+
+
+def test_lint_accepts_read_methods_and_foreign_overrides():
+    # error is called by argparse, not by the package; a subclass of a
+    # package class still has its methods checked
+    trees = {"a.py": ast.parse(
+        "import argparse\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        raise SystemExit(message)\n"
+        "class Failure(LookupError):\n"
+        "    def hint(self):\n        return ''\n"
+        "class Table:\n"
+        "    def h(self, q):\n        return q\n"
+        "class Product(Table):\n"
+        "    def h(self, q):\n        return 2 * q\n"
+        "    @property\n    def top(self):\n        return self.h(1)\n"),
+        "b.py": ast.parse("from . import a\nVALUE = a.Product().top\n")}
+    assert unread_methods(trees) == []
