@@ -7,6 +7,10 @@ Run from the root of a source checkout whose outputs are the reference:
 The corpus is a byte-identity gate for refactors, so regenerate it only
 from code whose outputs are known good, never to make a changed output
 pass.  ``tests/test_golden.py`` replays every case in-process.
+
+``messages.json`` pins the help and error output of the command line:
+stdout, stderr and exit code of each case, with ``COLUMNS=80`` so that
+help text wraps the same on any terminal.
 """
 
 from __future__ import annotations
@@ -120,6 +124,51 @@ def cases():
     return out
 
 
+# help, usage errors and unusual spellings: (id, argv)
+_BASE = ["adiabatic-limit", "--manifold", "cp1xcp1"]
+_FLOW = ["spectral-flow", "--manifold", "cp1xcp1", "--eps", "1"]
+MESSAGES = [
+    ("help", ["-h"]),
+    *((f"help__{command}", [command, "-h"]) for command in COMMANDS),
+    ("unknown_command", ["bogus", "--manifold", "cp1xcp1"]),
+    ("no_command", []),
+    ("missing_manifold", ["aps-index", "--eps", "1"]),
+    ("missing_eps", ["spectral-flow", "--manifold", "cp1xcp1"]),
+    ("bad_mode", _FLOW + ["--mode", "exact"]),
+    ("bad_format", _BASE + ["--format", "xml"]),
+    ("bad_convention", ["transgression", "--manifold", "cp1xcp1", "--eps", "1",
+                        "--convention", "imaginary"]),
+    ("bad_sf_sign", _FLOW + ["--sf-sign", "both"]),
+    ("order_101", _BASE + ["--order", "101"]),
+    ("order_abc", _BASE + ["--order", "abc"]),
+    ("decimal_1001", _BASE + ["--decimal", "1001"]),
+    ("decimal_minus_1", _BASE + ["--decimal", "-1"]),
+    ("dump_series_with_value", ["check-identities", "--manifold", "cp1xcp1",
+                                "--dump-series=1"]),
+    ("bare_r", _BASE + ["--r"]),
+    ("double_dash", _BASE + ["--", "--r", "1/2"]),
+    ("unrecognised_option", _BASE + ["--bogus", "1"]),
+    ("abbreviated_manifold", ["adiabatic-limit", "--man", "cp1xcp1", "--r", "1/2"]),
+]
+
+
+def run_message(argv):
+    """Run the CLI in-process with ``COLUMNS=80``; return (exit code,
+    stdout text, stderr text), help's SystemExit counted as its code."""
+    import os
+
+    from etaflow.cli import main
+
+    os.environ["COLUMNS"] = "80"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 def run(argv):
     """Run the CLI in-process; return (exit code, stdout text)."""
     from etaflow.cli import main
@@ -146,7 +195,13 @@ def main():
             (out_dir / case_id).write_text(text)
         manifest.append(entry)
     (HERE / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n")
-    print(f"{len(manifest)} cases written to {HERE}")
+    messages = []
+    for case_id, argv in MESSAGES:
+        code, out, err = run_message(argv)
+        messages.append({"id": case_id, "argv": argv, "exit_code": code,
+                         "stdout": out, "stderr": err})
+    (HERE / "messages.json").write_text(json.dumps(messages, indent=1) + "\n")
+    print(f"{len(manifest)} cases and {len(messages)} messages written to {HERE}")
 
 
 if __name__ == "__main__":
