@@ -23,15 +23,22 @@ library keeps its cache).
   ``BENCHMARK.json`` the record holds both sides' values and quartiles,
   the ratio of the medians (checkout / REV), the pairs the checkout won
   and whether its median gain exceeds the interquartile range of REV.
-  The import split, the cold table resolve, the cold class side and the
-  answer hashes run on both sides, and the record says whether
-  the answers are equal.  A fresh tree holds no bytecode cache.
+  The import split, the compile times, the modules each command loads,
+  the cold table resolve, the cold class side and the answer hashes run
+  on both sides, and the record says whether the answers are equal.  A
+  fresh tree holds no bytecode cache.
 - The import split: the wall time of a fresh ``python3 -S -c pass``,
   ``python3 -c pass``, ``import etaflow`` and ``import etaflow.cli``, as
   seen by the parent process (median of 11 interleaved runs each), with
   the etaflow modules each one loads; and the cold ``resolve_manifold``
   of the generated flow-sweep x2 and x4 configs (seed 1, 424 and 609
   table entries; median of 7 interleaved fresh processes).
+- The ``compile()`` seconds of each ``src/etaflow/*.py`` (the median of
+  21 compiles within one process; the median of 5 interleaved processes),
+  and for the first cli-batch invocation (seed 1) of each subcommand in
+  each format, the sorted modules it loads, read from ``sys.modules`` in a
+  fresh ``python3 -S`` child: the same lists on any machine with the same
+  Python.
 - The ``spectral.certify_no_crossing`` calls of one flow-sweep pass at
   seed 1, by family kind and outcome, counted in process by a wrapper of
   the module global that ``spectral_flow`` calls; with ``--baseline`` the
@@ -285,6 +292,50 @@ for (kind, status), calls in sorted(counts.items()):
 print(json.dumps({"calls": sum(counts.values()), "by_kind": by_kind}))
 """
 
+# the compile() seconds of each module of a package directory (argv[1]), as
+# an import compiles it: the median of 21 compiles within this one process
+_COMPILE = """
+import json, statistics, sys, time
+from pathlib import Path
+out = {}
+for path in sorted(Path(sys.argv[1]).glob("*.py")):
+    text, times = path.read_text(), []
+    for _ in range(21):
+        start = time.perf_counter()
+        compile(text, str(path), "exec", dont_inherit=True)
+        times.append(time.perf_counter() - start)
+    out[path.name] = statistics.median(times)
+print(json.dumps(out))
+"""
+
+# the modules that the first cli-batch invocation (seed 1) of each subcommand
+# and format loads (argv[1] is the checkout root), each read from sys.modules
+# in a fresh ``python -S`` child that imports nothing else first
+_LOADED_BY = """
+import json, subprocess, sys, tempfile
+from pathlib import Path
+root = Path(sys.argv[1])
+sys.path.insert(0, str(root / "perfbench"))
+import workloads
+probe = ("import io, json, sys; argv = json.loads(sys.argv[1]); "
+         "stdout, sys.stdout = sys.stdout, io.StringIO(); "
+         "from etaflow.cli import main; code = main(argv); sys.stdout = stdout; "
+         "print(json.dumps([code, sorted(sys.modules)]))")
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    configs = workloads.write_explicit_configs(Path(tmp), "cli-batch", 1,
+                                               workloads.EXPLICIT_CLI)
+    for query in workloads.cli_batch(1, configs):
+        argv = query["argv"]
+        key = f"{argv[0]} --format {argv[argv.index('--format') + 1]}"
+        if key not in out:
+            proc = subprocess.run([sys.executable, "-S", "-c", probe, json.dumps(argv)],
+                                  capture_output=True, text=True, check=True)
+            code, modules = json.loads(proc.stdout)
+            out[key] = {"exit_code": code, "modules": modules}
+print(json.dumps(out, sort_keys=True))
+"""
+
 # what a fresh process pays before any query: interpreter start without and
 # with site, then each import of the package (name -> python arguments)
 IMPORT_CASES = {"python -S -c pass": ["-S", "-c", "pass"], "python -c pass": ["-c", "pass"],
@@ -389,6 +440,41 @@ def _import_split(roots: dict, processes: int = 11) -> dict:
             split[side][case] = {"seconds": times[side][case], **_summary(times[side][case]),
                                  "etaflow_modules": json.loads(loaded)}
     return split
+
+
+def _per_tree(code: str, roots: dict, arg=lambda root: root, rounds: int = 1) -> dict:
+    """``rounds`` children per tree of ``roots`` ({side: root}), interleaved,
+    each running ``code`` with ``arg(root)`` as argv[1]: their JSON outputs
+    per side."""
+    runs = {side: [] for side in roots}
+    for _ in range(rounds):
+        for side, root in roots.items():
+            proc = subprocess.run([sys.executable, "-c", code, str(arg(root))],
+                                  env=_env(root), capture_output=True, text=True, check=True)
+            runs[side].append(json.loads(proc.stdout))
+    return runs
+
+
+def _compile_times(roots: dict, rounds: int = 5) -> dict:
+    """The compile() seconds of each module in each tree of ``roots``: per
+    module, the median over ``rounds`` interleaved processes of the median
+    of 21 compiles within each."""
+    runs = _per_tree(_COMPILE, roots, lambda root: root / "src" / "etaflow", rounds)
+    record = {"case": "compile() seconds of each src/etaflow/*.py: median of 21 "
+                      f"compiles in one process, {rounds} interleaved processes"}
+    for side, side_runs in runs.items():
+        record[side] = {}
+        for name in side_runs[0]:
+            times = [run[name] for run in side_runs]
+            record[side][name] = {"seconds": times, **_summary(times)}
+    return record
+
+
+def _modules_loaded(roots: dict) -> dict:
+    runs = _per_tree(_LOADED_BY, roots)
+    return {"case": "sorted sys.modules after the first cli-batch seed 1 invocation "
+                    "of each subcommand and format, python -S",
+            **{side: side_runs[0] for side, side_runs in runs.items()}}
 
 
 def _cold_resolve(roots: dict, seed: int = 1, processes: int = 7) -> dict:
@@ -541,6 +627,8 @@ def main(argv=None) -> int:
         with _trees(record["baseline_revision"]) as (baseline, head):
             record["paired"] = {w: _paired(w, baseline, head) for w in SECONDS}
             record["import_split"] = _import_split({"baseline": baseline, "head": head})
+            record["compile_times"] = _compile_times({"baseline": baseline, "head": head})
+            record["modules_loaded"] = _modules_loaded({"baseline": baseline, "head": head})
             record["cold_resolve"] = _cold_resolve({"baseline": baseline, "head": head})
             record["certify_calls"] = _certify_calls({"baseline": baseline, "head": head})
             record["certify_calls_equal_baseline"] = (
@@ -550,6 +638,8 @@ def main(argv=None) -> int:
     else:
         record["perfbench"] = {w: _workload(w) for w in SECONDS}
         record["import_split"] = _import_split({"head": ROOT})
+        record["compile_times"] = _compile_times({"head": ROOT})
+        record["modules_loaded"] = _modules_loaded({"head": ROOT})
         record["cold_resolve"] = _cold_resolve({"head": ROOT})
         record["certify_calls"] = _certify_calls({"head": ROOT})
     record["perfbench_traced"] = {

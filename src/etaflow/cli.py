@@ -7,34 +7,25 @@ or math error, 2 indeterminate spectral results.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .catalog import ConfigError, resolve_manifold
 from .eta import (
-    CONVENTION_PAPER_I,
     CONVENTION_REAL,
     CONVENTIONS,
-    a_hat_coefficients,
     adiabatic_limit_eta,
     aps_index,
     aps_terms,
-    convention_integral,
-    corollary_check,
     eta_invariant,
-    eval_at_i,
-    horner,
-    transgression_forms,
     transgression_raw,
 )
-from .exact import ZERO, exact_value_to_json, parse_rational, rational_str
+from .exact import exact_value_to_json, parse_rational, rational_str
 from .spectral import (
     IndeterminateSpectralFlow,
     ON_UNKNOWN_SKIP,
@@ -69,17 +60,13 @@ class CliError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise CliError(message)
-
-
 def series_order(text: str) -> int:
     """--order value: an integer no larger than MAX_SERIES_ORDER, refused
     while parsing so that no command builds a series first."""
     order = int(text)
     if order > MAX_SERIES_ORDER:
-        raise argparse.ArgumentTypeError(
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(
             f"series order {order} exceeds MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"
         )
     return order
@@ -89,53 +76,100 @@ def decimal_digits(text: str) -> int:
     """--decimal value: 0..MAX_DECIMAL_DIGITS, refused while parsing."""
     digits = int(text)
     if not 0 <= digits <= MAX_DECIMAL_DIGITS:
-        raise argparse.ArgumentTypeError(
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(
             f"decimal digits {digits} outside 0..MAX_DECIMAL_DIGITS = "
             f"{MAX_DECIMAL_DIGITS}"
         )
     return digits
 
 
-def _add_common(sp, *, r=False, eps=False, order=False, mode=False,
-                convention=False, sf_sign=False):
-    sp.add_argument("--manifold", required=True,
-                    help="builtin name (cp1xcp1, cp1x4, hyp:n=4,d=8) or config path")
-    if r:
-        sp.add_argument("--r", default="0", help="twist parameter, exact rational")
-    if eps:
-        sp.add_argument("--eps", required=True, help="deformation parameter > 0")
-    if order:
-        sp.add_argument("--order", type=series_order, default=None,
-                        help="series order: refused below n; sizes the "
-                        "--dump-series output (default 2n+2)")
-    if mode:
-        sp.add_argument("--mode", choices=["nakano", "explicit"], default="nakano")
-    if convention:
-        sp.add_argument("--convention", choices=CONVENTIONS,
-                        default=CONVENTION_REAL)
-    if sf_sign:
-        sp.add_argument("--sf-sign", choices=[SF_SIGN_PAPER, SF_SIGN_STANDARD],
-                        default=SF_SIGN_PAPER)
-    sp.add_argument("--out", default=None, help="write the report to this path")
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.add_argument("--decimal", type=decimal_digits, default=None,
-                    help="add decimal display fields with this many digits")
+# every option once, in help order: name -> (default, choices, converter,
+# required, help); a default of False makes a flag that takes no value
+_OPTIONS = {
+    "manifold": (None, None, None, True,
+                 "builtin name (cp1xcp1, cp1x4, hyp:n=4,d=8) or config path"),
+    "r": ("0", None, None, False, "twist parameter, exact rational"),
+    "eps": (None, None, None, True, "deformation parameter > 0"),
+    "order": (None, None, series_order, False, "series order: refused below n; sizes "
+              "the --dump-series output (default 2n+2)"),
+    "mode": ("nakano", ("nakano", "explicit"), None, False, None),
+    "convention": (CONVENTION_REAL, CONVENTIONS, None, False, None),
+    "sf-sign": (SF_SIGN_PAPER, (SF_SIGN_PAPER, SF_SIGN_STANDARD), None, False, None),
+    "out": (None, None, None, False, "write the report to this path"),
+    "format": ("json", ("json", "csv"), None, False, None),
+    "decimal": (None, None, decimal_digits, False,
+                "add decimal display fields with this many digits"),
+    "dump-series": (False, None, None, False,
+                    "include the characteristic series in the report"),
+}
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand; with ``command``, only that
-    subcommand gets its options (the others keep their name and help), since
-    each option costs a terminal-size query while it is added."""
+def _options(*own):
+    """A subcommand's options in help order: its ``own`` and the four that
+    every subcommand takes."""
+    return tuple(name for name in _OPTIONS
+                 if name in own or name in ("manifold", "out", "format", "decimal"))
+
+
+def build_parser():
+    """The argparse parser of every subcommand, built from ``_OPTIONS``.  It
+    parses what ``_read_args`` declines and writes help and usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise CliError(message)
+
     parser = _Parser(prog="etaflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text, options) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=text)
-        if command in (None, name):
-            _add_common(sp, **options)
-            if name == "check-identities":
-                sp.add_argument("--dump-series", action="store_true",
-                                help="include the characteristic series in the report")
+    for command, (_, text, names) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for name in names:
+            default, choices, convert, required, help_text = _OPTIONS[name]
+            if default is False:
+                sp.add_argument(f"--{name}", action="store_true", help=help_text)
+            else:
+                sp.add_argument(f"--{name}", default=default, choices=choices,
+                                type=convert, required=required, help=help_text)
     return parser
+
+
+def _read_args(argv):
+    """The attributes that ``build_parser().parse_args(argv)`` gives a
+    well-formed command line: a known command, then ``--name value`` or
+    ``--name=value`` tokens of its options, each name exact.  None for
+    anything else (help, an abbreviation, ``--``, a separate value starting
+    with '-', a bad or missing value), which argparse then parses or
+    reports; so argparse is imported only for those."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    names, given, tokens = _COMMANDS[argv[0]][2], {}, iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if option[:2] != "--" or option[2:] not in names:
+            return None
+        default, choices, convert, _, _ = _OPTIONS[option[2:]]
+        if default is False:
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, "-")
+            if value[:1] == "-":
+                return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except Exception:  # ValueError, or ArgumentTypeError from argparse
+                return None
+        if choices is not None and value not in choices:
+            return None
+        given[option[2:]] = value
+    if any(_OPTIONS[name][3] and name not in given for name in names):
+        return None
+    values = {name.replace("-", "_"): given.get(name, _OPTIONS[name][0]) for name in names}
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _model_for(entry, mode: str):
@@ -280,86 +314,9 @@ def _cmd_kernel_dim(args):
     return result, _provenance(entry, args), EXIT_OK
 
 
-def _identity_suite(manifold, r):
-    """Deterministic symbolic self-checks on one catalog manifold."""
-    from .series import (class_product, constant_class, eta_hat_series_from_alpha,
-                         eta_hat_series_integer, exp_class, series_eta_hat, series_p,
-                         series_p_prime)
-    n = manifold.n
-    c = constant_class((0, 1) + (0,) * (n - 1))
-    checks = []
-    # read from the reference memos, which corollary_check shares
-    omega0, omega2, w = transgression_forms(manifold)  # w = Omega_2 e^{Omega_0}
-    ahat = a_hat_coefficients(manifold)
-
-    def scaled(x, s):
-        return tuple(tuple(a * s for a in row) for row in x)
-
-    def integral(x):  # over X: only the c^n row survives
-        return tuple(a * manifold.top_integral for a in x[n])
-
-    def check(name, fn):
-        try:
-            ok = bool(fn())
-            note = ""
-        except Exception as exc:  # report, never crash the suite
-            ok = False
-            note = f"{type(exc).__name__}: {exc}"
-        item = {"name": name, "pass": ok}
-        if note:
-            item["note"] = note
-        checks.append(item)
-
-    one = constant_class((1,) + (0,) * n)
-    check("exp_inverse",
-          lambda: class_product(exp_class(c), exp_class(scaled(c, -1))) == one)
-    check("series_p_derivative",
-          lambda: series_p_prime(12)
-          == tuple(j * a for j, a in enumerate(series_p(13)))[1:])
-    check("eta_hat_integer_is_average_of_one_sided_limits",
-          lambda: tuple(2 * a for a in eta_hat_series_integer(12))
-          == tuple(a + b for a, b in zip(eta_hat_series_from_alpha(1, 12),
-                                         eta_hat_series_from_alpha(-1, 12))))
-    check("eta_hat_at_r_constant_term",
-          lambda: series_eta_hat(r, 0)[0]
-          == (0 if r.denominator == 1 else 1 - 2 * (r - math.floor(r))))
-    check("a_hat_degrees_divisible_by_four",
-          lambda: all(k % 2 == 0 for k, a in enumerate(ahat) if a))
-    check("transgression_derivative_real",
-          lambda: tuple(tuple(d * a for d, a in enumerate(row))[1:] + (ZERO,)
-                        for row in omega0)
-          == class_product(scaled(c, 2), omega2))
-    two_c_w = class_product(scaled(c, 2), w)
-
-    def derivative_paper_i():
-        # paper_i turns Omega_0 into Omega_0(i delta), of derivative
-        # 2c i Omega_2(i delta): the paper_i integral over [0, 1] of the top
-        # degree of 2c Omega_2 e^{Omega_0} is P(i) - P(0), P = top e^{Omega_0}
-        lhs = convention_integral(integral(two_c_w), 1, CONVENTION_PAPER_I)
-        top = integral(exp_class(omega0))
-        return lhs == eval_at_i((ZERO,) + top[1:], 1)
-
-    check("transgression_derivative_paper_i", derivative_paper_i)
-
-    def ftc(rr, ee):
-        erc = exp_class(scaled(c, rr))
-        lhs = convention_integral(integral(class_product(two_c_w, erc)), ee)
-        at_eps = exp_class(constant_class([horner(row, ee) for row in omega0]))
-        difference = tuple((row[0] - a,) + row[1:] for row, a in zip(at_eps, ahat))
-        return lhs == integral(class_product(difference, erc))[0]  # delta-free
-
-    for rr, ee in ((Fraction(0), Fraction(1, 3)), (Fraction(1, 2), Fraction(1))):
-        check(f"fundamental_theorem_r={rr}_eps={ee}",
-              lambda rr=rr, ee=ee: ftc(rr, ee))
-
-    if manifold.n % 2 == 0:
-        check("corollary_parity",
-              lambda: corollary_check(manifold).both_terms_zero)
-    return checks
-
-
 def _cmd_check_identities(args):
-    from .series import default_order, series_eta_hat, series_p, series_p_prime
+    from .series import (_identity_suite, default_order, series_eta_hat, series_p,
+                         series_p_prime)
     entry = resolve_manifold(args.manifold)
     manifold = _class_base(entry, args.order)
     r = parse_rational(args.r)
@@ -394,22 +351,22 @@ def _cmd_counterexample(args):
     return result, _provenance(entry, args), EXIT_OK
 
 
-# each subcommand's handler, help and the options of _add_common it takes
+# each subcommand's handler, help and options
 _COMMANDS = {
     "eta": (_cmd_eta, "full eta-invariant decomposition",
-            dict(r=True, eps=True, order=True, mode=True, convention=True, sf_sign=True)),
-    "adiabatic-limit": (_cmd_adiabatic, "small-eps limit term", dict(r=True, order=True)),
+            _options("r", "eps", "order", "mode", "convention", "sf-sign")),
+    "adiabatic-limit": (_cmd_adiabatic, "small-eps limit term", _options("r", "order")),
     "transgression": (_cmd_transgression, "transgression term",
-                      dict(r=True, eps=True, order=True, convention=True)),
+                      _options("r", "eps", "order", "convention")),
     "spectral-flow": (_cmd_spectral_flow, "certified spectral flow",
-                      dict(r=True, eps=True, mode=True, sf_sign=True)),
-    "aps-index": (_cmd_aps_index, "boundary index on the disc bundle", dict(eps=True)),
+                      _options("r", "eps", "mode", "sf-sign")),
+    "aps-index": (_cmd_aps_index, "boundary index on the disc bundle", _options("eps")),
     "kernel-dim": (_cmd_kernel_dim, "kernel dimension at delta = eps",
-                   dict(r=True, eps=True, mode=True)),
+                   _options("r", "eps", "mode")),
     "check-identities": (_cmd_check_identities, "run the symbolic identity suite",
-                         dict(r=True, order=True)),
+                         _options("r", "order", "dump-series")),
     "counterexample": (_cmd_counterexample, "exhibit the general-type crossing",
-                       dict(r=True, eps=True, sf_sign=True)),
+                       _options("r", "eps", "sf-sign")),
 }
 
 
@@ -428,6 +385,8 @@ def _flatten(value, prefix=""):
 
 
 def payload_to_csv(payload: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -444,6 +403,8 @@ def load_report(text: str, fmt: str = "json") -> dict:
     """Parse a report back into the payload dict (JSON and CSV agree)."""
     if fmt == "json":
         return json.loads(text, parse_float=parse_rational)
+    import csv
+
     root = {}
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -471,16 +432,17 @@ def load_report(text: str, fmt: str = "json") -> dict:
 def main(argv=None) -> int:
     # "--r -1/2" as "--r=-1/2" (and --eps): argparse takes -1/2 for an option
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     for i in range(len(argv) - 1, 0, -1):
         flag, value = argv[i - 1:i + 1]
         if flag in ("--r", "--eps") and value[:1] == "-" and value[1:2].isdigit():
             argv[i - 1:i + 1] = [f"{flag}={value}"]
-    try:
-        args = parser.parse_args(argv)
-    except CliError as exc:
-        print(f"etaflow: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    args = _read_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except CliError as exc:
+            print(f"etaflow: {exc}", file=sys.stderr)
+            return EXIT_ERROR
     try:
         result, provenance, code = _COMMANDS[args.command][0](args)
         payload = {"command": args.command, "provenance": provenance, "result": result}

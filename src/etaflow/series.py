@@ -25,8 +25,9 @@ X is row n times the integral of c^n.  From p and its derivative come the
 A-hat class (exp of a class, by a row recurrence) and the transgression
 forms Omega_0, Omega_2, whose delta-integral measures the change of the
 A-hat form along the adiabatic family.  Each B_m is computed once, by
-``eta._bernoulli``.  This is the reference layer of ``check-identities``
-and ``corollary_check``; ``import etaflow`` does not load it.
+``eta._bernoulli``.  This is the reference layer of ``corollary_check``
+and of ``check-identities``, whose suite ``_identity_suite`` it holds;
+of the commands only that one loads it, and ``import etaflow`` does not.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .eta import _bernoulli
+from .eta import (CONVENTION_PAPER_I, _bernoulli, a_hat_coefficients, convention_integral,
+                  corollary_check, eval_at_i, horner, transgression_forms)
 from .exact import ZERO, as_fraction, truncated_product
 
 
@@ -201,3 +203,78 @@ def omega_forms(power_sums):
     omega0 = eval_power_sums(tuple(2 * a for a in p), shifted)
     omega2 = eval_power_sums(tuple(2 * a for a in pp), shifted)
     return omega0, omega2
+
+
+def _identity_suite(manifold, r):
+    """Deterministic symbolic self-checks on one catalog manifold."""
+    n = manifold.n
+    c = constant_class((0, 1) + (0,) * (n - 1))
+    checks = []
+    # read from the reference memos, which corollary_check shares
+    omega0, omega2, w = transgression_forms(manifold)  # w = Omega_2 e^{Omega_0}
+    ahat = a_hat_coefficients(manifold)
+
+    def scaled(x, s):
+        return tuple(tuple(a * s for a in row) for row in x)
+
+    def integral(x):  # over X: only the c^n row survives
+        return tuple(a * manifold.top_integral for a in x[n])
+
+    def check(name, fn):
+        try:
+            ok = bool(fn())
+            note = ""
+        except Exception as exc:  # report, never crash the suite
+            ok = False
+            note = f"{type(exc).__name__}: {exc}"
+        item = {"name": name, "pass": ok}
+        if note:
+            item["note"] = note
+        checks.append(item)
+
+    one = constant_class((1,) + (0,) * n)
+    check("exp_inverse",
+          lambda: class_product(exp_class(c), exp_class(scaled(c, -1))) == one)
+    check("series_p_derivative",
+          lambda: series_p_prime(12)
+          == tuple(j * a for j, a in enumerate(series_p(13)))[1:])
+    check("eta_hat_integer_is_average_of_one_sided_limits",
+          lambda: tuple(2 * a for a in eta_hat_series_integer(12))
+          == tuple(a + b for a, b in zip(eta_hat_series_from_alpha(1, 12),
+                                         eta_hat_series_from_alpha(-1, 12))))
+    check("eta_hat_at_r_constant_term",
+          lambda: series_eta_hat(r, 0)[0]
+          == (0 if r.denominator == 1 else 1 - 2 * (r - math.floor(r))))
+    check("a_hat_degrees_divisible_by_four",
+          lambda: all(k % 2 == 0 for k, a in enumerate(ahat) if a))
+    check("transgression_derivative_real",
+          lambda: tuple(tuple(d * a for d, a in enumerate(row))[1:] + (ZERO,)
+                        for row in omega0)
+          == class_product(scaled(c, 2), omega2))
+    two_c_w = class_product(scaled(c, 2), w)
+
+    def derivative_paper_i():
+        # paper_i turns Omega_0 into Omega_0(i delta), of derivative
+        # 2c i Omega_2(i delta): the paper_i integral over [0, 1] of the top
+        # degree of 2c Omega_2 e^{Omega_0} is P(i) - P(0), P = top e^{Omega_0}
+        lhs = convention_integral(integral(two_c_w), 1, CONVENTION_PAPER_I)
+        top = integral(exp_class(omega0))
+        return lhs == eval_at_i((ZERO,) + top[1:], 1)
+
+    check("transgression_derivative_paper_i", derivative_paper_i)
+
+    def ftc(rr, ee):
+        erc = exp_class(scaled(c, rr))
+        lhs = convention_integral(integral(class_product(two_c_w, erc)), ee)
+        at_eps = exp_class(constant_class([horner(row, ee) for row in omega0]))
+        difference = tuple((row[0] - a,) + row[1:] for row, a in zip(at_eps, ahat))
+        return lhs == integral(class_product(difference, erc))[0]  # delta-free
+
+    for rr, ee in ((Fraction(0), Fraction(1, 3)), (Fraction(1, 2), Fraction(1))):
+        check(f"fundamental_theorem_r={rr}_eps={ee}",
+              lambda rr=rr, ee=ee: ftc(rr, ee))
+
+    if manifold.n % 2 == 0:
+        check("corollary_parity",
+              lambda: corollary_check(manifold).both_terms_zero)
+    return checks

@@ -279,7 +279,10 @@ def certify_no_crossing(family: EigenvalueFamily, r, eps) -> CertOutcome:
     at_eps = (a2 * E + a1) * E + a0
     disc = a1 * a1 - 4 * a2 * a0
     if at_eps >= 0 and not (0 < -a1 < 2 * a2 * E and disc > 0):
-        return CertOutcome(CERTIFIED, zero_at_start=a0 == 0, zero_at_eps=at_eps == 0)
+        # Q(0) = 0 holds for every eigenvalue; Q(eps) = 0 at a bound level 0
+        # for none, since Q(eps) grows by 8 (mu^2/2) eps and mu^2/2 > 0
+        zero_at_eps = at_eps == 0 and not (P == 0 and family.half_mu_sq_is_bound)
+        return CertOutcome(CERTIFIED, zero_at_start=a0 == 0, zero_at_eps=zero_at_eps)
 
     if family.half_mu_sq_is_bound:
         return CertOutcome(

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import etaflow
 
@@ -585,35 +588,121 @@ def test_series_order_limit(capsys):
     assert args.order == MAX_SERIES_ORDER
 
 
-def test_main_adds_options_to_its_subcommand_only(capsys, monkeypatch):
-    # a known command builds its own options alone; anything else (help, an
-    # unknown name) gets the full parser, so every message stays as it was
-    built = []
-    add_common = cli._add_common
-
-    def counted(sp, **options):
-        built.append(sp.prog.split()[-1])
-        return add_common(sp, **options)
-
-    monkeypatch.setattr(cli, "_add_common", counted)
-    assert main(["aps-index", "--manifold", "cp1xcp1", "--eps", "3/7"]) == EXIT_OK
-    assert built == ["aps-index"]
-    full = list(cli._COMMANDS)
-    for argv in (["bogus"], [], ["--eps", "1"]):
-        built.clear()
-        assert main(argv) == EXIT_ERROR
-        assert built == full
-    capsys.readouterr()
-    # each subcommand's own parser is the one the full parser holds
-    for name in full:
-        parser, alone = build_parser(), build_parser(name)
-        assert _subparsers(alone)[name].format_help() == _subparsers(parser)[name].format_help()
-        others = [sp for other, sp in _subparsers(alone).items() if other != name]
-        assert all(len(sp._actions) == 1 for sp in others)  # -h only
+# values an option may get: valid ones of the options without choices, and
+# bad, empty, negative or out-of-range ones; stray tokens for anywhere
+_GOOD = {"manifold": ["cp1xcp1", "cp1x4"], "r": ["1/2", "0"], "eps": ["1", "3/7"],
+         "order": ["4", "100"], "out": ["out.json"], "decimal": ["0", "6", "1000"]}
+_BAD = ["", "-", "-1/2", "-5", "-1", "101", "abc", "1001", "xml", "exact", "both"]
+_STRAY = ["-h", "--help", "--", "--bogus", "-x", "--=1", "cp1xcp1", "-1"]
 
 
-def _subparsers(parser):
-    return next(a for a in parser._actions if a.dest == "command").choices
+@st.composite
+def _command_lines(draw):
+    """Command lines near well-formed ones: a command, then most of its
+    options in any order, each spelled exactly (mostly), abbreviated or
+    misspelt, with a separate or an = value that is mostly valid; then up
+    to two stray tokens anywhere."""
+    def mostly(common, rare):  # from common nine times in ten
+        return draw(st.sampled_from(rare if draw(st.integers(0, 9)) == 9 else common))
+
+    command = mostly(list(cli._COMMANDS), ["bogus", "-h"])
+    names = cli._COMMANDS[command][2] if command in cli._COMMANDS else tuple(cli._OPTIONS)
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        if draw(st.integers(0, 4)) == 4:
+            continue
+        default, choices, *_ = cli._OPTIONS[name]
+        option = mostly([f"--{name}"], [f"--{name}"[:3 + len(name) // 3], f"__{name}"])
+        if default is False:
+            argv.append(mostly([option], [option + "=1"]))
+        else:
+            value = mostly(list(choices or _GOOD[name]), _BAD)
+            argv += draw(st.sampled_from([[option, value], [f"{option}={value}"]]))
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_STRAY)))
+    return argv
+
+
+_PARSER = build_parser()
+
+
+def _argparse_outcome(argv):
+    """vars() of what argparse parses from ``argv``, or None where it
+    refuses it or prints help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_PARSER.parse_args(argv))
+        except (cli.CliError, SystemExit):
+            return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=_command_lines())
+@example(argv=["check-identities", "--manifold", "cp1xcp1", "--dump-series=1"])
+@example(argv=["adiabatic-limit", "--manifold", "cp1xcp1", "--r", "-1/2"])
+@example(argv=["adiabatic-limit", "--man", "cp1xcp1"])
+def test_strict_reader_agrees_with_argparse(argv):
+    # the reader either declines or gives exactly argparse's attributes;
+    # every line that argparse refuses, the reader declines
+    read = cli._read_args(argv)
+    if read is not None:
+        assert vars(read) == _argparse_outcome(argv)
+
+
+def test_strict_reader_takes_every_golden_command_line():
+    cases = json.loads((ROOT / "tests" / "golden" / "cases.json").read_text())
+    for case in cases:
+        read = cli._read_args(case["argv"])
+        assert read is not None, case["argv"]
+        assert vars(read) == _argparse_outcome(case["argv"])
+
+
+# the optional modules loaded by one command (argv[1] is its JSON argv)
+_LOADS_PROBE = """
+import contextlib, io, json, sys
+import etaflow.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = etaflow.cli.main(json.loads(sys.argv[1]))
+optional = {"argparse", "gettext", "locale", "csv", "etaflow.series"}
+print(json.dumps([code, sorted(optional & set(sys.modules))]))
+"""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_well_formed_command_loads_only_what_it_runs(fmt):
+    # argparse (with gettext and locale) only for help and errors, csv only
+    # for CSV, the series layer only for check-identities
+    explicit = str(ROOT / "configs" / "cp1xcp1_explicit.json")
+    commands = [
+        ["eta", "--manifold", "cp1x4", "--r", "1/3", "--eps", "1", "--decimal", "4"],
+        ["adiabatic-limit", "--manifold", "cp1xcp1", "--r", "-2/3", "--order", "4"],
+        ["transgression", "--manifold", "cp1x4", "--r=1/3", "--eps", "2",
+         "--convention", "paper_i"],
+        ["spectral-flow", "--manifold", explicit, "--r", "5/2", "--eps", "3",
+         "--mode", "explicit"],
+        ["aps-index", "--manifold", "cp1xcp1", "--eps", "3/7"],
+        ["kernel-dim", "--manifold", "cp1x4", "--r", "1", "--eps", "1"],
+        ["check-identities", "--manifold", "cp1xcp1", "--r", "1/2", "--dump-series"],
+        ["counterexample", "--manifold", "hyp:n=4,d=8", "--r", "0", "--eps", "3"],
+    ]
+    for argv in commands:
+        code, loaded = run_python(_LOADS_PROBE, json.dumps(argv + ["--format", fmt]))
+        expected = ["csv"] * (fmt == "csv") + ["etaflow.series"] * (argv[0] == "check-identities")
+        assert (code, loaded) == (EXIT_OK, expected), argv
+
+
+@pytest.mark.parametrize("r, q", [(-6, 2), (1, 0)])
+def test_bound_level_zero_meets_zero_only_at_start(capsys, r, q):
+    # a Nakano bound of 0 stands for eigenvalues mu^2/2 > 0, whose Q(eps) is
+    # positive, so no zero at eps; at k = r, A(0) = 0 for every eigenvalue
+    argv = ["--manifold", "cp1xcp1", "--r", str(r), "--eps", "1/2"]
+    code, payload = run_json(capsys, "spectral-flow", *argv)
+    zeros = payload["result"]["endpoint_zeros"]
+    assert code == EXIT_OK and payload["result"]["total"] == 0
+    assert [z["where"] for z in zeros if z["multiplicity"] is None] == ["start"]
+    assert {"k": r, "kind": "type2+", "muSq": "0", "muSqIsBound": True,
+            "multiplicity": None, "q": q, "where": "start"} in zeros
+    assert run_json(capsys, "kernel-dim", *argv)[1]["result"]["kernel_dimension"] == 0
 
 
 def test_spectral_window_limit(capsys):
@@ -735,7 +824,7 @@ def test_check_identities_catches_a_perturbed_transgression_form(capsys, monkeyp
         k = manifold.n - 1
         return omega0, omega2, w[:k] + ((w[k][0] + 1,) + w[k][1:],) + w[k + 1:]
 
-    monkeypatch.setattr(cli, "transgression_forms", perturbed)
+    monkeypatch.setattr(series, "transgression_forms", perturbed)
     code, out, _ = run_cli(capsys, "check-identities", "--manifold", "cp1xcp1")
     checks = {c["name"]: c["pass"] for c in json.loads(out)["result"]["checks"]}
     failing = {"transgression_derivative_paper_i",

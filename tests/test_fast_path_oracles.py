@@ -375,8 +375,11 @@ def reference_type2(family, r, eps):
         # no family touches zero inside (0, eps): see
         # test_no_type2_family_touches_zero_inside
         assert not any(0 < x < eps for x in verdict.roots), "a zero inside (0, eps)"
+        # a bound level 0 stands for eigenvalues mu^2/2 > 0, whose Q(eps) > 0
+        no_eigenvalue = family.half_mu_sq_is_bound and family.half_mu_sq == 0
         return CertOutcome(CERTIFIED, zero_at_start=everywhere or 0 in verdict.roots,
-                           zero_at_eps=everywhere or eps in verdict.roots)
+                           zero_at_eps=(everywhere or eps in verdict.roots)
+                           and not no_eigenvalue)
     if family.half_mu_sq_is_bound:
         return CertOutcome(INDETERMINATE, note=BOUND_NOTE)
     parity = 1 if family.q % 2 == 0 else -1

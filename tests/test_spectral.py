@@ -1061,13 +1061,13 @@ def test_explicit_flow_certifies_as_many_families_at_any_eps(tmp_path, monkeypat
 
 
 def eps_zeros(report):
-    """The summed multiplicities of a report's zeros at delta = eps.  A
-    bound-only family (multiplicity None) meets zero there at its bound
-    level; when the kernel decides, that bound is 0, which stands for no
-    eigenvalue, since mu^2/2 > 0."""
+    """The summed multiplicities of a report's zeros at delta = eps, where
+    the kernel decides.  No bound-only family (multiplicity None) meets zero
+    there: its bound would be 0, which stands for no eigenvalue, since
+    mu^2/2 > 0."""
     zeros = [z for z in report.endpoint_zeros if z.where == "eps"]
-    assert all(z.family.half_mu_sq == 0 for z in zeros if z.multiplicity is None)
-    return sum(z.multiplicity or 0 for z in zeros)
+    assert all(z.multiplicity is not None for z in zeros)
+    return sum(z.multiplicity for z in zeros)
 
 
 def decided_kernel(model, r, eps):
@@ -1089,7 +1089,7 @@ def kernel_models():
 @settings(max_examples=150, deadline=None)
 @given(r=st.integers(-24, 24).map(lambda a: F(a, 4)),
        eps=st.integers(1, 48).map(lambda b: F(b, 6)))
-@example(r=F(-6), eps=F(1))  # 25 Type 1 zeros and a bound-only one at bound 0
+@example(r=F(-6), eps=F(1))  # 25 Type 1 zeros, none from the bound 0
 @example(r=F(5, 2), eps=F(3, 2))
 def test_kernel_equals_flow_zeros_at_eps(kernel_models, name, r, eps):
     # two derivations of the zeros at delta = eps: the kernel's
