@@ -43,6 +43,13 @@ library keeps its cache).
   seed 1, by family kind and outcome, counted in process by a wrapper of
   the module global that ``spectral_flow`` calls; with ``--baseline`` the
   record says whether both sides made the same calls.
+- The class products, ``series.class_product`` and ``series.exp_class``
+  calls, counted in process by wrappers of those module globals: of one
+  eta-grid pass at seed 1 (with whether the pass loaded ``etaflow.series``
+  at all), and of each seed-1 cli-batch ``check-identities`` invocation,
+  run by ``cli.main`` with every memo of the package emptied first, as in a
+  fresh process; with ``--baseline`` the record says whether both sides
+  made the same calls.
 
 Then, on the checkout:
 
@@ -292,6 +299,61 @@ for (kind, status), calls in sorted(counts.items()):
 print(json.dumps({"calls": sum(counts.values()), "by_kind": by_kind}))
 """
 
+# the class products (argv: checkout root, seed) of one eta-grid pass, and of
+# each cli-batch check-identities invocation run by cli.main after emptying
+# every memo of the package, counted through wrappers of the module globals
+# series.class_product and series.exp_class; the eta-grid pass runs first
+# without them, to see whether it loads series, and again with them
+_CLASS_PRODUCTS = """
+import contextlib, io, json, sys, tempfile
+from collections import Counter
+from pathlib import Path
+root, seed = Path(sys.argv[1]), int(sys.argv[2])
+sys.path.insert(0, str(root / "perfbench"))
+import workloads, worker
+NAMES = ("class_product", "exp_class")
+
+def eta_grid():
+    queries = workloads.eta_grid(seed)
+    entries = worker._setup({"bases": sorted({q["base"] for q in queries})})
+    for query in queries:
+        worker._run(entries[query["base"]], query)
+
+def fresh():  # every memo of the package emptied, as in a new process
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "etaflow":
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+eta_grid()
+loaded = "etaflow.series" in sys.modules
+from etaflow import cli, series
+counts = Counter()
+for name in NAMES:
+    def counted(*args, name=name, call=getattr(series, name)):
+        counts[name] += 1
+        return call(*args)
+    setattr(series, name, counted)
+fresh()
+eta_grid()
+record = {"eta_grid": {"series_loaded": loaded, **{name: counts[name] for name in NAMES}},
+          "check_identities": []}
+with tempfile.TemporaryDirectory() as tmp:
+    configs = workloads.write_explicit_configs(Path(tmp), "cli-batch", seed,
+                                               workloads.EXPLICIT_CLI)
+    argvs = [query["argv"] for query in workloads.cli_batch(seed, configs)
+             if query["argv"][0] == "check-identities"]
+for argv in argvs:
+    fresh()
+    counts.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    record["check_identities"].append({"argv": " ".join(argv), "exit_code": code,
+                                       **{name: counts[name] for name in NAMES}})
+print(json.dumps(record))
+"""
+
 # the compile() seconds of each module of a package directory (argv[1]), as
 # an import compiles it: the median of 21 compiles within this one process
 _COMPILE = """
@@ -498,16 +560,26 @@ def _cold_resolve(roots: dict, seed: int = 1, processes: int = 7) -> dict:
     return record
 
 
-def _certify_calls(roots: dict, seed: int = 1) -> dict:
-    """The certify_no_crossing calls of one flow-sweep pass at ``seed`` in
-    each tree of ``roots`` ({side: root}), by family kind and outcome."""
-    record = {"case": f"spectral.certify_no_crossing calls of one flow-sweep seed {seed} "
-                      "pass, by family kind and outcome"}
+def _counts(code: str, case: str, roots: dict, seed: int = 1) -> dict:
+    """The JSON output of ``code`` (argv: checkout root, ``seed``), a
+    counting script, in each tree of ``roots`` ({side: root})."""
+    record = {"case": case}
     for side, root in roots.items():
-        proc = subprocess.run([sys.executable, "-c", _CERTIFY, str(root), str(seed)],
+        proc = subprocess.run([sys.executable, "-c", code, str(root), str(seed)],
                               env=_env(root), capture_output=True, text=True, check=True)
         record[side] = json.loads(proc.stdout)
     return record
+
+
+def _certify_calls(roots: dict) -> dict:
+    return _counts(_CERTIFY, "spectral.certify_no_crossing calls of one flow-sweep seed 1 "
+                             "pass, by family kind and outcome", roots)
+
+
+def _class_products(roots: dict) -> dict:
+    return _counts(_CLASS_PRODUCTS, "series.class_product and series.exp_class calls of "
+                                    "one eta-grid seed 1 pass and of each cli-batch seed 1 "
+                                    "check-identities invocation, memos emptied first", roots)
 
 
 def _flow_split(seed: int = 1, processes: int = 7) -> dict:
@@ -633,6 +705,9 @@ def main(argv=None) -> int:
             record["certify_calls"] = _certify_calls({"baseline": baseline, "head": head})
             record["certify_calls_equal_baseline"] = (
                 record["certify_calls"]["baseline"] == record["certify_calls"]["head"])
+            record["class_products"] = _class_products({"baseline": baseline, "head": head})
+            record["class_products_equal_baseline"] = (
+                record["class_products"]["baseline"] == record["class_products"]["head"])
             record["baseline_cold_class_side"] = _cold_class_side(baseline)
             record["baseline_answers"] = _answer_hashes(baseline)
     else:
@@ -642,6 +717,7 @@ def main(argv=None) -> int:
         record["modules_loaded"] = _modules_loaded({"head": ROOT})
         record["cold_resolve"] = _cold_resolve({"head": ROOT})
         record["certify_calls"] = _certify_calls({"head": ROOT})
+        record["class_products"] = _class_products({"head": ROOT})
     record["perfbench_traced"] = {
         w: {"seed": 1, "seconds": SECONDS[w], **_perfbench(w, 1, SECONDS[w], 1)}
         for w in ("eta-grid", "flow-sweep")}

@@ -6,8 +6,8 @@ paper_i transgression is returned as its rational real and imaginary
 parts); a characteristic class is a triangular table of rationals, row k
 holding the delta-polynomial coefficient of c^k; and spectral-flow
 vanishing is certified from curvature lower bounds rather than sampled
-numerically.  ``series``, the reference layer of ``check-identities``,
-loads only when one of its names is used.
+numerically.  ``series``, the ``Fraction`` reference layer of
+``check-identities``, loads only when one of its names is used.
 """
 
 __version__ = "0.1.0"
@@ -46,14 +46,13 @@ from .eta import (
     EtaResult,
     adiabatic_limit_eta,
     aps_index,
-    convention_integral,
     corollary_check,
     eta_invariant,
     transgression_raw,
 )
 
 # the reference layer and its exports, loaded on first use of one of them
-_SERIES = ("a_hat_class", "class_product", "constant_class", "exp_class",
+_SERIES = ("a_hat_class", "class_product", "constant_class", "convention_integral", "exp_class",
            "omega_forms", "series", "series_eta_hat", "series_p", "series_p_prime")
 
 __all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_SERIES))

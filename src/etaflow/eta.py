@@ -21,11 +21,10 @@ polynomial at floor(r) + 1 less a power of r, and the transgression is
 (E - A-hat)/(2c) at eps, by the fundamental theorem in delta.  Each term is
 one integer table, built in a bounded memo; a query evaluates it by
 Horner's rule in integers and reduces by one gcd, and the adiabatic term is
-memoized per (base, r).  The class products of ``series`` build A-hat and
-W = Omega_2 e^{Omega_0} apart from E for ``check-identities`` and
-``corollary_check``.
-The ``paper_i`` convention, with literal factors of i, takes the same
-antiderivative at i*eps.  ``convention_integral`` keeps the series form.
+memoized per (base, r).  ``corollary_check`` reads the same tables; the
+``Fraction`` reference that checks them is ``series``, which this module
+never imports.  The ``paper_i`` convention, with literal factors of i,
+takes the same antiderivative at i*eps.
 """
 
 from __future__ import annotations
@@ -66,25 +65,6 @@ def _bernoulli(m: int) -> tuple:
                             * numbers[k] for k in range(j)))
     _BERNOULLI = max(_BERNOULLI, tuple(numbers), key=len)
     return tuple(Fraction(t, math.factorial(j + 1)) for j, t in enumerate(numbers[: m + 1]))
-
-
-@lru_cache(maxsize=8)
-def a_hat_coefficients(manifold: ManifoldSpec) -> tuple:
-    """[c^k] A-hat for k = 0..n from the class products of ``series``,
-    built once per base; the reference of ``check-identities``."""
-    from .series import a_hat_class
-    return tuple(row[0] for row in a_hat_class(manifold.power_sums))
-
-
-@lru_cache(maxsize=8)
-def transgression_forms(manifold: ManifoldSpec):
-    """(Omega_0, Omega_2, W) with W the n + 1 coefficients [c^k] of
-    Omega_2 e^{Omega_0}, none of which depend on (r, eps), from the class
-    products of ``series``; built once per base for ``check-identities``
-    and ``corollary_check``."""
-    from .series import class_product, exp_class, omega_forms
-    omega0, omega2 = omega_forms(manifold.power_sums)
-    return omega0, omega2, class_product(omega2, exp_class(omega0))
 
 
 def _homogeneous(poly, x: int, scale: int) -> int:
@@ -192,15 +172,6 @@ def transgression_integrand_poly(manifold: ManifoldSpec, r) -> tuple:
                  for e in range(1, top + 1))
 
 
-def horner(poly, x) -> Fraction:
-    """The value of the polynomial with coefficients ``poly`` (index =
-    exponent) at the rational x."""
-    total = ZERO
-    for a in reversed(poly):
-        total = total * x + a
-    return total
-
-
 def eval_at_i(poly, x):
     """The value of ``poly`` at i * x, by a parity split: i^d is (-1)^(d/2)
     for even d and (-1)^((d-1)/2) i for odd d, so the even-degree terms sum
@@ -214,21 +185,6 @@ def eval_at_i(poly, x):
             parts[d % 2] += -term if d % 4 >= 2 else term
     re, im = parts
     return re if im == 0 else GaussianRational(re, im)
-
-
-def convention_integral(poly, eps, convention=CONVENTION_REAL):
-    """Integral over [0, eps] of the real integrand ``poly``, a polynomial
-    in delta given by its coefficients, in ``convention``: the series form
-    of ``transgression_raw``.  With F the antiderivative of ``poly``
-    (F(0) = 0) the real value is F(eps).  The paper_i integrand
-    i * poly(i delta) has i^(d+1) times the delta^d coefficient, so its
-    integral is F(i eps), split by ``eval_at_i``."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    antiderivative = (ZERO,) + tuple(a / (d + 1) for d, a in enumerate(poly))
-    if convention == CONVENTION_REAL:
-        return horner(antiderivative, as_fraction(eps))
-    return eval_at_i(antiderivative, eps)
 
 
 def transgression_raw(manifold: ManifoldSpec, r, eps, convention=CONVENTION_REAL):
@@ -414,7 +370,7 @@ def corollary_check(manifold: ManifoldSpec) -> CorollaryCheck:
     if manifold.n % 2:
         raise ValueError("needs real dimension divisible by four (n even)")
     ad_top = adiabatic_top(manifold, 0)
-    tg_top = transgression_forms(manifold)[2][manifold.n]
+    tg_top = [a / manifold.top_integral for a in transgression_integrand_poly(manifold, 0)]
     witness = None
     if ad_top:
         witness = {"part": "adiabatic", "coefficient": {"1": rational_str(ad_top)}}

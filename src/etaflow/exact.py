@@ -7,9 +7,8 @@ arbitrary-precision rationals and algebraic values of the shape
 
 Rationals are plain :class:`fractions.Fraction` (already reduced, positive
 denominator) and are the only scalar of the characteristic-class side: a
-polynomial is a sequence of them, index = exponent, multiplied by
-``truncated_product``, and a class is a table of such polynomials (see
-``series``).
+polynomial is a sequence of them, index = exponent, and a class is a table
+of such polynomials (``series`` multiplies both).
 :class:`GaussianRational` is a plain value with no arithmetic: the result
 of a transgression in the ``paper_i`` convention, whose real and
 imaginary parts ``eta`` computes in integers (``transgression_raw``) or
@@ -19,6 +18,7 @@ sums by the parity of the delta exponent (``eval_at_i``).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -79,6 +79,10 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if limit and sum(map(str.isdigit, text)) > limit:
+            raise ValueError(f"not a rational: {text[:20]!r}... has more than "
+                             f"sys.get_int_max_str_digits() = {limit} digits") from exc
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
@@ -145,19 +149,6 @@ class GaussianRational:
         if self.im == 0:
             return rational_str(self.re)
         return {"re": rational_str(self.re), "im": rational_str(self.im)}
-
-
-def truncated_product(a, b, size: int) -> list:
-    """The first ``size`` coefficients of the product of two polynomials
-    with rational coefficients, given by their coefficient sequences
-    (index = exponent): the one polynomial product of the package."""
-    out = [ZERO] * size
-    for i, x in enumerate(a[:size]):
-        if x:
-            for j, y in enumerate(b[: size - i]):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-    return out
 
 
 def sqrt_sign(a, b, A) -> int:

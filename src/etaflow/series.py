@@ -25,9 +25,10 @@ X is row n times the integral of c^n.  From p and its derivative come the
 A-hat class (exp of a class, by a row recurrence) and the transgression
 forms Omega_0, Omega_2, whose delta-integral measures the change of the
 A-hat form along the adiabatic family.  Each B_m is computed once, by
-``eta._bernoulli``.  This is the reference layer of ``corollary_check``
-and of ``check-identities``, whose suite ``_identity_suite`` it holds;
-of the commands only that one loads it, and ``import etaflow`` does not.
+``eta._bernoulli``.  This is the ``Fraction`` reference of the integer
+tables of ``eta``, checked by the suite ``_identity_suite`` of
+``check-identities``, the one command that loads it; no other module
+imports it, and ``import etaflow`` does not.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .eta import (CONVENTION_PAPER_I, _bernoulli, a_hat_coefficients, convention_integral,
-                  corollary_check, eval_at_i, horner, transgression_forms)
-from .exact import ZERO, as_fraction, truncated_product
+from .eta import (CONVENTION_PAPER_I, CONVENTION_REAL, CONVENTIONS, _bernoulli,
+                  corollary_check, eval_at_i)
+from .exact import ZERO, as_fraction
 
 
 def series_p(order: int) -> tuple:
@@ -126,6 +127,43 @@ def constant_class(values) -> tuple:
     return tuple((as_fraction(v),) + (ZERO,) * k for k, v in enumerate(values))
 
 
+def truncated_product(a, b, size: int) -> list:
+    """The first ``size`` coefficients of the product of two polynomials
+    with rational coefficients, given by their coefficient sequences
+    (index = exponent): the one polynomial product of the package."""
+    out = [ZERO] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[: size - i]):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return out
+
+
+def horner(poly, x) -> Fraction:
+    """The value of the polynomial with coefficients ``poly`` (index =
+    exponent) at the rational x."""
+    total = ZERO
+    for a in reversed(poly):
+        total = total * x + a
+    return total
+
+
+def convention_integral(poly, eps, convention=CONVENTION_REAL):
+    """Integral over [0, eps] of the real integrand ``poly``, a polynomial
+    in delta given by its coefficients, in ``convention``: the series form
+    of ``eta.transgression_raw``.  With F the antiderivative of ``poly``
+    (F(0) = 0) the real value is F(eps).  The paper_i integrand
+    i * poly(i delta) has i^(d+1) times the delta^d coefficient, so its
+    integral is F(i eps), split by ``eta.eval_at_i``."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    antiderivative = (ZERO,) + tuple(a / (d + 1) for d, a in enumerate(poly))
+    if convention == CONVENTION_REAL:
+        return horner(antiderivative, as_fraction(eps))
+    return eval_at_i(antiderivative, eps)
+
+
 def class_product(a, b) -> tuple:
     """Product of two classes on one base, truncated above c^n: row k is
     the sum over i + j = k of the delta-products of rows i and j."""
@@ -186,7 +224,7 @@ def omega_forms(power_sums):
     with delta the formal deformation parameter and x_j the tangent Chern
     roots.  They satisfy the transgression identity
     d/d(delta) Omega_0 = 2 c Omega_2.  The paper_i convention is their
-    rotation delta -> i delta, applied by ``eta.convention_integral``.
+    rotation delta -> i delta, applied by ``convention_integral``.
 
     The sums only need the power sums of the shifted roots y = x_j + 2 delta c
     together with the extra root y = 2 delta c:
@@ -205,14 +243,20 @@ def omega_forms(power_sums):
     return omega0, omega2
 
 
+def transgression_forms(manifold):
+    """(Omega_0, Omega_2, W), W = Omega_2 e^{Omega_0}: the class side that
+    ``_identity_suite`` checks, none of which depends on (r, eps)."""
+    omega0, omega2 = omega_forms(manifold.power_sums)
+    return omega0, omega2, class_product(omega2, exp_class(omega0))
+
+
 def _identity_suite(manifold, r):
     """Deterministic symbolic self-checks on one catalog manifold."""
     n = manifold.n
     c = constant_class((0, 1) + (0,) * (n - 1))
     checks = []
-    # read from the reference memos, which corollary_check shares
     omega0, omega2, w = transgression_forms(manifold)  # w = Omega_2 e^{Omega_0}
-    ahat = a_hat_coefficients(manifold)
+    ahat = [row[0] for row in a_hat_class(manifold.power_sums)]
 
     def scaled(x, s):
         return tuple(tuple(a * s for a in row) for row in x)

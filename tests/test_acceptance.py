@@ -107,8 +107,7 @@ def test_criterion_4_adiabatic_values():
 
 def test_criterion_5_transgression_identities():
     with criterion(5, "transgression identities (derivative, FTC, parity)"):
-        from etaflow.eta import convention_integral, horner
-        from etaflow.series import a_hat_class, constant_class
+        from etaflow.series import a_hat_class, constant_class, convention_integral, horner
 
         for factors in (2, 4):
             spec, _ = CATALOG[factors]

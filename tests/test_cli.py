@@ -105,11 +105,11 @@ def test_check_identities_order_sizes_only_the_dump(capsys, monkeypatch):
 
 
 def test_check_identities_builds_each_class_once(capsys, monkeypatch):
-    # the corollary check reads the class side that the suite built, at the
-    # order n = 2 whatever --order says: p is built once for A-hat (to n),
-    # once for Omega and p' (to n + 1) and twice for the fixed p' check
-    for memo in (eta.a_hat_coefficients, eta.transgression_forms, eta._class_tables):
-        memo.cache_clear()
+    # the suite builds each class once, at the order n = 2 whatever --order
+    # says, and the corollary check reads the integer tables: p is built once
+    # for A-hat (to n), once for Omega and p' (to n + 1) and twice for the
+    # fixed p' check
+    eta._class_tables.cache_clear()
     orders = []
     series_p = series.series_p
 
@@ -402,14 +402,17 @@ def test_series_exports_load_on_first_use():
     code = """
 import json, sys
 import etaflow
+from etaflow.catalog import resolve_manifold
+check = etaflow.corollary_check(resolve_manifold("cp1x4").manifold)
 before = "etaflow.series" in sys.modules
 one = etaflow.constant_class((1, 0))
 from etaflow import exp_class, series_p
-print(json.dumps([before, etaflow.class_product(one, one) == one,
+print(json.dumps([check.both_terms_zero, before, etaflow.class_product(one, one) == one,
                   str(series_p(4)[4]), etaflow.series.exp_class is exp_class,
+                  etaflow.convention_integral is etaflow.series.convention_integral,
                   "series_p" in etaflow.__all__]))
 """
-    assert run_python(code) == [False, True, "1/5760", True, True]
+    assert run_python(code) == [True, False, True, "1/5760", True, True, True]
 
 
 # every operation of a library benchmark worker, after its set-up: the first
@@ -790,6 +793,11 @@ FAIL_FAST_CASES = {
         {"man.json": TABLE_CONFIG, "spec.json": '[{"q": 0, "k": 2 "halfMuSq"'},
         ["--manifold", "{dir}/man.json"],
         "cannot read Laplacian table {dir}/spec.json: Expecting ',' delimiter"),
+    # Python reads at most sys.get_int_max_str_digits() digits of an integer
+    "r_over_the_int_digit_limit": (
+        {}, ["--manifold", "cp1xcp1", "--r", "7" * 5000],
+        "not a rational: '77777777777777777777'... has more than "
+        f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} digits"),
     "product_factors_negative": (
         {"man.json": json.dumps({"type": "product_cp1", "factors": -2})},
         ["--manifold", "{dir}/man.json"],
@@ -811,6 +819,7 @@ def test_malformed_input_fails_fast(tmp_path, case):
     assert proc.returncode == EXIT_ERROR
     assert proc.stderr.startswith("etaflow:"), proc.stderr
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr) < 500  # a message, never an echo of a huge input
     assert proc.stdout == ""
     for text in expected:
         assert text.format(dir=tmp_path) in proc.stderr
@@ -819,8 +828,10 @@ def test_malformed_input_fails_fast(tmp_path, case):
 def test_check_identities_catches_a_perturbed_transgression_form(capsys, monkeypatch):
     # a suite that passed whatever W it read would still match the goldens;
     # one perturbed coefficient of W = Omega_2 e^{Omega_0} must show
+    transgression_forms = series.transgression_forms
+
     def perturbed(manifold):
-        omega0, omega2, w = eta.transgression_forms(manifold)
+        omega0, omega2, w = transgression_forms(manifold)
         k = manifold.n - 1
         return omega0, omega2, w[:k] + ((w[k][0] + 1,) + w[k][1:],) + w[k + 1:]
 

@@ -20,13 +20,13 @@ from etaflow.eta import (
     aps_terms,
     corollary_check,
     eta_invariant,
-    convention_integral,
     transgression_raw,
 )
 from etaflow.exact import GaussianRational
 from etaflow.series import (
     a_hat_class,
     class_product,
+    convention_integral,
     exp_class,
     omega_forms,
     series_eta_hat,
@@ -118,7 +118,7 @@ def test_transgression_fundamental_theorem_cross_check(cp1xcp1):
     integrand = class_product(class_product(constant_class((0, 2, 0)), omega2),
                               class_product(exp_class(omega0), erc))
     lhs = convention_integral(tuple(a * spec.top_integral for a in integrand[2]), eps)
-    at_eps = exp_class(constant_class([eta.horner(row, eps) for row in omega0]))
+    at_eps = exp_class(constant_class([series.horner(row, eps) for row in omega0]))
     difference = tuple(tuple(a - b for a, b in zip(x, y)) for x, y in zip(at_eps, ahat))
     rhs = class_product(difference, erc)[2]
     assert tuple(a * spec.top_integral for a in rhs) == (lhs, 0, 0)
@@ -268,10 +268,8 @@ def test_corollary_witness_names_delta_powers(cp1xcp1, monkeypatch):
     # the parity argument makes both tops vanish on every even-dimensional
     # base, so a witness is only seen with a perturbed class side
     spec, _ = cp1xcp1
-    omega0, omega2, w = eta.transgression_forms(spec)
-    perturbed = w[:2] + ((F(1), F(0), F(-3, 2)),)
-    monkeypatch.setattr(eta, "transgression_forms",
-                        lambda m: (omega0, omega2, perturbed))
+    perturbed = tuple(a * spec.top_integral for a in (F(1), F(0), F(-3, 2)))
+    monkeypatch.setattr(eta, "transgression_integrand_poly", lambda m, r: perturbed)
     check = corollary_check(spec)
     assert (check.adiabatic_top_zero, check.transgression_top_zero) == (True, False)
     assert check.witness == {"part": "transgression",
@@ -302,18 +300,13 @@ def test_convention_invariance_of_acceptance_values(cp1xcp1):
 # ------------------------------------------------------- class-side memos
 
 
-CLASS_MEMOS = (eta.a_hat_coefficients, eta.transgression_forms, eta._class_tables)
-
-
 @pytest.fixture
 def fresh_memos():
-    """Empty class-side memos before and after the test, so that no memo
+    """An empty class-side memo before and after the test, so that no memo
     state passes between tests."""
-    for memo in CLASS_MEMOS:
-        memo.cache_clear()
+    eta._class_tables.cache_clear()
     yield
-    for memo in CLASS_MEMOS:
-        memo.cache_clear()
+    eta._class_tables.cache_clear()
 
 
 def test_class_side_built_once_per_base(cp1x4, fresh_memos, capsys):
@@ -335,17 +328,13 @@ def test_class_side_built_once_per_base(cp1x4, fresh_memos, capsys):
             assert main([*command, "--manifold", "cp1x4", "--r", "1/3",
                          "--order", str(order)]) == 0
     capsys.readouterr()
-    for memo in CLASS_MEMOS:
-        info = memo.cache_info()
-        assert (info.misses, info.currsize) == (1, 1), memo
+    info = tables.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
     other = resolve_manifold("cp1xcp1").manifold
     for _ in range(2):
         eta_invariant(other, model_of(product_cp1_model(2)), F(1, 3), 1)
     info = tables.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
-    # the reference memos serve check-identities and corollary_check only
-    for memo in (eta.a_hat_coefficients, eta.transgression_forms):
-        assert memo.cache_info().misses == 1, memo
 
 
 def test_hot_path_builds_no_class_product(fresh_memos, monkeypatch):
@@ -364,12 +353,13 @@ def test_hot_path_builds_no_class_product(fresh_memos, monkeypatch):
             adiabatic_limit_eta(spec, r)
             for convention in (CONVENTION_REAL, CONVENTION_PAPER_I):
                 transgression_raw(spec, r, F(3, 2), convention)
+        if spec.n % 2 == 0:  # corollary_check reads the integer tables too
+            corollary_check(spec)
     assert eta._class_tables.cache_info().misses == 4
     adiabatic_limit_eta.cache_clear()
     # the patch is felt by the reference path
-    for reference in (eta.a_hat_coefficients, eta.transgression_forms):
-        with pytest.raises(AssertionError, match="hot path"):
-            reference(_spec("cp1x4"))
+    with pytest.raises(AssertionError, match="hot path"):
+        series.transgression_forms(_spec("cp1x4"))
 
 
 def test_equal_specs_share_the_memo(fresh_memos):
@@ -378,9 +368,9 @@ def test_equal_specs_share_the_memo(fresh_memos):
     first = resolve_manifold("cp1x4").manifold
     second = resolve_manifold("cp1x4").manifold
     assert first is not second
-    forms = eta.transgression_forms(first)
-    assert eta.transgression_forms(second) is forms
-    info = eta.transgression_forms.cache_info()
+    tables = eta._class_tables(first)
+    assert eta._class_tables(second) is tables
+    info = eta._class_tables.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
@@ -531,6 +521,31 @@ def test_adiabatic_term_jumps_by_m_to_the_n(name):
         assert adiabatic_limit_eta(spec, m) == (left + right) / 2
     # no jump at 0, where m^n = 0
     assert _one_sided_limit(name, 0, 1) == _one_sided_limit(name, 0, -1) == 0
+
+
+def hurwitz_type1_limit(n, r):
+    """The delta -> 0 limit of the Type 1 spectrum of (P^1)^n at a rational
+    r off the integers, by sympy: the sum over k of chi(k) sign(k - r)
+    |k - r|^{-s} at s = 0, with chi(k) = k^n the alternating sum of the
+    h^{q,k}.  With m = floor(r), k = m + 1 + j above r and k = m - j below,
+    the binomial expansion of k^n about r and zeta(-i, x) = -B_{i+1}(x)/(i+1)
+    give the sum over i of C(n, i) r^{n-i} [(-1)^i B_{i+1}(r - m)
+    - B_{i+1}(m + 1 - r)]/(i + 1)."""
+    r = sp.Rational(r.numerator, r.denominator)
+    m = sp.floor(r)
+    return F(str(sum(sp.binomial(n, i) * r ** (n - i)
+                     * ((-1) ** i * sp.bernoulli(i + 1, r - m)
+                        - sp.bernoulli(i + 1, m + 1 - r)) / (i + 1)
+                     for i in range(n + 1))))
+
+
+@pytest.mark.parametrize("name", ("cp1xcp1", "cp1x4", "cp1x6"))
+def test_type1_hurwitz_limit_is_minus_twice_the_adiabatic_term(name):
+    # records today's normalization of the adiabatic term against the
+    # spectral model; the choice between the two is still open
+    spec = _spec(name)
+    for r in (F(1, 2), F(1, 3), F(3, 4), F(7, 3), F(-5, 2), F(-1, 7), F(11, 5)):
+        assert hurwitz_type1_limit(spec.n, r) == -2 * adiabatic_limit_eta(spec, r), r
 
 
 def test_a_hat_is_one_on_every_catalog_base():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from etaflow.eta import eval_at_i, horner
+from etaflow.eta import eval_at_i
 from etaflow.exact import (
     MAX_RATIONAL_DIGITS,
     GaussianRational,
@@ -15,8 +15,8 @@ from etaflow.exact import (
     rational_str,
     sqrt_sign,
     sqrt_value,
-    truncated_product,
 )
+from etaflow.series import horner, truncated_product
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 

@@ -9,29 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etaflow.catalog import ManifoldSpec, product_cp1_model
-from etaflow.eta import (
-    CONVENTION_PAPER_I,
-    CONVENTION_REAL,
-    a_hat_coefficients,
-    convention_integral,
-    horner,
-    transgression_forms,
-    transgression_integrand_poly,
-)
-from etaflow.exact import GaussianRational, truncated_product
+from etaflow.eta import CONVENTION_PAPER_I, CONVENTION_REAL, transgression_integrand_poly
+from etaflow.exact import GaussianRational
 from etaflow.series import (
     _bernoulli,
     a_hat_class,
     class_product,
     constant_class,
+    convention_integral,
     eta_hat_series_from_alpha,
     eta_hat_series_integer,
     eval_power_sums,
     exp_class,
+    horner,
     omega_forms,
     series_eta_hat,
     series_p,
     series_p_prime,
+    transgression_forms,
+    truncated_product,
 )
 
 ORDER = 12
@@ -366,7 +362,6 @@ def test_memoized_classes_are_triangular(factors):
     omega0, omega2, w = transgression_forms(spec)
     for x in (a_hat_class(spec.power_sums), omega0, omega2, w):
         assert [len(row) for row in x] == list(range(1, factors + 2))
-    assert len(a_hat_coefficients(spec)) == factors + 1
 
 
 def test_exp_class_examples(monkeypatch):

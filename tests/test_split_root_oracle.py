@@ -21,12 +21,11 @@ from etaflow.catalog import product_cp1_model
 from etaflow.eta import (
     CONVENTION_PAPER_I,
     CONVENTION_REAL,
-    a_hat_coefficients,
     adiabatic_limit_eta,
-    transgression_forms,
     transgression_raw,
 )
 from etaflow.exact import GaussianRational
+from etaflow.series import a_hat_class, transgression_forms
 
 Z = sp.Symbol("z")
 DELTA = sp.Symbol("delta")
@@ -224,7 +223,7 @@ def split_coefficient(oracle, poly, k):
 def test_class_side_memo_matches_split_roots(factors):
     spec, _ = product_cp1_model(factors)
     oracle = split_oracle(factors)
-    a_hat = a_hat_coefficients(spec)
+    a_hat = [row[0] for row in a_hat_class(spec.power_sums)]
     w = transgression_forms(spec)[2]
     assert len(a_hat) == len(w) == factors + 1
     for k in range(factors + 1):

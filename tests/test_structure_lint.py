@@ -10,12 +10,16 @@ module-level function must likewise be read outside its own body and outside
 lists them).  Every method and property of a package class, dunders
 aside, must be read as an attribute somewhere in the package outside its
 own body, unless all of its class's bases come from outside the package
-(an argparse subclass overrides what argparse calls).  Every module is
-parsed with ``ast``; a reference is a name or an attribute that reads the
-function, wherever in the package it stands."""
+(an argparse subclass overrides what argparse calls).  The modules import
+each other one way: the package's internal import graph, counting imports
+inside functions and leaving out ``__init__.py``, has no cycle, and the
+hot-path modules never import ``series``, the ``Fraction`` reference.
+Every module is parsed with ``ast``; a reference is a name or an attribute
+that reads the function, wherever in the package it stands."""
 
 import ast
 from collections import Counter
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -24,8 +28,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "etaflow").glob("*.py"))
 
 # public functions that no module of the package reads: the library API
-LIBRARY_API = {"load_report", "spin_vanishing_predicate", "sqrt_sign",
-               "transgression_integrand_poly"}
+LIBRARY_API = {"load_report", "spin_vanishing_predicate", "sqrt_sign"}
+# the modules that answer queries, none of which may import series
+HOT_PATH = ("exact", "spectral", "catalog", "eta")
 
 
 def _functions(tree, private=True):
@@ -110,6 +115,37 @@ def idle_parameters(tree):
     return found
 
 
+def internal_imports(trees):
+    """{module: the modules of ``trees`` ({file name: tree}) that it
+    imports}, at any depth, inside functions too, as ``from .x import y``,
+    ``from . import x`` or their ``etaflow.`` spellings.  An import of the
+    package itself (``from . import __version__``) names no module."""
+    modules = {name.removesuffix(".py") for name in trees}
+    graph = {}
+    for name, tree in trees.items():
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "etaflow"
+                                                     or node.module.startswith("etaflow.")):
+                base = (node.module or "").removeprefix("etaflow").lstrip(".")
+                found |= {base} if base else {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                found |= {alias.name.removeprefix("etaflow.") for alias in node.names
+                          if alias.name.startswith("etaflow.")}
+        graph[name.removesuffix(".py")] = found & modules
+    return graph
+
+
+def import_cycle(graph):
+    """Modules of ``graph`` that import each other in a ring, the first
+    repeated last, or [] when there is none."""
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        return exc.args[1]
+    return []
+
+
 def test_sources_found():
     assert any(path.name == "spectral.py" for path in SOURCES)
 
@@ -134,6 +170,27 @@ def test_public_functions_are_read_or_library_api():
 
 def test_methods_and_properties_are_read():
     assert unread_methods(_trees()) == []
+
+
+def test_imports_are_one_way():
+    graph = internal_imports({name: tree for name, tree in _trees().items()
+                              if name != "__init__.py"})
+    assert set(HOT_PATH) <= set(graph) and "series" in graph["cli"]
+    assert [module for module in HOT_PATH if "series" in graph[module]] == []
+    assert import_cycle(graph) == []
+
+
+def test_lint_finds_local_imports_and_cycles():
+    trees = {"a.py": ast.parse("from .b import f\nimport json\n"),
+             "b.py": ast.parse("def f():\n    from . import a\n    import etaflow.c\n"),
+             "c.py": ast.parse("from . import __version__\nfrom etaflow.d import g\n"),
+             "d.py": ast.parse("from fractions import Fraction\n")}
+    graph = internal_imports(trees)
+    assert graph == {"a": {"b"}, "b": {"a", "c"}, "c": {"d"}, "d": set()}
+    cycle = import_cycle(graph)
+    assert set(cycle) == {"a", "b"} and cycle[0] == cycle[-1]
+    del trees["b.py"]
+    assert import_cycle(internal_imports(trees)) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
