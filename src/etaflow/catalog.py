@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import Record, as_fraction, parse_rational
+from .exact import Record, as_fraction, parse_rational, quoted
 from .spectral import (
     CohomologyTable,
     LaplacianSpectrum,
@@ -98,7 +98,7 @@ class PartialCohomology(CohomologyTable):
             return self.entries[(q, k)]
         except KeyError:
             raise UnknownCohomologyError(
-                f"h^{{{q},{k}}} is not tabulated for {self.name!r}"
+                f"h^{{{q},{k}}} is not tabulated for {quoted(self.name)}"
             ) from None
 
     def is_known(self, q: int, k: int) -> bool:
@@ -147,7 +147,7 @@ class HypersurfaceSpec(Record):
             raise ConfigError("complex dimension n must be a positive even integer")
         if n > MAX_HYPERSURFACE_DIM:
             raise ConfigError(
-                f"hypersurface dimension n = {n} exceeds "
+                f"hypersurface dimension n = {quoted(n, str)} exceeds "
                 f"MAX_HYPERSURFACE_DIM = {MAX_HYPERSURFACE_DIM}"
             )
         if degree % 2:
@@ -178,10 +178,10 @@ def product_cp1_model(factors: int):
     """
     if factors % 2 or factors <= 0:
         raise ConfigError(f"the product model needs a positive even number of factors, "
-                          f"got {factors}")
+                          f"got {quoted(factors, str)}")
     if factors > MAX_CP1_FACTORS:
         raise ConfigError(
-            f"cp1x{factors} has more than MAX_CP1_FACTORS = {MAX_CP1_FACTORS} "
+            f"cp1x{quoted(factors, str)} has more than MAX_CP1_FACTORS = {MAX_CP1_FACTORS} "
             "factors"
         )
     spec = ManifoldSpec(
@@ -211,16 +211,23 @@ def _integer(value, field: str, error=ConfigError) -> int:
     truncated; any other type is refused, naming the field."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)) \
             or value.denominator != 1:
-        raise error(f"{field} must be an integer, got {value}")
+        raise error(f"{field} must be an integer, got {quoted(value, str)}")
     return int(value)
 
 
 def _parse_entry_field(entry, key):
     if not isinstance(entry, dict):
-        raise TableValidationError(f"spectrum entry {entry!r} is not an object")
+        raise TableValidationError(f"spectrum entry {quoted(entry)} is not an object")
     if key not in entry:
-        raise TableValidationError(f"spectrum entry {entry} lacks {key!r}")
+        raise TableValidationError(f"spectrum entry {quoted(entry, str)} lacks {key!r}")
     return entry[key]
+
+
+def _unreadable(what: str, path, exc: OSError) -> str:
+    """The message of an OSError from reading ``path``, a name of any length
+    read from outside: str(exc) with the name quoted, in front and behind."""
+    return (f"cannot read {what} {quoted(path, str)}: [Errno {exc.errno}] "
+            f"{exc.strerror}: {quoted(str(path))}")
 
 
 def _json_number(text: str):
@@ -272,7 +279,9 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
 
     try:
         raw = json.loads(Path(path).read_text(), parse_float=_json_number)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise TableValidationError(_unreadable("Laplacian table", path, exc)) from exc
+    except ValueError as exc:
         raise TableValidationError(f"cannot read Laplacian table {path}: {exc}") from exc
     if isinstance(raw, list):
         entries_raw = raw
@@ -318,24 +327,28 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
             g = math.gcd(p, d)
             p, d = p // g, d // g
         if not 0 <= q <= n:
-            raise TableValidationError(f"entry (q={q}, k={k}): q outside 0..{n}")
+            raise TableValidationError(
+                f"entry (q={quoted(q, str)}, k={quoted(k, str)}): q outside 0..{n}")
         if p <= 0:
             raise TableValidationError(
-                f"entry (q={q}, k={k}): halfMuSq must be positive, got {Fraction(p, d)}"
+                f"entry (q={q}, k={quoted(k, str)}): halfMuSq must be positive, "
+                f"got {quoted(Fraction(p, d), str)}"
             )
         if mult < 1:
             raise TableValidationError(
-                f"entry (q={q}, k={k}): multiplicity must be >= 1"
+                f"entry (q={q}, k={quoted(k, str)}): multiplicity must be >= 1"
             )
         bound = _scaled_bound(q, k, n, den, H)
         if p * den < bound * d:
             raise TableValidationError(
-                f"entry (q={q}, k={k}, halfMuSq={Fraction(p, d)}) violates the "
-                f"curvature lower bound {Fraction(bound, den)}"
+                f"entry (q={q}, k={quoted(k, str)}, halfMuSq="
+                f"{quoted(Fraction(p, d), str)}) violates the curvature lower bound "
+                f"{quoted(Fraction(bound, den), str)}"
             )
         level = levels.setdefault((k, p, d), {})
         if q in level:
-            raise TableValidationError(f"duplicate eigenvalue for (q,k)={(q, k)}")
+            raise TableValidationError(
+                f"duplicate eigenvalue for (q,k)={quoted((q, k), str)}")
         level[q] = mult
 
     # the Type 2 family at (q, k, mu^2/2) has the alternating multiplicity
@@ -350,8 +363,8 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
             if mult:
                 if alternating < 0:
                     raise TableValidationError(
-                        f"negative alternating multiplicity {alternating} "
-                        f"at (q={q}, k={k}, mu^2/2={half})")
+                        f"negative alternating multiplicity {quoted(alternating, str)} "
+                        f"at (q={q}, k={quoted(k, str)}, mu^2/2={quoted(half, str)})")
                 entries.setdefault((q, k), []).append((half, alternating))
     entries = {key: tuple(sorted(values)) for key, values in entries.items()}
 
@@ -379,7 +392,7 @@ class CatalogEntry(Record):
     def require_manifold(self) -> ManifoldSpec:
         if self.manifold is None:
             raise ConfigError(
-                f"{self.name!r} has no characteristic-class data (general-type "
+                f"{quoted(self.name)} has no characteristic-class data (general-type "
                 "entries support only the spectral operations)"
             )
         return self.manifold
@@ -411,7 +424,9 @@ def load_config(path) -> CatalogEntry:
     path = Path(path)
     try:
         cfg = json.loads(path.read_text(), parse_float=parse_rational)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise ConfigError(_unreadable("manifold config", path, exc)) from exc
+    except ValueError as exc:
         raise ConfigError(f"cannot read manifold config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"manifold config {path} must be a JSON object")
@@ -427,14 +442,15 @@ def load_config(path) -> CatalogEntry:
         except KeyError as exc:
             raise ConfigError(f"hypersurface config needs key {exc}") from exc
     else:
-        raise ConfigError(f"unknown manifold type {kind!r} in {path}")
+        raise ConfigError(f"unknown manifold type {quoted(kind)} in {path}")
     if "name" in cfg:
         entry.name = str(cfg["name"])
         entry.model.name = entry.name
     if "laplacian_table" in cfg:
         table_path = cfg["laplacian_table"]
         if not isinstance(table_path, str) or not table_path:
-            raise ConfigError(f"'laplacian_table' must be a path, got {table_path}")
+            raise ConfigError(f"'laplacian_table' must be a path, "
+                              f"got {quoted(table_path, str)}")
         if entry.model.kappa is None:
             raise ConfigError(
                 "laplacian tables require a Fano entry (curvature validation)"
@@ -456,9 +472,13 @@ def resolve_manifold(text: str) -> CatalogEntry:
     match = _HYP_RE.match(text)
     if match:
         return _entry_from_hypersurface(int(match.group(1)), int(match.group(2)))
-    if Path(text).exists():
+    try:
+        is_file = Path(text).exists()
+    except OSError:  # a name too long for the file system, say
+        is_file = False
+    if is_file:
         return load_config(text)
     raise ConfigError(
-        f"unknown manifold {text!r}: expected cp1xcp1, cp1x<2m>, "
+        f"unknown manifold {quoted(text)}: expected cp1xcp1, cp1x<2m>, "
         "hyp:n=<n>,d=<d>, or a config file path"
     )

@@ -25,7 +25,7 @@ from .eta import (
     eta_invariant,
     transgression_raw,
 )
-from .exact import exact_value_to_json, parse_rational, rational_str
+from .exact import exact_value_to_json, parse_rational, quoted, rational_str
 from .spectral import (
     IndeterminateSpectralFlow,
     ON_UNKNOWN_SKIP,
@@ -60,25 +60,35 @@ class CliError(Exception):
     pass
 
 
+def _int_value(text: str, name: str) -> int:
+    """An integer option value, refused in argparse's words with at most
+    a quoted head of the text."""
+    try:
+        return int(text)
+    except ValueError:
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(
+            f"invalid {name} value: {quoted(text)}") from None
+
+
 def series_order(text: str) -> int:
     """--order value: an integer no larger than MAX_SERIES_ORDER, refused
     while parsing so that no command builds a series first."""
-    order = int(text)
+    order = _int_value(text, "series_order")
     if order > MAX_SERIES_ORDER:
         from argparse import ArgumentTypeError
-        raise ArgumentTypeError(
-            f"series order {order} exceeds MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"
-        )
+        raise ArgumentTypeError(f"series order {quoted(order, str)} exceeds "
+                                f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}")
     return order
 
 
 def decimal_digits(text: str) -> int:
     """--decimal value: 0..MAX_DECIMAL_DIGITS, refused while parsing."""
-    digits = int(text)
+    digits = _int_value(text, "decimal_digits")
     if not 0 <= digits <= MAX_DECIMAL_DIGITS:
         from argparse import ArgumentTypeError
         raise ArgumentTypeError(
-            f"decimal digits {digits} outside 0..MAX_DECIMAL_DIGITS = "
+            f"decimal digits {quoted(digits, str)} outside 0..MAX_DECIMAL_DIGITS = "
             f"{MAX_DECIMAL_DIGITS}"
         )
     return digits

@@ -28,6 +28,9 @@ ZERO = Fraction(0)
 MAX_RATIONAL_DIGITS = 4000
 _DIGITS_BOUND = 10**MAX_RATIONAL_DIGITS
 
+# Longest printed form of an outside value that a message echoes whole.
+MAX_QUOTED = 100
+
 
 class Record:
     """Base of the package's plain value records: equality, hash and repr
@@ -65,6 +68,14 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def quoted(value, form=repr) -> str:
+    """``form(value)`` for a message that echoes a value read from outside,
+    or, when that is longer than MAX_QUOTED characters, the repr of the
+    first 20 characters of its string form followed by '...'."""
+    text = form(value)
+    return text if len(text) <= MAX_QUOTED else f"{str(value)[:20]!r}..."
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", "-3", "2" (or an exact decimal literal like "0.5").
 
@@ -73,7 +84,7 @@ def parse_rational(text: str) -> Fraction:
     """
     if "e" in text.lower():
         raise ValueError(
-            f"not a rational: {text!r} (accepted forms: p/q, an integer, or a "
+            f"not a rational: {quoted(text)} (accepted forms: p/q, an integer, or a "
             "plain decimal such as 0.5; no exponents)"
         )
     try:
@@ -81,9 +92,9 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         limit = sys.get_int_max_str_digits()  # 0: no limit
         if limit and sum(map(str.isdigit, text)) > limit:
-            raise ValueError(f"not a rational: {text[:20]!r}... has more than "
+            raise ValueError(f"not a rational: {quoted(text)} has more than "
                              f"sys.get_int_max_str_digits() = {limit} digits") from exc
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise ValueError(f"not a rational: {quoted(text)}") from exc
 
 
 def rational_str(q: Fraction) -> str:

@@ -46,6 +46,7 @@ from .exact import (
     Record,
     as_fraction,
     exact_value_to_json,
+    quoted,
     rational_str,
     sqrt_value,
 )
@@ -373,7 +374,8 @@ def _windows(n: int, eps, D: int, R: int, E: int, G: int):
     cells = (n + 1) * (max(k1_hi - k1_lo + 1, 0) + max(k2_hi - k2_lo + 1, 0))
     if cells > MAX_WINDOW_CELLS:
         raise SpectralWindowError(
-            f"search window of {cells} (q, k) cells for eps = {eps} exceeds "
+            f"search window of {quoted(cells, str)} (q, k) cells for eps = "
+            f"{quoted(eps, str)} exceeds "
             f"MAX_WINDOW_CELLS = {MAX_WINDOW_CELLS}"
         )
     return k1_lo, k1_hi, k2_lo, k2_hi
@@ -429,8 +431,8 @@ def _type2_levels(model: SpectralModel, eps, k_lo, k_hi, scaled, handle_unknown)
         cutoff = spectrum.half_mu_sq_max
         if cutoff.numerator * S < M * cutoff.denominator:
             raise SpectralWindowError(
-                f"spectrum cutoff mu^2/2 <= {cutoff} below the "
-                f"required {Fraction(M, S)} for eps = {eps}"
+                f"spectrum cutoff mu^2/2 <= {quoted(cutoff, str)} below the required "
+                f"{quoted(Fraction(M, S), str)} for eps = {quoted(eps, str)}"
             )
         # the cells below and above the covered k-range (none covered when
         # cover_lo > cover_hi), in k order; only the covered ones are picked
@@ -438,7 +440,7 @@ def _type2_levels(model: SpectralModel, eps, k_lo, k_hi, scaled, handle_unknown)
         missing = (*range(k_lo, min(k_hi, cover_lo - 1) + 1),
                    *range(max(k_lo, cover_lo, cover_hi + 1), k_hi + 1))
         k_lo, k_hi = max(k_lo, cover_lo), min(k_hi, cover_hi)
-        suffix = f"); covered k-range is {spectrum.k_range}"
+        suffix = f"); covered k-range is {quoted(spectrum.k_range, str)}"
     elif model.kappa is None:
         handle_unknown(("Type 2 certification needs a Ricci lower bound or an "
                         "explicit Laplacian spectrum",))
@@ -488,7 +490,7 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     table = model.table
     # a partial table reports each unknown cell as "h^{q,k} unknown ...";
     # the tails "k} unknown ..." of the window's k serve every q
-    suffix = f"}} unknown in table {table.name!r}"
+    suffix = f"}} unknown in table {quoted(table.name)}"
     tails = () if table.complete else [f"{k}{suffix}" for k in range(k_lo, k_hi + 1)]
     for q in range(n + 1):
         if table.complete:
@@ -696,7 +698,7 @@ def kernel_dimension(model: SpectralModel, r, eps) -> int:
         if rem:
             continue
         if not model.table.is_known(q, k):
-            handle_unknown((f"h^{{{q},{k}}} unknown in table {model.table.name!r}",))
+            handle_unknown((f"h^{{{q},{k}}} unknown in table {quoted(model.table.name)}",))
             continue
         total += model.table.h(q, k)
 
@@ -715,8 +717,8 @@ def kernel_dimension(model: SpectralModel, r, eps) -> int:
         # in bound-only mode half* = N/scale must reach the bound, bound/(8D^2)
         if levels is None and N * D >= E * bound:
             raise IndeterminateSpectralFlow(
-                f"kernel at eps={eps} hinges on whether mu^2/2 = "
-                f"{Fraction(N, scale)} occurs at (q={q}, k={k}); "
+                f"kernel at eps={quoted(eps, str)} hinges on whether mu^2/2 = "
+                f"{quoted(Fraction(N, scale), str)} occurs at (q={q}, k={k}); "
                 "supply an explicit spectrum"
             )
         for half, mult in levels or ():  # None in bound-only mode

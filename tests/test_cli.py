@@ -806,6 +806,63 @@ FAIL_FAST_CASES = {
         {"man.json": json.dumps({"type": "product_cp1", "factors": True})},
         ["--manifold", "{dir}/man.json"],
         "product_cp1 config 'factors' must be an integer, got True"),
+    # a value read from outside is echoed whole only up to exact.MAX_QUOTED
+    # characters, then as the repr of its first 20 characters and '...'
+    "r_long_letters": (
+        {}, ["--manifold", "cp1xcp1", "--r", "x" * 10000],
+        "not a rational: 'xxxxxxxxxxxxxxxxxxxx'...\n"),
+    "decimal_long_letters": (
+        {}, ["--manifold", "cp1xcp1", "--decimal", "y" * 10000],
+        "invalid decimal_digits value: 'yyyyyyyyyyyyyyyyyyyy'...\n"),
+    "manifold_too_long_for_a_path": (
+        {}, ["--manifold", "y" * 10000], "unknown manifold 'yyyyyyyyyyyyyyyyyyyy'...: "),
+    "cp1x_long_digits": (
+        {}, ["--manifold", "cp1x" + "2" * 3000],
+        "cp1x'22222222222222222222'... has more than MAX_CP1_FACTORS"),
+    "eps_window_long_digits": (
+        {}, ["--manifold", "cp1x4", "--eps", "9" * 4000],
+        "cells for eps = '99999999999999999999'... exceeds MAX_WINDOW_CELLS"),
+    "product_factors_long_string": (
+        {"man.json": json.dumps({"type": "product_cp1", "factors": "z" * 10000})},
+        ["--manifold", "{dir}/man.json"],
+        "'factors' must be an integer, got 'zzzzzzzzzzzzzzzzzzzz'...\n"),
+    "config_type_long_string": (
+        {"man.json": json.dumps({"type": "t" * 10000, "factors": 2})},
+        ["--manifold", "{dir}/man.json"], "unknown manifold type 'tttttttttttttttttttt'... in"),
+    "hypersurface_degree_long_digits": (
+        {"man.json": json.dumps({"type": "hypersurface_general_type", "n": 4,
+                                 "d": 10**4000})},
+        ["--manifold", "{dir}/man.json"], "unknown in table 'hyp:n=4,d=1000000000'...\n"),
+    "table_path_long_list": (
+        {"man.json": json.dumps({"type": "product_cp1", "factors": 2,
+                                 "laplacian_table": list(range(3000))})},
+        ["--manifold", "{dir}/man.json"],
+        "'laplacian_table' must be a path, got '[0, 1, 2, 3, 4, 5, 6'...\n"),
+    "table_entry_long_list": (
+        {"man.json": TABLE_CONFIG, "spec.json": json.dumps([list(range(3000))])},
+        ["--manifold", "{dir}/man.json"],
+        "spectrum entry '[0, 1, 2, 3, 4, 5, 6'... is not an object"),
+    "table_entry_long_without_q": (
+        {"man.json": TABLE_CONFIG, "spec.json": json.dumps(
+            [{"k": 2, "halfMuSq": "3", "mult": 1, "pad": "p" * 10000}])},
+        ["--manifold", "{dir}/man.json"],
+        "spectrum entry \"{{'k': 2, 'halfMuSq':\"... lacks 'q'"),  # str.format
+    "table_entry_long_q": (
+        {"man.json": TABLE_CONFIG, "spec.json": json.dumps(
+            [{"q": 10**4000, "k": 2, "halfMuSq": "3", "mult": 1}])},
+        ["--manifold", "{dir}/man.json"],
+        "entry (q='10000000000000000000'..., k=2): q outside 0..2"),
+    "table_k_min_long_string": (
+        {"man.json": TABLE_CONFIG, "spec.json": json.dumps({
+            "k_min": "m" * 10000, "k_max": 8,
+            "entries": [{"q": 0, "k": 2, "halfMuSq": "3", "mult": 1}]})},
+        ["--manifold", "{dir}/man.json"],
+        "'k_min' must be an integer, got 'mmmmmmmmmmmmmmmmmmmm'...\n"),
+    "table_half_mu_sq_long_string": (
+        {"man.json": TABLE_CONFIG, "spec.json": json.dumps(
+            [{"q": 0, "k": 2, "halfMuSq": "h" * 10000, "mult": 1}])},
+        ["--manifold", "{dir}/man.json"],
+        "spectrum entry 'halfMuSq': not a rational: 'hhhhhhhhhhhhhhhhhhhh'...\n"),
 }
 
 

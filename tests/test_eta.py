@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -31,7 +32,14 @@ from etaflow.series import (
     omega_forms,
     series_eta_hat,
 )
-from etaflow.spectral import SF_SIGN_STANDARD, SpectralModel
+from etaflow.spectral import (
+    SF_SIGN_STANDARD,
+    SpectralModel,
+    UnknownCohomologyError,
+    kernel_dimension,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -546,6 +554,49 @@ def test_type1_hurwitz_limit_is_minus_twice_the_adiabatic_term(name):
     spec = _spec(name)
     for r in (F(1, 2), F(1, 3), F(3, 4), F(7, 3), F(-5, 2), F(-1, 7), F(11, 5)):
         assert hurwitz_type1_limit(spec.n, r) == -2 * adiabatic_limit_eta(spec, r), r
+
+
+R_JUMP_R = [F(i, 4) for i in range(-20, 21)]  # -5 to 5 in quarters
+R_JUMP_EPS = (F(1, 2), F(1), F(3, 2), F(2), F(5, 2))
+
+
+def _r_jumps(rs):
+    """(r, eps, |eta(r+) - eta(r-)|, 2 dim ker at (r, eps)) on the shipped
+    explicit config for each r of ``rs`` and eps of R_JUMP_EPS, the
+    one-sided totals taken at r +- 10^-12 and their difference rounded.  A
+    point that needs a cell outside the table's k-range -8..8 (at eps = 2
+    and 5/2) raises UnknownCohomologyError and is left out."""
+    entry = resolve_manifold(str(ROOT / "configs" / "cp1xcp1_explicit.json"))
+    h = F(1, 10**12)
+    points = []
+    for r in rs:
+        for eps in R_JUMP_EPS:
+            try:
+                jump = (eta_invariant(entry.manifold, entry.model, r + h, eps).total
+                        - eta_invariant(entry.manifold, entry.model, r - h, eps).total)
+                kernel = kernel_dimension(entry.model, r, eps)
+            except UnknownCohomologyError:
+                continue
+            points.append((r, eps, abs(round(jump)), 2 * kernel))
+    return points
+
+
+def test_r_jump_law_off_the_nonzero_integers():
+    # at a fixed eps, eta can change in r only where an eigenvalue at
+    # delta = eps crosses zero, by 2 per eigenvalue (Atiyah, Patodi & Singer)
+    points = _r_jumps([r for r in R_JUMP_R if r.denominator > 1 or r == 0])
+    assert len(points) == 149  # 144 off the integers and 5 at r = 0; 6 left out
+    assert [point for point in points if point[2] != point[3]] == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "at a nonzero integer r = m the adiabatic term jumps by +m^n and 2 SF by -2 m^n "
+    "with no kernel: the normalization of the adiabatic term against the flow is open "
+    "(ROADMAP, open items)"))
+def test_r_jump_law_at_the_nonzero_integers():
+    # 44 points, 6 left out; the law breaks at 40 of them
+    points = _r_jumps([r for r in R_JUMP_R if r.denominator == 1 and r != 0])
+    assert [point for point in points if point[2] != point[3]] == []
 
 
 def test_a_hat_is_one_on_every_catalog_base():

@@ -25,18 +25,27 @@ from etaflow.spectral import LaplacianSpectrum
 
 # ------------------------------------------------------ the Fraction loader
 
+def _reference_quoted(text, value):
+    """A message's form of ``value`` printed as ``text``: past 100
+    characters, the repr of its first 20 characters and '...'."""
+    return text if len(text) <= 100 else repr(str(value)[:20]) + "..."
+
+
 def _reference_integer(value, field):
     if isinstance(value, bool) or not isinstance(value, (int, F)) \
             or value.denominator != 1:
-        raise TableValidationError(f"{field} must be an integer, got {value}")
+        raise TableValidationError(
+            f"{field} must be an integer, got {_reference_quoted(str(value), value)}")
     return int(value)
 
 
 def _reference_field(entry, key):
     if not isinstance(entry, dict):
-        raise TableValidationError(f"spectrum entry {entry!r} is not an object")
+        raise TableValidationError(
+            f"spectrum entry {_reference_quoted(repr(entry), entry)} is not an object")
     if key not in entry:
-        raise TableValidationError(f"spectrum entry {entry} lacks {key!r}")
+        raise TableValidationError(
+            f"spectrum entry {_reference_quoted(str(entry), entry)} lacks {key!r}")
     return entry[key]
 
 
@@ -58,7 +67,12 @@ def reference_table_load(path, n, kappa):
 
     try:
         raw = json.loads(Path(path).read_text(), parse_float=_reference_number)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise TableValidationError(
+            f"cannot read Laplacian table {_reference_quoted(str(path), path)}: "
+            f"[Errno {exc.errno}] {exc.strerror}: {_reference_quoted(repr(str(path)), path)}"
+        ) from exc
+    except ValueError as exc:
         raise TableValidationError(f"cannot read Laplacian table {path}: {exc}") from exc
     if isinstance(raw, list):
         entries_raw, declared_cutoff, declared_range = raw, None, None
@@ -89,21 +103,23 @@ def reference_table_load(path, n, kappa):
                 for key in ("q", "k"))
         half = rational(_reference_field(entry, "halfMuSq"), "spectrum entry 'halfMuSq'")
         mult = _reference_integer(_reference_field(entry, "mult"), "spectrum entry 'mult'")
+        qs, ks, halfs = (_reference_quoted(str(x), x) for x in (q, k, half))
         if not 0 <= q <= n:
-            raise TableValidationError(f"entry (q={q}, k={k}): q outside 0..{n}")
+            raise TableValidationError(f"entry (q={qs}, k={ks}): q outside 0..{n}")
         if half <= 0:
             raise TableValidationError(
-                f"entry (q={q}, k={k}): halfMuSq must be positive, got {half}")
+                f"entry (q={qs}, k={ks}): halfMuSq must be positive, got {halfs}")
         if mult < 1:
-            raise TableValidationError(f"entry (q={q}, k={k}): multiplicity must be >= 1")
+            raise TableValidationError(f"entry (q={qs}, k={ks}): multiplicity must be >= 1")
         bound = max(q * (k + half_kappa), (n - q) * (half_kappa - k))
         if half < bound:
             raise TableValidationError(
-                f"entry (q={q}, k={k}, halfMuSq={half}) violates the curvature "
-                f"lower bound {bound}")
+                f"entry (q={qs}, k={ks}, halfMuSq={halfs}) violates the curvature "
+                f"lower bound {_reference_quoted(str(bound), bound)}")
         level = levels.setdefault((k, half), {})
         if q in level:
-            raise TableValidationError(f"duplicate eigenvalue for (q,k)={(q, k)}")
+            raise TableValidationError(
+                f"duplicate eigenvalue for (q,k)={_reference_quoted(str((q, k)), (q, k))}")
         level[q] = (half, mult)
     entries = {}
     for (k, _), level in levels.items():
@@ -113,8 +129,9 @@ def reference_table_load(path, n, kappa):
             d = mult - d
             if half is not None:
                 if d < 0:
-                    raise TableValidationError(f"negative alternating multiplicity {d} "
-                                               f"at (q={q}, k={k}, mu^2/2={half})")
+                    ds, ks, halfs = (_reference_quoted(str(x), x) for x in (d, k, half))
+                    raise TableValidationError(f"negative alternating multiplicity {ds} "
+                                               f"at (q={q}, k={ks}, mu^2/2={halfs})")
                 entries.setdefault((q, k), []).append((half, d))
     entries = {key: tuple(sorted(values)) for key, values in entries.items()}
     ks = [k for (_, k) in entries]
@@ -178,7 +195,9 @@ def test_half_mu_sq_literals_match_the_reference(half):
 
 
 INTEGER_LITERALS = ["1", "2.0", "0.7", "1e3", "-0", "true", "false", "null",
-                    '"1"', "[1]", "99999999999999999999999"]
+                    '"1"', "[1]", "99999999999999999999999",
+                    # quoted past 100 characters
+                    '"' + "z" * 200 + '"', "-" + "1" * 3000, "0." + "5" * 3000]
 
 
 @pytest.mark.parametrize("field", ["q", "k", "mult"])
@@ -194,6 +213,8 @@ def test_integer_fields_match_the_reference(field, value):
 ] + [
     "[" + entry_text(drop=("q", "mult")) + "]",
     "[3]", '["q"]', "[[0, 1]]", "[null]", "[true]", "[1.5]",
+    "[" + json.dumps(list(range(100))) + "]",
+    "[" + entry_text(drop=("q",))[:-1] + ', "pad": "' + "p" * 200 + '"}]',
     "[" + entry_text() + ", 7]",
     "{}", '{"entries": []}', "[]", '{"entries": {}}', '"table"', "3", "not json",
     '{"k_min": -3, "entries": [' + entry_text() + "]}",
