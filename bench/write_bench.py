@@ -36,6 +36,9 @@ bytecode cache.  From those trees, on both sides, interleaved:
 - the ``spectral.certify_no_crossing`` calls of one flow-sweep pass at
   seed 1, by family kind and outcome, counted in process by a wrapper of
   the module global that ``spectral_flow`` calls;
+- the ``skipped`` messages of the seed-1 flow-sweep counterexample part
+  (20 reports on partial tables): how many the reports list, and how many
+  distinct string objects and distinct texts those are;
 - the class products, ``series.class_product`` and ``series.exp_class``
   calls, counted in process by wrappers of those module globals: of one
   eta-grid pass at seed 1 (with whether the pass loaded ``etaflow.series``
@@ -279,6 +282,18 @@ by_kind = {}
 for (kind, status), calls in sorted(counts.items()):
     by_kind.setdefault(kind, {})[status] = calls
 print(json.dumps({"calls": sum(counts.values()), "by_kind": by_kind}))
+"""
+
+# the skipped messages of the seed-1 flow-sweep counterexample queries: how
+# many their reports list, as distinct string objects and as distinct texts
+_MESSAGES = """
+import worker
+found, entries = queries("flow-sweep")
+cx = [query for query in found if query["op"] == "cx"]
+skipped = [text for query in cx for text in worker._run(entries[query["base"]], query).skipped]
+print(json.dumps({"reports": len(cx), "skipped": len(skipped),
+                  "distinct_objects": len({id(text) for text in skipped}),
+                  "distinct_texts": len(set(skipped))}))
 """
 
 # the class products of one eta-grid pass, and of each cli-batch
@@ -582,6 +597,9 @@ def main(argv=None) -> int:
                  "cli-batch seed 1 invocation of each subcommand and format, python -S"),
                 ("certify_calls", _CERTIFY, "spectral.certify_no_crossing calls of one "
                  "flow-sweep seed 1 pass, by family kind and outcome"),
+                ("counterexample_messages", _MESSAGES, "skipped messages of the "
+                 "flow-sweep seed 1 counterexample part: entries, distinct string objects "
+                 "and distinct texts"),
                 ("class_products", _CLASS_PRODUCTS, "series.class_product and "
                  "series.exp_class calls of one eta-grid seed 1 pass and of each cli-batch "
                  "seed 1 check-identities invocation, memos emptied first")):

@@ -223,10 +223,11 @@ def _parse_entry_field(entry, key):
     return entry[key]
 
 
-def _unreadable(what: str, path, exc: OSError) -> str:
-    """The message of an OSError from reading ``path``, a name of any length
-    read from outside: str(exc) with the name quoted, in front and behind."""
-    return (f"cannot read {what} {quoted(path, str)}: [Errno {exc.errno}] "
+def os_refusal(action: str, path, exc: OSError) -> str:
+    """The message of an OSError from ``action`` ("read manifold config",
+    say) on ``path``, a name of any length read from outside: str(exc) with
+    the name quoted, in front and behind."""
+    return (f"cannot {action} {quoted(path, str)}: [Errno {exc.errno}] "
             f"{exc.strerror}: {quoted(str(path))}")
 
 
@@ -280,7 +281,7 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
     try:
         raw = json.loads(Path(path).read_text(), parse_float=_json_number)
     except OSError as exc:
-        raise TableValidationError(_unreadable("Laplacian table", path, exc)) from exc
+        raise TableValidationError(os_refusal("read Laplacian table", path, exc)) from exc
     except ValueError as exc:
         raise TableValidationError(f"cannot read Laplacian table {path}: {exc}") from exc
     if isinstance(raw, list):
@@ -425,7 +426,7 @@ def load_config(path) -> CatalogEntry:
     try:
         cfg = json.loads(path.read_text(), parse_float=parse_rational)
     except OSError as exc:
-        raise ConfigError(_unreadable("manifold config", path, exc)) from exc
+        raise ConfigError(os_refusal("read manifold config", path, exc)) from exc
     except ValueError as exc:
         raise ConfigError(f"cannot read manifold config {path}: {exc}") from exc
     if not isinstance(cfg, dict):

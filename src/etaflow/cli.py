@@ -15,7 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from .catalog import ConfigError, resolve_manifold
+from .catalog import ConfigError, os_refusal, resolve_manifold
 from .eta import (
     CONVENTION_REAL,
     CONVENTIONS,
@@ -25,7 +25,7 @@ from .eta import (
     eta_invariant,
     transgression_raw,
 )
-from .exact import exact_value_to_json, parse_rational, quoted, rational_str
+from .exact import MAX_QUOTED, exact_value_to_json, parse_rational, quoted, rational_str
 from .spectral import (
     IndeterminateSpectralFlow,
     ON_UNKNOWN_SKIP,
@@ -143,6 +143,22 @@ def build_parser():
                 sp.add_argument(f"--{name}", default=default, choices=choices,
                                 type=convert, required=required, help=help_text)
     return parser
+
+
+def _bounded(message: str, argv) -> str:
+    """An argparse refusal with each long text that it echoes from ``argv``
+    quoted (``exact.quoted``): the leftover tokens that it lists as
+    unrecognized, taken whole, and otherwise a token, its value after '='
+    or its tail after a short option (-hX), as repr or as text."""
+    head = "unrecognized arguments: "
+    if message.startswith(head):
+        return head + quoted(message[len(head):], str)
+    for token in argv:
+        for text in (token, token.partition("=")[2], token[2:]):
+            if len(text) > MAX_QUOTED:
+                message = message.replace(repr(text), quoted(text))
+                message = message.replace(text, quoted(text, str))
+    return message
 
 
 def _read_args(argv):
@@ -451,14 +467,19 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
         except CliError as exc:
-            print(f"etaflow: {exc}", file=sys.stderr)
+            print(f"etaflow: {_bounded(str(exc), argv)}", file=sys.stderr)
             return EXIT_ERROR
     try:
         result, provenance, code = _COMMANDS[args.command][0](args)
         payload = {"command": args.command, "provenance": provenance, "result": result}
         text = (payload_to_json if args.format == "json" else payload_to_csv)(payload)
         if args.out:
-            Path(args.out).write_text(text)
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                print(f"etaflow: {os_refusal('write report', args.out, exc)}",
+                      file=sys.stderr)
+                return EXIT_ERROR
         else:
             sys.stdout.write(text)
     except IndeterminateSpectralFlow as exc:

@@ -33,14 +33,16 @@ eigenvalue also satisfies, and for Type 1 on a complete cohomology table
 the k between r and the family's root.  The flow and the kernel at
 delta = eps read the same Type 2 k-range, because a zero at eps also
 needs Q to fall.  That cost does not grow with eps.  A partial table
-reports the cells of the window it lacks in one batch per q, and a
-tabulated spectrum those outside its k-range.
+reports the cells of the window it lacks in one batch per q, from messages
+that every report on the table shares, and a tabulated spectrum those
+outside its k-range.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import (
     Record,
@@ -341,6 +343,39 @@ def _scaled_bound(q: int, k: int, n: int, D: int, H: int) -> int:
     return max(q * (k * D + H), (n - q) * (H - k * D))
 
 
+@lru_cache(maxsize=8)
+def _held_messages(name: str, n: int) -> list:
+    """The memo of ``_unknown_rows`` for one table name and dimension n:
+    [the messages' common tail, (k0, rows)], rows[q][i] the message of the
+    cell (q, k0 + i).  Widening replaces the pair whole and changes no row
+    in place, so a reader always sees a consistent pair."""
+    return [f"}} unknown in table {quoted(name)}", (0, ((),) * (n + 1))]
+
+
+def _unknown_rows(name: str, n: int, lo: int, hi: int):
+    """(k0, rows), rows[q][k - k0] the message "h^{q,k} unknown in table
+    <name>" for q in 0..n and each k in lo..hi.  The text depends only on
+    the name, q and k, so the messages are held per (name, n) and shared by
+    every report on the table.  The held k-range widens by the new k when
+    lo..hi meets or abuts it; otherwise, or when the union would hold more
+    than MAX_WINDOW_CELLS messages, it starts again from lo..hi.  So no
+    message is built for a k that no query asked for."""
+    held = _held_messages(name, n)
+    suffix, (k0, rows) = held
+    k1 = k0 + len(rows[0])  # one past the held k-range
+    if (lo <= k1 and hi >= k0 - 1
+            and (n + 1) * (max(hi + 1, k1) - min(lo, k0)) <= MAX_WINDOW_CELLS):
+        front, back = range(lo, k0), range(k1, hi + 1)
+    else:
+        k0, rows, front, back = lo, ((),) * (n + 1), (), range(lo, hi + 1)
+    if front or back:
+        k0, rows = min(lo, k0), tuple(
+            (*[f"h^{{{q},{k}{suffix}" for k in front], *row,
+             *[f"h^{{{q},{k}{suffix}" for k in back]) for q, row in enumerate(rows))
+        held[1] = k0, rows
+    return k0, rows
+
+
 def _unknown_handler(on_unknown, skipped):
     """Raise UnknownCohomologyError at the first of an iterable of messages
     about missing data, or record them all in ``skipped`` under
@@ -488,10 +523,9 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     skipped = []
     handle_unknown = _unknown_handler(on_unknown, skipped)
     table = model.table
-    # a partial table reports each unknown cell as "h^{q,k} unknown ...";
-    # the tails "k} unknown ..." of the window's k serve every q
-    suffix = f"}} unknown in table {quoted(table.name)}"
-    tails = () if table.complete else [f"{k}{suffix}" for k in range(k_lo, k_hi + 1)]
+    if not table.complete:
+        # rows[q][k - k0]: the message of the unknown cell (q, k)
+        k0, rows = _unknown_rows(table.name, n, k_lo, k_hi)
     for q in range(n + 1):
         if table.complete:
             # the k between r and the root's end r + eps(q - n/2)
@@ -500,11 +534,11 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
                                  min(k_hi, max(R, end) // D))
         else:
             ks = table.known_ks(q, k_lo, k_hi)
-            prefix = f"h^{{{q},"
+            row = rows[q]
             # the unknown k fill the gaps between the ascending known ones
-            handle_unknown([prefix + tail for lo, hi in
+            handle_unknown([message for lo, hi in
                             zip((k_lo, *(k + 1 for k in ks)), (*ks, k_hi + 1))
-                            for tail in tails[lo - k_lo:hi - k_lo]])
+                            for message in row[lo - k0:hi - k0]])
         for k in ks:
             mult = table.h(q, k)
             if mult:
@@ -698,7 +732,8 @@ def kernel_dimension(model: SpectralModel, r, eps) -> int:
         if rem:
             continue
         if not model.table.is_known(q, k):
-            handle_unknown((f"h^{{{q},{k}}} unknown in table {quoted(model.table.name)}",))
+            k0, rows = _unknown_rows(model.table.name, n, k, k)
+            handle_unknown((rows[q][k - k0],))
             continue
         total += model.table.h(q, k)
 

@@ -777,6 +777,10 @@ FAIL_FAST_CASES = {
                            ("empty_list", []), ("empty_object", {}), ("null", None)]},
     "out_to_missing_directory": (
         {}, ["--manifold", "cp1xcp1", "--out", "{dir}/missing/x.json"]),
+    # an OSError names the path in front and behind, both quoted
+    "out_long_name": (
+        {}, ["--manifold", "cp1xcp1", "--out", "{dir}/" + "o" * 10000],
+        "cannot write report '", "'...: [Errno ", "'...\n"),
     "table_cutoff_exponent_literal": (
         {"man.json": TABLE_CONFIG, "spec.json": '{"half_mu_sq_max": 1e3, "entries": '
          '[{"q": 0, "k": 2, "halfMuSq": "3", "mult": 1}]}'},

@@ -1,8 +1,11 @@
 """A fuzzer over the command line's outside inputs: manifold configs,
-Laplacian tables and the values of --r, --eps, --order and --decimal.
+Laplacian tables, the values of --r, --eps, --order and --decimal, and the
+words that argparse refuses: subcommand names, option names and the values
+of the options with choices.
 
-Each case runs ``cli.main`` in process on one of the subcommands.  It must
-return 0, 1 or 2 with no exception escaping; a refusal (exit 1, or exit 2
+Each case runs ``cli.main`` in process, from the case's own directory, on
+one of the subcommands.  It must return 0, 1 or 2 with no exception
+escaping (help exits 0 through SystemExit); a refusal (exit 1, or exit 2
 without a report) must write one short message that starts with
 "etaflow:", never an echo of a large input; and the case must finish
 within a generous time budget.
@@ -11,6 +14,7 @@ within a generous time budget.
 import contextlib
 import io
 import json
+import os
 import tempfile
 import time
 from pathlib import Path
@@ -124,15 +128,64 @@ MAN = ["spectral-flow", "--manifold", "{dir}/man.json", "--eps=1"]
 @example(({"man.json": json.dumps({"type": "hypersurface_general_type", "n": 4,
                                    "d": 10**4000})}, MAN))
 def test_outside_input_gets_an_answer_or_a_short_refusal(case):
-    files, argv = case
+    _check(*case)
+
+
+# a word that argparse echoes when it refuses it: any short text, or long
+# letters, words or quotes
+WORD = st.one_of(st.text(max_size=300),
+                 st.sampled_from(["m" * 10000, "a b" * 4000, "'\"" * 3000, "-h" + "q" * 5000]))
+CHOICE_OPTIONS = [name for name, option in cli._OPTIONS.items() if option[1]]
+
+
+@st.composite
+def parser_cases(draw):
+    """A valid command line whose subcommand, one option name or the
+    value of one option with choices is a fuzzed WORD."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    names = cli._COMMANDS[command][2]
+    argv = [command, "--manifold", "cp1xcp1", *(["--eps=1"] if "eps" in names else [])]
+    kind = draw(st.sampled_from(["command", "option", "choice"]))
+    if kind == "command":
+        argv[0] = draw(WORD)
+    elif kind == "option":
+        argv.append("--" + draw(WORD))
+    else:
+        name = draw(st.sampled_from([n for n in CHOICE_OPTIONS if n in names]))
+        value = draw(WORD)
+        argv += [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
+    return {}, argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(parser_cases())
+# argparse refusals that echoed their whole input
+@example(({}, ["spectral-flow", "--manifold", "cp1xcp1", "--eps", "1", "--mode", "m" * 10000]))
+@example(({}, ["spectral-flow", "--manifold", "cp1xcp1", "--eps", "1", "--" + "x" * 10000]))
+@example(({}, ["s" * 10000, "--manifold", "cp1xcp1"]))
+@example(({}, ["check-identities", "--manifold", "cp1xcp1", "--d=" + "a b" * 4000]))
+@example(({}, ["check-identities", "--manifold", "cp1xcp1", "-h" + "q" * 5000]))
+@example(({}, ["adiabatic-limit", "--manifold", "cp1xcp1", *["x"] * 3000]))
+def test_refused_words_are_quoted_not_echoed(case):
+    _check(*case)
+
+
+def _check(files, argv):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             (Path(tmp) / name).write_text(text)
         argv = [arg.replace("{dir}", tmp) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        cwd = os.getcwd()
+        os.chdir(tmp)  # an abbreviated --out (--ou=x, say) writes its report in tmp
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # help
+            code = exc.code
+        finally:
+            os.chdir(cwd)
         elapsed = time.perf_counter() - start
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_INDETERMINATE)
     message = err.getvalue()
