@@ -45,6 +45,12 @@ bytecode cache.  From those trees, on both sides, interleaved:
   at all), and of each seed-1 cli-batch ``check-identities`` invocation,
   run by ``cli.main`` with every memo of the package emptied first, as in a
   fresh process;
+- the ``Fraction`` constructions (``Fraction.__new__`` calls) of one
+  eta-grid pass and one flow-sweep pass at seed 1, each after its set-up,
+  with those that ``perfbench/worker.py`` makes itself to parse r and eps;
+- ``spectral-flow`` and ``kernel-dim`` in nakano mode on cp1x4 at r = 1,
+  eps = 10^7, through ``cli.main`` in process: each command's exit code,
+  seconds, stderr and a sha256 of its output;
 - the cold class side: the first ``eta_invariant`` on each of cp1xcp1,
   cp1x4, cp1x6, cp1x8 and cp1x32, each in 5 fresh processes (the median),
   with the number of Bernoulli memo misses and of Bernoulli numbers
@@ -245,6 +251,50 @@ for query in found:
     parts[part][0] += time.perf_counter() - start
     parts[part][1] += 1
 print(json.dumps({part: {"seconds": s, "queries": n} for part, (s, n) in parts.items()}))
+"""
+
+# the Fraction constructions of one eta-grid and one flow-sweep pass, each
+# after its set-up, counted through a wrapper of Fraction.__new__, with those
+# that worker._run makes itself (its parsing of r and eps)
+_FRACTIONS = """
+from fractions import Fraction
+import worker
+passes = {workload: queries(workload) for workload in ("eta-grid", "flow-sweep")}
+counts = {"all": 0, "worker": 0}
+new = Fraction.__new__
+
+def counted(cls, *args, **kwargs):
+    counts["all"] += 1
+    counts["worker"] += sys._getframe(1).f_code is worker._run.__code__
+    return new(cls, *args, **kwargs)
+
+out = {}
+for workload, (found, entries) in passes.items():
+    counts.update(all=0, worker=0)
+    Fraction.__new__ = counted
+    run_all(found, entries)
+    Fraction.__new__ = new
+    out[workload] = {"queries": len(found), "fraction_constructions": counts["all"],
+                     "worker_parsing": counts["worker"]}
+print(json.dumps(out))
+"""
+
+# spectral-flow and kernel-dim in nakano mode on cp1x4 at r = 1, eps = 10^7,
+# through cli.main: each command's exit code, seconds, stderr and the sha256
+# of its output
+_PAST_CELL_LIMIT = """
+import contextlib, hashlib, io
+from etaflow.cli import main
+out = {}
+for command in ("spectral-flow", "kernel-dim"):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([command, "--manifold", "cp1x4", "--r", "1", "--eps", "10000000"])
+    out[command] = {"exit_code": code, "seconds": time.perf_counter() - start,
+                    "stderr": stderr.getvalue().strip(),
+                    "stdout_sha256": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+print(json.dumps(out))
 """
 
 # the cold resolve_manifold of the generated flow-sweep tables: seconds and
@@ -602,7 +652,13 @@ def main(argv=None) -> int:
                  "and distinct texts"),
                 ("class_products", _CLASS_PRODUCTS, "series.class_product and "
                  "series.exp_class calls of one eta-grid seed 1 pass and of each cli-batch "
-                 "seed 1 check-identities invocation, memos emptied first")):
+                 "seed 1 check-identities invocation, memos emptied first"),
+                ("fraction_constructions", _FRACTIONS, "Fraction.__new__ calls of one "
+                 "eta-grid and one flow-sweep seed 1 pass after set-up, and those of "
+                 "perfbench/worker.py's own parsing of r and eps"),
+                ("past_cell_limit", _PAST_CELL_LIMIT, "spectral-flow and kernel-dim "
+                 "--manifold cp1x4 --r 1 --eps 10000000 (nakano) through cli.main in "
+                 "process: exit code, seconds, stderr, sha256 of the output")):
             record[key] = {"case": case, **{side: side_runs[0] for side, side_runs
                                             in _probe(code, roots).items()}}
         for key in ("certify_calls", "class_products"):

@@ -274,8 +274,8 @@ def _cmd_adiabatic(args):
     entry = resolve_manifold(args.manifold)
     manifold = _class_base(entry, args.order)
     r = parse_rational(args.r)
-    value = adiabatic_limit_eta(manifold, r)
-    result = {"r": rational_str(r), "value": rational_str(value)}
+    result = {"r": rational_str(r)}  # an r too long to print is refused first
+    result["value"] = rational_str(adiabatic_limit_eta(manifold, r))
     _add_decimals(result, ("value",), args.decimal)
     return result, _provenance(entry, args), EXIT_OK
 
@@ -285,13 +285,11 @@ def _cmd_transgression(args):
     manifold = _class_base(entry, args.order)
     r = parse_rational(args.r)
     eps = parse_rational(args.eps)
+    if eps >= 0:  # else transgression_raw refuses eps, before it evaluates
+        # an r or eps too long to print is refused before evaluating
+        result = {"r": rational_str(r), "eps": rational_str(eps)}
     value = transgression_raw(manifold, r, eps, args.convention)
-    result = {
-        "r": rational_str(r),
-        "eps": rational_str(eps),
-        "convention": args.convention,
-        "value": exact_value_to_json(value),
-    }
+    result.update(convention=args.convention, value=exact_value_to_json(value))
     _add_decimals(result, ("value",), args.decimal)
     return result, _provenance(entry, args, {"convention_constant": "1"}), EXIT_OK
 

@@ -97,13 +97,19 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {quoted(text)}") from exc
 
 
-def rational_str(q: Fraction) -> str:
-    """Canonical string form "p/q", or "p" when the denominator is 1."""
-    q = as_fraction(q)
-    if abs(q.numerator) >= _DIGITS_BOUND or q.denominator >= _DIGITS_BOUND:
+def rational_str(q, den: int | None = None) -> str:
+    """Canonical string form "p/q", or "p" when the denominator is 1, of the
+    rational q, or of q/den for integers q and den > 0 (no Fraction built)."""
+    if den is None:
+        q = as_fraction(q)
+        q, den = q.numerator, q.denominator
+    else:
+        g = math.gcd(q, den)
+        q, den = q // g, den // g
+    if abs(q) >= _DIGITS_BOUND or den >= _DIGITS_BOUND:
         raise ValueError(f"cannot print a rational of more than MAX_RATIONAL_DIGITS = "
                          f"{MAX_RATIONAL_DIGITS} digits")
-    return str(q)
+    return f"{q}/{den}" if den != 1 else str(q)
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:

@@ -25,17 +25,16 @@ made only for a root that is reported.  Q is read with either tabulated
 Laplacian eigenvalues or, when the model has no spectrum
 (``spectrum=None``, bound-only mode), the
 curvature lower bound  mu^2/2 >= max(q(k + kappa/2), (n-q)(-k + kappa/2)).
-A crossing forces |2k - 2r| <= eps(n+2) and mu^2 <= eps/4: the windows,
-found in integers over one denominator of r, eps and kappa, grow linearly
-in eps, but only the k that can report are visited: for Type 2 each q gives a
-k-range found in closed form from the Nakano bound, which every tabulated
-eigenvalue also satisfies, and for Type 1 on a complete cohomology table
-the k between r and the family's root.  The flow and the kernel at
-delta = eps read the same Type 2 k-range, because a zero at eps also
-needs Q to fall.  That cost does not grow with eps.  A partial table
-reports the cells of the window it lacks in one batch per q, from messages
-that every report on the table shares, and a tabulated spectrum those
-outside its k-range.
+A crossing forces |2k - 2r| <= eps(n+2) and mu^2 <= eps/4.  These windows
+grow linearly in eps, but one integer pass over one denominator of r, eps
+and kappa (``_plan``) visits only the k that can report: for Type 2 the
+k-range of each q, found in closed form from the Nakano bound, which every
+tabulated eigenvalue also satisfies, and for Type 1 on a complete
+cohomology table the k between r and the family's root.  The flow and the
+kernel at delta = eps read the same pass.  A partial table reports the
+cells of the window it lacks in one batch per q, from messages that every
+report on the table shares, and a tabulated spectrum those outside its
+k-range.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ class CohomologyTable:
         raise NotImplementedError
 
     def k_support(self, q: int, lo: int, hi: int) -> range:
-        """The k in lo..hi at which h^{q,k} may be nonzero."""
+        """The k in lo..hi at which h^{q,k} may be nonzero, a range of step 1."""
         return range(lo, hi + 1)
 
     def is_known(self, q: int, k: int) -> bool:
@@ -319,21 +318,28 @@ def certify_no_crossing(family: EigenvalueFamily, r, eps) -> CertOutcome:
 ON_UNKNOWN_ERROR = "error"
 ON_UNKNOWN_SKIP = "skip"
 
-# Largest search window, in (q, k) cells over both family types, that is
-# accepted.  The window grows linearly in eps.  On a complete cohomology
-# table only the cells that can report are visited, so the cost does not;
-# a partial table lists every cell of its window that it does not know,
-# and a tabulated spectrum every cell outside its k-range.
+# Largest number of (q, k) cells that a query lists one by one: the Type 1
+# window of a partial cohomology table, whose unknown cells are reported,
+# and the Type 2 window's cells outside a tabulated spectrum's k-range.
+# Both grow linearly in eps.
 MAX_WINDOW_CELLS = 500_000
+
+# Largest number of candidate families that a query's k-ranges list: the
+# Type 1 k of a complete cohomology table and the Type 2 k of every q.  They
+# grow with |r|, not with eps.  A query whose windows hold MAX_WINDOW_CELLS
+# cells has at most about 88,500 (cp1xcp1, eps = 27777), listed in a second.
+MAX_FAMILIES = 100_000
 
 
 def _scaled(*values):
     """(D, x_1 D, ..., x_m D) as integers, D the least common denominator
-    of the Fractions x_i; an integer ceiling is then -((-p) // q)."""
+    of the rationals x_i; an integer ceiling is then -((-p) // q)."""
+    pairs = [x.as_integer_ratio() for x in values]
     d = 1
-    for x in values:
-        d = d * x.denominator // math.gcd(d, x.denominator)
-    return (d, *(x.numerator * (d // x.denominator) for x in values))
+    for _, e in pairs:
+        if d % e:
+            d = d * e // math.gcd(d, e)
+    return (d, *[p * (d // e) for p, e in pairs])
 
 
 def _scaled_bound(q: int, k: int, n: int, D: int, H: int) -> int:
@@ -380,114 +386,130 @@ def _unknown_handler(on_unknown, skipped):
     """Raise UnknownCohomologyError at the first of an iterable of messages
     about missing data, or record them all in ``skipped`` under
     on_unknown="skip"."""
-    if on_unknown not in (ON_UNKNOWN_ERROR, ON_UNKNOWN_SKIP):
+    if on_unknown == ON_UNKNOWN_SKIP:
+        return skipped.extend
+    if on_unknown != ON_UNKNOWN_ERROR:
         raise ValueError(f"on_unknown must be {ON_UNKNOWN_ERROR!r} or "
                          f"{ON_UNKNOWN_SKIP!r}, got {on_unknown!r}")
 
-    def handle(messages):
-        if on_unknown == ON_UNKNOWN_SKIP:
-            skipped.extend(messages)
-            return
+    def refuse(messages):
         for message in messages:
             raise UnknownCohomologyError(message)
 
-    return handle
+    return refuse
 
 
-def _windows(n: int, eps, D: int, R: int, E: int, G: int):
-    """(k1_lo, k1_hi, k2_lo, k2_hi) for r = R/D, eps = E/D, factor G/D: a Type 1
-    zero on (0, eps] needs |k - r| <= eps*n/2, so k in ceil((2RD - nEG)/(2D^2))
-    .. floor((2RD + nEG)/(2D^2)), and a Type 2 zero the same with n + 2.
-    Refuses, before any enumeration, an n that is odd or not positive
-    (``_flow_ks`` needs C = 2q + 1 - n odd and n - 1 > 0) and more than
-    MAX_WINDOW_CELLS cells: (n + 1) times the number of k of both windows."""
+def _plan(model: SpectralModel, r, eps, factor):
+    """The integer plan of a query, found in one pass before any family is
+    built.  ``_scaled`` puts r, eps, the factor and kappa (0 without a Ricci
+    bound, which a table still meets) over one denominator D as R, E, G, K.
+    The windows |k - r| <= eps*factor*n/2 (Type 1) and with n + 2 (Type 2)
+    hold every zero on (0, eps].  Within them, per q, are found the Type 1
+    k between r and the root's end r + eps(q - n/2) on a complete table,
+    and the Type 2 k where a bound-level family can report: with S = 8D^2,
+    half_mu_max = M/S and kappa/2 = H/S, where the Nakano bound is at most
+    half_mu_max and where c1 < 0 in Q = c2 delta^2 + c1 delta + B^2
+    (c2 = C^2 - 1 >= 0, C = 2q + 1 - n odd), or B = 0 at k = r.  The bound
+    gives c1 = max(f1, f2) for f1 = 4(n - 1)k + 4(q kappa + C r) and
+    f2 = -4(n + 1)k + 4((n - q)kappa + C r), so c1 < 0 on one open
+    k-interval, whatever eps is.
+
+    Refuses a nonpositive eps, a factor below 1, an n that is odd or not
+    positive, more than MAX_WINDOW_CELLS cells to list one by one and more
+    than MAX_FAMILIES candidate families.  Returns ((D, R, E, G, K),
+    (k1_lo, k1_hi, k2_lo, k2_hi), type1, type2, missing): type1[q] the
+    Type 1 k of degree q (complete tables only), type2 the (q, k, S times
+    the bound, the tabulated (mu^2/2, multiplicity) levels or None) in
+    (q, k) order, and missing the Type 2 k outside a spectrum's k-range.
+    """
+    r, eps = as_fraction(r), as_fraction(eps)
+    if eps.numerator <= 0:
+        raise ValueError("eps must be positive")
+    if not isinstance(factor, int):
+        factor = as_fraction(factor)  # a float is refused
+    if factor.numerator < factor.denominator:
+        # a narrower window drops families that can cross
+        raise ValueError(f"window_factor must be >= 1, got {factor}")
+    n, table, spectrum = model.n, model.table, model.spectrum
     if n % 2 or n <= 0:
         raise ValueError("only positive even complex dimension is supported")
-    centre, span = 2 * R * D, 2 * D * D
-    k1_lo, k2_lo = (-((m * E * G - centre) // span) for m in (n, n + 2))
-    k1_hi, k2_hi = ((centre + m * E * G) // span for m in (n, n + 2))
-    cells = (n + 1) * (max(k1_hi - k1_lo + 1, 0) + max(k2_hi - k2_lo + 1, 0))
+    scaled = D, R, E, G, K = _scaled(r, eps, factor, model.kappa or 0)
+    centre, span, reach = 2 * R * D, 2 * D * D, n * E * G
+    k1_lo, k1_hi = -((reach - centre) // span), (centre + reach) // span
+    reach += 2 * E * G
+    k2_lo, k2_hi = -((reach - centre) // span), (centre + reach) // span
+    cells = 0 if table.complete else (n + 1) * max(k1_hi - k1_lo + 1, 0)
+    lo2, hi2, missing = k2_lo, k2_hi, ((), ())
+    if spectrum is not None:
+        # the cells below and above the covered k-range (none covered when
+        # cover_lo > cover_hi), in k order; only the covered ones are read
+        cover_lo, cover_hi = spectrum.k_range
+        missing = (range(k2_lo, min(k2_hi, cover_lo - 1) + 1),
+                   range(max(k2_lo, cover_lo, cover_hi + 1), k2_hi + 1))
+        cells += (n + 1) * sum(max(ks.stop - ks.start, 0) for ks in missing)
+        lo2, hi2 = max(k2_lo, cover_lo), min(k2_hi, cover_hi)
     if cells > MAX_WINDOW_CELLS:
         raise SpectralWindowError(
             f"search window of {quoted(cells, str)} (q, k) cells for eps = "
-            f"{quoted(eps, str)} exceeds "
-            f"MAX_WINDOW_CELLS = {MAX_WINDOW_CELLS}"
-        )
-    return k1_lo, k1_hi, k2_lo, k2_hi
+            f"{quoted(eps, str)} exceeds MAX_WINDOW_CELLS = {MAX_WINDOW_CELLS}")
 
-
-def _nakano_k_range(q: int, n: int, k_lo, k_hi, D, H, M):
-    """(lo, hi): the k in k_lo..k_hi where the Nakano bound
-    max(q(k + kappa/2), (n - q)(-k + kappa/2)) is at most half_mu_max, with
-    kappa/2 = H/D and half_mu_max = M/D; outside it no eigenvalue of
-    degree q enters the window."""
-    lo, hi = k_lo, k_hi
-    if q > 0:
-        hi = min(hi, (M - q * H) // (q * D))
-    if q < n:
-        lo = max(lo, -((M - (n - q) * H) // ((n - q) * D)))
-    return lo, hi
-
-
-def _flow_ks(q: int, lo: int, hi: int, n: int, D, R, H):
-    """The k in lo..hi where a bound-level Type 2 family of degree q can
-    report on (0, eps], with r = R/D and kappa/2 = H/D.
-
-    Q = c2 delta^2 + c1 delta + c0 has c2 = C^2 - 1 >= 0 (C = 2q + 1 - n is
-    odd) and c0 = B^2, so Q > 0 on [0, eps] unless c1 < 0 or B = 0.  With
-    the Nakano bound c1 = max(f1, f2) for the affine
-    f1 = 4(n - 1)k + 4(q kappa + C r) and f2 = -4(n + 1)k + 4((n - q)kappa + C r),
-    so c1 < 0 on one open k-interval, whatever eps is; B = 0 adds k = r.
-    """
-    C = 2 * q + 1 - n
-    ks = range(max(lo, (2 * (n - q) * H + C * R) // ((n + 1) * D) + 1),
-               min(hi, -((2 * q * H + C * R) // ((n - 1) * D)) - 1) + 1)
-    if R % D == 0 and lo <= R // D <= hi and R // D not in ks:
-        return sorted((*ks, R // D))
-    return ks
-
-
-def _type2_levels(model: SpectralModel, eps, k_lo, k_hi, scaled, handle_unknown):
-    """Yield (q, k, bound, levels) for each k of the window k_lo..k_hi that
-    ``_flow_ks`` keeps from the Nakano range of degree q (mu^2/2 <=
-    half_mu_max = eps*factor/8).  ``scaled`` is (D, R, E, G, K) with
-    r, eps, factor, kappa = R/D, E/D, G/D, K/D; ``bound`` is 8D^2 times the
-    Nakano bound, and ``levels`` the ascending (mu^2/2, multiplicity) that a
-    tabulated spectrum lists at (q, k), cutoff not applied, or None in
-    bound-only mode.  A tabulated eigenvalue is at least the bound, so a
-    level that the bound silences is silent too."""
-    n = model.n
-    spectrum = model.spectrum
-    D, R, E, G, K = scaled
-    # over S = 8D^2: half_mu_max = M/S, r = R/S and kappa/2 = H/S
-    S, M, R, H = 8 * D * D, E * G, 8 * D * R, 4 * D * K
-    missing = ()
-    if spectrum is not None:
-        cutoff = spectrum.half_mu_sq_max
-        if cutoff.numerator * S < M * cutoff.denominator:
-            raise SpectralWindowError(
-                f"spectrum cutoff mu^2/2 <= {quoted(cutoff, str)} below the required "
-                f"{quoted(Fraction(M, S), str)} for eps = {quoted(eps, str)}"
-            )
-        # the cells below and above the covered k-range (none covered when
-        # cover_lo > cover_hi), in k order; only the covered ones are picked
-        cover_lo, cover_hi = spectrum.k_range
-        missing = (*range(k_lo, min(k_hi, cover_lo - 1) + 1),
-                   *range(max(k_lo, cover_lo, cover_hi + 1), k_hi + 1))
-        k_lo, k_hi = max(k_lo, cover_lo), min(k_hi, cover_hi)
-        suffix = f"); covered k-range is {quoted(spectrum.k_range, str)}"
-    elif model.kappa is None:
-        handle_unknown(("Type 2 certification needs a Ricci lower bound or an "
-                        "explicit Laplacian spectrum",))
-        return
+    S, M, R8, H = 8 * D * D, E * G, 8 * D * R, 4 * D * K
+    r_lo, r_hi = -(-R // D), R // D  # ceil(r), floor(r); k = r where r_lo == r_hi
+    bounded = spectrum is not None or model.kappa is not None
+    type1, type2, count = [], [], 0
     for q in range(n + 1):
-        if missing:
-            prefix = f"Laplacian spectrum missing (q={q}, k="
-            handle_unknown(f"{prefix}{k}{suffix}" for k in missing)
-        lo, hi = _nakano_k_range(q, n, k_lo, k_hi, S, H, M)
-        for k in _flow_ks(q, lo, hi, n, S, R, H):
-            yield (q, k, _scaled_bound(q, k, n, S, H),
-                   None if spectrum is None else spectrum.eigenvalues(q, k))
+        if table.complete:
+            # the k between r and the root's end, all inside the window
+            end = R + E * (q - n // 2)
+            ks = table.k_support(q, -(-end // D), r_hi) if end < R else \
+                table.k_support(q, r_lo, end // D)
+            type1.append(ks)
+            if ks:
+                count += ks.stop - ks.start
+        if bounded:
+            C = 2 * q + 1 - n
+            lo = -((M - (n - q) * H) // ((n - q) * S)) if q < n else lo2
+            hi = (M - q * H) // (q * S) if q else hi2
+            lo, hi = lo if lo > lo2 else lo2, hi if hi < hi2 else hi2
+            start = (2 * (n - q) * H + C * R8) // ((n + 1) * S) + 1
+            stop = -((2 * q * H + C * R8) // ((n - 1) * S)) - 1
+            start, stop = start if start > lo else lo, stop if stop < hi else hi
+            at_r = r_lo == r_hi and lo <= r_lo <= hi and not start <= r_lo <= stop
+            count += (stop - start + 1 if start <= stop else 0) + at_r
+        if count > MAX_FAMILIES:
+            raise SpectralWindowError(
+                f"more than MAX_FAMILIES = {MAX_FAMILIES} candidate families in the "
+                f"search window for eps = {quoted(eps, str)}")
+        if bounded and (start <= stop or at_r):
+            ks = range(start, stop + 1)
+            if at_r:
+                ks = (r_lo, *ks) if r_lo < start else (*ks, r_lo)
+            type2 += [(q, k, _scaled_bound(q, k, n, S, H),
+                       None if spectrum is None else spectrum.eigenvalues(q, k))
+                      for k in ks]
+    return scaled, (k1_lo, k1_hi, k2_lo, k2_hi), type1, type2, missing
+
+
+def _type2_unknowns(model: SpectralModel, eps, M: int, S: int, missing, handle_unknown):
+    """Refuse a tabulated spectrum whose cutoff is below the window's
+    half_mu_max = M/S, and report what the Type 2 levels lack: a Ricci
+    lower bound, in bound-only mode, or each cell of the ``missing``
+    k-ranges (``_plan``) in every degree q."""
+    spectrum = model.spectrum
+    if spectrum is None:
+        if model.kappa is None:
+            handle_unknown(("Type 2 certification needs a Ricci lower bound or an "
+                            "explicit Laplacian spectrum",))
+        return
+    cutoff = spectrum.half_mu_sq_max
+    if cutoff.numerator * S < M * cutoff.denominator:
+        raise SpectralWindowError(
+            f"spectrum cutoff mu^2/2 <= {quoted(cutoff, str)} below the required "
+            f"{quoted(Fraction(M, S), str)} for eps = {quoted(eps, str)}"
+        )
+    suffix = f"); covered k-range is {quoted(spectrum.k_range, str)}"
+    handle_unknown(f"Laplacian spectrum missing (q={q}, k={k}{suffix}"
+                   for q in range(model.n + 1) for ks in missing for k in ks)
 
 
 def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
@@ -500,25 +522,15 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     windows for soundness testing.  Within them, a complete cohomology
     table lists only the Type 1 families whose root (k - r)/(q - n/2)
     lies in [0, eps], and both spectrum kinds only the Type 2 levels at
-    the k that ``_flow_ks`` keeps, each in the one branch that can vanish;
-    every other family is silent, so the cost of those parts does not grow
-    with eps.  A partial table reports every cell of its Type 1 window
-    that it does not list, in one batch per q.  One ``_scaled`` call puts
-    r, eps, the factor and kappa over one denominator, and all of this is
-    done in those integers.  Returns (families, skipped, window) where
-    ``skipped`` describes entries omitted under on_unknown="skip".
+    the k that ``_plan`` keeps, each in the one branch that can vanish.
+    A partial table reports every cell of its Type 1 window that it does
+    not list, in one batch per q.  A Fraction is built only for a listed
+    family.  Returns (families, skipped, window) where ``skipped``
+    describes entries omitted under on_unknown="skip".
     """
-    r, eps = as_fraction(r), as_fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    factor = as_fraction(window_factor)
-    if factor < 1:
-        # a narrower window drops families that can cross
-        raise ValueError(f"window_factor must be >= 1, got {factor}")
+    (D, R, E, G, _), (k_lo, k_hi, k2_lo, k2_hi), type1, type2, missing = _plan(
+        model, r, eps, window_factor)
     n = model.n
-    # without a Ricci bound a table still meets the weakest bound, kappa = 0
-    scaled = D, R, E, G, _ = _scaled(r, eps, factor, model.kappa or 0)
-    k_lo, k_hi, k2_lo, k2_hi = _windows(n, eps, D, R, E, G)
     families = []
     skipped = []
     handle_unknown = _unknown_handler(on_unknown, skipped)
@@ -528,10 +540,7 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
         k0, rows = _unknown_rows(table.name, n, k_lo, k_hi)
     for q in range(n + 1):
         if table.complete:
-            # the k between r and the root's end r + eps(q - n/2)
-            end = R + E * (q - n // 2)
-            ks = table.k_support(q, max(k_lo, -(-min(R, end) // D)),
-                                 min(k_hi, max(R, end) // D))
+            ks = type1[q]
         else:
             ks = table.known_ks(q, k_lo, k_hi)
             row = rows[q]
@@ -549,11 +558,11 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     window = {
         "type1_k": [k_lo, k_hi],
         "type2_k": [k2_lo, k2_hi],
-        "half_mu_sq_max": rational_str(Fraction(M, S)),
-        "factor": rational_str(factor),
+        "half_mu_sq_max": rational_str(M, S),
+        "factor": rational_str(G, D),
     }
-    for q, k, bound, levels in _type2_levels(model, eps, k2_lo, k2_hi, scaled,
-                                             handle_unknown):
+    _type2_unknowns(model, eps, M, S, missing, handle_unknown)
+    for q, k, bound, levels in type2:
         # the other branch is strictly signed: it never reports
         kind = TYPE2_MINUS if q % 2 else TYPE2_PLUS
         if levels is None:  # bound-only mode: the Nakano bound is the level
@@ -671,9 +680,7 @@ def spectral_flow(model: SpectralModel, r, eps, *, sf_sign=SF_SIGN_PAPER,
     """
     if sf_sign not in (SF_SIGN_PAPER, SF_SIGN_STANDARD):
         raise ValueError(f"unknown sf sign convention {sf_sign!r}")
-    families, skipped, window = enumerate_families(
-        model, r, eps, window_factor=window_factor, on_unknown=on_unknown
-    )
+    families, skipped, window = enumerate_families(model, r, eps, window_factor, on_unknown)
     crossings = []
     endpoint_zeros = []
     indeterminate = []
@@ -693,16 +700,8 @@ def spectral_flow(model: SpectralModel, r, eps, *, sf_sign=SF_SIGN_PAPER,
         if outcome.zero_at_eps:
             endpoint_zeros.append(EndpointZero(family, "eps",
                                                family.multiplicity))
-    return SpectralFlowReport(
-        mode=model.mode,
-        sf_sign=sf_sign,
-        crossings=crossings,
-        endpoint_zeros=endpoint_zeros,
-        indeterminate=indeterminate,
-        skipped=skipped,
-        window=window,
-        total_paper=total,
-    )
+    return SpectralFlowReport(model.mode, sf_sign, crossings, endpoint_zeros,
+                              indeterminate, skipped, window, total)
 
 
 def kernel_dimension(model: SpectralModel, r, eps) -> int:
@@ -710,20 +709,17 @@ def kernel_dimension(model: SpectralModel, r, eps) -> int:
 
     Sums h^{q,k} over Type 1 zeros and the alternating multiplicities
     over Type 2 zeros at eps, reading the Type 2 levels at the k that
-    ``spectral_flow`` visits.  A Type 2 zero at (q, k) needs mu^2/2 equal
+    ``spectral_flow`` visits, from the same pass (``_plan``), which refuses
+    what the flow refuses.  A Type 2 zero at (q, k) needs mu^2/2 equal
     to the value half* that vanishes at eps.  In bound-only mode, if half*
     is positive and not below the Nakano bound the data cannot decide, and
     IndeterminateSpectralFlow is raised rather than guessed, and an unknown
     cell raises UnknownCohomologyError: a count that skipped it would be
     partial.
     """
+    (D, R, E, G, _), _, _, type2, missing = _plan(model, r, eps, 1)
     handle_unknown = _unknown_handler(ON_UNKNOWN_ERROR, [])
-    r, eps = as_fraction(r), as_fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     n = model.n
-    scaled = D, R, E, G, _ = _scaled(r, eps, 1, model.kappa or 0)
-    _, _, k2_lo, k2_hi = _windows(n, eps, D, R, E, G)
     total = 0
 
     # Type 1 zeros at eps: k = r + eps (q - n/2) must be an integer
@@ -743,9 +739,9 @@ def kernel_dimension(model: SpectralModel, r, eps) -> int:
     # <= half* or B = 0: every such k is in the flow's k-range.  A level
     # needs half* > 0 and half* >= bound, which a tabulated eigenvalue
     # equal to half* meets
+    _type2_unknowns(model, eps, E * G, 8 * D * D, missing, handle_unknown)
     scale = 8 * E * D
-    for q, k, bound, levels in _type2_levels(model, eps, k2_lo, k2_hi, scaled,
-                                             handle_unknown):
+    for q, k, bound, levels in type2:
         N = E * E - (2 * (k * D - R) - (2 * q + 1 - n) * E) ** 2
         if N <= 0:
             continue

@@ -219,6 +219,32 @@ def test_answer_digit_limit(capsys):
     assert f"MAX_RATIONAL_DIGITS = {MAX_RATIONAL_DIGITS}" in err
 
 
+R_4100 = f"{10**4100 + 1}/{10**4100 - 3}"  # as bench/write_bench.py times it
+
+
+def test_unprintable_r_refused_before_evaluating(capsys, monkeypatch):
+    # the payload echoes r (and eps) through rational_str: an r too long to
+    # print is refused with the same message, before the class side runs
+    def never(*args):
+        raise AssertionError("evaluated")
+
+    for module, name in ((eta, "adiabatic_top"), (eta, "transgression_raw"),
+                         (cli, "transgression_raw")):
+        monkeypatch.setattr(module, name, never)
+    message = (f"etaflow: cannot print a rational of more than MAX_RATIONAL_DIGITS = "
+               f"{MAX_RATIONAL_DIGITS} digits\n")
+    for argv in (["adiabatic-limit", "--manifold", "cp1x32"],
+                 ["transgression", "--manifold", "cp1x32", "--eps", "1"],
+                 ["transgression", "--manifold", "cp1x32", "--eps", "1" + "0" * 4001]):
+        start = time.perf_counter()
+        assert run_cli(capsys, *argv, "--r", R_4100) == (EXIT_ERROR, "", message)
+        assert time.perf_counter() - start < 0.1
+    # a negative eps is still refused first, by transgression_raw
+    monkeypatch.undo()
+    assert run_cli(capsys, "transgression", "--manifold", "cp1x32", "--eps", "-1",
+                   "--r", R_4100) == (EXIT_ERROR, "", "etaflow: eps must be >= 0\n")
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(
         capsys, "spectral-flow", "--manifold", "cp1xcp1", "--r", "9/4",
@@ -709,15 +735,30 @@ def test_bound_level_zero_meets_zero_only_at_start(capsys, r, q):
 
 
 def test_spectral_window_limit(capsys):
+    # a partial table lists the cells of its Type 1 window one by one, and
+    # a complete table refuses by the families its k-ranges list
+    for manifold, r, limit in (("hyp:n=4,d=8", "1", "MAX_WINDOW_CELLS"),
+                               ("cp1xcp1", "1000000", "MAX_FAMILIES")):
+        for command in ("spectral-flow", "kernel-dim", "counterexample"):
+            start = time.perf_counter()
+            code, out, err = run_cli(
+                capsys, command, "--manifold", manifold, "--r", r,
+                "--eps", "1000000",
+            )
+            assert time.perf_counter() - start < 1
+            assert code == EXIT_ERROR and out == ""
+            assert limit in err
+
+
+def test_complete_table_answers_past_the_cell_limit(capsys):
+    # cp1x4 at r = 1: the window grows with eps, its k-ranges do not
     for command in ("spectral-flow", "kernel-dim"):
         start = time.perf_counter()
-        code, out, err = run_cli(
-            capsys, command, "--manifold", "cp1x4", "--r", "1",
-            "--eps", "100000",
-        )
+        code, payload = run_json(capsys, command, "--manifold", "cp1x4", "--r", "1",
+                                 "--eps", "10000000")
         assert time.perf_counter() - start < 1
-        assert code == EXIT_ERROR and out == ""
-        assert "MAX_WINDOW_CELLS" in err
+        assert code == EXIT_OK
+    assert payload["result"]["kernel_dimension"] == 0
 
 
 def test_hypersurface_dimension_limit(capsys):
@@ -824,7 +865,7 @@ FAIL_FAST_CASES = {
         {}, ["--manifold", "cp1x" + "2" * 3000],
         "cp1x'22222222222222222222'... has more than MAX_CP1_FACTORS"),
     "eps_window_long_digits": (
-        {}, ["--manifold", "cp1x4", "--eps", "9" * 4000],
+        {}, ["--manifold", "hyp:n=4,d=8", "--eps", "9" * 4000],
         "cells for eps = '99999999999999999999'... exceeds MAX_WINDOW_CELLS"),
     "product_factors_long_string": (
         {"man.json": json.dumps({"type": "product_cp1", "factors": "z" * 10000})},

@@ -61,10 +61,11 @@ from etaflow.spectral import (
 
 
 def fraction_window(n, r, eps, factor):
-    """type1_k, type2_k, the mu^2/2 cutoff and the cell count, in Fractions."""
+    """type1_k, type2_k, the mu^2/2 cutoff and the cells of the Type 1
+    window, which a partial table lists one by one, in Fractions."""
     spans = [(math.ceil(r - eps * m / 2 * factor), math.floor(r + eps * m / 2 * factor))
              for m in (n, n + 2)]
-    cells = (n + 1) * sum(max(hi - lo + 1, 0) for lo, hi in spans)
+    cells = (n + 1) * max(spans[0][1] - spans[0][0] + 1, 0)
     return [list(span) for span in spans], eps / 8 * factor, cells
 
 
@@ -77,22 +78,24 @@ def fraction_window(n, r, eps, factor):
                         st.fractions(min_value=1, max_value=5, max_denominator=10**4)))
 @example(n=2, r=F(-7, 3), eps=F(1, 999983), factor=F(1))
 @example(n=4, r=F(-1, 2), eps=F(3, 2), factor=F(7, 3))
-@example(n=6, r=F(5), eps=F(100000), factor=F(5))  # far over the cell limit
+@example(n=6, r=F(5), eps=F(100000), factor=F(5))  # far over a partial table's cell limit
 def test_integer_windows_match_fraction_reference(n, r, eps, factor):
     spans, half_mu_max, cells = fraction_window(n, r, eps, factor)
     spec, table = product_cp1_model(n)
+    # a complete table lists no cell one by one, whatever the window's size
     model = SpectralModel(spec.name, n, F(2), table)
-    if cells > MAX_WINDOW_CELLS:
-        message = (f"search window of {cells} (q, k) cells for eps = {eps} "
-                   f"exceeds MAX_WINDOW_CELLS = {MAX_WINDOW_CELLS}")
-        with pytest.raises(SpectralWindowError) as info:
-            enumerate_families(model, r, eps, window_factor=factor)
-        assert str(info.value) == message
-        return
     _, _, window = enumerate_families(model, r, eps, window_factor=factor)
     assert window == {"type1_k": spans[0], "type2_k": spans[1],
                       "half_mu_sq_max": str(half_mu_max),
                       "factor": str(factor)}
+    if cells > MAX_WINDOW_CELLS:
+        # a partial table would list every cell of its Type 1 window
+        partial = SpectralModel("partial", n, F(2), PartialCohomology("partial", {}))
+        message = (f"search window of {cells} (q, k) cells for eps = {eps} "
+                   f"exceeds MAX_WINDOW_CELLS = {MAX_WINDOW_CELLS}")
+        with pytest.raises(SpectralWindowError) as info:
+            enumerate_families(partial, r, eps, window_factor=factor)
+        assert str(info.value) == message
 
 
 def test_each_query_scales_its_inputs_once(monkeypatch):
@@ -119,22 +122,49 @@ ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__
 
 
 def test_windows_and_levels_do_no_fraction_arithmetic(monkeypatch):
+    # the whole integer pass of a query: scaling, windows, limits, k-ranges
     spec, table = product_cp1_model(4)
     spectrum = LaplacianSpectrum({(q, k): ((F(abs(k) + q + 1, 3), 1),)
                                   for q in range(5) for k in range(-9, 10)}, F(50), (-30, 30))
     models = [SpectralModel(spec.name, 4, F(2), table),
               SpectralModel(spec.name, 4, F(2), table, spectrum)]
     for r, eps, factor in ((F(5, 2), F(3), F(1)), (F(-5, 2), F(9), F(3, 2))):
-        scaled = spectral._scaled(r, eps, factor, F(2))
         with monkeypatch.context() as patch:
             for name in ARITHMETIC:
                 patch.setattr(F, name, lambda *a, name=name: pytest.fail(f"Fraction.{name}"))
-            windows = spectral._windows(4, eps, *scaled[:4])
-            levels = [list(spectral._type2_levels(model, eps, windows[2], windows[3],
-                                                  scaled, lambda m: None))
-                      for model in models]
-        assert [list(windows[:2]), list(windows[2:])] == fraction_window(4, r, eps, factor)[0]
-        assert levels[0] and levels[1]
+            plans = [spectral._plan(model, r, eps, factor) for model in models]
+        for _, windows, type1, type2, _ in plans:
+            assert [list(windows[:2]), list(windows[2:])] == \
+                fraction_window(4, r, eps, factor)[0]
+            assert len(type1) == 5 and type2
+
+
+def test_a_query_that_lists_no_family_builds_no_fraction(monkeypatch):
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    queries = [(r, eps) for r in (F(0), F(1, 3), F(-1, 2), F(3, 4))
+               for eps in (F(1, 4), F(1), F(3, 2), F(2))]
+    for name in ("cp1xcp1", "cp1x4", "cp1x6"):
+        model = resolve_manifold(name).model
+        quiet = [(r, eps) for r, eps in queries if not enumerate_families(model, r, eps)[0]]
+        assert len(quiet) >= 4
+        with monkeypatch.context() as patch:
+            patch.setattr(F, "__new__", counting)
+            reports = [(spectral_flow(model, r, eps), kernel_dimension(model, r, eps))
+                       for r, eps in quiet]
+            during = list(built)
+        assert during == []
+        assert all(report.total == 0 and not report.crossings for report, _ in reports)
+    # the counter sees a Fraction that a listed family builds
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "__new__", counting)
+        spectral_flow(resolve_manifold("cp1xcp1").model, F(1), F(1))
+    assert built
 
 
 @settings(max_examples=150, deadline=None)

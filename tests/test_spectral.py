@@ -11,6 +11,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from etaflow import spectral
 from etaflow.catalog import (
     KunnethCohomology,
     PartialCohomology,
@@ -32,6 +33,7 @@ from etaflow.spectral import (
     INDETERMINATE,
     IndeterminateSpectralFlow,
     LaplacianSpectrum,
+    MAX_FAMILIES,
     MAX_WINDOW_CELLS,
     MODE_EXPLICIT,
     MODE_NAKANO,
@@ -47,9 +49,7 @@ from etaflow.spectral import (
     TYPE2_PLUS,
     UNCONSTRAINED,
     UnknownCohomologyError,
-    _flow_ks,
-    _nakano_k_range,
-    _scaled,
+    _plan,
     certify_no_crossing,
     enumerate_families,
     kernel_dimension,
@@ -779,24 +779,75 @@ def test_report_json_shape():
 
 
 def test_window_limit_refuses_before_enumerating():
-    _, model = make_model(4)
-    # cp1x4 at eps = 100000: (4 + 1) * (400001 + 600001) cells
-    for call in (lambda: enumerate_families(model, 1, 100000),
-                 lambda: spectral_flow(model, 1, 100000),
-                 lambda: kernel_dimension(model, 1, 100000)):
-        start = time.perf_counter()
-        with pytest.raises(SpectralWindowError, match="MAX_WINDOW_CELLS"):
-            call()
-        assert time.perf_counter() - start < 1
+    # the cells listed one by one at r = 1, eps = 100000: the Type 1 window
+    # of a partial table, (4 + 1) * 400001 cells on hyp:n=4,d=8, and the
+    # Type 2 cells outside a spectrum's k-range, (4 + 1) * (600001 - 81) on
+    # cp1x4 with k in [-40, 40]
+    _, partial = hyp_model(4, 8)
+    _, explicit = make_model(4, LaplacianSpectrum({}, F(10**6), (-40, 40)))
+    for model, cells in ((partial, 5 * 400001), (explicit, 5 * (600001 - 81))):
+        for call in (enumerate_families, spectral_flow, kernel_dimension):
+            start = time.perf_counter()
+            with pytest.raises(SpectralWindowError,
+                               match=rf"^search window of {cells} \(q, k\) cells for "
+                                     r"eps = 100000 exceeds MAX_WINDOW_CELLS = 500000$"):
+                call(model, 1, 100000)
+            assert time.perf_counter() - start < 1
 
 
 def test_window_limit_counts_the_widened_window():
+    _, model = hyp_model(4, 8)
+    # at eps = 20000 the partial table's Type 1 window has 5 * 80001 = 400005
+    # cells, inside MAX_WINDOW_CELLS; widened twice it has 800005
+    assert 400005 <= MAX_WINDOW_CELLS < 800005
+    with pytest.raises(SpectralWindowError, match="800005"):
+        spectral_flow(model, 0, 20000, window_factor=2, on_unknown=ON_UNKNOWN_SKIP)
+
+
+def test_complete_tables_answer_far_past_the_cell_limit():
+    # cp1x4 at r = 1: the window grows with eps, the k-ranges do not
+    _, model = make_model(4)
+    small = spectral_flow(model, 1, 9999).to_json()
+    for eps in (100000, 10**7, 10**30):
+        start = time.perf_counter()
+        report = spectral_flow(model, 1, eps).to_json()
+        kernel_dimension(model, 1, eps)
+        assert time.perf_counter() - start < 0.5
+        assert len(report["crossings"]) == len(small["crossings"])
+        assert report["window"]["type1_k"] == [1 - 2 * eps, 1 + 2 * eps]
+
+
+def test_family_limit_refuses_before_building_families(monkeypatch):
+    # cp1xcp1 at r = eps = 10^6: 10^6 Type 1 k for q = 0 alone
     _, model = make_model(2)
-    # at eps = 20000 the window has 3 * (40001 + 80001) = 360006 cells,
-    # inside MAX_WINDOW_CELLS; widened twice it has 720006
-    assert 360006 <= MAX_WINDOW_CELLS < 720006
-    with pytest.raises(SpectralWindowError, match="720006"):
-        spectral_flow(model, 0, 20000, window_factor=2)
+    monkeypatch.setattr(spectral, "EigenvalueFamily",
+                        lambda *a, **k: pytest.fail("a family was built"))
+    for call in (enumerate_families, spectral_flow, kernel_dimension):
+        start = time.perf_counter()
+        with pytest.raises(SpectralWindowError, match=f"^more than MAX_FAMILIES = "
+                           f"{MAX_FAMILIES} candidate families in the search window "
+                           "for eps = 1000000$"):
+            call(model, 10**6, 10**6)
+        assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 4]),
+       r=st.fractions(min_value=-40, max_value=40, max_denominator=4),
+       eps=st.fractions(min_value=0, max_value=60, max_denominator=4)
+       .filter(lambda e: e > 0))
+def test_family_limit_counts_the_families_listed(n, r, eps):
+    # with the Nakano bound on a (P^1)^n table every candidate is listed:
+    # a Type 1 k of q = 0 or n has h != 0, and a Type 2 k has one level
+    _, model = make_model(n)
+    listed = len(enumerate_families(model, r, eps)[0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "MAX_FAMILIES", listed)
+        assert len(enumerate_families(model, r, eps)[0]) == listed
+        patch.setattr(spectral, "MAX_FAMILIES", listed - 1)
+        for call in (enumerate_families, kernel_dimension):
+            with pytest.raises(SpectralWindowError, match="MAX_FAMILIES"):
+                call(model, r, eps)
 
 
 # ------------------------------------------------------- jump law
@@ -1268,13 +1319,16 @@ def test_integer_bounds_match_fraction_formulas(n, kappa, r, eps, factor):
     half_mu_max = eps / 8 * factor
     radius = eps * (n + 2) / 2 * factor
     k_lo, k_hi = math.ceil(r - radius), math.floor(r + radius)
-    D, R, H, E, M = _scaled(r, kappa / 2, eps, half_mu_max)
-    assert (F(R, D), F(H, D), F(E, D), F(M, D)) == (r, kappa / 2, eps, half_mu_max)
+    spec, table = product_cp1_model(n)
+    (D, R, E, G, K), _, _, type2, _ = _plan(SpectralModel(spec.name, n, kappa, table),
+                                          r, eps, factor)
+    assert (F(R, D), F(E, D), F(G, D), F(K, D)) == (r, eps, factor, kappa)
     for q in range(n + 1):
-        lo, hi = _nakano_k_range(q, n, k_lo, k_hi, D, H, M)
-        assert (lo, hi) == fraction_nakano_k_range(q, n, kappa, k_lo, k_hi, half_mu_max)
-        flow_ks = list(_flow_ks(q, lo, hi, n, D, R, H))
+        lo, hi = fraction_nakano_k_range(q, n, kappa, k_lo, k_hi, half_mu_max)
+        flow_ks = [k for j, k, _, _ in type2 if j == q]
         assert flow_ks == fraction_flow_ks(q, lo, hi, n, kappa, r)
+        assert [(bound, levels) for j, _, bound, levels in type2 if j == q] == \
+            [(8 * D * D * nakano_bound(q, k, kappa, n), None) for k in flow_ks]
         # the kernel reads the flow's k: filtered by half* > 0 and
         # half* >= bound, they are every k of the range where the vanishing
         # eigenvalue half* is allowed
