@@ -36,9 +36,6 @@ bytecode cache.  From those trees, on both sides, interleaved:
 - the ``spectral.certify_no_crossing`` calls of one flow-sweep pass at
   seed 1, by family kind and outcome, counted in process by a wrapper of
   the module global that ``spectral_flow`` calls;
-- the ``skipped`` messages of the seed-1 flow-sweep counterexample part
-  (20 reports on partial tables): how many the reports list, and how many
-  distinct string objects and distinct texts those are;
 - the class products, ``series.class_product`` and ``series.exp_class``
   calls, counted in process by wrappers of those module globals: of one
   eta-grid pass at seed 1 (with whether the pass loaded ``etaflow.series``
@@ -48,9 +45,6 @@ bytecode cache.  From those trees, on both sides, interleaved:
 - the ``Fraction`` constructions (``Fraction.__new__`` calls) of one
   eta-grid pass and one flow-sweep pass at seed 1, each after its set-up,
   with those that ``perfbench/worker.py`` makes itself to parse r and eps;
-- ``spectral-flow`` and ``kernel-dim`` in nakano mode on cp1x4 at r = 1,
-  eps = 10^7, through ``cli.main`` in process: each command's exit code,
-  seconds, stderr and a sha256 of its output;
 - the cold class side: the first ``eta_invariant`` on each of cp1xcp1,
   cp1x4, cp1x6, cp1x8 and cp1x32, each in 5 fresh processes (the median),
   with the number of Bernoulli memo misses and of Bernoulli numbers
@@ -279,24 +273,6 @@ for workload, (found, entries) in passes.items():
 print(json.dumps(out))
 """
 
-# spectral-flow and kernel-dim in nakano mode on cp1x4 at r = 1, eps = 10^7,
-# through cli.main: each command's exit code, seconds, stderr and the sha256
-# of its output
-_PAST_CELL_LIMIT = """
-import contextlib, hashlib, io
-from etaflow.cli import main
-out = {}
-for command in ("spectral-flow", "kernel-dim"):
-    stdout, stderr = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main([command, "--manifold", "cp1x4", "--r", "1", "--eps", "10000000"])
-    out[command] = {"exit_code": code, "seconds": time.perf_counter() - start,
-                    "stderr": stderr.getvalue().strip(),
-                    "stdout_sha256": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
-print(json.dumps(out))
-"""
-
 # the cold resolve_manifold of the generated flow-sweep tables: seconds and
 # table entries per config
 _RESOLVE = """
@@ -332,18 +308,6 @@ by_kind = {}
 for (kind, status), calls in sorted(counts.items()):
     by_kind.setdefault(kind, {})[status] = calls
 print(json.dumps({"calls": sum(counts.values()), "by_kind": by_kind}))
-"""
-
-# the skipped messages of the seed-1 flow-sweep counterexample queries: how
-# many their reports list, as distinct string objects and as distinct texts
-_MESSAGES = """
-import worker
-found, entries = queries("flow-sweep")
-cx = [query for query in found if query["op"] == "cx"]
-skipped = [text for query in cx for text in worker._run(entries[query["base"]], query).skipped]
-print(json.dumps({"reports": len(cx), "skipped": len(skipped),
-                  "distinct_objects": len({id(text) for text in skipped}),
-                  "distinct_texts": len(set(skipped))}))
 """
 
 # the class products of one eta-grid pass, and of each cli-batch
@@ -647,18 +611,12 @@ def main(argv=None) -> int:
                  "cli-batch seed 1 invocation of each subcommand and format, python -S"),
                 ("certify_calls", _CERTIFY, "spectral.certify_no_crossing calls of one "
                  "flow-sweep seed 1 pass, by family kind and outcome"),
-                ("counterexample_messages", _MESSAGES, "skipped messages of the "
-                 "flow-sweep seed 1 counterexample part: entries, distinct string objects "
-                 "and distinct texts"),
                 ("class_products", _CLASS_PRODUCTS, "series.class_product and "
                  "series.exp_class calls of one eta-grid seed 1 pass and of each cli-batch "
                  "seed 1 check-identities invocation, memos emptied first"),
                 ("fraction_constructions", _FRACTIONS, "Fraction.__new__ calls of one "
                  "eta-grid and one flow-sweep seed 1 pass after set-up, and those of "
-                 "perfbench/worker.py's own parsing of r and eps"),
-                ("past_cell_limit", _PAST_CELL_LIMIT, "spectral-flow and kernel-dim "
-                 "--manifold cp1x4 --r 1 --eps 10000000 (nakano) through cli.main in "
-                 "process: exit code, seconds, stderr, sha256 of the output")):
+                 "perfbench/worker.py's own parsing of r and eps")):
             record[key] = {"case": case, **{side: side_runs[0] for side, side_runs
                                             in _probe(code, roots).items()}}
         for key in ("certify_calls", "class_products"):

@@ -32,18 +32,19 @@ k-range of each q, found in closed form from the Nakano bound, which every
 tabulated eigenvalue also satisfies, and for Type 1 on a complete
 cohomology table the k between r and the family's root.  The flow and the
 kernel at delta = eps read the same pass.  A partial table reports the
-cells of the window it lacks in one batch per q, from messages that every
-report on the table shares, and a tabulated spectrum those outside its
-k-range.
+cells of the window it lacks, and a tabulated spectrum those outside its
+k-range, as one entry per q and maximal run of k, so no report grows with
+eps.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import (
+    _DIGITS_BOUND,
+    MAX_RATIONAL_DIGITS,
     Record,
     as_fraction,
     exact_value_to_json,
@@ -97,7 +98,7 @@ class CohomologyTable:
 
     name = "table"
     # every h^{q,k} is known, so the flow visits only the Type 1 cells that
-    # can report; a partial table (known_ks) lists its window's gaps in bulk
+    # can report; a partial table (known_ks) lists its window's gaps as k-runs
     complete = True
 
     def h(self, q: int, k: int) -> int:
@@ -318,16 +319,10 @@ def certify_no_crossing(family: EigenvalueFamily, r, eps) -> CertOutcome:
 ON_UNKNOWN_ERROR = "error"
 ON_UNKNOWN_SKIP = "skip"
 
-# Largest number of (q, k) cells that a query lists one by one: the Type 1
-# window of a partial cohomology table, whose unknown cells are reported,
-# and the Type 2 window's cells outside a tabulated spectrum's k-range.
-# Both grow linearly in eps.
-MAX_WINDOW_CELLS = 500_000
-
 # Largest number of candidate families that a query's k-ranges list: the
 # Type 1 k of a complete cohomology table and the Type 2 k of every q.  They
-# grow with |r|, not with eps.  A query whose windows hold MAX_WINDOW_CELLS
-# cells has at most about 88,500 (cp1xcp1, eps = 27777), listed in a second.
+# grow with |r|, not with eps; 88,500 of them (cp1xcp1, eps = 27777) are
+# listed in a second.
 MAX_FAMILIES = 100_000
 
 
@@ -349,43 +344,9 @@ def _scaled_bound(q: int, k: int, n: int, D: int, H: int) -> int:
     return max(q * (k * D + H), (n - q) * (H - k * D))
 
 
-@lru_cache(maxsize=8)
-def _held_messages(name: str, n: int) -> list:
-    """The memo of ``_unknown_rows`` for one table name and dimension n:
-    [the messages' common tail, (k0, rows)], rows[q][i] the message of the
-    cell (q, k0 + i).  Widening replaces the pair whole and changes no row
-    in place, so a reader always sees a consistent pair."""
-    return [f"}} unknown in table {quoted(name)}", (0, ((),) * (n + 1))]
-
-
-def _unknown_rows(name: str, n: int, lo: int, hi: int):
-    """(k0, rows), rows[q][k - k0] the message "h^{q,k} unknown in table
-    <name>" for q in 0..n and each k in lo..hi.  The text depends only on
-    the name, q and k, so the messages are held per (name, n) and shared by
-    every report on the table.  The held k-range widens by the new k when
-    lo..hi meets or abuts it; otherwise, or when the union would hold more
-    than MAX_WINDOW_CELLS messages, it starts again from lo..hi.  So no
-    message is built for a k that no query asked for."""
-    held = _held_messages(name, n)
-    suffix, (k0, rows) = held
-    k1 = k0 + len(rows[0])  # one past the held k-range
-    if (lo <= k1 and hi >= k0 - 1
-            and (n + 1) * (max(hi + 1, k1) - min(lo, k0)) <= MAX_WINDOW_CELLS):
-        front, back = range(lo, k0), range(k1, hi + 1)
-    else:
-        k0, rows, front, back = lo, ((),) * (n + 1), (), range(lo, hi + 1)
-    if front or back:
-        k0, rows = min(lo, k0), tuple(
-            (*[f"h^{{{q},{k}{suffix}" for k in front], *row,
-             *[f"h^{{{q},{k}{suffix}" for k in back]) for q, row in enumerate(rows))
-        held[1] = k0, rows
-    return k0, rows
-
-
 def _unknown_handler(on_unknown, skipped):
-    """Raise UnknownCohomologyError at the first of an iterable of messages
-    about missing data, or record them all in ``skipped`` under
-    on_unknown="skip"."""
+    """Raise UnknownCohomologyError at the first of a list of messages about
+    missing data, or record them all in ``skipped`` under on_unknown="skip"."""
     if on_unknown == ON_UNKNOWN_SKIP:
         return skipped.extend
     if on_unknown != ON_UNKNOWN_ERROR:
@@ -393,8 +354,8 @@ def _unknown_handler(on_unknown, skipped):
                          f"{ON_UNKNOWN_SKIP!r}, got {on_unknown!r}")
 
     def refuse(messages):
-        for message in messages:
-            raise UnknownCohomologyError(message)
+        if messages:
+            raise UnknownCohomologyError(messages[0])
 
     return refuse
 
@@ -415,12 +376,13 @@ def _plan(model: SpectralModel, r, eps, factor):
     k-interval, whatever eps is.
 
     Refuses a nonpositive eps, a factor below 1, an n that is odd or not
-    positive, more than MAX_WINDOW_CELLS cells to list one by one and more
+    positive, a window k of more than MAX_RATIONAL_DIGITS digits and more
     than MAX_FAMILIES candidate families.  Returns ((D, R, E, G, K),
     (k1_lo, k1_hi, k2_lo, k2_hi), type1, type2, missing): type1[q] the
     Type 1 k of degree q (complete tables only), type2 the (q, k, S times
     the bound, the tabulated (mu^2/2, multiplicity) levels or None) in
-    (q, k) order, and missing the Type 2 k outside a spectrum's k-range.
+    (q, k) order, and missing the maximal runs (lo, hi) of Type 2 k
+    outside a spectrum's k-range.
     """
     r, eps = as_fraction(r), as_fraction(eps)
     if eps.numerator <= 0:
@@ -438,20 +400,19 @@ def _plan(model: SpectralModel, r, eps, factor):
     k1_lo, k1_hi = -((reach - centre) // span), (centre + reach) // span
     reach += 2 * E * G
     k2_lo, k2_hi = -((reach - centre) // span), (centre + reach) // span
-    cells = 0 if table.complete else (n + 1) * max(k1_hi - k1_lo + 1, 0)
-    lo2, hi2, missing = k2_lo, k2_hi, ((), ())
-    if spectrum is not None:
-        # the cells below and above the covered k-range (none covered when
-        # cover_lo > cover_hi), in k order; only the covered ones are read
-        cover_lo, cover_hi = spectrum.k_range
-        missing = (range(k2_lo, min(k2_hi, cover_lo - 1) + 1),
-                   range(max(k2_lo, cover_lo, cover_hi + 1), k2_hi + 1))
-        cells += (n + 1) * sum(max(ks.stop - ks.start, 0) for ks in missing)
-        lo2, hi2 = max(k2_lo, cover_lo), min(k2_hi, cover_hi)
-    if cells > MAX_WINDOW_CELLS:
+    if -k2_lo >= _DIGITS_BOUND or k2_hi >= _DIGITS_BOUND:
+        # refused before any k is printed; the Type 2 window holds the Type 1 one
         raise SpectralWindowError(
-            f"search window of {quoted(cells, str)} (q, k) cells for eps = "
-            f"{quoted(eps, str)} exceeds MAX_WINDOW_CELLS = {MAX_WINDOW_CELLS}")
+            f"search window for eps = {quoted(eps, str)} has a k of more than "
+            f"MAX_RATIONAL_DIGITS = {MAX_RATIONAL_DIGITS} digits")
+    lo2, hi2, missing = k2_lo, k2_hi, []
+    if spectrum is not None:
+        # the window's k below and above the covered k-range, or all of them
+        # when it covers none; only the covered ones are read
+        lo2, hi2 = max(k2_lo, spectrum.k_range[0]), min(k2_hi, spectrum.k_range[1])
+        missing = [(lo, hi) for lo, hi in (((k2_lo, lo2 - 1), (hi2 + 1, k2_hi))
+                                           if lo2 <= hi2 else ((k2_lo, k2_hi),))
+                   if lo <= hi]
 
     S, M, R8, H = 8 * D * D, E * G, 8 * D * R, 4 * D * K
     r_lo, r_hi = -(-R // D), R // D  # ceil(r), floor(r); k = r where r_lo == r_hi
@@ -493,8 +454,8 @@ def _plan(model: SpectralModel, r, eps, factor):
 def _type2_unknowns(model: SpectralModel, eps, M: int, S: int, missing, handle_unknown):
     """Refuse a tabulated spectrum whose cutoff is below the window's
     half_mu_max = M/S, and report what the Type 2 levels lack: a Ricci
-    lower bound, in bound-only mode, or each cell of the ``missing``
-    k-ranges (``_plan``) in every degree q."""
+    lower bound, in bound-only mode, or each ``missing`` run of k
+    (``_plan``) in every degree q."""
     spectrum = model.spectrum
     if spectrum is None:
         if model.kappa is None:
@@ -508,8 +469,9 @@ def _type2_unknowns(model: SpectralModel, eps, M: int, S: int, missing, handle_u
             f"{quoted(Fraction(M, S), str)} for eps = {quoted(eps, str)}"
         )
     suffix = f"); covered k-range is {quoted(spectrum.k_range, str)}"
-    handle_unknown(f"Laplacian spectrum missing (q={q}, k={k}{suffix}"
-                   for q in range(model.n + 1) for ks in missing for k in ks)
+    handle_unknown([f"Laplacian spectrum missing (q={q}, "
+                    f"{f'k={lo}' if lo == hi else f'k in {lo}..{hi}'}{suffix}"
+                    for q in range(model.n + 1) for lo, hi in missing])
 
 
 def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
@@ -523,8 +485,10 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     table lists only the Type 1 families whose root (k - r)/(q - n/2)
     lies in [0, eps], and both spectrum kinds only the Type 2 levels at
     the k that ``_plan`` keeps, each in the one branch that can vanish.
-    A partial table reports every cell of its Type 1 window that it does
-    not list, in one batch per q.  A Fraction is built only for a listed
+    A partial table reports the cells of its Type 1 window that it does
+    not list, one entry per q and maximal run of k: "h^{q,k} unknown in
+    table <name> for k in lo..hi", or "h^{q,lo} unknown in table <name>"
+    for a run of one.  A Fraction is built only for a listed
     family.  Returns (families, skipped, window) where ``skipped``
     describes entries omitted under on_unknown="skip".
     """
@@ -536,18 +500,18 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
     handle_unknown = _unknown_handler(on_unknown, skipped)
     table = model.table
     if not table.complete:
-        # rows[q][k - k0]: the message of the unknown cell (q, k)
-        k0, rows = _unknown_rows(table.name, n, k_lo, k_hi)
+        tail = f" unknown in table {quoted(table.name)}"
     for q in range(n + 1):
         if table.complete:
             ks = type1[q]
         else:
             ks = table.known_ks(q, k_lo, k_hi)
-            row = rows[q]
-            # the unknown k fill the gaps between the ascending known ones
-            handle_unknown([message for lo, hi in
-                            zip((k_lo, *(k + 1 for k in ks)), (*ks, k_hi + 1))
-                            for message in row[lo - k0:hi - k0]])
+            # the unknown k are the runs between the ascending known ones
+            handle_unknown([f"h^{{{q},{lo}}}{tail}" if lo == hi else
+                            f"h^{{{q},k}}{tail} for k in {lo}..{hi}"
+                            for lo, hi in zip((k_lo, *(k + 1 for k in ks)),
+                                              (*(k - 1 for k in ks), k_hi))
+                            if lo <= hi])
         for k in ks:
             mult = table.h(q, k)
             if mult:
@@ -728,9 +692,8 @@ def kernel_dimension(model: SpectralModel, r, eps) -> int:
         if rem:
             continue
         if not model.table.is_known(q, k):
-            k0, rows = _unknown_rows(model.table.name, n, k, k)
-            handle_unknown((rows[q][k - k0],))
-            continue
+            raise UnknownCohomologyError(
+                f"h^{{{q},{k}}} unknown in table {quoted(model.table.name)}")
         total += model.table.h(q, k)
 
     # Type 2 zeros at eps: Q(eps) = 0, that is mu^2/2 = half* = N/scale

@@ -735,19 +735,39 @@ def test_bound_level_zero_meets_zero_only_at_start(capsys, r, q):
 
 
 def test_spectral_window_limit(capsys):
-    # a partial table lists the cells of its Type 1 window one by one, and
     # a complete table refuses by the families its k-ranges list
-    for manifold, r, limit in (("hyp:n=4,d=8", "1", "MAX_WINDOW_CELLS"),
-                               ("cp1xcp1", "1000000", "MAX_FAMILIES")):
-        for command in ("spectral-flow", "kernel-dim", "counterexample"):
-            start = time.perf_counter()
-            code, out, err = run_cli(
-                capsys, command, "--manifold", manifold, "--r", r,
-                "--eps", "1000000",
-            )
-            assert time.perf_counter() - start < 1
-            assert code == EXIT_ERROR and out == ""
-            assert limit in err
+    for command in ("spectral-flow", "kernel-dim", "counterexample"):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, command, "--manifold", "cp1xcp1", "--r", "1000000",
+            "--eps", "1000000",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_ERROR and out == ""
+        assert "MAX_FAMILIES" in err
+
+
+def test_partial_table_reports_runs_at_large_eps(capsys):
+    # a partial table lists the unknown cells of its window as runs of k,
+    # so a window of 20 million cells gives a report of 7 entries
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "counterexample", "--manifold", "hyp:n=4,d=8",
+                             "--r", "1", "--eps", "1000000")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_OK and payload["result"]["partial"] is True
+    assert len(json.dumps(payload)) < 10_000
+    assert payload["result"]["skipped"][:2] == [
+        "h^{0,k} unknown in table 'hyp:n=4,d=8' for k in -1999999..-2",
+        "h^{0,k} unknown in table 'hyp:n=4,d=8' for k in 0..2000001"]
+    assert len(payload["result"]["skipped"]) == 7
+    # the refusals name the first run, and the kernel the cell at its zero
+    for command, message in (
+            ("spectral-flow", "h^{0,k} unknown in table 'hyp:n=4,d=8' for k in -1999999..-2"),
+            ("kernel-dim", "h^{0,-1999999} unknown in table 'hyp:n=4,d=8'")):
+        code, out, err = run_cli(capsys, command, "--manifold", "hyp:n=4,d=8", "--r", "1",
+                                 "--eps", "1000000")
+        assert code == EXIT_ERROR and out == ""
+        assert err == f"etaflow: {message}\n"
 
 
 def test_complete_table_answers_past_the_cell_limit(capsys):
@@ -864,9 +884,11 @@ FAIL_FAST_CASES = {
     "cp1x_long_digits": (
         {}, ["--manifold", "cp1x" + "2" * 3000],
         "cp1x'22222222222222222222'... has more than MAX_CP1_FACTORS"),
+    # a window k has more digits than eps, and the report prints it
     "eps_window_long_digits": (
-        {}, ["--manifold", "hyp:n=4,d=8", "--eps", "9" * 4000],
-        "cells for eps = '99999999999999999999'... exceeds MAX_WINDOW_CELLS"),
+        {}, ["--manifold", "hyp:n=4,d=8", "--eps", "9" * 4299],
+        "search window for eps = '99999999999999999999'... has a k of more than "
+        "MAX_RATIONAL_DIGITS = 4000 digits\n"),
     "product_factors_long_string": (
         {"man.json": json.dumps({"type": "product_cp1", "factors": "z" * 10000})},
         ["--manifold", "{dir}/man.json"],
@@ -877,7 +899,8 @@ FAIL_FAST_CASES = {
     "hypersurface_degree_long_digits": (
         {"man.json": json.dumps({"type": "hypersurface_general_type", "n": 4,
                                  "d": 10**4000})},
-        ["--manifold", "{dir}/man.json"], "unknown in table 'hyp:n=4,d=1000000000'...\n"),
+        ["--manifold", "{dir}/man.json"],
+        "unknown in table 'hyp:n=4,d=1000000000'... for k in -1..2\n"),
     "table_path_long_list": (
         {"man.json": json.dumps({"type": "product_cp1", "factors": 2,
                                  "laplacian_table": list(range(3000))})},

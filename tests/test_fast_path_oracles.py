@@ -15,8 +15,9 @@
   zeros and its sign changes, as the package did before.
 - ``spectral._root_sign`` decides the sign of u + t sqrt(disc) in
   integers; here ``exact.sqrt_sign`` decides it in rationals.
-- A partial cohomology table lists the cells it lacks from the gaps
-  between its known k; here every cell is asked on its own.
+- A partial cohomology table lists the cells it lacks as runs of k between
+  its known k; here every cell is asked on its own and the unknown ones
+  are collapsed into runs (``test_message_memo.collapse``).
 
 The references share no code with ``spectral`` or ``series``.
 """
@@ -42,7 +43,6 @@ from etaflow.spectral import (
     CERTIFIED,
     CROSSING,
     INDETERMINATE,
-    MAX_WINDOW_CELLS,
     ON_UNKNOWN_SKIP,
     TYPE2_MINUS,
     TYPE2_PLUS,
@@ -50,23 +50,21 @@ from etaflow.spectral import (
     EigenvalueFamily,
     LaplacianSpectrum,
     SpectralModel,
-    SpectralWindowError,
     certify_no_crossing,
     enumerate_families,
     kernel_dimension,
     spectral_flow,
 )
+from test_message_memo import collapse, unknown_message
 
 # ------------------------------------------------------- integer windows
 
 
 def fraction_window(n, r, eps, factor):
-    """type1_k, type2_k, the mu^2/2 cutoff and the cells of the Type 1
-    window, which a partial table lists one by one, in Fractions."""
+    """type1_k, type2_k and the mu^2/2 cutoff, in Fractions."""
     spans = [(math.ceil(r - eps * m / 2 * factor), math.floor(r + eps * m / 2 * factor))
              for m in (n, n + 2)]
-    cells = (n + 1) * max(spans[0][1] - spans[0][0] + 1, 0)
-    return [list(span) for span in spans], eps / 8 * factor, cells
+    return [list(span) for span in spans], eps / 8 * factor
 
 
 @settings(max_examples=200, deadline=None)
@@ -78,9 +76,9 @@ def fraction_window(n, r, eps, factor):
                         st.fractions(min_value=1, max_value=5, max_denominator=10**4)))
 @example(n=2, r=F(-7, 3), eps=F(1, 999983), factor=F(1))
 @example(n=4, r=F(-1, 2), eps=F(3, 2), factor=F(7, 3))
-@example(n=6, r=F(5), eps=F(100000), factor=F(5))  # far over a partial table's cell limit
+@example(n=6, r=F(5), eps=F(100000), factor=F(5))  # 4.2 million Type 1 cells
 def test_integer_windows_match_fraction_reference(n, r, eps, factor):
-    spans, half_mu_max, cells = fraction_window(n, r, eps, factor)
+    spans, half_mu_max = fraction_window(n, r, eps, factor)
     spec, table = product_cp1_model(n)
     # a complete table lists no cell one by one, whatever the window's size
     model = SpectralModel(spec.name, n, F(2), table)
@@ -88,14 +86,13 @@ def test_integer_windows_match_fraction_reference(n, r, eps, factor):
     assert window == {"type1_k": spans[0], "type2_k": spans[1],
                       "half_mu_sq_max": str(half_mu_max),
                       "factor": str(factor)}
-    if cells > MAX_WINDOW_CELLS:
-        # a partial table would list every cell of its Type 1 window
-        partial = SpectralModel("partial", n, F(2), PartialCohomology("partial", {}))
-        message = (f"search window of {cells} (q, k) cells for eps = {eps} "
-                   f"exceeds MAX_WINDOW_CELLS = {MAX_WINDOW_CELLS}")
-        with pytest.raises(SpectralWindowError) as info:
-            enumerate_families(partial, r, eps, window_factor=factor)
-        assert str(info.value) == message
+    # an empty partial table lists its whole Type 1 window as one run per q,
+    # however many cells it holds
+    partial = SpectralModel("partial", n, F(2), PartialCohomology("partial", {}))
+    lo, hi = spans[0]
+    expected = [unknown_message(q, lo, hi, "partial") for q in range(n + 1)] if lo <= hi else []
+    assert enumerate_families(partial, r, eps, window_factor=factor,
+                              on_unknown=ON_UNKNOWN_SKIP)[1] == expected
 
 
 def test_each_query_scales_its_inputs_once(monkeypatch):
@@ -181,8 +178,8 @@ def test_gap_listing_matches_per_cell_reference(n, r, eps, data):
              for k in data.draw(st.lists(st.one_of(st.sampled_from(places),
                                                    st.integers(k_lo - 3, k_hi + 3))))}
     table = PartialCohomology("partial", {cell: 1 for cell in cells}, [])
-    expected = [f"h^{{{q},{k}}} unknown in table 'partial'" for q in range(n + 1)
-                for k in range(k_lo, k_hi + 1) if not table.is_known(q, k)]
+    expected = [unknown_message(q, lo, hi, "partial") for q, lo, hi in collapse(
+        [(q, k) for q in range(n + 1) for k in range(k_lo, k_hi + 1) if not table.is_known(q, k)])]
     model = SpectralModel("partial", n, F(2), table)  # the Nakano bound reports nothing
     assert enumerate_families(model, r, eps, on_unknown=ON_UNKNOWN_SKIP)[1] == expected
 

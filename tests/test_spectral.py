@@ -34,7 +34,6 @@ from etaflow.spectral import (
     IndeterminateSpectralFlow,
     LaplacianSpectrum,
     MAX_FAMILIES,
-    MAX_WINDOW_CELLS,
     MODE_EXPLICIT,
     MODE_NAKANO,
     MUST_VANISH,
@@ -56,6 +55,7 @@ from etaflow.spectral import (
     spectral_flow,
     spin_vanishing_predicate,
 )
+from test_message_memo import collapse, missing_message, unknown_message
 
 
 def make_model(factors=2, spectrum=None):
@@ -646,10 +646,11 @@ def test_mistyped_on_unknown_refused():
 
 def test_kernel_refuses_skip_mode():
     # a kernel that skipped unknown cells would be a partial count with no
-    # sign of it: on hyp:n=4,d=8 at r = 0, eps = 1 the flow skips 25 cells,
-    # and kernel_dimension has no skip mode
+    # sign of it: on hyp:n=4,d=8 at r = 0, eps = 1 the flow skips 24 cells
+    # in 6 runs of k and lacks a Ricci bound, and kernel_dimension has no
+    # skip mode
     hyp, cp1 = resolve_manifold("hyp:n=4,d=8"), resolve_manifold("cp1x4")
-    assert len(spectral_flow(hyp.model, 0, 1, on_unknown="skip").skipped) == 25
+    assert len(spectral_flow(hyp.model, 0, 1, on_unknown="skip").skipped) == 7
     for model, eps in ((hyp.model, 1), (cp1.model, 1), (cp1.model, -1)):
         # refused by the call itself, before any work or the eps check
         with pytest.raises(TypeError, match="on_unknown"):
@@ -775,33 +776,61 @@ def test_report_json_shape():
     assert data["crossings"][0]["kind"] == TYPE1
 
 
-# ------------------------------------------------------- window limit
+# ------------------------------------------------------- large windows
 
 
-def test_window_limit_refuses_before_enumerating():
-    # the cells listed one by one at r = 1, eps = 100000: the Type 1 window
-    # of a partial table, (4 + 1) * 400001 cells on hyp:n=4,d=8, and the
-    # Type 2 cells outside a spectrum's k-range, (4 + 1) * (600001 - 81) on
-    # cp1x4 with k in [-40, 40]
+def test_large_eps_reports_list_one_entry_per_run():
+    # r = 1, eps = 100000: the Type 1 window of a partial table holds
+    # 5 * 400001 cells on hyp:n=4,d=8, and the Type 2 window 5 * (600001 - 81)
+    # cells outside a spectrum's k-range on cp1x4 with k in [-40, 40]; each
+    # is listed as at most (n + 1)(known cells + 1) + 1 runs
     _, partial = hyp_model(4, 8)
     _, explicit = make_model(4, LaplacianSpectrum({}, F(10**6), (-40, 40)))
-    for model, cells in ((partial, 5 * 400001), (explicit, 5 * (600001 - 81))):
-        for call in (enumerate_families, spectral_flow, kernel_dimension):
-            start = time.perf_counter()
-            with pytest.raises(SpectralWindowError,
-                               match=rf"^search window of {cells} \(q, k\) cells for "
-                                     r"eps = 100000 exceeds MAX_WINDOW_CELLS = 500000$"):
+    name = "'hyp:n=4,d=8'"
+    runs = [
+        (partial, [f"h^{{0,k}} unknown in table {name} for k in -199999..-2",
+                   f"h^{{0,k}} unknown in table {name} for k in 0..200001"]
+         + [f"h^{{{q},k}} unknown in table {name} for k in -199999..200001"
+            for q in range(1, 5)]
+         + ["Type 2 certification needs a Ricci lower bound or an explicit "
+            "Laplacian spectrum"]),
+        (explicit, [f"Laplacian spectrum missing (q={q}, k in {lo}..{hi}); covered "
+                    "k-range is (-40, 40)"
+                    for q in range(5) for lo, hi in ((-299999, -41), (41, 300001))]),
+    ]
+    for model, expected in runs:
+        assert len(expected) <= 5 * (1 + 1) + 1
+        start = time.perf_counter()
+        assert enumerate_families(model, 1, 100000, on_unknown=ON_UNKNOWN_SKIP)[1] == expected
+        assert spectral_flow(model, 1, 100000, on_unknown=ON_UNKNOWN_SKIP).skipped == expected
+        for call in (enumerate_families, spectral_flow):
+            with pytest.raises(UnknownCohomologyError) as caught:
                 call(model, 1, 100000)
+            assert str(caught.value) == expected[0]
+        with pytest.raises(UnknownCohomologyError, match="^(h|Laplacian)"):
+            kernel_dimension(model, 1, 100000)
+        assert time.perf_counter() - start < 1
+
+
+def test_window_digit_limit_counts_the_widened_window():
+    # a window k is printed, so it may have at most MAX_RATIONAL_DIGITS
+    # digits: on n = 4 the Type 2 window reaches 3 eps, 6 * 10^3999 at
+    # eps = 2 * 10^3999, and twice that widened twice
+    eps = 2 * 10**3999
+    _, partial = hyp_model(4, 8)
+    _, complete = make_model(4)
+    for model in (partial, complete):
+        report = spectral_flow(model, 0, eps, on_unknown=ON_UNKNOWN_SKIP)
+        assert report.window["type2_k"] == [-3 * eps, 3 * eps]
+        for call in (enumerate_families, spectral_flow):
+            start = time.perf_counter()
+            with pytest.raises(SpectralWindowError, match=(
+                    r"^search window for eps = '20000000000000000000'\.\.\. has a k of "
+                    r"more than MAX_RATIONAL_DIGITS = 4000 digits$")):
+                call(model, 0, eps, window_factor=2)
             assert time.perf_counter() - start < 1
-
-
-def test_window_limit_counts_the_widened_window():
-    _, model = hyp_model(4, 8)
-    # at eps = 20000 the partial table's Type 1 window has 5 * 80001 = 400005
-    # cells, inside MAX_WINDOW_CELLS; widened twice it has 800005
-    assert 400005 <= MAX_WINDOW_CELLS < 800005
-    with pytest.raises(SpectralWindowError, match="800005"):
-        spectral_flow(model, 0, 20000, window_factor=2, on_unknown=ON_UNKNOWN_SKIP)
+        with pytest.raises(SpectralWindowError, match="MAX_RATIONAL_DIGITS"):
+            kernel_dimension(model, 0, 5 * eps)
 
 
 def test_complete_tables_answer_far_past_the_cell_limit():
@@ -941,8 +970,9 @@ def write_table(path, entries, cutoff, k_range):
 
 def explicit_cell_walk(n, entries, cutoff, k_range, r, eps, factor):
     """(families, skipped, window) of a tabulated spectrum, found by visiting
-    every cell of both windows; each Type 2 multiplicity is the alternating
-    sum over the raw per-degree multiplicities of the table."""
+    every cell of both windows, the missing ones collapsed into runs of k;
+    each Type 2 multiplicity is the alternating sum over the raw per-degree
+    multiplicities of the table."""
     table = KunnethCohomology(n)
     raw = {(q, k, half): mult for q, k, half, mult in entries}
     radius1 = eps * n / 2 * factor
@@ -955,12 +985,11 @@ def explicit_cell_walk(n, entries, cutoff, k_range, r, eps, factor):
     if cutoff < half_mu_max:
         raise SpectralWindowError(f"spectrum cutoff mu^2/2 <= {cutoff} below the "
                                   f"required {half_mu_max} for eps = {eps}")
-    skipped = []
+    missing = []
     for q in range(n + 1):
         for k in type2_ks:
             if not k_range[0] <= k <= k_range[1]:
-                skipped.append(f"Laplacian spectrum missing (q={q}, k={k}); "
-                               f"covered k-range is {tuple(k_range)}")
+                missing.append((q, k))
                 continue
             for half in sorted(h for j, kk, h in raw if (j, kk) == (q, k)):
                 mult = sum((-1) ** (q - j) * raw.get((j, k, half), 0)
@@ -969,6 +998,7 @@ def explicit_cell_walk(n, entries, cutoff, k_range, r, eps, factor):
                     families += [EigenvalueFamily(kind, q, k, n, mult,
                                                   half_mu_sq=half)
                                  for kind in (TYPE2_PLUS, TYPE2_MINUS)]
+    skipped = [missing_message(q, lo, hi, k_range) for q, lo, hi in collapse(missing)]
     window = {
         "type1_k": [type1_ks.start, type1_ks.stop - 1],
         "type2_k": [type2_ks.start, type2_ks.stop - 1],
@@ -1185,22 +1215,25 @@ def test_narrowing_window_factor_is_refused(explicit_model, factor):
 
 def partial_walk(model, r, eps, factor):
     """(families, skipped, window) of a partial cohomology table, found by
-    asking the table about every cell of both windows."""
+    asking the table about every cell of both windows, the unknown ones
+    collapsed into runs of k."""
     n = model.n
     radius1 = eps * n / 2 * factor
     radius2 = eps * (n + 2) / 2 * factor
     half_mu_max = eps / 8 * factor
     type1_ks = range(math.ceil(r - radius1), math.floor(r + radius1) + 1)
     type2_ks = range(math.ceil(r - radius2), math.floor(r + radius2) + 1)
-    families, skipped = [], []
+    families, unknown = [], []
     for q in range(n + 1):
         for k in type1_ks:
             if not model.table.is_known(q, k):
-                skipped.append(f"h^{{{q},{k}}} unknown in table {model.table.name!r}")
+                unknown.append((q, k))
             elif model.table.h(q, k):
                 families.append(EigenvalueFamily(
                     TYPE1, q, k, n, model.table.h(q, k),
                     mult_is_lower_bound=model.table.is_lower_bound(q, k)))
+    skipped = [unknown_message(q, lo, hi, model.table.name)
+               for q, lo, hi in collapse(unknown)]
     if model.kappa is None:
         skipped.append("Type 2 certification needs a Ricci lower bound or an "
                        "explicit Laplacian spectrum")
@@ -1260,8 +1293,8 @@ def test_partial_table_matches_cell_walk(model, r, eps, factor):
 
 
 def test_partial_table_is_consulted_equally_often_at_any_eps(monkeypatch):
-    # the unknown cells are listed in bulk, so the table answers the same
-    # questions at eps = 10 and eps = 1000 (205 and 20005 skipped entries)
+    # the unknown cells are listed as runs, so the table answers the same
+    # questions at eps = 10 and eps = 1000 (7 skipped entries at both)
     _, model = hyp_model(4, 8)
     calls = []
     for name in ("h", "is_known", "known_ks", "is_lower_bound"):
@@ -1271,7 +1304,7 @@ def test_partial_table_is_consulted_equally_often_at_any_eps(monkeypatch):
         monkeypatch.setattr(model.table, name,
                             lambda *args, method=method: calls.append(args) or method(*args))
     counts = []
-    for eps, skipped in ((10, 205), (1000, 20005)):
+    for eps, skipped in ((10, 7), (1000, 7)):
         calls.clear()
         report = spectral_flow(model, 0, eps, on_unknown=ON_UNKNOWN_SKIP)
         assert len(report.skipped) == skipped
