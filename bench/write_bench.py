@@ -3,13 +3,12 @@ baseline revision, plus class-side and spectral micro-cases.
 
     python3 bench/write_bench.py --out BENCH_28.json --baseline HEAD~1
 
-Run it from anywhere inside a source checkout; it benchmarks the sources
-of that checkout.  It uses the standard library only and runs
-``perfbench/run.py`` unmodified, one run at a time.  Every Python process
-it starts runs with ``PYTHONDONTWRITEBYTECODE=1``, and the ``__pycache__``
-directories under ``src/`` and ``perfbench/`` are deleted first, so every
-tree compiles its own sources in each process alike (the standard
-library keeps its cache).
+Run it from anywhere inside a source checkout to benchmark its sources.
+It uses the standard library only and runs ``perfbench/run.py``
+unmodified, one run at a time.  Every Python process it starts runs with
+``PYTHONDONTWRITEBYTECODE=1``, after the ``__pycache__`` directories under
+``src/`` and ``perfbench/`` are deleted, so every tree compiles its own
+sources in each process alike (the standard library keeps its cache).
 
 REV (from ``git archive``) and a copy of the checkout are put in two
 temporary trees at paths of the same length; a fresh tree holds no
@@ -26,36 +25,24 @@ bytecode cache.  From those trees, on both sides, interleaved:
   seen by the parent process (median of 11 interleaved runs each), with
   the etaflow modules each one loads;
 - the ``compile()`` seconds of each ``src/etaflow/*.py`` (the median of
-  21 compiles within one process; the median of 5 processes), and for the
-  first cli-batch invocation (seed 1) of each subcommand in each format,
-  the sorted modules it loads, read from ``sys.modules`` in a fresh
-  ``python3 -S`` child: the same lists on any machine with the same
-  Python;
+  21 compiles within one process; the median of 5 processes), and the
+  sorted ``sys.modules`` of the first cli-batch invocation (seed 1) of
+  each subcommand in each format, in a fresh ``python3 -S`` child: the
+  same lists on any machine with the same Python;
 - the cold ``resolve_manifold`` of the generated flow-sweep x2 and x4
   configs (seed 1, 424 and 609 table entries; median of 7 processes);
 - the ``spectral.certify_no_crossing`` calls of one flow-sweep pass at
   seed 1, by family kind and outcome, counted in process by a wrapper of
   the module global that ``spectral_flow`` calls;
-- the class products, ``series.class_product`` and ``series.exp_class``
-  calls, counted in process by wrappers of those module globals: of one
-  eta-grid pass at seed 1 (with whether the pass loaded ``etaflow.series``
-  at all), and of each seed-1 cli-batch ``check-identities`` invocation,
-  run by ``cli.main`` with every memo of the package emptied first, as in a
-  fresh process;
-- the ``Fraction`` constructions (``Fraction.__new__`` calls) of one
-  eta-grid pass and one flow-sweep pass at seed 1, each after its set-up,
-  with those that ``perfbench/worker.py`` makes itself to parse r and eps;
 - the cold class side: the first ``eta_invariant`` on each of cp1xcp1,
-  cp1x4, cp1x6, cp1x8 and cp1x32, each in 5 fresh processes (the median),
-  with the number of Bernoulli memo misses and of Bernoulli numbers
-  computed;
+  cp1x4, cp1x6, cp1x8 and cp1x32, each in 5 fresh processes (the median);
 - a sha256 of the answers of every perfbench case (workload and seed):
   the library answers as ``perfbench/worker.py`` writes them, and for
   cli-batch each invocation's exit code and output, run from the
   directory of the generated configs so that no path enters the hash.
 
-The record says whether both sides gave the same answers, certify calls
-and class products.  Then, on the checkout itself:
+The record says whether both sides gave the same answers and certify
+calls.  Then, on the checkout itself:
 
 - one eta-grid run and one flow-sweep run at seed 1 with ``--trace 1``
   for the per-layer counters and self times of the class side and of the
@@ -63,21 +50,16 @@ and class products.  Then, on the checkout itself:
 - ``adiabatic_top`` on cp1x32 at a 401-digit r, in process: the first
   call (which builds the class-side tables) and the median of 5 further
   calls, with a sha256 of the exact answer;
-- one ``adiabatic-limit --manifold cp1x32`` process at a 4100-digit r,
-  whose answer is too long to print: its exit code, the limit its
-  message names and its wall time;
 - ``spectral_flow`` plus ``kernel_dimension`` in nakano mode on cp1x4 at
   r = 1, eps = 9999, in process: the first pair of calls and the median of
   20 further pairs, with a sha256 of the payload;
-- one ``transgression --manifold cp1x32 --eps 1`` process at the
-  4100-digit r: its exit code, the limit its message names and its wall
-  time;
 - flow-sweep at seed 1 split into its nakano, explicit and
   counterexample parts: one pass of its queries in a fresh process, as a
   perfbench worker runs it, with the time of each part summed over its
   queries; the median of 7 processes.
 
-The whole record takes about ten minutes.
+``section_s`` holds the wall seconds of each of these blocks.  The whole
+record takes about seven minutes.
 """
 
 from __future__ import annotations
@@ -101,11 +83,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 SECONDS = 10  # each --trace 1 run
 # pairs per workload and seconds per run; a cli-batch run always makes two
-# passes of about 9 s, whatever its seconds, so it takes 27 s
+# passes of about 9 s, whatever its seconds, so it takes about 18 s
 PAIRS = {"eta-grid": 10, "flow-sweep": 10, "cli-batch": 2}
 PAIR_SECONDS = {"eta-grid": 4, "flow-sweep": 4, "cli-batch": 1}
 R_401 = f"{10**400 + 1}/{10**400 - 3}"
-R_4100 = f"{10**4100 + 1}/{10**4100 - 3}"
 COLD_BASES = ("cp1xcp1", "cp1x4", "cp1x6", "cp1x8", "cp1x32")
 
 # prepended to every probe, whose argv is the root of the tree it measures,
@@ -131,11 +112,6 @@ def queries(workload):
     found = (workloads.eta_grid(seed) if workload == "eta-grid"
              else workloads.flow_sweep(seed, configs(workload)))
     return found, worker._setup({"bases": sorted({q["base"] for q in found})})
-
-def run_all(queries, entries):
-    import worker
-    for query in queries:
-        worker._run(entries[query["base"]], query)
 """
 
 # adiabatic_top on cp1x32 at r = args[0]: first-call seconds, the median of
@@ -189,24 +165,16 @@ print(json.dumps({"first_call_s": first, "median_s": statistics.median(times),
                   "payload_sha256": hashlib.sha256(text.encode()).hexdigest()}))
 """
 
-# the first eta_invariant on a base (args[0]): its time, the Bernoulli memo
-# misses and how many Bernoulli numbers were computed (the memo is in eta,
-# or in series in trees before it moved)
+# the first eta_invariant on a base (args[0]): its time and the total
 _COLD = """
-import importlib
 from fractions import Fraction
-from etaflow import eta
 from etaflow.catalog import resolve_manifold
 from etaflow.eta import eta_invariant
-home = eta if hasattr(eta, "_BERNOULLI") else importlib.import_module("etaflow.series")
 entry = resolve_manifold(args[0])
 start = time.perf_counter()
 result = eta_invariant(entry.manifold, entry.model, Fraction(1, 3), Fraction(1, 2))
 elapsed = time.perf_counter() - start
-print(json.dumps({"first_call_s": elapsed,
-                  "bernoulli_misses": home._bernoulli.cache_info().misses,
-                  "bernoulli_computed": len(home._BERNOULLI) - 1,
-                  "total": str(result.total)}))
+print(json.dumps({"first_call_s": elapsed, "total": str(result.total)}))
 """
 
 # the answers of one perfbench case (workload args[0]), hashed: library
@@ -247,32 +215,6 @@ for query in found:
 print(json.dumps({part: {"seconds": s, "queries": n} for part, (s, n) in parts.items()}))
 """
 
-# the Fraction constructions of one eta-grid and one flow-sweep pass, each
-# after its set-up, counted through a wrapper of Fraction.__new__, with those
-# that worker._run makes itself (its parsing of r and eps)
-_FRACTIONS = """
-from fractions import Fraction
-import worker
-passes = {workload: queries(workload) for workload in ("eta-grid", "flow-sweep")}
-counts = {"all": 0, "worker": 0}
-new = Fraction.__new__
-
-def counted(cls, *args, **kwargs):
-    counts["all"] += 1
-    counts["worker"] += sys._getframe(1).f_code is worker._run.__code__
-    return new(cls, *args, **kwargs)
-
-out = {}
-for workload, (found, entries) in passes.items():
-    counts.update(all=0, worker=0)
-    Fraction.__new__ = counted
-    run_all(found, entries)
-    Fraction.__new__ = new
-    out[workload] = {"queries": len(found), "fraction_constructions": counts["all"],
-                     "worker_parsing": counts["worker"]}
-print(json.dumps(out))
-"""
-
 # the cold resolve_manifold of the generated flow-sweep tables: seconds and
 # table entries per config
 _RESOLVE = """
@@ -292,6 +234,7 @@ print(json.dumps(out))
 # kind and outcome through a wrapper of the module global that
 # spectral_flow calls
 _CERTIFY = """
+import worker
 from collections import Counter
 from etaflow import spectral
 counts = Counter()
@@ -303,53 +246,13 @@ def counted(family, r, eps):
     return outcome
 
 spectral.certify_no_crossing = counted
-run_all(*queries("flow-sweep"))
+found, entries = queries("flow-sweep")
+for query in found:
+    worker._run(entries[query["base"]], query)
 by_kind = {}
 for (kind, status), calls in sorted(counts.items()):
     by_kind.setdefault(kind, {})[status] = calls
 print(json.dumps({"calls": sum(counts.values()), "by_kind": by_kind}))
-"""
-
-# the class products of one eta-grid pass, and of each cli-batch
-# check-identities invocation run by cli.main after emptying every memo of
-# the package, counted through wrappers of the module globals
-# series.class_product and series.exp_class; the eta-grid pass runs first
-# without them, to see whether it loads series, and again with them
-_CLASS_PRODUCTS = """
-import contextlib, io
-from collections import Counter
-NAMES = ("class_product", "exp_class")
-
-def fresh():  # every memo of the package emptied, as in a new process
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "etaflow":
-            for value in list(vars(module).values()):
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-
-run_all(*queries("eta-grid"))
-loaded = "etaflow.series" in sys.modules
-from etaflow import cli, series
-counts = Counter()
-for name in NAMES:
-    def counted(*args, name=name, call=getattr(series, name)):
-        counts[name] += 1
-        return call(*args)
-    setattr(series, name, counted)
-fresh()
-run_all(*queries("eta-grid"))
-record = {"eta_grid": {"series_loaded": loaded, **{name: counts[name] for name in NAMES}},
-          "check_identities": []}
-for query in queries("cli-batch")[0]:
-    if query["argv"][0] == "check-identities":
-        fresh()
-        counts.clear()
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(query["argv"])
-        record["check_identities"].append({"argv": " ".join(query["argv"]),
-                                           "exit_code": code,
-                                           **{name: counts[name] for name in NAMES}})
-print(json.dumps(record))
 """
 
 # the compile() seconds of each module of src/etaflow, as an import compiles
@@ -446,17 +349,6 @@ def _timed(runs: list) -> dict:
         times = [run[name]["seconds"] for run in runs]
         out[name] = {**first, "seconds": times, **_summary(times)}
     return out
-
-
-def _cli_case(*args) -> dict:
-    argv = [sys.executable, "-m", "etaflow", *args, "--r", R_4100]
-    start = time.perf_counter()
-    proc = subprocess.run(argv, env=_env(), capture_output=True, text=True)
-    wall = time.perf_counter() - start
-    return {"case": f"etaflow {' '.join(args)} --r (10^4100 + 1)/(10^4100 - 3)",
-            "exit_code": proc.returncode, "wall_s": wall,
-            "names_MAX_RATIONAL_DIGITS": "MAX_RATIONAL_DIGITS" in proc.stderr,
-            "stderr": proc.stderr.strip()}
 
 
 def _cold_class_side(roots: dict) -> dict:
@@ -595,53 +487,61 @@ def main(argv=None) -> int:
         "bytecode": "PYTHONDONTWRITEBYTECODE=1, no __pycache__ under src/ or perfbench/",
         "baseline_revision": _git("rev-parse", f"{args.baseline}^{{commit}}"),
     }
+    seconds = record["section_s"] = {}
+
+    @contextmanager
+    def section(name):  # the wall seconds of a block go to section_s[name]
+        start = time.perf_counter()
+        yield
+        seconds[name] = time.perf_counter() - start
+
     with _trees(record["baseline_revision"]) as (baseline, head):
         roots = {"baseline": baseline, "head": head}
-        record["paired"] = {w: _paired(w, baseline, head) for w in PAIRS}
-        record["import_split"] = _import_split(roots)
+        record["paired"] = {}
+        for w in PAIRS:
+            with section(f"paired {w}"):
+                record["paired"][w] = _paired(w, baseline, head)
+        with section("import_split"):
+            record["import_split"] = _import_split(roots)
+        # a probe run in several processes per tree is timed (_timed)
         for key, code, rounds, case in (
                 ("compile_times", _COMPILE, 5, "compile() seconds of each src/etaflow/*.py: "
                  "median of 21 compiles in one process, 5 interleaved processes"),
                 ("cold_resolve", _RESOLVE, 7, "first resolve_manifold of the flow-sweep "
-                 "seed 1 explicit configs, fresh processes (7, interleaved)")):
-            record[key] = {"case": case, **{side: _timed(side_runs) for side, side_runs
-                                            in _probe(code, roots, rounds=rounds).items()}}
-        for key, code, case in (
-                ("modules_loaded", _LOADED_BY, "sorted sys.modules after the first "
+                 "seed 1 explicit configs, fresh processes (7, interleaved)"),
+                ("modules_loaded", _LOADED_BY, 1, "sorted sys.modules after the first "
                  "cli-batch seed 1 invocation of each subcommand and format, python -S"),
-                ("certify_calls", _CERTIFY, "spectral.certify_no_crossing calls of one "
-                 "flow-sweep seed 1 pass, by family kind and outcome"),
-                ("class_products", _CLASS_PRODUCTS, "series.class_product and "
-                 "series.exp_class calls of one eta-grid seed 1 pass and of each cli-batch "
-                 "seed 1 check-identities invocation, memos emptied first"),
-                ("fraction_constructions", _FRACTIONS, "Fraction.__new__ calls of one "
-                 "eta-grid and one flow-sweep seed 1 pass after set-up, and those of "
-                 "perfbench/worker.py's own parsing of r and eps")):
-            record[key] = {"case": case, **{side: side_runs[0] for side, side_runs
-                                            in _probe(code, roots).items()}}
-        for key in ("certify_calls", "class_products"):
-            record[f"{key}_equal_baseline"] = record[key]["baseline"] == record[key]["head"]
-        cold = _cold_class_side(roots)
+                ("certify_calls", _CERTIFY, 1, "spectral.certify_no_crossing calls of one "
+                 "flow-sweep seed 1 pass, by family kind and outcome")):
+            with section(key):
+                runs = _probe(code, roots, rounds=rounds)
+            record[key] = {"case": case, **{side: _timed(side_runs) if rounds > 1 else
+                                            side_runs[0] for side, side_runs in runs.items()}}
+        record["certify_calls_equal_baseline"] = (record["certify_calls"]["baseline"]
+                                                  == record["certify_calls"]["head"])
+        with section("cold_class_side"):
+            cold = _cold_class_side(roots)
         record["baseline_cold_class_side"] = cold["baseline"]
-        answers = _answer_hashes(roots)
+        with section("answers"):
+            answers = _answer_hashes(roots)
         record["baseline_answers"], record["answers"] = answers["baseline"], answers["head"]
         record["answers_equal_baseline"] = answers["baseline"] == answers["head"]
-    record["perfbench_traced"] = {w: {"seed": 1, "seconds": SECONDS,
-                                      **_perfbench(w, 1, SECONDS, 1)}
-                                  for w in ("eta-grid", "flow-sweep")}
+    with section("perfbench_traced"):
+        record["perfbench_traced"] = {w: {"seed": 1, "seconds": SECONDS,
+                                          **_perfbench(w, 1, SECONDS, 1)}
+                                      for w in ("eta-grid", "flow-sweep")}
     here = {"head": ROOT}
-    split = _timed(_probe(_FLOW_SPLIT, here, rounds=7)["head"])
-    record["micro"] = [
-        {"case": "adiabatic_top(cp1x32, r), r = (10^400 + 1)/(10^400 - 3)",
-         **_probe(_IN_PROCESS, here, R_401)["head"][0]},
-        _cli_case("adiabatic-limit", "--manifold", "cp1x32"),
-        {"case": "spectral_flow + kernel_dimension, nakano, cp1x4, r = 1, eps = 9999",
-         **_probe(_NAKANO, here)["head"][0]},
-        cold["head"],
-        _cli_case("transgression", "--manifold", "cp1x32", "--eps", "1"),
-        {"case": "flow-sweep seed 1, one pass per fresh process, seconds per part "
-                 "(7 processes)", "parts": split},
-    ]
+    with section("micro"):
+        split = _timed(_probe(_FLOW_SPLIT, here, rounds=7)["head"])
+        record["micro"] = [
+            {"case": "adiabatic_top(cp1x32, r), r = (10^400 + 1)/(10^400 - 3)",
+             **_probe(_IN_PROCESS, here, R_401)["head"][0]},
+            {"case": "spectral_flow + kernel_dimension, nakano, cp1x4, r = 1, eps = 9999",
+             **_probe(_NAKANO, here)["head"][0]},
+            cold["head"],
+            {"case": "flow-sweep seed 1, one pass per fresh process, seconds per part "
+                     "(7 processes)", "parts": split},
+        ]
     record["elapsed_s"] = time.perf_counter() - started
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out} in {record['elapsed_s']:.0f} s", file=sys.stderr)

@@ -98,7 +98,7 @@ class PartialCohomology(CohomologyTable):
             return self.entries[(q, k)]
         except KeyError:
             raise UnknownCohomologyError(
-                f"h^{{{q},{k}}} is not tabulated for {quoted(self.name)}"
+                f"h^{{{q},{quoted(k, str)}}} is not tabulated for {quoted(self.name)}"
             ) from None
 
     def is_known(self, q: int, k: int) -> bool:

@@ -469,8 +469,9 @@ def _type2_unknowns(model: SpectralModel, eps, M: int, S: int, missing, handle_u
             f"{quoted(Fraction(M, S), str)} for eps = {quoted(eps, str)}"
         )
     suffix = f"); covered k-range is {quoted(spectrum.k_range, str)}"
-    handle_unknown([f"Laplacian spectrum missing (q={q}, "
-                    f"{f'k={lo}' if lo == hi else f'k in {lo}..{hi}'}{suffix}"
+    handle_unknown([f"Laplacian spectrum missing (q={q}, k"
+                    + (f"={quoted(lo, str)}" if lo == hi
+                       else f" in {quoted(lo, str)}..{quoted(hi, str)}") + suffix
                     for q in range(model.n + 1) for lo, hi in missing])
 
 
@@ -507,8 +508,8 @@ def enumerate_families(model: SpectralModel, r, eps, window_factor=1,
         else:
             ks = table.known_ks(q, k_lo, k_hi)
             # the unknown k are the runs between the ascending known ones
-            handle_unknown([f"h^{{{q},{lo}}}{tail}" if lo == hi else
-                            f"h^{{{q},k}}{tail} for k in {lo}..{hi}"
+            handle_unknown([f"h^{{{q},{quoted(lo, str)}}}{tail}" if lo == hi else
+                            f"h^{{{q},k}}{tail} for k in {quoted(lo, str)}..{quoted(hi, str)}"
                             for lo, hi in zip((k_lo, *(k + 1 for k in ks)),
                                               (*(k - 1 for k in ks), k_hi))
                             if lo <= hi])
@@ -693,7 +694,7 @@ def kernel_dimension(model: SpectralModel, r, eps) -> int:
             continue
         if not model.table.is_known(q, k):
             raise UnknownCohomologyError(
-                f"h^{{{q},{k}}} unknown in table {quoted(model.table.name)}")
+                f"h^{{{q},{quoted(k, str)}}} unknown in table {quoted(model.table.name)}")
         total += model.table.h(q, k)
 
     # Type 2 zeros at eps: Q(eps) = 0, that is mu^2/2 = half* = N/scale
@@ -712,7 +713,7 @@ def kernel_dimension(model: SpectralModel, r, eps) -> int:
         if levels is None and N * D >= E * bound:
             raise IndeterminateSpectralFlow(
                 f"kernel at eps={quoted(eps, str)} hinges on whether mu^2/2 = "
-                f"{quoted(Fraction(N, scale), str)} occurs at (q={q}, k={k}); "
+                f"{quoted(Fraction(N, scale), str)} occurs at (q={q}, k={quoted(k, str)}); "
                 "supply an explicit spectrum"
             )
         for half, mult in levels or ():  # None in bound-only mode

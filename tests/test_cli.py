@@ -219,7 +219,7 @@ def test_answer_digit_limit(capsys):
     assert f"MAX_RATIONAL_DIGITS = {MAX_RATIONAL_DIGITS}" in err
 
 
-R_4100 = f"{10**4100 + 1}/{10**4100 - 3}"  # as bench/write_bench.py times it
+R_4100 = f"{10**4100 + 1}/{10**4100 - 3}"
 
 
 def test_unprintable_r_refused_before_evaluating(capsys, monkeypatch):
@@ -441,17 +441,19 @@ print(json.dumps([check.both_terms_zero, before, etaflow.class_product(one, one)
     assert run_python(code) == [True, False, True, "1/5760", True, True, True]
 
 
-# every operation of a library benchmark worker, after its set-up: the first
-# query must import nothing (argv[1] is the explicit config)
+# every operation of a library benchmark worker, after its set-up (import
+# etaflow, resolve each base): the first query, with the eta and spectral
+# imports that perfbench/worker.py makes inside its timed loop, must import
+# nothing (argv[1] is the explicit config)
 _FIRST_QUERY_PROBE = """
 import json, sys
 from fractions import Fraction
 import etaflow
 from etaflow.catalog import resolve_manifold
-from etaflow.eta import eta_invariant, transgression_raw
-from etaflow.spectral import kernel_dimension, spectral_flow
 bases = {name: resolve_manifold(name) for name in ("cp1x4", "hyp:n=4,d=8", sys.argv[1])}
 before = set(sys.modules)
+from etaflow.eta import eta_invariant, transgression_raw
+from etaflow.spectral import kernel_dimension, spectral_flow
 r, eps = Fraction(5, 2), Fraction(3)
 for name, entry in bases.items():
     if entry.manifold is not None:

@@ -127,6 +127,15 @@ MAN = ["spectral-flow", "--manifold", "{dir}/man.json", "--eps=1"]
 @example((_table([{**ENTRY, "k": -10**4000}]), MAN))
 @example(({"man.json": json.dumps({"type": "hypersurface_general_type", "n": 4,
                                    "d": 10**4000})}, MAN))
+# unknown cells and an undecided kernel whose k has about 4000 digits
+@example(({}, ["spectral-flow", "--manifold", "hyp:n=4,d=8", "--r=1" + "0" * 3998,
+               "--eps=1/1000000"]))
+@example(({}, ["kernel-dim", "--manifold", "hyp:n=4,d=8", "--r=1" + "0" * 3998,
+               "--eps=1/1000000"]))
+@example(({}, ["aps-index", "--manifold", "hyp:n=4,d=8", "--eps=1" + "0" * 3990]))
+@example(({}, ["kernel-dim", "--manifold", str(ROOT / "configs" / "cp1xcp1_explicit.json"),
+               "--mode", "explicit", "--r=1" + "0" * 3998, "--eps=1/1000000"]))
+@example(({}, ["kernel-dim", "--manifold", "cp1x4", "--r=1" + "0" * 3998 + "1/2", "--eps=1"]))
 def test_outside_input_gets_an_answer_or_a_short_refusal(case):
     _check(*case)
 

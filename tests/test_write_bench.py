@@ -1,6 +1,7 @@
 """The claim arithmetic of ``bench/write_bench.py``, on canned perfbench
 results: no benchmark process runs."""
 
+import contextlib
 import importlib.util
 import json
 import statistics
@@ -85,3 +86,51 @@ def test_timed_blocks(write_bench):
                "q1": pytest.approx(0.15), "q3": pytest.approx(0.25)},
         "x4": {"entries": 609, "seconds": [1.0, 2.0, 3.0], "median": 2.0, "q1": 1.5,
                "q3": 2.5}}
+
+
+# the top-level blocks of a record; the deleted probes' keys must not come back
+KEPT = {"git_revision", "git_dirty_paths", "python", "machine", "bytecode",
+        "baseline_revision", "paired", "import_split", "compile_times", "cold_resolve",
+        "modules_loaded", "certify_calls", "certify_calls_equal_baseline",
+        "baseline_cold_class_side", "baseline_answers", "answers", "answers_equal_baseline",
+        "perfbench_traced", "micro", "elapsed_s"}
+DELETED = {"class_products", "class_products_equal_baseline", "fraction_constructions"}
+
+
+def test_record_blocks_and_their_seconds(write_bench, tmp_path, monkeypatch, capsys):
+    @contextlib.contextmanager
+    def trees(revision):
+        yield "base-tree", "head-tree"
+
+    def perfbench(workload, seed, seconds, trace, root=None):
+        return {"correct": True, "failed": 0, "metrics": {
+            name: {"value": 1.0} for name in
+            ("setup_s", "pass_s", "query_p50_ms", "query_p90_ms", "peak_rss_mb")}}
+
+    def probe(code, roots, *args, rounds=1, seed=1):
+        run = ({"first_call_s": 0.1, "total": "1/2"} if code == write_bench._COLD
+               else {"part": {"seconds": 0.1}})
+        return {side: [dict(run) for _ in range(rounds)] for side in roots}
+
+    for name, stub in (("_trees", trees), ("_perfbench", perfbench), ("_probe", probe),
+                       ("_import_split", lambda roots: {"case": "stub"}),
+                       ("_drop_bytecode", lambda root: None),
+                       ("_git", lambda *args: "0" * 40)):
+        monkeypatch.setattr(write_bench, name, stub)
+    out = tmp_path / "BENCH.json"
+    assert write_bench.main(["--out", str(out), "--baseline", "HEAD"]) == 0
+    capsys.readouterr()
+    record = json.loads(out.read_text())
+
+    assert set(record) == KEPT | {"section_s"} and not DELETED & set(record)
+    assert set(record["section_s"]) == {
+        "paired eta-grid", "paired flow-sweep", "paired cli-batch", "import_split",
+        "compile_times", "cold_resolve", "modules_loaded", "certify_calls",
+        "cold_class_side", "answers", "perfbench_traced", "micro"}
+    assert all(seconds >= 0 for seconds in record["section_s"].values())
+    assert record["answers_equal_baseline"] and record["certify_calls_equal_baseline"]
+    assert all(record["paired"][w]["all_correct"] for w in write_bench.PAIRS)
+    # four micro cases: no CLI process at a 4100-digit r, no Bernoulli counts
+    assert len(record["micro"]) == 4
+    assert record["micro"][2]["bases"]["cp1x32"].keys() == {
+        "first_call_s", "median", "q1", "q3", "total"}
