@@ -408,9 +408,21 @@ def _flatten(value, prefix=""):
     return rows
 
 
+def _printable(value):
+    """Refuse, as ``rational_str`` refuses a rational, an integer anywhere in
+    ``value`` of more than exact.MAX_RATIONAL_DIGITS digits: below Python's
+    own limit, and with a message that names this one."""
+    if isinstance(value, int):
+        rational_str(value, 1)
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _printable(item)
+
+
 def payload_to_csv(payload: dict) -> str:
     import csv
 
+    _printable(payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -420,6 +432,7 @@ def payload_to_csv(payload: dict) -> str:
 
 
 def payload_to_json(payload: dict) -> str:
+    _printable(payload)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

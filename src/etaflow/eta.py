@@ -17,14 +17,16 @@ On a fixed base neither A-hat nor Omega_0 depends on (r, eps).  Every
 class lives in Q[delta][c]/(c^{n+1}), and both terms are read off one
 exponential E = e^{Omega_0}, built once per base in integers to c^{n+1}:
 the adiabatic term is A-hat (E at delta = 0) against a Bernoulli
-polynomial at floor(r) + 1 less a power of r, and the transgression is
-(E - A-hat)/(2c) at eps, by the fundamental theorem in delta.  Each term is
-one integer table, built in a bounded memo; a query evaluates it by
-Horner's rule in integers and reduces by one gcd, and the adiabatic term is
-memoized per (base, r).  ``corollary_check`` reads the same tables; the
-``Fraction`` reference that checks them is ``series``, which this module
-never imports.  The ``paper_i`` convention, with literal factors of i,
-takes the same antiderivative at i*eps.
+polynomial at floor(r) + 1 less a power of r, and the transgression T is
+(E - A-hat)/(2c) at eps, by the fundamental theorem in delta, an integer
+table in (r, eps) built in a bounded memo per base.  For a fixed (base, r)
+the adiabatic term A does not depend on eps and T is a polynomial of
+degree n + 1 in eps: one bounded memo per (base, r) holds A and T's
+eps-coefficients as integers over one denominator, so a query makes one
+lookup and one Horner's rule in eps.  ``corollary_check`` reads the same
+tables; the ``Fraction`` reference that checks them is ``series``, which
+this module never imports.  The ``paper_i`` convention, with literal
+factors of i, takes the same polynomial at i*eps.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .spectral import (
 CONVENTION_REAL = "real"
 CONVENTION_PAPER_I = "paper_i"
 CONVENTIONS = (CONVENTION_REAL, CONVENTION_PAPER_I)
+_ONE = Fraction(1)  # the default convention constant N = 1, built once
 
 _BERNOULLI = (1,)  # T_j = (j + 1)! B_j for j = 0..m, the largest m asked so far
 
@@ -153,23 +156,35 @@ def adiabatic_top(manifold: ManifoldSpec, r) -> Fraction:
 
 
 @lru_cache(maxsize=8, typed=True)
+def _eps_free(manifold: ManifoldSpec, r):
+    """(A, den, t) for one (base, r): the adiabatic term A and the integers t
+    with T(eps) = sum_e t[e] eps^e / den, e = 0..n + 1, t[0] = 0, the
+    transgression table read by Horner's rule in r once per column of equal
+    eps-degree.  Typed, so a float r is refused, not matched to a Fraction."""
+    L, columns = _class_tables(manifold)[2]
+    r, top = as_fraction(r), manifold.n + 1
+    R, D = r.numerator, r.denominator
+    t = [0] + [D**e * _homogeneous([c[e] for c in columns[: top + 1 - e]], R, D)
+               for e in range(1, top + 1)]
+    den = L * D**top
+    g = math.gcd(den, *t)
+    return (adiabatic_top(manifold, r) * manifold.top_integral / 2, den // g,
+            tuple(x // g for x in t))
+
+
 def adiabatic_limit_eta(manifold: ManifoldSpec, r) -> Fraction:
     """Small-eps limit of the eta invariant:
-    (1/2) * integral of A-hat * eta_hat_r * exp(rc), memoized per (base, r);
-    typed, so a float r is refused, not matched to a Fraction."""
-    return adiabatic_top(manifold, r) * manifold.top_integral / 2
+    (1/2) * integral of A-hat * eta_hat_r * exp(rc), memoized per (base, r)."""
+    return _eps_free(manifold, r)[0]
 
 
 def transgression_integrand_poly(manifold: ManifoldSpec, r) -> tuple:
     """Integral over X of Omega_2 e^{Omega_0} e^{rc}: the sum over j of
     W_{n-j} r^j / j! times the integral of c^n, a polynomial in delta with
     rational coefficients (the real convention), as its n + 1
-    coefficients, read off the transgression table."""
-    L, columns = _class_tables(manifold)[2]
-    r, top = as_fraction(r), manifold.n + 1
-    return tuple(Fraction(e * _homogeneous([c[e] for c in columns[: top + 1 - e]], r.numerator,
-                                           r.denominator), L * r.denominator ** (top - e))
-                 for e in range(1, top + 1))
+    coefficients: the derivative of T."""
+    _, den, t = _eps_free(manifold, r)
+    return tuple(Fraction(e * t[e], den) for e in range(1, len(t)))
 
 
 def eval_at_i(poly, x):
@@ -187,33 +202,36 @@ def eval_at_i(poly, x):
     return re if im == 0 else GaussianRational(re, im)
 
 
+def _terms(manifold: ManifoldSpec, r, eps: Fraction, convention):
+    """(A, T(eps)) from one ``_eps_free`` lookup, T by Horner's rule in
+    integers at E = eps.numerator, or at iE in Gaussian integers (paper_i);
+    an unknown convention is refused before the class side is built."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    adiabatic, den, t = _eps_free(manifold, r)
+    E, De = eps.numerator, eps.denominator
+    re, im, power = 0, 0, 1  # power = De^(n + 1 - e)
+    if convention == CONVENTION_REAL:
+        for g in reversed(t):
+            re = re * E + g * power
+            power *= De
+    else:
+        for g in reversed(t):  # (re + i im) iE + g = (g - im E) + i re E
+            re, im = g * power - im * E, re * E
+            power *= De
+    den *= power // De
+    if im == 0:
+        return adiabatic, Fraction(re, den)
+    return adiabatic, GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
 def transgression_raw(manifold: ManifoldSpec, r, eps, convention=CONVENTION_REAL):
     """Exact delta-integral over [0, eps] of the transgression integrand,
     before the convention constant is applied."""
     eps = as_fraction(eps)
-    if eps < 0:
+    if eps.numerator < 0:
         raise ValueError("eps must be >= 0")
-    if convention not in CONVENTIONS:  # before the class side is built
-        raise ValueError(f"unknown convention {convention!r}")
-    L, columns = _class_tables(manifold)[2]
-    E, De, r = eps.numerator, eps.denominator, as_fraction(r)
-    # Horner's rule in eps (at E, or at iE in Gaussian integers) on each
-    # column, then in r over their real and imaginary parts: O(n) long products
-    parts = []
-    for column in columns:
-        re, im, power = 0, 0, 1  # power = De^(K - e), K the column's degree
-        for g in reversed(column):
-            if convention == CONVENTION_REAL:
-                re = re * E + g * power
-            else:  # (re + i im) iE + g = (g - im E) + i re E
-                re, im = g * power - im * E, re * E
-            power *= De
-        parts.append((re, im))
-    re, im = (_homogeneous(part, r.numerator * De, r.denominator) for part in zip(*parts))
-    den = L * (De * r.denominator) ** (manifold.n + 1)
-    if im == 0:
-        return Fraction(re, den)
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+    return _terms(manifold, r, eps, convention)[1]
 
 
 class EtaResult(Record):
@@ -284,41 +302,23 @@ class EtaResult(Record):
         }
 
 
-def eta_invariant(
-    manifold: ManifoldSpec,
-    model: SpectralModel,
-    r,
-    eps,
-    *,
-    N=1,
-    convention=CONVENTION_REAL,
-    sf_sign=SF_SIGN_PAPER,
-) -> EtaResult:
+def eta_invariant(manifold: ManifoldSpec, model: SpectralModel, r, eps, *, N=1,
+                  convention=CONVENTION_REAL, sf_sign=SF_SIGN_PAPER) -> EtaResult:
     """Eta invariant at (r, eps): adiabatic piece, transgression piece and
     certified spectral flow.  The flow is always computed, never assumed
     zero, even when the curvature bound already forces it to vanish, and
     an unknown cohomology cell raises UnknownCohomologyError: no total is
     made from a partial flow."""
     r, eps = as_fraction(r), as_fraction(eps)
-    if eps <= 0:
+    if eps.numerator <= 0:
         raise ValueError("eps must be positive")
-    adiabatic = adiabatic_limit_eta(manifold, r)
-    raw = transgression_raw(manifold, r, eps, convention)
+    adiabatic, raw = _terms(manifold, r, eps, convention)
     if not isinstance(raw, Fraction):
-        raise ValueError(
-            "the paper_i convention yields a Gaussian-valued transgression; "
-            "use transgression_raw for side-by-side comparison"
-        )
+        raise ValueError("the paper_i convention yields a Gaussian-valued transgression; "
+                         "use transgression_raw for side-by-side comparison")
     report = spectral_flow(model, r, eps, sf_sign=sf_sign)
-    return EtaResult(
-        r=r,
-        eps=eps,
-        adiabatic_term=adiabatic,
-        transgression_term=raw,
-        convention_constant=as_fraction(N),
-        convention=convention,
-        flow_report=report,
-    )
+    N = _ONE if N.__class__ is int and N == 1 else as_fraction(N)
+    return EtaResult(r, eps, adiabatic, raw, N, convention, report)
 
 
 def aps_terms(n: int, table, eps):
@@ -340,11 +340,7 @@ def aps_index(manifold_or_n, table, eps) -> Fraction:
     """Index of the boundary-value problem on the disc bundle:
     -(1/2) * sum of h^{p,k} over the terms of ``aps_terms``; the sum is
     exact."""
-    n = (
-        manifold_or_n.n
-        if isinstance(manifold_or_n, ManifoldSpec)
-        else int(manifold_or_n)
-    )
+    n = manifold_or_n.n if isinstance(manifold_or_n, ManifoldSpec) else int(manifold_or_n)
     return -Fraction(sum(h for _, _, h in aps_terms(n, table, eps)), 2)
 
 

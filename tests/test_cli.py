@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import etaflow
 
-from etaflow import cli, eta, series
-from etaflow.catalog import load_config
+from etaflow import cli, eta, series, spectral
+from etaflow.catalog import load_config, resolve_manifold
 from etaflow.cli import (
     EXIT_ERROR,
     EXIT_INDETERMINATE,
@@ -217,6 +218,26 @@ def test_answer_digit_limit(capsys):
     )
     assert code == EXIT_ERROR and out == ""
     assert f"MAX_RATIONAL_DIGITS = {MAX_RATIONAL_DIGITS}" in err
+
+
+def test_unprintable_multiplicity_refused(capsys):
+    # the Type 1 family at k near r = 10^3998 has h^{q,k} of about (k+1)^4,
+    # some 16000 digits: refused by the MAX_RATIONAL_DIGITS check of the
+    # serializers, not by Python's 4300-digit message
+    argv = ["spectral-flow", "--manifold", "cp1x4", "--r", "1" + "0" * 3998,
+            "--eps", "1/1000000"]
+    message = (f"etaflow: cannot print a rational of more than MAX_RATIONAL_DIGITS = "
+               f"{MAX_RATIONAL_DIGITS} digits\n")
+    for fmt in ("json", "csv"):
+        assert run_cli(capsys, *argv, "--format", fmt) == (EXIT_ERROR, "", message)
+    # any integer of a payload; the query itself is answered
+    longest = 10**MAX_RATIONAL_DIGITS - 1
+    for serialize in (cli.payload_to_json, cli.payload_to_csv):
+        assert str(longest) in serialize({"result": {"entries": [{"h": longest}]}})
+        with pytest.raises(ValueError, match="MAX_RATIONAL_DIGITS"):
+            serialize({"result": {"entries": [{"h": -longest - 1}]}})
+    model = resolve_manifold("cp1x4").model
+    assert spectral.spectral_flow(model, 10**3998, F(1, 10**6)).is_exact
 
 
 R_4100 = f"{10**4100 + 1}/{10**4100 - 3}"

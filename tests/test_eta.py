@@ -310,11 +310,13 @@ def test_convention_invariance_of_acceptance_values(cp1xcp1):
 
 @pytest.fixture
 def fresh_memos():
-    """An empty class-side memo before and after the test, so that no memo
+    """Empty class-side memos before and after the test, so that no memo
     state passes between tests."""
     eta._class_tables.cache_clear()
+    eta._eps_free.cache_clear()
     yield
     eta._class_tables.cache_clear()
+    eta._eps_free.cache_clear()
 
 
 def test_class_side_built_once_per_base(cp1x4, fresh_memos, capsys):
@@ -352,7 +354,7 @@ def test_hot_path_builds_no_class_product(fresh_memos, monkeypatch):
 
     for name in ("a_hat_class", "omega_forms", "class_product", "exp_class"):
         monkeypatch.setattr(series, name, refuse)
-    adiabatic_limit_eta.cache_clear()
+    eta._eps_free.cache_clear()
     for name in ("cp1xcp1", "cp1x6", "three-roots", "tripled"):
         spec = _spec(name)
         if name.startswith("cp1"):
@@ -364,7 +366,7 @@ def test_hot_path_builds_no_class_product(fresh_memos, monkeypatch):
         if spec.n % 2 == 0:  # corollary_check reads the integer tables too
             corollary_check(spec)
     assert eta._class_tables.cache_info().misses == 4
-    adiabatic_limit_eta.cache_clear()
+    eta._eps_free.cache_clear()
     # the patch is felt by the reference path
     with pytest.raises(AssertionError, match="hot path"):
         series.transgression_forms(_spec("cp1x4"))
@@ -468,6 +470,99 @@ def test_tables_match_the_series_oracle(name, r, eps):
         value = transgression_raw(spec, r, eps, convention)
         expected = convention_integral(poly, eps, convention)
         assert value == expected and type(value) is type(expected)
+
+
+# ------------------------------------------------------ the (base, r) memo
+
+# r: zero, integers of both signs, a negative fraction, long ones; eps: large
+# denominators, the last of them prime
+MEMO_R = (F(0), F(5), F(-3), F(-7, 4), LONG_R, F(10**40 + 1))
+MEMO_EPS = (F(10**12 + 1, 10**12), F(7, 3**40), F(10**30 + 7, 2**61 - 1))
+
+
+@pytest.mark.parametrize("name", CLASS_BASES + tuple(OTHER_SPECS))
+def test_eps_polynomial_matches_convention_integral(name):
+    # T(eps) from the (base, r) memo against the Fraction reference: its
+    # coefficients are the antiderivative of the series integrand, and its
+    # values are those of series.convention_integral in both conventions
+    spec = _spec(name)
+    for r in MEMO_R:
+        poly = series_integrand_poly(name, r)
+        adiabatic, den, t = eta._eps_free(spec, r)
+        assert adiabatic == series_adiabatic_top(name, r) * spec.top_integral / 2
+        assert [F(c, den) for c in t] == [F(0)] + [a / (d + 1) for d, a in enumerate(poly)]
+        for eps in MEMO_EPS:
+            for convention in (CONVENTION_REAL, CONVENTION_PAPER_I):
+                value = eta._terms(spec, r, eps, convention)
+                expected = convention_integral(poly, eps, convention)
+                assert value == (adiabatic, expected)
+                assert type(value[1]) is type(expected)
+
+
+def _parts(value):
+    """(real, imaginary) of a transgression value."""
+    if isinstance(value, GaussianRational):
+        return value.re, value.im
+    return value, F(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(CLASS_BASES + tuple(OTHER_SPECS)), r=RATIONALS,
+       start=RATIONALS.map(abs), step=RATIONALS.map(abs).filter(bool),
+       convention=st.sampled_from((CONVENTION_REAL, CONVENTION_PAPER_I)))
+@example(name="cp1x32", r=LONG_R, start=F(0), step=F(1, 3**40),
+         convention=CONVENTION_PAPER_I)
+@example(name="three-roots", r=F(-2), start=F(5, 2), step=F(7, 10**12),
+         convention=CONVENTION_REAL)
+def test_transgression_has_degree_n_plus_one_in_eps(name, r, start, step, convention):
+    # the (n + 2)-th finite difference over n + 3 equally spaced eps vanishes
+    spec = _spec(name)
+    values = [_parts(transgression_raw(spec, r, start + k * step, convention))
+              for k in range(spec.n + 3)]
+    for _ in range(spec.n + 2):
+        values = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(values, values[1:])]
+    assert values == [(0, 0)]
+    assert transgression_raw(spec, r, 0, convention) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from((2, 4, 6)),
+       r=st.builds(F, st.integers(-24, 24), st.integers(1, 12)),
+       eps=st.lists(st.builds(F, st.integers(1, 96), st.integers(1, 12)),
+                    min_size=2, max_size=6))
+def test_adiabatic_term_is_the_same_at_every_eps(n, r, eps):
+    spec, table = product_cp1_model(n)
+    model = SpectralModel(spec.name, spec.n, spec.kappa, table)
+    terms = {eta_invariant(spec, model, r, e).adiabatic_term for e in eps}
+    assert terms == {adiabatic_limit_eta(spec, r)}
+
+
+# ten (base, r) pairs for a memo of eight; 2 and F(2) are distinct keys
+EVICTION_POOL = (("cp1xcp1", F(1, 3)), ("cp1xcp1", F(-1, 3)), ("cp1xcp1", F(0)),
+                 ("cp1x4", 2), ("cp1x4", F(2)), ("cp1x4", F(-5, 7)), ("cp1x8", LONG_R),
+                 ("three-roots", F(-2)), ("tripled", F(7, 4)), ("cp1x32", F(1, 2)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(rounds=st.lists(st.permutations(range(len(EVICTION_POOL))), min_size=2, max_size=3),
+       eps=RATIONALS.map(abs))
+@example(rounds=[list(range(len(EVICTION_POOL)))] * 2, eps=F(7, 3))
+def test_memo_eviction_keeps_every_answer(rounds, eps):
+    # each round asks all ten pairs, so the memo evicts; every answer is the
+    # one computed apart from the memo
+    eta._eps_free.cache_clear()
+    for i in (i for order in rounds for i in order):
+        name, r = EVICTION_POOL[i]
+        spec = _spec(name)
+        adiabatic, den, t = eta._eps_free.__wrapped__(spec, r)
+        assert adiabatic_limit_eta(spec, r) == adiabatic
+        assert transgression_raw(spec, r, eps) == sum(F(c, den) * eps**e
+                                                      for e, c in enumerate(t))
+        assert eta.transgression_integrand_poly(spec, r) == tuple(
+            F(e * c, den) for e, c in enumerate(t) if e)
+    info = eta._eps_free.cache_info()
+    assert info.currsize == 8 and info.misses > len(EVICTION_POOL)
+    eta._eps_free.cache_clear()
 
 
 # ------------------------------------------------ (P^1)^n in closed form

@@ -8,7 +8,8 @@
   counted as it is computed.
 - ``series.exp_class`` uses the recurrence k E_k = sum_j j x_j E_{k-j};
   here exp(x) is sympy's sum of x^j / j! in the variables c and delta.
-- ``eta.adiabatic_limit_eta`` is memoized per (base, r).
+- ``eta._eps_free`` memoizes the adiabatic term and the eps-coefficients
+  of the transgression per (base, r).
 - ``spectral.certify_no_crossing`` decides a Type 2 family in integers;
   here the quadratic Q(delta) = A(delta) - delta^2 is classified in
   Fractions, from its minimum over 0, eps and the vertex, its rational
@@ -303,19 +304,21 @@ def test_exp_class_against_sympy(n):
         assert exp_class(x) == sympy_exp(x)
 
 
-# ------------------------------------------------------ the adiabatic memo
+# ------------------------------------------------------ the (base, r) memo
 
 
 def test_adiabatic_memo_hit_equals_miss():
     spec = resolve_manifold("cp1x4").manifold
     r = F(-7, 13)
-    miss = adiabatic_limit_eta.__wrapped__(spec, r)
-    assert miss == adiabatic_top(spec, r) * spec.top_integral / 2
-    first = adiabatic_limit_eta(spec, r)
-    hits = adiabatic_limit_eta.cache_info().hits
-    assert adiabatic_limit_eta(spec, r) == first == miss
-    assert adiabatic_limit_eta.cache_info().hits == hits + 1
-    assert adiabatic_limit_eta.cache_info().maxsize == 8
+    memo = eta._eps_free
+    miss = memo.__wrapped__(spec, r)
+    assert miss[0] == adiabatic_top(spec, r) * spec.top_integral / 2
+    first = memo(spec, r)
+    hits = memo.cache_info().hits
+    assert memo(spec, r) == first == miss
+    assert memo.cache_info().hits == hits + 1
+    assert memo.cache_info().maxsize == 8
+    assert adiabatic_limit_eta(spec, r) == miss[0]
     # typed: an equal float is refused, not matched to the stored Fraction
     adiabatic_limit_eta(spec, F(1, 2))
     with pytest.raises(TypeError):
