@@ -16,17 +16,17 @@ rescaling N.
 On a fixed base neither A-hat nor Omega_0 depends on (r, eps).  Every
 class lives in Q[delta][c]/(c^{n+1}), and both terms are read off one
 exponential E = e^{Omega_0}, built once per base in integers to c^{n+1}:
-the adiabatic term is A-hat (E at delta = 0) against a Bernoulli
+the adiabatic term A is A-hat (E at delta = 0) against a Bernoulli
 polynomial at floor(r) + 1 less a power of r, and the transgression T is
-(E - A-hat)/(2c) at eps, by the fundamental theorem in delta, an integer
-table in (r, eps) built in a bounded memo per base.  For a fixed (base, r)
-the adiabatic term A does not depend on eps and T is a polynomial of
-degree n + 1 in eps: one bounded memo per (base, r) holds A and T's
-eps-coefficients as integers over one denominator, so a query makes one
-lookup and one Horner's rule in eps.  ``corollary_check`` reads the same
-tables; the ``Fraction`` reference that checks them is ``series``, which
-this module never imports.  The ``paper_i`` convention, with literal
-factors of i, takes the same polynomial at i*eps.
+(E - A-hat)/(2c) at eps, by the fundamental theorem in delta: two integer
+tables, built in a bounded memo per base.  At a fixed r, A does not depend
+on eps and T is a polynomial of degree n + 1 in eps, so a bounded memo per
+(base, r) holds A and T's eps-coefficients as integers over one
+denominator, and a query makes one lookup and one Horner's rule in eps.
+``corollary_check`` reads the same tables; the ``Fraction`` reference that
+checks them is ``series``, which this module never imports.  The
+``paper_i`` convention, with literal factors of i, takes the same
+polynomial at i*eps.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .spectral import (
 CONVENTION_REAL = "real"
 CONVENTION_PAPER_I = "paper_i"
 CONVENTIONS = (CONVENTION_REAL, CONVENTION_PAPER_I)
-_ONE = Fraction(1)  # the default convention constant N = 1, built once
 
 _BERNOULLI = (1,)  # T_j = (j + 1)! B_j for j = 0..m, the largest m asked so far
 
@@ -155,27 +154,32 @@ def adiabatic_top(manifold: ManifoldSpec, r) -> Fraction:
     return Fraction(_homogeneous(P, R // D + 1, 1) * scale - q, L * scale)
 
 
-@lru_cache(maxsize=8, typed=True)
-def _eps_free(manifold: ManifoldSpec, r):
-    """(A, den, t) for one (base, r): the adiabatic term A and the integers t
-    with T(eps) = sum_e t[e] eps^e / den, e = 0..n + 1, t[0] = 0, the
-    transgression table read by Horner's rule in r once per column of equal
-    eps-degree.  Typed, so a float r is refused, not matched to a Fraction."""
-    L, columns = _class_tables(manifold)[2]
-    r, top = as_fraction(r), manifold.n + 1
-    R, D = r.numerator, r.denominator
-    t = [0] + [D**e * _homogeneous([c[e] for c in columns[: top + 1 - e]], R, D)
-               for e in range(1, top + 1)]
-    den = L * D**top
-    g = math.gcd(den, *t)
-    return (adiabatic_top(manifold, r) * manifold.top_integral / 2, den // g,
-            tuple(x // g for x in t))
-
-
 def adiabatic_limit_eta(manifold: ManifoldSpec, r) -> Fraction:
     """Small-eps limit of the eta invariant:
-    (1/2) * integral of A-hat * eta_hat_r * exp(rc), memoized per (base, r)."""
-    return _eps_free(manifold, r)[0]
+    (1/2) * integral of A-hat * eta_hat_r * exp(rc)."""
+    return adiabatic_top(manifold, r) * manifold.top_integral / 2
+
+
+@lru_cache(maxsize=8, typed=True)
+def _eps_free(manifold: ManifoldSpec, r):
+    """(A, den, t) for one (base, r): the adiabatic term A and the integers
+    t with T(eps) = sum_e t[e] eps^e / den, t[0] = 0, den = L' D^(n+1) for
+    r = R/D.  Column j of the transgression table weighs R^j D^(n+1-j), each
+    power made once, so t is a sum of short-by-long products.  Typed, so a
+    float r is refused, not matched to a Fraction."""
+    L, columns = _class_tables(manifold)[2]
+    r = as_fraction(r)
+    powers, scale = [1], 1  # R^j, then R^j D^(n+1-j)
+    for _ in columns[1:]:
+        powers.append(powers[-1] * r.numerator)
+    for j in reversed(range(len(powers) - 1)):
+        scale *= r.denominator
+        powers[j] *= scale
+    t = [0] * len(columns)
+    for column, power in zip(columns, powers):
+        for e, h in enumerate(column):
+            t[e] += h * power
+    return adiabatic_limit_eta(manifold, r), L * scale, tuple(t)
 
 
 def transgression_integrand_poly(manifold: ManifoldSpec, r) -> tuple:
@@ -302,8 +306,16 @@ class EtaResult(Record):
         }
 
 
-def eta_invariant(manifold: ManifoldSpec, model: SpectralModel, r, eps, *, N=1,
-                  convention=CONVENTION_REAL, sf_sign=SF_SIGN_PAPER) -> EtaResult:
+def eta_invariant(
+    manifold: ManifoldSpec,
+    model: SpectralModel,
+    r,
+    eps,
+    *,
+    N=1,
+    convention=CONVENTION_REAL,
+    sf_sign=SF_SIGN_PAPER,
+) -> EtaResult:
     """Eta invariant at (r, eps): adiabatic piece, transgression piece and
     certified spectral flow.  The flow is always computed, never assumed
     zero, even when the curvature bound already forces it to vanish, and
@@ -314,11 +326,20 @@ def eta_invariant(manifold: ManifoldSpec, model: SpectralModel, r, eps, *, N=1,
         raise ValueError("eps must be positive")
     adiabatic, raw = _terms(manifold, r, eps, convention)
     if not isinstance(raw, Fraction):
-        raise ValueError("the paper_i convention yields a Gaussian-valued transgression; "
-                         "use transgression_raw for side-by-side comparison")
+        raise ValueError(
+            "the paper_i convention yields a Gaussian-valued transgression; "
+            "use transgression_raw for side-by-side comparison"
+        )
     report = spectral_flow(model, r, eps, sf_sign=sf_sign)
-    N = _ONE if N.__class__ is int and N == 1 else as_fraction(N)
-    return EtaResult(r, eps, adiabatic, raw, N, convention, report)
+    return EtaResult(
+        r=r,
+        eps=eps,
+        adiabatic_term=adiabatic,
+        transgression_term=raw,
+        convention_constant=as_fraction(N),
+        convention=convention,
+        flow_report=report,
+    )
 
 
 def aps_terms(n: int, table, eps):
@@ -340,7 +361,11 @@ def aps_index(manifold_or_n, table, eps) -> Fraction:
     """Index of the boundary-value problem on the disc bundle:
     -(1/2) * sum of h^{p,k} over the terms of ``aps_terms``; the sum is
     exact."""
-    n = manifold_or_n.n if isinstance(manifold_or_n, ManifoldSpec) else int(manifold_or_n)
+    n = (
+        manifold_or_n.n
+        if isinstance(manifold_or_n, ManifoldSpec)
+        else int(manifold_or_n)
+    )
     return -Fraction(sum(h for _, _, h in aps_terms(n, table, eps)), 2)
 
 

@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from etaflow import eta, spectral
 from etaflow.catalog import PartialCohomology, product_cp1_model, resolve_manifold
-from etaflow.eta import adiabatic_limit_eta, adiabatic_top
+from etaflow.eta import adiabatic_limit_eta, adiabatic_top, transgression_raw
 from etaflow.exact import SqrtValue, exact_value_to_json, sqrt_sign, sqrt_value
 from etaflow.series import exp_class
 from etaflow.spectral import (
@@ -320,9 +320,9 @@ def test_adiabatic_memo_hit_equals_miss():
     assert memo.cache_info().maxsize == 8
     assert adiabatic_limit_eta(spec, r) == miss[0]
     # typed: an equal float is refused, not matched to the stored Fraction
-    adiabatic_limit_eta(spec, F(1, 2))
+    transgression_raw(spec, F(1, 2), 1)
     with pytest.raises(TypeError):
-        adiabatic_limit_eta(spec, 0.5)
+        transgression_raw(spec, 0.5, 1)
 
 
 # ------------------------------------------------ Type 2 certification
