@@ -276,14 +276,15 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
             return parse_rational(str(value))
         except ValueError as exc:
             raise TableValidationError(
-                f"cannot read Laplacian table {path}: {field}: {exc}") from exc
+                f"cannot read Laplacian table {quoted(path, str)}: {field}: {exc}") from exc
 
     try:
         raw = json.loads(Path(path).read_text(), parse_float=_json_number)
     except OSError as exc:
         raise TableValidationError(os_refusal("read Laplacian table", path, exc)) from exc
     except ValueError as exc:
-        raise TableValidationError(f"cannot read Laplacian table {path}: {exc}") from exc
+        raise TableValidationError(
+            f"cannot read Laplacian table {quoted(path, str)}: {exc}") from exc
     if isinstance(raw, list):
         entries_raw = raw
         declared_cutoff = None
@@ -428,9 +429,9 @@ def load_config(path) -> CatalogEntry:
     except OSError as exc:
         raise ConfigError(os_refusal("read manifold config", path, exc)) from exc
     except ValueError as exc:
-        raise ConfigError(f"cannot read manifold config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read manifold config {quoted(path, str)}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"manifold config {path} must be a JSON object")
+        raise ConfigError(f"manifold config {quoted(path, str)} must be a JSON object")
     kind = cfg.get("type")
     if kind == "product_cp1":
         entry = _entry_from_product(_integer(cfg.get("factors"),
@@ -443,7 +444,7 @@ def load_config(path) -> CatalogEntry:
         except KeyError as exc:
             raise ConfigError(f"hypersurface config needs key {exc}") from exc
     else:
-        raise ConfigError(f"unknown manifold type {quoted(kind)} in {path}")
+        raise ConfigError(f"unknown manifold type {quoted(kind)} in {quoted(path, str)}")
     if "name" in cfg:
         entry.name = str(cfg["name"])
         entry.model.name = entry.name

@@ -212,7 +212,8 @@ def _model_for(entry, mode: str):
     return model
 
 
-def _provenance(entry, args, extra=None):
+def _provenance(entry, args):
+    """The report's provenance; a command with --convention also names N = 1."""
     block = {
         "schema_version": SCHEMA_VERSION,
         "generator": f"etaflow {__version__}",
@@ -222,7 +223,8 @@ def _provenance(entry, args, extra=None):
         value = getattr(args, key, None)
         if value is not None:
             block[key] = value
-    block.update(extra or {})
+    if "convention" in block:
+        block["convention_constant"] = "1"
     return block
 
 
@@ -255,8 +257,7 @@ def _class_base(entry, order):
     return manifold
 
 
-def _cmd_eta(args):
-    entry = resolve_manifold(args.manifold)
+def _cmd_eta(args, entry):
     manifold = _class_base(entry, args.order)
     model = _model_for(entry, args.mode)
     res = eta_invariant(
@@ -267,21 +268,19 @@ def _cmd_eta(args):
     _add_decimals(result, ("total", "adiabatic_term", "transgression_term"),
                   args.decimal)
     code = EXIT_OK if res.flow_report.is_exact else EXIT_INDETERMINATE
-    return result, _provenance(entry, args, {"convention_constant": "1"}), code
+    return result, code
 
 
-def _cmd_adiabatic(args):
-    entry = resolve_manifold(args.manifold)
+def _cmd_adiabatic(args, entry):
     manifold = _class_base(entry, args.order)
     r = parse_rational(args.r)
     result = {"r": rational_str(r)}  # an r too long to print is refused first
     result["value"] = rational_str(adiabatic_limit_eta(manifold, r))
     _add_decimals(result, ("value",), args.decimal)
-    return result, _provenance(entry, args), EXIT_OK
+    return result, EXIT_OK
 
 
-def _cmd_transgression(args):
-    entry = resolve_manifold(args.manifold)
+def _cmd_transgression(args, entry):
     manifold = _class_base(entry, args.order)
     r = parse_rational(args.r)
     eps = parse_rational(args.eps)
@@ -291,22 +290,20 @@ def _cmd_transgression(args):
     value = transgression_raw(manifold, r, eps, args.convention)
     result.update(convention=args.convention, value=exact_value_to_json(value))
     _add_decimals(result, ("value",), args.decimal)
-    return result, _provenance(entry, args, {"convention_constant": "1"}), EXIT_OK
+    return result, EXIT_OK
 
 
-def _cmd_spectral_flow(args):
-    entry = resolve_manifold(args.manifold)
+def _cmd_spectral_flow(args, entry):
     model = _model_for(entry, args.mode)
     report = spectral_flow(
         model, parse_rational(args.r), parse_rational(args.eps),
         sf_sign=args.sf_sign,
     )
     code = EXIT_OK if report.is_exact else EXIT_INDETERMINATE
-    return report.to_json(), _provenance(entry, args), code
+    return report.to_json(), code
 
 
-def _cmd_aps_index(args):
-    entry = resolve_manifold(args.manifold)
+def _cmd_aps_index(args, entry):
     eps = parse_rational(args.eps)
     n = entry.model.n
     table = entry.model.table
@@ -321,11 +318,10 @@ def _cmd_aps_index(args):
         "resonant": bool(contributing),
     }
     _add_decimals(result, ("index",), args.decimal)
-    return result, _provenance(entry, args), EXIT_OK
+    return result, EXIT_OK
 
 
-def _cmd_kernel_dim(args):
-    entry = resolve_manifold(args.manifold)
+def _cmd_kernel_dim(args, entry):
     model = _model_for(entry, args.mode)
     r = parse_rational(args.r)
     eps = parse_rational(args.eps)
@@ -335,13 +331,12 @@ def _cmd_kernel_dim(args):
         "eps": rational_str(eps),
         "kernel_dimension": value,
     }
-    return result, _provenance(entry, args), EXIT_OK
+    return result, EXIT_OK
 
 
-def _cmd_check_identities(args):
+def _cmd_check_identities(args, entry):
     from .series import (_identity_suite, default_order, series_eta_hat, series_p,
                          series_p_prime)
-    entry = resolve_manifold(args.manifold)
     manifold = _class_base(entry, args.order)
     r = parse_rational(args.r)
     checks = _identity_suite(manifold, r)
@@ -356,11 +351,10 @@ def _cmd_check_identities(args):
             "r": rational_str(r),
         }
     code = EXIT_OK if result["all_pass"] else EXIT_ERROR
-    return result, _provenance(entry, args), code
+    return result, code
 
 
-def _cmd_counterexample(args):
-    entry = resolve_manifold(args.manifold)
+def _cmd_counterexample(args, entry):
     report = spectral_flow(
         entry.model, parse_rational(args.r), parse_rational(args.eps),
         sf_sign=args.sf_sign, on_unknown=ON_UNKNOWN_SKIP,
@@ -372,10 +366,10 @@ def _cmd_counterexample(args):
         result["note"] = (
             "cohomology table is partial; totals cover tabulated entries only"
         )
-    return result, _provenance(entry, args), EXIT_OK
+    return result, EXIT_OK
 
 
-# each subcommand's handler, help and options
+# each subcommand's handler, (args, entry) -> (result, exit code), its help and options
 _COMMANDS = {
     "eta": (_cmd_eta, "full eta-invariant decomposition",
             _options("r", "eps", "order", "mode", "convention", "sf-sign")),
@@ -481,8 +475,10 @@ def main(argv=None) -> int:
             print(f"etaflow: {_bounded(str(exc), argv)}", file=sys.stderr)
             return EXIT_ERROR
     try:
-        result, provenance, code = _COMMANDS[args.command][0](args)
-        payload = {"command": args.command, "provenance": provenance, "result": result}
+        entry = resolve_manifold(args.manifold)
+        result, code = _COMMANDS[args.command][0](args, entry)
+        payload = {"command": args.command, "provenance": _provenance(entry, args),
+                   "result": result}
         text = (payload_to_json if args.format == "json" else payload_to_csv)(payload)
         if args.out:
             try:

@@ -15,13 +15,13 @@ rescaling N.
 
 On a fixed base neither A-hat nor Omega_0 depends on (r, eps).  Every
 class lives in Q[delta][c]/(c^{n+1}), and both terms are read off one
-exponential E = e^{Omega_0}, built once per base in integers to c^{n+1}:
-the adiabatic term A is A-hat (E at delta = 0) against a Bernoulli
-polynomial at floor(r) + 1 less a power of r, and the transgression T is
-(E - A-hat)/(2c) at eps, by the fundamental theorem in delta: two integer
-tables, built in a bounded memo per base.  At a fixed r, A does not depend
-on eps and T is a polynomial of degree n + 1 in eps, so a bounded memo per
-(base, r) holds A and T's eps-coefficients as integers over one
+exponential E = e^{Omega_0}, built once per base in integers to c^{n+1}
+as one table H[j][e]/L = top E_{n+1-j}[e]/(2 j!) in a bounded memo.  By
+the fundamental theorem in delta its columns e >= 1 give the transgression
+T at eps, and its delta^0 column gives the adiabatic term
+A = 2 sum_j (H[j][0]/L)(B_j(floor(r) + 1) - r^j).  At a fixed r, A does not
+depend on eps and T is a polynomial of degree n + 1 in eps, so a bounded
+memo per (base, r) holds A and T's eps-coefficients as integers over one
 denominator, and a query makes one lookup and one Horner's rule in eps.
 ``corollary_check`` reads the same tables; the ``Fraction`` reference that
 checks them is ``series``, which this module never imports.  The
@@ -52,11 +52,10 @@ CONVENTIONS = (CONVENTION_REAL, CONVENTION_PAPER_I)
 _BERNOULLI = (1,)  # T_j = (j + 1)! B_j for j = 0..m, the largest m asked so far
 
 
-@lru_cache(maxsize=8)
 def _bernoulli(m: int) -> tuple:
     """B_0..B_m as Fractions (B_1 = -1/2) from T_j = (j + 1)! B_j in integers:
     sum_{k<=j} C(j+1, k) B_k = 0 reads T_j = -sum_{k<j} C(j+1, k) (j!/(k+1)!) T_k.
-    A miss extends one module-level prefix of the T_j, so a process computes
+    A call extends one module-level prefix of the T_j, so a process computes
     each number once; it is rebound, never changed in place, and threads that
     extend it at once compute equal numbers."""
     global _BERNOULLI
@@ -77,33 +76,25 @@ def _homogeneous(poly, x: int, scale: int) -> int:
     return value
 
 
-def _integer_table(rows):
-    """(L, rows * L), L the least common denominator of the Fraction rows."""
-    L = _scaled(*(x for row in rows for x in row))[0]
-    return L, tuple(tuple(x.numerator * (L // x.denominator) for x in row)
-                    for row in rows)
-
-
 @lru_cache(maxsize=8)
 def _class_tables(manifold: ManifoldSpec):
-    """(A-hat, (L, P, Q), (L', H)), read off E = e^{Omega_0} to c^{n+1}.
+    """(L, P, H) in integers, read off E = e^{Omega_0} to c^{n+1}.
 
     Row m of Omega_0 has delta^d coefficient 2 p_m C(m, d) 2^d s'_{m-d},
     2 p_m = -B_m/(m m!) for m >= 2, with s' the power sums plus 1 in degree
-    0 (the root 2 delta c), and s_{n+1} = 0: it reaches only
-    [c^{n+1} delta^0] E, which nothing reads.  With M the least common
+    0 (the root 2 delta c), and s_{n+1} = 0.  With M the least common
     denominator of the B_m/m times that of s', the rows y_m = m! M^m
     Omega_0_m and e_k = k! M^k E_k are integers, and
     k E_k = sum_j j Omega_0_j E_{k-j} reads e_k = sum_j C(k-1, j-1) y_j e_{k-j}.
     Then:
-    - A-hat_i is E_i at delta = 0;
-    - eta_hat_r e^{rc} = 2 e^{ac}/(e^c - 1) - 2 e^{rc}/c, a = floor(r) + 1,
-      so ``adiabatic_top`` is (P(a) - Q(r))/L with P(a) the sum over i of
-      2 A-hat_i B_{m+1}(a)/(m+1)! and Q(r) that of 2 A-hat_i r^{m+1}/(m+1)!,
-      m = n - i;
     - d Omega_0/d delta = 2c Omega_2 makes E_{k+1}/2 the delta-antiderivative
       of the c^k row of W = Omega_2 e^{Omega_0}, so the transgression table
-      is H[j][e]/L' = top E_{n+1-j}[e]/(2 j!) for e >= 1, H[j][0] = 0."""
+      is H[j][e]/L = top E_{n+1-j}[e]/(2 j!) for e >= 1;
+    - its delta^0 column is top A-hat_{n+1-j}/(2 j!), and
+      eta_hat_r e^{rc} = 2 e^{ac}/(e^c - 1) - 2 e^{rc}/c, a = floor(r) + 1,
+      so the adiabatic term is 2 sum_j (H[j][0]/L)(B_j(a) - r^j), whose j = 0
+      term, the one that reads s_{n+1}, is 0; P[l], an integer, is
+      2 sum_{j>=l} C(j, l) (n+2)! B_{j-l} H[j][0]."""
     n, top = manifold.n, manifold.top_integral
     bernoulli = _bernoulli(n + 1)
     sums = [as_fraction(s) for s in manifold.power_sums] + [ZERO]
@@ -123,51 +114,47 @@ def _class_tables(manifold: ManifoldSpec):
                     if z:
                         row[i] += x * z
         e.append(row)
-    ahat = tuple(Fraction(e[i][0], math.factorial(i) * M**i) for i in range(n + 1))
-    P, Q = [ZERO] * (n + 2), [ZERO] * (n + 2)
-    for i, a in enumerate(ahat):
-        if a:
-            m = n - i + 1
-            Q[m] += 2 * a / math.factorial(m)
-            for l in range(m + 1):
-                if bernoulli[m - l]:
-                    P[l] += 2 * a * bernoulli[m - l] / (math.factorial(l) * math.factorial(m - l))
-    L, (P, Q) = _integer_table((P, Q))
-    H = [[0] + [top.numerator * math.comb(n + 1, j) * M**j * x for x in e[n + 1 - j][1:]]
+    H = [[top.numerator * math.comb(n + 1, j) * M**j * x for x in e[n + 1 - j]]
          for j in range(n + 2)]
     den = 2 * top.denominator * math.factorial(n + 1) * M ** (n + 1)
     g = math.gcd(den, *(x for column in H for x in column))
-    return ahat, (L, P, Q), (den // g, tuple(tuple(x // g for x in column) for column in H))
-
-
-def adiabatic_top(manifold: ManifoldSpec, r) -> Fraction:
-    """[c^n] of A-hat * eta_hat_r(c) * e^{rc}: P at the integer
-    a = floor(r) + 1 less Q at r.  An integer r takes the average of the
-    values at a = r and a = r + 1, which is the integer eta_hat series."""
-    L, P, Q = _class_tables(manifold)[1]
-    r = as_fraction(r)
-    D, R = r.denominator, r.numerator
-    q = _homogeneous(Q, R, D)  # D^(n+1) Q(r)
-    if D == 1:
-        return Fraction(_homogeneous(P, R, 1) + _homogeneous(P, R + 1, 1) - 2 * q, 2 * L)
-    scale = D ** (len(Q) - 1)
-    return Fraction(_homogeneous(P, R // D + 1, 1) * scale - q, L * scale)
+    H = tuple(tuple(x // g for x in column) for column in H)
+    K = math.factorial(n + 2)
+    kb = [B.numerator * (K // B.denominator) for B in bernoulli]  # (n+2)! B_k
+    P = tuple(2 * sum(math.comb(j, l) * kb[j - l] * H[j][0] for j in range(l, n + 2))
+              for l in range(n + 2))
+    return den // g, P, H
 
 
 def adiabatic_limit_eta(manifold: ManifoldSpec, r) -> Fraction:
-    """Small-eps limit of the eta invariant:
-    (1/2) * integral of A-hat * eta_hat_r * exp(rc)."""
-    return adiabatic_top(manifold, r) * manifold.top_integral / 2
+    """Small-eps limit of the eta invariant, (1/2) * integral of A-hat *
+    eta_hat_r * exp(rc): P at the integer a = floor(r) + 1 less twice the
+    delta^0 column at r, over (n + 2)! L.  An integer r takes the average of
+    the values at a = r and a = r + 1, which is the integer eta_hat series."""
+    L, P, H = _class_tables(manifold)
+    r = as_fraction(r)
+    D, R = r.denominator, r.numerator
+    K = math.factorial(len(P))  # (n + 2)!
+    column = 2 * K * _homogeneous([h[0] for h in H], R, D)  # 2 K D^(n+1) H_0(r)
+    if D == 1:
+        return Fraction(_homogeneous(P, R, 1) + _homogeneous(P, R + 1, 1) - 2 * column, 2 * K * L)
+    scale = D ** (len(P) - 1)
+    return Fraction(_homogeneous(P, R // D + 1, 1) * scale - column, K * L * scale)
+
+
+def adiabatic_top(manifold: ManifoldSpec, r) -> Fraction:
+    """[c^n] of A-hat * eta_hat_r(c) * e^{rc}: the adiabatic term over top/2."""
+    return adiabatic_limit_eta(manifold, r) * 2 / manifold.top_integral
 
 
 @lru_cache(maxsize=8, typed=True)
 def _eps_free(manifold: ManifoldSpec, r):
     """(A, den, t) for one (base, r): the adiabatic term A and the integers
-    t with T(eps) = sum_e t[e] eps^e / den, t[0] = 0, den = L' D^(n+1) for
-    r = R/D.  Column j of the transgression table weighs R^j D^(n+1-j), each
-    power made once, so t is a sum of short-by-long products.  Typed, so a
-    float r is refused, not matched to a Fraction."""
-    L, columns = _class_tables(manifold)[2]
+    t with T(eps) = sum_e t[e] eps^e / den, t[0] = 0, den = L D^(n+1) for
+    r = R/D, from the columns e >= 1 of the table.  Column j weighs
+    R^j D^(n+1-j), each power made once, so t is a sum of short-by-long
+    products.  Typed, so a float r is refused, not matched to a Fraction."""
+    L, _, columns = _class_tables(manifold)
     r = as_fraction(r)
     powers, scale = [1], 1  # R^j, then R^j D^(n+1-j)
     for _ in columns[1:]:
@@ -177,8 +164,8 @@ def _eps_free(manifold: ManifoldSpec, r):
         powers[j] *= scale
     t = [0] * len(columns)
     for column, power in zip(columns, powers):
-        for e, h in enumerate(column):
-            t[e] += h * power
+        for e in range(1, len(column)):
+            t[e] += column[e] * power
     return adiabatic_limit_eta(manifold, r), L * scale, tuple(t)
 
 

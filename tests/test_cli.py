@@ -249,8 +249,8 @@ def test_unprintable_r_refused_before_evaluating(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("evaluated")
 
-    for module, name in ((eta, "adiabatic_top"), (eta, "transgression_raw"),
-                         (cli, "transgression_raw")):
+    for module, name in ((eta, "adiabatic_limit_eta"), (cli, "adiabatic_limit_eta"),
+                         (eta, "transgression_raw"), (cli, "transgression_raw")):
         monkeypatch.setattr(module, name, never)
     message = (f"etaflow: cannot print a rational of more than MAX_RATIONAL_DIGITS = "
                f"{MAX_RATIONAL_DIGITS} digits\n")

@@ -419,6 +419,14 @@ def _erc(r, n):
     return [r**j / math.factorial(j) for j in range(n + 1)]
 
 
+def table_a_hat(spec):
+    """A-hat read off the delta^0 column of the integer table, where
+    H[j][0]/L = top A-hat_{n+1-j}/(2 j!) for j = 1..n + 1."""
+    L, _, H = eta._class_tables(spec)
+    return tuple(F(2 * math.factorial(spec.n + 1 - i) * H[spec.n + 1 - i][0], L)
+                 / spec.top_integral for i in range(spec.n + 1))
+
+
 def series_adiabatic_top(name, r):
     """[c^n] of A-hat * eta_hat_r * e^{rc}, summed in Fractions from the
     closed-form series, apart from the integer tables."""
@@ -460,7 +468,7 @@ LONG_R = F(-(10**50 + 77), 3 * 10**49 + 1)  # a 51-digit numerator
 @example(name="cp1x4", r=F(-3), eps=F(10**12 + 1, 10**12))
 def test_tables_match_the_series_oracle(name, r, eps):
     spec, ahat, _ = _series_classes(name)
-    assert eta._class_tables(spec)[0] == ahat
+    assert table_a_hat(spec) == ahat
     top = series_adiabatic_top(name, r)
     assert adiabatic_top(spec, r) == top
     assert adiabatic_limit_eta(spec, r) == top * spec.top_integral / 2
@@ -470,6 +478,14 @@ def test_tables_match_the_series_oracle(name, r, eps):
         value = transgression_raw(spec, r, eps, convention)
         expected = convention_integral(poly, eps, convention)
         assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize("name", CLASS_BASES + tuple(OTHER_SPECS))
+def test_class_tables_hold_only_integers(name):
+    # one exact scalar type: the denominator, P and every entry of H
+    L, P, H = eta._class_tables(_spec(name))
+    assert all(type(x) is int for x in (L, *P, *(h for column in H for h in column)))
+
 
 
 # ------------------------------------------------------ the (base, r) memo
@@ -596,12 +612,30 @@ def _one_sided_limit(name, m, side):
 CLOSED_FORM_BASES = ("cp1xcp1", "cp1x4", "cp1x8")
 
 
-@pytest.mark.parametrize("name", CLOSED_FORM_BASES)
+def a_hat_bernoulli_form(name, r):
+    """The sum over i of 2 A-hat_i (B_m(floor(r) + 1) - r^m)/m!, m = n + 1 - i,
+    by sympy at a rational r that is not an integer, with A-hat from
+    ``series.a_hat_class``: the adiabatic term over top/2."""
+    spec = _spec(name)
+    x = sp.Rational(r.numerator, r.denominator)
+    total = sp.Integer(0)
+    for i, row in enumerate(a_hat_class(spec.power_sums)):
+        m = spec.n + 1 - i
+        total += (2 * sp.Rational(row[0].numerator, row[0].denominator)
+                  * (sp.bernoulli(m, sp.floor(x) + 1) - x**m) / sp.factorial(m))
+    return F(str(total))
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_BASES + tuple(OTHER_SPECS))
 def test_adiabatic_term_is_one_bernoulli_polynomial(name):
-    n = _spec(name).n
+    # a sum of Bernoulli polynomials weighted by A-hat; on (P^1)^n, where
+    # A-hat = 1, one polynomial
+    spec = _spec(name)
     rs = [F(1, 2), F(1, 3), F(-7, 3), F(29, 4), F(-1, 10**6), F(10**20 + 1, 7)]
     for r in rs:
-        assert adiabatic_limit_eta(_spec(name), r) == bernoulli_closed_form(n, r)
+        assert adiabatic_top(spec, r) == a_hat_bernoulli_form(name, r)
+        if name in CLOSED_FORM_BASES:
+            assert adiabatic_limit_eta(spec, r) == bernoulli_closed_form(spec.n, r)
 
 
 @pytest.mark.parametrize("name", CLOSED_FORM_BASES)
@@ -698,5 +732,5 @@ def test_a_hat_is_one_on_every_catalog_base():
     for name in CLASS_BASES:
         spec = _spec(name)
         one = (F(1),) + (F(0),) * spec.n
-        assert eta._class_tables(spec)[0] == one, name
+        assert table_a_hat(spec) == one, name
         assert _series_classes(name)[1] == one, name

@@ -198,8 +198,8 @@ def sympy_bernoulli():
 
 @pytest.fixture
 def fresh_bernoulli(monkeypatch):
-    """An empty prefix and memo, restored afterwards, with a counter of the
-    numbers the recurrence computes: B_j costs one C(j + 1, 0)."""
+    """An empty prefix, restored afterwards, with a counter of the numbers
+    the recurrence computes: B_j costs one C(j + 1, 0)."""
     computed = []
 
     class CountingMath:
@@ -211,11 +211,9 @@ def fresh_bernoulli(monkeypatch):
                 computed.append(a - 1)
             return math.comb(a, b)
 
-    eta._bernoulli.cache_clear()
     monkeypatch.setattr(eta, "_BERNOULLI", (1,))
     monkeypatch.setattr(eta, "math", CountingMath)
     yield computed
-    eta._bernoulli.cache_clear()
 
 
 def test_bernoulli_prefix_serial(fresh_bernoulli, sympy_bernoulli):

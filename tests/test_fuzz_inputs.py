@@ -19,6 +19,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from etaflow import cli
@@ -203,3 +204,36 @@ def _check(files, argv):
         assert len(message.encode()) < MAX_MESSAGE, message[:200]
     assert code == EXIT_ERROR or out.getvalue() or message  # a report or a message
     assert elapsed < BUDGET_S, argv
+
+
+# a directory of about 2000 characters, ten names of 199; each file is a
+# config or table that the command refuses, naming its path
+LONG_DIR = "/".join(["d" * 199] * 10)
+REFUSED_FILES = {
+    "config_not_json": {"man.json": "{not json"},
+    "config_json_array": {"man.json": "[]"},
+    "config_unknown_type": {"man.json": json.dumps({"type": "t"})},
+    "table_not_json": {**_config(laplacian_table="table.json"), "table.json": "{not json"},
+    "table_bad_half_mu_sq": _table([{**ENTRY, "halfMuSq": "h"}]),
+}
+
+
+@pytest.mark.parametrize("files", REFUSED_FILES.values(), ids=list(REFUSED_FILES))
+def test_long_paths_are_quoted(files):
+    # a short path is printed whole; a long one as the repr of its first 20
+    # characters and '...' (exact.quoted), so the refusal stays short
+    messages = []
+    for sub in ("short", LONG_DIR):
+        with tempfile.TemporaryDirectory() as tmp:
+            folder = Path(tmp) / sub
+            folder.mkdir(parents=True)
+            for name, text in files.items():
+                (folder / name).write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert main([*MAN[:2], str(folder / "man.json"), *MAN[3:]]) == EXIT_ERROR
+            messages.append(err.getvalue().replace(str(folder), "{folder}"))
+    short, long = messages
+    assert short.startswith("etaflow: ") and "{folder}/" in short, short
+    assert long.startswith("etaflow: ") and len(long.encode()) < MAX_MESSAGE, long[:200]
+    assert "'..." in long and "d" * 199 not in long, long[:200]

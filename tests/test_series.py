@@ -8,6 +8,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etaflow import eta
 from etaflow.catalog import ManifoldSpec, product_cp1_model
 from etaflow.eta import CONVENTION_PAPER_I, CONVENTION_REAL, transgression_integrand_poly
 from etaflow.exact import GaussianRational
@@ -185,9 +186,12 @@ def test_integer_case_is_average_of_one_sided_limits():
 def test_bernoulli_helper_against_sympy():
     numbers = _bernoulli(ORACLE_ORDER)
     assert len(numbers) == ORACLE_ORDER + 1
-    # memoized and bounded; a tuple, so no caller can change the shared value
-    assert type(numbers) is tuple and _bernoulli(ORACLE_ORDER) is numbers
-    assert _bernoulli.cache_info().maxsize == 8
+    # one shared prefix of the integers (j + 1)! B_j, a tuple, so no caller
+    # can change it; a second call reads it and extends nothing
+    prefix = eta._BERNOULLI
+    assert type(prefix) is tuple and len(prefix) > ORACLE_ORDER
+    assert all(type(t) is int for t in prefix)
+    assert _bernoulli(ORACLE_ORDER) == numbers and eta._BERNOULLI is prefix
     assert numbers[1] == F(-1, 2)  # sympy 1.14 uses B_1 = +1/2
     for m in range(ORACLE_ORDER + 1):
         assert type(numbers[m]) is F
