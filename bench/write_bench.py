@@ -36,6 +36,16 @@ bytecode cache.  From those trees, on both sides, interleaved:
   the module global that ``spectral_flow`` calls;
 - the cold class side: the first ``eta_invariant`` on each of cp1xcp1,
   cp1x4, cp1x6, cp1x8 and cp1x32, each in 5 fresh processes (the median);
+- deterministic cost counts: the Python bytecodes executed and the Python
+  calls made by one eta-grid pass and one flow-sweep pass at seed 1, as
+  ``sys.settrace`` with ``f_trace_opcodes`` sees them, with the ten
+  functions that executed the most.  Both trees run under this one
+  interpreter, since bytecode differs between Python versions, and a
+  second run of a tree gives the same counts.  Work done in C is not
+  counted: big-integer arithmetic, ``math.comb`` and ``math.gcd``, the
+  ``json`` encoder and the ``lru_cache`` lookup, so a change whose cost is
+  in long integers still needs wall time.  Tracing slows a pass about
+  17-fold, so the probe takes about 5 s;
 - a sha256 of the answers of every perfbench case (workload and seed):
   the library answers as ``perfbench/worker.py`` writes them, and for
   cli-batch each invocation's exit code and output, run from the
@@ -255,6 +265,36 @@ for (kind, status), calls in sorted(counts.items()):
 print(json.dumps({"calls": sum(counts.values()), "by_kind": by_kind}))
 """
 
+# the executed bytecodes and Python calls of one pass of a workload (args[0])
+# at the seed, counted by sys.settrace with f_trace_opcodes from the first
+# query to the last, after the set-up (imports and resolve_manifold), and
+# the ten functions, by file stem and qualified name, that executed the most
+_COSTS = """
+import worker
+from collections import Counter
+found, entries = queries(args[0])
+by_code, calls = Counter(), 0
+
+def trace(frame, event, arg):
+    global calls
+    if event == "call":
+        calls += 1
+        frame.f_trace_opcodes = True
+    elif event == "opcode":
+        by_code[frame.f_code] += 1
+    return trace
+
+sys.settrace(trace)
+for query in found:
+    worker._run(entries[query["base"]], query)
+sys.settrace(None)
+by_name = Counter()
+for code, count in by_code.items():
+    by_name[f"{Path(code.co_filename).stem}:{code.co_qualname}"] += count
+print(json.dumps({"queries": len(found), "bytecodes": by_name.total(), "calls": calls,
+                  "top_functions": by_name.most_common(10)}))
+"""
+
 # the compile() seconds of each module of src/etaflow, as an import compiles
 # it: the median of 21 compiles within this one process
 _COMPILE = """
@@ -363,6 +403,17 @@ def _cold_class_side(roots: dict) -> dict:
     return {side: {"case": "first eta_invariant(r = 1/3, eps = 1/2) per base, "
                            "fresh processes", "bases": cases}
             for side, cases in bases.items()}
+
+
+def _cost_counts(roots: dict) -> dict:
+    """{side: {workload: the counts of one pass at seed 1}} for eta-grid and
+    flow-sweep, one process per tree of ``roots`` each (``_COSTS``)."""
+    counts = {side: {} for side in roots}
+    for workload in ("eta-grid", "flow-sweep"):
+        for side, runs in _probe(_COSTS, roots, workload).items():
+            counts[side][workload] = runs[0]
+    return {"case": "bytecodes and Python calls of one pass at seed 1, sys.settrace",
+            **counts}
 
 
 def _import_split(roots: dict, processes: int = 11) -> dict:
@@ -519,6 +570,8 @@ def main(argv=None) -> int:
                                             side_runs[0] for side, side_runs in runs.items()}}
         record["certify_calls_equal_baseline"] = (record["certify_calls"]["baseline"]
                                                   == record["certify_calls"]["head"])
+        with section("cost_counts"):
+            record["cost_counts"] = _cost_counts(roots)
         with section("cold_class_side"):
             cold = _cold_class_side(roots)
         record["baseline_cold_class_side"] = cold["baseline"]

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import Record, as_fraction, parse_rational, quoted
+from .exact import MAX_RATIONAL_DIGITS, Record, as_fraction, parse_rational, quoted
 from .spectral import (
     CohomologyTable,
     LaplacianSpectrum,
@@ -121,8 +121,11 @@ class ManifoldSpec(Record):
     sum_i x_i^k = power_sums[k] * c^k for k = 0..n (power_sums[0] = n).
     Every class then lives in Q[delta][c]/(c^{n+1}) (see ``series``), and
     ``top_integral``, the integral of c^n over X, is a nonzero rational;
-    ``kappa`` is the Ricci lower bound (None marks a non-Fano entry).
+    ``kappa`` is the Ricci lower bound (None marks a non-Fano entry).  A
+    spec is immutable and hashed once: it keys the memos of ``eta``.
     """
+
+    __slots__ = ("_hash",)  # outside __dict__, so equality and repr skip it
 
     def __init__(self, name: str, n: int, top_integral: Fraction,
                  power_sums: tuple, kappa: Fraction | None):
@@ -130,26 +133,31 @@ class ManifoldSpec(Record):
             raise ValueError("complex dimension must be >= 1")
         if len(power_sums) != n + 1:
             raise ValueError("need one power sum for each k = 0..n")
-        self.name = name
-        self.n = n
-        self.top_integral = as_fraction(top_integral)
-        if self.top_integral == 0:
+        top_integral = as_fraction(top_integral)
+        if top_integral == 0:
             raise ValueError("top integral must be nonzero")
-        self.power_sums = power_sums
-        self.kappa = kappa
+        self.__dict__.update(name=name, n=n, top_integral=top_integral,
+                             power_sums=power_sums, kappa=kappa)
+        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ManifoldSpec is immutable")
+
+    def __hash__(self):
+        return self._hash
 
 
 class HypersurfaceSpec(Record):
     """Even-degree hypersurface in P^{n+1} with d > n + 2 (general type)."""
 
     def __init__(self, n: int, degree: int):
-        if n % 2 or n <= 0:
-            raise ConfigError("complex dimension n must be a positive even integer")
         if n > MAX_HYPERSURFACE_DIM:
             raise ConfigError(
                 f"hypersurface dimension n = {quoted(n, str)} exceeds "
                 f"MAX_HYPERSURFACE_DIM = {MAX_HYPERSURFACE_DIM}"
             )
+        if n % 2 or n <= 0:
+            raise ConfigError("complex dimension n must be a positive even integer")
         if degree % 2:
             raise ConfigError("degree must be even for a spin square root")
         if degree <= n + 2:
@@ -176,14 +184,14 @@ def product_cp1_model(factors: int):
     anticanonical bundle equals 2c, asserted in the tests).  At most
     MAX_CP1_FACTORS factors are accepted.
     """
-    if factors % 2 or factors <= 0:
-        raise ConfigError(f"the product model needs a positive even number of factors, "
-                          f"got {quoted(factors, str)}")
     if factors > MAX_CP1_FACTORS:
         raise ConfigError(
             f"cp1x{quoted(factors, str)} has more than MAX_CP1_FACTORS = {MAX_CP1_FACTORS} "
             "factors"
         )
+    if factors % 2 or factors <= 0:
+        raise ConfigError(f"the product model needs a positive even number of factors, "
+                          f"got {quoted(factors, str)}")
     spec = ManifoldSpec(
         name=f"cp1x{factors}" if factors != 2 else "cp1xcp1",
         n=factors,
@@ -285,18 +293,15 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
     except ValueError as exc:
         raise TableValidationError(
             f"cannot read Laplacian table {quoted(path, str)}: {exc}") from exc
-    if isinstance(raw, list):
-        entries_raw = raw
-        declared_cutoff = None
-        declared_range = None
-    elif isinstance(raw, dict):
+    entries_raw = raw  # a bare array, with no declared cutoff or k-range
+    declared_cutoff = declared_range = None
+    if isinstance(raw, dict):
         entries_raw = raw.get("entries", [])
         if not isinstance(entries_raw, list):
             raise TableValidationError("spectrum table 'entries' must be a JSON array")
         declared_cutoff = raw.get("half_mu_sq_max")
         if declared_cutoff is not None:
             declared_cutoff = rational(declared_cutoff, "spectrum table 'half_mu_sq_max'")
-        declared_range = None
         if "k_min" in raw or "k_max" in raw:
             for key in ("k_min", "k_max"):
                 if key not in raw:
@@ -304,7 +309,7 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
             declared_range = tuple(_integer(raw[key], f"spectrum table {key!r}",
                                             TableValidationError)
                                    for key in ("k_min", "k_max"))
-    else:
+    elif not isinstance(raw, list):
         raise TableValidationError("spectrum file must be a JSON array or object")
 
     if not entries_raw:
@@ -379,25 +384,18 @@ def laplacian_table_load(path, n: int, kappa) -> LaplacianSpectrum | None:
 
 
 class CatalogEntry(Record):
-    """A resolved manifold: the characteristic-class side (when it exists)
-    plus the spectral model."""
+    """A resolved manifold: the name its reports carry and the spectral
+    model, which holds the characteristic-class side when it exists."""
 
     __hash__ = None
 
-    def __init__(self, name: str, manifold: ManifoldSpec | None,
-                 hypersurface: HypersurfaceSpec | None, model: SpectralModel):
+    def __init__(self, name: str, model: SpectralModel):
         self.name = name
-        self.manifold = manifold
-        self.hypersurface = hypersurface
         self.model = model
 
-    def require_manifold(self) -> ManifoldSpec:
-        if self.manifold is None:
-            raise ConfigError(
-                f"{quoted(self.name)} has no characteristic-class data (general-type "
-                "entries support only the spectral operations)"
-            )
-        return self.manifold
+    @property
+    def manifold(self) -> ManifoldSpec | None:
+        return self.model.manifold
 
 
 _HYP_RE = re.compile(r"^hyp:n=(-?\d+),d=(-?\d+)$")
@@ -406,14 +404,12 @@ _CP1_RE = re.compile(r"^cp1x(\d+)$")
 
 def _entry_from_product(factors: int) -> CatalogEntry:
     spec, table = product_cp1_model(factors)
-    model = SpectralModel(spec.name, spec.n, spec.kappa, table)
-    return CatalogEntry(spec.name, spec, None, model)
+    return CatalogEntry(spec.name, SpectralModel(spec.n, spec.kappa, table, manifold=spec))
 
 
 def _entry_from_hypersurface(n: int, d: int) -> CatalogEntry:
     spec, table = general_type_hypersurface_model(n, d)
-    model = SpectralModel(spec.name, spec.n, None, table)
-    return CatalogEntry(spec.name, None, spec, model)
+    return CatalogEntry(spec.name, SpectralModel(spec.n, None, table))
 
 
 def load_config(path) -> CatalogEntry:
@@ -447,7 +443,6 @@ def load_config(path) -> CatalogEntry:
         raise ConfigError(f"unknown manifold type {quoted(kind)} in {quoted(path, str)}")
     if "name" in cfg:
         entry.name = str(cfg["name"])
-        entry.model.name = entry.name
     if "laplacian_table" in cfg:
         table_path = cfg["laplacian_table"]
         if not isinstance(table_path, str) or not table_path:
@@ -465,22 +460,25 @@ def load_config(path) -> CatalogEntry:
 
 def resolve_manifold(text: str) -> CatalogEntry:
     """Resolve a builtin name ("cp1xcp1", "cp1x4", "hyp:n=4,d=8") or a
-    config file path."""
+    config file path.  A name whose number has more digits than any value
+    that a builtin admits is unknown, and its number is never read."""
     if text == "cp1xcp1":
         return _entry_from_product(2)
     match = _CP1_RE.match(text)
-    if match:
-        return _entry_from_product(int(match.group(1)))
+    if match and len(match[1]) <= MAX_RATIONAL_DIGITS:
+        return _entry_from_product(int(match[1]))
     match = _HYP_RE.match(text)
-    if match:
-        return _entry_from_hypersurface(int(match.group(1)), int(match.group(2)))
+    if match and max(len(match[1]), len(match[2])) <= MAX_RATIONAL_DIGITS:
+        return _entry_from_hypersurface(int(match[1]), int(match[2]))
     try:
-        is_file = Path(text).exists()
+        is_file = text != "" and Path(text).exists()  # Path("") is the current directory
     except OSError:  # a name too long for the file system, say
         is_file = False
     if is_file:
         return load_config(text)
     raise ConfigError(
-        f"unknown manifold {quoted(text)}: expected cp1xcp1, cp1x<2m>, "
-        "hyp:n=<n>,d=<d>, or a config file path"
+        f"unknown manifold {quoted(text)}: expected cp1xcp1, cp1x<2m> with 2m <= "
+        f"MAX_CP1_FACTORS = {MAX_CP1_FACTORS}, hyp:n=<n>,d=<d> with n <= MAX_HYPERSURFACE_DIM "
+        f"= {MAX_HYPERSURFACE_DIM}, each number in at most MAX_RATIONAL_DIGITS = "
+        f"{MAX_RATIONAL_DIGITS} digits, or a config file path"
     )

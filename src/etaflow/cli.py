@@ -208,7 +208,7 @@ def _model_for(entry, mode: str):
         return model
     if model.spectrum is not None:
         # nakano mode deliberately ignores a shipped table
-        model = SpectralModel(model.name, model.n, model.kappa, model.table)
+        model = SpectralModel(model.n, model.kappa, model.table, manifold=model.manifold)
     return model
 
 
@@ -250,7 +250,10 @@ def _class_base(entry, order):
     """The entry's base, once an --order below its complex dimension n is
     refused: the classes live in Q[delta][c]/(c^{n+1}) and are always built
     to order n, so a lower order names an inexact truncation."""
-    manifold = entry.require_manifold()
+    manifold = entry.manifold
+    if manifold is None:
+        raise ConfigError(f"{quoted(entry.name)} has no characteristic-class data (general-type "
+                          "entries support only the spectral operations)")
     if order is not None and order < manifold.n:
         raise ValueError(f"series order {order} is below the complex dimension "
                          f"n = {manifold.n} of {manifold.name}")

@@ -35,8 +35,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import ManifoldSpec
-from .exact import ZERO, GaussianRational, Record, as_fraction, rational_str
+from .exact import ZERO, GaussianRational, Record, as_fraction, quoted, rational_str
 from .spectral import (
     SF_SIGN_PAPER,
     SpectralFlowReport,
@@ -307,7 +306,11 @@ def eta_invariant(
     certified spectral flow.  The flow is always computed, never assumed
     zero, even when the curvature bound already forces it to vanish, and
     an unknown cohomology cell raises UnknownCohomologyError: no total is
-    made from a partial flow."""
+    made from a partial flow.  A ``model`` of another base than
+    ``manifold`` is refused."""
+    if model.manifold is not manifold and model.manifold != manifold:
+        base = model.table.name if model.manifold is None else model.manifold.name
+        raise ValueError(f"the spectral model is of {quoted(base)}, not {quoted(manifold.name)}")
     r, eps = as_fraction(r), as_fraction(eps)
     if eps.numerator <= 0:
         raise ValueError("eps must be positive")
@@ -344,15 +347,10 @@ def aps_terms(n: int, table, eps):
     return terms
 
 
-def aps_index(manifold_or_n, table, eps) -> Fraction:
+def aps_index(n: int, table, eps) -> Fraction:
     """Index of the boundary-value problem on the disc bundle:
     -(1/2) * sum of h^{p,k} over the terms of ``aps_terms``; the sum is
     exact."""
-    n = (
-        manifold_or_n.n
-        if isinstance(manifold_or_n, ManifoldSpec)
-        else int(manifold_or_n)
-    )
     return -Fraction(sum(h for _, _, h in aps_terms(n, table, eps)), 2)
 
 

@@ -139,19 +139,20 @@ class LaplacianSpectrum(Record):
 class SpectralModel(Record):
     """Everything the engine needs about a base manifold: the complex
     dimension, the Ricci lower bound (None for non-Fano entries), the
-    cohomology table and an optional explicit Laplacian spectrum.  With
-    ``spectrum`` None the Type 2 families are certified from the Nakano
-    bound alone (``MODE_NAKANO``)."""
+    cohomology table, an optional explicit Laplacian spectrum and the
+    ``catalog.ManifoldSpec`` of the base, or None for a base with no
+    characteristic-class data.  With ``spectrum`` None the Type 2 families
+    are certified from the Nakano bound alone (``MODE_NAKANO``)."""
 
     __hash__ = None
 
-    def __init__(self, name: str, n: int, kappa: Fraction | None,
-                 table: CohomologyTable, spectrum: LaplacianSpectrum | None = None):
-        self.name = name
+    def __init__(self, n: int, kappa: Fraction | None, table: CohomologyTable,
+                 spectrum: LaplacianSpectrum | None = None, manifold=None):
         self.n = n
         self.kappa = kappa
         self.table = table
         self.spectrum = spectrum
+        self.manifold = manifold
 
     @property
     def mode(self) -> str:

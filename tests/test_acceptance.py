@@ -14,7 +14,7 @@ from etaflow.catalog import (
     TableValidationError,
     general_type_hypersurface_model,
     laplacian_table_load,
-    product_cp1_model,
+    resolve_manifold,
 )
 from etaflow.eta import adiabatic_limit_eta, aps_index, corollary_check, eta_invariant
 from etaflow.series import (
@@ -49,8 +49,8 @@ def criterion(number, description):
 def models():
     out = {}
     for factors in (2, 4):
-        spec, table = product_cp1_model(factors)
-        out[factors] = (spec, SpectralModel(spec.name, spec.n, spec.kappa, table))
+        entry = resolve_manifold(f"cp1x{factors}")
+        out[factors] = (entry.manifold, entry.model)
     return out
 
 
@@ -86,7 +86,7 @@ def test_criterion_2_spectral_flow_vanishing():
 def test_criterion_3_counterexample():
     with criterion(3, "general-type crossing at delta=1/2 with flow != 0"):
         hyp, table = general_type_hypersurface_model(4, 8)
-        model = SpectralModel(hyp.name, 4, None, table)
+        model = SpectralModel(4, None, table)
         report = spectral_flow(model, 0, 1, on_unknown=ON_UNKNOWN_SKIP)
         type1 = [c for c in report.crossings if c.family.kind == TYPE1]
         assert len(type1) == 1
@@ -173,8 +173,8 @@ def test_criterion_7_aps_index():
 
         assert brute_force(F(3, 7)) == 0
         assert brute_force(F(1)) == -1
-        assert aps_index(spec, table, F(3, 7)) == brute_force(F(3, 7)) == 0
-        assert aps_index(spec, table, 1) == brute_force(F(1)) == -1
+        assert aps_index(spec.n, table, F(3, 7)) == brute_force(F(3, 7)) == 0
+        assert aps_index(spec.n, table, 1) == brute_force(F(1)) == -1
 
 
 def test_criterion_8_nakano_vanishing_cross_checks(tmp_path):

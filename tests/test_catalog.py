@@ -240,15 +240,34 @@ def test_catalog_records_are_values():
                                 power_sums=spec.power_sums, kappa=spec.kappa)
     assert spec != ManifoldSpec(spec.name, spec.n, spec.top_integral,
                                 spec.power_sums, None)
-    hyp = resolve_manifold("hyp:n=4,d=8").hypersurface
+    hyp = general_type_hypersurface_model(4, 8)[0]
     assert hyp == HypersurfaceSpec(n=4, degree=8)
     assert hash(hyp) == hash(HypersurfaceSpec(4, 8)) and hyp != HypersurfaceSpec(4, 10)
     # a catalog entry can be renamed in place, so it compares by value but
     # has no hash
-    assert CatalogEntry("x", None, hyp, second.model) == \
-        CatalogEntry("x", None, HypersurfaceSpec(4, 8), second.model)
+    assert CatalogEntry("x", second.model) == CatalogEntry("x", second.model)
     with pytest.raises(TypeError):
         hash(first)
+
+
+def test_manifold_spec_is_immutable_and_hashed_once():
+    hashed = []
+
+    class Counted(F):
+        def __hash__(self):
+            hashed.append(self)
+            return super().__hash__()
+
+    spec = ManifoldSpec("counted", 2, Counted(2), (2, 2, 0), F(2))
+    assert len(hashed) == 1  # at construction
+    assert hash(spec) == hash(spec) and len(hashed) == 1
+    assert spec == ManifoldSpec("counted", 2, F(2), (2, 2, 0), F(2))
+    assert repr(spec) == ("ManifoldSpec(name='counted', n=2, top_integral=Counted(2, 1), "
+                          "power_sums=(2, 2, 0), kappa=Fraction(2, 1))")
+    for field, value in (("n", 4), ("kappa", None), ("extra", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(spec, field, value)
+    assert spec.n == 2 and spec.kappa == 2 and not hasattr(spec, "extra")
 
 
 def test_manifold_spec_validation():
@@ -313,7 +332,8 @@ def test_resolve_builtins():
     assert resolve_manifold("cp1xcp1").model.n == 2
     assert resolve_manifold("cp1x4").model.n == 4
     entry = resolve_manifold("hyp:n=4,d=8")
-    assert entry.manifold is None and entry.hypersurface.k0 == -1
+    assert entry.manifold is None and general_type_hypersurface_model(4, 8)[0].k0 == -1
+    assert entry.model.table.entries == {(0, -1): 1}
     with pytest.raises(ConfigError):
         resolve_manifold("nonexistent-thing")
 

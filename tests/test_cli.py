@@ -335,8 +335,8 @@ def test_nakano_mode_keeps_the_shipped_table(tmp_path, capsys):
     table = entry.model.spectrum
     model = cli._model_for(entry, "nakano")
     assert model.spectrum is None and model.table is entry.model.table
-    assert (model.name, model.n, model.kappa) == \
-        (entry.model.name, entry.model.n, entry.model.kappa)
+    assert (model.n, model.kappa) == (entry.model.n, entry.model.kappa)
+    assert model.manifold is entry.manifold is not None  # the copy keeps the spec
     assert entry.model.spectrum is table and table is not None
     assert cli._model_for(entry, "explicit") is entry.model
     _, payload = run_json(capsys, "spectral-flow", "--manifold", str(cfg),

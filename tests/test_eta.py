@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from etaflow import eta, series
 from etaflow.catalog import ConfigError, ManifoldSpec, product_cp1_model, resolve_manifold
-from etaflow.cli import MAX_SERIES_ORDER, main
+from etaflow.cli import MAX_SERIES_ORDER, _class_base, main
 from etaflow.eta import (
     CONVENTION_PAPER_I,
     CONVENTION_REAL,
@@ -34,7 +34,8 @@ from etaflow.series import (
 )
 from etaflow.spectral import (
     SF_SIGN_STANDARD,
-    SpectralModel,
+    IndeterminateSpectralFlow,
+    SpectralWindowError,
     UnknownCohomologyError,
     kernel_dimension,
 )
@@ -53,8 +54,7 @@ def cp1x4():
 
 
 def model_of(spec_table):
-    spec, table = spec_table
-    return SpectralModel(spec.name, spec.n, spec.kappa, table)
+    return resolve_manifold(spec_table[0].name).model
 
 
 # ------------------------------------------------------- adiabatic limit
@@ -207,7 +207,46 @@ def test_eta_invariant_indeterminate_not_zeroed(cp1xcp1):
 def test_eta_refuses_general_type():
     entry = resolve_manifold("hyp:n=4,d=8")
     with pytest.raises(ConfigError):
-        entry.require_manifold()
+        _class_base(entry, None)
+
+
+# the class side and the spectral side of one query must describe one base
+PAIR_BASES = ("cp1xcp1", "cp1x4", "cp1x6", "cp1x8", "hyp:n=4,d=8",
+              str(ROOT / "configs" / "cp1xcp1_explicit.json"))
+
+
+def test_eta_refuses_a_model_of_another_base():
+    spec, model = resolve_manifold("cp1x4").manifold, resolve_manifold("cp1xcp1").model
+    with pytest.raises(ValueError, match="^the spectral model is of 'cp1xcp1', not 'cp1x4'$"):
+        eta_invariant(spec, model, F(1, 3), F(1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec_base=st.sampled_from([b for b in PAIR_BASES if b != "hyp:n=4,d=8"]),
+       model_base=st.sampled_from(PAIR_BASES),
+       r=st.builds(F, st.integers(-12, 12), st.integers(1, 6)),
+       eps=st.builds(F, st.integers(1, 12), st.integers(1, 6)))
+def test_eta_answers_matched_pairs_and_refuses_the_rest(spec_base, model_base, r, eps):
+    # specs from separate resolve_manifold calls are equal, not identical:
+    # a pair is matched when the model's spec equals the one passed
+    spec, model = resolve_manifold(spec_base).manifold, resolve_manifold(model_base).model
+    if model.manifold != spec:
+        other = model.table.name if model.manifold is None else model.manifold.name
+        with pytest.raises(ValueError, match="spectral model is of") as caught:
+            eta_invariant(spec, model, r, eps)
+        assert repr(spec.name) in str(caught.value) and repr(other) in str(caught.value)
+        return
+    assert spec is not model.manifold
+    try:
+        result = eta_invariant(spec, model, r, eps)
+    except (IndeterminateSpectralFlow, SpectralWindowError, UnknownCohomologyError) as exc:
+        # the explicit table's refusals are the model's own, as when matched by identity
+        with pytest.raises(type(exc)):
+            eta_invariant(model.manifold, model, r, eps)
+        return
+    again = eta_invariant(model.manifold, model, r, eps)
+    assert result.to_json() == again.to_json()
+    assert result.adiabatic_term == adiabatic_limit_eta(spec, r)
 
 
 # ------------------------------------------------------- APS index
@@ -227,10 +266,10 @@ def test_aps_index_examples(cp1xcp1):
     # oracle first: enumerate p in {0, 1, 2} against the Kunneth table
     assert aps_brute_force(table, 2, F(3, 7)) == 0
     assert aps_brute_force(table, 2, F(1)) == -1
-    assert aps_index(spec, table, F(3, 7)) == 0
-    assert aps_index(spec, table, 1) == -1
+    assert aps_index(spec.n, table, F(3, 7)) == 0
+    assert aps_index(spec.n, table, 1) == -1
     # only p = n/2 gives an integral twist at denominator n + 1
-    assert aps_index(spec, table, F(1, 3)) == -F(table.h(1, 0), 2) == 0
+    assert aps_index(spec.n, table, F(1, 3)) == -F(table.h(1, 0), 2) == 0
 
 
 def test_aps_terms_list_every_integral_twist(cp1xcp1):
@@ -245,11 +284,11 @@ def test_aps_index_piecewise_constant(cp1xcp1):
     spec, table = cp1xcp1
     # the index can jump only at eps = k/(n/2 - p) with h^{p,k} > 0: 1 and 2
     for eps in (F(3, 5), F(7, 10), F(9, 10), F(999, 1000)):
-        assert aps_index(spec, table, eps) == 0
-    assert aps_index(spec, table, 1) == -1
+        assert aps_index(spec.n, table, eps) == 0
+    assert aps_index(spec.n, table, 1) == -1
     for eps in (F(1001, 1000), F(3, 2), F(1999, 1000)):
-        assert aps_index(spec, table, eps) == 0
-    assert aps_index(spec, table, 2) == -4  # h^{0,2} = h^{2,-2} = 4
+        assert aps_index(spec.n, table, eps) == 0
+    assert aps_index(spec.n, table, 2) == -4  # h^{0,2} = h^{2,-2} = 4
 
 
 # ------------------------------------------------------- corollary
@@ -547,8 +586,8 @@ def test_transgression_has_degree_n_plus_one_in_eps(name, r, start, step, conven
        eps=st.lists(st.builds(F, st.integers(1, 96), st.integers(1, 12)),
                     min_size=2, max_size=6))
 def test_adiabatic_term_is_the_same_at_every_eps(n, r, eps):
-    spec, table = product_cp1_model(n)
-    model = SpectralModel(spec.name, spec.n, spec.kappa, table)
+    entry = resolve_manifold(f"cp1x{n}")
+    spec, model = entry.manifold, entry.model
     terms = {eta_invariant(spec, model, r, e).adiabatic_term for e in eps}
     assert terms == {adiabatic_limit_eta(spec, r)}
 

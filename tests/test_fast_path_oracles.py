@@ -36,7 +36,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etaflow import eta, spectral
-from etaflow.catalog import PartialCohomology, product_cp1_model, resolve_manifold
+from etaflow.catalog import PartialCohomology, resolve_manifold
 from etaflow.eta import adiabatic_limit_eta, adiabatic_top, transgression_raw
 from etaflow.exact import SqrtValue, exact_value_to_json, sqrt_sign, sqrt_value
 from etaflow.series import exp_class
@@ -80,16 +80,15 @@ def fraction_window(n, r, eps, factor):
 @example(n=6, r=F(5), eps=F(100000), factor=F(5))  # 4.2 million Type 1 cells
 def test_integer_windows_match_fraction_reference(n, r, eps, factor):
     spans, half_mu_max = fraction_window(n, r, eps, factor)
-    spec, table = product_cp1_model(n)
     # a complete table lists no cell one by one, whatever the window's size
-    model = SpectralModel(spec.name, n, F(2), table)
+    model = resolve_manifold(f"cp1x{n}").model
     _, _, window = enumerate_families(model, r, eps, window_factor=factor)
     assert window == {"type1_k": spans[0], "type2_k": spans[1],
                       "half_mu_sq_max": str(half_mu_max),
                       "factor": str(factor)}
     # an empty partial table lists its whole Type 1 window as one run per q,
     # however many cells it holds
-    partial = SpectralModel("partial", n, F(2), PartialCohomology("partial", {}))
+    partial = SpectralModel(n, F(2), PartialCohomology("partial", {}))
     lo, hi = spans[0]
     expected = [unknown_message(q, lo, hi, "partial") for q in range(n + 1)] if lo <= hi else []
     assert enumerate_families(partial, r, eps, window_factor=factor,
@@ -100,9 +99,8 @@ def test_each_query_scales_its_inputs_once(monkeypatch):
     calls = []
     scaled = spectral._scaled
     monkeypatch.setattr(spectral, "_scaled", lambda *v: calls.append(v) or scaled(*v))
-    spec, table = product_cp1_model(4)
-    nakano = SpectralModel(spec.name, 4, F(2), table)
-    explicit = SpectralModel(spec.name, 4, F(2), table, LaplacianSpectrum(
+    nakano = resolve_manifold("cp1x4").model
+    explicit = SpectralModel(4, F(2), nakano.table, LaplacianSpectrum(
         {(0, 1): ((F(5, 2), 1),)}, F(100), (-40, 40)))
     for model in (nakano, explicit):
         for r, eps in ((F(1, 3), F(7, 5)), (F(-5, 2), F(4)), (F(1), F(3, 7))):
@@ -121,11 +119,10 @@ ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__
 
 def test_windows_and_levels_do_no_fraction_arithmetic(monkeypatch):
     # the whole integer pass of a query: scaling, windows, limits, k-ranges
-    spec, table = product_cp1_model(4)
+    nakano = resolve_manifold("cp1x4").model
     spectrum = LaplacianSpectrum({(q, k): ((F(abs(k) + q + 1, 3), 1),)
                                   for q in range(5) for k in range(-9, 10)}, F(50), (-30, 30))
-    models = [SpectralModel(spec.name, 4, F(2), table),
-              SpectralModel(spec.name, 4, F(2), table, spectrum)]
+    models = [nakano, SpectralModel(4, F(2), nakano.table, spectrum)]
     for r, eps, factor in ((F(5, 2), F(3), F(1)), (F(-5, 2), F(9), F(3, 2))):
         with monkeypatch.context() as patch:
             for name in ARITHMETIC:
@@ -181,7 +178,7 @@ def test_gap_listing_matches_per_cell_reference(n, r, eps, data):
     table = PartialCohomology("partial", {cell: 1 for cell in cells}, [])
     expected = [unknown_message(q, lo, hi, "partial") for q, lo, hi in collapse(
         [(q, k) for q in range(n + 1) for k in range(k_lo, k_hi + 1) if not table.is_known(q, k)])]
-    model = SpectralModel("partial", n, F(2), table)  # the Nakano bound reports nothing
+    model = SpectralModel(n, F(2), table)  # the Nakano bound reports nothing
     assert enumerate_families(model, r, eps, on_unknown=ON_UNKNOWN_SKIP)[1] == expected
 
 

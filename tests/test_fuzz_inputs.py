@@ -23,6 +23,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from etaflow import cli
+from etaflow.catalog import MAX_CP1_FACTORS, MAX_HYPERSURFACE_DIM
+from etaflow.exact import MAX_RATIONAL_DIGITS
 from etaflow.cli import EXIT_ERROR, EXIT_INDETERMINATE, EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -204,6 +206,50 @@ def _check(files, argv):
         assert len(message.encode()) < MAX_MESSAGE, message[:200]
     assert code == EXIT_ERROR or out.getvalue() or message  # a report or a message
     assert elapsed < BUDGET_S, argv
+    return code, message
+
+
+# each builtin form, with {} for one of its numbers, and the limit that bounds
+# it; the degree d has no limit of its own but its number of digits
+BUILTIN_FORMS = {"cp1x{}": ("MAX_CP1_FACTORS", MAX_CP1_FACTORS),
+                 "hyp:n={},d=8": ("MAX_HYPERSURFACE_DIM", MAX_HYPERSURFACE_DIM),
+                 "hyp:n=4,d={}": ("MAX_RATIONAL_DIGITS", None)}
+
+
+@st.composite
+def builtin_names(draw):
+    """(name, the limit its refusal must name or None): a builtin form whose
+    number is a run of up to 5000 digits after 0 to 5000 leading zeros."""
+    form = draw(st.sampled_from(sorted(BUILTIN_FORMS)))
+    length = draw(st.one_of(st.integers(1, 4), st.integers(1, 5000)))
+    lead, rest = draw(st.sampled_from("123456789")), draw(st.sampled_from("0123456789"))
+    digits = lead + rest * (length - 1)
+    run = "0" * draw(st.sampled_from([0, 0, 1, 3, 3999, 5000])) + digits
+    name, limit = BUILTIN_FORMS[form]
+    # past MAX_RATIONAL_DIGITS digits a name is unknown, and the refusal names
+    # every limit; below it, only a value past a limit must name it
+    if len(run) > MAX_RATIONAL_DIGITS or (limit is not None and
+                                          (length > 2 or int(digits) > limit)):
+        return form.format(run), name
+    return form.format(run), None
+
+
+@settings(max_examples=100, deadline=None)
+@given(builtin_names())
+@example(("cp1x" + "9" * 5000, "MAX_CP1_FACTORS"))
+@example(("hyp:n=" + "9" * 5000 + ",d=8", "MAX_HYPERSURFACE_DIM"))
+@example(("hyp:n=4,d=" + "8" * 5000, "MAX_RATIONAL_DIGITS"))
+@example(("cp1x" + "0" * 5000 + "4", "MAX_CP1_FACTORS"))
+@example(("cp1x0004", None))
+@example(("", "etaflow: unknown manifold '': expected cp1xcp1, cp1x<2m> with 2m <= "
+              "MAX_CP1_FACTORS"))  # not the current directory
+def test_builtin_names_past_a_limit_are_refused_by_it(case):
+    # a case names the text its refusal must hold, or None when it may answer
+    name, expected = case
+    code, message = _check({}, ["aps-index", "--manifold", name, "--eps=1"])
+    if expected is not None:
+        assert code == EXIT_ERROR and expected in message, (name[:30], message)
+    assert message.count("\n") <= 1
 
 
 # a directory of about 2000 characters, ten names of 199; each file is a

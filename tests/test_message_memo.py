@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etaflow.catalog import PartialCohomology, product_cp1_model, resolve_manifold
+from etaflow.catalog import PartialCohomology, resolve_manifold
 from etaflow.spectral import (IndeterminateSpectralFlow, LaplacianSpectrum, SpectralModel,
                               UnknownCohomologyError, enumerate_families,
                               kernel_dimension, spectral_flow)
@@ -131,13 +131,13 @@ def _partial_model():
     """n = 2, several known k per q, a Ricci bound: no Type 2 message."""
     entries = {(0, -3): 1, (0, 0): 2, (0, 4): 0, (1, -1): 1, (1, 1): 3, (1, 2): 0,
                (2, -5): 1, (2, 3): 1, (2, 6): 2}
-    return SpectralModel("memo-test", 2, Fraction(1), PartialCohomology("memo-test", entries))
+    return SpectralModel(2, Fraction(1), PartialCohomology("memo-test", entries))
 
 
 def _explicit_model(n, k_range):
-    spec, table = product_cp1_model(n)
-    return SpectralModel(spec.name, n, spec.kappa, table,
-                         LaplacianSpectrum({}, Fraction(10**40), k_range))
+    model = resolve_manifold(f"cp1x{n}").model
+    model.spectrum = LaplacianSpectrum({}, Fraction(10**40), k_range)
+    return model
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +179,7 @@ def random_models(draw):
                               max_size=40, unique=True))
         kappa = draw(st.one_of(st.none(), st.fractions(0, 4, max_denominator=6)))
         table = PartialCohomology("partial", {cell: 1 for cell in cells})
-        return SpectralModel("partial", n, kappa, table)
+        return SpectralModel(n, kappa, table)
     return _explicit_model(n, (draw(st.integers(-30, 30)), draw(st.integers(-30, 30))))
 
 

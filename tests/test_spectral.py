@@ -59,16 +59,15 @@ from test_message_memo import collapse, missing_message, unknown_message
 
 
 def make_model(factors=2, spectrum=None):
-    spec, table = product_cp1_model(factors)
-    model = SpectralModel(spec.name, spec.n, spec.kappa, table)
+    entry = resolve_manifold(f"cp1x{factors}")
     if spectrum is not None:
-        model.spectrum = spectrum
-    return spec, model
+        entry.model.spectrum = spectrum
+    return entry.manifold, entry.model
 
 
 def hyp_model(n=4, d=8):
     spec, table = general_type_hypersurface_model(n, d)
-    return spec, SpectralModel(spec.name, n, None, table)
+    return spec, SpectralModel(n, None, table)
 
 
 # ------------------------------------------------------------- basic ops
@@ -234,7 +233,7 @@ def test_unbuilt_type2_branch_is_strictly_signed(explicit_model, n, data, r, hal
     assert sp.sign(branch) == sign
     # so each (q, k, level) is built once, in the branch that can vanish
     spec, table = product_cp1_model(n)
-    for model in (SpectralModel(spec.name, n, kappa, table), explicit_model):
+    for model in (SpectralModel(n, kappa, table), explicit_model):
         families, _, _ = enumerate_families(model, r, eps, on_unknown=ON_UNKNOWN_SKIP)
         type2 = [f for f in families if f.kind != TYPE1]
         levels = Counter((f.q, f.k, f.half_mu_sq) for f in type2)
@@ -269,7 +268,7 @@ def test_type1_certification_matches_affine_reference(n, data, k, eps, t, case):
     assert want.zero_at_eps == (case in ("eps", "flat zero"))
     # a partial table lists every known cell of its window, so a flow on it
     # certifies roots outside [0, eps] too
-    model = SpectralModel("one", n, None, PartialCohomology("one", {(q, k): 1}))
+    model = SpectralModel(n, None, PartialCohomology("one", {(q, k): 1}))
     families, _, _ = enumerate_families(model, r, eps, window_factor=2,
                                         on_unknown=ON_UNKNOWN_SKIP)
     assert families == [family]
@@ -330,9 +329,10 @@ def test_spectral_records_are_values():
     # not hashable; bound-only mode is spectrum=None
     _, model = make_model(4)
     assert model.spectrum is None and model.mode == MODE_NAKANO
-    assert model == SpectralModel(model.name, model.n, model.kappa, model.table,
-                                  spectrum=None)
-    explicit = SpectralModel(model.name, model.n, model.kappa, model.table, table)
+    assert model == SpectralModel(model.n, model.kappa, model.table,
+                                  spectrum=None, manifold=model.manifold)
+    assert model != SpectralModel(model.n, model.kappa, model.table)  # no spec
+    explicit = SpectralModel(model.n, model.kappa, model.table, table, model.manifold)
     assert model != explicit and explicit.mode == MODE_EXPLICIT
     report = spectral_flow(model, 0, 3)
     assert report == spectral_flow(model, 0, 3)
@@ -460,7 +460,7 @@ def test_nakano_type2_window_matches_cell_walk(n, factor, kappa, r, eps):
     # the enumerator lists a subset of the walked Type 2 families that
     # holds every one whose certification reports anything
     spec, table = product_cp1_model(n)
-    model = SpectralModel(spec.name, n, kappa, table)
+    model = SpectralModel(n, kappa, table)
     families, _, _ = enumerate_families(model, r, eps, window_factor=factor)
     type2 = [f for f in families if f.kind != TYPE1]
     walked = [EigenvalueFamily(kind, q, k, n, None, half_mu_sq=bound,
@@ -585,7 +585,7 @@ def outcome_of(call):
 @example(n=4, factor=1, kappa=F(2), r=F(-30), eps=F(29, 2))
 def test_range_path_matches_cell_walk(n, factor, kappa, r, eps):
     spec, table = product_cp1_model(n)
-    model = SpectralModel(spec.name, n, kappa, table)
+    model = SpectralModel(n, kappa, table)
     report = spectral_flow(model, r, eps, window_factor=factor)
     assert report.to_json() == walk_flow(model, r, eps, factor).to_json()
     assert outcome_of(lambda: kernel_dimension(model, r, eps)) == \
@@ -629,7 +629,7 @@ def test_unsupported_dimension_refused_before_any_work():
     # the kernel refuses what the flow refuses, rather than answering 0 for
     # odd n or raising IndeterminateSpectralFlow for n = 1 and n = 0
     for n in (3, 1, 0, -2):
-        model = SpectralModel("odd", n, 2, KunnethCohomology(max(n, 0)))
+        model = SpectralModel(n, 2, KunnethCohomology(max(n, 0)))
         for call in (spectral_flow, kernel_dimension):
             with pytest.raises(ValueError, match="only positive even complex dimension"):
                 call(model, F(1, 3), 5)
@@ -1266,7 +1266,7 @@ def partial_models(draw):
     lower_bounds = [cell for cell in cells if draw(st.booleans())]
     kappa = draw(st.one_of(st.none(), st.just(F(0)),
                            st.fractions(min_value=0, max_value=4, max_denominator=6)))
-    return SpectralModel("partial", n, kappa,
+    return SpectralModel(n, kappa,
                          PartialCohomology("partial", entries, lower_bounds))
 
 
@@ -1353,7 +1353,7 @@ def test_integer_bounds_match_fraction_formulas(n, kappa, r, eps, factor):
     radius = eps * (n + 2) / 2 * factor
     k_lo, k_hi = math.ceil(r - radius), math.floor(r + radius)
     spec, table = product_cp1_model(n)
-    (D, R, E, G, K), _, _, type2, _ = _plan(SpectralModel(spec.name, n, kappa, table),
+    (D, R, E, G, K), _, _, type2, _ = _plan(SpectralModel(n, kappa, table),
                                           r, eps, factor)
     assert (F(R, D), F(E, D), F(G, D), F(K, D)) == (r, eps, factor, kappa)
     for q in range(n + 1):

@@ -91,7 +91,7 @@ def test_timed_blocks(write_bench):
 # the top-level blocks of a record; the deleted probes' keys must not come back
 KEPT = {"git_revision", "git_dirty_paths", "python", "machine", "bytecode",
         "baseline_revision", "paired", "import_split", "compile_times", "cold_resolve",
-        "modules_loaded", "certify_calls", "certify_calls_equal_baseline",
+        "modules_loaded", "certify_calls", "certify_calls_equal_baseline", "cost_counts",
         "baseline_cold_class_side", "baseline_answers", "answers", "answers_equal_baseline",
         "perfbench_traced", "micro", "elapsed_s"}
 DELETED = {"class_products", "class_products_equal_baseline", "fraction_constructions"}
@@ -109,6 +109,7 @@ def test_record_blocks_and_their_seconds(write_bench, tmp_path, monkeypatch, cap
 
     def probe(code, roots, *args, rounds=1, seed=1):
         run = ({"first_call_s": 0.1, "total": "1/2"} if code == write_bench._COLD
+               else {"bytecodes": 1, "calls": 1} if code == write_bench._COSTS
                else {"part": {"seconds": 0.1}})
         return {side: [dict(run) for _ in range(rounds)] for side in roots}
 
@@ -125,7 +126,7 @@ def test_record_blocks_and_their_seconds(write_bench, tmp_path, monkeypatch, cap
     assert set(record) == KEPT | {"section_s"} and not DELETED & set(record)
     assert set(record["section_s"]) == {
         "paired eta-grid", "paired flow-sweep", "paired cli-batch", "import_split",
-        "compile_times", "cold_resolve", "modules_loaded", "certify_calls",
+        "compile_times", "cold_resolve", "modules_loaded", "certify_calls", "cost_counts",
         "cold_class_side", "answers", "perfbench_traced", "micro"}
     assert all(seconds >= 0 for seconds in record["section_s"].values())
     assert record["answers_equal_baseline"] and record["certify_calls_equal_baseline"]
@@ -134,3 +135,16 @@ def test_record_blocks_and_their_seconds(write_bench, tmp_path, monkeypatch, cap
     assert len(record["micro"]) == 4
     assert record["micro"][2]["bases"]["cp1x32"].keys() == {
         "first_call_s", "median", "q1", "q3", "total"}
+    assert record["cost_counts"]["head"] == {"eta-grid": {"bytecodes": 1, "calls": 1},
+                                             "flow-sweep": {"bytecodes": 1, "calls": 1}}
+
+
+def test_cost_counts_repeat_on_one_tree(write_bench):
+    # two processes on this checkout: sys.settrace counts the same pass alike
+    first, second = (write_bench._cost_counts({"head": ROOT})["head"] for _ in range(2))
+    assert first == second
+    for workload in ("eta-grid", "flow-sweep"):
+        counts = first[workload]
+        assert counts["queries"] > 100 and counts["bytecodes"] > counts["calls"] > 0
+        assert len(counts["top_functions"]) == 10
+        assert sum(n for _, n in counts["top_functions"]) <= counts["bytecodes"]
