@@ -460,8 +460,8 @@ def load_config(path) -> CatalogEntry:
 
 def resolve_manifold(text: str) -> CatalogEntry:
     """Resolve a builtin name ("cp1xcp1", "cp1x4", "hyp:n=4,d=8") or a
-    config file path.  A name whose number has more digits than any value
-    that a builtin admits is unknown, and its number is never read."""
+    config file path.  A builtin name whose number is written in more than
+    MAX_RATIONAL_DIGITS digits is unknown: int() never reads the number."""
     if text == "cp1xcp1":
         return _entry_from_product(2)
     match = _CP1_RE.match(text)
